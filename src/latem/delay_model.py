@@ -15,8 +15,10 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 import ipaddress
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 from typing import IO, Iterator, Mapping, Sequence, Union
 
@@ -98,11 +100,23 @@ def _ip_key(ip: str) -> int:
     return int(ipaddress.IPv4Address(ip))
 
 
+def _ordered(a: str, key_a: int, b: str, key_b: int) -> IpPair:
+    if key_a == key_b:
+        raise ConfigError(f"a pair needs two distinct addresses, got {a} twice")
+    return (a, b) if key_a < key_b else (b, a)
+
+
 def make_pair(a: str, b: str) -> IpPair:
     """Normalize an unordered pair to (lower-IP, higher-IP) numeric order."""
-    if _ip_key(a) == _ip_key(b):
-        raise ConfigError(f"a pair needs two distinct addresses, got {a} twice")
-    return (a, b) if _ip_key(a) < _ip_key(b) else (b, a)
+    return _ordered(a, _ip_key(a), b, _ip_key(b))
+
+
+class _KeyMemo(dict):
+    """Address -> integer key; each distinct address is parsed once."""
+
+    def __missing__(self, ip: str) -> int:
+        key = self[ip] = _ip_key(ip)
+        return key
 
 
 @dataclass(frozen=True)
@@ -168,15 +182,26 @@ class DelayClassMap:
 
     @classmethod
     def from_json_dict(cls, data: Mapping) -> "DelayClassMap":
-        classes = tuple(
-            DelayClass(
-                mark=int(c["mark"]),
-                delay_ms=int(c["delay_ms"]),
-                pairs=tuple(make_pair(p[0], p[1]) for p in c["pairs"]),
+        keys = _KeyMemo()
+        try:
+            classes = tuple(
+                DelayClass(
+                    mark=int(c["mark"]),
+                    delay_ms=int(c["delay_ms"]),
+                    pairs=tuple(
+                        _ordered(p[0], keys[p[0]], p[1], keys[p[1]]) for p in c["pairs"]
+                    ),
+                )
+                for c in data["classes"]
             )
-            for c in data["classes"]
-        )
+        except TypeError as exc:  # e.g. a nested list where an address belongs
+            raise ConfigError(f"malformed class map ({exc})") from None
         return cls(classes=classes)
+
+
+# np.loadtxt reports a bad cell by 0-based data row and a ragged row 1-based.
+_LOADTXT_BAD_CELL = re.compile(r"could not convert string (.*) at row (\d+), column (\d+)")
+_LOADTXT_RAGGED = re.compile(r"number of columns changed from (\d+) to (\d+) at row (\d+)")
 
 
 def load_matrix(source: Union[str, Path, IO[str]], fmt: str = "auto") -> DelayMatrix:
@@ -193,28 +218,37 @@ def load_matrix(source: Union[str, Path, IO[str]], fmt: str = "auto") -> DelayMa
     else:
         text = Path(source).read_text()
 
-    rows: list[list[float]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if fmt == "auto":
-            fmt = "csv" if "," in line else "whitespace"
-        cells = line.split(",") if fmt == "csv" else line.split()
-        try:
-            rows.append([float(c) for c in cells])
-        except ValueError as exc:
-            raise ValueError(f"line {line_no}: non-numeric cell ({exc})") from None
-
+    line_nos: list[int] = []
+    rows: list[str] = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if line.strip():
+            line_nos.append(line_no)
+            rows.append(line)
+    del text
     if not rows:
         raise ShapeError("matrix source contains no rows")
-    width = len(rows[0])
-    for i, row in enumerate(rows):
-        if len(row) != width:
-            raise ShapeError(f"row {i} has {len(row)} cells, expected {width}")
-    if len(rows) != width:
-        raise ShapeError(f"matrix is {len(rows)}x{width}, expected square")
-    return DelayMatrix(np.array(rows, dtype=np.float64))
+    if fmt == "auto":
+        fmt = "csv" if "," in rows[0] else "whitespace"
+
+    try:
+        entries = np.loadtxt(
+            rows, delimiter="," if fmt == "csv" else None, comments=None, ndmin=2
+        )
+    except ValueError as exc:
+        if m := _LOADTXT_BAD_CELL.search(str(exc)):
+            raise ValueError(
+                f"line {line_nos[int(m.group(2))]}: non-numeric cell "
+                f"({m.group(1)} in column {m.group(3)})"
+            ) from None
+        if m := _LOADTXT_RAGGED.search(str(exc)):
+            raise ShapeError(
+                f"row {int(m.group(3)) - 1} has {m.group(2)} cells, expected {m.group(1)}"
+            ) from None
+        raise
+    del rows
+    if entries.shape[0] != entries.shape[1]:
+        raise ShapeError(f"matrix is {entries.shape[0]}x{entries.shape[1]}, expected square")
+    return DelayMatrix(entries)
 
 
 def subsample(m: DelayMatrix, count: int, seed: int) -> DelayMatrix:
@@ -279,22 +313,36 @@ def build_classes(
         ip_list = list(ips)
         if len(ip_list) != n:
             raise ConfigError(f"need {n} addresses, got {len(ip_list)}")
-    for ip in ip_list:
-        ipaddress.IPv4Address(ip)  # raises on malformed input
+    keys = np.array([_ip_key(ip) for ip in ip_list], dtype=np.int64)  # raises on malformed
     if len(set(ip_list)) != n:
         dupes = sorted({ip for ip in ip_list if ip_list.count(ip) > 1})
         raise ConfigError(f"duplicate node addresses: {dupes}")
 
-    by_delay: dict[int, list[IpPair]] = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = int(q[i, j])
-            if d == 0 and policy.drop_zero_class:
-                continue
-            by_delay.setdefault(d, []).append(make_pair(ip_list[i], ip_list[j]))
+    i, j = np.triu_indices(n, k=1)
+    delay = q[i, j]
+    if delay.dtype.kind == "f" and not np.isfinite(delay).all():
+        raise ValueError("quantized delays must be finite")
+    delay = delay.astype(np.int64)  # truncates toward zero, as int() does
+    if policy.drop_zero_class:
+        keep = delay != 0
+        i, j, delay = i[keep], j[keep], delay[keep]
+        del keep
+    swap = keys[i] > keys[j]
+    lo, hi = np.where(swap, j, i), np.where(swap, i, j)
+    del i, j, swap
+    # Within a class, pairs run in numeric (lower, higher) address order.
+    order = np.lexsort((keys[hi], keys[lo], delay))
+    lo, hi, delay = lo[order], hi[order], delay[order]
+    del order
+    delays, sizes = np.unique(delay, return_counts=True)
+    del delay
 
-    classes = []
-    for mark, delay in enumerate(sorted(by_delay), start=1):
-        pairs = sorted(by_delay[delay], key=lambda p: (_ip_key(p[0]), _ip_key(p[1])))
-        classes.append(DelayClass(mark=mark, delay_ms=delay, pairs=tuple(pairs)))
-    return DelayClassMap(classes=tuple(classes))
+    # Gathering through an object array reuses the callers' address strings.
+    ip_arr = np.array(ip_list, dtype=object)
+    pairs = zip(ip_arr[lo].tolist(), ip_arr[hi].tolist())
+    del lo, hi
+    classes = tuple(
+        DelayClass(mark=mark, delay_ms=delay_ms, pairs=tuple(islice(pairs, size)))
+        for mark, (delay_ms, size) in enumerate(zip(delays.tolist(), sizes.tolist()), start=1)
+    )
+    return DelayClassMap(classes=classes)

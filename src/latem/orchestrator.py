@@ -251,12 +251,9 @@ def _node_spec_env(
     node: NodeSpec,
     manifest: ExperimentManifest,
     overlays: Mapping[str, Mapping[str, list[str]]],
+    signal_targets: list[tuple[str, set[str]]],  # (phase, names of nodes it signals)
 ) -> str:
-    signal_phases = [
-        p.name
-        for p in manifest.phases
-        if p.action == "signal" and node in manifest.nodes_for_target(p.target)
-    ]
+    signal_phases = [name for name, targets in signal_targets if node.name in targets]
     spec = {
         "name": node.name,
         "ip": node.ip,
@@ -328,6 +325,11 @@ def build_startup_plan(
     )
 
     overlays = _node_overlays(manifest)
+    signal_targets = [
+        (p.name, {n.name for n in manifest.nodes_for_target(p.target)})
+        for p in manifest.phases
+        if p.action == "signal"
+    ]
     launch_phases = [p for p in manifest.phases if p.action == "launch"]
     for phase in launch_phases:
         targets = manifest.nodes_for_target(phase.target)
@@ -346,7 +348,9 @@ def build_startup_plan(
             batch_nodes = targets[offset : offset + size]
             offset += size
             lines = tuple(
-                _launch_line(node, manifest, _node_spec_env(node, manifest, overlays))
+                _launch_line(
+                    node, manifest, _node_spec_env(node, manifest, overlays, signal_targets)
+                )
                 for node in batch_nodes
             )
             add(

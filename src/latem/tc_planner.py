@@ -199,17 +199,15 @@ class _NftState:
     def __init__(self) -> None:
         self.sets: dict[str, set[tuple[str, str]]] = {}
         self.rules: list[tuple[str, int]] = []  # (set name, mark), in order
-        self._mark_cache: dict[tuple[str, str], int] | None = None
 
-    def mark_of(self, src: str, dst: str) -> int | None:
-        if self._mark_cache is None:
-            # first matching rule wins, so earlier rules must not be overwritten
-            cache: dict[tuple[str, str], int] = {}
-            for set_name, mark in self.rules:
-                for pair in self.sets.get(set_name, ()):
-                    cache.setdefault(pair, mark)
-            self._mark_cache = cache
-        return self._mark_cache.get((src, dst))
+    def marks(self) -> dict[tuple[str, str], int]:
+        """Directed pair -> the mark a packet of that pair is stamped with."""
+        marks: dict[tuple[str, str], int] = {}
+        # first matching rule wins: apply the rules last to first, so an
+        # earlier rule overwrites a later one
+        for set_name, mark in reversed(self.rules):
+            marks.update(dict.fromkeys(self.sets.get(set_name, ()), mark))
+        return marks
 
 
 def _parse_nft(script: CommandScript) -> _NftState:
@@ -316,16 +314,19 @@ def verify_plan(
     and compare the netem delay there with the class delay. Separately checks
     that unmarked traffic lands on the no-delay default leaf.
     """
-    nft_state = _parse_nft(nft)
+    marks = _parse_nft(nft).marks()
     tc_state = _parse_tc(tc)
     mismatches: list[Mismatch] = []
     pairs_checked = 0
 
     for cls in classes:
+        # Routing depends on the mark alone, and only packets marked
+        # cls.mark are routed here.
+        delay, detail = tc_state.route(cls.mark)
+        pairs_checked += 2 * len(cls.pairs)
         for lo, hi in cls.pairs:
             for src, dst in ((lo, hi), (hi, lo)):
-                pairs_checked += 1
-                mark = nft_state.mark_of(src, dst)
+                mark = marks.get((src, dst))
                 if mark != cls.mark:
                     mismatches.append(
                         Mismatch(
@@ -336,9 +337,7 @@ def verify_plan(
                             detail=f"marked {mark} instead of {cls.mark}",
                         )
                     )
-                    continue
-                delay, detail = tc_state.route(mark)
-                if delay != cls.delay_ms:
+                elif delay != cls.delay_ms:
                     mismatches.append(
                         Mismatch(
                             mark=cls.mark,

@@ -1,0 +1,56 @@
+"""Pair-loop reference for `delay_model.build_classes`.
+
+This is the plain O(N^2) Python implementation the vectorized one replaced.
+Tests require both to return equal class maps on the same inputs.
+"""
+
+from __future__ import annotations
+
+import ipaddress
+from typing import Mapping, Sequence
+
+import numpy as np
+
+from latem import delay_model as dm
+from latem.errors import ConfigError
+
+
+def _ip_key(ip: str) -> int:
+    return int(ipaddress.IPv4Address(ip))
+
+
+def build_classes_loop(
+    quantized: np.ndarray,
+    ips: Mapping[int, str] | Sequence[str],
+    policy: dm.QuantizationPolicy,
+) -> dm.DelayClassMap:
+    q = np.asarray(quantized)
+    n = q.shape[0]
+    if isinstance(ips, Mapping):
+        ip_list = [ips.get(i) for i in range(n)]
+        if any(v is None for v in ip_list):
+            missing = [i for i, v in enumerate(ip_list) if v is None]
+            raise ConfigError(f"ips missing node indices {missing}")
+    else:
+        ip_list = list(ips)
+        if len(ip_list) != n:
+            raise ConfigError(f"need {n} addresses, got {len(ip_list)}")
+    for ip in ip_list:
+        ipaddress.IPv4Address(ip)
+    if len(set(ip_list)) != n:
+        dupes = sorted({ip for ip in ip_list if ip_list.count(ip) > 1})
+        raise ConfigError(f"duplicate node addresses: {dupes}")
+
+    by_delay: dict[int, list[dm.IpPair]] = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            d = int(q[i, j])
+            if d == 0 and policy.drop_zero_class:
+                continue
+            by_delay.setdefault(d, []).append(dm.make_pair(ip_list[i], ip_list[j]))
+
+    classes = []
+    for mark, delay in enumerate(sorted(by_delay), start=1):
+        pairs = sorted(by_delay[delay], key=lambda p: (_ip_key(p[0]), _ip_key(p[1])))
+        classes.append(dm.DelayClass(mark=mark, delay_ms=delay, pairs=tuple(pairs)))
+    return dm.DelayClassMap(classes=tuple(classes))

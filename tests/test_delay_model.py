@@ -1,15 +1,17 @@
 import io
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from latem import delay_model as dm
 from latem.errors import ConfigError, ShapeError, SizeError, SymmetryError
 
-from conftest import random_symmetric_matrix
+from conftest import random_class_map, random_symmetric_matrix
+from reference_classes import build_classes_loop
 
 
 def matrix(rows):
@@ -62,6 +64,41 @@ class TestLoadMatrix:
         path = tmp_path / "m.txt"
         path.write_text("0 1\n1 0\n")
         assert dm.load_matrix(path).n == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "0, 12.5\n12.5, 0",  # a space after each comma
+            "0,12.5\n   \n12.5,0\n",  # whitespace-only line between CSV rows
+            "0\t12.5\n12.5\t0",  # tab-separated
+        ],
+    )
+    def test_separator_variants(self, text):
+        assert dm.load_matrix(io.StringIO(text)).entries.tolist() == [[0, 12.5], [12.5, 0]]
+
+    def test_single_cell(self):
+        assert dm.load_matrix(io.StringIO("0")).entries.tolist() == [[0]]
+
+    @pytest.mark.parametrize(
+        "text, line_no",
+        [
+            ("\n\n0 7\n\n7 x\n", 5),  # blank lines count toward the line number
+            ("# delays\n0 7\n7 0\n", 1),  # '#' starts no comment
+            ("0,7\n,0\n", 2),  # empty CSV cell
+        ],
+    )
+    def test_non_numeric_cell_names_its_line(self, text, line_no):
+        with pytest.raises(ValueError, match=rf"^line {line_no}: non-numeric cell"):
+            dm.load_matrix(io.StringIO(text))
+
+    @pytest.mark.parametrize("text", ["", "\n  \n\t\n"])
+    def test_no_rows_rejected(self, text):
+        with pytest.raises(ShapeError):
+            dm.load_matrix(io.StringIO(text))
+
+    def test_ragged_row_named(self):
+        with pytest.raises(ShapeError, match="row 2 has 1 cells, expected 2"):
+            dm.load_matrix(io.StringIO("0 7\n\n7 0\n7\n"))
 
 
 class TestSubsample:
@@ -209,6 +246,48 @@ class TestBuildClasses:
         cmap = dm.build_classes(q, self.IPS3, pol)
         assert cmap.class_delays() == {1: 0, 2: 20}
 
+    @pytest.mark.parametrize("bad", ["10.0.0.256", "10.0.0", "10.0.0.01", "host"])
+    def test_malformed_ip_rejected(self, bad):
+        q = np.zeros((3, 3), dtype=np.int64)
+        with pytest.raises(ValueError):
+            dm.build_classes(q, ["10.0.0.1", bad, "10.0.0.3"], dm.QuantizationPolicy())
+
+    def test_non_finite_delay_rejected(self):
+        q = np.array([[0, np.nan], [np.nan, 0]])
+        with pytest.raises(ValueError):
+            dm.build_classes(q, ["10.0.0.1", "10.0.0.2"], dm.QuantizationPolicy())
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 12),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+    )
+    @example(seed=0, n=1, drop_zero=True, as_mapping=False, as_float=False)
+    @example(seed=1, n=2, drop_zero=False, as_mapping=True, as_float=True)
+    @example(seed=2, n=2, drop_zero=True, as_mapping=False, as_float=False)
+    def test_matches_pair_loop_reference(self, seed, n, drop_zero, as_mapping, as_float):
+        rng = np.random.default_rng(seed)
+        # 10.0.0.9, 10.0.0.10 and 10.0.1.2 sort differently as text and as
+        # numbers; the other candidates span three octet boundaries.
+        extra = rng.choice(np.arange(259, 1024), size=9, replace=False)
+        keys = rng.permutation(np.concatenate(([9, 10, 258], extra)))[:n]
+        ips = [f"10.0.{k // 256}.{k % 256}" for k in keys.tolist()]
+        if as_float:
+            # fractional delays, truncated by int() into classes of 10 ms
+            upper = rng.choice([0.0, 0.4, 10.2, 10.9, 20.0, 20.5, 250.7], size=(n, n))
+        else:
+            upper = rng.choice([0, 10, 20, 30, 250], size=(n, n))
+        q = np.triu(upper, k=1)
+        q = q + q.T
+        ips_arg = dict(enumerate(ips)) if as_mapping else ips
+        pol = dm.QuantizationPolicy(drop_zero_class=drop_zero)
+        got = dm.build_classes(q, ips_arg, pol)
+        want = build_classes_loop(q, ips_arg, pol)
+        assert got == want
+        assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+
     def test_ips_as_mapping(self):
         q = np.array([[0, 10], [10, 0]], dtype=np.int64)
         cmap = dm.build_classes(q, {0: "10.0.0.9", 1: "10.0.0.4"}, dm.QuantizationPolicy())
@@ -292,3 +371,49 @@ class TestClassMapValidation:
     def test_json_round_trip(self, five_node_classes):
         data = five_node_classes.to_json_dict()
         assert dm.DelayClassMap.from_json_dict(data) == five_node_classes
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_json_round_trip_random(self, seed):
+        cmap = random_class_map(seed)
+        data = json.loads(json.dumps(cmap.to_json_dict()))
+        assert dm.DelayClassMap.from_json_dict(data) == cmap
+
+
+def one_class_json(*pairs):
+    return {"classes": [{"mark": 1, "delay_ms": 10, "pairs": [list(p) for p in pairs]}]}
+
+
+class TestPairs:
+    def test_reversed_pair_normalized(self):
+        assert dm.make_pair("10.0.0.10", "10.0.0.9") == ("10.0.0.9", "10.0.0.10")
+        cmap = dm.DelayClassMap.from_json_dict(
+            one_class_json(("10.0.0.10", "10.0.0.9"), ("10.0.0.9", "10.0.1.2"))
+        )
+        assert cmap.classes[0].pairs == (("10.0.0.9", "10.0.0.10"), ("10.0.0.9", "10.0.1.2"))
+
+    def test_same_address_rejected(self):
+        with pytest.raises(ConfigError):
+            dm.make_pair("10.0.0.1", "10.0.0.1")
+        with pytest.raises(ConfigError):
+            dm.DelayClassMap.from_json_dict(one_class_json(("10.0.0.1", "10.0.0.1")))
+
+    @pytest.mark.parametrize("bad", ["10.0.0.256", "10.0.0", "node1"])
+    def test_malformed_address_rejected(self, bad):
+        with pytest.raises(ValueError):
+            dm.make_pair("10.0.0.1", bad)
+        with pytest.raises(ValueError):
+            dm.DelayClassMap.from_json_dict(one_class_json(("10.0.0.1", bad)))
+
+    def test_non_string_address_rejected(self):
+        with pytest.raises(ConfigError):
+            dm.DelayClassMap.from_json_dict(one_class_json((["10.0.0.1"], "10.0.0.2")))
+
+    def test_pair_reversed_in_two_classes_rejected(self):
+        data = {
+            "classes": [
+                {"mark": 1, "delay_ms": 10, "pairs": [["10.0.0.1", "10.0.0.2"]]},
+                {"mark": 2, "delay_ms": 20, "pairs": [["10.0.0.2", "10.0.0.1"]]},
+            ]
+        }
+        with pytest.raises(ConfigError, match="more than one class"):
+            dm.DelayClassMap.from_json_dict(data)

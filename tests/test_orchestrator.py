@@ -202,6 +202,25 @@ class TestBuildStartupPlan:
         assert spec["processes"][0]["args"] == ["--block-time", "12"]
         assert spec["signal_phases"] == ["start-proc"]
 
+    def test_signal_phases_follow_targets(self):
+        import shlex
+
+        data = minimal_manifest_dict()
+        data["phases"][1:1] = [
+            {"name": "wake-validators", "action": "signal", "signal": "SIGUSR2",
+             "target": "role:validator"},
+        ]
+        plan = build_startup_plan(parse_manifest(data))
+        specs = {}
+        for line in plan.steps_of_kind("launch")[0].script.lines:
+            env_token = next(t for t in shlex.split(line) if t.startswith("LATEM_NODE_SPEC="))
+            spec = json.loads(env_token.split("=", 1)[1])
+            specs[spec["name"]] = spec["signal_phases"]
+        assert specs == {
+            "node001": ["start-proc"],
+            "node002": ["wake-validators", "start-proc"],
+        }
+
     def test_neigh_step_runs_in_containers(self):
         manifest = parse_manifest(minimal_manifest_dict())
         plan = build_startup_plan(manifest)

@@ -160,6 +160,23 @@ class TestVerifyPlan:
         )
         report = verify_plan(nft, CommandScript(lines=lines), five_node_classes)
         assert report.mismatched_marks() == {2}
+        # one mismatch per directed pair of the class
+        assert len(report.mismatches) == 2 * len(five_node_classes.classes[1].pairs)
+        assert {m.actual_delay_ms for m in report.mismatches} == {40}
+
+    def test_first_matching_rule_wins(self, five_node_classes):
+        nft = emit_nft_script(five_node_classes)
+        tc = emit_tc_script(five_node_classes.class_delays(), "vetha1", 2)
+        # A class-2 pair also in the earlier set is marked 1; a class-1 pair
+        # also in the later set keeps mark 1.
+        lines = nft.lines + (
+            "nft add element latem nodes_1 { 10.0.0.1 . 10.0.0.3 }",
+            "nft add element latem nodes_3 { 10.0.0.2 . 10.0.0.1 }",
+        )
+        report = verify_plan(CommandScript(lines=lines), tc, five_node_classes)
+        assert [(m.pair, m.detail) for m in report.mismatches] == [
+            (("10.0.0.1", "10.0.0.3"), "marked 1 instead of 2")
+        ]
 
     def test_empty_classes_default_only(self):
         classes = dm.DelayClassMap(classes=())
