@@ -1,16 +1,21 @@
-"""Container-runtime adapters: one real, two for tests.
+"""The container-runtime adapter: runs plan lines on the host.
 
-An adapter runs one shell command line and reports its outcome. The live
-adapter shells out (plan lines are already full `docker ...` / `tc ...`
-commands); the recording adapter succeeds silently while logging calls, and
-the scripted adapter replays canned outcomes for fault injection.
+An adapter runs one command line (`run`), or a plan step's lines in order
+(`run_batch`), and reports each line's outcome. Plan lines are already full
+`docker ...` / `tc ...` / `nft ...` commands. Test doubles live with the tests.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import re
+import shlex
+import signal
 import subprocess
-from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from dataclasses import dataclass
+from itertools import groupby
+from typing import Protocol, Sequence
 
 
 @dataclass(frozen=True)
@@ -28,55 +33,114 @@ class RuntimeAdapter(Protocol):
     def run(self, command: str) -> CommandResult:
         ...
 
+    def run_batch(self, lines: Sequence[str]) -> list[CommandResult]:
+        """Run lines in order and stop at the first that fails.
+
+        Returns one result per line run: all of them, or up to and including
+        the failing one, which is then the last.
+        """
+        ...
+
+
+# Tools whose own batch mode replaces one process per line: the argv that
+# reads the batch from stdin, and how the tool names the failing batch line.
+_BATCH_TOOLS = {
+    "tc": (("tc", "-batch", "-"), re.compile(r"Command failed \S*:(\d+)")),
+    "nft": (("nft", "-f", "-"), re.compile(r":(\d+):\d+(?:-\d+)?: Error")),
+}
+# Lines whose words the shell passes on unchanged: no quotes, expansions,
+# globs, redirections or operators, only the `\;` escape of nft lines. For
+# these, shell word splitting is whitespace splitting with `\;` read as `;`.
+_PLAIN_LINE = re.compile(r"(?:[\w.,:/@%+={} -]|\\;)*")
+
+
+def _batch_tool(line: str) -> str | None:
+    tool = line.partition(" ")[0]
+    return tool if tool in _BATCH_TOOLS and _PLAIN_LINE.fullmatch(line) else None
+
+
+def _spawn(argv: Sequence[str], stdin: str | None, timeout_s: float) -> CommandResult:
+    """Run argv in its own process group; on timeout or interrupt kill the
+    whole group (the tool and anything it started) and re-raise."""
+    with subprocess.Popen(
+        argv,
+        stdin=subprocess.DEVNULL if stdin is None else subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        start_new_session=True,
+    ) as proc:
+        try:
+            out, err = proc.communicate(stdin, timeout=timeout_s)
+        except BaseException:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            raise
+    return CommandResult(proc.returncode, out, err)
+
 
 class ShellAdapter:
-    """Executes plan lines on the host via /bin/sh. Apply mode only."""
+    """Executes plan lines on the host. Apply mode only.
+
+    `run` passes one line to `/bin/sh -c`. `run_batch` splits a step's lines
+    into runs of the same kind and starts one process per run: plain `tc`
+    lines go to `tc -batch -` and plain `nft` lines to `nft -f -` (atomic),
+    each line as the argv words the shell would have passed, less the tool
+    name; every other line runs in one `/bin/sh`, each in its own subshell,
+    so `cd`, variables and `exit` do not carry over to the next line. A batch
+    tool's stdout and stderr go with the last line it ran.
+
+    `timeout_s` bounds one line; a batch gets `timeout_s` per line. On expiry
+    the process group is killed and `subprocess.TimeoutExpired` propagates.
+    """
 
     def __init__(self, timeout_s: float = 600.0):
         self.timeout_s = timeout_s
 
     def run(self, command: str) -> CommandResult:
-        proc = subprocess.run(
-            ["/bin/sh", "-c", command],
-            capture_output=True,
-            text=True,
-            timeout=self.timeout_s,
-        )
-        return CommandResult(proc.returncode, proc.stdout, proc.stderr)
+        return _spawn(["/bin/sh", "-c", command], None, self.timeout_s)
 
+    def run_batch(self, lines: Sequence[str]) -> list[CommandResult]:
+        results: list[CommandResult] = []
+        for tool, group in groupby(lines, key=_batch_tool):
+            group = list(group)
+            got = self._tool_batch(tool, group) if tool else self._shell_batch(group)
+            results.extend(got)
+            if len(got) < len(group) or not got[-1].ok:
+                break
+        return results
 
-@dataclass
-class RecordingAdapter:
-    """Succeeds at everything, remembers every command (a spy)."""
+    def _tool_batch(self, tool: str, lines: list[str]) -> list[CommandResult]:
+        argv, failed_line = _BATCH_TOOLS[tool]
+        text = "".join(" ".join(line.replace("\\;", ";").split()[1:]) + "\n" for line in lines)
+        try:
+            result = _spawn(argv, text, self.timeout_s * len(lines))
+        except FileNotFoundError as exc:
+            return [CommandResult(127, "", f"{tool}: {exc.strerror}")]
+        if result.ok:
+            return [CommandResult(0)] * (len(lines) - 1) + [result]
+        # Unlocated failures are charged to the first line: none is known
+        # to have been applied.
+        located = [int(n) for n in failed_line.findall(result.stderr)]
+        k = min((n for n in located if 0 < n <= len(lines)), default=1)
+        return [CommandResult(0)] * (k - 1) + [result]
 
-    calls: list[str] = field(default_factory=list)
-    stdout_for: Callable[[str], str] | None = None
-
-    def run(self, command: str) -> CommandResult:
-        self.calls.append(command)
-        out = self.stdout_for(command) if self.stdout_for else ""
-        return CommandResult(0, out)
-
-
-@dataclass
-class ScriptedAdapter:
-    """Replays outcomes by predicate; unmatched commands succeed.
-
-    `failures` maps a substring to an exit code: the first command containing
-    the substring fails with that code. `responses` maps a substring to
-    canned stdout.
-    """
-
-    failures: dict[str, int] = field(default_factory=dict)
-    responses: dict[str, str] = field(default_factory=dict)
-    calls: list[str] = field(default_factory=list)
-
-    def run(self, command: str) -> CommandResult:
-        self.calls.append(command)
-        for needle, code in self.failures.items():
-            if needle in command:
-                return CommandResult(code, "", f"scripted failure for {needle!r}")
-        for needle, out in self.responses.items():
-            if needle in command:
-                return CommandResult(0, out)
-        return CommandResult(0, "")
+    def _shell_batch(self, lines: list[str]) -> list[CommandResult]:
+        # After each line, a marker on both streams splits the output and
+        # carries the line's exit status; a failing line ends the script.
+        marker = f"latem-{os.urandom(8).hex()}"
+        script = (
+            f"latem_mark() {{ s=$?; printf '\\n%s\\n' {marker}; "
+            f"printf '\\n%s %d\\n' {marker} $s >&2; [ $s -eq 0 ] || exit $s; }}\n"
+        ) + "".join(f"(eval {shlex.quote(line)}) </dev/null; latem_mark\n" for line in lines)
+        result = _spawn(["/bin/sh", "-s"], script, self.timeout_s * len(lines))
+        outs = result.stdout.split(f"\n{marker}\n")
+        errs = re.split(rf"\n{marker} (\d+)\n", result.stderr)
+        results = [
+            CommandResult(int(status), out, err)
+            for out, err, status in zip(outs, errs[0::2], errs[1::2])
+        ]
+        if len(results) < len(lines) and (not results or results[-1].ok):
+            # The shell itself died inside a line.
+            results.append(CommandResult(result.exit_code or 1, outs[-1], errs[-1]))
+        return results

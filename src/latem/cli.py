@@ -230,6 +230,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     for step in report.steps:
         print(f"{step.status:8s} {step.name}" + (f" ({step.detail})" if step.detail else ""))
+        failing = next((c for c in step.commands if c.exit_code != 0), None)
+        if failing is not None:
+            line = failing.line if len(failing.line) <= 160 else failing.line[:157] + "..."
+            print(f"{'':8s} exit {failing.exit_code}: {line}")
+            for err in failing.stderr.splitlines():
+                print(f"{'':8s} | {err}")
     return 0 if report.ok else 1
 
 
@@ -364,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output directory for dry-run scripts")
     p.add_argument("--inflate", help="apply a time-inflation factor before planning")
     p.add_argument("--paper-rounding", action="store_true")
-    p.add_argument("--tc-parallelism", type=int, default=1)
+    p.add_argument("--tc-parallelism", type=int, default=1,
+                   help="interfaces whose tc trees are applied at once")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("autoarpd", help="serve neighbor resolution (or emit its sysctls)")

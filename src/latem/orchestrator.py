@@ -18,13 +18,15 @@ from __future__ import annotations
 import json
 import re
 import shlex
+import subprocess
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import sys_preflight
-from .adapters import RuntimeAdapter
+from .adapters import CommandResult, RuntimeAdapter
 from .autoarpd import emit_neigh_sysctls
 from .delay_model import DelayClassMap
 from .errors import ConfigError, InfeasibleError, InventoryError, ValidationError
@@ -493,6 +495,7 @@ class CommandOutcome:
     line: str
     exit_code: int
     stdout: str = ""
+    stderr: str = ""
 
 
 @dataclass(frozen=True)
@@ -529,6 +532,55 @@ def _substitute(line: str, veths: Mapping[str, str]) -> str:
     return _VETH_TOKEN.sub(sub, line)
 
 
+def _outcomes(lines: Sequence[str], results: Sequence[CommandResult]) -> list[CommandOutcome]:
+    return [
+        CommandOutcome(line, r.exit_code, r.stdout, r.stderr) for line, r in zip(lines, results)
+    ]
+
+
+def _failed(outcomes: Sequence[CommandOutcome]) -> bool:
+    return any(o.exit_code != 0 for o in outcomes)
+
+
+def _apply_tc(
+    adapter: RuntimeAdapter, lines: list[str], interfaces: int, parallelism: int
+) -> list[CommandOutcome]:
+    """Apply each interface's tree as one batch, up to `parallelism` at once.
+
+    The tc step's lines are one equal-length block per interface. Each tree
+    runs in order; no interface starts once one has failed, and outcomes
+    merge in interface order.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    if not lines:
+        return []
+    if not interfaces or len(lines) % interfaces:
+        raise ConfigError(f"tc step of {len(lines)} lines does not split into "
+                          f"{interfaces} equal interface blocks")
+    size = len(lines) // interfaces
+    stop = threading.Event()
+
+    def apply(block: list[str]) -> list[CommandOutcome]:
+        if stop.is_set():
+            return []
+        try:
+            outcomes = _outcomes(block, adapter.run_batch(block))
+        except BaseException:
+            stop.set()
+            raise
+        if _failed(outcomes):
+            stop.set()
+        return outcomes
+
+    blocks = [lines[i : i + size] for i in range(0, len(lines), size)]
+    with ThreadPoolExecutor(max_workers=max(parallelism, 1)) as pool:
+        try:
+            return [o for outcomes in pool.map(apply, blocks) for o in outcomes]
+        finally:
+            stop.set()  # after an error or an interrupt, start no further interface
+
+
 def execute(
     plan: PhasedPlan,
     mode: str,
@@ -540,11 +592,17 @@ def execute(
     """Run a plan in dry-run or apply mode.
 
     Dry-run writes each step's script to `<index>-<name>.sh` under out_dir
-    and performs no other action; output is byte-deterministic. Apply runs
-    steps in order through the adapter, stopping at the first failing
-    command; later steps are reported as skipped. The gather step resolves
-    veth placeholders for everything after it. tc lines may run with bounded
-    parallelism when requested; results are merged back in line order.
+    and performs no other action; output is byte-deterministic.
+
+    Apply runs steps in order. The gather step queries the adapter line by
+    line and resolves veth placeholders for everything after it. Every other
+    step goes to the adapter's `run_batch` as a whole, and the tc step as one
+    batch per interface, with up to `tc_parallelism` interfaces at once (each
+    interface's tree in order). A step stops at its first failing command,
+    which is reported with its exit code, stdout and stderr; with parallel
+    interfaces the interfaces already running finish and are reported too.
+    A timeout or an unresolvable placeholder fails the step with a detail.
+    Steps after a failed one are reported as skipped.
     """
     if mode not in ("dry-run", "apply"):
         raise ConfigError(f"mode must be 'dry-run' or 'apply', got {mode!r}")
@@ -574,65 +632,36 @@ def execute(
         if failed:
             results.append(StepResult(name=step.name, kind=step.kind, status="skipped"))
             continue
-        if step.kind == STEP_GATHER:
-            try:
+        try:
+            if step.kind == STEP_GATHER:
                 inventory = gather_interfaces(
                     adapter,
                     [tuple(pair) for pair in step.metadata.get("nodes", [])],
                     pattern=pattern,
                     container_iface=step.metadata.get("container_iface", "eth0"),
                 )
-            except InventoryError as exc:
-                failed = True
+                veths.update(inventory.veth_of())
                 results.append(
-                    StepResult(name=step.name, kind=step.kind, status="failed",
-                               detail=str(exc))
+                    StepResult(name=step.name, kind=step.kind, status="ok",
+                               detail="; ".join(inventory.warnings))
                 )
                 continue
-            veths.update(inventory.veth_of())
-            results.append(
-                StepResult(name=step.name, kind=step.kind, status="ok",
-                           detail="; ".join(inventory.warnings))
-            )
-            continue
-
-        try:
             lines = [_substitute(line, veths) for line in step.script]
-        except InventoryError as exc:
+            if step.kind == STEP_TC:
+                interfaces = len(step.metadata.get("veths", ()))
+                outcomes = _apply_tc(adapter, lines, interfaces, tc_parallelism)
+            else:
+                outcomes = _outcomes(lines, adapter.run_batch(lines))
+        except (InventoryError, subprocess.TimeoutExpired) as exc:
             failed = True
             results.append(
                 StepResult(name=step.name, kind=step.kind, status="failed",
                            detail=str(exc))
             )
             continue
-
-        outcomes: list[CommandOutcome] = []
-        if step.kind == STEP_TC and tc_parallelism > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=tc_parallelism) as pool:
-                parallel = list(pool.map(adapter.run, lines))
-            outcomes = [
-                CommandOutcome(l, r.exit_code, r.stdout) for l, r in zip(lines, parallel)
-            ]
-            step_failed = any(r.exit_code != 0 for r in parallel)
-        else:
-            step_failed = False
-            for line in lines:
-                result = adapter.run(line)
-                outcomes.append(CommandOutcome(line, result.exit_code, result.stdout))
-                if result.exit_code != 0:
-                    step_failed = True
-                    break
-        if step_failed:
-            failed = True
-            results.append(
-                StepResult(name=step.name, kind=step.kind, status="failed",
-                           commands=tuple(outcomes))
-            )
-        else:
-            results.append(
-                StepResult(name=step.name, kind=step.kind, status="ok",
-                           commands=tuple(outcomes))
-            )
+        failed = _failed(outcomes)
+        results.append(
+            StepResult(name=step.name, kind=step.kind,
+                       status="failed" if failed else "ok", commands=tuple(outcomes))
+        )
     return ExecutionReport(mode=mode, steps=tuple(results), inventory=inventory)

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from latem import delay_model as dm
-from latem.adapters import RecordingAdapter, ScriptedAdapter
 from latem.autoarpd import MockSolicitTransport, NudState, Solicitation, serve
 from latem.link_layer import emit_fdb_script, mac_for_ip
 from latem.manifest import ResourceModel, parse_manifest
@@ -36,6 +35,7 @@ from latem.time_inflation import BpfRtoConfig, emit_bpf_commands, recommend_rto,
 from latem.topology import nws_graph
 
 from conftest import FIXTURES, GOLDENS, minimal_manifest_dict, random_class_map
+from fake_adapters import RecordingAdapter, ScriptedAdapter
 
 
 @contextmanager

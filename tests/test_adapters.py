@@ -1,0 +1,190 @@
+"""ShellAdapter against tiny POSIX-sh stand-ins for tc, nft and docker.
+
+The stubs log each spawn to `spawns` and each batch line they read to
+`<tool>.lines`. A line containing FAIL fails: in a batch with the tool's own
+failure message naming the line, elsewhere with exit 3.
+"""
+
+from __future__ import annotations
+
+import os
+import shlex
+import subprocess
+import time
+from pathlib import Path
+
+import pytest
+
+from latem.adapters import ShellAdapter
+from latem.nft_planner import emit_nft_script
+from latem.orchestrator import STEP_NFT, STEP_TC, PhasedPlan, PlanStep, execute
+from latem.script import CommandScript
+from latem.tc_planner import emit_tc_script
+
+STUB = r"""#!/bin/sh
+tool=${0##*/}
+echo "$tool $*" >> "$STUB_DIR/spawns"
+case "$tool $1" in
+    "tc -batch" | "nft -f")
+        n=0
+        while IFS= read -r line; do
+            n=$((n + 1))
+            printf '%s\n' "$line" >> "$STUB_DIR/$tool.lines"
+            case $line in *FAIL*)
+                if [ "$tool" = tc ]; then
+                    echo "RTNETLINK answers: No such file or directory" >&2
+                    echo "Command failed -:$n" >&2
+                else
+                    echo "/dev/stdin:$n:9-12: Error: Could not process rule: No such file" >&2
+                fi
+                exit 1 ;;
+            esac
+        done
+        exit 0 ;;
+esac
+case "$*" in *FAIL*) echo "$tool: cannot $*" >&2; exit 3 ;; esac
+echo "$tool did $*"
+"""
+
+
+@pytest.fixture
+def stubs(tmp_path, monkeypatch) -> Path:
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    for tool in ("tc", "nft", "docker"):
+        (bin_dir / tool).write_text(STUB)
+        (bin_dir / tool).chmod(0o755)
+    monkeypatch.setenv("PATH", f"{bin_dir}:{os.environ['PATH']}")
+    monkeypatch.setenv("STUB_DIR", str(tmp_path))
+    return tmp_path
+
+
+def logged(stub_dir: Path, name: str) -> list[str]:
+    path = stub_dir / name
+    return path.read_text().splitlines() if path.exists() else []
+
+
+def argv_words(lines) -> list[str]:
+    return [" ".join(shlex.split(line)[1:]) for line in lines]
+
+
+def step(index: int, kind: str, lines, **metadata) -> PlanStep:
+    return PlanStep(index, kind, kind, CommandScript(lines=tuple(lines)), metadata=metadata)
+
+
+def test_one_spawn_per_interface_and_per_nft_step(stubs, five_node_classes):
+    veths = ["veth0", "veth1", "veth2"]
+    nft = emit_nft_script(five_node_classes)
+    tc = [l for v in veths for l in emit_tc_script(five_node_classes.class_delays(), v, 2)]
+    plan = PhasedPlan("x", (step(0, STEP_NFT, nft), step(1, STEP_TC, tc, veths=veths)))
+    report = execute(plan, "apply", adapter=ShellAdapter(), tc_parallelism=2)
+    assert report.ok
+    assert [len(s.commands) for s in report.steps] == [len(nft), len(tc)]
+    assert sorted(logged(stubs, "spawns")) == ["nft -f -"] + ["tc -batch -"] * 3
+    assert logged(stubs, "nft.lines") == argv_words(nft)
+    # Interfaces may interleave in the log; each one's tree stays in order.
+    tc_lines = logged(stubs, "tc.lines")
+    assert sorted(tc_lines) == sorted(argv_words(tc))
+    for v in veths:
+        assert [l for l in tc_lines if f"dev {v} " in l] == argv_words(
+            l for l in tc if f"dev {v} " in l
+        )
+
+
+TC_LINES = [
+    "tc qdisc add dev v0 root handle 1: prio bands 2",
+    "tc qdisc add dev v0 parent 1:1 handle 11: prio bands 2",
+    "tc qdisc add dev v0 parent 11:1 netem delay FAIL",
+    "tc filter add dev v0 protocol all parent 1: prio 20 matchall classid 1:2",
+]
+NFT_LINES = [
+    "nft add table ip t",
+    "nft add chain t c { type filter hook forward priority 0 \\; }",
+    "nft add set t FAIL { type ipv4_addr . ipv4_addr \\; }",
+    "nft add rule t c ip saddr . ip daddr @FAIL meta mark set 1",
+]
+SHELL_LINES = ["docker run a", "docker run 'b c'", "docker run FAIL", "docker run d"]
+
+
+@pytest.mark.parametrize(
+    "kind, lines, metadata, exit_code, message",
+    [
+        (STEP_TC, TC_LINES, {"veths": ["v0"]}, 1, "Command failed -:3"),
+        (STEP_NFT, NFT_LINES, {}, 1, "/dev/stdin:3:9-12: Error"),
+        ("host-script", SHELL_LINES, {}, 3, "docker: cannot run FAIL"),
+    ],
+)
+def test_failing_line_ends_its_step(stubs, kind, lines, metadata, exit_code, message):
+    plan = PhasedPlan("x", (step(0, kind, lines, **metadata), step(1, "host-script", ["docker ps"])))
+    report = execute(plan, "apply", adapter=ShellAdapter())
+    failed, skipped = report.steps
+    assert (failed.status, skipped.status) == ("failed", "skipped")
+    assert [c.line for c in failed.commands] == lines[:3]
+    assert [c.exit_code for c in failed.commands] == [0, 0, exit_code]
+    assert message in failed.commands[-1].stderr
+    assert "docker ps" not in logged(stubs, "spawns")
+
+
+def test_missing_batch_tool_fails_the_first_line(tmp_path, monkeypatch):
+    monkeypatch.setenv("PATH", str(tmp_path))
+    results = ShellAdapter().run_batch(TC_LINES[:2])
+    assert [r.exit_code for r in results] == [127]
+    assert results[0].stderr.startswith("tc: ")
+
+
+def test_shell_lines_keep_their_own_output(stubs):
+    results = ShellAdapter().run_batch(SHELL_LINES[:2] + ["printf x", "docker run e"])
+    assert [r.stdout for r in results] == [
+        "docker did run a\n", "docker did run b c\n", "x", "docker did run e\n",
+    ]
+    assert all(r.ok and r.stderr == "" for r in results)
+    assert logged(stubs, "spawns") == ["docker run a", "docker run b c", "docker run e"]
+
+
+def test_shell_lines_do_not_share_state(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    lines = ["cd /", "pwd", "X=1", 'echo "${X-unset}"', "exit 0", "printf '%s\\n' \"it's\""]
+    results = ShellAdapter().run_batch(lines)
+    assert [r.exit_code for r in results] == [0] * 6
+    assert [r.stdout for r in results] == ["", f"{Path.cwd()}\n", "", "unset\n", "", "it's\n"]
+
+
+def test_unbalanced_quote_fails_only_its_line():
+    results = ShellAdapter().run_batch(["echo ok", "echo 'open", "echo never"])
+    assert [r.stdout for r in results] == ["ok\n", ""]
+    assert results[-1].exit_code != 0
+
+
+def test_batch_timeout_scales_with_line_count():
+    results = ShellAdapter(timeout_s=0.6).run_batch(["sleep 0.4"] * 3)
+    assert [r.exit_code for r in results] == [0, 0, 0]
+
+
+def test_timeout_kills_the_process_group(tmp_path):
+    pidfile = tmp_path / "pid"
+    with pytest.raises(subprocess.TimeoutExpired) as exc:
+        ShellAdapter(timeout_s=0.3).run_batch([f"sleep 30 & echo $! > {pidfile}; wait"])
+    assert exc.value.timeout == pytest.approx(0.3)
+    stat = Path(f"/proc/{pidfile.read_text().strip()}/stat")
+
+    def dead() -> bool:
+        try:
+            return ") Z " in stat.read_text()
+        except FileNotFoundError:
+            return True
+
+    deadline = time.monotonic() + 5
+    while not dead() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert dead()
+
+
+def test_execute_turns_a_timeout_into_a_failed_step():
+    plan = PhasedPlan("x", (
+        step(0, "host-script", ["true"]),
+        step(1, "host-script", ["sleep 30"]),
+        step(2, "host-script", ["true"]),
+    ))
+    report = execute(plan, "apply", adapter=ShellAdapter(timeout_s=0.3))
+    assert [s.status for s in report.steps] == ["ok", "failed", "skipped"]
+    assert "timed out after 0.3 seconds" in report.steps[1].detail

@@ -7,6 +7,7 @@ import pytest
 from latem.cli import main
 
 from conftest import FIVE_NODE_ENTRIES, FIXTURES, minimal_manifest_dict, write_manifest
+from fake_adapters import ScriptedAdapter
 
 
 @pytest.fixture
@@ -161,6 +162,19 @@ def test_run_dry_run_tree(tmp_path, matrix_file):
     assert any(n.endswith("-nft.sh") for n in names)
     assert any(n.endswith("-tc.sh") for n in names)
     assert any("launch" in n for n in names)
+
+
+def test_run_apply_prints_the_failing_line_and_stderr(tmp_path, monkeypatch, capsys):
+    path = write_manifest(tmp_path, minimal_manifest_dict())
+    monkeypatch.setattr("latem.cli.ShellAdapter",
+                        lambda: ScriptedAdapter(failures={"ulimit -Hu": 2}))
+    rc = main(["run", "--manifest", str(path), "--apply"])
+    assert rc == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "failed   preflight"
+    assert out[1].startswith("         exit 2: test \"$(ulimit -Hu)\"")
+    assert out[2] == "         | scripted failure for 'ulimit -Hu'"
+    assert all(line.startswith("skipped") for line in out[3:])
 
 
 def test_run_dry_run_with_inflation(tmp_path):

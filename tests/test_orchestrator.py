@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from latem.adapters import RecordingAdapter, ScriptedAdapter
 from latem.errors import ConfigError, InfeasibleError, InventoryError
 from latem.manifest import ResourceModel, parse_manifest
 from latem.orchestrator import (
+    STEP_TC,
+    PhasedPlan,
+    PlanStep,
     build_startup_plan,
     delay_classes_for_manifest,
     execute,
@@ -18,8 +20,11 @@ from latem.orchestrator import (
     plan_batches,
     veth_token,
 )
+from latem.script import CommandScript
+from latem.tc_planner import emit_tc_script
 
 from conftest import FIVE_NODE_ENTRIES, minimal_manifest_dict, write_manifest
+from fake_adapters import ParentCheckingAdapter, RecordingAdapter, ScriptedAdapter
 
 PAPER_RESOURCES = ResourceModel(
     ram_cap_fraction=Fraction("0.80"),
@@ -410,6 +415,36 @@ class TestExecuteApply:
         expected = [l.replace("{veth:node001}", "vetha1").replace("{veth:node002}", "vetha2")
                     for l in tc_step.script]
         assert [c.line for c in tc_result.commands] == expected
+
+    @staticmethod
+    def four_tree_plan() -> tuple[PhasedPlan, list[str]]:
+        # 4 interfaces, 19 classes, b=5: 65 lines per tree.
+        veths = [f"veth{i}" for i in range(4)]
+        delays = {mark: 10 * mark for mark in range(1, 20)}
+        lines = [l for v in veths for l in emit_tc_script(delays, v, 5)]
+        step = PlanStep(0, STEP_TC, STEP_TC, CommandScript(lines=tuple(lines)),
+                        metadata={"veths": veths, "bands": 5})
+        return PhasedPlan("tc-only", (step,)), lines
+
+    def test_tc_parallelism_keeps_parents_before_children(self):
+        # Spreading single lines over a pool can add a child before its parent.
+        plan, lines = self.four_tree_plan()
+        report = execute(plan, "apply", adapter=ParentCheckingAdapter(), tc_parallelism=4)
+        (result,) = report.steps
+        assert len(result.commands) == 260
+        assert [c for c in result.commands if c.exit_code != 0] == []
+        assert result.status == "ok"
+        assert [c.line for c in result.commands] == lines
+
+    def test_failing_interface_stops_the_tc_step(self):
+        plan, lines = self.four_tree_plan()
+        adapter = ScriptedAdapter(failures={"dev veth1 parent 1:3 ": 2})
+        report = execute(plan, "apply", adapter=adapter)
+        (result,) = report.steps
+        assert result.status == "failed"
+        assert [c.line for c in result.commands] == lines[:65 + 4]
+        assert result.commands[-1].exit_code == 2
+        assert not any("veth2" in call or "veth3" in call for call in adapter.calls)
 
 
 class TestStatsCapture:
