@@ -44,7 +44,6 @@ class NudState(Enum):
     """Neighbor Unreachability Detection states this daemon deals in."""
 
     REACHABLE = 0x02
-    STALE = 0x04
 
 
 @dataclass(frozen=True)

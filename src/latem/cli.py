@@ -89,10 +89,7 @@ def _cmd_plan_delays(args: argparse.Namespace) -> int:
     )
     quantized = delay_model.quantize(matrix, policy)
     classes = delay_model.build_classes(quantized, ips, policy)
-    payload = classes.to_json_dict()
-    payload["quantum_ms"] = policy.quantum_ms
-    payload["rounding"] = policy.rounding
-    _write_or_print(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    _write_or_print(delay_model.class_map_json(classes, policy), args.out)
     bands = compute_bands(len(classes)) if len(classes) else 2
     print(
         f"# {len(classes)} delay classes over {len(ips)} nodes "

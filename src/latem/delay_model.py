@@ -15,6 +15,7 @@ construction and safe to share across threads.
 from __future__ import annotations
 
 import ipaddress
+import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -134,6 +135,16 @@ class DelayClass:
             raise ConfigError(f"delay_ms must be non-negative, got {self.delay_ms}")
 
 
+def _first_repeat(classes: Sequence[DelayClass]) -> IpPair:
+    seen: set[IpPair] = set()
+    for cls in classes:
+        for pair in cls.pairs:
+            if pair in seen:
+                return pair
+            seen.add(pair)
+    raise AssertionError("no pair repeats")
+
+
 @dataclass(frozen=True)
 class DelayClassMap:
     """Ordered delay classes with contiguous marks 1..K and disjoint pair sets."""
@@ -142,6 +153,7 @@ class DelayClassMap:
 
     def __post_init__(self) -> None:
         seen: set[IpPair] = set()
+        total = 0
         prev_delay = -1
         for i, cls in enumerate(self.classes):
             if cls.mark != i + 1:
@@ -154,10 +166,12 @@ class DelayClassMap:
                     f"mark {cls.mark} has delay {cls.delay_ms} after {prev_delay}"
                 )
             prev_delay = cls.delay_ms
-            for pair in cls.pairs:
-                if pair in seen:
-                    raise ConfigError(f"pair {pair} appears in more than one class")
-                seen.add(pair)
+            seen.update(cls.pairs)
+            total += len(cls.pairs)
+            if len(seen) != total:
+                raise ConfigError(
+                    f"pair {_first_repeat(self.classes)} appears in more than one class"
+                )
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -197,6 +211,44 @@ class DelayClassMap:
         except TypeError as exc:  # e.g. a nested list where an address belongs
             raise ConfigError(f"malformed class map ({exc})") from None
         return cls(classes=classes)
+
+
+class _Quoted(dict):
+    """Address -> its JSON string literal; each distinct address is quoted once."""
+
+    def __missing__(self, ip: str) -> str:
+        quoted = self[ip] = json.dumps(ip)
+        return quoted
+
+
+def class_map_json(classes: DelayClassMap, policy: QuantizationPolicy) -> str:
+    """The class map plus the policy's quantum and rounding as JSON text.
+
+    Byte-identical to `json.dumps(payload, indent=2, sort_keys=True) + "\n"`
+    with payload `classes.to_json_dict()` plus "quantum_ms" and "rounding",
+    without building the payload or running json's pure-Python indenting
+    encoder over every pair.
+    """
+    quoted = _Quoted()
+    blocks = []
+    for c in classes:
+        if c.pairs:
+            pairs = ",\n".join(
+                f"        [\n          {quoted[lo]},\n          {quoted[hi]}\n        ]"
+                for lo, hi in c.pairs
+            )
+            pairs = f"[\n{pairs}\n      ]"
+        else:
+            pairs = "[]"
+        blocks.append(
+            f'    {{\n      "delay_ms": {json.dumps(c.delay_ms)},\n'
+            f'      "mark": {json.dumps(c.mark)},\n      "pairs": {pairs}\n    }}'
+        )
+    body = "[\n" + ",\n".join(blocks) + "\n  ]" if blocks else "[]"
+    return (
+        f'{{\n  "classes": {body},\n  "quantum_ms": {json.dumps(policy.quantum_ms)},\n'
+        f'  "rounding": {json.dumps(policy.rounding)}\n}}\n'
+    )
 
 
 # np.loadtxt reports a bad cell by 0-based data row and a ragged row 1-based.

@@ -14,9 +14,9 @@ to every virtual interface; delays act on traffic egressing the bridge
 toward each container.
 
 verify_plan is an independent oracle: it re-parses emitted firewall and tc
-scripts from text and simulates every directed packet (set-membership mark
-lookup, then root-to-leaf filter routing), checking the reached delay
-against the class map.
+scripts from text and checks every directed pair of every class: the pair
+must be stamped with its class mark (first matching rule wins), and that
+mark's root-to-leaf filter route must reach the class delay.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Mapping
 
 from .delay_model import DelayClassMap
@@ -197,17 +198,28 @@ class VerificationReport:
 
 class _NftState:
     def __init__(self) -> None:
-        self.sets: dict[str, set[tuple[str, str]]] = {}
+        self.sets: dict[str, set[str]] = {}  # set name -> elements "src . dst"
         self.rules: list[tuple[str, int]] = []  # (set name, mark), in order
+        # False once an element line holds " . . ": only then can the text
+        # "<src> . <dst>" of one pair, ("a .", "b"), equal an element that
+        # stands for another, "a . . b" for ("a", ". b").
+        self.joins_unique = True
 
-    def marks(self) -> dict[tuple[str, str], int]:
-        """Directed pair -> the mark a packet of that pair is stamped with."""
-        marks: dict[tuple[str, str], int] = {}
-        # first matching rule wins: apply the rules last to first, so an
-        # earlier rule overwrites a later one
-        for set_name, mark in reversed(self.rules):
-            marks.update(dict.fromkeys(self.sets.get(set_name, ()), mark))
-        return marks
+    def marked(self) -> dict[int, set[str]]:
+        """Mark -> the elements whose packets that mark stamps.
+
+        The first matching rule wins, so a rule stamps only the elements
+        that no earlier rule matched.
+        """
+        claimed: set[str] = set()
+        marked: dict[int, set[str]] = {}
+        for set_name, mark in self.rules:
+            elements = self.sets[set_name]
+            if not claimed.isdisjoint(elements):
+                elements = elements - claimed
+            claimed |= elements
+            marked[mark] = marked[mark] | elements if mark in marked else elements
+        return marked
 
 
 def _parse_nft(script: CommandScript) -> _NftState:
@@ -222,11 +234,12 @@ def _parse_nft(script: CommandScript) -> _NftState:
             set_name, body = m.group(2), m.group(3)
             if set_name not in state.sets:
                 raise ParseError("element insertion into undeclared set", line_no, line)
-            for element in body.split(", "):
-                parts = element.split(" . ")
-                if len(parts) != 2:
-                    raise ParseError("malformed set element", line_no, line)
-                state.sets[set_name].add((parts[0], parts[1]))
+            elements = body.split(", ")
+            # an element is two addresses joined by exactly one " . "
+            if set(map(str.count, elements, repeat(" . "))) != {1}:
+                raise ParseError("malformed set element", line_no, line)
+            state.sets[set_name].update(elements)
+            state.joins_unique = state.joins_unique and " . . " not in body
             continue
         if m := _NFT_RULE.match(line):
             if m.group(3) not in state.sets:
@@ -307,26 +320,41 @@ def _parse_tc(script: CommandScript) -> _TcState:
 def verify_plan(
     nft: CommandScript, tc: CommandScript, classes: DelayClassMap
 ) -> VerificationReport:
-    """Simulate every directed pair through both scripts and check delays.
+    """Check every directed pair of every class against both scripts.
 
-    For each ordered (src, dst) of every class: resolve the mark by set
-    membership, then walk root and second-level filters to the reached leaf,
-    and compare the netem delay there with the class delay. Separately checks
+    Each ordered (src, dst) of a class must be stamped with the class mark
+    by set membership (first matching rule wins), and that mark's walk
+    through the root and second-level filters must reach a leaf whose netem
+    delay is the class delay. A class passes as a whole when its directed
+    pairs are a subset of the elements its mark stamps and the mark routes to
+    its delay; only a failing class is listed pair by pair. Separately checks
     that unmarked traffic lands on the no-delay default leaf.
     """
-    marks = _parse_nft(nft).marks()
+    nft_state = _parse_nft(nft)
+    marked = nft_state.marked()
     tc_state = _parse_tc(tc)
     mismatches: list[Mismatch] = []
     pairs_checked = 0
+    mark_of: dict[str, int] | None = None  # element -> mark, for failing classes
 
     for cls in classes:
         # Routing depends on the mark alone, and only packets marked
         # cls.mark are routed here.
         delay, detail = tc_state.route(cls.mark)
         pairs_checked += 2 * len(cls.pairs)
+        if delay == cls.delay_ms and nft_state.joins_unique:
+            expected = {f"{lo} . {hi}" for lo, hi in cls.pairs}
+            expected.update(f"{hi} . {lo}" for lo, hi in cls.pairs)
+            if expected <= marked.get(cls.mark, set()):
+                continue
+        if mark_of is None:
+            mark_of = {e: mark for mark, elements in marked.items() for e in elements}
         for lo, hi in cls.pairs:
             for src, dst in ((lo, hi), (hi, lo)):
-                mark = marks.get((src, dst))
+                element = f"{src} . {dst}"
+                mark = mark_of.get(element)
+                if mark is not None and element.partition(" . ")[0] != src:
+                    mark = None  # the element stands for another address pair
                 if mark != cls.mark:
                     mismatches.append(
                         Mismatch(

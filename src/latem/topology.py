@@ -14,11 +14,12 @@ than identical edge sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
-
-import networkx as nx
+from typing import TYPE_CHECKING, Mapping
 
 from .errors import ConfigError, RetryExhausted
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 CONNECTIVITY_ATTEMPTS = 20
 
@@ -39,25 +40,6 @@ class Graph:
 
     def degree(self, node: int) -> int:
         return sum(1 for e in self.edges if node in e)
-
-    def neighbors(self, node: int) -> list[int]:
-        return sorted(j if i == node else i for i, j in self.edges if node in (i, j))
-
-    def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        adjacency: dict[int, list[int]] = {i: [] for i in range(self.n)}
-        for i, j in self.edges:
-            adjacency[i].append(j)
-            adjacency[j].append(i)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for nb in adjacency[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        return len(seen) == self.n
 
     def to_edge_list_text(self) -> str:
         lines = [f"{i} {j}" for i, j in sorted(self.edges)]
@@ -83,6 +65,10 @@ def nws_graph(n: int, k: int, p: float, seed: int) -> Graph:
         raise ConfigError(f"need n > k, got n={n}, k={k}")
     if not 0 <= p <= 1:
         raise ConfigError(f"p must be a probability, got {p}")
+    # Imported on first use: networkx loads about 300 modules, which would
+    # slow every `latem` command that builds no graph.
+    import networkx as nx
+
     return _from_nx(nx.newman_watts_strogatz_graph(n, k, float(p), seed=seed), n)
 
 
@@ -96,10 +82,12 @@ def random_graph(n: int, degree: int, seed: int) -> Graph:
         raise ConfigError(f"degree {degree} must be smaller than n={n}")
     if (n * degree) % 2 != 0:
         raise ConfigError(f"n*degree must be even, got {n}*{degree}")
+    import networkx as nx
+
     for attempt in range(CONNECTIVITY_ATTEMPTS):
-        g = _from_nx(nx.random_regular_graph(degree, n, seed=seed + attempt), n)
-        if g.is_connected():
-            return g
+        g = nx.random_regular_graph(degree, n, seed=seed + attempt)
+        if nx.is_connected(g):
+            return _from_nx(g, n)
     raise RetryExhausted(
         f"no connected graph for n={n}, degree={degree} in "
         f"{CONNECTIVITY_ATTEMPTS} attempts"

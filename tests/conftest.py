@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -32,6 +33,14 @@ def five_node_classes() -> dm.DelayClassMap:
     policy = dm.QuantizationPolicy()
     quantized = dm.quantize(dm.DelayMatrix(FIVE_NODE_ENTRIES), policy)
     return dm.build_classes(quantized, FIVE_NODE_IPS, policy)
+
+
+def is_connected(graph) -> bool:
+    """networkx's connectivity test on a latem Graph's nodes 0..n-1 and edges."""
+    g = nx.Graph()
+    g.add_nodes_from(range(graph.n))
+    g.add_edges_from(graph.edges)
+    return nx.is_connected(g)
 
 
 def random_symmetric_matrix(rng: np.random.Generator, n: int, max_ms: float = 300.0):

@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import latem
 from latem.cli import main
 
 from conftest import FIVE_NODE_ENTRIES, FIXTURES, minimal_manifest_dict, write_manifest
@@ -32,6 +36,31 @@ def test_plan_delays_writes_class_map(classes_file):
     payload = json.loads(classes_file.read_text())
     assert len(payload["classes"]) == 3
     assert payload["quantum_ms"] == 10
+
+
+def test_plan_delays_matches_golden_bytes(classes_file):
+    golden = Path(__file__).parent / "goldens" / "classes_5node3class.json"
+    assert classes_file.read_bytes() == golden.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "options",
+    [
+        ["--keep-zero-class"],
+        ["--quantum", "7", "--rounding", "ceil"],
+        ["--quantum", "25", "--rounding", "floor", "--keep-zero-class"],
+    ],
+)
+def test_plan_delays_output_is_json_dumps_of_its_class_map(tmp_path, matrix_file, options):
+    out = tmp_path / "classes.json"
+    # the five addresses from 10.0.0.254 cross into 10.0.1.x
+    rc = main(["plan-delays", "--matrix", str(matrix_file), "--out", str(out),
+               "--ip-base", "10.0.0.254", *options])
+    assert rc == 0
+    text = out.read_text()
+    payload = json.loads(text)
+    assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == text
+    assert "10.0.1.2" in text
 
 
 def test_plan_delays_with_subsample_and_inflate(tmp_path, matrix_file, capsys):
@@ -218,3 +247,14 @@ def test_validation_error_maps_to_exit_2(tmp_path, capsys):
     rc = main(["run", "--manifest", str(path), "--dry-run", "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "duplicate IP" in capsys.readouterr().err
+
+
+def test_importing_the_cli_leaves_networkx_unloaded():
+    # Only the overlay generators need networkx; every other command starts
+    # without it.
+    env = dict(os.environ, PYTHONPATH=str(Path(latem.__file__).parents[1]))
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, latem.cli; print('networkx' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    assert result.stdout.strip() == "False"

@@ -368,6 +368,26 @@ class TestClassMapValidation:
         with pytest.raises(ConfigError):
             dm.DelayClassMap(classes=(c1, c2))
 
+    def test_first_repeated_pair_in_class_order_named(self):
+        a, b, c = ("10.0.0.1", "10.0.0.2"), ("10.0.0.1", "10.0.0.3"), ("10.0.0.2", "10.0.0.3")
+        c1 = dm.DelayClass(mark=1, delay_ms=10, pairs=(a, b))
+        c2 = dm.DelayClass(mark=2, delay_ms=20, pairs=(c, b, a))
+        with pytest.raises(ConfigError, match=r"pair \('10.0.0.1', '10.0.0.3'\) appears"):
+            dm.DelayClassMap(classes=(c1, c2))
+
+    def test_repeat_within_one_class_rejected(self):
+        pair = ("10.0.0.1", "10.0.0.2")
+        with pytest.raises(ConfigError, match="more than one class"):
+            dm.DelayClassMap(classes=(dm.DelayClass(mark=1, delay_ms=10, pairs=(pair, pair)),))
+
+    def test_repeat_reported_before_a_later_class_is_checked(self):
+        pair = ("10.0.0.1", "10.0.0.2")
+        c1 = dm.DelayClass(mark=1, delay_ms=10, pairs=(pair,))
+        c2 = dm.DelayClass(mark=2, delay_ms=20, pairs=(pair,))
+        c3 = dm.DelayClass(mark=5, delay_ms=30, pairs=())
+        with pytest.raises(ConfigError, match="more than one class"):
+            dm.DelayClassMap(classes=(c1, c2, c3))
+
     def test_json_round_trip(self, five_node_classes):
         data = five_node_classes.to_json_dict()
         assert dm.DelayClassMap.from_json_dict(data) == five_node_classes
@@ -377,6 +397,70 @@ class TestClassMapValidation:
         cmap = random_class_map(seed)
         data = json.loads(json.dumps(cmap.to_json_dict()))
         assert dm.DelayClassMap.from_json_dict(data) == cmap
+
+
+def json_dumps_reference(cmap, policy):
+    """The class-map file text as `json.dumps` renders it."""
+    payload = cmap.to_json_dict()
+    payload["quantum_ms"] = policy.quantum_ms
+    payload["rounding"] = policy.rounding
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def octet_spanning_ips(rng, n):
+    """n distinct addresses spread over 10.0.0.x-10.0.3.x, in random order."""
+    keys = rng.choice(np.arange(1, 1024), size=n, replace=False)
+    return [f"10.0.{k // 256}.{k % 256}" for k in keys.tolist()]
+
+
+class TestClassMapJson:
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 12),
+        st.booleans(),
+        st.integers(1, 60),
+        st.sampled_from(dm.ROUNDING_MODES),
+    )
+    @example(seed=0, n=1, keep_zero=False, quantum=10, rounding="nearest-half-up")  # no class
+    @example(seed=3, n=6, keep_zero=True, quantum=10, rounding="nearest-half-up")
+    def test_built_maps_match_json_dumps(self, seed, n, keep_zero, quantum, rounding):
+        rng = np.random.default_rng(seed)
+        policy = dm.QuantizationPolicy(
+            quantum_ms=quantum, rounding=rounding, drop_zero_class=not keep_zero
+        )
+        # about a third of the pairs have no delay, so a kept zero class shows
+        upper = np.triu(rng.uniform(0, 200, size=(n, n)) * (rng.random((n, n)) < 0.7), k=1)
+        m = dm.DelayMatrix(upper + upper.T)
+        q = dm.quantize(m, policy)
+        cmap = dm.build_classes(q, octet_spanning_ips(rng, n), policy)
+        has_zero = bool((q[np.triu_indices(n, k=1)] == 0).any())
+        assert (len(cmap) > 0 and cmap.classes[0].delay_ms == 0) == (keep_zero and has_zero)
+        assert dm.class_map_json(cmap, policy) == json_dumps_reference(cmap, policy)
+
+    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(0, 4), max_size=6))
+    @example(seed=0, sizes=[])
+    @example(seed=1, sizes=[0])
+    @example(seed=2, sizes=[2, 0, 1])
+    def test_read_maps_match_json_dumps(self, seed, sizes):
+        # from_json_dict accepts what build_classes never returns: zero
+        # classes and classes with an empty pair list
+        rng = np.random.default_rng(seed)
+        ips = octet_spanning_ips(rng, 8)
+        pool = [(ips[i], ips[j]) for i in range(8) for j in range(i + 1, 8)]
+        order = rng.permutation(len(pool)).tolist()
+        delays = np.sort(rng.choice(np.arange(0, 3000, 10), size=len(sizes), replace=False))
+        classes, start = [], 0
+        for mark, (size, delay) in enumerate(zip(sizes, delays.tolist()), start=1):
+            pairs = [list(pool[k]) for k in order[start : start + size]]
+            start += size
+            classes.append({"mark": mark, "delay_ms": delay, "pairs": pairs})
+        cmap = dm.DelayClassMap.from_json_dict({"classes": classes})
+        policy = dm.QuantizationPolicy(quantum_ms=int(rng.integers(1, 100)))
+        assert dm.class_map_json(cmap, policy) == json_dumps_reference(cmap, policy)
+
+    def test_reads_back_to_the_same_map(self, five_node_classes):
+        text = dm.class_map_json(five_node_classes, dm.QuantizationPolicy())
+        assert dm.DelayClassMap.from_json_dict(json.loads(text)) == five_node_classes
 
 
 def one_class_json(*pairs):

@@ -14,6 +14,7 @@ from latem.tc_planner import (
 )
 
 from conftest import GOLDENS, random_class_map
+from reference_verify import verify_plan_per_pair
 
 
 class TestComputeBands:
@@ -221,3 +222,133 @@ class TestVerifyPlan:
         b = compute_bands(len(classes))
         tc = emit_tc_script(classes.class_delays(), "veth0", b)
         assert verify_plan(nft, tc, classes).ok
+
+
+def _swap_rule_marks(nft: CommandScript, a: int, b: int) -> CommandScript:
+    swap = {f"meta mark set {a}": f"meta mark set {b}", f"meta mark set {b}": f"meta mark set {a}"}
+    return CommandScript(lines=tuple(
+        next((line.replace(old, new) for old, new in swap.items() if line.endswith(old)), line)
+        for line in nft
+    ))
+
+
+def _drop_first_element(nft: CommandScript, set_name: str) -> CommandScript:
+    lines = list(nft.lines)
+    i = next(i for i, l in enumerate(lines) if f" {set_name} {{ " in l and "add element" in l)
+    head, body = lines[i].split(" { ", 1)
+    lines[i] = f"{head} {{ {body.split(', ', 1)[1]}"
+    return CommandScript(lines=tuple(lines))
+
+
+def _copy_pair_into(nft: CommandScript, classes, src_mark: int, dst_mark: int) -> CommandScript:
+    """Add one directed pair of class src_mark to the set of dst_mark as well."""
+    lo, hi = classes.classes[src_mark - 1].pairs[0]
+    extra = f"nft add element latem nodes_{dst_mark} {{ {hi} . {lo} }}"
+    return CommandScript(lines=nft.lines + (extra,))
+
+
+def _retime(tc: CommandScript, mark: int, classes) -> CommandScript:
+    delay = classes.classes[mark - 1].delay_ms
+    return CommandScript(lines=tuple(
+        l.replace(f"netem delay {delay}ms", f"netem delay {delay + 5}ms") for l in tc
+    ))
+
+
+def _drop_fw_filter(tc: CommandScript, mark: int, level: int) -> CommandScript:
+    """Remove mark's root (level 0) or second-level (level 1) fw filter."""
+    fw = [i for i, l in enumerate(tc.lines) if f" handle {mark} fw " in l]
+    return CommandScript(lines=tuple(l for i, l in enumerate(tc.lines) if i != fw[level]))
+
+
+def _scripts(classes):
+    nft = emit_nft_script(classes)
+    tc = emit_tc_script(classes.class_delays(), "veth0", compute_bands(len(classes)))
+    return nft, tc
+
+
+TAMPERS = {
+    "clean": lambda nft, tc, c: (nft, tc),
+    "marks swapped": lambda nft, tc, c: (_swap_rule_marks(nft, 1, len(c)), tc),
+    "element missing": lambda nft, tc, c: (_drop_first_element(nft, f"nodes_{len(c)}"), tc),
+    "pair in an earlier set": lambda nft, tc, c: (_copy_pair_into(nft, c, len(c), 1), tc),
+    "pair in a later set": lambda nft, tc, c: (_copy_pair_into(nft, c, 1, len(c)), tc),
+    "netem delay wrong": lambda nft, tc, c: (nft, _retime(tc, len(c), c)),
+    "root fw filter missing": lambda nft, tc, c: (nft, _drop_fw_filter(tc, 1, 0)),
+    "second fw filter missing": lambda nft, tc, c: (nft, _drop_fw_filter(tc, len(c), 1)),
+}
+
+
+class TestVerifyPlanMatchesPerPairReference:
+    """Whole-set verify_plan against the per-pair oracle it replaced."""
+
+    @pytest.mark.parametrize("tamper", sorted(TAMPERS))
+    def test_five_node_reports_equal(self, five_node_classes, tamper):
+        nft, tc = TAMPERS[tamper](*_scripts(five_node_classes), five_node_classes)
+        report = verify_plan(nft, tc, five_node_classes)
+        assert report == verify_plan_per_pair(nft, tc, five_node_classes)
+        assert report.ok == (tamper in ("clean", "pair in a later set"))
+        assert report.pairs_checked == 2 * sum(len(c.pairs) for c in five_node_classes)
+
+    @pytest.mark.parametrize("tamper", sorted(TAMPERS))
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_maps_report_equal(self, seed, tamper):
+        classes = random_class_map(seed)
+        assert len(classes) >= 2  # the tampers need two classes
+        nft, tc = TAMPERS[tamper](*_scripts(classes), classes)
+        assert verify_plan(nft, tc, classes) == verify_plan_per_pair(nft, tc, classes)
+
+    def test_one_set_under_two_rules(self, five_node_classes):
+        nft, tc = _scripts(five_node_classes)
+        lines = nft.lines + (
+            "nft add rule latem latem_chain ip saddr . ip daddr @nodes_1 meta mark set 3",
+        )
+        nft = CommandScript(lines=lines)
+        assert verify_plan(nft, tc, five_node_classes) == verify_plan_per_pair(
+            nft, tc, five_node_classes
+        )
+
+    def test_mark_stamped_by_two_rules(self, five_node_classes):
+        # nodes_2 also stamps mark 1, so class 2 is marked 1; class 1 stays whole
+        nft, tc = _scripts(five_node_classes)
+        nft = _swap_rule_marks(nft, 2, 3)
+        nft = CommandScript(lines=tuple(l.replace("mark set 3", "mark set 1") for l in nft))
+        report = verify_plan(nft, tc, five_node_classes)
+        assert report == verify_plan_per_pair(nft, tc, five_node_classes)
+        assert report.mismatched_marks() == {2, 3}
+
+    def test_element_that_reads_two_ways(self):
+        # "x . . y" is the pair ("x", ". y"); the text of ("x .", "y") matches it
+        classes = dm.DelayClassMap(
+            classes=(dm.DelayClass(mark=1, delay_ms=20, pairs=(("x .", "y"),)),)
+        )
+        nft = CommandScript(lines=(
+            "nft add set latem nodes_1 { type ipv4_addr . ipv4_addr \\; }",
+            "nft add element latem nodes_1 { x . . y, y . x . }",
+            "nft add rule latem latem_chain ip saddr . ip daddr @nodes_1 meta mark set 1",
+        ))
+        tc = emit_tc_script({1: 20}, "veth0", 2)
+        report = verify_plan(nft, tc, classes)
+        assert report == verify_plan_per_pair(nft, tc, classes)
+        assert [m.pair for m in report.mismatches] == [("x .", "y")]
+
+    @pytest.mark.parametrize(
+        "bad_line",
+        [
+            "nft add element latem nodes_1 { 10.0.0.1 . 10.0.0.2 . 10.0.0.3 }",
+            "nft add element latem nodes_1 { 10.0.0.1 . 10.0.0.2, 10.0.0.3 }",
+            "nft add element latem nodes_1 { 10.0.0.1 . 10.0.0.2,  }",
+            "nft add element latem nodes_1 {  }",
+            "nft add element latem nodes_9 { 10.0.0.1 . 10.0.0.2 }",
+            "nft add rule latem latem_chain ip saddr . ip daddr @nodes_9 meta mark set 9",
+            "nft add element latem nodes_1 10.0.0.1 . 10.0.0.2",
+        ],
+    )
+    def test_same_parse_errors(self, five_node_classes, bad_line):
+        nft, tc = _scripts(five_node_classes)
+        nft = CommandScript(lines=nft.lines[:4] + (bad_line,) + nft.lines[4:])
+        with pytest.raises(ParseError) as got:
+            verify_plan(nft, tc, five_node_classes)
+        with pytest.raises(ParseError) as want:
+            verify_plan_per_pair(nft, tc, five_node_classes)
+        assert str(got.value) == str(want.value)
+        assert (got.value.line_no, got.value.line) == (5, bad_line)

@@ -2,8 +2,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from latem.errors import ConfigError
+from latem.errors import ConfigError, RetryExhausted
 from latem.topology import Graph, neighbor_lists, nws_graph, random_graph
+
+from conftest import is_connected
 
 
 class TestNwsGraph:
@@ -11,7 +13,7 @@ class TestNwsGraph:
         g = nws_graph(4, 2, 0, seed=1)
         assert len(g.edges) == 4
         assert all(g.degree(i) == 2 for i in range(4))
-        assert g.is_connected()
+        assert is_connected(g)
 
     def test_lattice_edge_count(self):
         g = nws_graph(6, 4, 0, seed=1)
@@ -21,7 +23,7 @@ class TestNwsGraph:
     def test_full_shortcut_probability_bounds(self):
         g = nws_graph(100, 2, 1, seed=5)
         assert 100 <= len(g.edges) <= 200
-        assert g.is_connected()
+        assert is_connected(g)
 
     def test_lattice_is_subgraph(self):
         base = nws_graph(30, 4, 0, seed=9)
@@ -47,7 +49,7 @@ class TestNwsGraph:
     @given(st.integers(0, 2**31 - 1))
     def test_connected_for_k2(self, seed):
         g = nws_graph(20, 2, 0.3, seed=seed)
-        assert g.is_connected()
+        assert is_connected(g)
 
 
 class TestRandomGraph:
@@ -66,10 +68,15 @@ class TestRandomGraph:
         with pytest.raises(ConfigError):
             random_graph(5, 3, seed=0)
 
+    def test_never_connected_exhausts_retries(self):
+        # every 1-regular graph on four nodes is two disjoint edges
+        with pytest.raises(RetryExhausted):
+            random_graph(4, 1, seed=0)
+
     def test_regular_and_connected(self):
         g = random_graph(24, 4, seed=11)
         assert all(g.degree(i) == 4 for i in range(24))
-        assert g.is_connected()
+        assert is_connected(g)
 
 
 class TestNeighborLists:
