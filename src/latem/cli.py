@@ -36,7 +36,10 @@ def _write_or_print(text: str, out: str | None) -> None:
 
 
 def _load_classes(path: str) -> delay_model.DelayClassMap:
-    return delay_model.DelayClassMap.from_json_dict(json.loads(Path(path).read_text()))
+    text = Path(path).read_text()
+    with delay_model.gc_paused():
+        data = json.loads(text)
+    return delay_model.DelayClassMap.from_json_dict(data)
 
 
 def _cmd_preflight(args: argparse.Namespace) -> int:

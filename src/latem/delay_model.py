@@ -14,26 +14,57 @@ construction and safe to share across threads.
 
 from __future__ import annotations
 
+import gc
 import ipaddress
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
 from pathlib import Path
-from typing import IO, Iterator, Mapping, Sequence, Union
-
-import numpy as np
+from typing import IO, TYPE_CHECKING, Iterator, Mapping, Sequence, Union
 
 from .errors import ConfigError, ShapeError, SizeError, SymmetryError
+
+if TYPE_CHECKING:  # numpy is imported by the functions that use it
+    import numpy as np
 
 ROUNDING_MODES = ("nearest-half-up", "floor", "ceil")
 
 Factor = Union[int, float, Fraction]
 
 
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector; restore its previous state on exit.
+
+    Building a class map, parsing its JSON or verifying a plan allocates
+    millions of containers that hold no reference cycles, and each
+    collection pass would re-scan all of them.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
 def _freeze(entries: np.ndarray) -> np.ndarray:
-    # Always copy: freezing a caller-owned array in place would be a surprise.
+    import numpy as np
+
+    # A read-only float64 array that owns its data (as load_matrix makes)
+    # is kept as is; anything else is copied, since freezing a caller's
+    # array in place would be a surprise.
+    if (
+        isinstance(entries, np.ndarray)
+        and entries.dtype == np.float64
+        and entries.flags.owndata
+        and not entries.flags.writeable
+    ):
+        return entries
     out = np.array(entries, dtype=np.float64, copy=True)
     out.setflags(write=False)
     return out
@@ -46,6 +77,8 @@ class DelayMatrix:
     entries: np.ndarray
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         e = _freeze(self.entries)
         object.__setattr__(self, "entries", e)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
@@ -71,6 +104,8 @@ class DelayMatrix:
         return float(self.entries.max()) if self.n else 0.0
 
     def __eq__(self, other: object) -> bool:
+        import numpy as np
+
         if not isinstance(other, DelayMatrix):
             return NotImplemented
         return np.array_equal(self.entries, other.entries)
@@ -195,6 +230,7 @@ class DelayClassMap:
         }
 
     @classmethod
+    @gc_paused()
     def from_json_dict(cls, data: Mapping) -> "DelayClassMap":
         keys = _KeyMemo()
         try:
@@ -263,6 +299,8 @@ def load_matrix(source: Union[str, Path, IO[str]], fmt: str = "auto") -> DelayMa
     fmt="auto" the delimiter is detected from the first data line. Trailing
     whitespace and blank lines are tolerated.
     """
+    import numpy as np
+
     if fmt not in ("auto", "whitespace", "csv"):
         raise ConfigError(f"unknown matrix format {fmt!r}")
     if hasattr(source, "read"):
@@ -300,6 +338,7 @@ def load_matrix(source: Union[str, Path, IO[str]], fmt: str = "auto") -> DelayMa
     del rows
     if entries.shape[0] != entries.shape[1]:
         raise ShapeError(f"matrix is {entries.shape[0]}x{entries.shape[1]}, expected square")
+    entries.setflags(write=False)  # nothing else holds it, so DelayMatrix need not copy
     return DelayMatrix(entries)
 
 
@@ -309,6 +348,8 @@ def subsample(m: DelayMatrix, count: int, seed: int) -> DelayMatrix:
     The draw is seeded and deterministic; indices are kept in ascending order
     so a full-size subsample reproduces the input exactly.
     """
+    import numpy as np
+
     if count < 1:
         raise SizeError(f"count must be positive, got {count}")
     if count > m.n:
@@ -331,6 +372,8 @@ def quantize(m: DelayMatrix, policy: QuantizationPolicy) -> np.ndarray:
     nearest-half-up rounds .5 steps away from zero (25ms at quantum 10 gives
     30ms); floor and ceil snap down or up. Idempotent on its own output.
     """
+    import numpy as np
+
     q = policy.quantum_ms
     ratio = m.entries / q
     if policy.rounding == "nearest-half-up":
@@ -354,6 +397,8 @@ def build_classes(
     policy drops the zero class (their traffic takes the default no-delay
     path, which is behaviorally identical).
     """
+    import numpy as np
+
     q = np.asarray(quantized)
     n = q.shape[0]
     if isinstance(ips, Mapping):
@@ -393,8 +438,9 @@ def build_classes(
     ip_arr = np.array(ip_list, dtype=object)
     pairs = zip(ip_arr[lo].tolist(), ip_arr[hi].tolist())
     del lo, hi
-    classes = tuple(
-        DelayClass(mark=mark, delay_ms=delay_ms, pairs=tuple(islice(pairs, size)))
-        for mark, (delay_ms, size) in enumerate(zip(delays.tolist(), sizes.tolist()), start=1)
-    )
-    return DelayClassMap(classes=classes)
+    with gc_paused():
+        classes = tuple(
+            DelayClass(mark=mark, delay_ms=delay_ms, pairs=tuple(islice(pairs, size)))
+            for mark, (delay_ms, size) in enumerate(zip(delays.tolist(), sizes.tolist()), start=1)
+        )
+        return DelayClassMap(classes=classes)

@@ -61,9 +61,7 @@ def emit_nft_script(
         )
         for start in range(0, len(cls.pairs), element_chunk_pairs):
             chunk = cls.pairs[start : start + element_chunk_pairs]
-            elements = ", ".join(
-                f"{s} . {d}" for lo, hi in chunk for s, d in ((lo, hi), (hi, lo))
-            )
+            elements = ", ".join([f"{lo} . {hi}, {hi} . {lo}" for lo, hi in chunk])
             lines.append(f"nft add element {table_name} {set_name} {{ {elements} }}")
         lines.append(
             f"nft add rule {table_name} {chain_name} "

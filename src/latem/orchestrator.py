@@ -34,7 +34,7 @@ from .link_layer import MacPattern, emit_fdb_script, mac_for_ip
 from .manifest import ExperimentManifest, NodeSpec, ResourceModel, render_number
 from .nft_planner import emit_nft_script
 from .script import CommandScript
-from .tc_planner import compute_bands, emit_tc_script
+from .tc_planner import compute_bands, emit_tc_trees
 from .topology import neighbor_lists, nws_graph, random_graph
 
 NODE_SPEC_ENV = "LATEM_NODE_SPEC"
@@ -401,17 +401,11 @@ def build_startup_plan(
     if manifest.delay is not None and classes is not None and len(classes) > 0:
         add(STEP_NFT, STEP_NFT, emit_nft_script(classes), class_count=len(classes))
         b = bands if bands is not None else compute_bands(len(classes))
-        delays = classes.class_delays()
-        tc_lines: list[str] = []
-        veths = []
-        for node in manifest.nodes:
-            veth = veth_for(node)
-            veths.append(veth)
-            tc_lines.extend(emit_tc_script(delays, veth, b))
+        veths = [veth_for(node) for node in manifest.nodes]
         add(
             STEP_TC,
             STEP_TC,
-            CommandScript(lines=tuple(tc_lines), phase=STEP_TC),
+            emit_tc_trees(classes.class_delays(), veths, b),
             veths=veths,
             bands=b,
         )

@@ -25,9 +25,9 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from .delay_model import DelayClassMap
+from .delay_model import DelayClassMap, gc_paused
 from .errors import CapacityError, ConfigError, ParseError
 from .script import CommandScript
 
@@ -106,44 +106,48 @@ def plan_tree(class_delays: Mapping[int, int], veth: str, b: int) -> QdiscTreePl
     return QdiscTreePlan(veth=veth, bands=b, leaves=leaves)
 
 
-def emit_tc_script(class_delays: Mapping[int, int], veth: str, b: int) -> CommandScript:
-    """Emit the tree for one interface.
+def emit_tc_trees(
+    class_delays: Mapping[int, int], veths: Sequence[str], b: int
+) -> CommandScript:
+    """Emit the same tree for each interface, one tree after another.
 
-    Order: root prio, the b second-level prio qdiscs, then per class
-    (ascending mark) its netem leaf plus the two fw filters routing the mark
-    root-to-leaf, and finally the two catch-all filters steering unmarked
-    traffic down the rightmost (no-delay) path. Line count is 1 + b + 3K + 2.
+    The tree is planned once and each interface is filled into its lines.
+    Order within a tree: root prio, the b second-level prio qdiscs, then per
+    class (ascending mark) its netem leaf plus the two fw filters routing the
+    mark root-to-leaf, and finally the two catch-all filters steering
+    unmarked traffic down the rightmost (no-delay) path. Line count per
+    interface is 1 + b + 3K + 2.
     """
-    if not veth or veth != veth.strip():
-        raise ConfigError(f"invalid interface name {veth!r}")
-    plan = plan_tree(class_delays, veth, b)
-    lines = [f"tc qdisc add dev {veth} root handle 1: prio bands {b}"]
+    for veth in veths:
+        if not veth or veth != veth.strip():
+            raise ConfigError(f"invalid interface name {veth!r}")
+    plan = plan_tree(class_delays, veths[0] if veths else "", b)
+    # Each line is a head, the interface name, and a tail.
+    qdisc, fltr = "tc qdisc add dev ", "tc filter add dev "
+    tree = [(qdisc, f" root handle 1: prio bands {b}")]
     for i in range(1, b + 1):
-        lines.append(
-            f"tc qdisc add dev {veth} parent 1:{_hex(i)} handle 1{_hex(i)}: prio bands {b}"
-        )
+        tree.append((qdisc, f" parent 1:{_hex(i)} handle 1{_hex(i)}: prio bands {b}"))
     for mark in sorted(plan.leaves):
         f, s, delay_ms = plan.leaves[mark]
-        lines.append(
-            f"tc qdisc add dev {veth} parent 1{_hex(f)}:{_hex(s)} netem delay {delay_ms}ms"
-        )
-        lines.append(
-            f"tc filter add dev {veth} protocol ip parent 1: "
-            f"prio {FILTER_PRIO_MARKED} handle {mark} fw classid 1:{_hex(f)}"
-        )
-        lines.append(
-            f"tc filter add dev {veth} protocol ip parent 1{_hex(f)}: "
-            f"prio {FILTER_PRIO_MARKED} handle {mark} fw classid 1{_hex(f)}:{_hex(s)}"
-        )
-    lines.append(
-        f"tc filter add dev {veth} protocol all parent 1: "
-        f"prio {FILTER_PRIO_DEFAULT} matchall classid 1:{_hex(b)}"
-    )
-    lines.append(
-        f"tc filter add dev {veth} protocol all parent 1{_hex(b)}: "
-        f"prio {FILTER_PRIO_DEFAULT} matchall classid 1{_hex(b)}:{_hex(b)}"
-    )
+        hf, hs = _hex(f), _hex(s)
+        tree.append((qdisc, f" parent 1{hf}:{hs} netem delay {delay_ms}ms"))
+        tree.append((fltr, f" protocol ip parent 1: "
+                           f"prio {FILTER_PRIO_MARKED} handle {mark} fw classid 1:{hf}"))
+        tree.append((fltr, f" protocol ip parent 1{hf}: "
+                           f"prio {FILTER_PRIO_MARKED} handle {mark} fw classid 1{hf}:{hs}"))
+    tree.append((fltr, f" protocol all parent 1: "
+                       f"prio {FILTER_PRIO_DEFAULT} matchall classid 1:{_hex(b)}"))
+    tree.append((fltr, f" protocol all parent 1{_hex(b)}: "
+                       f"prio {FILTER_PRIO_DEFAULT} matchall classid 1{_hex(b)}:{_hex(b)}"))
+    lines: list[str] = []
+    for veth in veths:
+        lines += [head + veth + tail for head, tail in tree]
     return CommandScript(lines=tuple(lines), phase="tc")
+
+
+def emit_tc_script(class_delays: Mapping[int, int], veth: str, b: int) -> CommandScript:
+    """Emit the tree for one interface (see `emit_tc_trees`)."""
+    return emit_tc_trees(class_delays, [veth], b)
 
 
 # --- offline verification -------------------------------------------------
@@ -317,6 +321,7 @@ def _parse_tc(script: CommandScript) -> _TcState:
     return state
 
 
+@gc_paused()
 def verify_plan(
     nft: CommandScript, tc: CommandScript, classes: DelayClassMap
 ) -> VerificationReport:

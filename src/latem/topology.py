@@ -38,9 +38,6 @@ class Graph:
             if not (0 <= i < j < self.n):
                 raise ConfigError(f"edge ({i}, {j}) out of range or unordered")
 
-    def degree(self, node: int) -> int:
-        return sum(1 for e in self.edges if node in e)
-
     def to_edge_list_text(self) -> str:
         lines = [f"{i} {j}" for i, j in sorted(self.edges)]
         return "\n".join(lines) + ("\n" if lines else "")

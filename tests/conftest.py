@@ -35,12 +35,22 @@ def five_node_classes() -> dm.DelayClassMap:
     return dm.build_classes(quantized, FIVE_NODE_IPS, policy)
 
 
-def is_connected(graph) -> bool:
-    """networkx's connectivity test on a latem Graph's nodes 0..n-1 and edges."""
+def _nx_graph(graph) -> nx.Graph:
+    """A latem Graph's nodes 0..n-1 and edges as a networkx graph."""
     g = nx.Graph()
     g.add_nodes_from(range(graph.n))
     g.add_edges_from(graph.edges)
-    return nx.is_connected(g)
+    return g
+
+
+def is_connected(graph) -> bool:
+    return nx.is_connected(_nx_graph(graph))
+
+
+def degrees(graph) -> list[int]:
+    """networkx's degree of each of a latem Graph's nodes 0..n-1."""
+    g = _nx_graph(graph)
+    return [g.degree(i) for i in range(graph.n)]
 
 
 def random_symmetric_matrix(rng: np.random.Generator, n: int, max_ms: float = 300.0):

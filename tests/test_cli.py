@@ -249,12 +249,38 @@ def test_validation_error_maps_to_exit_2(tmp_path, capsys):
     assert "duplicate IP" in capsys.readouterr().err
 
 
-def test_importing_the_cli_leaves_networkx_unloaded():
-    # Only the overlay generators need networkx; every other command starts
-    # without it.
+def _python(code: str, *args: str) -> str:
     env = dict(os.environ, PYTHONPATH=str(Path(latem.__file__).parents[1]))
     result = subprocess.run(
-        [sys.executable, "-c", "import sys, latem.cli; print('networkx' in sys.modules)"],
+        [sys.executable, "-c", code, *args],
         capture_output=True, text=True, env=env, timeout=60, check=True,
     )
-    assert result.stdout.strip() == "False"
+    return result.stdout.strip()
+
+
+def test_importing_the_cli_leaves_networkx_and_numpy_unloaded():
+    # Only the overlay generators need networkx and only the matrix functions
+    # need numpy; every other command starts without them.
+    code = "import sys, latem.cli; print('networkx' in sys.modules, 'numpy' in sys.modules)"
+    assert _python(code) == "False False"
+
+
+def test_class_map_commands_never_load_numpy(classes_file, tmp_path):
+    code = """
+import sys
+from pathlib import Path
+from latem.cli import main, _load_classes
+from latem.script import CommandScript
+from latem.tc_planner import verify_plan
+classes, nft, tc = sys.argv[1:]
+assert main(["emit-nft", "--classes", classes, "--out", nft]) == 0
+assert main(["emit-tc", "--classes", classes, "--veth", "veth0", "--out", tc]) == 0
+report = verify_plan(
+    CommandScript(lines=tuple(Path(nft).read_text().splitlines())),
+    CommandScript(lines=tuple(Path(tc).read_text().splitlines())),
+    _load_classes(classes),
+)
+print(report.ok, "numpy" in sys.modules)
+"""
+    nft, tc = tmp_path / "nft.sh", tmp_path / "tc.sh"
+    assert _python(code, str(classes_file), str(nft), str(tc)) == "True False"

@@ -1,3 +1,4 @@
+import gc
 import io
 import json
 from fractions import Fraction
@@ -347,6 +348,71 @@ class TestDelayMatrixType:
         m = dm.DelayMatrix(source)
         source[0, 1] = 9
         assert m.entries[0, 1] == 1
+        assert not m.entries.flags.writeable
+
+    def test_frozen_float_array_is_kept(self):
+        source = np.array([[0.0, 1.0], [1.0, 0.0]])
+        source.setflags(write=False)
+        assert dm.DelayMatrix(source).entries is source
+
+    @pytest.mark.parametrize("kind", ["view", "int"])
+    def test_other_read_only_arrays_are_copied(self, kind):
+        base = np.array([[0, 1], [1, 0]], dtype=np.float64 if kind == "view" else np.int64)
+        source = base.view() if kind == "view" else base.copy()
+        source.setflags(write=False)
+        m = dm.DelayMatrix(source)
+        base[0, 1] = 9
+        assert m.entries[0, 1] == 1
+        assert m.entries.dtype == np.float64 and not m.entries.flags.writeable
+
+    def test_loaded_matrix_is_read_only(self):
+        m = dm.load_matrix(io.StringIO("0 1\n1 0\n"))
+        assert m.entries.flags.owndata and not m.entries.flags.writeable
+
+
+class TestGcPaused:
+    @pytest.fixture(autouse=True)
+    def restore_gc(self):
+        was_enabled = gc.isenabled()
+        yield
+        (gc.enable if was_enabled else gc.disable)()
+
+    def test_enabled_collector_is_enabled_again(self):
+        gc.enable()
+        with dm.gc_paused():
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_enabled_again_after_an_exception(self):
+        gc.enable()
+        with pytest.raises(KeyError):
+            with dm.gc_paused():
+                raise KeyError("x")
+        assert gc.isenabled()
+
+    def test_disabled_collector_stays_disabled(self):
+        gc.disable()
+        with dm.gc_paused():
+            assert not gc.isenabled()
+        assert not gc.isenabled()
+
+    def test_nested_use_keeps_the_outer_pause(self):
+        gc.enable()
+        with dm.gc_paused():
+            with dm.gc_paused():
+                pass
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_decorated_function_runs_paused(self):
+        @dm.gc_paused()
+        def enabled_inside():
+            return gc.isenabled()
+
+        gc.enable()
+        assert enabled_inside() is False
+        assert enabled_inside() is False  # each call pauses afresh
+        assert gc.isenabled()
 
 
 class TestClassMapValidation:

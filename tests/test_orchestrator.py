@@ -120,6 +120,22 @@ class TestBuildStartupPlan:
         roots = [l for l in tc_step.script if "root handle 1:" in l]
         assert len(roots) == 2
 
+    def test_tc_step_is_one_tree_per_node(self, five_node_classes):
+        data = minimal_manifest_dict()
+        for i in range(3, 6):
+            node = dict(data["nodes"][0], name=f"node00{i}", ip=f"10.1.0.{i}")
+            data["nodes"].append(node)
+        data["delay"] = {"matrix_path": "matrix.txt", "quantum_ms": 10}
+        manifest = parse_manifest(data)
+        plan = build_startup_plan(manifest, classes=five_node_classes, bands=3)
+        (tc_step,) = plan.steps_of_kind("tc")
+        veths = [veth_token(f"node00{i}") for i in range(1, 6)]
+        assert tc_step.metadata == {"veths": veths, "bands": 3}
+        delays = five_node_classes.class_delays()
+        expected = [line for v in veths for line in emit_tc_script(delays, v, 3)]
+        assert list(tc_step.script) == expected
+        assert tc_step.script.phase == "tc"
+
     def test_delay_section_without_classes_rejected(self, tmp_path):
         _, manifest = manifest_with_delay(tmp_path)
         with pytest.raises(ConfigError):

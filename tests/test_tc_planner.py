@@ -8,6 +8,7 @@ from latem.tc_planner import (
     MAX_BANDS,
     compute_bands,
     emit_tc_script,
+    emit_tc_trees,
     leaf_position,
     plan_tree,
     verify_plan,
@@ -115,9 +116,26 @@ class TestEmitTcScript:
         b = compute_bands(len(five_node_classes))
         assert emit_tc_script(five_node_classes.class_delays(), "vetha1", b).text() == golden
 
-    def test_bad_veth(self):
-        with pytest.raises(ConfigError):
-            emit_tc_script({1: 10}, " veth0", 2)
+    @pytest.mark.parametrize("veth", ["", " veth0", "veth0 ", "veth0\t"])
+    def test_bad_veth(self, veth):
+        with pytest.raises(ConfigError, match="invalid interface name"):
+            emit_tc_script({1: 10}, veth, 2)
+        with pytest.raises(ConfigError, match="invalid interface name"):
+            emit_tc_trees({1: 10}, ["veth0", veth, "veth2"], 2)
+
+
+class TestEmitTcTrees:
+    def test_concatenates_one_tree_per_interface(self, five_node_classes):
+        delays = five_node_classes.class_delays()
+        veths = ["vetha1", "vethb2", "v3"]
+        script = emit_tc_trees(delays, veths, 3)
+        assert script.phase == "tc"
+        assert list(script) == [l for v in veths for l in emit_tc_script(delays, v, 3)]
+
+    def test_no_interfaces_still_plans_the_tree(self):
+        assert len(emit_tc_trees({1: 10}, [], 2)) == 0
+        with pytest.raises(CapacityError):
+            emit_tc_trees({4: 10}, [], 2)
 
 
 def tamper_root_classid(tc: CommandScript, mark: int, bands: int) -> CommandScript:

@@ -5,20 +5,20 @@ from hypothesis import strategies as st
 from latem.errors import ConfigError, RetryExhausted
 from latem.topology import Graph, neighbor_lists, nws_graph, random_graph
 
-from conftest import is_connected
+from conftest import degrees, is_connected
 
 
 class TestNwsGraph:
     def test_pure_ring(self):
         g = nws_graph(4, 2, 0, seed=1)
         assert len(g.edges) == 4
-        assert all(g.degree(i) == 2 for i in range(4))
+        assert degrees(g) == [2] * 4
         assert is_connected(g)
 
     def test_lattice_edge_count(self):
         g = nws_graph(6, 4, 0, seed=1)
         assert len(g.edges) == 6 * 4 // 2
-        assert all(g.degree(i) == 4 for i in range(6))
+        assert degrees(g) == [4] * 6
 
     def test_full_shortcut_probability_bounds(self):
         g = nws_graph(100, 2, 1, seed=5)
@@ -75,7 +75,7 @@ class TestRandomGraph:
 
     def test_regular_and_connected(self):
         g = random_graph(24, 4, seed=11)
-        assert all(g.degree(i) == 4 for i in range(24))
+        assert degrees(g) == [4] * 24
         assert is_connected(g)
 
 
