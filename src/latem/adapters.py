@@ -52,11 +52,17 @@ _BATCH_TOOLS = {
 # globs, redirections or operators, only the `\;` escape of nft lines. For
 # these, shell word splitting is whitespace splitting with `\;` read as `;`.
 _PLAIN_LINE = re.compile(r"(?:[\w.,:/@%+={} -]|\\;)*")
+# A tc batch holds one device's lines, so each interface's tree is one batch.
+_TC_DEV = re.compile(r" dev +(\S+)")
 
 
-def _batch_tool(line: str) -> str | None:
+def _batch_key(line: str) -> tuple[str, str | None] | None:
+    """The tool and, for tc, the device of a batch line; None for shell lines."""
     tool = line.partition(" ")[0]
-    return tool if tool in _BATCH_TOOLS and _PLAIN_LINE.fullmatch(line) else None
+    if tool not in _BATCH_TOOLS or not _PLAIN_LINE.fullmatch(line):
+        return None
+    dev = _TC_DEV.search(line) if tool == "tc" else None
+    return tool, dev.group(1) if dev else None
 
 
 def _spawn(argv: Sequence[str], stdin: str | None, timeout_s: float) -> CommandResult:
@@ -84,11 +90,12 @@ class ShellAdapter:
 
     `run` passes one line to `/bin/sh -c`. `run_batch` splits a step's lines
     into runs of the same kind and starts one process per run: plain `tc`
-    lines go to `tc -batch -` and plain `nft` lines to `nft -f -` (atomic),
-    each line as the argv words the shell would have passed, less the tool
-    name; every other line runs in one `/bin/sh`, each in its own subshell,
-    so `cd`, variables and `exit` do not carry over to the next line. A batch
-    tool's stdout and stderr go with the last line it ran.
+    lines go to `tc -batch -`, one process per run of lines on the same
+    `dev`, and plain `nft` lines to `nft -f -` (atomic), each line as the argv
+    words the shell would have passed, less the tool name; every other line
+    runs in one `/bin/sh`, each in its own subshell, so `cd`, variables and
+    `exit` do not carry over to the next line. A batch tool's stdout and
+    stderr go with the last line it ran.
 
     `timeout_s` bounds one line; a batch gets `timeout_s` per line. On expiry
     the process group is killed and `subprocess.TimeoutExpired` propagates.
@@ -102,9 +109,9 @@ class ShellAdapter:
 
     def run_batch(self, lines: Sequence[str]) -> list[CommandResult]:
         results: list[CommandResult] = []
-        for tool, group in groupby(lines, key=_batch_tool):
+        for key, group in groupby(lines, key=_batch_key):
             group = list(group)
-            got = self._tool_batch(tool, group) if tool else self._shell_batch(group)
+            got = self._tool_batch(key[0], group) if key else self._shell_batch(group)
             results.extend(got)
             if len(got) < len(group) or not got[-1].ok:
                 break

@@ -130,7 +130,6 @@ def emit_neigh_sysctls(
             f"sysctl -w '{prefix}.app_solicit = 1'",
             f"sysctl -w '{prefix}.base_reachable_time_ms = {reachable_ms}'",
         ),
-        phase="neigh-sysctls",
     )
 
 

@@ -221,13 +221,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     )
     mode = "apply" if args.apply else "dry-run"
     adapter = ShellAdapter() if args.apply else None
-    report = orchestrator.execute(
-        plan,
-        mode,
-        adapter=adapter,
-        out_dir=args.out,
-        tc_parallelism=args.tc_parallelism,
-    )
+    report = orchestrator.execute(plan, mode, adapter=adapter, out_dir=args.out)
     for step in report.steps:
         print(f"{step.status:8s} {step.name}" + (f" ({step.detail})" if step.detail else ""))
         failing = next((c for c in step.commands if c.exit_code != 0), None)
@@ -370,8 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output directory for dry-run scripts")
     p.add_argument("--inflate", help="apply a time-inflation factor before planning")
     p.add_argument("--paper-rounding", action="store_true")
-    p.add_argument("--tc-parallelism", type=int, default=1,
-                   help="interfaces whose tc trees are applied at once")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("autoarpd", help="serve neighbor resolution (or emit its sysctls)")

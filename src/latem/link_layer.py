@@ -83,7 +83,7 @@ def emit_fdb_script(
         f"bridge fdb add {entry.mac} dev {entry.veth} master static"
         for entry in fdb_entries(nodes, pattern)
     )
-    return CommandScript(lines=lines, phase="fdb")
+    return CommandScript(lines=lines)
 
 
 @dataclass(frozen=True)

@@ -67,4 +67,4 @@ def emit_nft_script(
             f"nft add rule {table_name} {chain_name} "
             f"ip saddr . ip daddr @{set_name} meta mark set {cls.mark}"
         )
-    return CommandScript(lines=tuple(lines), phase="nft")
+    return CommandScript(lines=tuple(lines))

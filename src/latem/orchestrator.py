@@ -19,7 +19,6 @@ import json
 import re
 import shlex
 import subprocess
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -151,6 +150,12 @@ class InterfaceInventory:
 
 
 _IP_LINK_LINE = re.compile(r"^(\d+):\s+([^:@\s]+)")
+_HOST_LINKS_QUERY = "ip -o link show"
+
+
+def _iface_query(node: str, iface: str, attr: str) -> str:
+    """The gather command reading one sysfs attribute of a container's interface."""
+    return f"docker exec {node} cat /sys/class/net/{iface}/{attr}"
 
 
 def gather_interfaces(
@@ -166,7 +171,7 @@ def gather_interfaces(
     """
     if not nodes:
         return InterfaceInventory(records=(), warnings=("no nodes to inventory",))
-    listing = adapter.run("ip -o link show")
+    listing = adapter.run(_HOST_LINKS_QUERY)
     if not listing.ok:
         raise InventoryError(f"cannot list host links: {listing.stderr or listing.stdout}")
     host_links: dict[int, str] = {}
@@ -177,9 +182,7 @@ def gather_interfaces(
     records = []
     warnings = []
     for name, ip in nodes:
-        iflink = adapter.run(
-            f"docker exec {name} cat /sys/class/net/{container_iface}/iflink"
-        )
+        iflink = adapter.run(_iface_query(name, container_iface, "iflink"))
         if not iflink.ok or not iflink.stdout.strip().isdigit():
             raise InventoryError(f"node {name!r}: cannot read peer ifindex")
         peer = int(iflink.stdout.strip())
@@ -188,9 +191,7 @@ def gather_interfaces(
             raise InventoryError(
                 f"node {name!r}: no host link with ifindex {peer} (stale inventory?)"
             )
-        mac_out = adapter.run(
-            f"docker exec {name} cat /sys/class/net/{container_iface}/address"
-        )
+        mac_out = adapter.run(_iface_query(name, container_iface, "address"))
         mac = mac_out.stdout.strip().lower() if mac_out.ok else ""
         expected = mac_for_ip(ip, pattern)
         if mac != expected:
@@ -322,7 +323,7 @@ def build_startup_plan(
     add(
         STEP_PREFLIGHT,
         STEP_PREFLIGHT,
-        CommandScript(lines=sys_preflight.emit_audit_commands(plan), phase=STEP_PREFLIGHT),
+        CommandScript(lines=sys_preflight.emit_audit_commands(plan)),
         node_count=len(manifest.nodes),
     )
 
@@ -358,7 +359,7 @@ def build_startup_plan(
             add(
                 f"launch-{phase.name}-b{batch_no:02d}",
                 STEP_LAUNCH,
-                CommandScript(lines=lines, phase=phase.name),
+                CommandScript(lines=lines),
                 phase=phase.name,
                 batch=batch_no,
                 nodes=[n.name for n in batch_nodes],
@@ -367,20 +368,20 @@ def build_startup_plan(
             add(
                 f"stats-{phase.name}",
                 STEP_STATS,
-                CommandScript(lines=(STATS_COMMAND,), phase=phase.name),
+                CommandScript(lines=(STATS_COMMAND,)),
                 checkpoint=phase.name,
             )
 
     iface = manifest.runtime.container_iface
     gather_lines = tuple(
-        f"docker exec {n.name} cat /sys/class/net/{iface}/{leaf}"
+        _iface_query(n.name, iface, attr)
         for n in manifest.nodes
-        for leaf in ("iflink", "address")
-    ) + (("ip -o link show",) if manifest.nodes else ())
+        for attr in ("iflink", "address")
+    ) + ((_HOST_LINKS_QUERY,) if manifest.nodes else ())
     add(
         STEP_GATHER,
         STEP_GATHER,
-        CommandScript(lines=gather_lines, phase=STEP_GATHER),
+        CommandScript(lines=gather_lines),
         nodes=[(n.name, n.ip) for n in manifest.nodes],
         container_iface=iface,
     )
@@ -396,7 +397,7 @@ def build_startup_plan(
         for n in manifest.nodes
         for line in emit_neigh_sysctls(iface)
     )
-    add(STEP_NEIGH, STEP_NEIGH, CommandScript(lines=neigh_lines, phase=STEP_NEIGH))
+    add(STEP_NEIGH, STEP_NEIGH, CommandScript(lines=neigh_lines))
 
     if manifest.delay is not None and classes is not None and len(classes) > 0:
         add(STEP_NFT, STEP_NFT, emit_nft_script(classes), class_count=len(classes))
@@ -424,7 +425,7 @@ def build_startup_plan(
             add(
                 f"signal-{phase.name}",
                 STEP_SIGNAL,
-                CommandScript(lines=tuple(lines), phase=phase.name),
+                CommandScript(lines=tuple(lines)),
                 phase=phase.name,
                 signal=phase.signal,
                 offsets_s=offsets,
@@ -433,14 +434,14 @@ def build_startup_plan(
             add(
                 f"host-{phase.name}",
                 STEP_HOST_SCRIPT,
-                CommandScript(lines=phase.script, phase=phase.name),
+                CommandScript(lines=phase.script),
                 phase=phase.name,
             )
         if phase.capture_stats and phase.action != "launch":
             add(
                 f"stats-{phase.name}",
                 STEP_STATS,
-                CommandScript(lines=(STATS_COMMAND,), phase=phase.name),
+                CommandScript(lines=(STATS_COMMAND,)),
                 checkpoint=phase.name,
             )
 
@@ -532,55 +533,11 @@ def _outcomes(lines: Sequence[str], results: Sequence[CommandResult]) -> list[Co
     ]
 
 
-def _failed(outcomes: Sequence[CommandOutcome]) -> bool:
-    return any(o.exit_code != 0 for o in outcomes)
-
-
-def _apply_tc(
-    adapter: RuntimeAdapter, lines: list[str], interfaces: int, parallelism: int
-) -> list[CommandOutcome]:
-    """Apply each interface's tree as one batch, up to `parallelism` at once.
-
-    The tc step's lines are one equal-length block per interface. Each tree
-    runs in order; no interface starts once one has failed, and outcomes
-    merge in interface order.
-    """
-    from concurrent.futures import ThreadPoolExecutor
-
-    if not lines:
-        return []
-    if not interfaces or len(lines) % interfaces:
-        raise ConfigError(f"tc step of {len(lines)} lines does not split into "
-                          f"{interfaces} equal interface blocks")
-    size = len(lines) // interfaces
-    stop = threading.Event()
-
-    def apply(block: list[str]) -> list[CommandOutcome]:
-        if stop.is_set():
-            return []
-        try:
-            outcomes = _outcomes(block, adapter.run_batch(block))
-        except BaseException:
-            stop.set()
-            raise
-        if _failed(outcomes):
-            stop.set()
-        return outcomes
-
-    blocks = [lines[i : i + size] for i in range(0, len(lines), size)]
-    with ThreadPoolExecutor(max_workers=max(parallelism, 1)) as pool:
-        try:
-            return [o for outcomes in pool.map(apply, blocks) for o in outcomes]
-        finally:
-            stop.set()  # after an error or an interrupt, start no further interface
-
-
 def execute(
     plan: PhasedPlan,
     mode: str,
     adapter: RuntimeAdapter | None = None,
     out_dir: str | Path | None = None,
-    tc_parallelism: int = 1,
     pattern: MacPattern = MacPattern(),
 ) -> ExecutionReport:
     """Run a plan in dry-run or apply mode.
@@ -590,13 +547,10 @@ def execute(
 
     Apply runs steps in order. The gather step queries the adapter line by
     line and resolves veth placeholders for everything after it. Every other
-    step goes to the adapter's `run_batch` as a whole, and the tc step as one
-    batch per interface, with up to `tc_parallelism` interfaces at once (each
-    interface's tree in order). A step stops at its first failing command,
-    which is reported with its exit code, stdout and stderr; with parallel
-    interfaces the interfaces already running finish and are reported too.
-    A timeout or an unresolvable placeholder fails the step with a detail.
-    Steps after a failed one are reported as skipped.
+    step goes to the adapter's `run_batch` as a whole. A step stops at its
+    first failing command, which is reported with its exit code, stdout and
+    stderr. A timeout or an unresolvable placeholder fails the step with a
+    detail. Steps after a failed one are reported as skipped.
     """
     if mode not in ("dry-run", "apply"):
         raise ConfigError(f"mode must be 'dry-run' or 'apply', got {mode!r}")
@@ -641,11 +595,7 @@ def execute(
                 )
                 continue
             lines = [_substitute(line, veths) for line in step.script]
-            if step.kind == STEP_TC:
-                interfaces = len(step.metadata.get("veths", ()))
-                outcomes = _apply_tc(adapter, lines, interfaces, tc_parallelism)
-            else:
-                outcomes = _outcomes(lines, adapter.run_batch(lines))
+            outcomes = _outcomes(lines, adapter.run_batch(lines))
         except (InventoryError, subprocess.TimeoutExpired) as exc:
             failed = True
             results.append(
@@ -653,7 +603,7 @@ def execute(
                            detail=str(exc))
             )
             continue
-        failed = _failed(outcomes)
+        failed = any(o.exit_code != 0 for o in outcomes)
         results.append(
             StepResult(name=step.name, kind=step.kind,
                        status="failed" if failed else "ok", commands=tuple(outcomes))

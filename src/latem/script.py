@@ -8,13 +8,12 @@ from typing import Iterator
 
 @dataclass(frozen=True)
 class CommandScript:
-    """An ordered list of single-line shell commands, optionally phase-tagged.
+    """An ordered list of single-line shell commands.
 
     Emission is byte-deterministic: equal inputs produce equal scripts.
     """
 
     lines: tuple[str, ...] = field(default=())
-    phase: str | None = None
 
     def __post_init__(self) -> None:
         for i, line in enumerate(self.lines):

@@ -71,39 +71,28 @@ def leaf_position(mark: int, b: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class QdiscTreePlan:
-    """Resolved tree layout for one interface: leaves keyed by mark."""
+    """Resolved tree layout, the same for every interface: leaves keyed by mark."""
 
-    veth: str
     bands: int
     leaves: Mapping[int, tuple[int, int, int]]  # mark -> (f, s, delay_ms)
 
     def __post_init__(self) -> None:
-        b = self.bands
-        if not 2 <= b <= MAX_BANDS:
-            raise ConfigError(f"bands must be in 2..{MAX_BANDS}, got {b}")
-        if b * b < len(self.leaves) + 1:
-            raise CapacityError(
-                f"{len(self.leaves)} classes plus the default leaf do not fit "
-                f"{b}x{b} bands"
-            )
-        for mark, (f, s, _delay) in self.leaves.items():
-            expect = leaf_position(mark, b)
-            if (f, s) != expect:
-                raise ConfigError(f"mark {mark} must sit at {expect}, got {(f, s)}")
-            if (f, s) == (b, b):
-                raise ConfigError(f"mark {mark} occupies the default slot ({b}, {b})")
+        # `leaf_position` checks the bands too, but only when there are classes.
+        if not 2 <= self.bands <= MAX_BANDS:
+            raise ConfigError(f"bands must be in 2..{MAX_BANDS}, got {self.bands}")
 
     @property
     def default_path(self) -> tuple[int, int]:
         return (self.bands, self.bands)
 
 
-def plan_tree(class_delays: Mapping[int, int], veth: str, b: int) -> QdiscTreePlan:
+def plan_tree(class_delays: Mapping[int, int], b: int) -> QdiscTreePlan:
+    """Place each mark at its `leaf_position`, which keeps the default slot free."""
     leaves = {
         mark: (*leaf_position(mark, b), delay_ms)
         for mark, delay_ms in sorted(class_delays.items())
     }
-    return QdiscTreePlan(veth=veth, bands=b, leaves=leaves)
+    return QdiscTreePlan(bands=b, leaves=leaves)
 
 
 def emit_tc_trees(
@@ -121,7 +110,7 @@ def emit_tc_trees(
     for veth in veths:
         if not veth or veth != veth.strip():
             raise ConfigError(f"invalid interface name {veth!r}")
-    plan = plan_tree(class_delays, veths[0] if veths else "", b)
+    plan = plan_tree(class_delays, b)
     # Each line is a head, the interface name, and a tail.
     qdisc, fltr = "tc qdisc add dev ", "tc filter add dev "
     tree = [(qdisc, f" root handle 1: prio bands {b}")]
@@ -142,7 +131,7 @@ def emit_tc_trees(
     lines: list[str] = []
     for veth in veths:
         lines += [head + veth + tail for head, tail in tree]
-    return CommandScript(lines=tuple(lines), phase="tc")
+    return CommandScript(lines=tuple(lines))
 
 
 def emit_tc_script(class_delays: Mapping[int, int], veth: str, b: int) -> CommandScript:

@@ -172,13 +172,11 @@ def emit_bpf_commands(
             "bpftool prog show  # parse the program ID of set_initial_rto from this output",
             f"bpftool cgroup attach {cgroup_path} sock_ops id {prog_id}",
         ),
-        phase="bpf-load",
     )
     unload = CommandScript(
         lines=(
             f"rm {pinned_path}",
             f"bpftool cgroup detach {cgroup_path} sock_ops id {prog_id}",
         ),
-        phase="bpf-unload",
     )
     return BpfCommandScripts(load=load, unload=unload)

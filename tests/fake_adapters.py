@@ -7,8 +7,6 @@ with its batch processes.
 
 from __future__ import annotations
 
-import threading
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -68,36 +66,28 @@ class ScriptedAdapter:
 
 
 class ParentCheckingAdapter:
-    """A model of the kernel's tc parent rule, safe to call from threads.
+    """A model of the kernel's tc parent rule.
 
     `tc qdisc add` and `tc filter add` with `parent X:Y` fail unless a qdisc
     with handle `X:` already exists on the same device; a qdisc's `handle`
-    (or `root handle`) creates it. Every other line succeeds. Each call first
-    waits `LATENCY_S`, as a spawned tool would, and a call that creates a
-    handle waits twice as long, so that a child sent alongside its parent
-    finds the parent missing.
+    (or `root handle`) creates it. Every other line succeeds.
     """
-
-    LATENCY_S = 0.001
 
     def __init__(self) -> None:
         self.handles: dict[str, set[str]] = {}
-        self._lock = threading.Lock()
 
     def run(self, command: str) -> CommandResult:
         words = command.split()
-        time.sleep(self.LATENCY_S * (2 if "handle" in words and "qdisc" in words else 1))
         if words[:1] != ["tc"] or "add" not in words or "dev" not in words:
             return CommandResult(0)
         opts = dict(zip(words, words[1:]))
         dev = opts["dev"]
-        with self._lock:
-            existing = self.handles.setdefault(dev, set())
-            parent = opts.get("parent")
-            if parent is not None and parent.split(":")[0] not in existing:
-                return CommandResult(2, "", f"Error: parent {parent} not found on {dev}")
-            if words[1] == "qdisc" and "handle" in opts:
-                existing.add(opts["handle"].rstrip(":"))
+        existing = self.handles.setdefault(dev, set())
+        parent = opts.get("parent")
+        if parent is not None and parent.split(":")[0] not in existing:
+            return CommandResult(2, "", f"Error: parent {parent} not found on {dev}")
+        if words[1] == "qdisc" and "handle" in opts:
+            existing.add(opts["handle"].rstrip(":"))
         return CommandResult(0)
 
     def run_batch(self, lines: Sequence[str]) -> list[CommandResult]:

@@ -1,7 +1,8 @@
 """ShellAdapter against tiny POSIX-sh stand-ins for tc, nft and docker.
 
-The stubs log each spawn to `spawns` and each batch line they read to
-`<tool>.lines`. A line containing FAIL fails: in a batch with the tool's own
+The stubs log each spawn to `spawns`, each batch line they read to
+`<tool>.lines` and the line count of each batch they finish to
+`<tool>.batches`. A line containing FAIL fails: in a batch with the tool's own
 failure message naming the line, elsewhere with exit 3.
 """
 
@@ -40,6 +41,7 @@ case "$tool $1" in
                 exit 1 ;;
             esac
         done
+        echo "$n" >> "$STUB_DIR/$tool.batches"
         exit 0 ;;
 esac
 case "$*" in *FAIL*) echo "$tool: cannot $*" >&2; exit 3 ;; esac
@@ -77,18 +79,42 @@ def test_one_spawn_per_interface_and_per_nft_step(stubs, five_node_classes):
     nft = emit_nft_script(five_node_classes)
     tc = [l for v in veths for l in emit_tc_script(five_node_classes.class_delays(), v, 2)]
     plan = PhasedPlan("x", (step(0, STEP_NFT, nft), step(1, STEP_TC, tc, veths=veths)))
-    report = execute(plan, "apply", adapter=ShellAdapter(), tc_parallelism=2)
+    report = execute(plan, "apply", adapter=ShellAdapter())
     assert report.ok
     assert [len(s.commands) for s in report.steps] == [len(nft), len(tc)]
-    assert sorted(logged(stubs, "spawns")) == ["nft -f -"] + ["tc -batch -"] * 3
+    assert logged(stubs, "spawns") == ["nft -f -"] + ["tc -batch -"] * 3
     assert logged(stubs, "nft.lines") == argv_words(nft)
-    # Interfaces may interleave in the log; each one's tree stays in order.
-    tc_lines = logged(stubs, "tc.lines")
-    assert sorted(tc_lines) == sorted(argv_words(tc))
-    for v in veths:
-        assert [l for l in tc_lines if f"dev {v} " in l] == argv_words(
-            l for l in tc if f"dev {v} " in l
-        )
+    assert logged(stubs, "tc.lines") == argv_words(tc)
+    assert logged(stubs, "tc.batches") == [str(len(tc) // 3)] * 3
+
+
+def test_tc_batch_ends_where_the_device_changes(stubs):
+    lines = [
+        "tc qdisc add dev a root handle 1: prio bands 2",
+        "tc qdisc add dev a parent 1:1 handle 11: prio bands 2",
+        "tc qdisc add dev b root handle 1: prio bands 2",
+        "tc filter add dev a protocol all parent 1: prio 20 matchall classid 1:2",
+    ]
+    results = ShellAdapter().run_batch(lines)
+    assert [r.exit_code for r in results] == [0] * 4
+    assert logged(stubs, "spawns") == ["tc -batch -"] * 3
+    assert logged(stubs, "tc.lines") == argv_words(lines)
+    assert logged(stubs, "tc.batches") == ["2", "1", "1"]
+
+
+def test_failing_interface_ends_the_tc_step(stubs):
+    tree = [l for l in TC_LINES if "FAIL" not in l]
+    tc = [l.replace("dev v0 ", f"dev {v} ") for v in ("v0", "v1", "v2") for l in tree]
+    tc[5] += " FAIL"  # the last line of v1's tree
+    plan = PhasedPlan("x", (step(0, STEP_TC, tc), step(1, "host-script", ["docker ps"])))
+    report = execute(plan, "apply", adapter=ShellAdapter())
+    failed, skipped = report.steps
+    assert (failed.status, skipped.status) == ("failed", "skipped")
+    assert [c.line for c in failed.commands] == tc[:6]
+    assert [c.exit_code for c in failed.commands] == [0] * 5 + [1]
+    assert "Command failed -:3" in failed.commands[-1].stderr
+    assert logged(stubs, "spawns") == ["tc -batch -"] * 2
+    assert logged(stubs, "tc.lines") == argv_words(tc[:6])
 
 
 TC_LINES = [

@@ -284,3 +284,17 @@ print(report.ok, "numpy" in sys.modules)
 """
     nft, tc = tmp_path / "nft.sh", tmp_path / "tc.sh"
     assert _python(code, str(classes_file), str(nft), str(tc)) == "True False"
+
+
+def test_demo_dry_run_script_writes_the_plan(tmp_path):
+    src = Path(latem.__file__).parents[1]
+    demo = Path(__file__).parents[1] / "scripts" / "demo_dry_run.py"
+    subprocess.run(
+        [sys.executable, str(demo), str(tmp_path)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=60, check=True,
+    )
+    names = sorted(p.name for p in (tmp_path / "plan").iterdir())
+    assert names[0] == "00-preflight.sh"
+    for step in ("gather", "fdb", "nft", "tc"):
+        assert any(n.endswith(f"-{step}.sh") for n in names), step

@@ -134,7 +134,6 @@ class TestBuildStartupPlan:
         delays = five_node_classes.class_delays()
         expected = [line for v in veths for line in emit_tc_script(delays, v, 3)]
         assert list(tc_step.script) == expected
-        assert tc_step.script.phase == "tc"
 
     def test_delay_section_without_classes_rejected(self, tmp_path):
         _, manifest = manifest_with_delay(tmp_path)
@@ -421,11 +420,11 @@ class TestExecuteApply:
         with pytest.raises(ConfigError):
             execute(plan, "apply")
 
-    def test_tc_parallelism_merges_in_order(self, tmp_path, five_node_classes):
+    def test_tc_outcomes_follow_the_plan(self, tmp_path, five_node_classes):
         _, manifest = manifest_with_delay(tmp_path)
         plan = build_startup_plan(manifest, classes=five_node_classes)
         adapter = scripted_gather_adapter()
-        report = execute(plan, "apply", adapter=adapter, tc_parallelism=4)
+        report = execute(plan, "apply", adapter=adapter)
         tc_result = next(s for s in report.steps if s.kind == "tc")
         tc_step = next(s for s in plan.steps if s.kind == "tc")
         expected = [l.replace("{veth:node001}", "vetha1").replace("{veth:node002}", "vetha2")
@@ -442,10 +441,9 @@ class TestExecuteApply:
                         metadata={"veths": veths, "bands": 5})
         return PhasedPlan("tc-only", (step,)), lines
 
-    def test_tc_parallelism_keeps_parents_before_children(self):
-        # Spreading single lines over a pool can add a child before its parent.
+    def test_tc_trees_keep_parents_before_children(self):
         plan, lines = self.four_tree_plan()
-        report = execute(plan, "apply", adapter=ParentCheckingAdapter(), tc_parallelism=4)
+        report = execute(plan, "apply", adapter=ParentCheckingAdapter())
         (result,) = report.steps
         assert len(result.commands) == 260
         assert [c for c in result.commands if c.exit_code != 0] == []

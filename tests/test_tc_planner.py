@@ -62,13 +62,13 @@ class TestLeafPosition:
 
 class TestPlanTree:
     def test_default_slot_free(self):
-        plan = plan_tree({1: 20, 2: 30, 3: 50}, "veth0", 2)
+        plan = plan_tree({1: 20, 2: 30, 3: 50}, 2)
         assert plan.default_path == (2, 2)
         assert (2, 2) not in {(f, s) for f, s, _ in plan.leaves.values()}
 
     def test_too_many_classes_for_bands(self):
         with pytest.raises(CapacityError):
-            plan_tree({m: m * 10 for m in range(1, 5)}, "veth0", 2)
+            plan_tree({m: m * 10 for m in range(1, 5)}, 2)
 
 
 class TestEmitTcScript:
@@ -129,13 +129,27 @@ class TestEmitTcTrees:
         delays = five_node_classes.class_delays()
         veths = ["vetha1", "vethb2", "v3"]
         script = emit_tc_trees(delays, veths, 3)
-        assert script.phase == "tc"
         assert list(script) == [l for v in veths for l in emit_tc_script(delays, v, 3)]
 
     def test_no_interfaces_still_plans_the_tree(self):
         assert len(emit_tc_trees({1: 10}, [], 2)) == 0
         with pytest.raises(CapacityError):
             emit_tc_trees({4: 10}, [], 2)
+
+    @pytest.mark.parametrize(
+        "delays, bands, error",
+        [
+            ({}, 1, ConfigError),
+            ({}, 17, ConfigError),
+            ({1: 10}, 1, ConfigError),
+            ({1: 10}, 17, ConfigError),
+            ({0: 10}, 2, ConfigError),
+            ({9: 10, 1: 20}, 3, CapacityError),
+        ],
+    )
+    def test_rejects_bands_and_marks_outside_the_tree(self, delays, bands, error):
+        with pytest.raises(error):
+            emit_tc_trees(delays, ["v0"], bands)
 
 
 def tamper_root_classid(tc: CommandScript, mark: int, bands: int) -> CommandScript:
