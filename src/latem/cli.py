@@ -11,6 +11,7 @@ resolution, and `stats` to summarize memory samples.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import signal
 import sys
@@ -24,15 +25,24 @@ from .adapters import ShellAdapter
 from .errors import LatemError
 from .manifest import allocate_ips, load_manifest, parse_fraction
 from .nft_planner import DEFAULT_CHAIN, DEFAULT_ELEMENT_CHUNK_PAIRS, DEFAULT_TABLE, emit_nft_script
+from .script import Script
 from .tc_planner import compute_bands, emit_tc_script
 from .topology import neighbor_lists, nws_graph, random_graph
 
 
-def _write_or_print(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+def _write_or_print(content: str | Script, out: str | None) -> None:
+    """Write text or a script to the file `out`, or to stdout without one."""
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as f:
+        if isinstance(content, Script):
+            content.write_to(f)
+        else:
+            f.write(content)
+
+
+def _warn_bridge_capacity(port_count: int) -> None:
+    diag = link_layer.check_bridge_capacity(port_count)
+    if not diag.ok:
+        print(f"warning: {diag.message}", file=sys.stderr)
 
 
 def _load_classes(path: str) -> delay_model.DelayClassMap:
@@ -110,7 +120,7 @@ def _cmd_emit_nft(args: argparse.Namespace) -> int:
         chain_name=args.chain,
         element_chunk_pairs=args.chunk_pairs,
     )
-    _write_or_print(script.text(), args.out)
+    _write_or_print(script, args.out)
     return 0
 
 
@@ -118,7 +128,7 @@ def _cmd_emit_tc(args: argparse.Namespace) -> int:
     classes = _load_classes(args.classes)
     bands = args.bands if args.bands else compute_bands(len(classes))
     script = emit_tc_script(classes.class_delays(), args.veth, bands)
-    _write_or_print(script.text(), args.out)
+    _write_or_print(script, args.out)
     return 0
 
 
@@ -139,10 +149,8 @@ def _cmd_emit_fdb(args: argparse.Namespace) -> int:
                 return 2
             nodes.append((parts[0], parts[1]))
     script = link_layer.emit_fdb_script(nodes, pattern)
-    _write_or_print(script.text(), args.out)
-    diag = link_layer.check_bridge_capacity(len(nodes))
-    if not diag.ok:
-        print(f"warning: {diag.message}", file=sys.stderr)
+    _write_or_print(script, args.out)
+    _warn_bridge_capacity(len(nodes))
     return 0
 
 
@@ -205,6 +213,7 @@ def _cmd_plan_batches(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
+    _warn_bridge_capacity(len(manifest.nodes))
     if args.inflate:
         manifest = time_inflation.inflate_manifest(
             manifest, time_inflation.InflationFactor.parse(args.inflate)

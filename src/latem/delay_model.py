@@ -233,20 +233,27 @@ class DelayClassMap:
     @gc_paused()
     def from_json_dict(cls, data: Mapping) -> "DelayClassMap":
         keys = _KeyMemo()
+        classes = []
         try:
-            classes = tuple(
-                DelayClass(
-                    mark=int(c["mark"]),
-                    delay_ms=int(c["delay_ms"]),
-                    pairs=tuple(
-                        _ordered(p[0], keys[p[0]], p[1], keys[p[1]]) for p in c["pairs"]
-                    ),
-                )
-                for c in data["classes"]
-            )
+            for c in data["classes"]:
+                mark = int(c["mark"])
+                try:
+                    pairs = tuple(
+                        _ordered(lo, keys[lo], hi, keys[hi]) for lo, hi in c["pairs"]
+                    )
+                except ValueError as exc:
+                    # Only the unpacking raises a plain ValueError; an address
+                    # error is an AddressValueError and keeps its message.
+                    if type(exc) is not ValueError:
+                        raise
+                    raise ConfigError(
+                        f"class with mark {mark}: a pair must hold exactly two "
+                        f"addresses ({exc})"
+                    ) from None
+                classes.append(DelayClass(mark=mark, delay_ms=int(c["delay_ms"]), pairs=pairs))
         except TypeError as exc:  # e.g. a nested list where an address belongs
             raise ConfigError(f"malformed class map ({exc})") from None
-        return cls(classes=classes)
+        return cls(classes=tuple(classes))
 
 
 class _Quoted(dict):

@@ -32,7 +32,7 @@ from .errors import ConfigError, InfeasibleError, InventoryError, ValidationErro
 from .link_layer import MacPattern, emit_fdb_script, mac_for_ip
 from .manifest import ExperimentManifest, NodeSpec, ResourceModel, render_number
 from .nft_planner import emit_nft_script
-from .script import CommandScript
+from .script import CommandScript, Script
 from .tc_planner import compute_bands, emit_tc_trees
 from .topology import neighbor_lists, nws_graph, random_graph
 
@@ -210,7 +210,7 @@ class PlanStep:
     index: int
     name: str
     kind: str
-    script: CommandScript
+    script: Script
     metadata: dict = field(default_factory=dict)
 
 
@@ -313,7 +313,7 @@ def build_startup_plan(
 
     steps: list[PlanStep] = []
 
-    def add(name: str, kind: str, script: CommandScript, **metadata) -> None:
+    def add(name: str, kind: str, script: Script, **metadata) -> None:
         steps.append(
             PlanStep(index=len(steps), name=name, kind=kind, script=script,
                      metadata=metadata)
@@ -403,13 +403,7 @@ def build_startup_plan(
         add(STEP_NFT, STEP_NFT, emit_nft_script(classes), class_count=len(classes))
         b = bands if bands is not None else compute_bands(len(classes))
         veths = [veth_for(node) for node in manifest.nodes]
-        add(
-            STEP_TC,
-            STEP_TC,
-            emit_tc_trees(classes.class_delays(), veths, b),
-            veths=veths,
-            bands=b,
-        )
+        add(STEP_TC, STEP_TC, emit_tc_trees(classes.class_delays(), veths, b))
 
     for phase in manifest.phases:
         if phase.action == "signal":
@@ -543,7 +537,8 @@ def execute(
     """Run a plan in dry-run or apply mode.
 
     Dry-run writes each step's script to `<index>-<name>.sh` under out_dir
-    and performs no other action; output is byte-deterministic.
+    and performs no other action; output is byte-deterministic. Each script
+    is streamed to its file in bounded chunks, never joined whole.
 
     Apply runs steps in order. The gather step queries the adapter line by
     line and resolves veth placeholders for everything after it. Every other
@@ -563,7 +558,8 @@ def execute(
         results = []
         for step in plan.steps:
             path = root / f"{step.index:02d}-{step.name}.sh"
-            path.write_text(step.script.text())
+            with path.open("w") as out:
+                step.script.write_to(out)
             results.append(
                 StepResult(name=step.name, kind=step.kind, status="written",
                            detail=str(path))

@@ -3,15 +3,50 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, TextIO
+
+# About this much text goes to each write: enough to amortize the call, and
+# no step's whole text (the nft step alone can pass 400 MB) is held at once.
+WRITE_CHUNK_CHARS = 1 << 20
+
+
+class Script:
+    """An ordered sequence of single-line shell commands.
+
+    A subclass decides how the lines are held and yields them in order. No
+    line holds a newline or ends in whitespace. Emission is
+    byte-deterministic: equal inputs produce equal scripts.
+    """
+
+    def __len__(self) -> int:
+        raise NotImplementedError
+
+    def __iter__(self) -> Iterator[str]:
+        raise NotImplementedError
+
+    def text(self) -> str:
+        """Render as POSIX shell text, one command per line."""
+        return "\n".join(self) + "\n" if len(self) else ""
+
+    def write_to(self, out: TextIO) -> None:
+        """Write `text()` to an open text file, about WRITE_CHUNK_CHARS at a time."""
+        chunk: list[str] = []
+        size = 0
+        for line in self:
+            chunk.append(line)
+            size += len(line) + 1
+            if size >= WRITE_CHUNK_CHARS:
+                chunk.append("")
+                out.write("\n".join(chunk))
+                chunk, size = [], 0
+        if chunk:
+            chunk.append("")
+            out.write("\n".join(chunk))
 
 
 @dataclass(frozen=True)
-class CommandScript:
-    """An ordered list of single-line shell commands.
-
-    Emission is byte-deterministic: equal inputs produce equal scripts.
-    """
+class CommandScript(Script):
+    """A script held as a tuple of lines, each checked on construction."""
 
     lines: tuple[str, ...] = field(default=())
 
@@ -21,12 +56,6 @@ class CommandScript:
                 raise ValueError(f"line {i} contains a newline")
             if line != line.rstrip():
                 raise ValueError(f"line {i} has trailing whitespace")
-
-    def text(self) -> str:
-        """Render as POSIX shell text, one command per line."""
-        if not self.lines:
-            return ""
-        return "\n".join(self.lines) + "\n"
 
     def __len__(self) -> int:
         return len(self.lines)

@@ -25,11 +25,11 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .delay_model import DelayClassMap, gc_paused
 from .errors import CapacityError, ConfigError, ParseError
-from .script import CommandScript
+from .script import Script
 
 MAX_BANDS = 16
 MAX_CLASSES = MAX_BANDS * MAX_BANDS - 1
@@ -81,10 +81,6 @@ class QdiscTreePlan:
         if not 2 <= self.bands <= MAX_BANDS:
             raise ConfigError(f"bands must be in 2..{MAX_BANDS}, got {self.bands}")
 
-    @property
-    def default_path(self) -> tuple[int, int]:
-        return (self.bands, self.bands)
-
 
 def plan_tree(class_delays: Mapping[int, int], b: int) -> QdiscTreePlan:
     """Place each mark at its `leaf_position`, which keeps the default slot free."""
@@ -95,21 +91,58 @@ def plan_tree(class_delays: Mapping[int, int], b: int) -> QdiscTreePlan:
     return QdiscTreePlan(bands=b, leaves=leaves)
 
 
+@dataclass(frozen=True)
+class TreeScript(Script):
+    """One tree's lines for each of a list of interfaces, rendered on demand.
+
+    Line i of an interface's tree is `tree[i][0] + veth + tree[i][1]`. The
+    lines are never held for every interface at once: iterating renders one
+    interface's tree at a time. The line rule every script keeps (no
+    newline, no trailing whitespace) is checked once, on the heads, the tails
+    and the interface names.
+    """
+
+    tree: tuple[tuple[str, str], ...]
+    veths: tuple[str, ...]
+
+    def __post_init__(self) -> None:
+        for head, tail in self.tree:
+            parts = head + tail
+            if "\n" in parts or "\r" in parts:
+                raise ValueError(f"tree line {head!r}...{tail!r} contains a newline")
+            # A line ends in its tail, or in a non-blank name when the tail is empty.
+            if tail != tail.rstrip():
+                raise ValueError(f"tree line {head!r}...{tail!r} has trailing whitespace")
+        for veth in self.veths:
+            if not veth or veth != veth.strip() or "\n" in veth or "\r" in veth:
+                raise ConfigError(f"invalid interface name {veth!r}")
+
+    def __len__(self) -> int:
+        return len(self.veths) * len(self.tree)
+
+    def __iter__(self) -> Iterator[str]:
+        for veth in self.veths:
+            yield from [head + veth + tail for head, tail in self.tree]
+
+    @property
+    def lines(self) -> tuple[str, ...]:
+        """Every line, rendered; for callers that need them all at once."""
+        return tuple(self)
+
+
 def emit_tc_trees(
     class_delays: Mapping[int, int], veths: Sequence[str], b: int
-) -> CommandScript:
+) -> TreeScript:
     """Emit the same tree for each interface, one tree after another.
 
-    The tree is planned once and each interface is filled into its lines.
-    Order within a tree: root prio, the b second-level prio qdiscs, then per
-    class (ascending mark) its netem leaf plus the two fw filters routing the
-    mark root-to-leaf, and finally the two catch-all filters steering
-    unmarked traffic down the rightmost (no-delay) path. Line count per
-    interface is 1 + b + 3K + 2.
+    The tree is planned once and held as line templates; each interface is
+    filled in when the script is iterated or written. Order within a tree:
+    root prio, the b second-level prio qdiscs, then per class (ascending
+    mark) its netem leaf plus the two fw filters routing the mark
+    root-to-leaf, and finally the two catch-all filters steering unmarked
+    traffic down the rightmost (no-delay) path. Line count per interface is
+    1 + b + 3K + 2.
     """
-    for veth in veths:
-        if not veth or veth != veth.strip():
-            raise ConfigError(f"invalid interface name {veth!r}")
     plan = plan_tree(class_delays, b)
     # Each line is a head, the interface name, and a tail.
     qdisc, fltr = "tc qdisc add dev ", "tc filter add dev "
@@ -128,13 +161,10 @@ def emit_tc_trees(
                        f"prio {FILTER_PRIO_DEFAULT} matchall classid 1:{_hex(b)}"))
     tree.append((fltr, f" protocol all parent 1{_hex(b)}: "
                        f"prio {FILTER_PRIO_DEFAULT} matchall classid 1{_hex(b)}:{_hex(b)}"))
-    lines: list[str] = []
-    for veth in veths:
-        lines += [head + veth + tail for head, tail in tree]
-    return CommandScript(lines=tuple(lines))
+    return TreeScript(tree=tuple(tree), veths=tuple(veths))
 
 
-def emit_tc_script(class_delays: Mapping[int, int], veth: str, b: int) -> CommandScript:
+def emit_tc_script(class_delays: Mapping[int, int], veth: str, b: int) -> TreeScript:
     """Emit the tree for one interface (see `emit_tc_trees`)."""
     return emit_tc_trees(class_delays, [veth], b)
 
@@ -215,7 +245,7 @@ class _NftState:
         return marked
 
 
-def _parse_nft(script: CommandScript) -> _NftState:
+def _parse_nft(script: Script) -> _NftState:
     state = _NftState()
     for line_no, line in enumerate(script, start=1):
         if _NFT_TABLE.match(line) or _NFT_CHAIN.match(line):
@@ -282,7 +312,7 @@ class _TcState:
         raise AssertionError("unreachable")
 
 
-def _parse_tc(script: CommandScript) -> _TcState:
+def _parse_tc(script: Script) -> _TcState:
     state = _TcState()
     for line_no, line in enumerate(script, start=1):
         if m := _TC_ROOT.match(line):
@@ -312,7 +342,7 @@ def _parse_tc(script: CommandScript) -> _TcState:
 
 @gc_paused()
 def verify_plan(
-    nft: CommandScript, tc: CommandScript, classes: DelayClassMap
+    nft: Script, tc: Script, classes: DelayClassMap
 ) -> VerificationReport:
     """Check every directed pair of every class against both scripts.
 

@@ -78,7 +78,7 @@ def test_one_spawn_per_interface_and_per_nft_step(stubs, five_node_classes):
     veths = ["veth0", "veth1", "veth2"]
     nft = emit_nft_script(five_node_classes)
     tc = [l for v in veths for l in emit_tc_script(five_node_classes.class_delays(), v, 2)]
-    plan = PhasedPlan("x", (step(0, STEP_NFT, nft), step(1, STEP_TC, tc, veths=veths)))
+    plan = PhasedPlan("x", (step(0, STEP_NFT, nft), step(1, STEP_TC, tc)))
     report = execute(plan, "apply", adapter=ShellAdapter())
     assert report.ok
     assert [len(s.commands) for s in report.steps] == [len(nft), len(tc)]

@@ -9,6 +9,7 @@ import pytest
 
 import latem
 from latem.cli import main
+from latem.link_layer import check_bridge_capacity
 
 from conftest import FIVE_NODE_ENTRIES, FIXTURES, minimal_manifest_dict, write_manifest
 from fake_adapters import ScriptedAdapter
@@ -85,6 +86,16 @@ def test_emit_tc_matches_golden(classes_file, capsys):
     assert rc == 0
     golden = (Path(__file__).parent / "goldens" / "tc_5node3class.txt").read_text()
     assert capsys.readouterr().out == golden
+
+
+@pytest.mark.parametrize("pair", [[], ["10.0.0.1"], ["10.0.0.1", "10.0.0.2", "10.0.0.3"]])
+def test_emit_tc_rejects_a_pair_of_other_than_two_addresses(tmp_path, capsys, pair):
+    classes = tmp_path / "classes.json"
+    classes.write_text(json.dumps({"classes": [{"mark": 3, "delay_ms": 30, "pairs": [pair]}]}))
+    rc = main(["emit-tc", "--classes", str(classes), "--veth", "vetha1"])
+    assert rc == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: class with mark 3: a pair must hold exactly two addresses")
 
 
 def test_emit_fdb_from_nodes_file(tmp_path, capsys):
@@ -191,6 +202,25 @@ def test_run_dry_run_tree(tmp_path, matrix_file):
     assert any(n.endswith("-nft.sh") for n in names)
     assert any(n.endswith("-tc.sh") for n in names)
     assert any("launch" in n for n in names)
+
+
+@pytest.mark.parametrize("n", [1024, 1025])
+def test_run_warns_past_the_bridge_port_limit(tmp_path, capsys, n):
+    data = minimal_manifest_dict()
+    data["nodes"] = [
+        {"name": f"n{i:04d}", "ip": f"10.1.{i // 250}.{i % 250 + 1}", "image": "img",
+         "processes": []}
+        for i in range(n)
+    ]
+    data["phases"] = [{"name": "launch", "action": "launch"}]
+    path = write_manifest(tmp_path, data)
+    rc = main(["run", "--manifest", str(path), "--dry-run", "--out", str(tmp_path / "out")])
+    assert rc == 0
+    warnings = [l for l in capsys.readouterr().err.splitlines() if l.startswith("warning:")]
+    if n > 1024:
+        assert warnings == [f"warning: {check_bridge_capacity(n).message}"]
+    else:
+        assert warnings == []
 
 
 def test_run_apply_prints_the_failing_line_and_stderr(tmp_path, monkeypatch, capsys):

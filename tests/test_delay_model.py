@@ -1,6 +1,7 @@
 import gc
 import io
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -551,8 +552,17 @@ class TestPairs:
     def test_malformed_address_rejected(self, bad):
         with pytest.raises(ValueError):
             dm.make_pair("10.0.0.1", bad)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
             dm.DelayClassMap.from_json_dict(one_class_json(("10.0.0.1", bad)))
+
+    @pytest.mark.parametrize(
+        "pair", [(), ("10.0.0.1",), ("10.0.0.1", "10.0.0.2", "10.0.0.3")]
+    )
+    def test_pair_of_other_than_two_addresses_rejected(self, pair):
+        data = one_class_json(("10.0.0.4", "10.0.0.5"))
+        data["classes"].append({"mark": 7, "delay_ms": 70, "pairs": [list(pair)]})
+        with pytest.raises(ConfigError, match="class with mark 7: a pair must hold exactly two"):
+            dm.DelayClassMap.from_json_dict(data)
 
     def test_non_string_address_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,4 +1,6 @@
+import io
 import json
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,6 +9,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from latem import delay_model as dm
+from latem import script as script_mod
 from latem.errors import ConfigError, InfeasibleError, InventoryError
 from latem.manifest import ResourceModel, parse_manifest
 from latem.orchestrator import (
@@ -21,7 +25,7 @@ from latem.orchestrator import (
     veth_token,
 )
 from latem.script import CommandScript
-from latem.tc_planner import emit_tc_script
+from latem.tc_planner import emit_tc_script, emit_tc_trees
 
 from conftest import FIVE_NODE_ENTRIES, minimal_manifest_dict, write_manifest
 from fake_adapters import ParentCheckingAdapter, RecordingAdapter, ScriptedAdapter
@@ -99,6 +103,25 @@ def manifest_with_delay(tmp_path: Path):
     return path, parse_manifest(json.loads(path.read_text()), path.read_text())
 
 
+def five_node_plan(classes):
+    """A 5-node plan with every step kind: batched launches, stats, marking,
+    trees, a staggered signal and a host script."""
+    data = minimal_manifest_dict()
+    for i in range(3, 6):
+        data["nodes"].append(dict(data["nodes"][0], name=f"node00{i}", ip=f"10.1.0.{i}"))
+    data["resources"] = {
+        "ram_cap_fraction": "0.8",
+        "per_node_startup_fraction": "0.2",
+        "per_node_steady_fraction": "0.05",
+    }
+    data["phases"][0]["capture_stats"] = True
+    data["phases"].append(
+        {"name": "snapshot", "action": "run-host-script", "script": ["docker ps"]}
+    )
+    data["delay"] = {"matrix_path": "matrix.txt", "quantum_ms": 10}
+    return build_startup_plan(parse_manifest(data), classes=classes)
+
+
 class TestBuildStartupPlan:
     def test_step_order_fixed(self, tmp_path, five_node_classes):
         _, manifest = manifest_with_delay(tmp_path)
@@ -116,7 +139,7 @@ class TestBuildStartupPlan:
         _, manifest = manifest_with_delay(tmp_path)
         plan = build_startup_plan(manifest, classes=five_node_classes)
         (tc_step,) = plan.steps_of_kind("tc")
-        assert tc_step.metadata["veths"] == [veth_token("node001"), veth_token("node002")]
+        assert tc_step.script.veths == (veth_token("node001"), veth_token("node002"))
         roots = [l for l in tc_step.script if "root handle 1:" in l]
         assert len(roots) == 2
 
@@ -130,7 +153,8 @@ class TestBuildStartupPlan:
         plan = build_startup_plan(manifest, classes=five_node_classes, bands=3)
         (tc_step,) = plan.steps_of_kind("tc")
         veths = [veth_token(f"node00{i}") for i in range(1, 6)]
-        assert tc_step.metadata == {"veths": veths, "bands": 3}
+        assert tc_step.script.veths == tuple(veths)
+        assert tc_step.script.tree[0] == ("tc qdisc add dev ", " root handle 1: prio bands 3")
         delays = five_node_classes.class_delays()
         expected = [line for v in veths for line in emit_tc_script(delays, v, 3)]
         assert list(tc_step.script) == expected
@@ -259,6 +283,14 @@ class TestBuildStartupPlan:
         step = next(s for s in plan.steps if s.name == "host-snapshot")
         assert step.script.lines == ("mkdir -p /tmp/snap", "docker ps > /tmp/snap/ps.txt")
 
+    def test_host_script_line_with_trailing_whitespace_rejected(self):
+        data = minimal_manifest_dict()
+        data["phases"].append(
+            {"name": "snapshot", "action": "run-host-script", "script": ["docker ps "]}
+        )
+        with pytest.raises(ValueError, match="trailing whitespace"):
+            build_startup_plan(parse_manifest(data))
+
     def test_capture_stats_steps_follow_their_phases(self):
         data = minimal_manifest_dict()
         data["phases"][0]["capture_stats"] = True
@@ -369,6 +401,66 @@ class TestExecuteDryRun:
         for pa, pb in zip(a_files, b_files):
             assert pa.read_bytes() == pb.read_bytes()
 
+    def test_written_scripts_equal_their_text(self, monkeypatch, tmp_path, five_node_classes):
+        # A 200-character chunk makes most steps take several writes.
+        monkeypatch.setattr(script_mod, "WRITE_CHUNK_CHARS", 200)
+
+        class Recorder(io.StringIO):
+            def __init__(self):
+                super().__init__()
+                self.sizes = []
+
+            def write(self, s):
+                self.sizes.append(len(s))
+                return super().write(s)
+
+        plan = five_node_plan(five_node_classes)
+        scripts = [s.script for s in plan.steps]
+        scripts += [CommandScript(), emit_tc_trees({1: 10}, [], 2)]
+        assert {type(s).__name__ for s in scripts} == {"CommandScript", "TreeScript"}
+        writes = 0
+        for script in scripts:
+            out = Recorder()
+            script.write_to(out)
+            assert out.getvalue() == script.text()
+            # a chunk closes with the line that reaches the bound
+            longest = max(map(len, script), default=0)
+            assert all(size < 200 + longest + 1 for size in out.sizes)
+            writes += len(out.sizes)
+        assert writes > len(plan.steps)
+        execute(plan, "dry-run", out_dir=tmp_path)
+        for step in plan.steps:
+            assert (tmp_path / f"{step.index:02d}-{step.name}.sh").read_text() == step.script.text()
+
+    def test_traced_peak_follows_the_chunk_not_the_step(self, monkeypatch, tmp_path):
+        # 300 nodes: a 2 MB nft step and a 3 MB tc step, written 64 KiB at a time.
+        monkeypatch.setattr(script_mod, "WRITE_CHUNK_CHARS", 1 << 16)
+        n = 300
+        data = minimal_manifest_dict()
+        data["nodes"] = [
+            {"name": f"n{i:03d}", "ip": f"10.1.{i // 250}.{i % 250 + 1}", "image": "img",
+             "processes": []}
+            for i in range(n)
+        ]
+        data["phases"] = [{"name": "launch", "action": "launch"}]
+        data["delay"] = {"matrix_path": "matrix.txt", "quantum_ms": 10}
+        manifest = parse_manifest(data)
+        policy = dm.QuantizationPolicy()
+        upper = np.triu(np.random.default_rng(0).uniform(5, 400, size=(n, n)), k=1)
+        q = dm.quantize(dm.DelayMatrix(upper + upper.T), policy)
+        classes = dm.build_classes(q, manifest.node_ips(), policy)
+        plan = build_startup_plan(manifest, classes=classes)
+        (nft,) = plan.steps_of_kind("nft")
+        nft_chars = sum(len(line) + 1 for line in nft.script)
+        assert nft_chars > 2_000_000
+        tracemalloc.start()
+        try:
+            execute(plan, "dry-run", out_dir=tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < nft_chars / 4
+
     def test_requires_out_dir(self):
         plan = build_startup_plan(parse_manifest(minimal_manifest_dict()))
         with pytest.raises(ConfigError):
@@ -436,10 +528,9 @@ class TestExecuteApply:
         # 4 interfaces, 19 classes, b=5: 65 lines per tree.
         veths = [f"veth{i}" for i in range(4)]
         delays = {mark: 10 * mark for mark in range(1, 20)}
-        lines = [l for v in veths for l in emit_tc_script(delays, v, 5)]
-        step = PlanStep(0, STEP_TC, STEP_TC, CommandScript(lines=tuple(lines)),
-                        metadata={"veths": veths, "bands": 5})
-        return PhasedPlan("tc-only", (step,)), lines
+        script = emit_tc_trees(delays, veths, 5)
+        step = PlanStep(0, STEP_TC, STEP_TC, script)
+        return PhasedPlan("tc-only", (step,)), list(script)
 
     def test_tc_trees_keep_parents_before_children(self):
         plan, lines = self.four_tree_plan()

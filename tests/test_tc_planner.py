@@ -9,6 +9,7 @@ from latem.tc_planner import (
     compute_bands,
     emit_tc_script,
     emit_tc_trees,
+    TreeScript,
     leaf_position,
     plan_tree,
     verify_plan,
@@ -63,8 +64,8 @@ class TestLeafPosition:
 class TestPlanTree:
     def test_default_slot_free(self):
         plan = plan_tree({1: 20, 2: 30, 3: 50}, 2)
-        assert plan.default_path == (2, 2)
-        assert (2, 2) not in {(f, s) for f, s, _ in plan.leaves.values()}
+        b = plan.bands
+        assert (b, b) not in {(f, s) for f, s, _ in plan.leaves.values()}
 
     def test_too_many_classes_for_bands(self):
         with pytest.raises(CapacityError):
@@ -116,7 +117,9 @@ class TestEmitTcScript:
         b = compute_bands(len(five_node_classes))
         assert emit_tc_script(five_node_classes.class_delays(), "vetha1", b).text() == golden
 
-    @pytest.mark.parametrize("veth", ["", " veth0", "veth0 ", "veth0\t"])
+    @pytest.mark.parametrize(
+        "veth", ["", " veth0", "veth0 ", "veth0\t", "a\nb", "veth0\r", "\nveth0"]
+    )
     def test_bad_veth(self, veth):
         with pytest.raises(ConfigError, match="invalid interface name"):
             emit_tc_script({1: 10}, veth, 2)
@@ -130,6 +133,20 @@ class TestEmitTcTrees:
         veths = ["vetha1", "vethb2", "v3"]
         script = emit_tc_trees(delays, veths, 3)
         assert list(script) == [l for v in veths for l in emit_tc_script(delays, v, 3)]
+
+    def test_len_counts_lines_without_rendering_them(self, five_node_classes):
+        delays = five_node_classes.class_delays()
+        script = emit_tc_trees(delays, ["vetha1", "vethb2", "v3"], 3)
+        assert len(script) == len(list(script)) == 3 * (1 + 3 + 3 * len(delays) + 2)
+        assert script.lines == tuple(script)
+
+    @pytest.mark.parametrize(
+        "head, tail",
+        [("tc qdisc add dev ", " root\n"), ("tc\rqdisc ", " root"), ("tc ", " root ")],
+    )
+    def test_tree_lines_keep_the_line_rule(self, head, tail):
+        with pytest.raises(ValueError):
+            TreeScript(tree=((head, tail),), veths=("v0",))
 
     def test_no_interfaces_still_plans_the_tree(self):
         assert len(emit_tc_trees({1: 10}, [], 2)) == 0
