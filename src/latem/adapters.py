@@ -1,8 +1,9 @@
 """The container-runtime adapter: runs plan lines on the host.
 
-An adapter runs one command line (`run`), or a plan step's lines in order
-(`run_batch`), and reports each line's outcome. Plan lines are already full
-`docker ...` / `tc ...` / `nft ...` commands. Test doubles live with the tests.
+An adapter runs a plan step's lines in order (`run_batch`) and reports each
+line's outcome. Every apply step goes through it, the interface gather
+included. Plan lines are already full `docker ...` / `tc ...` / `nft ...`
+commands. Test doubles live with the tests.
 """
 
 from __future__ import annotations
@@ -30,9 +31,6 @@ class CommandResult:
 
 
 class RuntimeAdapter(Protocol):
-    def run(self, command: str) -> CommandResult:
-        ...
-
     def run_batch(self, lines: Sequence[str]) -> list[CommandResult]:
         """Run lines in order and stop at the first that fails.
 
@@ -88,14 +86,13 @@ def _spawn(argv: Sequence[str], stdin: str | None, timeout_s: float) -> CommandR
 class ShellAdapter:
     """Executes plan lines on the host. Apply mode only.
 
-    `run` passes one line to `/bin/sh -c`. `run_batch` splits a step's lines
-    into runs of the same kind and starts one process per run: plain `tc`
-    lines go to `tc -batch -`, one process per run of lines on the same
-    `dev`, and plain `nft` lines to `nft -f -` (atomic), each line as the argv
-    words the shell would have passed, less the tool name; every other line
-    runs in one `/bin/sh`, each in its own subshell, so `cd`, variables and
-    `exit` do not carry over to the next line. A batch tool's stdout and
-    stderr go with the last line it ran.
+    `run_batch` splits a step's lines into runs of the same kind and starts
+    one process per run: plain `tc` lines go to `tc -batch -`, one process
+    per run of lines on the same `dev`, and plain `nft` lines to `nft -f -`
+    (atomic), each line as the argv words the shell would have passed, less
+    the tool name; every other line runs in one `/bin/sh`, each in its own
+    subshell, so `cd`, variables and `exit` do not carry over to the next
+    line. A batch tool's stdout and stderr go with the last line it ran.
 
     `timeout_s` bounds one line; a batch gets `timeout_s` per line. On expiry
     the process group is killed and `subprocess.TimeoutExpired` propagates.
@@ -105,6 +102,12 @@ class ShellAdapter:
         self.timeout_s = timeout_s
 
     def run(self, command: str) -> CommandResult:
+        """Pass one line to `/bin/sh -c`.
+
+        latem itself only calls `run_batch`. This form stays for the
+        benchmark: `perfbench/worker.py` runs the preflight lines with it and
+        `perfbench/tracer.py` wraps it.
+        """
         return _spawn(["/bin/sh", "-c", command], None, self.timeout_s)
 
     def run_batch(self, lines: Sequence[str]) -> list[CommandResult]:

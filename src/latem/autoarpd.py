@@ -27,6 +27,7 @@ import select
 import socket
 import struct
 import threading
+from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Protocol
@@ -251,11 +252,11 @@ class NetlinkSolicitTransport:
         )
         self._sock.bind((0, 1 << (RTNLGRP_NEIGH - 1)))
         self._seq = 0
-        self._backlog: list[Solicitation] = []
+        self._backlog: deque[Solicitation] = deque()
 
     def receive(self, timeout: float) -> Solicitation | None:
         if self._backlog:
-            return self._backlog.pop(0)
+            return self._backlog.popleft()
         ready, _, _ = select.select([self._sock], [], [], timeout)
         if not ready:
             return None

@@ -249,12 +249,11 @@ def _cmd_autoarpd(args: argparse.Namespace) -> int:
         sys.stdout.write(sysctls.text())
         return 0
     if args.apply_sysctls:
-        adapter = ShellAdapter()
-        for line in sysctls:
-            result = adapter.run(line)
-            if not result.ok:
-                print(f"error: {line} -> exit {result.exit_code}", file=sys.stderr)
-                return 1
+        results = ShellAdapter().run_batch(sysctls.lines)
+        if not results[-1].ok:
+            line = sysctls.lines[len(results) - 1]
+            print(f"error: {line} -> exit {results[-1].exit_code}", file=sys.stderr)
+            return 1
     stop = threading.Event()
     signal.signal(signal.SIGTERM, lambda *_: stop.set())
     signal.signal(signal.SIGINT, lambda *_: stop.set())

@@ -148,9 +148,14 @@ def make_pair(a: str, b: str) -> IpPair:
 
 
 class _KeyMemo(dict):
-    """Address -> integer key; each distinct address is parsed once."""
+    """Address -> integer key; each distinct address is checked and parsed once."""
+
+    mark = 0  # the class being read, for errors
 
     def __missing__(self, ip: str) -> int:
+        # IPv4Address would take a JSON number or boolean as an address.
+        if not isinstance(ip, str):
+            raise ConfigError(f"class with mark {self.mark}: address {ip!r} is not a string")
         key = self[ip] = _ip_key(ip)
         return key
 
@@ -236,7 +241,7 @@ class DelayClassMap:
         classes = []
         try:
             for c in data["classes"]:
-                mark = int(c["mark"])
+                mark = keys.mark = int(c["mark"])
                 try:
                     pairs = tuple(
                         _ordered(lo, keys[lo], hi, keys[hi]) for lo, hi in c["pairs"]

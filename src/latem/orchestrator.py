@@ -19,10 +19,10 @@ import json
 import re
 import shlex
 import subprocess
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from . import sys_preflight
 from .adapters import CommandResult, RuntimeAdapter
@@ -153,9 +153,30 @@ _IP_LINK_LINE = re.compile(r"^(\d+):\s+([^:@\s]+)")
 _HOST_LINKS_QUERY = "ip -o link show"
 
 
-def _iface_query(node: str, iface: str, attr: str) -> str:
-    """The gather command reading one sysfs attribute of a container's interface."""
-    return f"docker exec {node} cat /sys/class/net/{iface}/{attr}"
+@dataclass(frozen=True)
+class GatherScript(Script):
+    """The interface inventory queries, the gather step's script.
+
+    For each node, in order, it reads the container interface's peer ifindex
+    (`iflink`) and then its MAC (`address`); one host link listing comes
+    last. Without nodes it has no lines.
+    """
+
+    nodes: tuple[tuple[str, str], ...]  # (name, ip)
+    container_iface: str
+
+    def __post_init__(self) -> None:
+        CommandScript(lines=tuple(self))  # the line rule every script keeps
+
+    def __len__(self) -> int:
+        return 2 * len(self.nodes) + 1 if self.nodes else 0
+
+    def __iter__(self) -> Iterator[str]:
+        for name, _ in self.nodes:
+            for attr in ("iflink", "address"):
+                yield f"docker exec {name} cat /sys/class/net/{self.container_iface}/{attr}"
+        if self.nodes:
+            yield _HOST_LINKS_QUERY
 
 
 def gather_interfaces(
@@ -167,23 +188,33 @@ def gather_interfaces(
     """Discover each container's host-side veth, MAC, and IP.
 
     The container's interface reports the peer ifindex (`iflink`), which maps
-    to the host-side veth name via one `ip -o link show` listing.
+    to the host-side veth name via one `ip -o link show` listing. The
+    `GatherScript` lines go through `adapter.run_batch` in order. A failed MAC
+    read only warns, so the next batch resumes at the line after it; any other
+    failed query ends the gather.
     """
     if not nodes:
         return InterfaceInventory(records=(), warnings=("no nodes to inventory",))
-    listing = adapter.run(_HOST_LINKS_QUERY)
-    if not listing.ok:
+    lines = list(GatherScript(tuple(nodes), container_iface))
+    results: list[CommandResult] = []
+    while len(results) < len(lines):
+        results += adapter.run_batch(lines[len(results):])
+        last = len(results) - 1
+        if results[last].ok or last % 2:  # odd lines read a MAC
+            continue
+        if last < len(lines) - 1:
+            raise InventoryError(f"node {nodes[last // 2][0]!r}: cannot read peer ifindex")
+        listing = results[last]
         raise InventoryError(f"cannot list host links: {listing.stderr or listing.stdout}")
     host_links: dict[int, str] = {}
-    for line in listing.stdout.splitlines():
+    for line in results[-1].stdout.splitlines():
         if m := _IP_LINK_LINE.match(line.strip()):
             host_links[int(m.group(1))] = m.group(2)
 
     records = []
     warnings = []
-    for name, ip in nodes:
-        iflink = adapter.run(_iface_query(name, container_iface, "iflink"))
-        if not iflink.ok or not iflink.stdout.strip().isdigit():
+    for (name, ip), iflink, mac_out in zip(nodes, results[0::2], results[1::2]):
+        if not iflink.stdout.strip().isdigit():
             raise InventoryError(f"node {name!r}: cannot read peer ifindex")
         peer = int(iflink.stdout.strip())
         veth = host_links.get(peer)
@@ -191,7 +222,6 @@ def gather_interfaces(
             raise InventoryError(
                 f"node {name!r}: no host link with ifindex {peer} (stale inventory?)"
             )
-        mac_out = adapter.run(_iface_query(name, container_iface, "address"))
         mac = mac_out.stdout.strip().lower() if mac_out.ok else ""
         expected = mac_for_ip(ip, pattern)
         if mac != expected:
@@ -211,7 +241,6 @@ class PlanStep:
     name: str
     kind: str
     script: Script
-    metadata: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -313,19 +342,12 @@ def build_startup_plan(
 
     steps: list[PlanStep] = []
 
-    def add(name: str, kind: str, script: Script, **metadata) -> None:
-        steps.append(
-            PlanStep(index=len(steps), name=name, kind=kind, script=script,
-                     metadata=metadata)
-        )
+    def add(name: str, kind: str, script: Script) -> None:
+        steps.append(PlanStep(index=len(steps), name=name, kind=kind, script=script))
 
     plan = sys_preflight.recommend(max(len(manifest.nodes), 1), per_node)
-    add(
-        STEP_PREFLIGHT,
-        STEP_PREFLIGHT,
-        CommandScript(lines=sys_preflight.emit_audit_commands(plan)),
-        node_count=len(manifest.nodes),
-    )
+    preflight = CommandScript(lines=sys_preflight.emit_audit_commands(plan))
+    add(STEP_PREFLIGHT, STEP_PREFLIGHT, preflight)
 
     overlays = _node_overlays(manifest)
     signal_targets = [
@@ -356,35 +378,13 @@ def build_startup_plan(
                 )
                 for node in batch_nodes
             )
-            add(
-                f"launch-{phase.name}-b{batch_no:02d}",
-                STEP_LAUNCH,
-                CommandScript(lines=lines),
-                phase=phase.name,
-                batch=batch_no,
-                nodes=[n.name for n in batch_nodes],
-            )
+            add(f"launch-{phase.name}-b{batch_no:02d}", STEP_LAUNCH, CommandScript(lines=lines))
         if phase.capture_stats:
-            add(
-                f"stats-{phase.name}",
-                STEP_STATS,
-                CommandScript(lines=(STATS_COMMAND,)),
-                checkpoint=phase.name,
-            )
+            add(f"stats-{phase.name}", STEP_STATS, CommandScript(lines=(STATS_COMMAND,)))
 
     iface = manifest.runtime.container_iface
-    gather_lines = tuple(
-        _iface_query(n.name, iface, attr)
-        for n in manifest.nodes
-        for attr in ("iflink", "address")
-    ) + ((_HOST_LINKS_QUERY,) if manifest.nodes else ())
-    add(
-        STEP_GATHER,
-        STEP_GATHER,
-        CommandScript(lines=gather_lines),
-        nodes=[(n.name, n.ip) for n in manifest.nodes],
-        container_iface=iface,
-    )
+    nodes = tuple((n.name, n.ip) for n in manifest.nodes)
+    add(STEP_GATHER, STEP_GATHER, GatherScript(nodes, iface))
 
     add(
         STEP_FDB,
@@ -400,7 +400,7 @@ def build_startup_plan(
     add(STEP_NEIGH, STEP_NEIGH, CommandScript(lines=neigh_lines))
 
     if manifest.delay is not None and classes is not None and len(classes) > 0:
-        add(STEP_NFT, STEP_NFT, emit_nft_script(classes), class_count=len(classes))
+        add(STEP_NFT, STEP_NFT, emit_nft_script(classes))
         b = bands if bands is not None else compute_bands(len(classes))
         veths = [veth_for(node) for node in manifest.nodes]
         add(STEP_TC, STEP_TC, emit_tc_trees(classes.class_delays(), veths, b))
@@ -410,34 +410,15 @@ def build_startup_plan(
             targets = manifest.nodes_for_target(phase.target)
             stagger_s = phase.stagger_ms / 1000
             lines: list[str] = []
-            offsets: list[float] = []
             for i, node in enumerate(targets):
                 if i > 0 and stagger_s > 0:
                     lines.append(f"sleep {render_number(stagger_s)}")
-                offsets.append(float(i * stagger_s))
                 lines.append(f"docker kill -s {phase.signal} {node.name}")
-            add(
-                f"signal-{phase.name}",
-                STEP_SIGNAL,
-                CommandScript(lines=tuple(lines)),
-                phase=phase.name,
-                signal=phase.signal,
-                offsets_s=offsets,
-            )
+            add(f"signal-{phase.name}", STEP_SIGNAL, CommandScript(lines=tuple(lines)))
         elif phase.action == "run-host-script":
-            add(
-                f"host-{phase.name}",
-                STEP_HOST_SCRIPT,
-                CommandScript(lines=phase.script),
-                phase=phase.name,
-            )
+            add(f"host-{phase.name}", STEP_HOST_SCRIPT, CommandScript(lines=phase.script))
         if phase.capture_stats and phase.action != "launch":
-            add(
-                f"stats-{phase.name}",
-                STEP_STATS,
-                CommandScript(lines=(STATS_COMMAND,)),
-                checkpoint=phase.name,
-            )
+            add(f"stats-{phase.name}", STEP_STATS, CommandScript(lines=(STATS_COMMAND,)))
 
     return PhasedPlan(experiment=manifest.name, steps=tuple(steps))
 
@@ -540,11 +521,10 @@ def execute(
     and performs no other action; output is byte-deterministic. Each script
     is streamed to its file in bounded chunks, never joined whole.
 
-    Apply runs steps in order. The gather step queries the adapter line by
-    line and resolves veth placeholders for everything after it. Every other
-    step goes to the adapter's `run_batch` as a whole. A step stops at its
-    first failing command, which is reported with its exit code, stdout and
-    stderr. A timeout or an unresolvable placeholder fails the step with a
+    Apply runs steps in order, each through the adapter's `run_batch`. The
+    gather step's results resolve veth placeholders for everything after it,
+    and a failed MAC read there only warns. Any other step stops at its first
+    failing command, which is reported with its exit code, stdout and stderr. A timeout or an unresolvable placeholder fails the step with a
     detail. Steps after a failed one are reported as skipped.
     """
     if mode not in ("dry-run", "apply"):
@@ -580,9 +560,9 @@ def execute(
             if step.kind == STEP_GATHER:
                 inventory = gather_interfaces(
                     adapter,
-                    [tuple(pair) for pair in step.metadata.get("nodes", [])],
+                    step.script.nodes,
                     pattern=pattern,
-                    container_iface=step.metadata.get("container_iface", "eth0"),
+                    container_iface=step.script.container_iface,
                 )
                 veths.update(inventory.veth_of())
                 results.append(

@@ -50,8 +50,8 @@ def parse_docker_stats(text: str) -> dict[str, Decimal]:
 def checkpoints_from_report(report) -> dict[str, dict[str, Decimal]]:
     """Collect per-checkpoint samples captured by an applied startup plan.
 
-    Stats steps carry their checkpoint name in metadata-derived step names and
-    their `docker stats` output in the recorded command stdout.
+    A stats step is named `stats-<checkpoint>` and carries its `docker stats`
+    output in the recorded command stdout.
     """
     samples: dict[str, dict[str, Decimal]] = {}
     for step in report.steps:

@@ -16,9 +16,13 @@ from pathlib import Path
 
 import pytest
 
+from latem import adapters
 from latem.adapters import ShellAdapter
+from latem.link_layer import mac_for_ip
 from latem.nft_planner import emit_nft_script
-from latem.orchestrator import STEP_NFT, STEP_TC, PhasedPlan, PlanStep, execute
+from latem.orchestrator import (
+    STEP_NFT, STEP_TC, PhasedPlan, PlanStep, execute, gather_interfaces,
+)
 from latem.script import CommandScript
 from latem.tc_planner import emit_tc_script
 
@@ -70,8 +74,8 @@ def argv_words(lines) -> list[str]:
     return [" ".join(shlex.split(line)[1:]) for line in lines]
 
 
-def step(index: int, kind: str, lines, **metadata) -> PlanStep:
-    return PlanStep(index, kind, kind, CommandScript(lines=tuple(lines)), metadata=metadata)
+def step(index: int, kind: str, lines) -> PlanStep:
+    return PlanStep(index, kind, kind, CommandScript(lines=tuple(lines)))
 
 
 def test_one_spawn_per_interface_and_per_nft_step(stubs, five_node_classes):
@@ -133,15 +137,15 @@ SHELL_LINES = ["docker run a", "docker run 'b c'", "docker run FAIL", "docker ru
 
 
 @pytest.mark.parametrize(
-    "kind, lines, metadata, exit_code, message",
+    "kind, lines, exit_code, message",
     [
-        (STEP_TC, TC_LINES, {"veths": ["v0"]}, 1, "Command failed -:3"),
-        (STEP_NFT, NFT_LINES, {}, 1, "/dev/stdin:3:9-12: Error"),
-        ("host-script", SHELL_LINES, {}, 3, "docker: cannot run FAIL"),
+        (STEP_TC, TC_LINES, 1, "Command failed -:3"),
+        (STEP_NFT, NFT_LINES, 1, "/dev/stdin:3:9-12: Error"),
+        ("host-script", SHELL_LINES, 3, "docker: cannot run FAIL"),
     ],
 )
-def test_failing_line_ends_its_step(stubs, kind, lines, metadata, exit_code, message):
-    plan = PhasedPlan("x", (step(0, kind, lines, **metadata), step(1, "host-script", ["docker ps"])))
+def test_failing_line_ends_its_step(stubs, kind, lines, exit_code, message):
+    plan = PhasedPlan("x", (step(0, kind, lines), step(1, "host-script", ["docker ps"])))
     report = execute(plan, "apply", adapter=ShellAdapter())
     failed, skipped = report.steps
     assert (failed.status, skipped.status) == ("failed", "skipped")
@@ -214,3 +218,35 @@ def test_execute_turns_a_timeout_into_a_failed_step():
     report = execute(plan, "apply", adapter=ShellAdapter(timeout_s=0.3))
     assert [s.status for s in report.steps] == ["ok", "failed", "skipped"]
     assert "timed out after 0.3 seconds" in report.steps[1].detail
+
+
+def test_gather_runs_in_one_spawn(tmp_path, monkeypatch):
+    # docker answers `docker exec <node> cat .../<attr>` from <node>.<attr>;
+    # ip answers the host link listing.
+    bin_dir = tmp_path / "bin"
+    bin_dir.mkdir()
+    (bin_dir / "docker").write_text('#!/bin/sh\ncat "$STUB_DIR/$2.${4##*/}"\n')
+    (bin_dir / "ip").write_text('#!/bin/sh\ncat "$STUB_DIR/links"\n')
+    for tool in ("docker", "ip"):
+        (bin_dir / tool).chmod(0o755)
+    nodes = [(f"n{i}", f"10.0.0.{i}") for i in range(1, 6)]
+    for i, (name, ip) in enumerate(nodes, 1):
+        (tmp_path / f"{name}.iflink").write_text(f"{10 + i}\n")
+        (tmp_path / f"{name}.address").write_text(mac_for_ip(ip) + "\n")
+    (tmp_path / "links").write_text(
+        "".join(f"{10 + i}: veth{i}@if2: <BROADCAST,UP> mtu 1500\n" for i in range(1, 6))
+    )
+    monkeypatch.setenv("PATH", f"{bin_dir}:{os.environ['PATH']}")
+    monkeypatch.setenv("STUB_DIR", str(tmp_path))
+    spawns = []
+    spawn = adapters._spawn
+
+    def counted(argv, *rest):
+        spawns.append(argv)
+        return spawn(argv, *rest)
+
+    monkeypatch.setattr(adapters, "_spawn", counted)
+    inventory = gather_interfaces(ShellAdapter(), nodes)
+    assert inventory.veth_of() == {f"n{i}": f"veth{i}" for i in range(1, 6)}
+    assert inventory.warnings == ()
+    assert spawns == [["/bin/sh", "-s"]]

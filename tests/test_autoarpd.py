@@ -1,12 +1,15 @@
+import socket
 import threading
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from latem import autoarpd
 from latem.autoarpd import (
     MockSolicitTransport,
     NeighborEntry,
+    NetlinkSolicitTransport,
     NudState,
     Solicitation,
     emit_neigh_sysctls,
@@ -152,3 +155,37 @@ class TestNetlinkCodec:
         raw = pack_neighbor_update(entry, ifindex=1)
         assert bytes([172, 17, 0, 2]) in raw
         assert bytes([0x02, 0x42, 0xAC, 0x11, 0x00, 0x02]) in raw
+
+
+class TestNetlinkTransport:
+    def test_one_buffer_comes_back_in_order(self, monkeypatch):
+        # A datagram socket pair stands in for the netlink socket.
+        kernel, daemon = socket.socketpair(socket.AF_UNIX, socket.SOCK_DGRAM)
+
+        class FakeNetlinkSocket:
+            def __init__(self, *args):
+                pass
+
+            def bind(self, address):
+                pass
+
+            def fileno(self):
+                return daemon.fileno()
+
+            def recv(self, size):
+                return daemon.recv(size)
+
+            def close(self):
+                daemon.close()
+
+        monkeypatch.setattr(autoarpd.socket, "socket", FakeNetlinkSocket)
+        transport = NetlinkSolicitTransport()
+        try:
+            ips = ["10.0.0.1", "10.0.0.2", "10.0.0.3"]
+            kernel.send(b"".join(pack_solicitation(ip, i) for i, ip in enumerate(ips, 2)))
+            got = [transport.receive(timeout=1.0) for _ in ips]
+            assert got == [Solicitation(ip, i) for i, ip in enumerate(ips, 2)]
+            assert transport.receive(timeout=0.0) is None
+        finally:
+            transport.close()
+            kernel.close()

@@ -98,6 +98,16 @@ def test_emit_tc_rejects_a_pair_of_other_than_two_addresses(tmp_path, capsys, pa
     assert line.startswith("error: class with mark 3: a pair must hold exactly two addresses")
 
 
+def test_emit_nft_rejects_a_number_or_bool_address(tmp_path, capsys):
+    classes = tmp_path / "classes.json"
+    classes.write_text('{"classes": [{"mark": 1, "delay_ms": 10, "pairs": [[1, 2], [true, 3]]}]}')
+    rc = main(["emit-nft", "--classes", str(classes)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: class with mark 1: address 1 is not a string\n"
+
+
 def test_emit_fdb_from_nodes_file(tmp_path, capsys):
     nodes = tmp_path / "nodes.txt"
     nodes.write_text("10.0.0.1 vetha1\n10.0.0.2 vetha2\n")
@@ -260,6 +270,22 @@ def test_autoarpd_emit_sysctls(capsys):
     assert "net.ipv4.neigh.eth0.mcast_solicit = 0" in out
     assert "app_solicit = 1" in out
     assert "base_reachable_time_ms = 72000000" in out
+
+
+def test_autoarpd_apply_sysctls_stops_at_the_failing_line(monkeypatch, capsys):
+    adapter = ScriptedAdapter(failures={"app_solicit": 255})
+    monkeypatch.setattr("latem.cli.ShellAdapter", lambda: adapter)
+    monkeypatch.setattr("latem.autoarpd.NetlinkSolicitTransport",
+                        lambda: pytest.fail("the daemon started after a failed sysctl"))
+    rc = main(["autoarpd", "--interface", "eth0", "--apply-sysctls"])
+    assert rc == 1
+    assert adapter.calls == [
+        "sysctl -w 'net.ipv4.neigh.eth0.mcast_solicit = 0'",
+        "sysctl -w 'net.ipv4.neigh.eth0.app_solicit = 1'",
+    ]
+    assert capsys.readouterr().err == (
+        "error: sysctl -w 'net.ipv4.neigh.eth0.app_solicit = 1' -> exit 255\n"
+    )
 
 
 def test_stats_summary(capsys):

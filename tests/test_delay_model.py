@@ -568,6 +568,16 @@ class TestPairs:
         with pytest.raises(ConfigError):
             dm.DelayClassMap.from_json_dict(one_class_json((["10.0.0.1"], "10.0.0.2")))
 
+    @pytest.mark.parametrize(
+        "pair, bad", [((1, 2), 1), (("10.0.0.1", 167772162), 167772162), ((True, "10.0.0.3"), True)]
+    )
+    def test_number_or_bool_address_rejected(self, pair, bad):
+        data = one_class_json(("10.0.0.4", "10.0.0.5"))
+        data["classes"].append({"mark": 7, "delay_ms": 70, "pairs": [list(pair)]})
+        message = f"class with mark 7: address {bad!r} is not a string"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            dm.DelayClassMap.from_json_dict(data)
+
     def test_pair_reversed_in_two_classes_rejected(self):
         data = {
             "classes": [

@@ -15,6 +15,7 @@ from latem.errors import ConfigError, InfeasibleError, InventoryError
 from latem.manifest import ResourceModel, parse_manifest
 from latem.orchestrator import (
     STEP_TC,
+    GatherScript,
     PhasedPlan,
     PlanStep,
     build_startup_plan,
@@ -175,12 +176,11 @@ class TestBuildStartupPlan:
         manifest = parse_manifest(data)
         plan = build_startup_plan(manifest)
         (signal_step,) = plan.steps_of_kind("signal")
-        assert signal_step.metadata["offsets_s"] == [0.0, 0.5]
-        kills = [l for l in signal_step.script if l.startswith("docker kill")]
-        sleeps = [l for l in signal_step.script if l.startswith("sleep")]
-        assert len(kills) == 2
-        assert sleeps == ["sleep 0.5"]
-        assert all("-s SIGUSR1" in l for l in kills)
+        assert list(signal_step.script) == [
+            "docker kill -s SIGUSR1 node001",
+            "sleep 0.5",
+            "docker kill -s SIGUSR1 node002",
+        ]
 
     def test_role_targeted_signal(self):
         data = minimal_manifest_dict()
@@ -366,16 +366,78 @@ class TestGatherInterfaces:
         with pytest.raises(InventoryError):
             gather_interfaces(adapter, self.NODES)
 
-    def test_three_nodes_three_records(self):
-        adapter = scripted_gather_adapter()
+    @staticmethod
+    def three_node_adapter(fail_on: dict[str, int] | None = None) -> ScriptedAdapter:
+        adapter = scripted_gather_adapter(fail_on)
         adapter.responses["ip -o link show"] += "11: vetha3@if10: <BROADCAST> mtu 1500\n"
         adapter.responses["docker exec node003 cat /sys/class/net/eth0/iflink"] = "11\n"
         adapter.responses["docker exec node003 cat /sys/class/net/eth0/address"] = (
             "02:42:0a:01:00:03\n"
         )
-        inventory = gather_interfaces(adapter, self.NODES + [("node003", "10.1.0.3")])
+        return adapter
+
+    def test_three_nodes_three_records(self):
+        adapter = self.three_node_adapter()
+        nodes = self.NODES + [("node003", "10.1.0.3")]
+        inventory = gather_interfaces(adapter, nodes)
         assert len(inventory.records) == 3
         assert inventory.records[2].veth == "vetha3"
+        assert adapter.calls == list(GatherScript(tuple(nodes), "eth0"))
+
+    def test_script_lines(self):
+        script = GatherScript((("n1", "10.0.0.1"), ("n2", "10.0.0.2")), "lan0")
+        assert list(script) == [
+            "docker exec n1 cat /sys/class/net/lan0/iflink",
+            "docker exec n1 cat /sys/class/net/lan0/address",
+            "docker exec n2 cat /sys/class/net/lan0/iflink",
+            "docker exec n2 cat /sys/class/net/lan0/address",
+            "ip -o link show",
+        ]
+        assert len(script) == 5
+        empty = GatherScript((), "eth0")
+        assert len(empty) == 0 and empty.text() == ""
+
+    def test_script_keeps_the_line_rule(self):
+        with pytest.raises(ValueError, match="contains a newline"):
+            GatherScript((("n1\nreboot", "10.0.0.1"),), "eth0")
+
+    def test_failed_mac_read_warns_and_gathers_the_rest(self):
+        adapter = self.three_node_adapter({"node002 cat /sys/class/net/eth0/address": 1})
+        batches = []
+        run_batch = adapter.run_batch
+
+        def counted(lines):
+            batches.append(len(lines))
+            return run_batch(lines)
+
+        adapter.run_batch = counted
+        nodes = self.NODES + [("node003", "10.1.0.3")]
+        inventory = gather_interfaces(adapter, nodes)
+        assert [r.veth for r in inventory.records] == ["vetha1", "vetha2", "vetha3"]
+        assert [r.mac for r in inventory.records] == [
+            "02:42:0a:01:00:01", "", "02:42:0a:01:00:03",
+        ]
+        assert inventory.warnings == (
+            "node 'node002': MAC ? does not match pattern-derived 02:42:0a:01:00:02",
+        )
+        assert adapter.calls == list(GatherScript(tuple(nodes), "eth0"))
+        # the second batch resumes after the failed read
+        assert batches == [7, 3]
+
+    def test_failed_iflink_read_ends_the_gather(self):
+        adapter = scripted_gather_adapter(
+            {"node001 cat /sys/class/net/eth0/iflink": 1, "ip -o link show": 1}
+        )
+        with pytest.raises(InventoryError, match="node 'node001': cannot read peer ifindex"):
+            gather_interfaces(adapter, self.NODES)
+        assert adapter.calls == ["docker exec node001 cat /sys/class/net/eth0/iflink"]
+
+    def test_failed_host_listing_raises(self):
+        adapter = scripted_gather_adapter({"ip -o link show": 1})
+        with pytest.raises(InventoryError,
+                           match="cannot list host links: scripted failure for 'ip -o link show'"):
+            gather_interfaces(adapter, self.NODES)
+        assert adapter.calls == list(GatherScript(tuple(self.NODES), "eth0"))
 
 
 class TestExecuteDryRun:
@@ -416,8 +478,10 @@ class TestExecuteDryRun:
 
         plan = five_node_plan(five_node_classes)
         scripts = [s.script for s in plan.steps]
-        scripts += [CommandScript(), emit_tc_trees({1: 10}, [], 2)]
-        assert {type(s).__name__ for s in scripts} == {"CommandScript", "TreeScript"}
+        scripts += [CommandScript(), emit_tc_trees({1: 10}, [], 2), GatherScript((), "eth0")]
+        assert {type(s).__name__ for s in scripts} == {
+            "CommandScript", "GatherScript", "TreeScript",
+        }
         writes = 0
         for script in scripts:
             out = Recorder()
@@ -483,6 +547,18 @@ class TestExecuteApply:
         assert any("dev vetha1" in c.line for c in fdb_result.commands)
         assert not any("{veth:" in c.line for c in fdb_result.commands)
         assert report.inventory is not None
+
+    def test_gather_sends_its_dry_run_lines_in_file_order(self, tmp_path):
+        plan = build_startup_plan(parse_manifest(minimal_manifest_dict()))
+        execute(plan, "dry-run", out_dir=tmp_path)
+        (gather,) = plan.steps_of_kind("gather")
+        written = (tmp_path / f"{gather.index:02d}-gather.sh").read_text().splitlines()
+        adapter = scripted_gather_adapter()
+        report = execute(plan, "apply", adapter=adapter)
+        assert report.ok
+        start = sum(len(s.script) for s in plan.steps[: gather.index])
+        assert adapter.calls[start : start + len(written)] == written
+        assert report.steps[gather.index].commands == ()
 
     def test_failure_stops_and_skips(self):
         manifest = parse_manifest(minimal_manifest_dict())
