@@ -21,6 +21,7 @@ protocol (requires root and is exercised only in apply mode), while
 
 from __future__ import annotations
 
+import errno
 import ipaddress
 import logging
 import select
@@ -79,6 +80,7 @@ def resolve(ip: str, pattern: MacPattern = MacPattern()) -> NeighborEntry:
 class ServeStats:
     received: int
     replied: int
+    overflows: int  # receives that failed with ENOBUFS: the kernel dropped solicitations
 
 
 def serve(
@@ -89,15 +91,22 @@ def serve(
 ) -> ServeStats:
     """Answer solicitations until the stop signal is set.
 
-    Exactly one reply per solicitation, for the solicited address. Transport
-    failures are fatal after logging.
+    Exactly one reply per solicitation, for the solicited address. A receive
+    that fails with ENOBUFS (the socket's buffer overflowed during a burst,
+    and the kernel dropped solicitations) is counted and logged, and serving
+    goes on; every other transport failure is fatal after logging.
     """
     stop = stop_signal if stop_signal is not None else threading.Event()
-    received = replied = 0
+    received = replied = overflows = 0
     while not stop.is_set():
         try:
             solicitation = transport.receive(timeout=poll_interval)
         except Exception as exc:
+            if isinstance(exc, OSError) and exc.errno == errno.ENOBUFS:
+                overflows += 1
+                log.warning("receive buffer overflowed, solicitations dropped (%d so far)",
+                            overflows)
+                continue
             log.error("transport receive failed: %s", exc)
             raise ServeError(f"transport receive failed: {exc}") from exc
         if solicitation is None:
@@ -110,7 +119,7 @@ def serve(
             log.error("transport reply failed: %s", exc)
             raise ServeError(f"transport reply failed: {exc}") from exc
         replied += 1
-    return ServeStats(received=received, replied=replied)
+    return ServeStats(received=received, replied=replied, overflows=overflows)
 
 
 def emit_neigh_sysctls(

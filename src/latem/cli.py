@@ -80,19 +80,14 @@ def _cmd_preflight(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan_delays(args: argparse.Namespace) -> int:
-    matrix = delay_model.load_matrix(args.matrix, fmt=args.format)
+    ips = None
+    count = args.count
     if args.manifest:
-        manifest = load_manifest(args.manifest)
-        ips = [n.ip for n in manifest.nodes]
-    elif args.count:
-        ips = allocate_ips(args.ip_base, args.count)
-    else:
+        ips = [n.ip for n in load_manifest(args.manifest).nodes]
+        count = len(ips)
+    matrix = delay_model.load_matrix(args.matrix, fmt=args.format, count=count, seed=args.seed)
+    if ips is None:
         ips = allocate_ips(args.ip_base, matrix.n)
-    if matrix.n < len(ips):
-        print(f"error: matrix has {matrix.n} nodes, need {len(ips)}", file=sys.stderr)
-        return 2
-    if matrix.n > len(ips):
-        matrix = delay_model.subsample(matrix, len(ips), args.seed)
     if args.inflate:
         matrix = delay_model.inflate(matrix, parse_fraction(args.inflate))
     policy = delay_model.QuantizationPolicy(
@@ -262,7 +257,7 @@ def _cmd_autoarpd(args: argparse.Namespace) -> int:
         served = autoarpd_mod.serve(transport, pattern, stop)
     finally:
         transport.close()
-    print(f"received={served.received} replied={served.replied}")
+    print(f"received={served.received} replied={served.replied} overflows={served.overflows}")
     return 0
 
 
@@ -301,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True)
     p.add_argument("--format", choices=("auto", "whitespace", "csv"), default="auto")
     p.add_argument("--manifest", help="take node count and IPs from a manifest")
-    p.add_argument("--count", type=int, help="subsample the matrix to this many nodes")
+    p.add_argument("--count", type=int,
+                   help="subsample the matrix to this many nodes; only their rows are parsed")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--inflate", help="delay inflation factor (e.g. 2 or 4/3)")
     p.add_argument("--quantum", type=int, default=10)

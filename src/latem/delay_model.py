@@ -70,6 +70,15 @@ def _freeze(entries: np.ndarray) -> np.ndarray:
     return out
 
 
+def _check_values(entries: np.ndarray) -> None:
+    import numpy as np
+
+    if not np.all(np.isfinite(entries)):
+        raise ValueError("matrix contains NaN or infinite entries")
+    if np.any(entries < 0):
+        raise ValueError("matrix contains negative delays")
+
+
 @dataclass(frozen=True, eq=False)
 class DelayMatrix:
     """Symmetric n-by-n matrix of one-way delays in milliseconds."""
@@ -83,10 +92,7 @@ class DelayMatrix:
         object.__setattr__(self, "entries", e)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ShapeError(f"expected a square matrix, got shape {e.shape}")
-        if not np.all(np.isfinite(e)):
-            raise ValueError("matrix contains NaN or infinite entries")
-        if np.any(e < 0):
-            raise ValueError("matrix contains negative delays")
+        _check_values(e)
         if np.any(np.diag(e) != 0):
             raise ValueError("matrix diagonal must be all zeros")
         if not np.array_equal(e, e.T):
@@ -243,9 +249,10 @@ class DelayClassMap:
             for c in data["classes"]:
                 mark = keys.mark = int(c["mark"])
                 try:
-                    pairs = tuple(
-                        _ordered(lo, keys[lo], hi, keys[hi]) for lo, hi in c["pairs"]
-                    )
+                    pairs = tuple([
+                        (lo, hi) if keys[lo] < keys[hi] else _ordered(lo, keys[lo], hi, keys[hi])
+                        for lo, hi in c["pairs"]
+                    ])
                 except ValueError as exc:
                     # Only the unpacking raises a plain ValueError; an address
                     # error is an AddressValueError and keeps its message.
@@ -304,12 +311,32 @@ _LOADTXT_BAD_CELL = re.compile(r"could not convert string (.*) at row (\d+), col
 _LOADTXT_RAGGED = re.compile(r"number of columns changed from (\d+) to (\d+) at row (\d+)")
 
 
-def load_matrix(source: Union[str, Path, IO[str]], fmt: str = "auto") -> DelayMatrix:
+def _draw(n: int, count: int, seed: int) -> np.ndarray:
+    """`count` of the indices 0..n-1, drawn seeded without replacement, ascending."""
+    import numpy as np
+
+    if not 1 <= count <= n:
+        raise SizeError(f"cannot select {count} of {n} nodes")
+    return np.sort(np.random.default_rng(seed).choice(n, size=count, replace=False))
+
+
+def load_matrix(
+    source: Union[str, Path, IO[str]],
+    fmt: str = "auto",
+    count: int | None = None,
+    seed: int = 0,
+) -> DelayMatrix:
     """Parse a delay matrix from text, one row per line.
 
     Cells are decimal milliseconds separated by whitespace or commas; with
     fmt="auto" the delimiter is detected from the first data line. Trailing
     whitespace and blank lines are tolerated.
+
+    With `count`, the result equals `subsample(load_matrix(source, fmt),
+    count, seed)`, but the indices are drawn from the row count first and
+    only the kept rows are parsed. Every cell of a kept row is checked, in
+    the dropped columns too; a row that is not kept is not parsed, so a bad
+    cell or a ragged width there goes unreported.
     """
     import numpy as np
 
@@ -331,6 +358,12 @@ def load_matrix(source: Union[str, Path, IO[str]], fmt: str = "auto") -> DelayMa
         raise ShapeError("matrix source contains no rows")
     if fmt == "auto":
         fmt = "csv" if "," in rows[0] else "whitespace"
+    n = len(rows)
+    kept = range(n)  # each parsed row's index among all rows
+    if count is not None and count != n:
+        kept = _draw(n, count, seed).tolist()
+        rows = [rows[i] for i in kept]
+        line_nos = [line_nos[i] for i in kept]
 
     try:
         entries = np.loadtxt(
@@ -344,12 +377,16 @@ def load_matrix(source: Union[str, Path, IO[str]], fmt: str = "auto") -> DelayMa
             ) from None
         if m := _LOADTXT_RAGGED.search(str(exc)):
             raise ShapeError(
-                f"row {int(m.group(3)) - 1} has {m.group(2)} cells, expected {m.group(1)}"
+                f"row {kept[int(m.group(3)) - 1]} has {m.group(2)} cells, "
+                f"expected {m.group(1)}"
             ) from None
         raise
     del rows
-    if entries.shape[0] != entries.shape[1]:
-        raise ShapeError(f"matrix is {entries.shape[0]}x{entries.shape[1]}, expected square")
+    if entries.shape[1] != n:
+        raise ShapeError(f"matrix is {n}x{entries.shape[1]}, expected square")
+    if len(kept) < n:
+        _check_values(entries)  # the dropped columns' cells were parsed too
+        entries = entries[:, kept]
     entries.setflags(write=False)  # nothing else holds it, so DelayMatrix need not copy
     return DelayMatrix(entries)
 
@@ -362,12 +399,7 @@ def subsample(m: DelayMatrix, count: int, seed: int) -> DelayMatrix:
     """
     import numpy as np
 
-    if count < 1:
-        raise SizeError(f"count must be positive, got {count}")
-    if count > m.n:
-        raise SizeError(f"cannot select {count} of {m.n} nodes")
-    rng = np.random.default_rng(seed)
-    idx = np.sort(rng.choice(m.n, size=count, replace=False))
+    idx = _draw(m.n, count, seed)
     return DelayMatrix(m.entries[np.ix_(idx, idx)])
 
 

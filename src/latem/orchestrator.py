@@ -428,9 +428,10 @@ def delay_classes_for_manifest(
 ) -> tuple[DelayClassMap, int]:
     """Load the manifest's matrix and derive its class map and band count.
 
-    The matrix is subsampled (seeded) down to the node count when larger,
-    inflated by the accumulated factor, then quantized under the manifest's
-    policy. Relative matrix paths resolve against base_dir.
+    Only a seeded draw of node-count rows of the matrix is parsed (all rows
+    when the counts match); the submatrix is inflated by the accumulated
+    factor, then quantized under the manifest's policy. Relative matrix
+    paths resolve against base_dir.
     """
     from . import delay_model
 
@@ -440,12 +441,7 @@ def delay_classes_for_manifest(
     path = Path(d.matrix_path)
     if not path.is_absolute():
         path = Path(base_dir) / path
-    matrix = delay_model.load_matrix(path)
-    n = len(manifest.nodes)
-    if matrix.n < n:
-        raise ConfigError(f"matrix has {matrix.n} nodes but manifest declares {n}")
-    if matrix.n > n:
-        matrix = delay_model.subsample(matrix, n, d.subsample_seed)
+    matrix = delay_model.load_matrix(path, count=len(manifest.nodes), seed=d.subsample_seed)
     if d.inflation_factor != 1:
         matrix = delay_model.inflate(matrix, d.inflation_factor)
     policy = delay_model.QuantizationPolicy(

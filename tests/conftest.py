@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 from pathlib import Path
 
 import networkx as nx
@@ -112,3 +114,19 @@ def write_manifest(tmp_path: Path, data: dict, name: str = "manifest.json") -> P
     path = tmp_path / name
     path.write_text(json.dumps(data, indent=2))
     return path
+
+
+class OverflowOnceTransport:
+    """Wraps a transport; its receive number `at` (from 0) fails with ENOBUFS."""
+
+    def __init__(self, inner, at: int):
+        self.inner, self.at, self.calls = inner, at, 0
+
+    def receive(self, timeout: float):
+        self.calls += 1
+        if self.calls - 1 == self.at:
+            raise OSError(errno.ENOBUFS, os.strerror(errno.ENOBUFS))
+        return self.inner.receive(timeout)
+
+    def reply(self, solicitation, entry) -> None:
+        self.inner.reply(solicitation, entry)

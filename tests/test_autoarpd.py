@@ -1,3 +1,5 @@
+import errno
+import os
 import socket
 import threading
 
@@ -21,6 +23,8 @@ from latem.autoarpd import (
 )
 from latem.errors import ServeError
 from latem.link_layer import MacPattern, mac_for_ip
+
+from conftest import OverflowOnceTransport
 
 ip_strategy = st.tuples(*([st.integers(0, 255)] * 4)).map(lambda t: ".".join(map(str, t)))
 
@@ -89,6 +93,26 @@ class TestServe:
 
         with pytest.raises(ServeError):
             serve(BrokenTransport(), stop_signal=threading.Event())
+
+    def test_enobufs_burst_is_counted_and_serving_goes_on(self, caplog):
+        stop = threading.Event()
+        pending = [Solicitation(f"10.0.0.{i}", ifindex=2) for i in (1, 2, 3)]
+        inner = MockSolicitTransport(pending=list(pending), stop_signal=stop)
+        stats = serve(OverflowOnceTransport(inner, at=2), stop_signal=stop)
+        assert (stats.received, stats.replied, stats.overflows) == (3, 3, 1)
+        assert [s for s, _ in inner.replies] == pending
+        assert "overflowed" in caplog.text
+
+    def test_other_receive_errors_stay_fatal(self):
+        class BadSocketTransport:
+            def receive(self, timeout):
+                raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+
+            def reply(self, solicitation, entry):
+                pass
+
+        with pytest.raises(ServeError, match="transport receive failed"):
+            serve(BadSocketTransport(), stop_signal=threading.Event())
 
     def test_exactly_one_reply_per_solicitation(self):
         stop = threading.Event()

@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -8,10 +9,19 @@ import numpy as np
 import pytest
 
 import latem
+from latem import delay_model as dm
+from latem.autoarpd import MockSolicitTransport, Solicitation
 from latem.cli import main
 from latem.link_layer import check_bridge_capacity
 
-from conftest import FIVE_NODE_ENTRIES, FIXTURES, minimal_manifest_dict, write_manifest
+from conftest import (
+    FIVE_NODE_ENTRIES,
+    FIVE_NODE_IPS,
+    FIXTURES,
+    OverflowOnceTransport,
+    minimal_manifest_dict,
+    write_manifest,
+)
 from fake_adapters import ScriptedAdapter
 
 
@@ -72,6 +82,33 @@ def test_plan_delays_with_subsample_and_inflate(tmp_path, matrix_file, capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["classes"]
+
+
+def test_plan_delays_count_writes_the_bytes_of_load_then_subsample(tmp_path, matrix_file):
+    out = tmp_path / "classes.json"
+    rc = main(["plan-delays", "--matrix", str(matrix_file), "--count", "3", "--seed", "7",
+               "--ip-base", "10.0.0.1", "--out", str(out)])
+    assert rc == 0
+    policy = dm.QuantizationPolicy()
+    matrix = dm.subsample(dm.load_matrix(matrix_file), 3, 7)
+    classes = dm.build_classes(dm.quantize(matrix, policy), FIVE_NODE_IPS[:3], policy)
+    assert out.read_bytes() == dm.class_map_json(classes, policy).encode()
+
+
+@pytest.mark.parametrize("count", ["6", "0"])
+def test_plan_delays_count_out_of_range(matrix_file, capsys, count):
+    rc = main(["plan-delays", "--matrix", str(matrix_file), "--count", count])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: cannot select {count} of 5 nodes\n"
+
+
+def test_plan_delays_manifest_larger_than_the_matrix(tmp_path, capsys):
+    (tmp_path / "matrix.txt").write_text("0\n")
+    manifest = write_manifest(tmp_path, minimal_manifest_dict())
+    rc = main(["plan-delays", "--matrix", str(tmp_path / "matrix.txt"),
+               "--manifest", str(manifest)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: cannot select 2 of 1 nodes\n"
 
 
 def test_emit_nft_matches_golden(classes_file, tmp_path, capsys):
@@ -286,6 +323,26 @@ def test_autoarpd_apply_sysctls_stops_at_the_failing_line(monkeypatch, capsys):
     assert capsys.readouterr().err == (
         "error: sysctl -w 'net.ipv4.neigh.eth0.app_solicit = 1' -> exit 255\n"
     )
+
+
+def test_autoarpd_prints_the_overflow_count(monkeypatch, capsys):
+    handlers = {}
+    monkeypatch.setattr("latem.cli.signal.signal",
+                        lambda signum, handler: handlers.setdefault(signum, handler))
+
+    class Terminate:  # the drained transport stops the daemon as SIGTERM would
+        def set(self):
+            handlers[signal.SIGTERM](signal.SIGTERM, None)
+
+    pending = [Solicitation("10.0.0.1", ifindex=2), Solicitation("10.0.0.2", ifindex=2)]
+    transport = OverflowOnceTransport(
+        MockSolicitTransport(pending=pending, stop_signal=Terminate()), at=1
+    )
+    transport.close = lambda: None
+    monkeypatch.setattr("latem.autoarpd.NetlinkSolicitTransport", lambda: transport)
+    rc = main(["autoarpd", "--interface", "eth0"])
+    assert rc == 0
+    assert capsys.readouterr().out == "received=2 replied=2 overflows=1\n"
 
 
 def test_stats_summary(capsys):

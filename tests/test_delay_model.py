@@ -6,13 +6,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from latem import delay_model as dm
 from latem.errors import ConfigError, ShapeError, SizeError, SymmetryError
 
-from conftest import random_class_map, random_symmetric_matrix
+from conftest import FIVE_NODE_ENTRIES, random_class_map, random_symmetric_matrix
 from reference_classes import build_classes_loop
 
 
@@ -101,6 +101,122 @@ class TestLoadMatrix:
     def test_ragged_row_named(self):
         with pytest.raises(ShapeError, match="row 2 has 1 cells, expected 2"):
             dm.load_matrix(io.StringIO("0 7\n\n7 0\n7\n"))
+
+
+def kept_rows(n, count, seed):
+    """The rows a seeded draw keeps: `subsample`'s draw, computed here independently."""
+    return np.sort(np.random.default_rng(seed).choice(n, size=count, replace=False)).tolist()
+
+
+def seed_keeping(n, count, predicate):
+    """The first seed whose kept rows satisfy `predicate`."""
+    return next(s for s in range(1000) if predicate(kept_rows(n, count, s)))
+
+
+@st.composite
+def matrix_texts(draw):
+    """(n, text) of a symmetric matrix in tenths of a ms, blank lines in between."""
+    n = draw(st.integers(1, 8))
+    upper = draw(st.lists(st.integers(1, 3000), min_size=n * (n - 1) // 2,
+                          max_size=n * (n - 1) // 2))
+    tenths = np.zeros((n, n), dtype=np.int64)
+    tenths[np.triu_indices(n, 1)] = upper
+    tenths += tenths.T
+    sep = draw(st.sampled_from([" ", "  ", "\t", ",", ", "]))
+    blank = st.lists(st.sampled_from(["", " ", "\t "]), max_size=2)
+    lines = []
+    for row in tenths.tolist():
+        lines += draw(blank)
+        lines.append(sep.join(f"{v // 10}.{v % 10}" for v in row))
+    lines += draw(blank)
+    return n, "\n".join(lines)
+
+
+def five_node_rows():
+    return [[f"{v:g}" for v in r] for r in FIVE_NODE_ENTRIES.tolist()]
+
+
+def five_node_text(cells=None):
+    """Rows 0..4 at text lines 2, 4, 6, 8 and 10."""
+    return "".join(f"\n{' '.join(row)}\n" for row in cells or five_node_rows())
+
+
+class TestLoadMatrixCount:
+    @given(matrix_texts(), st.sampled_from(["1", "n-1", "n"]), st.integers(0, 2**32 - 1))
+    def test_equals_subsample_of_the_full_load(self, case, which, seed):
+        n, text = case
+        count = {"1": 1, "n-1": n - 1, "n": n}[which]
+        assume(count >= 1)
+        full = dm.load_matrix(io.StringIO(text))
+        got = dm.load_matrix(io.StringIO(text), count=count, seed=seed)
+        assert got == dm.subsample(full, count, seed)
+        assert not got.entries.flags.writeable
+
+    def test_full_count_reads_every_row(self):
+        assert dm.load_matrix(io.StringIO(five_node_text()), count=5, seed=3) == matrix(
+            FIVE_NODE_ENTRIES
+        )
+
+    @pytest.mark.parametrize("count", [6, 0, -2])
+    def test_count_out_of_range(self, count):
+        with pytest.raises(SizeError, match=rf"^cannot select {count} of 5 nodes$"):
+            dm.load_matrix(io.StringIO(five_node_text()), count=count)
+
+    def test_non_numeric_cell_in_a_kept_row_names_its_line(self):
+        seed = seed_keeping(5, 2, lambda kept: kept[1] == 3)
+        cells = five_node_rows()
+        cells[3][1] = "x"
+        with pytest.raises(ValueError, match=r"^line 8: non-numeric cell \('x'"):
+            dm.load_matrix(io.StringIO(five_node_text(cells)), count=2, seed=seed)
+
+    def test_ragged_kept_row_named_by_its_index_among_all_rows(self):
+        # row 3 is the second kept row, so its index among the kept ones is 1
+        seed = seed_keeping(5, 3, lambda kept: kept[:2] in ([0, 3], [1, 3], [2, 3]))
+        cells = five_node_rows()
+        del cells[3][4]
+        with pytest.raises(ShapeError, match=r"^row 3 has 4 cells, expected 5$"):
+            dm.load_matrix(io.StringIO(five_node_text(cells)), count=3, seed=seed)
+
+    def test_kept_rows_of_the_wrong_width(self):
+        cells = [row + ["0"] for row in five_node_rows()]
+        with pytest.raises(ShapeError, match=r"^matrix is 5x6, expected square$"):
+            dm.load_matrix(io.StringIO(five_node_text(cells)), count=3, seed=0)
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [("nan", "NaN or infinite"), ("inf", "NaN or infinite"), ("-1", "negative delays")],
+    )
+    def test_bad_value_in_a_dropped_column_of_a_kept_row(self, bad, message):
+        # column 4 is dropped but row 1's cell in it is parsed, so it is checked;
+        # row 4, which holds the mirror cell, is not parsed
+        seed = seed_keeping(5, 3, lambda kept: 1 in kept and 4 not in kept)
+        cells = five_node_rows()
+        cells[1][4] = bad
+        with pytest.raises(ValueError, match=message):
+            dm.load_matrix(io.StringIO(five_node_text(cells)), count=3, seed=seed)
+
+    def test_diagonal_and_symmetry_checked_on_the_kept_submatrix(self):
+        seed = seed_keeping(5, 3, lambda kept: kept[:2] == [0, 2])
+        cells = five_node_rows()
+        cells[2][2] = "1"
+        with pytest.raises(ValueError, match="diagonal"):
+            dm.load_matrix(io.StringIO(five_node_text(cells)), count=3, seed=seed)
+        cells = five_node_rows()
+        cells[2][0] = "34"
+        with pytest.raises(SymmetryError, match=r"\[0\]\[1\]=33\.0 differs from \[1\]\[0\]=34\.0"):
+            dm.load_matrix(io.StringIO(five_node_text(cells)), count=3, seed=seed)
+
+    def test_bad_cell_in_a_dropped_row_is_not_reported(self):
+        # Deliberate: rows that are not kept are not parsed, so nothing in
+        # them is checked. The seed is picked so that row 2 is known dropped.
+        seed = seed_keeping(5, 3, lambda kept: 2 not in kept)
+        cells = five_node_rows()
+        cells[2][3] = "x"
+        text = five_node_text(cells)
+        with pytest.raises(ValueError, match="^line 6: non-numeric cell"):
+            dm.load_matrix(io.StringIO(text))  # the full load does see it
+        got = dm.load_matrix(io.StringIO(text), count=3, seed=seed)
+        assert got == dm.subsample(matrix(FIVE_NODE_ENTRIES), 3, seed)
 
 
 class TestSubsample:

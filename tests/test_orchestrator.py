@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from latem import delay_model as dm
 from latem import script as script_mod
-from latem.errors import ConfigError, InfeasibleError, InventoryError
+from latem.errors import ConfigError, InfeasibleError, InventoryError, SizeError
 from latem.manifest import ResourceModel, parse_manifest
 from latem.orchestrator import (
     STEP_TC,
@@ -669,7 +669,8 @@ class TestDelayClassesForManifest:
         data = minimal_manifest_dict()
         data["delay"] = {"matrix_path": "matrix.txt"}
         manifest = parse_manifest(data)
-        with pytest.raises(ConfigError):
+        # the same error as `plan-delays --count` on too small a matrix
+        with pytest.raises(SizeError, match=r"^cannot select 2 of 1 nodes$"):
             delay_classes_for_manifest(manifest, tmp_path)
 
     def test_inflation_factor_applied(self, tmp_path):
