@@ -18,6 +18,7 @@ from conftest import (
     FIVE_NODE_ENTRIES,
     FIVE_NODE_IPS,
     FIXTURES,
+    GOLDENS,
     OverflowOnceTransport,
     minimal_manifest_dict,
     write_manifest,
@@ -177,6 +178,65 @@ def test_gen_topology_neighbors_json(capsys):
     assert rc == 0
     lists = json.loads(capsys.readouterr().out)
     assert len(lists) == 6
+
+
+# Edge lists that networkx's generators make for these arguments.
+GEN_TOPOLOGY_GOLDENS = {
+    "topology_nws_40_4_0.3_seed7.txt":
+        ["--kind", "nws", "--n", "40", "--k", "4", "--p", "0.3", "--seed", "7"],
+    "topology_random_30_4_seed3.txt":
+        ["--kind", "random", "--n", "30", "--degree", "4", "--seed", "3"],
+}
+
+
+def test_gen_topology_negative_degree_is_a_config_error(capsys):
+    rc = main(["gen-topology", "--kind", "random", "--n", "10", "--degree", "-2"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: degree must be >= 0, got -2\n"
+
+
+def _overlay_manifest(tmp_path: Path, degree: int) -> Path:
+    """Six nodes with one small-world and one random overlay."""
+    data = minimal_manifest_dict()
+    data["nodes"] = [
+        {"name": f"n{i}", "ip": f"10.1.0.{i + 1}", "image": "img", "processes": []}
+        for i in range(6)
+    ]
+    data["phases"] = [{"name": "launch", "action": "launch"}]
+    data["networks"] = {
+        "blocks": {"kind": "nws", "k": 2, "p": 0.5, "seed": 3},
+        "gossip": {"kind": "random", "degree": degree, "seed": 3},
+    }
+    return write_manifest(tmp_path, data)
+
+
+def test_run_negative_overlay_degree_is_a_config_error(tmp_path, capsys):
+    path = _overlay_manifest(tmp_path, degree=-2)
+    rc = main(["run", "--manifest", str(path), "--dry-run", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: degree must be >= 0, got -2\n"
+
+
+def test_overlays_build_with_networkx_blocked(tmp_path):
+    # Both gen-topology goldens, then a dry run with both overlay kinds.
+    code = """
+import sys
+sys.modules["networkx"] = None  # any import of networkx now raises ImportError
+from latem.cli import main
+out, manifest, plan = sys.argv[1:4]
+for golden, args in zip(sys.argv[4::2], sys.argv[5::2]):
+    assert main(["gen-topology", *args.split(), "--out", f"{out}/{golden}"]) == 0
+print(main(["run", "--manifest", manifest, "--dry-run", "--out", plan]))
+"""
+    manifest = _overlay_manifest(tmp_path, degree=3)
+    pairs = [x for g, args in GEN_TOPOLOGY_GOLDENS.items() for x in (g, " ".join(args))]
+    out = _python(code, str(tmp_path), str(manifest), str(tmp_path / "plan"), *pairs)
+    assert out.splitlines()[-1] == "0"
+    for golden in GEN_TOPOLOGY_GOLDENS:
+        assert (tmp_path / golden).read_bytes() == (GOLDENS / golden).read_bytes()
+    launch = next((tmp_path / "plan").glob("*-launch-*.sh")).read_text()
+    assert launch.count('"neighbors":{"blocks":[') == 6
+    assert launch.count('"gossip":[') == 6
 
 
 def test_gen_bpf_source(tmp_path, capsys):
@@ -372,8 +432,8 @@ def _python(code: str, *args: str) -> str:
 
 
 def test_importing_the_cli_leaves_networkx_and_numpy_unloaded():
-    # Only the overlay generators need networkx and only the matrix functions
-    # need numpy; every other command starts without them.
+    # Only the matrix functions need numpy, so every other command starts
+    # without it; nothing at run time needs networkx.
     code = "import sys, latem.cli; print('networkx' in sys.modules, 'numpy' in sys.modules)"
     assert _python(code) == "False False"
 

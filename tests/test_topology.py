@@ -1,11 +1,33 @@
+import networkx as nx
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from latem.errors import ConfigError, RetryExhausted
-from latem.topology import Graph, neighbor_lists, nws_graph, random_graph
+from latem.topology import (
+    CONNECTIVITY_ATTEMPTS,
+    Graph,
+    neighbor_lists,
+    nws_graph,
+    random_graph,
+)
 
 from conftest import degrees, is_connected
+
+ORACLE_SEEDS = range(300)
+
+
+def _nx_edges(g: nx.Graph) -> frozenset[tuple[int, int]]:
+    return frozenset((min(u, v), max(u, v)) for u, v in g.edges())
+
+
+def _nx_random_edges(n: int, degree: int, seed: int) -> frozenset[tuple[int, int]] | None:
+    """networkx's regular graph under random_graph's retry rule; None if none connected."""
+    for attempt in range(CONNECTIVITY_ATTEMPTS):
+        g = nx.random_regular_graph(degree, n, seed=seed + attempt)
+        if nx.is_connected(g):
+            return _nx_edges(g)
+    return None
 
 
 class TestNwsGraph:
@@ -51,6 +73,24 @@ class TestNwsGraph:
         g = nws_graph(20, 2, 0.3, seed=seed)
         assert is_connected(g)
 
+    @pytest.mark.parametrize(
+        "n,k,p",
+        [
+            (12, 2, 0.0),
+            (12, 2, 1.0),
+            (7, 2, 0.5),
+            (30, 4, 0.3),
+            (41, 8, 0.1),
+            (5, 4, 0.7),  # k = n - 1: every shortcut hits the saturation break
+            (9, 8, 1.0),
+            (10, 6, 0.9),  # near-saturated nodes retry the choice many times
+        ],
+    )
+    def test_edges_equal_networkx(self, n, k, p):
+        for seed in ORACLE_SEEDS:
+            expected = _nx_edges(nx.newman_watts_strogatz_graph(n, k, p, seed=seed))
+            assert nws_graph(n, k, p, seed).edges == expected, seed
+
 
 class TestRandomGraph:
     def test_two_nodes_single_edge(self):
@@ -59,6 +99,10 @@ class TestRandomGraph:
 
     def test_deterministic(self):
         assert random_graph(10, 3, seed=4) == random_graph(10, 3, seed=4)
+
+    def test_negative_degree_rejected(self):
+        with pytest.raises(ConfigError, match="degree must be >= 0, got -2"):
+            random_graph(10, -2, seed=0)
 
     def test_degree_at_least_n_rejected(self):
         with pytest.raises(ConfigError):
@@ -77,6 +121,33 @@ class TestRandomGraph:
         g = random_graph(24, 4, seed=11)
         assert degrees(g) == [4] * 24
         assert is_connected(g)
+
+    @pytest.mark.parametrize(
+        "n,degree",
+        [
+            (1, 0),
+            (2, 0),  # never connected: every attempt fails
+            (2, 1),
+            (6, 1),  # never connected: every attempt fails
+            (10, 3),  # odd degree on an even n
+            (8, 7),  # degree = n - 1: the complete graph
+            (12, 2),  # first attempt often disconnected, so retries run
+            (20, 4),
+            (16, 5),
+        ],
+    )
+    def test_edges_equal_networkx(self, n, degree):
+        for seed in ORACLE_SEEDS:
+            expected = _nx_random_edges(n, degree, seed)
+            if expected is None:
+                with pytest.raises(RetryExhausted):
+                    random_graph(n, degree, seed)
+                continue
+            assert random_graph(n, degree, seed).edges == expected, seed
+
+    def test_oracle_seeds_exercise_the_retry(self):
+        first_attempts = (nx.random_regular_graph(2, 12, seed=s) for s in ORACLE_SEEDS)
+        assert not all(nx.is_connected(g) for g in first_attempts)
 
 
 class TestNeighborLists:
