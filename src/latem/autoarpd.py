@@ -40,6 +40,7 @@ from .script import CommandScript
 log = logging.getLogger(__name__)
 
 DEFAULT_REACHABLE_MS = 72_000_000
+POLL_INTERVAL_S = 0.2  # longest wait on the transport before the stop signal is checked
 
 
 class NudState(Enum):
@@ -87,7 +88,6 @@ def serve(
     transport: SolicitTransport,
     pattern: MacPattern = MacPattern(),
     stop_signal: threading.Event | None = None,
-    poll_interval: float = 0.2,
 ) -> ServeStats:
     """Answer solicitations until the stop signal is set.
 
@@ -100,7 +100,7 @@ def serve(
     received = replied = overflows = 0
     while not stop.is_set():
         try:
-            solicitation = transport.receive(timeout=poll_interval)
+            solicitation = transport.receive(timeout=POLL_INTERVAL_S)
         except Exception as exc:
             if isinstance(exc, OSError) and exc.errno == errno.ENOBUFS:
                 overflows += 1
@@ -208,15 +208,13 @@ def _parse_attrs(data: bytes) -> dict[int, bytes]:
     return attrs
 
 
-def pack_neighbor_update(
-    entry: NeighborEntry, ifindex: int, seq: int = 0, pid: int = 0
-) -> bytes:
+def pack_neighbor_update(entry: NeighborEntry, ifindex: int, seq: int = 0) -> bytes:
     """RTM_NEWNEIGH request installing `entry` on interface `ifindex`."""
     payload = _NDMSG.pack(AF_INET, 0, 0, ifindex, entry.nud.value, 0, 0)
     payload += _attr(NDA_DST, ipaddress.IPv4Address(entry.ip).packed)
     payload += _attr(NDA_LLADDR, bytes(int(p, 16) for p in entry.mac.split(":")))
     flags = NLM_F_REQUEST | NLM_F_CREATE | NLM_F_REPLACE
-    header = _NLMSGHDR.pack(_NLMSGHDR.size + len(payload), RTM_NEWNEIGH, flags, seq, pid)
+    header = _NLMSGHDR.pack(_NLMSGHDR.size + len(payload), RTM_NEWNEIGH, flags, seq, 0)
     return header + payload
 
 

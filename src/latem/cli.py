@@ -121,7 +121,7 @@ def _cmd_emit_nft(args: argparse.Namespace) -> int:
 
 def _cmd_emit_tc(args: argparse.Namespace) -> int:
     classes = _load_classes(args.classes)
-    bands = args.bands if args.bands else compute_bands(len(classes))
+    bands = args.bands if args.bands is not None else compute_bands(len(classes))
     script = emit_tc_script(classes.class_delays(), args.veth, bands)
     _write_or_print(script, args.out)
     return 0
@@ -295,9 +295,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan-delays", help="matrix -> delay-class map (JSON)")
     p.add_argument("--matrix", required=True)
     p.add_argument("--format", choices=("auto", "whitespace", "csv"), default="auto")
-    p.add_argument("--manifest", help="take node count and IPs from a manifest")
-    p.add_argument("--count", type=int,
-                   help="subsample the matrix to this many nodes; only their rows are parsed")
+    nodes = p.add_mutually_exclusive_group()
+    nodes.add_argument("--manifest", help="take node count and IPs from a manifest")
+    nodes.add_argument("--count", type=int,
+                       help="subsample the matrix to this many nodes; only their rows are parsed")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--inflate", help="delay inflation factor (e.g. 2 or 4/3)")
     p.add_argument("--quantum", type=int, default=10)

@@ -148,11 +148,6 @@ def _ordered(a: str, key_a: int, b: str, key_b: int) -> IpPair:
     return (a, b) if key_a < key_b else (b, a)
 
 
-def make_pair(a: str, b: str) -> IpPair:
-    """Normalize an unordered pair to (lower-IP, higher-IP) numeric order."""
-    return _ordered(a, _ip_key(a), b, _ip_key(b))
-
-
 class _KeyMemo(dict):
     """Address -> integer key; each distinct address is checked and parsed once."""
 

@@ -49,48 +49,32 @@ class MacPattern:
         return cls(prefix=tuple(int(part, 16) for part in text.split(":")))
 
 
-@dataclass(frozen=True)
-class FdbEntry:
-    mac: str
-    veth: str
-
-
 def mac_for_ip(ip: str, pattern: MacPattern = MacPattern()) -> str:
     """Derive the MAC for an IPv4 address, lowercase colon-separated."""
     octets = ipaddress.IPv4Address(ip).packed
     return ":".join(f"{o:02x}" for o in (*pattern.prefix, *octets))
 
 
-def fdb_entries(
+def emit_fdb_script(
     nodes: Sequence[tuple[str, str]], pattern: MacPattern = MacPattern()
-) -> tuple[FdbEntry, ...]:
-    """One entry per (ip, veth) node; MACs follow the pattern by construction."""
+) -> CommandScript:
+    """One static FDB insertion per (ip, veth) node, in input order.
+
+    MACs follow the pattern by construction; an interface may appear once.
+    """
     seen: set[str] = set()
-    entries = []
+    lines = []
     for ip, veth in nodes:
         if veth in seen:
             raise ConfigError(f"duplicate interface name {veth!r}")
         seen.add(veth)
-        entries.append(FdbEntry(mac=mac_for_ip(ip, pattern), veth=veth))
-    return tuple(entries)
-
-
-def emit_fdb_script(
-    nodes: Sequence[tuple[str, str]], pattern: MacPattern = MacPattern()
-) -> CommandScript:
-    """One static FDB insertion per (ip, veth) node, in input order."""
-    lines = tuple(
-        f"bridge fdb add {entry.mac} dev {entry.veth} master static"
-        for entry in fdb_entries(nodes, pattern)
-    )
-    return CommandScript(lines=lines)
+        lines.append(f"bridge fdb add {mac_for_ip(ip, pattern)} dev {veth} master static")
+    return CommandScript(lines=tuple(lines))
 
 
 @dataclass(frozen=True)
 class Diagnostic:
     ok: bool
-    port_count: int
-    limit: int
     suggested_bits: int | None
     message: str
 
@@ -106,8 +90,6 @@ def check_bridge_capacity(port_count: int) -> Diagnostic:
     if port_count <= DEFAULT_BRIDGE_PORT_LIMIT:
         return Diagnostic(
             ok=True,
-            port_count=port_count,
-            limit=DEFAULT_BRIDGE_PORT_LIMIT,
             suggested_bits=None,
             message=(
                 f"{port_count} bridge ports fit the default limit of "
@@ -117,8 +99,6 @@ def check_bridge_capacity(port_count: int) -> Diagnostic:
     bits = math.ceil(math.log2(port_count))
     return Diagnostic(
         ok=False,
-        port_count=port_count,
-        limit=DEFAULT_BRIDGE_PORT_LIMIT,
         suggested_bits=bits,
         message=(
             f"{port_count} bridge ports exceed the default limit of "

@@ -54,20 +54,13 @@ def parse_fraction(value: FractionLike, path: str = "") -> Fraction:
     raise ValidationError(f"cannot parse {type(value).__name__} as a rational", path=path)
 
 
-def render_fraction(value: Fraction) -> int | str:
-    """JSON-friendly rendering; integers stay integers."""
-    if value.denominator == 1:
-        return int(value)
-    return f"{value.numerator}/{value.denominator}"
-
-
-def render_number(value: Fraction, max_decimals: int = 9) -> str:
-    """Decimal text for command lines: exact when terminating, else float."""
+def render_number(value: Fraction) -> str:
+    """Decimal text for command lines: exact when it ends within 9 decimals, else float."""
     if value.denominator == 1:
         return str(int(value))
-    scaled = value * 10**max_decimals
+    scaled = value * 10**9
     if scaled.denominator == 1:
-        text = f"{value.numerator / value.denominator:.{max_decimals}f}".rstrip("0")
+        text = f"{value.numerator / value.denominator:.9f}".rstrip("0")
         return text[:-1] if text.endswith(".") else text
     return repr(float(value))
 
@@ -139,7 +132,6 @@ class ResourceModel:
 
 @dataclass(frozen=True)
 class RuntimeSection:
-    adapter: str = "docker"
     bridge: str = "latbr0"
     container_iface: str = "eth0"
 
@@ -334,7 +326,6 @@ def parse_manifest(data: Mapping, source_text: str | None = None) -> ExperimentM
 
     rt = data.get("runtime", {})
     runtime = RuntimeSection(
-        adapter=str(rt.get("adapter", "docker")),
         bridge=str(rt.get("bridge", "latbr0")),
         container_iface=str(rt.get("container_iface", "eth0")),
     )
@@ -409,75 +400,6 @@ def load_manifest(path: str | Path) -> ExperimentManifest:
     except json.JSONDecodeError as exc:
         raise ValidationError(f"not valid JSON: {exc.msg}", line=exc.lineno)
     return parse_manifest(data, source_text=text)
-
-
-def to_json_dict(m: ExperimentManifest) -> dict:
-    """Inverse of parse_manifest, for writing inflated or generated manifests."""
-    out: dict[str, Any] = {
-        "name": m.name,
-        "nodes": [
-            {
-                "name": n.name,
-                "ip": n.ip,
-                "image": n.image,
-                "roles": sorted(n.roles),
-                "processes": [
-                    {"binary": p.binary, "args": list(p.args), "start_phase": p.start_phase}
-                    for p in n.processes
-                ],
-            }
-            for n in m.nodes
-        ],
-        "phases": [
-            {
-                "name": p.name,
-                "action": p.action,
-                "target": p.target,
-                **({"signal": p.signal} if p.signal else {}),
-                **({"stagger_ms": render_fraction(p.stagger_ms)} if p.stagger_ms else {}),
-                **({"script": list(p.script)} if p.script else {}),
-                **({"capture_stats": True} if p.capture_stats else {}),
-            }
-            for p in m.phases
-        ],
-        "runtime": {
-            "adapter": m.runtime.adapter,
-            "bridge": m.runtime.bridge,
-            "container_iface": m.runtime.container_iface,
-        },
-    }
-    if m.networks:
-        out["networks"] = {
-            role: {
-                "kind": s.kind,
-                "seed": s.seed,
-                **({"k": s.k} if s.k is not None else {}),
-                **({"p": render_fraction(s.p)} if s.p is not None else {}),
-                **({"degree": s.degree} if s.degree is not None else {}),
-            }
-            for role, s in m.networks.items()
-        }
-    if m.delay is not None:
-        out["delay"] = {
-            "matrix_path": m.delay.matrix_path,
-            "quantum_ms": m.delay.quantum_ms,
-            "rounding": m.delay.rounding,
-            "drop_zero_class": m.delay.drop_zero_class,
-            "inflation_factor": render_fraction(m.delay.inflation_factor),
-            "subsample_seed": m.delay.subsample_seed,
-        }
-    if m.timers:
-        out["timers"] = {
-            name: {"value": render_fraction(t.value), **({"kind": t.kind} if t.kind else {})}
-            for name, t in m.timers.items()
-        }
-    if m.resources is not None:
-        out["resources"] = {
-            "ram_cap_fraction": render_fraction(m.resources.ram_cap_fraction),
-            "per_node_startup_fraction": render_fraction(m.resources.per_node_startup_fraction),
-            "per_node_steady_fraction": render_fraction(m.resources.per_node_steady_fraction),
-        }
-    return out
 
 
 def allocate_ips(base: str, count: int) -> list[str]:

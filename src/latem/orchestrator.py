@@ -29,7 +29,7 @@ from .adapters import CommandResult, RuntimeAdapter
 from .autoarpd import emit_neigh_sysctls
 from .delay_model import DelayClassMap
 from .errors import ConfigError, InfeasibleError, InventoryError, ValidationError
-from .link_layer import MacPattern, emit_fdb_script, mac_for_ip
+from .link_layer import emit_fdb_script, mac_for_ip
 from .manifest import ExperimentManifest, NodeSpec, ResourceModel, render_number
 from .nft_planner import emit_nft_script
 from .script import CommandScript, Script
@@ -182,7 +182,6 @@ class GatherScript(Script):
 def gather_interfaces(
     adapter: RuntimeAdapter,
     nodes: Sequence[tuple[str, str]],
-    pattern: MacPattern = MacPattern(),
     container_iface: str = "eth0",
 ) -> InterfaceInventory:
     """Discover each container's host-side veth, MAC, and IP.
@@ -191,7 +190,8 @@ def gather_interfaces(
     to the host-side veth name via one `ip -o link show` listing. The
     `GatherScript` lines go through `adapter.run_batch` in order. A failed MAC
     read only warns, so the next batch resumes at the line after it; any other
-    failed query ends the gather.
+    failed query ends the gather. Each MAC is expected to be `mac_for_ip` of
+    the node's address, the one its launch line sets with `--mac-address`.
     """
     if not nodes:
         return InterfaceInventory(records=(), warnings=("no nodes to inventory",))
@@ -223,7 +223,7 @@ def gather_interfaces(
                 f"node {name!r}: no host link with ifindex {peer} (stale inventory?)"
             )
         mac = mac_out.stdout.strip().lower() if mac_out.ok else ""
-        expected = mac_for_ip(ip, pattern)
+        expected = mac_for_ip(ip)
         if mac != expected:
             warnings.append(
                 f"node {name!r}: MAC {mac or '?'} does not match pattern-derived {expected}"
@@ -318,8 +318,6 @@ def build_startup_plan(
     manifest: ExperimentManifest,
     classes: DelayClassMap | None = None,
     bands: int | None = None,
-    inventory: InterfaceInventory | None = None,
-    per_node: sys_preflight.PerNodeUsage = sys_preflight.PerNodeUsage(),
     paper_rounding: bool = False,
 ) -> PhasedPlan:
     """Assemble the fixed-order startup plan for a manifest.
@@ -329,23 +327,20 @@ def build_startup_plan(
     signal and host-script phases. Marking always precedes tree setup, and
     both precede any signal. `classes` must be supplied when the manifest has
     a delay section (the CLI computes it from the matrix file); without a
-    delay section the marking and tree steps are omitted entirely.
+    delay section the marking and tree steps are omitted entirely. The FDB
+    and tree steps name each interface by its `{veth:<node>}` placeholder,
+    which `execute` fills in from the gather step.
     """
     if manifest.delay is not None and classes is None:
         raise ConfigError(
             "manifest declares a delay section but no delay classes were supplied"
         )
-    veth_by_node = inventory.veth_of() if inventory is not None else {}
-
-    def veth_for(node: NodeSpec) -> str:
-        return veth_by_node.get(node.name, veth_token(node.name))
-
     steps: list[PlanStep] = []
 
     def add(name: str, kind: str, script: Script) -> None:
         steps.append(PlanStep(index=len(steps), name=name, kind=kind, script=script))
 
-    plan = sys_preflight.recommend(max(len(manifest.nodes), 1), per_node)
+    plan = sys_preflight.recommend(max(len(manifest.nodes), 1))
     preflight = CommandScript(lines=sys_preflight.emit_audit_commands(plan))
     add(STEP_PREFLIGHT, STEP_PREFLIGHT, preflight)
 
@@ -389,7 +384,7 @@ def build_startup_plan(
     add(
         STEP_FDB,
         STEP_FDB,
-        emit_fdb_script([(n.ip, veth_for(n)) for n in manifest.nodes]),
+        emit_fdb_script([(n.ip, veth_token(n.name)) for n in manifest.nodes]),
     )
 
     neigh_lines = tuple(
@@ -402,7 +397,7 @@ def build_startup_plan(
     if manifest.delay is not None and classes is not None and len(classes) > 0:
         add(STEP_NFT, STEP_NFT, emit_nft_script(classes))
         b = bands if bands is not None else compute_bands(len(classes))
-        veths = [veth_for(node) for node in manifest.nodes]
+        veths = [veth_token(node.name) for node in manifest.nodes]
         add(STEP_TC, STEP_TC, emit_tc_trees(classes.class_delays(), veths, b))
 
     for phase in manifest.phases:
@@ -509,7 +504,6 @@ def execute(
     mode: str,
     adapter: RuntimeAdapter | None = None,
     out_dir: str | Path | None = None,
-    pattern: MacPattern = MacPattern(),
 ) -> ExecutionReport:
     """Run a plan in dry-run or apply mode.
 
@@ -520,8 +514,9 @@ def execute(
     Apply runs steps in order, each through the adapter's `run_batch`. The
     gather step's results resolve veth placeholders for everything after it,
     and a failed MAC read there only warns. Any other step stops at its first
-    failing command, which is reported with its exit code, stdout and stderr. A timeout or an unresolvable placeholder fails the step with a
-    detail. Steps after a failed one are reported as skipped.
+    failing command, which is reported with its exit code, stdout and stderr.
+    A timeout or an unresolvable placeholder fails the step with a detail.
+    Steps after a failed one are reported as skipped.
     """
     if mode not in ("dry-run", "apply"):
         raise ConfigError(f"mode must be 'dry-run' or 'apply', got {mode!r}")
@@ -555,10 +550,7 @@ def execute(
         try:
             if step.kind == STEP_GATHER:
                 inventory = gather_interfaces(
-                    adapter,
-                    step.script.nodes,
-                    pattern=pattern,
-                    container_iface=step.script.container_iface,
+                    adapter, step.script.nodes, step.script.container_iface
                 )
                 veths.update(inventory.veth_of())
                 results.append(

@@ -35,7 +35,6 @@ class ParamEntry:
     required: str
     kind: str
     rationale: str
-    current: str | None = None
 
 
 @dataclass(frozen=True)
@@ -73,9 +72,6 @@ class PerNodeUsage:
 def recommend(
     node_count: int,
     per_node: PerNodeUsage = PerNodeUsage(),
-    file_proc_floor: int = DEFAULT_FILE_PROC_FLOOR,
-    pty_floor: int = DEFAULT_PTY_FLOOR,
-    pty_margin: int = DEFAULT_PTY_MARGIN,
 ) -> ParameterPlan:
     """Parameter plan for a target node count.
 
@@ -84,9 +80,9 @@ def recommend(
     """
     if node_count < 1:
         raise ValueError(f"node_count must be >= 1, got {node_count}")
-    nofile = max(node_count * per_node.files, file_proc_floor)
-    nproc = max(node_count * per_node.procs, file_proc_floor)
-    pty = max(node_count + pty_margin, pty_floor)
+    nofile = max(node_count * per_node.files, DEFAULT_FILE_PROC_FLOOR)
+    nproc = max(node_count * per_node.procs, DEFAULT_FILE_PROC_FLOOR)
+    pty = max(node_count + DEFAULT_PTY_MARGIN, DEFAULT_PTY_FLOOR)
     entries = (
         ParamEntry("nofile", str(nofile), KIND_ULIMIT,
                    "every node holds sockets and files open concurrently"),

@@ -70,28 +70,6 @@ def leaf_position(mark: int, b: int) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class QdiscTreePlan:
-    """Resolved tree layout, the same for every interface: leaves keyed by mark."""
-
-    bands: int
-    leaves: Mapping[int, tuple[int, int, int]]  # mark -> (f, s, delay_ms)
-
-    def __post_init__(self) -> None:
-        # `leaf_position` checks the bands too, but only when there are classes.
-        if not 2 <= self.bands <= MAX_BANDS:
-            raise ConfigError(f"bands must be in 2..{MAX_BANDS}, got {self.bands}")
-
-
-def plan_tree(class_delays: Mapping[int, int], b: int) -> QdiscTreePlan:
-    """Place each mark at its `leaf_position`, which keeps the default slot free."""
-    leaves = {
-        mark: (*leaf_position(mark, b), delay_ms)
-        for mark, delay_ms in sorted(class_delays.items())
-    }
-    return QdiscTreePlan(bands=b, leaves=leaves)
-
-
-@dataclass(frozen=True)
 class TreeScript(Script):
     """One tree's lines for each of a list of interfaces, rendered on demand.
 
@@ -143,14 +121,16 @@ def emit_tc_trees(
     traffic down the rightmost (no-delay) path. Line count per interface is
     1 + b + 3K + 2.
     """
-    plan = plan_tree(class_delays, b)
+    # `leaf_position` checks the bands too, but only when there are classes.
+    if not 2 <= b <= MAX_BANDS:
+        raise ConfigError(f"bands must be in 2..{MAX_BANDS}, got {b}")
     # Each line is a head, the interface name, and a tail.
     qdisc, fltr = "tc qdisc add dev ", "tc filter add dev "
     tree = [(qdisc, f" root handle 1: prio bands {b}")]
     for i in range(1, b + 1):
         tree.append((qdisc, f" parent 1:{_hex(i)} handle 1{_hex(i)}: prio bands {b}"))
-    for mark in sorted(plan.leaves):
-        f, s, delay_ms = plan.leaves[mark]
+    for mark, delay_ms in sorted(class_delays.items()):
+        f, s = leaf_position(mark, b)  # never the default slot
         hf, hs = _hex(f), _hex(s)
         tree.append((qdisc, f" parent 1{hf}:{hs} netem delay {delay_ms}ms"))
         tree.append((fltr, f" protocol ip parent 1: "

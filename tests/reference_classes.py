@@ -19,6 +19,14 @@ def _ip_key(ip: str) -> int:
     return int(ipaddress.IPv4Address(ip))
 
 
+def make_pair(a: str, b: str) -> dm.IpPair:
+    """Normalize an unordered pair to (lower-IP, higher-IP) numeric order."""
+    key_a, key_b = _ip_key(a), _ip_key(b)
+    if key_a == key_b:
+        raise ConfigError(f"a pair needs two distinct addresses, got {a} twice")
+    return (a, b) if key_a < key_b else (b, a)
+
+
 def build_classes_loop(
     quantized: np.ndarray,
     ips: Mapping[int, str] | Sequence[str],
@@ -47,7 +55,7 @@ def build_classes_loop(
             d = int(q[i, j])
             if d == 0 and policy.drop_zero_class:
                 continue
-            by_delay.setdefault(d, []).append(dm.make_pair(ip_list[i], ip_list[j]))
+            by_delay.setdefault(d, []).append(make_pair(ip_list[i], ip_list[j]))
 
     classes = []
     for mark, delay in enumerate(sorted(by_delay), start=1):

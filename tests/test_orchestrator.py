@@ -304,20 +304,6 @@ class TestBuildStartupPlan:
             "docker stats --no-stream --format '{{.Name}},{{.MemUsage}}'",
         )
 
-    def test_fdb_uses_gathered_veths_when_supplied(self):
-        from latem.orchestrator import InterfaceInventory, InterfaceRecord
-
-        manifest = parse_manifest(minimal_manifest_dict())
-        inventory = InterfaceInventory(
-            records=(
-                InterfaceRecord("node001", "vethAAA", "02:42:0a:01:00:01", "10.1.0.1"),
-                InterfaceRecord("node002", "vethBBB", "02:42:0a:01:00:02", "10.1.0.2"),
-            )
-        )
-        plan = build_startup_plan(manifest, inventory=inventory)
-        (fdb,) = plan.steps_of_kind("fdb")
-        assert any("dev vethAAA" in l for l in fdb.script)
-        assert not any("{veth:" in l for l in fdb.script)
 
 
 def scripted_gather_adapter(fail_on: dict[str, int] | None = None) -> ScriptedAdapter:
@@ -547,6 +533,23 @@ class TestExecuteApply:
         assert any("dev vetha1" in c.line for c in fdb_result.commands)
         assert not any("{veth:" in c.line for c in fdb_result.commands)
         assert report.inventory is not None
+
+    def test_gather_expects_the_mac_each_launch_line_sets(self):
+        data = minimal_manifest_dict()
+        data["nodes"][1]["ip"] = "192.168.200.17"
+        plan = build_startup_plan(parse_manifest(data))
+        adapter = scripted_gather_adapter()
+        for step in plan.steps_of_kind("launch"):
+            for line in step.script:
+                words = line.split()
+                name = words[words.index("--name") + 1]
+                mac = words[words.index("--mac-address") + 1]
+                adapter.responses[f"docker exec {name} cat /sys/class/net/eth0/address"] = (
+                    mac + "\n"
+                )
+        report = execute(plan, "apply", adapter=adapter)
+        assert report.ok
+        assert report.inventory.warnings == ()
 
     def test_gather_sends_its_dry_run_lines_in_file_order(self, tmp_path):
         plan = build_startup_plan(parse_manifest(minimal_manifest_dict()))

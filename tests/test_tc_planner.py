@@ -11,7 +11,6 @@ from latem.tc_planner import (
     emit_tc_trees,
     TreeScript,
     leaf_position,
-    plan_tree,
     verify_plan,
 )
 
@@ -62,14 +61,9 @@ class TestLeafPosition:
 
 
 class TestPlanTree:
-    def test_default_slot_free(self):
-        plan = plan_tree({1: 20, 2: 30, 3: 50}, 2)
-        b = plan.bands
-        assert (b, b) not in {(f, s) for f, s, _ in plan.leaves.values()}
-
     def test_too_many_classes_for_bands(self):
         with pytest.raises(CapacityError):
-            plan_tree({m: m * 10 for m in range(1, 5)}, 2)
+            emit_tc_trees({m: m * 10 for m in range(1, 5)}, ["vetha1"], 2)
 
 
 class TestEmitTcScript:
