@@ -52,6 +52,10 @@ _BATCH_TOOLS = {
 _PLAIN_LINE = re.compile(r"(?:[\w.,:/@%+={} -]|\\;)*")
 # A tc batch holds one device's lines, so each interface's tree is one batch.
 _TC_DEV = re.compile(r" dev +(\S+)")
+# `communicate` waits in poll(), which takes a C int of milliseconds and
+# raises OverflowError past 2**31 - 1 ms (about 24.8 days), so every wait is
+# capped here: at 600 s per line a batch of 3,580 lines would pass it.
+MAX_TIMEOUT_S = 24 * 86_400
 
 
 def _batch_key(line: str) -> tuple[str, str | None] | None:
@@ -65,7 +69,8 @@ def _batch_key(line: str) -> tuple[str, str | None] | None:
 
 def _spawn(argv: Sequence[str], stdin: str | None, timeout_s: float) -> CommandResult:
     """Run argv in its own process group; on timeout or interrupt kill the
-    whole group (the tool and anything it started) and re-raise."""
+    whole group (the tool and anything it started) and re-raise. The wait is
+    capped at MAX_TIMEOUT_S."""
     with subprocess.Popen(
         argv,
         stdin=subprocess.DEVNULL if stdin is None else subprocess.PIPE,
@@ -75,7 +80,7 @@ def _spawn(argv: Sequence[str], stdin: str | None, timeout_s: float) -> CommandR
         start_new_session=True,
     ) as proc:
         try:
-            out, err = proc.communicate(stdin, timeout=timeout_s)
+            out, err = proc.communicate(stdin, timeout=min(timeout_s, MAX_TIMEOUT_S))
         except BaseException:
             with contextlib.suppress(ProcessLookupError):
                 os.killpg(proc.pid, signal.SIGKILL)
@@ -94,8 +99,9 @@ class ShellAdapter:
     subshell, so `cd`, variables and `exit` do not carry over to the next
     line. A batch tool's stdout and stderr go with the last line it ran.
 
-    `timeout_s` bounds one line; a batch gets `timeout_s` per line. On expiry
-    the process group is killed and `subprocess.TimeoutExpired` propagates.
+    `timeout_s` bounds one line; a batch gets `timeout_s` per line, up to
+    MAX_TIMEOUT_S. On expiry the process group is killed and
+    `subprocess.TimeoutExpired` propagates.
     """
 
     def __init__(self, timeout_s: float = 600.0):

@@ -122,23 +122,34 @@ def serve(
     return ServeStats(received=received, replied=replied, overflows=overflows)
 
 
+def neigh_settings(
+    iface: str, reachable_ms: int = DEFAULT_REACHABLE_MS
+) -> tuple[tuple[str, str], ...]:
+    """The per-interface (key, value) sysctls that reroute solicitations to
+    the daemon. `emit_neigh_sysctls` and the orchestrator's launch lines
+    both render this one table."""
+    if not iface or iface != iface.strip():
+        raise ValueError(f"invalid interface name {iface!r}")
+    prefix = f"net.ipv4.neigh.{iface}"
+    return (
+        (f"{prefix}.mcast_solicit", "0"),
+        (f"{prefix}.app_solicit", "1"),
+        (f"{prefix}.base_reachable_time_ms", str(reachable_ms)),
+    )
+
+
 def emit_neigh_sysctls(
     iface: str, reachable_ms: int = DEFAULT_REACHABLE_MS
 ) -> CommandScript:
-    """Per-interface settings that reroute solicitations to the daemon.
+    """`neigh_settings` as `sysctl -w` lines (`latem autoarpd --emit-sysctls`).
 
     Values are quoted so the `key = value` triple reaches sysctl as one
     argument; the syntax matches sysctl.conf and procps accepts it on the
     command line.
     """
-    if not iface or iface != iface.strip():
-        raise ValueError(f"invalid interface name {iface!r}")
-    prefix = f"net.ipv4.neigh.{iface}"
     return CommandScript(
-        lines=(
-            f"sysctl -w '{prefix}.mcast_solicit = 0'",
-            f"sysctl -w '{prefix}.app_solicit = 1'",
-            f"sysctl -w '{prefix}.base_reachable_time_ms = {reachable_ms}'",
+        lines=tuple(
+            f"sysctl -w '{key} = {value}'" for key, value in neigh_settings(iface, reachable_ms)
         ),
     )
 

@@ -128,7 +128,14 @@ def _cmd_emit_tc(args: argparse.Namespace) -> int:
 
 
 def _cmd_emit_fdb(args: argparse.Namespace) -> int:
-    pattern = link_layer.MacPattern.parse(args.mac_prefix)
+    if args.mac_prefix is None:
+        pattern = link_layer.MacPattern()
+    elif args.manifest:
+        print("error: --mac-prefix cannot be used with --manifest: `latem run` "
+              "derives every container's MAC from the default prefix", file=sys.stderr)
+        return 2
+    else:
+        pattern = link_layer.MacPattern.parse(args.mac_prefix)
     if args.manifest:
         manifest = load_manifest(args.manifest)
         nodes = [(n.ip, orchestrator.veth_token(n.name)) for n in manifest.nodes]
@@ -327,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--manifest")
     source.add_argument("--nodes-file", help="file of 'ip veth' lines")
-    p.add_argument("--mac-prefix", default="02:42")
+    p.add_argument("--mac-prefix", help="with --nodes-file only (default 02:42)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_emit_fdb)
 

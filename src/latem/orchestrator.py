@@ -2,10 +2,11 @@
 
 A startup plan is an ordered list of steps, each carrying a command script:
 host preflight gates, batched container launches sized by the RAM model,
-interface inventory, static FDB entries, per-container neighbor sysctls,
-firewall marking, per-interface queueing trees, and finally the signal
-phases that unfreeze the node agents (staggered, because kernel-side setup
-of thousands of connections serializes on shared locks).
+interface inventory, static FDB entries, firewall marking, per-interface
+queueing trees, and finally the signal phases that unfreeze the node agents
+(staggered, because kernel-side setup of thousands of connections serializes
+on shared locks). Each launch line also sets its container's neighbor
+sysctls with `--sysctl`, so no step enters a running container to write them.
 
 Interface names are only known once containers run, so plans carry
 `{veth:<node>}` placeholders; apply mode resolves them from the gathered
@@ -26,7 +27,7 @@ from typing import Iterator, Mapping, Sequence
 
 from . import sys_preflight
 from .adapters import CommandResult, RuntimeAdapter
-from .autoarpd import emit_neigh_sysctls
+from .autoarpd import neigh_settings
 from .delay_model import DelayClassMap
 from .errors import ConfigError, InfeasibleError, InventoryError, ValidationError
 from .link_layer import emit_fdb_script, mac_for_ip
@@ -42,7 +43,6 @@ STEP_PREFLIGHT = "preflight"
 STEP_LAUNCH = "launch"
 STEP_GATHER = "gather"
 STEP_FDB = "fdb"
-STEP_NEIGH = "neigh-sysctls"
 STEP_NFT = "nft"
 STEP_TC = "tc"
 STEP_SIGNAL = "signal"
@@ -306,10 +306,14 @@ def _node_spec_env(
 
 def _launch_line(node: NodeSpec, manifest: ExperimentManifest, env_json: str) -> str:
     mac = mac_for_ip(node.ip)
+    sysctls = "".join(
+        f"--sysctl {shlex.quote(f'{key}={value}')} "
+        for key, value in neigh_settings(manifest.runtime.container_iface)
+    )
     return (
         f"docker run -d --name {node.name} --hostname {node.name} "
         f"--network {manifest.runtime.bridge} --ip {node.ip} --mac-address {mac} "
-        f"--cap-add NET_ADMIN --env {NODE_SPEC_ENV}={shlex.quote(env_json)} "
+        f"--cap-add NET_ADMIN {sysctls}--env {NODE_SPEC_ENV}={shlex.quote(env_json)} "
         f"{node.image}"
     )
 
@@ -322,14 +326,15 @@ def build_startup_plan(
 ) -> PhasedPlan:
     """Assemble the fixed-order startup plan for a manifest.
 
-    Order: preflight, batched launches, interface inventory, FDB, neighbor
-    sysctls, firewall marking, per-interface trees, then the manifest's
-    signal and host-script phases. Marking always precedes tree setup, and
-    both precede any signal. `classes` must be supplied when the manifest has
-    a delay section (the CLI computes it from the matrix file); without a
-    delay section the marking and tree steps are omitted entirely. The FDB
-    and tree steps name each interface by its `{veth:<node>}` placeholder,
-    which `execute` fills in from the gather step.
+    Order: preflight, batched launches (each line also sets the node's
+    neighbor sysctls), interface inventory, FDB, firewall marking,
+    per-interface trees, then the manifest's signal and host-script phases.
+    Marking always precedes tree setup, and both precede any signal.
+    `classes` must be supplied when the manifest has a delay section (the
+    CLI computes it from the matrix file); without a delay section the
+    marking and tree steps are omitted entirely. The FDB and tree steps name
+    each interface by its `{veth:<node>}` placeholder, which `execute` fills
+    in from the gather step.
     """
     if manifest.delay is not None and classes is None:
         raise ConfigError(
@@ -377,22 +382,14 @@ def build_startup_plan(
         if phase.capture_stats:
             add(f"stats-{phase.name}", STEP_STATS, CommandScript(lines=(STATS_COMMAND,)))
 
-    iface = manifest.runtime.container_iface
     nodes = tuple((n.name, n.ip) for n in manifest.nodes)
-    add(STEP_GATHER, STEP_GATHER, GatherScript(nodes, iface))
+    add(STEP_GATHER, STEP_GATHER, GatherScript(nodes, manifest.runtime.container_iface))
 
     add(
         STEP_FDB,
         STEP_FDB,
         emit_fdb_script([(n.ip, veth_token(n.name)) for n in manifest.nodes]),
     )
-
-    neigh_lines = tuple(
-        f"docker exec {n.name} {line}"
-        for n in manifest.nodes
-        for line in emit_neigh_sysctls(iface)
-    )
-    add(STEP_NEIGH, STEP_NEIGH, CommandScript(lines=neigh_lines))
 
     if manifest.delay is not None and classes is not None and len(classes) > 0:
         add(STEP_NFT, STEP_NFT, emit_nft_script(classes))

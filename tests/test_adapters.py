@@ -1,15 +1,19 @@
-"""ShellAdapter against tiny POSIX-sh stand-ins for tc, nft and docker.
+"""ShellAdapter against tiny POSIX-sh stand-ins for docker, tc, nft, ip,
+bridge and sleep.
 
 The stubs log each spawn to `spawns`, each batch line they read to
 `<tool>.lines` and the line count of each batch they finish to
 `<tool>.batches`. A line containing FAIL fails: in a batch with the tool's own
-failure message naming the line, elsewhere with exit 3.
+failure message naming the line, elsewhere with exit 3. The gather queries
+are answered from files: `docker exec <node> cat .../<attr>` from
+`<node>.<attr>`, `ip -o link show` from `links`.
 """
 
 from __future__ import annotations
 
 import os
 import shlex
+from collections import Counter
 import subprocess
 import time
 from pathlib import Path
@@ -19,12 +23,15 @@ import pytest
 from latem import adapters
 from latem.adapters import ShellAdapter
 from latem.link_layer import mac_for_ip
+from latem.manifest import parse_manifest
 from latem.nft_planner import emit_nft_script
 from latem.orchestrator import (
-    STEP_NFT, STEP_TC, PhasedPlan, PlanStep, execute, gather_interfaces,
+    STEP_NFT, STEP_TC, PhasedPlan, PlanStep, build_startup_plan, execute, gather_interfaces,
 )
 from latem.script import CommandScript
 from latem.tc_planner import emit_tc_script
+
+from conftest import FIVE_NODE_IPS, minimal_manifest_dict
 
 STUB = r"""#!/bin/sh
 tool=${0##*/}
@@ -47,6 +54,10 @@ case "$tool $1" in
         done
         echo "$n" >> "$STUB_DIR/$tool.batches"
         exit 0 ;;
+    "docker exec")
+        [ "$3" = cat ] && exec cat "$STUB_DIR/$2.${4##*/}" ;;
+    "ip -o")
+        exec cat "$STUB_DIR/links" ;;
 esac
 case "$*" in *FAIL*) echo "$tool: cannot $*" >&2; exit 3 ;; esac
 echo "$tool did $*"
@@ -57,7 +68,7 @@ echo "$tool did $*"
 def stubs(tmp_path, monkeypatch) -> Path:
     bin_dir = tmp_path / "bin"
     bin_dir.mkdir()
-    for tool in ("tc", "nft", "docker"):
+    for tool in ("docker", "tc", "nft", "ip", "bridge", "sleep"):
         (bin_dir / tool).write_text(STUB)
         (bin_dir / tool).chmod(0o755)
     monkeypatch.setenv("PATH", f"{bin_dir}:{os.environ['PATH']}")
@@ -78,6 +89,18 @@ def step(index: int, kind: str, lines) -> PlanStep:
     return PlanStep(index, kind, kind, CommandScript(lines=tuple(lines)))
 
 
+def write_inventory(stub_dir: Path, nodes) -> None:
+    """The files the stubs answer the gather queries from: the i-th node
+    (from 1) has peer ifindex 10 + i, host link `veth<i>` and its pattern MAC."""
+    for i, (name, ip) in enumerate(nodes, 1):
+        (stub_dir / f"{name}.iflink").write_text(f"{10 + i}\n")
+        (stub_dir / f"{name}.address").write_text(mac_for_ip(ip) + "\n")
+    (stub_dir / "links").write_text(
+        "".join(f"{10 + i}: veth{i}@if2: <BROADCAST,UP> mtu 1500\n"
+                for i in range(1, len(nodes) + 1))
+    )
+
+
 def test_one_spawn_per_interface_and_per_nft_step(stubs, five_node_classes):
     veths = ["veth0", "veth1", "veth2"]
     nft = emit_nft_script(five_node_classes)
@@ -90,6 +113,31 @@ def test_one_spawn_per_interface_and_per_nft_step(stubs, five_node_classes):
     assert logged(stubs, "nft.lines") == argv_words(nft)
     assert logged(stubs, "tc.lines") == argv_words(tc)
     assert logged(stubs, "tc.batches") == [str(len(tc) // 3)] * 3
+
+
+def test_apply_spawns_one_docker_run_per_node_and_no_exec_sysctl(stubs, five_node_classes):
+    data = minimal_manifest_dict()
+    data["nodes"] = [
+        dict(data["nodes"][0], name=f"node{i}", ip=ip) for i, ip in enumerate(FIVE_NODE_IPS, 1)
+    ]
+    data["delay"] = {"matrix_path": "matrix.txt", "quantum_ms": 10}
+    manifest = parse_manifest(data)
+    plan = build_startup_plan(manifest, classes=five_node_classes)
+    write_inventory(stubs, [(n.name, n.ip) for n in manifest.nodes])
+    # The preflight step audits this host's own limits, so it is left out.
+    assert plan.steps[0].kind == "preflight"
+    report = execute(PhasedPlan(plan.experiment, plan.steps[1:]), "apply", adapter=ShellAdapter())
+    assert report.ok, [(s.name, s.status, s.detail) for s in report.steps]
+    spawns = logged(stubs, "spawns")
+    runs = [s for s in spawns if s.startswith("docker run ")]
+    assert [r.split()[4] for r in runs] == [f"node{i}" for i in range(1, 6)]
+    for run in runs:
+        assert run.count(" --sysctl net.ipv4.neigh.eth0.") == 3
+    assert not [s for s in spawns if s.startswith("docker exec ") and "sysctl" in s]
+    # docker: 5 runs, 10 gather reads, 5 kills; the 3 sysctls per node ride on the runs.
+    assert Counter(s.split()[0] for s in spawns) == {
+        "docker": 20, "ip": 1, "bridge": 5, "nft": 1, "tc": 5, "sleep": 4,
+    }
 
 
 def test_tc_batch_ends_where_the_device_changes(stubs):
@@ -185,6 +233,25 @@ def test_unbalanced_quote_fails_only_its_line():
     assert results[-1].exit_code != 0
 
 
+LONG_TC_BATCH = [f"tc qdisc add dev v0 parent 1:{i} handle {i}: prio bands 2" for i in range(4000)]
+
+
+def test_a_long_batch_runs_at_the_default_timeout(stubs):
+    # 600 s per line for 4,000 lines is past what poll() can wait.
+    results = ShellAdapter().run_batch(LONG_TC_BATCH)
+    assert len(results) == 4000 and all(r.ok for r in results)
+    assert logged(stubs, "spawns") == ["tc -batch -"]
+    assert logged(stubs, "tc.batches") == ["4000"]
+
+
+def test_a_long_step_applies_at_the_default_timeout(stubs):
+    report = execute(PhasedPlan("x", (step(0, STEP_TC, LONG_TC_BATCH),)), "apply",
+                     adapter=ShellAdapter())
+    assert report.ok, report.steps[0].detail
+    assert len(report.steps[0].commands) == 4000
+    assert logged(stubs, "spawns") == ["tc -batch -"]
+
+
 def test_batch_timeout_scales_with_line_count():
     results = ShellAdapter(timeout_s=0.6).run_batch(["sleep 0.4"] * 3)
     assert [r.exit_code for r in results] == [0, 0, 0]
@@ -220,24 +287,9 @@ def test_execute_turns_a_timeout_into_a_failed_step():
     assert "timed out after 0.3 seconds" in report.steps[1].detail
 
 
-def test_gather_runs_in_one_spawn(tmp_path, monkeypatch):
-    # docker answers `docker exec <node> cat .../<attr>` from <node>.<attr>;
-    # ip answers the host link listing.
-    bin_dir = tmp_path / "bin"
-    bin_dir.mkdir()
-    (bin_dir / "docker").write_text('#!/bin/sh\ncat "$STUB_DIR/$2.${4##*/}"\n')
-    (bin_dir / "ip").write_text('#!/bin/sh\ncat "$STUB_DIR/links"\n')
-    for tool in ("docker", "ip"):
-        (bin_dir / tool).chmod(0o755)
+def test_gather_runs_in_one_spawn(stubs, monkeypatch):
     nodes = [(f"n{i}", f"10.0.0.{i}") for i in range(1, 6)]
-    for i, (name, ip) in enumerate(nodes, 1):
-        (tmp_path / f"{name}.iflink").write_text(f"{10 + i}\n")
-        (tmp_path / f"{name}.address").write_text(mac_for_ip(ip) + "\n")
-    (tmp_path / "links").write_text(
-        "".join(f"{10 + i}: veth{i}@if2: <BROADCAST,UP> mtu 1500\n" for i in range(1, 6))
-    )
-    monkeypatch.setenv("PATH", f"{bin_dir}:{os.environ['PATH']}")
-    monkeypatch.setenv("STUB_DIR", str(tmp_path))
+    write_inventory(stubs, nodes)
     spawns = []
     spawn = adapters._spawn
 

@@ -182,6 +182,25 @@ def test_emit_fdb_from_manifest(tmp_path, capsys):
     assert "dev {veth:node001}" in out
 
 
+def test_emit_fdb_from_nodes_file_with_a_mac_prefix(tmp_path, capsys):
+    nodes = tmp_path / "nodes.txt"
+    nodes.write_text("10.0.0.1 vetha1\n")
+    rc = main(["emit-fdb", "--nodes-file", str(nodes), "--mac-prefix", "06:00"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert out == "bridge fdb add 06:00:0a:00:00:01 dev vetha1 master static\n"
+
+
+def test_emit_fdb_rejects_a_mac_prefix_with_a_manifest(tmp_path, capsys):
+    path = write_manifest(tmp_path, minimal_manifest_dict())
+    rc = main(["emit-fdb", "--manifest", str(path), "--mac-prefix", "06:00"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: --mac-prefix cannot be used with --manifest")
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_gen_topology_edge_list(capsys):
     rc = main(["gen-topology", "--kind", "nws", "--n", "6", "--k", "2", "--p", "0", "--seed", "1"])
     assert rc == 0

@@ -1,5 +1,6 @@
 import io
 import json
+import shlex
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from latem import delay_model as dm
 from latem import script as script_mod
+from latem.autoarpd import emit_neigh_sysctls, neigh_settings
 from latem.errors import ConfigError, InfeasibleError, InventoryError, SizeError
 from latem.manifest import ResourceModel, parse_manifest
 from latem.orchestrator import (
@@ -104,6 +106,12 @@ def manifest_with_delay(tmp_path: Path):
     return path, parse_manifest(json.loads(path.read_text()), path.read_text())
 
 
+def launch_sysctls(line: str) -> list[str]:
+    """The values of a launch line's `--sysctl` flags, in order."""
+    argv = shlex.split(line)
+    return [argv[k + 1] for k, word in enumerate(argv) if word == "--sysctl"]
+
+
 def five_node_plan(classes):
     """A 5-node plan with every step kind: batched launches, stats, marking,
     trees, a staggered signal and a host script."""
@@ -131,8 +139,8 @@ class TestBuildStartupPlan:
         assert kinds.index("preflight") == 0
         assert kinds.index("launch") < kinds.index("gather")
         assert kinds.index("gather") < kinds.index("fdb")
-        assert kinds.index("fdb") < kinds.index("neigh-sysctls")
-        assert kinds.index("neigh-sysctls") < kinds.index("nft")
+        assert kinds.index("fdb") < kinds.index("nft")
+        assert "neigh-sysctls" not in kinds
         assert kinds.index("nft") < kinds.index("tc")
         assert kinds.index("tc") < kinds.index("signal")
 
@@ -228,8 +236,6 @@ class TestBuildStartupPlan:
             build_startup_plan(parse_manifest(data))
 
     def test_launch_line_contents(self):
-        import shlex
-
         data = minimal_manifest_dict()
         data["timers"] = {"block_time_s": {"value": 12, "kind": "duration"}}
         data["nodes"][0]["processes"][0]["args"] = ["--block-time", "{timer:block_time_s}"]
@@ -247,8 +253,6 @@ class TestBuildStartupPlan:
         assert spec["signal_phases"] == ["start-proc"]
 
     def test_signal_phases_follow_targets(self):
-        import shlex
-
         data = minimal_manifest_dict()
         data["phases"][1:1] = [
             {"name": "wake-validators", "action": "signal", "signal": "SIGUSR2",
@@ -265,13 +269,43 @@ class TestBuildStartupPlan:
             "node002": ["wake-validators", "start-proc"],
         }
 
-    def test_neigh_step_runs_in_containers(self):
-        manifest = parse_manifest(minimal_manifest_dict())
-        plan = build_startup_plan(manifest)
-        (neigh,) = plan.steps_of_kind("neigh-sysctls")
-        assert len(neigh.script) == 6  # 3 sysctls per node
-        assert all(l.startswith("docker exec node00") for l in neigh.script)
-        assert any("mcast_solicit = 0" in l for l in neigh.script)
+    def test_launch_lines_carry_the_neigh_sysctls(self):
+        plan = build_startup_plan(parse_manifest(minimal_manifest_dict()))
+        launches = [line for s in plan.steps_of_kind("launch") for line in s.script]
+        assert len(launches) == 2
+        for line in launches:
+            argv = shlex.split(line)
+            at = argv.index("NET_ADMIN") + 1
+            assert argv[at:at + 6] == [
+                "--sysctl", "net.ipv4.neigh.eth0.mcast_solicit=0",
+                "--sysctl", "net.ipv4.neigh.eth0.app_solicit=1",
+                "--sysctl", "net.ipv4.neigh.eth0.base_reachable_time_ms=72000000",
+            ]
+        assert not any(
+            line.startswith("docker exec") and "sysctl" in line
+            for s in plan.steps for line in s.script
+        )
+
+    def test_launch_sysctls_and_gather_name_the_container_iface(self):
+        data = minimal_manifest_dict(runtime={"container_iface": "ens5"})
+        plan = build_startup_plan(parse_manifest(data))
+        for line in plan.steps_of_kind("launch")[0].script:
+            assert launch_sysctls(line) == [
+                "net.ipv4.neigh.ens5.mcast_solicit=0",
+                "net.ipv4.neigh.ens5.app_solicit=1",
+                "net.ipv4.neigh.ens5.base_reachable_time_ms=72000000",
+            ]
+        (gather,) = plan.steps_of_kind("gather")
+        assert all("/sys/class/net/ens5/" in line for line in list(gather.script)[:-1])
+
+    def test_launch_sysctls_and_emit_neigh_sysctls_share_one_table(self):
+        data = minimal_manifest_dict(runtime={"container_iface": "ens5"})
+        plan = build_startup_plan(parse_manifest(data))
+        table = [f"{key}={value}" for key, value in neigh_settings("ens5")]
+        emitted = [shlex.split(line)[2].replace(" = ", "=") for line in emit_neigh_sysctls("ens5")]
+        assert emitted == table
+        for line in plan.steps_of_kind("launch")[0].script:
+            assert launch_sysctls(line) == table
 
     def test_host_script_phase(self):
         data = minimal_manifest_dict()
