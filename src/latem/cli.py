@@ -15,19 +15,16 @@ import contextlib
 import json
 import signal
 import sys
-import threading
-from decimal import Decimal
 from pathlib import Path
 
-from . import autoarpd as autoarpd_mod
-from . import delay_model, link_layer, orchestrator, stats, sys_preflight, time_inflation
+# Only what `plan-delays` and the `emit-*` commands share is imported here;
+# each other command imports its own modules when it runs.
+from . import delay_model
 from .adapters import ShellAdapter
 from .errors import LatemError
-from .manifest import allocate_ips, load_manifest, parse_fraction
 from .nft_planner import DEFAULT_CHAIN, DEFAULT_ELEMENT_CHUNK_PAIRS, DEFAULT_TABLE, emit_nft_script
 from .script import Script
 from .tc_planner import compute_bands, emit_tc_script
-from .topology import neighbor_lists, nws_graph, random_graph
 
 
 def _write_or_print(content: str | Script, out: str | None) -> None:
@@ -39,8 +36,15 @@ def _write_or_print(content: str | Script, out: str | None) -> None:
             f.write(content)
 
 
+def _given(args: argparse.Namespace, *names: str) -> dict:
+    """The named options the command line set, so the callee's defaults apply to the rest."""
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _warn_bridge_capacity(port_count: int) -> None:
-    diag = link_layer.check_bridge_capacity(port_count)
+    from .link_layer import check_bridge_capacity
+
+    diag = check_bridge_capacity(port_count)
     if not diag.ok:
         print(f"warning: {diag.message}", file=sys.stderr)
 
@@ -53,9 +57,10 @@ def _load_classes(path: str) -> delay_model.DelayClassMap:
 
 
 def _cmd_preflight(args: argparse.Namespace) -> int:
+    from . import sys_preflight
+
     plan = sys_preflight.recommend(
-        args.nodes,
-        sys_preflight.PerNodeUsage(files=args.files, procs=args.procs),
+        args.nodes, sys_preflight.PerNodeUsage(**_given(args, "files", "procs"))
     )
     if args.readings:
         readings = sys_preflight.parse_readings(Path(args.readings).read_text())
@@ -80,6 +85,8 @@ def _cmd_preflight(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan_delays(args: argparse.Namespace) -> int:
+    from .manifest import allocate_ips, load_manifest, parse_fraction
+
     ips = None
     count = args.count
     if args.manifest:
@@ -128,6 +135,10 @@ def _cmd_emit_tc(args: argparse.Namespace) -> int:
 
 
 def _cmd_emit_fdb(args: argparse.Namespace) -> int:
+    from . import link_layer
+    from .manifest import load_manifest
+    from .orchestrator import veth_token
+
     if args.mac_prefix is None:
         pattern = link_layer.MacPattern()
     elif args.manifest:
@@ -138,7 +149,7 @@ def _cmd_emit_fdb(args: argparse.Namespace) -> int:
         pattern = link_layer.MacPattern.parse(args.mac_prefix)
     if args.manifest:
         manifest = load_manifest(args.manifest)
-        nodes = [(n.ip, orchestrator.veth_token(n.name)) for n in manifest.nodes]
+        nodes = [(n.ip, veth_token(n.name)) for n in manifest.nodes]
     else:
         nodes = []
         for line_no, raw in enumerate(Path(args.nodes_file).read_text().splitlines(), 1):
@@ -157,6 +168,8 @@ def _cmd_emit_fdb(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_topology(args: argparse.Namespace) -> int:
+    from .topology import neighbor_lists, nws_graph, random_graph
+
     if args.kind == "nws":
         if args.k is None or args.p is None:
             print("error: --kind nws needs --k and --p", file=sys.stderr)
@@ -178,11 +191,13 @@ def _cmd_gen_topology(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen_bpf(args: argparse.Namespace) -> int:
+    from . import time_inflation
+
     config = time_inflation.BpfRtoConfig(timeout_s=args.timeout_s, hz=args.hz)
     source = time_inflation.render_bpf_source(config)
     _write_or_print(source, args.source_out)
     commands = time_inflation.emit_bpf_commands(
-        obj_name=args.obj, pinned_path=args.pinned, cgroup_path=args.cgroup
+        **_given(args, "obj_name", "pinned_path", "cgroup_path")
     )
     print("# load:", file=sys.stderr)
     for line in commands.load:
@@ -194,14 +209,15 @@ def _cmd_gen_bpf(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan_batches(args: argparse.Namespace) -> int:
-    from .manifest import ResourceModel
+    from .manifest import ResourceModel, parse_fraction
+    from .orchestrator import plan_batches
 
     resources = ResourceModel(
         ram_cap_fraction=parse_fraction(args.cap),
         per_node_startup_fraction=parse_fraction(args.startup),
         per_node_steady_fraction=parse_fraction(args.steady),
     )
-    schedule = orchestrator.plan_batches(args.total, resources, args.paper_rounding)
+    schedule = plan_batches(args.total, resources, args.paper_rounding)
     for i, (size, after, peak) in enumerate(
         zip(schedule.batches, schedule.occupancy_after, schedule.peak_during), start=1
     ):
@@ -214,6 +230,9 @@ def _cmd_plan_batches(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from . import orchestrator, time_inflation
+    from .manifest import load_manifest
+
     manifest = load_manifest(args.manifest)
     _warn_bridge_capacity(len(manifest.nodes))
     if args.inflate:
@@ -245,8 +264,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_autoarpd(args: argparse.Namespace) -> int:
-    pattern = link_layer.MacPattern.parse(args.mac_prefix)
-    sysctls = autoarpd_mod.emit_neigh_sysctls(args.interface, args.reachable_ms)
+    import threading
+
+    from . import autoarpd
+    from .link_layer import MacPattern
+
+    pattern = MacPattern.parse(args.mac_prefix)
+    sysctls = autoarpd.emit_neigh_sysctls(args.interface, **_given(args, "reachable_ms"))
     if args.emit_sysctls:
         sys.stdout.write(sysctls.text())
         return 0
@@ -259,9 +283,9 @@ def _cmd_autoarpd(args: argparse.Namespace) -> int:
     stop = threading.Event()
     signal.signal(signal.SIGTERM, lambda *_: stop.set())
     signal.signal(signal.SIGINT, lambda *_: stop.set())
-    transport = autoarpd_mod.NetlinkSolicitTransport()
+    transport = autoarpd.NetlinkSolicitTransport()
     try:
-        served = autoarpd_mod.serve(transport, pattern, stop)
+        served = autoarpd.serve(transport, pattern, stop)
     finally:
         transport.close()
     print(f"received={served.received} replied={served.replied} overflows={served.overflows}")
@@ -269,6 +293,10 @@ def _cmd_autoarpd(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    from decimal import Decimal
+
+    from . import stats
+
     samples = {}
     for path in args.files:
         p = Path(path)
@@ -292,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("preflight", help="recommend/audit kernel and ulimit settings")
     p.add_argument("--nodes", type=int, required=True)
-    p.add_argument("--files", type=int, default=sys_preflight.PerNodeUsage().files)
-    p.add_argument("--procs", type=int, default=sys_preflight.PerNodeUsage().procs)
+    p.add_argument("--files", type=int)
+    p.add_argument("--procs", type=int)
     p.add_argument("--readings", help="file of 'key = value' lines to audit against")
     p.add_argument("--limits-out")
     p.add_argument("--sysctl-out")
@@ -353,9 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--timeout-s", type=int, required=True)
     p.add_argument("--hz", type=int, required=True,
                    help="host kernel HZ; read it from /boot/config-$(uname -r)")
-    p.add_argument("--obj", default=time_inflation.DEFAULT_OBJ_NAME)
-    p.add_argument("--pinned", default=time_inflation.DEFAULT_PINNED_PATH)
-    p.add_argument("--cgroup", default=time_inflation.DEFAULT_CGROUP_PATH)
+    p.add_argument("--obj", dest="obj_name")
+    p.add_argument("--pinned", dest="pinned_path")
+    p.add_argument("--cgroup", dest="cgroup_path")
     p.add_argument("--source-out")
     p.set_defaults(func=_cmd_gen_bpf)
 
@@ -381,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("autoarpd", help="serve neighbor resolution (or emit its sysctls)")
     p.add_argument("--interface", required=True)
     p.add_argument("--mac-prefix", default="02:42")
-    p.add_argument("--reachable-ms", type=int, default=autoarpd_mod.DEFAULT_REACHABLE_MS)
+    p.add_argument("--reachable-ms", type=int)
     p.add_argument("--emit-sysctls", action="store_true",
                    help="print the interface sysctl lines and exit")
     p.add_argument("--apply-sysctls", action="store_true",

@@ -8,6 +8,11 @@ receives an integer mark: classes are sorted by delay ascending and the mark
 is the 1-based position in that order. Marks later drive both the firewall
 marking rules and the queueing-tree filters.
 
+A class keeps its pairs as two parallel columns of address strings, `lo`
+and `hi`, holding the strings it was given rather than copies; at the
+paper's 3997 nodes that is 8M pairs with no tuple each. `DelayClass.pairs`
+builds the (lo, hi) tuples on first read and keeps them.
+
 All operations are pure; matrices and class maps are immutable after
 construction and safe to share across threads.
 """
@@ -21,7 +26,9 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import islice
+from operator import add, eq, lt
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterator, Mapping, Sequence, Union
 
@@ -134,7 +141,7 @@ class QuantizationPolicy:
             )
 
 
-# An unordered node pair, stored as IP strings ordered by numeric address.
+# An unordered node pair, as IP strings ordered by numeric address.
 IpPair = tuple[str, str]
 
 
@@ -149,41 +156,93 @@ def _ordered(a: str, key_a: int, b: str, key_b: int) -> IpPair:
 
 
 class _KeyMemo(dict):
-    """Address -> integer key; each distinct address is checked and parsed once."""
+    """Address -> integer key; each distinct address is checked and parsed once.
+
+    `high` maps each key to `key << 32`, the high half of a pair code.
+    """
 
     mark = 0  # the class being read, for errors
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.high: dict[int, int] = {}
 
     def __missing__(self, ip: str) -> int:
         # IPv4Address would take a JSON number or boolean as an address.
         if not isinstance(ip, str):
             raise ConfigError(f"class with mark {self.mark}: address {ip!r} is not a string")
         key = self[ip] = _ip_key(ip)
+        self.high[key] = key << 32
         return key
 
 
 @dataclass(frozen=True)
 class DelayClass:
-    """A set of unordered IP pairs sharing one quantized delay."""
+    """Unordered IP pairs sharing one quantized delay, held as two columns.
+
+    Pair k is `(lo[k], hi[k])`. `build_classes` and `from_json_dict` put the
+    lower address in numeric order first and run the pairs in (lo, hi)
+    order; the columns share the callers' address strings.
+    """
 
     mark: int
     delay_ms: int
-    pairs: tuple[IpPair, ...]
+    lo: tuple[str, ...]
+    hi: tuple[str, ...]
 
     def __post_init__(self) -> None:
         if self.mark < 1:
             raise ConfigError(f"mark must be positive, got {self.mark}")
         if self.delay_ms < 0:
             raise ConfigError(f"delay_ms must be non-negative, got {self.delay_ms}")
+        # tuple() returns a tuple argument itself, so only other sequences copy.
+        object.__setattr__(self, "lo", tuple(self.lo))
+        object.__setattr__(self, "hi", tuple(self.hi))
+        if len(self.lo) != len(self.hi):
+            raise ConfigError(
+                f"class with mark {self.mark} has {len(self.lo)} lower and "
+                f"{len(self.hi)} higher addresses"
+            )
+
+    @cached_property
+    def pairs(self) -> tuple[IpPair, ...]:
+        """The pairs as `(lo, hi)` tuples, built on the first read and kept."""
+        return tuple(zip(self.lo, self.hi))
 
 
 def _first_repeat(classes: Sequence[DelayClass]) -> IpPair:
     seen: set[IpPair] = set()
     for cls in classes:
-        for pair in cls.pairs:
+        for pair in zip(cls.lo, cls.hi):
             if pair in seen:
                 return pair
             seen.add(pair)
     raise AssertionError("no pair repeats")
+
+
+@gc_paused()
+def _check_classes(classes: Sequence[DelayClass], disjoint: bool) -> None:
+    """Marks 1..K in order, strictly rising delays and, unless `disjoint` is
+    already known, no pair in two classes; errors come in class order."""
+    seen: set[IpPair] = set()
+    total = 0
+    prev_delay = -1
+    for i, cls in enumerate(classes):
+        if cls.mark != i + 1:
+            raise ConfigError(
+                f"marks must be contiguous from 1; position {i} has mark {cls.mark}"
+            )
+        if cls.delay_ms <= prev_delay:
+            raise ConfigError(
+                f"class delays must strictly increase with mark; "
+                f"mark {cls.mark} has delay {cls.delay_ms} after {prev_delay}"
+            )
+        prev_delay = cls.delay_ms
+        if not disjoint:
+            seen.update(zip(cls.lo, cls.hi))
+            total += len(cls.lo)
+            if len(seen) != total:
+                raise ConfigError(f"pair {_first_repeat(classes)} appears in more than one class")
 
 
 @dataclass(frozen=True)
@@ -193,26 +252,16 @@ class DelayClassMap:
     classes: tuple[DelayClass, ...]
 
     def __post_init__(self) -> None:
-        seen: set[IpPair] = set()
-        total = 0
-        prev_delay = -1
-        for i, cls in enumerate(self.classes):
-            if cls.mark != i + 1:
-                raise ConfigError(
-                    f"marks must be contiguous from 1; position {i} has mark {cls.mark}"
-                )
-            if cls.delay_ms <= prev_delay:
-                raise ConfigError(
-                    f"class delays must strictly increase with mark; "
-                    f"mark {cls.mark} has delay {cls.delay_ms} after {prev_delay}"
-                )
-            prev_delay = cls.delay_ms
-            seen.update(cls.pairs)
-            total += len(cls.pairs)
-            if len(seen) != total:
-                raise ConfigError(
-                    f"pair {_first_repeat(self.classes)} appears in more than one class"
-                )
+        _check_classes(self.classes, disjoint=False)
+
+    @classmethod
+    def _of_disjoint(cls, classes: tuple[DelayClass, ...]) -> "DelayClassMap":
+        """A map of classes whose pairs are known to be disjoint: the marks and
+        delays are checked, but no set of pair tuples is built."""
+        _check_classes(classes, disjoint=True)
+        self = object.__new__(cls)
+        object.__setattr__(self, "classes", classes)
+        return self
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -224,13 +273,14 @@ class DelayClassMap:
         """Mark-to-delay map consumed by the queueing-tree planner."""
         return {c.mark: c.delay_ms for c in self.classes}
 
-    def all_pairs(self) -> set[IpPair]:
-        return {p for c in self.classes for p in c.pairs}
-
     def to_json_dict(self) -> dict:
         return {
             "classes": [
-                {"mark": c.mark, "delay_ms": c.delay_ms, "pairs": [list(p) for p in c.pairs]}
+                {
+                    "mark": c.mark,
+                    "delay_ms": c.delay_ms,
+                    "pairs": [[lo, hi] for lo, hi in zip(c.lo, c.hi)],
+                }
                 for c in self.classes
             ]
         }
@@ -238,29 +288,43 @@ class DelayClassMap:
     @classmethod
     @gc_paused()
     def from_json_dict(cls, data: Mapping) -> "DelayClassMap":
+        """Read the map `to_json_dict` or `class_map_json` writes.
+
+        Each address must be an IPv4 string and each pair two distinct
+        addresses; a pair out of numeric order is put in order. Rather than
+        a set of pair tuples, one integer code per pair, `(lo key << 32) +
+        hi key`, is sorted to prove that no pair is in two classes.
+        """
         keys = _KeyMemo()
+        key, high = keys.__getitem__, keys.high.__getitem__
         classes = []
+        codes: list[int] = []
         try:
             for c in data["classes"]:
                 mark = keys.mark = int(c["mark"])
+                pairs = c["pairs"]
                 try:
-                    pairs = tuple([
-                        (lo, hi) if keys[lo] < keys[hi] else _ordered(lo, keys[lo], hi, keys[hi])
-                        for lo, hi in c["pairs"]
-                    ])
-                except ValueError as exc:
-                    # Only the unpacking raises a plain ValueError; an address
-                    # error is an AddressValueError and keeps its message.
-                    if type(exc) is not ValueError:
-                        raise
+                    lo = tuple([a for a, _ in pairs])
+                except ValueError as exc:  # only the unpacking raises one here
                     raise ConfigError(
                         f"class with mark {mark}: a pair must hold exactly two "
                         f"addresses ({exc})"
                     ) from None
-                classes.append(DelayClass(mark=mark, delay_ms=int(c["delay_ms"]), pairs=pairs))
+                hi = tuple([b for _, b in pairs])
+                lo_keys, hi_keys = list(map(key, lo)), list(map(key, hi))
+                if not all(map(lt, lo_keys, hi_keys)):
+                    ordered = [_ordered(a, keys[a], b, keys[b]) for a, b in zip(lo, hi)]
+                    lo = tuple([a for a, _ in ordered])
+                    hi = tuple([b for _, b in ordered])
+                    lo_keys, hi_keys = list(map(key, lo)), list(map(key, hi))
+                codes += map(add, map(high, lo_keys), hi_keys)
+                classes.append(DelayClass(mark, int(c["delay_ms"]), lo, hi))
         except TypeError as exc:  # e.g. a nested list where an address belongs
             raise ConfigError(f"malformed class map ({exc})") from None
-        return cls(classes=tuple(classes))
+        codes.sort()
+        if any(map(eq, codes, islice(codes, 1, None))):
+            return cls(classes=tuple(classes))  # raises, naming the first repeat
+        return cls._of_disjoint(tuple(classes))
 
 
 class _Quoted(dict):
@@ -282,10 +346,10 @@ def class_map_json(classes: DelayClassMap, policy: QuantizationPolicy) -> str:
     quoted = _Quoted()
     blocks = []
     for c in classes:
-        if c.pairs:
+        if c.lo:
             pairs = ",\n".join(
                 f"        [\n          {quoted[lo]},\n          {quoted[hi]}\n        ]"
-                for lo, hi in c.pairs
+                for lo, hi in zip(c.lo, c.hi)
             )
             pairs = f"[\n{pairs}\n      ]"
         else:
@@ -316,49 +380,58 @@ def _draw(n: int, count: int, seed: int) -> np.ndarray:
 
 
 def load_matrix(
-    source: Union[str, Path, IO[str]],
+    source: Union[str, Path, IO[str], IO[bytes]],
     fmt: str = "auto",
     count: int | None = None,
     seed: int = 0,
 ) -> DelayMatrix:
-    """Parse a delay matrix from text, one row per line.
+    """Parse a delay matrix from UTF-8 text, one row per line.
 
     Cells are decimal milliseconds separated by whitespace or commas; with
     fmt="auto" the delimiter is detected from the first data line. Trailing
-    whitespace and blank lines are tolerated.
+    whitespace and blank lines are tolerated. Lines end at "\n", "\r\n" or
+    "\r"; a form feed or vertical tab is whitespace inside a row.
 
     With `count`, the result equals `subsample(load_matrix(source, fmt),
     count, seed)`, but the indices are drawn from the row count first and
-    only the kept rows are parsed. Every cell of a kept row is checked, in
-    the dropped columns too; a row that is not kept is not parsed, so a bad
-    cell or a ragged width there goes unreported.
+    only the kept rows are decoded and parsed. Every cell of a kept row is
+    checked, in the dropped columns too; a row that is not kept is not
+    parsed, so a bad cell, a ragged width or a byte that is not UTF-8 there
+    goes unreported.
     """
     import numpy as np
 
     if fmt not in ("auto", "whitespace", "csv"):
         raise ConfigError(f"unknown matrix format {fmt!r}")
     if hasattr(source, "read"):
-        text = source.read()  # type: ignore[union-attr]
+        data = source.read()  # type: ignore[union-attr]
+        if isinstance(data, str):
+            data = data.encode()
     else:
-        text = Path(source).read_text()
+        data = Path(source).read_bytes()
 
     line_nos: list[int] = []
-    rows: list[str] = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    rows: list = []  # bytes, then each kept row decoded to str in place
+    for line_no, line in enumerate(data.splitlines(), start=1):
         if line.strip():
             line_nos.append(line_no)
             rows.append(line)
-    del text
+    del data
     if not rows:
         raise ShapeError("matrix source contains no rows")
     if fmt == "auto":
-        fmt = "csv" if "," in rows[0] else "whitespace"
+        fmt = "csv" if b"," in rows[0] else "whitespace"
     n = len(rows)
     kept = range(n)  # each parsed row's index among all rows
     if count is not None and count != n:
         kept = _draw(n, count, seed).tolist()
         rows = [rows[i] for i in kept]
         line_nos = [line_nos[i] for i in kept]
+    for i, line_no in enumerate(line_nos):
+        try:
+            rows[i] = rows[i].decode()
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"line {line_no}: not UTF-8 text ({exc})") from None
 
     try:
         entries = np.loadtxt(
@@ -475,11 +548,14 @@ def build_classes(
 
     # Gathering through an object array reuses the callers' address strings.
     ip_arr = np.array(ip_list, dtype=object)
-    pairs = zip(ip_arr[lo].tolist(), ip_arr[hi].tolist())
-    del lo, hi
-    with gc_paused():
-        classes = tuple(
-            DelayClass(mark=mark, delay_ms=delay_ms, pairs=tuple(islice(pairs, size)))
-            for mark, (delay_ms, size) in enumerate(zip(delays.tolist(), sizes.tolist()), start=1)
-        )
-        return DelayClassMap(classes=classes)
+    classes = []
+    start = 0
+    for mark, (delay_ms, end) in enumerate(zip(delays.tolist(), np.cumsum(sizes).tolist()), 1):
+        classes.append(DelayClass(
+            mark, delay_ms, tuple(ip_arr[lo[start:end]].tolist()),
+            tuple(ip_arr[hi[start:end]].tolist()),
+        ))
+        start = end
+    # triu_indices yields each unordered pair once and the addresses are
+    # distinct, so no pair can repeat.
+    return DelayClassMap._of_disjoint(tuple(classes))

@@ -52,15 +52,16 @@ def emit_nft_script(
         "{ type filter hook forward priority 0 \\; }",
     ]
     for cls in classes:
-        if not cls.pairs:
+        if not cls.lo:
             raise ConfigError(f"class with mark {cls.mark} has no pairs to match")
         set_name = f"nodes_{cls.mark}"
         lines.append(
             f"nft add set {table_name} {set_name} "
             "{ type ipv4_addr . ipv4_addr \\; }"
         )
-        for start in range(0, len(cls.pairs), element_chunk_pairs):
-            chunk = cls.pairs[start : start + element_chunk_pairs]
+        for start in range(0, len(cls.lo), element_chunk_pairs):
+            end = start + element_chunk_pairs
+            chunk = zip(cls.lo[start:end], cls.hi[start:end])
             elements = ", ".join([f"{lo} . {hi}, {hi} . {lo}" for lo, hi in chunk])
             lines.append(f"nft add element {table_name} {set_name} {{ {elements} }}")
         lines.append(

@@ -345,15 +345,15 @@ def verify_plan(
         # Routing depends on the mark alone, and only packets marked
         # cls.mark are routed here.
         delay, detail = tc_state.route(cls.mark)
-        pairs_checked += 2 * len(cls.pairs)
+        pairs_checked += 2 * len(cls.lo)
         if delay == cls.delay_ms and nft_state.joins_unique:
-            expected = {f"{lo} . {hi}" for lo, hi in cls.pairs}
-            expected.update(f"{hi} . {lo}" for lo, hi in cls.pairs)
+            expected = {f"{lo} . {hi}" for lo, hi in zip(cls.lo, cls.hi)}
+            expected.update(f"{hi} . {lo}" for lo, hi in zip(cls.lo, cls.hi))
             if expected <= marked.get(cls.mark, set()):
                 continue
         if mark_of is None:
             mark_of = {e: mark for mark, elements in marked.items() for e in elements}
-        for lo, hi in cls.pairs:
+        for lo, hi in zip(cls.lo, cls.hi):
             for src, dst in ((lo, hi), (hi, lo)):
                 element = f"{src} . {dst}"
                 mark = mark_of.get(element)

@@ -1,7 +1,9 @@
-"""Pair-loop reference for `delay_model.build_classes`.
+"""Pair-loop reference for `delay_model.build_classes`, and pair helpers.
 
-This is the plain O(N^2) Python implementation the vectorized one replaced.
-Tests require both to return equal class maps on the same inputs.
+`build_classes_loop` is the plain O(N^2) Python implementation the
+vectorized one replaced. Tests require both to return equal class maps on
+the same inputs. `delay_class` and `all_pairs` let tests write and read a
+class's two address columns as pair tuples.
 """
 
 from __future__ import annotations
@@ -25,6 +27,18 @@ def make_pair(a: str, b: str) -> dm.IpPair:
     if key_a == key_b:
         raise ConfigError(f"a pair needs two distinct addresses, got {a} twice")
     return (a, b) if key_a < key_b else (b, a)
+
+
+def delay_class(mark: int, delay_ms: int, pairs) -> dm.DelayClass:
+    """A class holding `pairs`, each (lower, higher) as given, in the columns."""
+    return dm.DelayClass(
+        mark, delay_ms, tuple(lo for lo, _ in pairs), tuple(hi for _, hi in pairs)
+    )
+
+
+def all_pairs(classes: dm.DelayClassMap) -> set[dm.IpPair]:
+    """Every pair of every class, as (lower, higher) tuples."""
+    return {pair for c in classes for pair in zip(c.lo, c.hi)}
 
 
 def build_classes_loop(
@@ -60,5 +74,5 @@ def build_classes_loop(
     classes = []
     for mark, delay in enumerate(sorted(by_delay), start=1):
         pairs = sorted(by_delay[delay], key=lambda p: (_ip_key(p[0]), _ip_key(p[1])))
-        classes.append(dm.DelayClass(mark=mark, delay_ms=delay, pairs=tuple(pairs)))
+        classes.append(delay_class(mark, delay, pairs))
     return dm.DelayClassMap(classes=tuple(classes))

@@ -96,6 +96,15 @@ def test_plan_delays_count_writes_the_bytes_of_load_then_subsample(tmp_path, mat
     assert out.read_bytes() == dm.class_map_json(classes, policy).encode()
 
 
+def test_plan_delays_bytes_that_are_not_utf8_are_one_error_line(tmp_path, capsys):
+    matrix = tmp_path / "matrix.txt"
+    matrix.write_bytes(b"0 7\n7 \xff0\n")
+    rc = main(["plan-delays", "--matrix", str(matrix)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: not UTF-8 text (") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("count", ["6", "0"])
 def test_plan_delays_count_out_of_range(matrix_file, capsys, count):
     rc = main(["plan-delays", "--matrix", str(matrix_file), "--count", count])
@@ -286,6 +295,16 @@ def test_gen_bpf_source(tmp_path, capsys):
     assert "bpftool prog load tcp-rto.o /sys/fs/bpf/tcp-rto" in err
 
 
+def test_gen_bpf_paths_given_on_the_command_line(tmp_path, capsys):
+    rc = main(["gen-bpf", "--timeout-s", "3", "--hz", "250", "--source-out",
+               str(tmp_path / "rto.c"), "--obj", "rto.o", "--pinned", "/sys/fs/bpf/rto",
+               "--cgroup", "/sys/fs/cgroup/bench"])
+    assert rc == 0
+    err = capsys.readouterr().err
+    assert "bpftool prog load rto.o /sys/fs/bpf/rto" in err
+    assert "/sys/fs/cgroup/bench" in err
+
+
 def test_plan_batches_prints_schedule(capsys):
     rc = main(
         ["plan-batches", "--total", "1072", "--cap", "0.80",
@@ -325,6 +344,17 @@ def test_preflight_fragments(tmp_path):
     assert rc == 0
     assert "root soft nofile 1574415" in limits.read_text()
     assert "kernel.pty.max=11000" in sysctl.read_text()
+
+
+def test_preflight_per_node_usage_flags(capsys):
+    assert main(["preflight", "--nodes", "5000"]) == 0
+    defaults = capsys.readouterr().out
+    assert main(["preflight", "--nodes", "5000", "--files", "400", "--procs", "60"]) == 0
+    assert capsys.readouterr().out == defaults
+    assert main(["preflight", "--nodes", "5000", "--files", "4000", "--procs", "600"]) == 0
+    assert capsys.readouterr().out != defaults
+    assert main(["preflight", "--nodes", "5000", "--files", "0"]) == 2
+    assert "per-node estimates must be >= 1" in capsys.readouterr().err
 
 
 def test_preflight_audit_exit_code(tmp_path, capsys):
@@ -407,6 +437,12 @@ def test_autoarpd_emit_sysctls(capsys):
     assert "base_reachable_time_ms = 72000000" in out
 
 
+def test_autoarpd_emit_sysctls_with_a_reachable_time(capsys):
+    rc = main(["autoarpd", "--interface", "eth1", "--reachable-ms", "5000", "--emit-sysctls"])
+    assert rc == 0
+    assert "net.ipv4.neigh.eth1.base_reachable_time_ms = 5000" in capsys.readouterr().out
+
+
 def test_autoarpd_apply_sysctls_stops_at_the_failing_line(monkeypatch, capsys):
     adapter = ScriptedAdapter(failures={"app_solicit": 255})
     monkeypatch.setattr("latem.cli.ShellAdapter", lambda: adapter)
@@ -474,6 +510,22 @@ def test_importing_the_cli_leaves_networkx_and_numpy_unloaded():
     # without it; nothing at run time needs networkx.
     code = "import sys, latem.cli; print('networkx' in sys.modules, 'numpy' in sys.modules)"
     assert _python(code) == "False False"
+
+
+def test_cli_and_class_map_commands_leave_the_run_modules_unloaded(classes_file, tmp_path):
+    # Only `run`, `plan-batches`, `emit-fdb` and `autoarpd` need these.
+    code = """
+import sys
+from latem.cli import main
+def loaded():
+    return sorted({"latem.orchestrator", "latem.autoarpd"} & set(sys.modules))
+print(loaded())
+classes, out = sys.argv[1:]
+assert main(["emit-nft", "--classes", classes, "--out", out]) == 0
+assert main(["emit-tc", "--classes", classes, "--veth", "veth0", "--out", out]) == 0
+print(loaded())
+"""
+    assert _python(code, str(classes_file), str(tmp_path / "out.sh")) == "[]\n[]"
 
 
 def test_class_map_commands_never_load_numpy(classes_file, tmp_path):

@@ -2,6 +2,7 @@ import gc
 import io
 import json
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ from latem import delay_model as dm
 from latem.errors import ConfigError, ShapeError, SizeError, SymmetryError
 
 from conftest import FIVE_NODE_ENTRIES, random_class_map, random_symmetric_matrix
-from reference_classes import build_classes_loop, make_pair
+from reference_classes import all_pairs, build_classes_loop, delay_class, make_pair
 
 
 def matrix(rows):
@@ -101,6 +102,29 @@ class TestLoadMatrix:
     def test_ragged_row_named(self):
         with pytest.raises(ShapeError, match="row 2 has 1 cells, expected 2"):
             dm.load_matrix(io.StringIO("0 7\n\n7 0\n7\n"))
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_each_line_break_counts_one_line(self, newline):
+        text = newline.join(["", "", "0 7", "", "7 x", ""])
+        with pytest.raises(ValueError, match=r"^line 5: non-numeric cell"):
+            dm.load_matrix(io.StringIO(text))
+        good = newline.join(["0 7", "", "7 0", ""])
+        assert dm.load_matrix(io.BytesIO(good.encode())).entries.tolist() == [[0, 7], [7, 0]]
+
+    @pytest.mark.parametrize("separator", ["\f", "\v"])
+    def test_form_feed_and_vertical_tab_do_not_end_a_row(self, separator):
+        # Lines end only at \n, \r\n and \r: these are whitespace inside a row.
+        with pytest.raises(ShapeError, match=r"^matrix is 1x4, expected square$"):
+            dm.load_matrix(io.StringIO(f"0 7{separator}7 0\n"))
+
+    def test_binary_file_object(self):
+        assert dm.load_matrix(io.BytesIO(b"0,7\r\n7,0\r\n")).entries.tolist() == [[0, 7], [7, 0]]
+
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path):
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"0 7\n\n7 \xff0\n")
+        with pytest.raises(ValueError, match=r"^line 3: not UTF-8 text \("):
+            dm.load_matrix(path)
 
 
 def kept_rows(n, count, seed):
@@ -217,6 +241,19 @@ class TestLoadMatrixCount:
             dm.load_matrix(io.StringIO(text))  # the full load does see it
         got = dm.load_matrix(io.StringIO(text), count=3, seed=seed)
         assert got == dm.subsample(matrix(FIVE_NODE_ENTRIES), 3, seed)
+
+    def test_bytes_that_are_not_utf8_are_checked_in_kept_rows_only(self):
+        seed = seed_keeping(5, 3, lambda kept: 2 not in kept and 3 in kept)
+        cells = five_node_rows()
+        cells[2][3] = "\udcff"  # encodes, with surrogateescape, to the byte 0xff
+        data = five_node_text(cells).encode("utf-8", "surrogateescape")
+        got = dm.load_matrix(io.BytesIO(data), count=3, seed=seed)
+        assert got == dm.subsample(matrix(FIVE_NODE_ENTRIES), 3, seed)
+        cells = five_node_rows()
+        cells[3][1] = "\udcff"
+        data = five_node_text(cells).encode("utf-8", "surrogateescape")
+        with pytest.raises(ValueError, match=r"^line 8: not UTF-8 text"):
+            dm.load_matrix(io.BytesIO(data), count=3, seed=seed)
 
 
 class TestSubsample:
@@ -356,7 +393,7 @@ class TestBuildClasses:
         q = np.array([[0, 0, 20], [0, 0, 20], [20, 20, 0]], dtype=np.int64)
         cmap = dm.build_classes(q, self.IPS3, dm.QuantizationPolicy())
         assert len(cmap) == 1
-        assert ("10.0.0.1", "10.0.0.2") not in cmap.all_pairs()
+        assert ("10.0.0.1", "10.0.0.2") not in all_pairs(cmap)
 
     def test_zero_class_kept_when_configured(self):
         q = np.array([[0, 0, 20], [0, 0, 20], [20, 20, 0]], dtype=np.int64)
@@ -432,10 +469,10 @@ class TestBuildClasses:
             for j in range(i + 1, n)
             if q[i, j] == 0
         }
-        assert cmap.all_pairs() | zero_pairs == {
+        assert all_pairs(cmap) | zero_pairs == {
             make_pair(ips[i], ips[j]) for i in range(n) for j in range(i + 1, n)
         }
-        assert sum(len(c.pairs) for c in cmap) == len(cmap.all_pairs())
+        assert sum(len(c.pairs) for c in cmap) == len(all_pairs(cmap))
         # monotonic marks
         delays = [c.delay_ms for c in cmap]
         assert delays == sorted(delays)
@@ -447,6 +484,67 @@ class TestBuildClasses:
         pol = dm.QuantizationPolicy()
         cmap = dm.build_classes(dm.quantize(m, pol), [f"10.8.0.{i+1}" for i in range(25)], pol)
         assert len(cmap) <= int(m.max_delay_ms // pol.quantum_ms) + 1
+
+
+class TestClassColumns:
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 14), st.booleans())
+    @example(seed=0, n=1, drop_zero=True)  # no class at all
+    def test_built_maps_pass_the_validating_constructor(self, seed, n, drop_zero):
+        # build_classes skips the disjointness set; the full check must agree
+        rng = np.random.default_rng(seed)
+        upper = np.triu(rng.choice([0, 10, 20, 30, 250, 2550], size=(n, n)), k=1)
+        q = upper + upper.T
+        ips = octet_spanning_ips(rng, n)
+        pol = dm.QuantizationPolicy(drop_zero_class=drop_zero)
+        built = dm.build_classes(q, ips, pol)
+        rebuilt = dm.DelayClassMap(classes=built.classes)
+        assert rebuilt == built == build_classes_loop(q, ips, pol)
+
+    def test_columns_share_the_callers_address_strings(self):
+        ips = [f"10.3.{i // 250}.{i % 250 + 1}" for i in range(30)]
+        q = np.triu(np.random.default_rng(4).choice([10, 20], size=(30, 30)), k=1)
+        cmap = dm.build_classes(q + q.T, ips, dm.QuantizationPolicy())
+        given = {id(ip) for ip in ips}
+        assert all(id(ip) in given for c in cmap for ip in c.lo + c.hi)
+        assert sum(len(c.lo) for c in cmap) == 30 * 29 // 2
+
+    def test_pairs_are_built_once_from_the_columns(self):
+        cls = delay_class(1, 10, [("10.0.0.1", "10.0.0.2"), ("10.0.0.1", "10.0.0.3")])
+        assert cls.lo == ("10.0.0.1", "10.0.0.1")
+        assert cls.hi == ("10.0.0.2", "10.0.0.3")
+        assert cls.pairs == (("10.0.0.1", "10.0.0.2"), ("10.0.0.1", "10.0.0.3"))
+        assert cls.pairs is cls.pairs
+
+    def test_columns_are_held_as_tuples(self):
+        cls = dm.DelayClass(1, 10, ["10.0.0.1"], ["10.0.0.2"])
+        assert type(cls.lo) is tuple and type(cls.hi) is tuple
+        assert cls == delay_class(1, 10, [("10.0.0.1", "10.0.0.2")])
+        hash(cls)
+
+    def test_columns_of_unequal_length_rejected(self):
+        with pytest.raises(ConfigError, match="mark 3 has 2 lower and 1 higher addresses"):
+            dm.DelayClass(3, 10, ("10.0.0.1", "10.0.0.1"), ("10.0.0.2",))
+
+    def test_build_holds_no_tuple_per_pair(self):
+        # A (lo, hi) tuple costs 56 bytes and its set entry more; the columns
+        # cost two references per pair. numpy's temporaries set the peak.
+        n = 300
+        upper = np.triu(np.random.default_rng(9).integers(1, 40, size=(n, n)) * 10, k=1)
+        q = upper + upper.T
+        ips = [f"10.4.{i // 250}.{i % 250 + 1}" for i in range(n)]
+        pol = dm.QuantizationPolicy()
+        dm.build_classes(q, ips, pol)  # first-call allocations stay out of the count
+        pairs = n * (n - 1) // 2
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cmap = dm.build_classes(q, ips, pol)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(len(c.lo) for c in cmap) == pairs
+        assert (held - before) / pairs < 40
+        assert (peak - before) / pairs < 100
 
 
 class TestDelayMatrixType:
@@ -536,38 +634,38 @@ class TestClassMapValidation:
     def test_marks_must_be_contiguous(self):
         with pytest.raises(ConfigError):
             dm.DelayClassMap(
-                classes=(dm.DelayClass(mark=2, delay_ms=10, pairs=(("10.0.0.1", "10.0.0.2"),)),)
+                classes=(delay_class(mark=2, delay_ms=10, pairs=(("10.0.0.1", "10.0.0.2"),)),)
             )
 
     def test_delays_must_increase(self):
-        c1 = dm.DelayClass(mark=1, delay_ms=20, pairs=(("10.0.0.1", "10.0.0.2"),))
-        c2 = dm.DelayClass(mark=2, delay_ms=20, pairs=(("10.0.0.1", "10.0.0.3"),))
+        c1 = delay_class(mark=1, delay_ms=20, pairs=(("10.0.0.1", "10.0.0.2"),))
+        c2 = delay_class(mark=2, delay_ms=20, pairs=(("10.0.0.1", "10.0.0.3"),))
         with pytest.raises(ConfigError):
             dm.DelayClassMap(classes=(c1, c2))
 
     def test_pair_sets_disjoint(self):
-        c1 = dm.DelayClass(mark=1, delay_ms=20, pairs=(("10.0.0.1", "10.0.0.2"),))
-        c2 = dm.DelayClass(mark=2, delay_ms=30, pairs=(("10.0.0.1", "10.0.0.2"),))
+        c1 = delay_class(mark=1, delay_ms=20, pairs=(("10.0.0.1", "10.0.0.2"),))
+        c2 = delay_class(mark=2, delay_ms=30, pairs=(("10.0.0.1", "10.0.0.2"),))
         with pytest.raises(ConfigError):
             dm.DelayClassMap(classes=(c1, c2))
 
     def test_first_repeated_pair_in_class_order_named(self):
         a, b, c = ("10.0.0.1", "10.0.0.2"), ("10.0.0.1", "10.0.0.3"), ("10.0.0.2", "10.0.0.3")
-        c1 = dm.DelayClass(mark=1, delay_ms=10, pairs=(a, b))
-        c2 = dm.DelayClass(mark=2, delay_ms=20, pairs=(c, b, a))
+        c1 = delay_class(mark=1, delay_ms=10, pairs=(a, b))
+        c2 = delay_class(mark=2, delay_ms=20, pairs=(c, b, a))
         with pytest.raises(ConfigError, match=r"pair \('10.0.0.1', '10.0.0.3'\) appears"):
             dm.DelayClassMap(classes=(c1, c2))
 
     def test_repeat_within_one_class_rejected(self):
         pair = ("10.0.0.1", "10.0.0.2")
         with pytest.raises(ConfigError, match="more than one class"):
-            dm.DelayClassMap(classes=(dm.DelayClass(mark=1, delay_ms=10, pairs=(pair, pair)),))
+            dm.DelayClassMap(classes=(delay_class(mark=1, delay_ms=10, pairs=(pair, pair)),))
 
     def test_repeat_reported_before_a_later_class_is_checked(self):
         pair = ("10.0.0.1", "10.0.0.2")
-        c1 = dm.DelayClass(mark=1, delay_ms=10, pairs=(pair,))
-        c2 = dm.DelayClass(mark=2, delay_ms=20, pairs=(pair,))
-        c3 = dm.DelayClass(mark=5, delay_ms=30, pairs=())
+        c1 = delay_class(mark=1, delay_ms=10, pairs=(pair,))
+        c2 = delay_class(mark=2, delay_ms=20, pairs=(pair,))
+        c3 = delay_class(mark=5, delay_ms=30, pairs=())
         with pytest.raises(ConfigError, match="more than one class"):
             dm.DelayClassMap(classes=(c1, c2, c3))
 
@@ -703,3 +801,58 @@ class TestPairs:
         }
         with pytest.raises(ConfigError, match="more than one class"):
             dm.DelayClassMap.from_json_dict(data)
+
+    def test_repeat_within_one_class_rejected(self):
+        data = one_class_json(("10.0.0.1", "10.0.0.2"), ("10.0.0.3", "10.0.0.4"),
+                              ("10.0.0.2", "10.0.0.1"))
+        with pytest.raises(ConfigError, match=r"pair \('10.0.0.1', '10.0.0.2'\) appears"):
+            dm.DelayClassMap.from_json_dict(data)
+
+    def test_first_repeated_pair_in_class_order_named(self):
+        a, b, c = ["10.0.0.1", "10.0.0.2"], ["10.0.0.1", "10.0.0.3"], ["10.0.0.2", "10.0.0.3"]
+        data = {
+            "classes": [
+                {"mark": 1, "delay_ms": 10, "pairs": [c, a]},
+                {"mark": 2, "delay_ms": 20, "pairs": [b]},
+                {"mark": 3, "delay_ms": 30, "pairs": [b, a]},
+                {"mark": 9, "delay_ms": 40, "pairs": []},  # reported after the repeat
+            ]
+        }
+        with pytest.raises(ConfigError, match=r"pair \('10.0.0.1', '10.0.0.3'\) appears"):
+            dm.DelayClassMap.from_json_dict(data)
+
+    def test_bad_mark_before_a_repeat_reported_first(self):
+        pair = ["10.0.0.1", "10.0.0.2"]
+        data = {
+            "classes": [
+                {"mark": 2, "delay_ms": 10, "pairs": [pair]},
+                {"mark": 3, "delay_ms": 20, "pairs": [pair]},
+            ]
+        }
+        with pytest.raises(ConfigError, match="marks must be contiguous"):
+            dm.DelayClassMap.from_json_dict(data)
+
+    def test_highest_addresses_keep_distinct_pair_codes(self):
+        # The codes put the lower address's 32 bits above the higher's.
+        data = one_class_json(("0.0.0.1", "255.255.255.255"), ("0.0.0.2", "0.0.0.255"),
+                              ("0.0.0.1", "0.0.0.255"), ("0.0.0.0", "255.255.255.254"))
+        assert len(dm.DelayClassMap.from_json_dict(data).classes[0].lo) == 4
+
+
+class TestReadersOnReloadedMaps:
+    @given(st.integers(0, 2**32 - 1))
+    @example(seed=0)
+    def test_built_and_reloaded_maps_read_the_same(self, seed):
+        from latem.nft_planner import emit_nft_script
+        from latem.tc_planner import compute_bands, emit_tc_script, verify_plan
+
+        built = random_class_map(seed, max_nodes=30)
+        policy = dm.QuantizationPolicy()
+        text = dm.class_map_json(built, policy)
+        reloaded = dm.DelayClassMap.from_json_dict(json.loads(text))
+        assert dm.class_map_json(reloaded, policy) == text
+        nft = emit_nft_script(built, element_chunk_pairs=7)
+        assert emit_nft_script(reloaded, element_chunk_pairs=7).text() == nft.text()
+        tc = emit_tc_script(built.class_delays(), "veth0", compute_bands(len(built)))
+        assert verify_plan(nft, tc, reloaded) == verify_plan(nft, tc, built)
+        assert verify_plan(nft, tc, built).ok

@@ -5,12 +5,13 @@ from latem.errors import ConfigError, EmptyPlanError
 from latem.nft_planner import emit_nft_script
 
 from conftest import GOLDENS
+from reference_classes import delay_class
 
 PAIR = ("10.0.0.1", "10.0.0.2")
 
 
 def single_class_map(pairs=(PAIR,)):
-    return dm.DelayClassMap(classes=(dm.DelayClass(mark=1, delay_ms=20, pairs=pairs),))
+    return dm.DelayClassMap(classes=(delay_class(mark=1, delay_ms=20, pairs=pairs),))
 
 
 def test_single_class_layout():
@@ -38,8 +39,8 @@ def test_rule_line_references_set_and_mark():
 
 
 def test_line_count_formula():
-    c1 = dm.DelayClass(mark=1, delay_ms=20, pairs=(("10.0.0.1", "10.0.0.2"),))
-    c2 = dm.DelayClass(mark=2, delay_ms=40, pairs=(("10.0.0.3", "10.0.0.4"),))
+    c1 = delay_class(mark=1, delay_ms=20, pairs=(("10.0.0.1", "10.0.0.2"),))
+    c2 = delay_class(mark=2, delay_ms=40, pairs=(("10.0.0.3", "10.0.0.4"),))
     script = emit_nft_script(dm.DelayClassMap(classes=(c1, c2)))
     assert len(script) == 2 + 3 * 2
 
@@ -76,7 +77,7 @@ def test_deterministic(five_node_classes):
 
 def test_chunked_elements():
     pairs = tuple((f"10.0.1.{i+1}", f"10.0.2.{i+1}") for i in range(5))
-    cmap = dm.DelayClassMap(classes=(dm.DelayClass(mark=1, delay_ms=10, pairs=pairs),))
+    cmap = dm.DelayClassMap(classes=(delay_class(mark=1, delay_ms=10, pairs=pairs),))
     script = emit_nft_script(cmap, element_chunk_pairs=2)
     element_lines = [l for l in script if "add element" in l]
     assert len(element_lines) == 3  # 2 + 2 + 1 pairs
@@ -95,7 +96,7 @@ def test_invalid_identifier_rejected():
 
 
 def test_class_without_pairs_rejected():
-    cmap = dm.DelayClassMap(classes=(dm.DelayClass(mark=1, delay_ms=20, pairs=()),))
+    cmap = dm.DelayClassMap(classes=(delay_class(mark=1, delay_ms=20, pairs=()),))
     with pytest.raises(ConfigError):
         emit_nft_script(cmap)
 

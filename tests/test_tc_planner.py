@@ -15,6 +15,7 @@ from latem.tc_planner import (
 )
 
 from conftest import GOLDENS, random_class_map
+from reference_classes import delay_class
 from reference_verify import verify_plan_per_pair
 
 
@@ -362,7 +363,7 @@ class TestVerifyPlanMatchesPerPairReference:
     def test_element_that_reads_two_ways(self):
         # "x . . y" is the pair ("x", ". y"); the text of ("x .", "y") matches it
         classes = dm.DelayClassMap(
-            classes=(dm.DelayClass(mark=1, delay_ms=20, pairs=(("x .", "y"),)),)
+            classes=(delay_class(mark=1, delay_ms=20, pairs=(("x .", "y"),)),)
         )
         nft = CommandScript(lines=(
             "nft add set latem nodes_1 { type ipv4_addr . ipv4_addr \\; }",
