@@ -180,9 +180,9 @@ class _KeyMemo(dict):
 class DelayClass:
     """Unordered IP pairs sharing one quantized delay, held as two columns.
 
-    Pair k is `(lo[k], hi[k])`. `build_classes` and `from_json_dict` put the
-    lower address in numeric order first and run the pairs in (lo, hi)
-    order; the columns share the callers' address strings.
+    Pair k is `(lo[k], hi[k])`. In a `DelayClassMap` the lower address in
+    numeric order comes first; the columns share the callers' address
+    strings.
     """
 
     mark: int
@@ -191,10 +191,6 @@ class DelayClass:
     hi: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if self.mark < 1:
-            raise ConfigError(f"mark must be positive, got {self.mark}")
-        if self.delay_ms < 0:
-            raise ConfigError(f"delay_ms must be non-negative, got {self.delay_ms}")
         # tuple() returns a tuple argument itself, so only other sequences copy.
         object.__setattr__(self, "lo", tuple(self.lo))
         object.__setattr__(self, "hi", tuple(self.hi))
@@ -210,55 +206,77 @@ class DelayClass:
         return tuple(zip(self.lo, self.hi))
 
 
-def _first_repeat(classes: Sequence[DelayClass]) -> IpPair:
-    seen: set[IpPair] = set()
-    for cls in classes:
-        for pair in zip(cls.lo, cls.hi):
-            if pair in seen:
-                return pair
-            seen.add(pair)
-    raise AssertionError("no pair repeats")
+def _check_disjoint(classes: Sequence[DelayClass], codes: list[int]) -> None:
+    """Raise, naming the first repeat in class order, if a pair code repeats."""
+    codes.sort()
+    if any(map(eq, codes, islice(codes, 1, None))):
+        seen: set[IpPair] = set()
+        for cls in classes:
+            for pair in zip(cls.lo, cls.hi):
+                if pair in seen:
+                    raise ConfigError(f"pair {pair} appears in more than one class") from None
+                seen.add(pair)
 
 
 @gc_paused()
-def _check_classes(classes: Sequence[DelayClass], disjoint: bool) -> None:
-    """Marks 1..K in order, strictly rising delays and, unless `disjoint` is
-    already known, no pair in two classes; errors come in class order."""
-    seen: set[IpPair] = set()
-    total = 0
+def _checked(classes: tuple[DelayClass, ...]) -> tuple[DelayClass, ...]:
+    """The classes, each pair put in numeric order, once every rule holds.
+
+    Per class: IPv4 string addresses, two distinct ones per pair, marks 1..K,
+    strictly rising delays, at least one pair. No pair may be in two classes:
+    one code per pair, `(lo key << 32) + hi key`, is sorted. Errors come in
+    class order, a repeat among earlier classes before a later class's own.
+    """
+    keys = _KeyMemo()
+    key, high = keys.__getitem__, keys.high.__getitem__
+    codes: list[int] = []
+    ordered_classes: list[DelayClass] = []
     prev_delay = -1
     for i, cls in enumerate(classes):
-        if cls.mark != i + 1:
-            raise ConfigError(
-                f"marks must be contiguous from 1; position {i} has mark {cls.mark}"
-            )
-        if cls.delay_ms <= prev_delay:
-            raise ConfigError(
-                f"class delays must strictly increase with mark; "
-                f"mark {cls.mark} has delay {cls.delay_ms} after {prev_delay}"
-            )
+        try:
+            keys.mark = cls.mark
+            lo_keys, hi_keys = list(map(key, cls.lo)), list(map(key, cls.hi))
+            if not all(map(lt, lo_keys, hi_keys)):
+                ordered = [_ordered(a, keys[a], b, keys[b]) for a, b in zip(cls.lo, cls.hi)]
+                cls = DelayClass(cls.mark, cls.delay_ms, *zip(*ordered))
+                lo_keys, hi_keys = list(map(key, cls.lo)), list(map(key, cls.hi))
+            if cls.mark != i + 1:
+                raise ConfigError(
+                    f"marks must be contiguous from 1; position {i} has mark {cls.mark}"
+                )
+            if cls.delay_ms <= prev_delay:
+                raise ConfigError(
+                    f"class delays must strictly increase with mark; "
+                    f"mark {cls.mark} has delay {cls.delay_ms} after {prev_delay}"
+                )
+            if not cls.lo:
+                raise ConfigError(f"class with mark {cls.mark} has no pairs")
+        except (ConfigError, ValueError):
+            _check_disjoint(ordered_classes, codes)
+            raise
         prev_delay = cls.delay_ms
-        if not disjoint:
-            seen.update(zip(cls.lo, cls.hi))
-            total += len(cls.lo)
-            if len(seen) != total:
-                raise ConfigError(f"pair {_first_repeat(classes)} appears in more than one class")
+        codes += map(add, map(high, lo_keys), hi_keys)
+        ordered_classes.append(cls)
+    _check_disjoint(ordered_classes, codes)
+    return tuple(ordered_classes)
 
 
 @dataclass(frozen=True)
 class DelayClassMap:
-    """Ordered delay classes with contiguous marks 1..K and disjoint pair sets."""
+    """Ordered delay classes with contiguous marks 1..K and disjoint pair sets.
+
+    Built in code or read from JSON, a map passes `_checked`.
+    """
 
     classes: tuple[DelayClass, ...]
 
     def __post_init__(self) -> None:
-        _check_classes(self.classes, disjoint=False)
+        object.__setattr__(self, "classes", _checked(tuple(self.classes)))
 
     @classmethod
     def _of_disjoint(cls, classes: tuple[DelayClass, ...]) -> "DelayClassMap":
-        """A map of classes whose pairs are known to be disjoint: the marks and
-        delays are checked, but no set of pair tuples is built."""
-        _check_classes(classes, disjoint=True)
+        """A map of `build_classes`' classes, unchecked: every rule holds there
+        by construction, and checking would cost work per pair."""
         self = object.__new__(cls)
         object.__setattr__(self, "classes", classes)
         return self
@@ -286,23 +304,15 @@ class DelayClassMap:
         }
 
     @classmethod
-    @gc_paused()
     def from_json_dict(cls, data: Mapping) -> "DelayClassMap":
         """Read the map `to_json_dict` or `class_map_json` writes.
 
-        Each address must be an IPv4 string and each pair two distinct
-        addresses; a pair out of numeric order is put in order. Rather than
-        a set of pair tuples, one integer code per pair, `(lo key << 32) +
-        hi key`, is sorted to prove that no pair is in two classes.
+        The JSON is reshaped into columns; the constructor checks the rest.
         """
-        keys = _KeyMemo()
-        key, high = keys.__getitem__, keys.high.__getitem__
         classes = []
-        codes: list[int] = []
         try:
             for c in data["classes"]:
-                mark = keys.mark = int(c["mark"])
-                pairs = c["pairs"]
+                mark, pairs = int(c["mark"]), c["pairs"]
                 try:
                     lo = tuple([a for a, _ in pairs])
                 except ValueError as exc:  # only the unpacking raises one here
@@ -311,20 +321,10 @@ class DelayClassMap:
                         f"addresses ({exc})"
                     ) from None
                 hi = tuple([b for _, b in pairs])
-                lo_keys, hi_keys = list(map(key, lo)), list(map(key, hi))
-                if not all(map(lt, lo_keys, hi_keys)):
-                    ordered = [_ordered(a, keys[a], b, keys[b]) for a, b in zip(lo, hi)]
-                    lo = tuple([a for a, _ in ordered])
-                    hi = tuple([b for _, b in ordered])
-                    lo_keys, hi_keys = list(map(key, lo)), list(map(key, hi))
-                codes += map(add, map(high, lo_keys), hi_keys)
                 classes.append(DelayClass(mark, int(c["delay_ms"]), lo, hi))
+            return cls(classes=tuple(classes))
         except TypeError as exc:  # e.g. a nested list where an address belongs
             raise ConfigError(f"malformed class map ({exc})") from None
-        codes.sort()
-        if any(map(eq, codes, islice(codes, 1, None))):
-            return cls(classes=tuple(classes))  # raises, naming the first repeat
-        return cls._of_disjoint(tuple(classes))
 
 
 class _Quoted(dict):
@@ -346,17 +346,13 @@ def class_map_json(classes: DelayClassMap, policy: QuantizationPolicy) -> str:
     quoted = _Quoted()
     blocks = []
     for c in classes:
-        if c.lo:
-            pairs = ",\n".join(
-                f"        [\n          {quoted[lo]},\n          {quoted[hi]}\n        ]"
-                for lo, hi in zip(c.lo, c.hi)
-            )
-            pairs = f"[\n{pairs}\n      ]"
-        else:
-            pairs = "[]"
+        pairs = ",\n".join(
+            f"        [\n          {quoted[lo]},\n          {quoted[hi]}\n        ]"
+            for lo, hi in zip(c.lo, c.hi)
+        )
         blocks.append(
             f'    {{\n      "delay_ms": {json.dumps(c.delay_ms)},\n'
-            f'      "mark": {json.dumps(c.mark)},\n      "pairs": {pairs}\n    }}'
+            f'      "mark": {json.dumps(c.mark)},\n      "pairs": [\n{pairs}\n      ]\n    }}'
         )
     body = "[\n" + ",\n".join(blocks) + "\n  ]" if blocks else "[]"
     return (
@@ -545,6 +541,8 @@ def build_classes(
     del order
     delays, sizes = np.unique(delay, return_counts=True)
     del delay
+    if delays.size and delays[0] < 0:
+        raise ConfigError(f"quantized delays must be non-negative, got {delays[0]}")
 
     # Gathering through an object array reuses the callers' address strings.
     ip_arr = np.array(ip_list, dtype=object)

@@ -52,8 +52,6 @@ def emit_nft_script(
         "{ type filter hook forward priority 0 \\; }",
     ]
     for cls in classes:
-        if not cls.lo:
-            raise ConfigError(f"class with mark {cls.mark} has no pairs to match")
         set_name = f"nodes_{cls.mark}"
         lines.append(
             f"nft add set {table_name} {set_name} "

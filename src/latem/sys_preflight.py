@@ -219,14 +219,22 @@ def parse_readings(text: str) -> dict[str, str]:
     return readings
 
 
+# Hard limits are read from /proc/self/limits, the column before the units:
+# dash's `ulimit` has no -u, and its -p (processes) is bash's pipe size.
+_LIMITS_ROWS = {"nofile": "Max open files", "nproc": "Max processes"}
+
+
 def emit_audit_commands(plan: ParameterPlan) -> tuple[str, ...]:
     """Shell test lines that gate on the plan; nonzero exit means FAIL."""
     lines = []
     for entry in plan.entries:
         if entry.kind == KIND_ULIMIT:
-            flag = {"nofile": "-Hn", "nproc": "-Hu"}.get(entry.key)
-            if flag:
-                lines.append(f'test "$(ulimit {flag})" -ge {entry.required}')
+            row = _LIMITS_ROWS.get(entry.key)
+            if row:
+                lines.append(
+                    f"awk '/^{row} / {{ h = $(NF - 1) }} END {{ exit !(h == \"unlimited\" "
+                    f"|| h + 0 >= {entry.required}) }}' /proc/self/limits"
+                )
         elif entry.kind == KIND_SYSCTL_TRIPLE:
             lines.append(
                 f"test \"$(sysctl -n {entry.key} | tr -s '[:space:]' ' ' | sed 's/ $//')\""

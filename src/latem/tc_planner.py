@@ -203,10 +203,6 @@ class _NftState:
     def __init__(self) -> None:
         self.sets: dict[str, set[str]] = {}  # set name -> elements "src . dst"
         self.rules: list[tuple[str, int]] = []  # (set name, mark), in order
-        # False once an element line holds " . . ": only then can the text
-        # "<src> . <dst>" of one pair, ("a .", "b"), equal an element that
-        # stands for another, "a . . b" for ("a", ". b").
-        self.joins_unique = True
 
     def marked(self) -> dict[int, set[str]]:
         """Mark -> the elements whose packets that mark stamps.
@@ -242,7 +238,6 @@ def _parse_nft(script: Script) -> _NftState:
             if set(map(str.count, elements, repeat(" . "))) != {1}:
                 raise ParseError("malformed set element", line_no, line)
             state.sets[set_name].update(elements)
-            state.joins_unique = state.joins_unique and " . . " not in body
             continue
         if m := _NFT_RULE.match(line):
             if m.group(3) not in state.sets:
@@ -346,7 +341,7 @@ def verify_plan(
         # cls.mark are routed here.
         delay, detail = tc_state.route(cls.mark)
         pairs_checked += 2 * len(cls.lo)
-        if delay == cls.delay_ms and nft_state.joins_unique:
+        if delay == cls.delay_ms:
             expected = {f"{lo} . {hi}" for lo, hi in zip(cls.lo, cls.hi)}
             expected.update(f"{hi} . {lo}" for lo, hi in zip(cls.lo, cls.hi))
             if expected <= marked.get(cls.mark, set()):
@@ -357,8 +352,6 @@ def verify_plan(
             for src, dst in ((lo, hi), (hi, lo)):
                 element = f"{src} . {dst}"
                 mark = mark_of.get(element)
-                if mark is not None and element.partition(" . ")[0] != src:
-                    mark = None  # the element stands for another address pair
                 if mark != cls.mark:
                     mismatches.append(
                         Mismatch(

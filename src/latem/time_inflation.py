@@ -154,13 +154,12 @@ def emit_bpf_commands(
     obj_name: str = DEFAULT_OBJ_NAME,
     pinned_path: str = DEFAULT_PINNED_PATH,
     cgroup_path: str = DEFAULT_CGROUP_PATH,
-    prog_id: int | str = PROG_ID_PLACEHOLDER,
 ) -> BpfCommandScripts:
     """Compile/load/attach and detach/remove command sequences.
 
-    The program ID only exists after loading; in dry-run the attach and
-    detach lines carry a placeholder the apply path parses out of
-    `bpftool prog show`.
+    The program ID only exists after loading, so the attach and detach lines
+    carry the placeholder `<PROG_ID>`, for the operator to replace with the
+    ID that `bpftool prog show` prints.
     """
     if not obj_name or not pinned_path or not cgroup_path:
         raise ValueError("obj_name, pinned_path, and cgroup_path must be non-empty")
@@ -170,13 +169,13 @@ def emit_bpf_commands(
             f"clang -O2 -target bpf -c {source_name} -o {obj_name}",
             f"bpftool prog load {obj_name} {pinned_path}",
             "bpftool prog show  # parse the program ID of set_initial_rto from this output",
-            f"bpftool cgroup attach {cgroup_path} sock_ops id {prog_id}",
+            f"bpftool cgroup attach {cgroup_path} sock_ops id {PROG_ID_PLACEHOLDER}",
         ),
     )
     unload = CommandScript(
         lines=(
             f"rm {pinned_path}",
-            f"bpftool cgroup detach {cgroup_path} sock_ops id {prog_id}",
+            f"bpftool cgroup detach {cgroup_path} sock_ops id {PROG_ID_PLACEHOLDER}",
         ),
     )
     return BpfCommandScripts(load=load, unload=unload)

@@ -164,6 +164,16 @@ def test_emit_tc_rejects_a_pair_of_other_than_two_addresses(tmp_path, capsys, pa
     assert line.startswith("error: class with mark 3: a pair must hold exactly two addresses")
 
 
+def test_emit_tc_rejects_a_class_without_pairs(tmp_path, capsys):
+    classes = tmp_path / "classes.json"
+    classes.write_text(json.dumps({"classes": [{"mark": 1, "delay_ms": 30, "pairs": []}]}))
+    rc = main(["emit-tc", "--classes", str(classes), "--veth", "vetha1"])
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: class with mark 1 has no pairs"]
+
+
 def test_emit_nft_rejects_a_number_or_bool_address(tmp_path, capsys):
     classes = tmp_path / "classes.json"
     classes.write_text('{"classes": [{"mark": 1, "delay_ms": 10, "pairs": [[1, 2], [true, 3]]}]}')
@@ -401,13 +411,13 @@ def test_run_warns_past_the_bridge_port_limit(tmp_path, capsys, n):
 def test_run_apply_prints_the_failing_line_and_stderr(tmp_path, monkeypatch, capsys):
     path = write_manifest(tmp_path, minimal_manifest_dict())
     monkeypatch.setattr("latem.cli.ShellAdapter",
-                        lambda: ScriptedAdapter(failures={"ulimit -Hu": 2}))
+                        lambda: ScriptedAdapter(failures={"Max processes": 2}))
     rc = main(["run", "--manifest", str(path), "--apply"])
     assert rc == 1
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "failed   preflight"
-    assert out[1].startswith("         exit 2: test \"$(ulimit -Hu)\"")
-    assert out[2] == "         | scripted failure for 'ulimit -Hu'"
+    assert out[1].startswith("         exit 2: awk '/^Max processes / ")
+    assert out[2] == "         | scripted failure for 'Max processes'"
     assert all(line.startswith("skipped") for line in out[3:])
 
 

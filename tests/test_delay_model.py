@@ -412,6 +412,11 @@ class TestBuildClasses:
         with pytest.raises(ValueError):
             dm.build_classes(q, ["10.0.0.1", "10.0.0.2"], dm.QuantizationPolicy())
 
+    def test_negative_delay_rejected(self):
+        q = np.array([[0, -10], [-10, 0]], dtype=np.int64)
+        with pytest.raises(ConfigError, match="non-negative, got -10"):
+            dm.build_classes(q, ["10.0.0.1", "10.0.0.2"], dm.QuantizationPolicy())
+
     @given(
         st.integers(0, 2**32 - 1),
         st.integers(1, 12),
@@ -718,13 +723,12 @@ class TestClassMapJson:
         assert (len(cmap) > 0 and cmap.classes[0].delay_ms == 0) == (keep_zero and has_zero)
         assert dm.class_map_json(cmap, policy) == json_dumps_reference(cmap, policy)
 
-    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(0, 4), max_size=6))
+    @given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 4), max_size=6))
     @example(seed=0, sizes=[])
-    @example(seed=1, sizes=[0])
-    @example(seed=2, sizes=[2, 0, 1])
+    @example(seed=1, sizes=[1])
+    @example(seed=2, sizes=[2, 4, 1])
     def test_read_maps_match_json_dumps(self, seed, sizes):
-        # from_json_dict accepts what build_classes never returns: zero
-        # classes and classes with an empty pair list
+        # pairs in no particular order, some reversed, and zero classes
         rng = np.random.default_rng(seed)
         ips = octet_spanning_ips(rng, 8)
         pool = [(ips[i], ips[j]) for i in range(8) for j in range(i + 1, 8)]
@@ -742,6 +746,12 @@ class TestClassMapJson:
     def test_reads_back_to_the_same_map(self, five_node_classes):
         text = dm.class_map_json(five_node_classes, dm.QuantizationPolicy())
         assert dm.DelayClassMap.from_json_dict(json.loads(text)) == five_node_classes
+
+    def test_class_without_pairs_cannot_be_read(self):
+        data = one_class_json(("10.0.0.1", "10.0.0.2"))
+        data["classes"].append({"mark": 2, "delay_ms": 20, "pairs": []})
+        with pytest.raises(ConfigError, match="^class with mark 2 has no pairs$"):
+            dm.DelayClassMap.from_json_dict(data)
 
 
 def one_class_json(*pairs):
@@ -837,6 +847,76 @@ class TestPairs:
         data = one_class_json(("0.0.0.1", "255.255.255.255"), ("0.0.0.2", "0.0.0.255"),
                               ("0.0.0.1", "0.0.0.255"), ("0.0.0.0", "255.255.255.254"))
         assert len(dm.DelayClassMap.from_json_dict(data).classes[0].lo) == 4
+
+
+# Pairs for the differential test: valid ones in both orders, between
+# addresses whose text and numeric orders differ, then a self-pair and pairs
+# with a string that is not IPv4 (one holding the " . " nft joins a pair with).
+_VALID = ["10.0.0.2", "10.0.0.10", "10.0.1.1", "10.0.1.20", "10.1.0.3", "9.255.255.255"]
+_DIFF_PAIRS = [(a, b) for a in _VALID for b in _VALID if a != b] + [
+    ("10.0.0.2", "10.0.0.2"), ("x", "10.0.0.2"), ("10.0.0.10", "10.0.0.256"),
+    ("x .", "10.0.1.1")]
+
+
+def _outcome(build):
+    """The map `build` returns, or the type and message of what it raises."""
+    try:
+        return build()
+    except (ConfigError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _both_ways(classes):
+    """Build one map from (mark, delay_ms, pairs) rows in code and from JSON."""
+    in_code = _outcome(lambda: dm.DelayClassMap(
+        classes=tuple(delay_class(mark, delay, pairs) for mark, delay, pairs in classes)))
+    data = {"classes": [{"mark": mark, "delay_ms": delay, "pairs": [list(p) for p in pairs]}
+                        for mark, delay, pairs in classes]}
+    return in_code, _outcome(lambda: dm.DelayClassMap.from_json_dict(data))
+
+
+@st.composite
+def class_rows(draw):
+    """Classes of random pairs: some reversed, repeated, self-paired, empty or
+    not IPv4, and now and then a mark or delay out of order."""
+    rows, delay = [], 0
+    for mark in range(1, draw(st.integers(0, 4)) + 1):
+        delay += draw(st.sampled_from(19 * [10] + [0]))
+        empty = draw(st.integers(0, 19)) == 0
+        pairs = [] if empty else draw(st.lists(st.sampled_from(_DIFF_PAIRS), min_size=1,
+                                               max_size=3))
+        rows.append((draw(st.sampled_from(19 * [mark] + [mark + 1])), delay, pairs))
+    return rows
+
+
+class TestOneRuleSet:
+    @given(class_rows())
+    @example([(1, 10, [("10.0.0.2", "10.0.0.1")]), (2, 20, [("10.0.0.1", "10.0.0.2")])])
+    def test_code_and_json_agree(self, rows):
+        in_code, from_json = _both_ways(rows)
+        assert in_code == from_json
+        if isinstance(in_code, dm.DelayClassMap):
+            given_pairs = [frozenset(p) for _, _, pairs in rows for p in pairs]
+            held = [(lo, hi) for c in in_code for lo, hi in zip(c.lo, c.hi)]
+            assert [frozenset(p) for p in held] == given_pairs
+            assert len(set(held)) == len(held)
+            assert all(make_pair(lo, hi) == (lo, hi) for lo, hi in held)
+
+    @pytest.mark.parametrize("rows, message", [
+        ([(1, 10, [("10.0.0.2", "10.0.0.1")]), (2, 20, [("10.0.0.1", "10.0.0.2")])],
+         "pair ('10.0.0.1', '10.0.0.2') appears in more than one class"),
+        ([(1, 10, [("10.0.0.1", "10.0.0.1")])],
+         "a pair needs two distinct addresses, got 10.0.0.1 twice"),
+        ([(1, 10, [("x", "y")])], "Expected 4 octets in 'x'"),
+    ])
+    def test_built_in_code_rejected_with_the_readers_message(self, rows, message):
+        in_code, from_json = _both_ways(rows)
+        assert in_code == from_json
+        assert in_code[1] == message
+
+    def test_reversed_pair_put_in_order(self):
+        cmap = dm.DelayClassMap(classes=(dm.DelayClass(1, 10, ["10.0.0.10"], ["10.0.0.9"]),))
+        assert cmap.classes[0].pairs == (("10.0.0.9", "10.0.0.10"),)
 
 
 class TestReadersOnReloadedMaps:

@@ -96,9 +96,9 @@ def test_invalid_identifier_rejected():
 
 
 def test_class_without_pairs_rejected():
-    cmap = dm.DelayClassMap(classes=(delay_class(mark=1, delay_ms=20, pairs=()),))
-    with pytest.raises(ConfigError):
-        emit_nft_script(cmap)
+    # A set with no elements would match nothing; no map holds such a class.
+    with pytest.raises(ConfigError, match="class with mark 1 has no pairs"):
+        dm.DelayClassMap(classes=(delay_class(mark=1, delay_ms=20, pairs=()),))
 
 
 def test_golden_five_node(five_node_classes):

@@ -1,9 +1,14 @@
+import resource
+import shutil
+import subprocess
+
 import pytest
 
 from latem.sys_preflight import (
     FAIL,
     MISSING,
     PASS,
+    ParamEntry,
     ParameterPlan,
     PerNodeUsage,
     audit,
@@ -166,6 +171,62 @@ def test_parse_readings_formats():
 
 def test_audit_commands_shape():
     lines = emit_audit_commands(recommend(100))
-    assert any("ulimit -Hn" in l for l in lines)
+    assert [l for l in lines if "/proc/self/limits" in l] == [
+        "awk '/^Max open files / { h = $(NF - 1) } "
+        "END { exit !(h == \"unlimited\" || h + 0 >= 1574415) }' /proc/self/limits",
+        "awk '/^Max processes / { h = $(NF - 1) } "
+        "END { exit !(h == \"unlimited\" || h + 0 >= 1574415) }' /proc/self/limits",
+    ]
     assert any("sysctl -n kernel.pty.max" in l for l in lines)
-    assert all(l.startswith("test ") for l in lines)
+    assert all(l.startswith("test ") for l in lines[2:])
+
+
+SHELLS = ["/bin/sh"] + ([shutil.which("bash")] if shutil.which("bash") else [])
+LIMITS = [("nofile", resource.RLIMIT_NOFILE, "Max open files", "files"),
+          ("nproc", resource.RLIMIT_NPROC, "Max processes", "processes")]
+
+
+def _gate(key: str, required: int) -> str:
+    entry = ParamEntry(key, str(required), "ulimit", "")
+    (line,) = emit_audit_commands(ParameterPlan(entries=(entry,)))
+    return line
+
+
+def _run(shell: str, line: str) -> tuple[int, str]:
+    proc = subprocess.run([shell, "-c", line], capture_output=True, text=True, timeout=30)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("shell", SHELLS)
+@pytest.mark.parametrize("key, rlimit, row, units", LIMITS)
+def test_ulimit_gate_reads_the_shells_hard_limit(shell, key, rlimit, row, units):
+    # The shell inherits this process's limits.
+    hard = resource.getrlimit(rlimit)[1]
+    if hard == resource.RLIM_INFINITY:
+        assert _run(shell, _gate(key, 2**62)) == (0, "")
+        return
+    assert _run(shell, _gate(key, hard - 1)) == (0, "")
+    assert _run(shell, _gate(key, hard)) == (0, "")
+    assert _run(shell, _gate(key, hard + 1)) == (1, "")
+
+
+@pytest.mark.parametrize("shell", SHELLS)
+@pytest.mark.parametrize("key, rlimit, row, units", LIMITS)
+@pytest.mark.parametrize("hard, passes", [("unlimited", True), ("4096", True), ("4095", False)])
+def test_ulimit_gate_on_a_limits_table(tmp_path, shell, key, rlimit, row, units, hard, passes):
+    limits = tmp_path / "limits"
+    limits.write_text(
+        f"{'Limit':<26}{'Soft Limit':<21}{'Hard Limit':<21}{'Units':<10}\n"
+        f"{'Max cpu time':<26}{'unlimited':<21}{'unlimited':<21}{'seconds':<10}\n"
+        f"{row:<26}{'1024':<21}{hard:<21}{units:<10}\n"
+    )
+    line = _gate(key, 4096).replace("/proc/self/limits", str(limits))
+    assert _run(shell, line) == (0 if passes else 1, "")
+
+
+@pytest.mark.parametrize("key", ["nofile", "nproc"])
+def test_ulimit_gate_fails_without_its_row(tmp_path, key):
+    limits = tmp_path / "limits"
+    limits.write_text("Limit  Soft Limit  Hard Limit  Units\n")
+    line = _gate(key, 1).replace("/proc/self/limits", str(limits))
+    assert _run("/bin/sh", line) == (1, "")

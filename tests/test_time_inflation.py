@@ -100,11 +100,6 @@ class TestBpfCommands:
             "bpftool cgroup detach /sys/fs/cgroup sock_ops id <PROG_ID>"
         )
 
-    def test_resolved_prog_id(self):
-        commands = emit_bpf_commands(prog_id=169)
-        assert commands.load.lines[3].endswith("sock_ops id 169")
-        assert commands.unload.lines[1].endswith("sock_ops id 169")
-
     def test_custom_paths(self):
         commands = emit_bpf_commands(
             obj_name="rto-x2.o", pinned_path="/sys/fs/bpf/rto-x2", cgroup_path="/sys/fs/cgroup/emul"
