@@ -30,7 +30,7 @@ def build_manifest(workdir: Path) -> Path:
     ips = allocate_ips("10.42.0.1", NODES)
     manifest = {
         "name": "demo",
-        "runtime": {"adapter": "docker", "bridge": "latbr0"},
+        "runtime": {"bridge": "latbr0"},
         "nodes": [
             {
                 "name": f"node{i:03d}",

@@ -17,7 +17,7 @@ from .delay_model import (
     quantize,
     subsample,
 )
-from .link_layer import MacPattern, check_bridge_capacity, emit_fdb_script, mac_for_ip
+from .link_layer import check_bridge_capacity, emit_fdb_script, mac_for_ip
 from .nft_planner import emit_nft_script
 from .script import CommandScript
 from .tc_planner import compute_bands, emit_tc_script, leaf_position, verify_plan
@@ -29,7 +29,6 @@ __all__ = [
     "DelayClass",
     "DelayClassMap",
     "DelayMatrix",
-    "MacPattern",
     "QuantizationPolicy",
     "build_classes",
     "check_bridge_capacity",

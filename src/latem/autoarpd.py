@@ -34,12 +34,12 @@ from enum import Enum
 from typing import Protocol
 
 from .errors import ServeError
-from .link_layer import MacPattern, mac_for_ip
+from .link_layer import mac_for_ip
 from .script import CommandScript
 
 log = logging.getLogger(__name__)
 
-DEFAULT_REACHABLE_MS = 72_000_000
+REACHABLE_MS = 72_000_000  # base_reachable_time_ms: 20 hours
 POLL_INTERVAL_S = 0.2  # longest wait on the transport before the stop signal is checked
 
 
@@ -72,9 +72,9 @@ class SolicitTransport(Protocol):
         """Deliver the resolved entry for the solicited address."""
 
 
-def resolve(ip: str, pattern: MacPattern = MacPattern()) -> NeighborEntry:
+def resolve(ip: str) -> NeighborEntry:
     """Compute the neighbor entry for an address; stateless and deterministic."""
-    return NeighborEntry(ip=ip, mac=mac_for_ip(ip, pattern), nud=NudState.REACHABLE)
+    return NeighborEntry(ip=ip, mac=mac_for_ip(ip), nud=NudState.REACHABLE)
 
 
 @dataclass(frozen=True)
@@ -85,9 +85,7 @@ class ServeStats:
 
 
 def serve(
-    transport: SolicitTransport,
-    pattern: MacPattern = MacPattern(),
-    stop_signal: threading.Event | None = None,
+    transport: SolicitTransport, stop_signal: threading.Event | None = None
 ) -> ServeStats:
     """Answer solicitations until the stop signal is set.
 
@@ -112,7 +110,7 @@ def serve(
         if solicitation is None:
             continue
         received += 1
-        entry = resolve(solicitation.ip, pattern)
+        entry = resolve(solicitation.ip)
         try:
             transport.reply(solicitation, entry)
         except Exception as exc:
@@ -122,9 +120,7 @@ def serve(
     return ServeStats(received=received, replied=replied, overflows=overflows)
 
 
-def neigh_settings(
-    iface: str, reachable_ms: int = DEFAULT_REACHABLE_MS
-) -> tuple[tuple[str, str], ...]:
+def neigh_settings(iface: str) -> tuple[tuple[str, str], ...]:
     """The per-interface (key, value) sysctls that reroute solicitations to
     the daemon. `emit_neigh_sysctls` and the orchestrator's launch lines
     both render this one table."""
@@ -134,13 +130,11 @@ def neigh_settings(
     return (
         (f"{prefix}.mcast_solicit", "0"),
         (f"{prefix}.app_solicit", "1"),
-        (f"{prefix}.base_reachable_time_ms", str(reachable_ms)),
+        (f"{prefix}.base_reachable_time_ms", str(REACHABLE_MS)),
     )
 
 
-def emit_neigh_sysctls(
-    iface: str, reachable_ms: int = DEFAULT_REACHABLE_MS
-) -> CommandScript:
+def emit_neigh_sysctls(iface: str) -> CommandScript:
     """`neigh_settings` as `sysctl -w` lines (`latem autoarpd --emit-sysctls`).
 
     Values are quoted so the `key = value` triple reaches sysctl as one
@@ -148,9 +142,7 @@ def emit_neigh_sysctls(
     command line.
     """
     return CommandScript(
-        lines=tuple(
-            f"sysctl -w '{key} = {value}'" for key, value in neigh_settings(iface, reachable_ms)
-        ),
+        lines=tuple(f"sysctl -w '{key} = {value}'" for key, value in neigh_settings(iface)),
     )
 
 

@@ -20,9 +20,8 @@ from pathlib import Path
 # Only what `plan-delays` and the `emit-*` commands share is imported here;
 # each other command imports its own modules when it runs.
 from . import delay_model
-from .adapters import ShellAdapter
 from .errors import LatemError
-from .nft_planner import DEFAULT_CHAIN, DEFAULT_ELEMENT_CHUNK_PAIRS, DEFAULT_TABLE, emit_nft_script
+from .nft_planner import emit_nft_script
 from .script import Script
 from .tc_planner import compute_bands, emit_tc_script
 
@@ -92,7 +91,7 @@ def _cmd_plan_delays(args: argparse.Namespace) -> int:
     if args.manifest:
         ips = [n.ip for n in load_manifest(args.manifest).nodes]
         count = len(ips)
-    matrix = delay_model.load_matrix(args.matrix, fmt=args.format, count=count, seed=args.seed)
+    matrix = delay_model.load_matrix(args.matrix, count=count, seed=args.seed)
     if ips is None:
         ips = allocate_ips(args.ip_base, matrix.n)
     if args.inflate:
@@ -115,21 +114,13 @@ def _cmd_plan_delays(args: argparse.Namespace) -> int:
 
 
 def _cmd_emit_nft(args: argparse.Namespace) -> int:
-    classes = _load_classes(args.classes)
-    script = emit_nft_script(
-        classes,
-        table_name=args.table,
-        chain_name=args.chain,
-        element_chunk_pairs=args.chunk_pairs,
-    )
-    _write_or_print(script, args.out)
+    _write_or_print(emit_nft_script(_load_classes(args.classes)), args.out)
     return 0
 
 
 def _cmd_emit_tc(args: argparse.Namespace) -> int:
     classes = _load_classes(args.classes)
-    bands = args.bands if args.bands is not None else compute_bands(len(classes))
-    script = emit_tc_script(classes.class_delays(), args.veth, bands)
+    script = emit_tc_script(classes.class_delays(), args.veth, compute_bands(len(classes)))
     _write_or_print(script, args.out)
     return 0
 
@@ -139,14 +130,6 @@ def _cmd_emit_fdb(args: argparse.Namespace) -> int:
     from .manifest import load_manifest
     from .orchestrator import veth_token
 
-    if args.mac_prefix is None:
-        pattern = link_layer.MacPattern()
-    elif args.manifest:
-        print("error: --mac-prefix cannot be used with --manifest: `latem run` "
-              "derives every container's MAC from the default prefix", file=sys.stderr)
-        return 2
-    else:
-        pattern = link_layer.MacPattern.parse(args.mac_prefix)
     if args.manifest:
         manifest = load_manifest(args.manifest)
         nodes = [(n.ip, veth_token(n.name)) for n in manifest.nodes]
@@ -161,7 +144,7 @@ def _cmd_emit_fdb(args: argparse.Namespace) -> int:
                 print(f"error: line {line_no}: expected 'ip veth'", file=sys.stderr)
                 return 2
             nodes.append((parts[0], parts[1]))
-    script = link_layer.emit_fdb_script(nodes, pattern)
+    script = link_layer.emit_fdb_script(nodes)
     _write_or_print(script, args.out)
     _warn_bridge_capacity(len(nodes))
     return 0
@@ -231,6 +214,7 @@ def _cmd_plan_batches(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from . import orchestrator, time_inflation
+    from .adapters import ShellAdapter
     from .manifest import load_manifest
 
     manifest = load_manifest(args.manifest)
@@ -267,25 +251,16 @@ def _cmd_autoarpd(args: argparse.Namespace) -> int:
     import threading
 
     from . import autoarpd
-    from .link_layer import MacPattern
 
-    pattern = MacPattern.parse(args.mac_prefix)
-    sysctls = autoarpd.emit_neigh_sysctls(args.interface, **_given(args, "reachable_ms"))
     if args.emit_sysctls:
-        sys.stdout.write(sysctls.text())
+        sys.stdout.write(autoarpd.emit_neigh_sysctls(args.interface).text())
         return 0
-    if args.apply_sysctls:
-        results = ShellAdapter().run_batch(sysctls.lines)
-        if not results[-1].ok:
-            line = sysctls.lines[len(results) - 1]
-            print(f"error: {line} -> exit {results[-1].exit_code}", file=sys.stderr)
-            return 1
     stop = threading.Event()
     signal.signal(signal.SIGTERM, lambda *_: stop.set())
     signal.signal(signal.SIGINT, lambda *_: stop.set())
     transport = autoarpd.NetlinkSolicitTransport()
     try:
-        served = autoarpd.serve(transport, pattern, stop)
+        served = autoarpd.serve(transport, stop)
     finally:
         transport.close()
     print(f"received={served.received} replied={served.replied} overflows={served.overflows}")
@@ -329,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan-delays", help="matrix -> delay-class map (JSON)")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--format", choices=("auto", "whitespace", "csv"), default="auto")
     nodes = p.add_mutually_exclusive_group()
     nodes.add_argument("--manifest", help="take node count and IPs from a manifest")
     nodes.add_argument("--count", type=int,
@@ -345,16 +319,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("emit-nft", help="class map -> packet-marking firewall script")
     p.add_argument("--classes", required=True)
-    p.add_argument("--table", default=DEFAULT_TABLE)
-    p.add_argument("--chain", default=DEFAULT_CHAIN)
-    p.add_argument("--chunk-pairs", type=int, default=DEFAULT_ELEMENT_CHUNK_PAIRS)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_emit_nft)
 
     p = sub.add_parser("emit-tc", help="class map -> per-interface queueing tree script")
     p.add_argument("--classes", required=True)
     p.add_argument("--veth", required=True)
-    p.add_argument("--bands", type=int)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_emit_tc)
 
@@ -362,7 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
     source = p.add_mutually_exclusive_group(required=True)
     source.add_argument("--manifest")
     source.add_argument("--nodes-file", help="file of 'ip veth' lines")
-    p.add_argument("--mac-prefix", help="with --nodes-file only (default 02:42)")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_emit_fdb)
 
@@ -408,12 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("autoarpd", help="serve neighbor resolution (or emit its sysctls)")
     p.add_argument("--interface", required=True)
-    p.add_argument("--mac-prefix", default="02:42")
-    p.add_argument("--reachable-ms", type=int)
     p.add_argument("--emit-sysctls", action="store_true",
                    help="print the interface sysctl lines and exit")
-    p.add_argument("--apply-sysctls", action="store_true",
-                   help="apply the sysctls before serving (privileged)")
     p.set_defaults(func=_cmd_autoarpd)
 
     p = sub.add_parser("stats", help="summarize per-checkpoint memory samples")

@@ -377,18 +377,17 @@ def _draw(n: int, count: int, seed: int) -> np.ndarray:
 
 def load_matrix(
     source: Union[str, Path, IO[str], IO[bytes]],
-    fmt: str = "auto",
     count: int | None = None,
     seed: int = 0,
 ) -> DelayMatrix:
     """Parse a delay matrix from UTF-8 text, one row per line.
 
-    Cells are decimal milliseconds separated by whitespace or commas; with
-    fmt="auto" the delimiter is detected from the first data line. Trailing
+    Cells are decimal milliseconds separated by whitespace or commas; the
+    delimiter is a comma when the first data line holds one. Trailing
     whitespace and blank lines are tolerated. Lines end at "\n", "\r\n" or
     "\r"; a form feed or vertical tab is whitespace inside a row.
 
-    With `count`, the result equals `subsample(load_matrix(source, fmt),
+    With `count`, the result equals `subsample(load_matrix(source),
     count, seed)`, but the indices are drawn from the row count first and
     only the kept rows are decoded and parsed. Every cell of a kept row is
     checked, in the dropped columns too; a row that is not kept is not
@@ -397,8 +396,6 @@ def load_matrix(
     """
     import numpy as np
 
-    if fmt not in ("auto", "whitespace", "csv"):
-        raise ConfigError(f"unknown matrix format {fmt!r}")
     if hasattr(source, "read"):
         data = source.read()  # type: ignore[union-attr]
         if isinstance(data, str):
@@ -415,8 +412,7 @@ def load_matrix(
     del data
     if not rows:
         raise ShapeError("matrix source contains no rows")
-    if fmt == "auto":
-        fmt = "csv" if b"," in rows[0] else "whitespace"
+    delimiter = "," if b"," in rows[0] else None
     n = len(rows)
     kept = range(n)  # each parsed row's index among all rows
     if count is not None and count != n:
@@ -430,9 +426,7 @@ def load_matrix(
             raise ValueError(f"line {line_no}: not UTF-8 text ({exc})") from None
 
     try:
-        entries = np.loadtxt(
-            rows, delimiter="," if fmt == "csv" else None, comments=None, ndmin=2
-        )
+        entries = np.loadtxt(rows, delimiter=delimiter, comments=None, ndmin=2)
     except ValueError as exc:
         if m := _LOADTXT_BAD_CELL.search(str(exc)):
             raise ValueError(
@@ -495,7 +489,7 @@ def quantize(m: DelayMatrix, policy: QuantizationPolicy) -> np.ndarray:
 
 def build_classes(
     quantized: np.ndarray,
-    ips: Mapping[int, str] | Sequence[str],
+    ips: Sequence[str],
     policy: QuantizationPolicy,
 ) -> DelayClassMap:
     """Group unordered node pairs by quantized delay and assign marks.
@@ -509,15 +503,9 @@ def build_classes(
 
     q = np.asarray(quantized)
     n = q.shape[0]
-    if isinstance(ips, Mapping):
-        ip_list = [ips.get(i) for i in range(n)]
-        if any(v is None for v in ip_list):
-            missing = [i for i, v in enumerate(ip_list) if v is None]
-            raise ConfigError(f"ips missing node indices {missing}")
-    else:
-        ip_list = list(ips)
-        if len(ip_list) != n:
-            raise ConfigError(f"need {n} addresses, got {len(ip_list)}")
+    ip_list = list(ips)
+    if len(ip_list) != n:
+        raise ConfigError(f"need {n} addresses, got {len(ip_list)}")
     keys = np.array([_ip_key(ip) for ip in ip_list], dtype=np.int64)  # raises on malformed
     if len(set(ip_list)) != n:
         dupes = sorted({ip for ip in ip_list if ip_list.count(ip) > 1})

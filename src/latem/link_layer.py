@@ -21,46 +21,21 @@ DEFAULT_BRIDGE_PORT_BITS = 10
 DEFAULT_BRIDGE_PORT_LIMIT = 1 << DEFAULT_BRIDGE_PORT_BITS
 # Field-tested rebuild value for deployments in the thousands of ports.
 KNOWN_GOOD_PORT_BITS = 17
+# The two octets before the IPv4 octets of every MAC; 0x02 marks the
+# address locally administered.
+MAC_PREFIX = (0x02, 0x42)
 
 
-@dataclass(frozen=True)
-class MacPattern:
-    """MAC layout: fixed prefix octets, then the four IPv4 octets appended."""
-
-    prefix: tuple[int, ...] = (0x02, 0x42)
-
-    def __post_init__(self) -> None:
-        if len(self.prefix) + 4 != 6:
-            raise ConfigError(
-                f"prefix of {len(self.prefix)} octets plus 4 IP octets must total 6"
-            )
-        for octet in self.prefix:
-            if not 0 <= octet <= 0xFF:
-                raise ConfigError(f"prefix octet {octet:#x} out of range")
-        if not self.prefix[0] & 0x02:
-            raise ConfigError(
-                f"first octet {self.prefix[0]:#04x} must have the "
-                "locally-administered bit (0x02) set"
-            )
-
-    @classmethod
-    def parse(cls, text: str) -> "MacPattern":
-        """Parse a colon-separated prefix such as '02:42'."""
-        return cls(prefix=tuple(int(part, 16) for part in text.split(":")))
-
-
-def mac_for_ip(ip: str, pattern: MacPattern = MacPattern()) -> str:
+def mac_for_ip(ip: str) -> str:
     """Derive the MAC for an IPv4 address, lowercase colon-separated."""
     octets = ipaddress.IPv4Address(ip).packed
-    return ":".join(f"{o:02x}" for o in (*pattern.prefix, *octets))
+    return ":".join(f"{o:02x}" for o in (*MAC_PREFIX, *octets))
 
 
-def emit_fdb_script(
-    nodes: Sequence[tuple[str, str]], pattern: MacPattern = MacPattern()
-) -> CommandScript:
+def emit_fdb_script(nodes: Sequence[tuple[str, str]]) -> CommandScript:
     """One static FDB insertion per (ip, veth) node, in input order.
 
-    MACs follow the pattern by construction; an interface may appear once.
+    MACs are `mac_for_ip` of each address; an interface may appear once.
     """
     seen: set[str] = set()
     lines = []
@@ -68,7 +43,7 @@ def emit_fdb_script(
         if veth in seen:
             raise ConfigError(f"duplicate interface name {veth!r}")
         seen.add(veth)
-        lines.append(f"bridge fdb add {mac_for_ip(ip, pattern)} dev {veth} master static")
+        lines.append(f"bridge fdb add {mac_for_ip(ip)} dev {veth} master static")
     return CommandScript(lines=tuple(lines))
 
 

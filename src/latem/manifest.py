@@ -5,7 +5,7 @@ table), the overlay networks to generate, the delay section (matrix path and
 quantization policy), startup phases, timers subject to time inflation, and
 the RAM model used for batched scale-out. Validation is strict: every
 cross-reference is checked at load time and each violation raises a
-distinct, line-located error.
+distinct error naming its JSON path (a JSON syntax error names its line).
 
 Exact rational arithmetic (fractions) is used for every time- or
 RAM-fraction-valued field so inflation and batch planning compose without
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import ipaddress
 import json
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -147,9 +148,6 @@ class ExperimentManifest:
     resources: ResourceModel | None = None
     runtime: RuntimeSection = RuntimeSection()
 
-    def node_ips(self) -> dict[int, str]:
-        return {i: node.ip for i, node in enumerate(self.nodes)}
-
     def phase(self, name: str) -> Phase:
         for p in self.phases:
             if p.name == name:
@@ -165,46 +163,44 @@ class ExperimentManifest:
         raise ValidationError(f"unknown target {target!r}")
 
 
-def _line_of(source: str | None, needle: str) -> int | None:
-    if source is None:
-        return None
-    for i, line in enumerate(source.splitlines(), start=1):
-        if needle in line:
-            return i
-    return None
+# Node names become container names (Docker's rule); images, signals and
+# the runtime names are each one shell word. All of them reach plan lines
+# unquoted, so nothing else may pass.
+_CONTAINER_NAME = re.compile(r"[a-zA-Z0-9][a-zA-Z0-9_.-]+")
+_SHELL_WORD = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.:/@+-]*")
 
 
-def _require(data: Mapping, key: str, path: str, source: str | None) -> Any:
+def _word(value: Any, pattern: re.Pattern, path: str) -> str:
+    text = str(value)
+    if not pattern.fullmatch(text):
+        raise ValidationError(f"{text!r} does not match {pattern.pattern}", path=path)
+    return text
+
+
+def _require(data: Mapping, key: str, path: str) -> Any:
     if key not in data:
-        raise ValidationError(
-            f"missing required key {key!r}", path=path, line=_line_of(source, f'"{path.split(".")[-1]}"')
-        )
+        raise ValidationError(f"missing required key {key!r}", path=path)
     return data[key]
 
 
-def parse_manifest(data: Mapping, source_text: str | None = None) -> ExperimentManifest:
+def parse_manifest(data: Mapping) -> ExperimentManifest:
     """Build and validate a manifest from parsed JSON."""
-    src = source_text
-
-    def fail(message: str, path: str, needle: str | None = None) -> ValidationError:
-        return ValidationError(message, path=path, line=_line_of(src, needle or ""))
-
     name = str(data.get("name", "experiment"))
 
     nodes = []
     for i, nd in enumerate(data.get("nodes", [])):
         path = f"nodes[{i}]"
-        node_name = str(_require(nd, "name", f"{path}.name", src))
-        ip = str(_require(nd, "ip", f"{path}.ip", src))
+        node_name = _word(_require(nd, "name", f"{path}.name"), _CONTAINER_NAME, f"{path}.name")
+        ip = str(_require(nd, "ip", f"{path}.ip"))
         try:
             ipaddress.IPv4Address(ip)
         except ipaddress.AddressValueError as exc:
-            raise fail(f"node {node_name!r}: bad IPv4 {ip!r} ({exc})", f"{path}.ip", ip)
+            raise ValidationError(f"node {node_name!r}: bad IPv4 {ip!r} ({exc})", f"{path}.ip")
         processes = tuple(
             ProcessSpec(
-                binary=str(_require(p, "binary", f"{path}.processes[{j}].binary", src)),
+                binary=str(_require(p, "binary", f"{path}.processes[{j}].binary")),
                 args=tuple(str(a) for a in p.get("args", [])),
-                start_phase=str(_require(p, "start_phase", f"{path}.processes[{j}].start_phase", src)),
+                start_phase=str(_require(p, "start_phase", f"{path}.processes[{j}].start_phase")),
             )
             for j, p in enumerate(nd.get("processes", []))
         )
@@ -212,7 +208,7 @@ def parse_manifest(data: Mapping, source_text: str | None = None) -> ExperimentM
             NodeSpec(
                 name=node_name,
                 ip=ip,
-                image=str(nd.get("image", "latem/node:latest")),
+                image=_word(nd.get("image", "latem/node:latest"), _SHELL_WORD, f"{path}.image"),
                 processes=processes,
                 roles=frozenset(str(r) for r in nd.get("roles", [])),
             )
@@ -221,34 +217,30 @@ def parse_manifest(data: Mapping, source_text: str | None = None) -> ExperimentM
     phases = []
     for i, ph in enumerate(data.get("phases", [])):
         path = f"phases[{i}]"
-        phase_name = str(_require(ph, "name", f"{path}.name", src))
-        action = str(_require(ph, "action", f"{path}.action", src))
+        phase_name = str(_require(ph, "name", f"{path}.name"))
+        action = str(_require(ph, "action", f"{path}.action"))
         if action not in PHASE_ACTIONS:
-            raise fail(
-                f"phase {phase_name!r}: unknown action {action!r}", f"{path}.action", action
+            raise ValidationError(
+                f"phase {phase_name!r}: unknown action {action!r}", f"{path}.action"
             )
         signal = ph.get("signal")
         if action == "signal" and not signal:
-            raise fail(
-                f"phase {phase_name!r}: action 'signal' requires a signal name",
-                f"{path}.signal",
-                phase_name,
+            raise ValidationError(
+                f"phase {phase_name!r}: action 'signal' requires a signal name", f"{path}.signal"
             )
         if action != "signal" and signal:
-            raise fail(
-                f"phase {phase_name!r}: signal given but action is {action!r}",
-                f"{path}.signal",
-                str(signal),
+            raise ValidationError(
+                f"phase {phase_name!r}: signal given but action is {action!r}", f"{path}.signal"
             )
         stagger = parse_fraction(ph.get("stagger_ms", 0), f"{path}.stagger_ms")
         if stagger < 0:
-            raise fail(f"phase {phase_name!r}: negative stagger", f"{path}.stagger_ms", phase_name)
+            raise ValidationError(f"phase {phase_name!r}: negative stagger", f"{path}.stagger_ms")
         phases.append(
             Phase(
                 name=phase_name,
                 action=action,
                 target=str(ph.get("target", "all")),
-                signal=str(signal) if signal else None,
+                signal=_word(signal, _SHELL_WORD, f"{path}.signal") if signal else None,
                 stagger_ms=stagger,
                 script=tuple(str(s) for s in ph.get("script", [])),
                 capture_stats=bool(ph.get("capture_stats", False)),
@@ -258,9 +250,9 @@ def parse_manifest(data: Mapping, source_text: str | None = None) -> ExperimentM
     networks = {}
     for role, nw in dict(data.get("networks", {})).items():
         path = f"networks.{role}"
-        kind = str(_require(nw, "kind", f"{path}.kind", src))
+        kind = str(_require(nw, "kind", f"{path}.kind"))
         if kind not in TOPOLOGY_KINDS:
-            raise fail(f"network {role!r}: unknown kind {kind!r}", f"{path}.kind", kind)
+            raise ValidationError(f"network {role!r}: unknown kind {kind!r}", f"{path}.kind")
         networks[str(role)] = TopologySpec(
             kind=kind,
             seed=int(nw.get("seed", 0)),
@@ -273,7 +265,7 @@ def parse_manifest(data: Mapping, source_text: str | None = None) -> ExperimentM
     if "delay" in data and data["delay"] is not None:
         d = data["delay"]
         delay = DelaySection(
-            matrix_path=str(_require(d, "matrix_path", "delay.matrix_path", src)),
+            matrix_path=str(_require(d, "matrix_path", "delay.matrix_path")),
             quantum_ms=int(d.get("quantum_ms", 10)),
             rounding=str(d.get("rounding", "nearest-half-up")),
             drop_zero_class=bool(d.get("drop_zero_class", True)),
@@ -287,11 +279,11 @@ def parse_manifest(data: Mapping, source_text: str | None = None) -> ExperimentM
         if isinstance(t, Mapping):
             kind = t.get("kind")
             if kind is not None and kind not in TIMER_KINDS:
-                raise fail(
-                    f"timer {timer_name!r}: unknown kind {kind!r}", f"{path}.kind", str(kind)
+                raise ValidationError(
+                    f"timer {timer_name!r}: unknown kind {kind!r}", f"{path}.kind"
                 )
             timers[str(timer_name)] = TimerSpec(
-                value=parse_fraction(_require(t, "value", f"{path}.value", src), path),
+                value=parse_fraction(_require(t, "value", f"{path}.value"), path),
                 kind=kind,
             )
         else:
@@ -301,33 +293,20 @@ def parse_manifest(data: Mapping, source_text: str | None = None) -> ExperimentM
     resources = None
     if "resources" in data and data["resources"] is not None:
         r = data["resources"]
-        resources = ResourceModel(
-            ram_cap_fraction=parse_fraction(
-                _require(r, "ram_cap_fraction", "resources.ram_cap_fraction", src),
-                "resources.ram_cap_fraction",
-            ),
-            per_node_startup_fraction=parse_fraction(
-                _require(r, "per_node_startup_fraction", "resources.per_node_startup_fraction", src),
-                "resources.per_node_startup_fraction",
-            ),
-            per_node_steady_fraction=parse_fraction(
-                _require(r, "per_node_steady_fraction", "resources.per_node_steady_fraction", src),
-                "resources.per_node_steady_fraction",
-            ),
-        )
+        values = {}
         for fname in ("ram_cap_fraction", "per_node_startup_fraction", "per_node_steady_fraction"):
-            value = getattr(resources, fname)
+            path = f"resources.{fname}"
+            value = values[fname] = parse_fraction(_require(r, fname, path), path)
             if not 0 < value <= 1:
-                raise fail(
-                    f"resources.{fname} must be in (0, 1], got {value}",
-                    f"resources.{fname}",
-                    fname,
-                )
+                raise ValidationError(f"{path} must be in (0, 1], got {value}", path)
+        resources = ResourceModel(**values)
 
     rt = data.get("runtime", {})
     runtime = RuntimeSection(
-        bridge=str(rt.get("bridge", "latbr0")),
-        container_iface=str(rt.get("container_iface", "eth0")),
+        bridge=_word(rt.get("bridge", "latbr0"), _SHELL_WORD, "runtime.bridge"),
+        container_iface=_word(
+            rt.get("container_iface", "eth0"), _SHELL_WORD, "runtime.container_iface"
+        ),
     )
 
     manifest = ExperimentManifest(
@@ -340,28 +319,26 @@ def parse_manifest(data: Mapping, source_text: str | None = None) -> ExperimentM
         resources=resources,
         runtime=runtime,
     )
-    _validate_cross_references(manifest, src)
+    _validate_cross_references(manifest)
     return manifest
 
 
-def _validate_cross_references(m: ExperimentManifest, src: str | None) -> None:
-    names: dict[str, int] = {}
-    for node in m.nodes:
-        if node.name in names:
+def _validate_cross_references(m: ExperimentManifest) -> None:
+    first_of: dict[str, int] = {}
+    for i, node in enumerate(m.nodes):
+        if node.name in first_of:
             raise ValidationError(
-                f"duplicate node name {node.name!r}",
-                path=f"nodes[{names[node.name]}]",
-                line=_line_of(src, node.name),
+                f"duplicate node name {node.name!r} (first at nodes[{first_of[node.name]}])",
+                path=f"nodes[{i}].name",
             )
-        names[node.name] = len(names)
+        first_of[node.name] = i
 
     by_ip: dict[str, str] = {}
-    for node in m.nodes:
+    for i, node in enumerate(m.nodes):
         if node.ip in by_ip:
             raise ValidationError(
                 f"duplicate IP {node.ip}: nodes {by_ip[node.ip]!r} and {node.name!r}",
-                path=f"nodes.{node.name}.ip",
-                line=_line_of(src, node.ip),
+                path=f"nodes[{i}].ip",
             )
         by_ip[node.ip] = node.name
 
@@ -371,14 +348,13 @@ def _validate_cross_references(m: ExperimentManifest, src: str | None) -> None:
         raise ValidationError(f"duplicate phase names {dupes}", path="phases")
 
     declared = set(phase_names)
-    for node in m.nodes:
-        for proc in node.processes:
+    for i, node in enumerate(m.nodes):
+        for j, proc in enumerate(node.processes):
             if proc.start_phase not in declared:
                 raise ValidationError(
                     f"node {node.name!r} process {proc.binary!r} references "
                     f"undeclared phase {proc.start_phase!r}",
-                    path=f"nodes.{node.name}.processes",
-                    line=_line_of(src, proc.start_phase),
+                    path=f"nodes[{i}].processes[{j}].start_phase",
                 )
 
     for role, spec in m.networks.items():
@@ -399,7 +375,7 @@ def load_manifest(path: str | Path) -> ExperimentManifest:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"not valid JSON: {exc.msg}", line=exc.lineno)
-    return parse_manifest(data, source_text=text)
+    return parse_manifest(data)
 
 
 def allocate_ips(base: str, count: int) -> list[str]:

@@ -440,7 +440,7 @@ def delay_classes_for_manifest(
         quantum_ms=d.quantum_ms, rounding=d.rounding, drop_zero_class=d.drop_zero_class
     )
     quantized = delay_model.quantize(matrix, policy)
-    classes = delay_model.build_classes(quantized, manifest.node_ips(), policy)
+    classes = delay_model.build_classes(quantized, [n.ip for n in manifest.nodes], policy)
     bands = compute_bands(len(classes)) if len(classes) else 2
     return classes, bands
 

@@ -84,6 +84,8 @@ def recommend(
     nproc = max(node_count * per_node.procs, DEFAULT_FILE_PROC_FLOOR)
     pty = max(node_count + DEFAULT_PTY_MARGIN, DEFAULT_PTY_FLOOR)
     entries = (
+        ParamEntry("fs.nr_open", str(nofile), KIND_SYSCTL_NUM,
+                   "the kernel caps the hard nofile limit at fs.nr_open"),
         ParamEntry("nofile", str(nofile), KIND_ULIMIT,
                    "every node holds sockets and files open concurrently"),
         ParamEntry("nproc", str(nproc), KIND_ULIMIT,

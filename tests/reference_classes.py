@@ -9,7 +9,7 @@ class's two address columns as pair tuples.
 from __future__ import annotations
 
 import ipaddress
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,20 +43,14 @@ def all_pairs(classes: dm.DelayClassMap) -> set[dm.IpPair]:
 
 def build_classes_loop(
     quantized: np.ndarray,
-    ips: Mapping[int, str] | Sequence[str],
+    ips: Sequence[str],
     policy: dm.QuantizationPolicy,
 ) -> dm.DelayClassMap:
     q = np.asarray(quantized)
     n = q.shape[0]
-    if isinstance(ips, Mapping):
-        ip_list = [ips.get(i) for i in range(n)]
-        if any(v is None for v in ip_list):
-            missing = [i for i, v in enumerate(ip_list) if v is None]
-            raise ConfigError(f"ips missing node indices {missing}")
-    else:
-        ip_list = list(ips)
-        if len(ip_list) != n:
-            raise ConfigError(f"need {n} addresses, got {len(ip_list)}")
+    ip_list = list(ips)
+    if len(ip_list) != n:
+        raise ConfigError(f"need {n} addresses, got {len(ip_list)}")
     for ip in ip_list:
         ipaddress.IPv4Address(ip)
     if len(set(ip_list)) != n:

@@ -22,7 +22,7 @@ from latem.autoarpd import (
     serve,
 )
 from latem.errors import ServeError
-from latem.link_layer import MacPattern, mac_for_ip
+from latem.link_layer import mac_for_ip
 
 from conftest import OverflowOnceTransport
 
@@ -75,14 +75,6 @@ class TestServe:
         ((solicitation, entry),) = transport.replies
         assert entry.ip == solicitation.ip
 
-    def test_custom_pattern(self):
-        stop = threading.Event()
-        transport = MockSolicitTransport(
-            pending=[Solicitation("10.1.2.3", ifindex=2)], stop_signal=stop
-        )
-        serve(transport, pattern=MacPattern(prefix=(0x06, 0x00)), stop_signal=stop)
-        assert transport.replies[0][1].mac == "06:00:0a:01:02:03"
-
     def test_transport_failure_is_fatal(self):
         class BrokenTransport:
             def receive(self, timeout):
@@ -130,10 +122,6 @@ class TestNeighSysctls:
         assert "net.ipv4.neigh.eth0.mcast_solicit = 0" in script.lines[0]
         assert "app_solicit = 1" in script.lines[1]
         assert "base_reachable_time_ms = 72000000" in script.lines[2]
-
-    def test_custom_reachable_time(self):
-        script = emit_neigh_sysctls("eth0", reachable_ms=1000)
-        assert "base_reachable_time_ms = 1000" in script.lines[2]
 
     def test_interface_name_in_keys(self):
         script = emit_neigh_sysctls("enp0s3")

@@ -1,5 +1,8 @@
+import argparse
 import json
 import os
+import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -11,7 +14,7 @@ import pytest
 import latem
 from latem import delay_model as dm
 from latem.autoarpd import MockSolicitTransport, Solicitation
-from latem.cli import main
+from latem.cli import build_parser, main
 from latem.link_layer import check_bridge_capacity
 
 from conftest import (
@@ -144,16 +147,6 @@ def test_emit_tc_matches_golden(classes_file, capsys):
     assert capsys.readouterr().out == golden
 
 
-@pytest.mark.parametrize("bands", ["0", "17"])
-def test_emit_tc_rejects_bands_out_of_range(classes_file, capsys, bands):
-    rc = main(["emit-tc", "--classes", str(classes_file), "--veth", "vetha1",
-               "--bands", bands])
-    assert rc == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == f"error: bands must be in 2..16, got {bands}\n"
-
-
 @pytest.mark.parametrize("pair", [[], ["10.0.0.1"], ["10.0.0.1", "10.0.0.2", "10.0.0.3"]])
 def test_emit_tc_rejects_a_pair_of_other_than_two_addresses(tmp_path, capsys, pair):
     classes = tmp_path / "classes.json"
@@ -199,25 +192,6 @@ def test_emit_fdb_from_manifest(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "dev {veth:node001}" in out
-
-
-def test_emit_fdb_from_nodes_file_with_a_mac_prefix(tmp_path, capsys):
-    nodes = tmp_path / "nodes.txt"
-    nodes.write_text("10.0.0.1 vetha1\n")
-    rc = main(["emit-fdb", "--nodes-file", str(nodes), "--mac-prefix", "06:00"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert out == "bridge fdb add 06:00:0a:00:00:01 dev vetha1 master static\n"
-
-
-def test_emit_fdb_rejects_a_mac_prefix_with_a_manifest(tmp_path, capsys):
-    path = write_manifest(tmp_path, minimal_manifest_dict())
-    rc = main(["emit-fdb", "--manifest", str(path), "--mac-prefix", "06:00"])
-    assert rc == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: --mac-prefix cannot be used with --manifest")
-    assert len(captured.err.splitlines()) == 1
 
 
 def test_gen_topology_edge_list(capsys):
@@ -410,7 +384,7 @@ def test_run_warns_past_the_bridge_port_limit(tmp_path, capsys, n):
 
 def test_run_apply_prints_the_failing_line_and_stderr(tmp_path, monkeypatch, capsys):
     path = write_manifest(tmp_path, minimal_manifest_dict())
-    monkeypatch.setattr("latem.cli.ShellAdapter",
+    monkeypatch.setattr("latem.adapters.ShellAdapter",
                         lambda: ScriptedAdapter(failures={"Max processes": 2}))
     rc = main(["run", "--manifest", str(path), "--apply"])
     assert rc == 1
@@ -447,26 +421,102 @@ def test_autoarpd_emit_sysctls(capsys):
     assert "base_reachable_time_ms = 72000000" in out
 
 
-def test_autoarpd_emit_sysctls_with_a_reachable_time(capsys):
-    rc = main(["autoarpd", "--interface", "eth1", "--reachable-ms", "5000", "--emit-sysctls"])
-    assert rc == 0
-    assert "net.ipv4.neigh.eth1.base_reachable_time_ms = 5000" in capsys.readouterr().out
+def test_standalone_commands_emit_the_lines_of_run(tmp_path, matrix_file, capsys):
+    from latem.manifest import load_manifest
+    from latem.orchestrator import delay_classes_for_manifest
 
-
-def test_autoarpd_apply_sysctls_stops_at_the_failing_line(monkeypatch, capsys):
-    adapter = ScriptedAdapter(failures={"app_solicit": 255})
-    monkeypatch.setattr("latem.cli.ShellAdapter", lambda: adapter)
-    monkeypatch.setattr("latem.autoarpd.NetlinkSolicitTransport",
-                        lambda: pytest.fail("the daemon started after a failed sysctl"))
-    rc = main(["autoarpd", "--interface", "eth0", "--apply-sysctls"])
-    assert rc == 1
-    assert adapter.calls == [
-        "sysctl -w 'net.ipv4.neigh.eth0.mcast_solicit = 0'",
-        "sysctl -w 'net.ipv4.neigh.eth0.app_solicit = 1'",
+    data = minimal_manifest_dict()
+    data["nodes"] = [
+        {"name": f"n{i}", "ip": ip, "image": "img", "processes": []}
+        for i, ip in enumerate(FIVE_NODE_IPS)
     ]
-    assert capsys.readouterr().err == (
-        "error: sysctl -w 'net.ipv4.neigh.eth0.app_solicit = 1' -> exit 255\n"
-    )
+    data["phases"] = [{"name": "launch", "action": "launch"}]
+    data["delay"] = {"matrix_path": str(matrix_file)}
+    data["runtime"] = {"container_iface": "eth1"}
+    manifest = write_manifest(tmp_path, data)
+    classes, _ = delay_classes_for_manifest(load_manifest(manifest))
+    class_map = tmp_path / "classes.json"
+    class_map.write_text(dm.class_map_json(classes, dm.QuantizationPolicy()))
+    plan = tmp_path / "plan"
+    assert main(["run", "--manifest", str(manifest), "--dry-run", "--out", str(plan)]) == 0
+    capsys.readouterr()
+
+    def emitted(*argv: str) -> str:
+        assert main(list(argv)) == 0
+        return capsys.readouterr().out
+
+    def step(name: str) -> str:
+        (path,) = plan.glob(f"*-{name}.sh")
+        return path.read_text()
+
+    assert emitted("plan-delays", "--matrix", str(matrix_file),
+                   "--manifest", str(manifest)) == class_map.read_text()
+    assert emitted("emit-nft", "--classes", str(class_map)) == step("nft")
+    assert emitted("emit-fdb", "--manifest", str(manifest)) == step("fdb")
+    # the tc file is each node's tree in turn
+    assert "".join(
+        emitted("emit-tc", "--classes", str(class_map), "--veth", f"{{veth:{node['name']}}}")
+        for node in data["nodes"]
+    ) == step("tc")
+    sysctls = [
+        tuple(shlex.split(line)[-1].split(" = "))
+        for line in emitted("autoarpd", "--interface", "eth1", "--emit-sysctls").splitlines()
+    ]
+    launches = step("launch-launch-b01").splitlines()
+    assert len(launches) == 5
+    for line in launches:
+        argv = shlex.split(line)
+        flags = [argv[k + 1] for k, word in enumerate(argv) if word == "--sysctl"]
+        assert [tuple(f.split("=")) for f in flags] == sysctls
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["emit-fdb", "--nodes-file", "n.txt", "--mac-prefix", "06:00"], "--mac-prefix"),
+        (["autoarpd", "--interface", "eth0", "--mac-prefix", "02:42"], "--mac-prefix"),
+        (["emit-nft", "--classes", "c.json", "--table", "emu"], "--table"),
+        (["emit-nft", "--classes", "c.json", "--chain", "emu_chain"], "--chain"),
+        (["emit-nft", "--classes", "c.json", "--chunk-pairs", "2"], "--chunk-pairs"),
+        (["emit-tc", "--classes", "c.json", "--veth", "v", "--bands", "4"], "--bands"),
+        (["autoarpd", "--interface", "eth0", "--reachable-ms", "5000"], "--reachable-ms"),
+        (["autoarpd", "--interface", "eth0", "--apply-sysctls"], "--apply-sysctls"),
+        (["plan-delays", "--matrix", "m.txt", "--format", "csv"], "--format"),
+    ],
+)
+def test_settings_that_run_never_varies_are_not_options(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def _readme_section(title: str) -> str:
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+# A word opening a code span or following "latem " (a subcommand when the
+# parser knows it), or a --flag, which belongs to the subcommand named last
+# before it in its paragraph.
+_README_TOKEN = re.compile(r"(?:`(?:latem\s+)?|latem\s+)([a-z][a-z-]*)|(--[a-z][a-z0-9-]*)")
+
+
+def test_every_flag_the_readme_names_is_accepted_by_its_subcommand():
+    parser = build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    accepted = {name: set(p._option_string_actions) for name, p in commands.choices.items()}
+    named = []
+    for title in ("Quick start", "CLI reference"):
+        for paragraph in re.split(r"\n\s*\n|\n(?=latem |\| )", _readme_section(title)):
+            command = None
+            for m in _README_TOKEN.finditer(paragraph):
+                if m.group(1) in accepted:
+                    command = m.group(1)
+                elif m.group(2):
+                    named.append((command, m.group(2)))
+    assert len(named) >= 15
+    assert [(c, f) for c, f in named if f not in accepted.get(c, ())] == []
 
 
 def test_autoarpd_prints_the_overflow_count(monkeypatch, capsys):
@@ -528,7 +578,7 @@ def test_cli_and_class_map_commands_leave_the_run_modules_unloaded(classes_file,
 import sys
 from latem.cli import main
 def loaded():
-    return sorted({"latem.orchestrator", "latem.autoarpd"} & set(sys.modules))
+    return sorted({"latem.orchestrator", "latem.autoarpd", "latem.adapters"} & set(sys.modules))
 print(loaded())
 classes, out = sys.argv[1:]
 assert main(["emit-nft", "--classes", classes, "--out", out]) == 0

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from latem.errors import ConfigError
 from latem.link_layer import (
-    MacPattern,
     check_bridge_capacity,
     emit_fdb_script,
     mac_for_ip,
@@ -19,26 +18,6 @@ def test_default_pattern_vectors():
     assert mac_for_ip("172.17.0.2") == "02:42:ac:11:00:02"
     assert mac_for_ip("0.0.0.0") == "02:42:00:00:00:00"
     assert mac_for_ip("255.255.255.255") == "02:42:ff:ff:ff:ff"
-
-
-def test_custom_prefix():
-    assert mac_for_ip("10.1.2.3", MacPattern(prefix=(0x06, 0x00))) == "06:00:0a:01:02:03"
-
-
-def test_prefix_parse():
-    assert MacPattern.parse("02:42") == MacPattern()
-
-
-def test_prefix_length_enforced():
-    with pytest.raises(ConfigError):
-        MacPattern(prefix=(0x02,))
-    with pytest.raises(ConfigError):
-        MacPattern(prefix=(0x02, 0x42, 0x00))
-
-
-def test_locally_administered_bit_required():
-    with pytest.raises(ConfigError):
-        MacPattern(prefix=(0x04, 0x42))
 
 
 @given(ip_octets, ip_octets)

@@ -49,7 +49,7 @@ class TestLoadManifest:
             load_manifest(path)
         message = str(exc.value)
         assert "node001" in message and "node002" in message
-        assert "line" in message
+        assert (exc.value.path, exc.value.line) == ("nodes[1].ip", None)
 
     def test_duplicate_node_name(self, tmp_path):
         data = minimal_manifest_dict()
@@ -133,3 +133,45 @@ def test_allocate_ips_skips_broadcast_octets():
     assert "10.1.0.255" not in ips
     assert "10.1.1.0" not in ips
     assert len(ips) == len(set(ips)) == 10
+
+
+# Each value reaches a plan line unquoted, so one that is not a single
+# shell word would run as commands in apply mode.
+@pytest.mark.parametrize("value", ["c;id", "a b", "$(id)"])
+@pytest.mark.parametrize(
+    "path, put",
+    [
+        ("nodes[1].name", lambda d, v: d["nodes"][1].update(name=v)),
+        ("nodes[1].image", lambda d, v: d["nodes"][1].update(image=v)),
+        ("phases[1].signal", lambda d, v: d["phases"][1].update(signal=v)),
+        ("runtime.bridge", lambda d, v: d.update(runtime={"bridge": v})),
+        ("runtime.container_iface", lambda d, v: d.update(runtime={"container_iface": v})),
+    ],
+)
+def test_values_that_reach_plan_lines_must_be_one_word(path, put, value):
+    data = minimal_manifest_dict()
+    put(data, value)
+    with pytest.raises(ValidationError) as exc:
+        parse_manifest(data)
+    assert exc.value.path == path
+    assert repr(value) in str(exc.value)
+
+
+@pytest.mark.parametrize(
+    "change, path",
+    [
+        (lambda d: d["nodes"][1].pop("ip"), "nodes[1].ip"),
+        (lambda d: d["nodes"][1]["processes"][0].pop("binary"), "nodes[1].processes[0].binary"),
+        (lambda d: d["nodes"][1].update(name="node001"), "nodes[1].name"),
+        (lambda d: d["nodes"][1].update(ip="10.1.0.1"), "nodes[1].ip"),
+        (lambda d: d["nodes"][1]["processes"][0].update(start_phase="x"),
+         "nodes[1].processes[0].start_phase"),
+    ],
+)
+def test_errors_name_the_json_path_of_the_offending_value(tmp_path, change, path):
+    data = minimal_manifest_dict()
+    change(data)
+    with pytest.raises(ValidationError) as exc:
+        load_manifest(write_manifest(tmp_path, data))
+    assert (exc.value.path, exc.value.line) == (path, None)
+    assert str(exc.value).startswith(f"[{path}] ")

@@ -1,6 +1,7 @@
 import pytest
 
 from latem import delay_model as dm
+from latem import nft_planner
 from latem.errors import ConfigError, EmptyPlanError
 from latem.nft_planner import emit_nft_script
 
@@ -75,24 +76,14 @@ def test_deterministic(five_node_classes):
     assert a == b
 
 
-def test_chunked_elements():
+def test_chunked_elements(monkeypatch):
+    monkeypatch.setattr(nft_planner, "ELEMENT_CHUNK_PAIRS", 2)
     pairs = tuple((f"10.0.1.{i+1}", f"10.0.2.{i+1}") for i in range(5))
     cmap = dm.DelayClassMap(classes=(delay_class(mark=1, delay_ms=10, pairs=pairs),))
-    script = emit_nft_script(cmap, element_chunk_pairs=2)
+    script = emit_nft_script(cmap)
     element_lines = [l for l in script if "add element" in l]
     assert len(element_lines) == 3  # 2 + 2 + 1 pairs
     assert len(script) == 2 + 1 + 3 + 1
-
-
-def test_custom_table_and_chain():
-    script = emit_nft_script(single_class_map(), table_name="emu", chain_name="emu_chain")
-    assert script.lines[0] == "nft add table ip emu"
-    assert "emu_chain" in script.lines[1]
-
-
-def test_invalid_identifier_rejected():
-    with pytest.raises(ConfigError):
-        emit_nft_script(single_class_map(), table_name="bad name")
 
 
 def test_class_without_pairs_rejected():

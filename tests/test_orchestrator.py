@@ -103,7 +103,7 @@ def manifest_with_delay(tmp_path: Path):
     data = minimal_manifest_dict()
     data["delay"] = {"matrix_path": "matrix.txt", "quantum_ms": 10}
     path = write_manifest(tmp_path, data)
-    return path, parse_manifest(json.loads(path.read_text()), path.read_text())
+    return path, parse_manifest(json.loads(path.read_text()))
 
 
 def launch_sysctls(line: str) -> list[str]:
@@ -532,7 +532,7 @@ class TestExecuteDryRun:
         policy = dm.QuantizationPolicy()
         upper = np.triu(np.random.default_rng(0).uniform(5, 400, size=(n, n)), k=1)
         q = dm.quantize(dm.DelayMatrix(upper + upper.T), policy)
-        classes = dm.build_classes(q, manifest.node_ips(), policy)
+        classes = dm.build_classes(q, [n.ip for n in manifest.nodes], policy)
         plan = build_startup_plan(manifest, classes=classes)
         (nft,) = plan.steps_of_kind("nft")
         nft_chars = sum(len(line) + 1 for line in nft.script)

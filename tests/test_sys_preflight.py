@@ -20,6 +20,7 @@ from latem.sys_preflight import (
 
 # Stock values a freshly installed host reports for the plan's keys.
 STOCK_DEFAULTS = {
+    "fs.nr_open": "1048576",
     "kernel.pty.max": "4096",
     "net.core.rmem_max": "212992",
     "net.core.rmem_default": "212992",
@@ -57,6 +58,18 @@ class TestRecommend:
         assert plan.entry("nproc").required == str(10_000 * 200)
         assert plan.entry("kernel.pty.max").required == str(10_000 + 1_000)
 
+    @pytest.mark.parametrize("nodes", [1, 3500, 3997, 5000, 20000])
+    def test_nr_open_admits_the_nofile_limit(self, nodes):
+        # The kernel refuses a hard nofile above fs.nr_open, so the plan
+        # raises fs.nr_open first, to the same value.
+        plan = recommend(nodes)
+        keys = [e.key for e in plan.entries]
+        assert keys.index("fs.nr_open") < keys.index("nofile")
+        assert plan.entry("fs.nr_open").required == plan.entry("nofile").required
+        nr_open = plan.entry("fs.nr_open").required
+        assert f"fs.nr_open={nr_open}\n" in emit_conf(plan).sysctl_conf
+        assert f'test "$(sysctl -n fs.nr_open)" -ge {nr_open}' in emit_audit_commands(plan)
+
     def test_socket_buffer_values(self):
         plan = recommend(100)
         assert plan.entry("net.core.wmem_default").required == "2147483647"
@@ -79,6 +92,7 @@ class TestAudit:
         plan = recommend(3500)
         report = audit(plan, STOCK_DEFAULTS)
         assert "kernel.pty.max" in report.failing_keys()
+        assert "fs.nr_open" in report.failing_keys()
         assert "net.ipv4.tcp_rmem" in report.failing_keys()
         assert "net.ipv4.tcp_wmem" in report.failing_keys()
         assert {"net.ipv4.neigh.default.gc_thresh1",
@@ -178,7 +192,7 @@ def test_audit_commands_shape():
         "END { exit !(h == \"unlimited\" || h + 0 >= 1574415) }' /proc/self/limits",
     ]
     assert any("sysctl -n kernel.pty.max" in l for l in lines)
-    assert all(l.startswith("test ") for l in lines[2:])
+    assert all(l.startswith("test ") for l in lines if "/proc/self/limits" not in l)
 
 
 SHELLS = ["/bin/sh"] + ([shutil.which("bash")] if shutil.which("bash") else [])
