@@ -80,9 +80,14 @@ def _freeze(entries: np.ndarray) -> np.ndarray:
 def _check_values(entries: np.ndarray) -> None:
     import numpy as np
 
-    if not np.all(np.isfinite(entries)):
+    if not entries.size:
+        return
+    # A NaN makes both extremes NaN, so two reductions check every entry
+    # with no matrix-sized mask.
+    lowest, highest = entries.min(), entries.max()
+    if not (np.isfinite(lowest) and np.isfinite(highest)):
         raise ValueError("matrix contains NaN or infinite entries")
-    if np.any(entries < 0):
+    if lowest < 0:
         raise ValueError("matrix contains negative delays")
 
 
@@ -375,6 +380,30 @@ def _draw(n: int, count: int, seed: int) -> np.ndarray:
     return np.sort(np.random.default_rng(seed).choice(n, size=count, replace=False))
 
 
+# What bytes.strip removes: a line of only these is blank.
+_NON_BLANK = re.compile(rb"[^ \t\n\r\x0b\x0c]")
+
+
+def _line_bounds(data: bytes) -> Iterator[tuple[int, int]]:
+    """Each line's (start, end) offsets in data, its ending left out.
+
+    The lines are those of `data.splitlines()`: each ends at "\n", "\r\n"
+    or "\r", or at the end of data. Each byte is searched once for each
+    ending, and no line is copied.
+    """
+    size = len(data)
+    pos = 0
+    nl = cr = -1  # the next "\n" and "\r" at or after pos, or size
+    while pos < size:
+        if nl < pos:
+            nl = data.find(b"\n", pos) % (size + 1)  # -1 becomes size
+        if cr < pos:
+            cr = data.find(b"\r", pos) % (size + 1)
+        end = min(nl, cr)
+        yield pos, end
+        pos = end + 2 if end == cr and end + 1 == nl else end + 1
+
+
 def load_matrix(
     source: Union[str, Path, IO[str], IO[bytes]],
     count: int | None = None,
@@ -404,26 +433,28 @@ def load_matrix(
         data = Path(source).read_bytes()
 
     line_nos: list[int] = []
-    rows: list = []  # bytes, then each kept row decoded to str in place
-    for line_no, line in enumerate(data.splitlines(), start=1):
-        if line.strip():
+    bounds: list[tuple[int, int]] = []  # each non-blank line's start and end in data
+    for line_no, (start, end) in enumerate(_line_bounds(data), start=1):
+        if _NON_BLANK.search(data, start, end):
             line_nos.append(line_no)
-            rows.append(line)
-    del data
-    if not rows:
+            bounds.append((start, end))
+    if not bounds:
         raise ShapeError("matrix source contains no rows")
-    delimiter = "," if b"," in rows[0] else None
-    n = len(rows)
+    delimiter = "," if data.find(b",", *bounds[0]) >= 0 else None
+    n = len(bounds)
     kept = range(n)  # each parsed row's index among all rows
     if count is not None and count != n:
         kept = _draw(n, count, seed).tolist()
-        rows = [rows[i] for i in kept]
+        bounds = [bounds[i] for i in kept]
         line_nos = [line_nos[i] for i in kept]
-    for i, line_no in enumerate(line_nos):
-        try:
-            rows[i] = rows[i].decode()
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"line {line_no}: not UTF-8 text ({exc})") from None
+    rows: list[str] = []
+    with memoryview(data) as view:
+        for line_no, (start, end) in zip(line_nos, bounds):
+            try:
+                rows.append(str(view[start:end], "utf-8"))
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"line {line_no}: not UTF-8 text ({exc})") from None
+    del data
 
     try:
         entries = np.loadtxt(rows, delimiter=delimiter, comments=None, ndmin=2)
@@ -463,9 +494,18 @@ def subsample(m: DelayMatrix, count: int, seed: int) -> DelayMatrix:
 
 def inflate(m: DelayMatrix, factor: Factor) -> DelayMatrix:
     """Multiply every delay by a positive factor; structure is preserved."""
+    import numpy as np
+
     if factor <= 0:
         raise ValueError(f"inflation factor must be positive, got {factor}")
-    return DelayMatrix(m.entries * float(factor))
+    with np.errstate(over="ignore"):  # DelayMatrix rejects an infinite product
+        entries = m.entries * float(factor)
+    entries.setflags(write=False)  # nothing else holds it, so DelayMatrix need not copy
+    return DelayMatrix(entries)
+
+
+# Cells quantized per pass: the float steps of one pass stay cache-sized.
+_QUANTIZE_CELLS = 1 << 16
 
 
 def quantize(m: DelayMatrix, policy: QuantizationPolicy) -> np.ndarray:
@@ -473,18 +513,26 @@ def quantize(m: DelayMatrix, policy: QuantizationPolicy) -> np.ndarray:
 
     nearest-half-up rounds .5 steps away from zero (25ms at quantum 10 gives
     30ms); floor and ceil snap down or up. Idempotent on its own output.
+    Each entry is divided by the quantum, rounded to a whole step and
+    multiplied back in integers. A block of rows at a time is divided and
+    rounded straight into the int64 result, so the result is the only
+    matrix-sized array made, and the matrix is not written.
     """
     import numpy as np
 
     q = policy.quantum_ms
-    ratio = m.entries / q
-    if policy.rounding == "nearest-half-up":
-        steps = np.floor(ratio + 0.5)
-    elif policy.rounding == "floor":
-        steps = np.floor(ratio)
-    else:
-        steps = np.ceil(ratio)
-    return (steps.astype(np.int64)) * q
+    entries = m.entries
+    steps = np.empty(entries.shape, dtype=np.int64)
+    round_step = np.ceil if policy.rounding == "ceil" else np.floor
+    rows = max(1, _QUANTIZE_CELLS // max(m.n, 1))
+    for start in range(0, m.n, rows):
+        ratio = entries[start : start + rows] / q
+        if policy.rounding == "nearest-half-up":
+            ratio += 0.5
+        # The rounded steps are whole numbers, so the cast is exact.
+        round_step(ratio, out=steps[start : start + rows], casting="unsafe")
+    steps *= q
+    return steps
 
 
 def build_classes(
@@ -497,7 +545,16 @@ def build_classes(
     One class per distinct delay value, sorted ascending; the mark is the
     1-based position in that order. Zero-delay pairs are omitted when the
     policy drops the zero class (their traffic takes the default no-delay
-    path, which is behaviorally identical).
+    path, which is behaviorally identical). Within a class, pairs run in
+    numeric (lower, higher) address order.
+
+    Only the strict upper triangle is read, one row at a time. Each pair
+    becomes one int64 code, `delay << 2w | rank(lo) << w | rank(hi)`, where
+    rank is an address's position in numeric order and w the bit width of
+    n - 1. One in-place sort of the codes orders the pairs by delay, then
+    lower and higher address; the classes are the runs of equal delay, and
+    each column is decoded from its run with a shift and a mask. A delay
+    too large to leave room for the two ranks is rejected.
     """
     import numpy as np
 
@@ -511,37 +568,56 @@ def build_classes(
         dupes = sorted({ip for ip in ip_list if ip_list.count(ip) > 1})
         raise ConfigError(f"duplicate node addresses: {dupes}")
 
-    i, j = np.triu_indices(n, k=1)
-    delay = q[i, j]
-    if delay.dtype.kind == "f" and not np.isfinite(delay).all():
-        raise ValueError("quantized delays must be finite")
-    delay = delay.astype(np.int64)  # truncates toward zero, as int() does
-    if policy.drop_zero_class:
-        keep = delay != 0
-        i, j, delay = i[keep], j[keep], delay[keep]
-        del keep
-    swap = keys[i] > keys[j]
-    lo, hi = np.where(swap, j, i), np.where(swap, i, j)
-    del i, j, swap
-    # Within a class, pairs run in numeric (lower, higher) address order.
-    order = np.lexsort((keys[hi], keys[lo], delay))
-    lo, hi, delay = lo[order], hi[order], delay[order]
-    del order
-    delays, sizes = np.unique(delay, return_counts=True)
+    by_addr = np.argsort(keys)  # the node at each rank
+    rank = np.empty(n, dtype=np.int64)
+    rank[by_addr] = np.arange(n)
+    w = max(n - 1, 1).bit_length()
+    limit = 1 << (63 - 2 * w)  # delays below this keep a code non-negative
+    lowest = highest = 0
+    codes = np.empty(n * (n - 1) // 2, dtype=np.int64)
+    size = 0
+    for i in range(n - 1):
+        row = q[i, i + 1 :]
+        if q.dtype.kind == "f" and not np.isfinite(row).all():
+            raise ValueError("quantized delays must be finite")
+        lowest, highest = min(lowest, row.min()), max(highest, row.max())
+        # A delay truncates toward zero, as int() does: -1 < d < 0 is 0.
+        if lowest <= -1 or highest >= limit:
+            continue  # raised below, once every row is known to be finite
+        delay, other = row.astype(np.int64), rank[i + 1 :]
+        if policy.drop_zero_class:
+            keep = delay != 0
+            delay, other = delay[keep], other[keep]
+        code = codes[size : size + delay.size]
+        np.left_shift(delay, 2 * w, out=code)
+        code |= np.minimum(other, rank[i]) << w
+        code |= np.maximum(other, rank[i])
+        size += delay.size
+    if lowest <= -1:
+        raise ConfigError(f"quantized delays must be non-negative, got {int(lowest)}")
+    if highest >= limit:
+        raise ConfigError(
+            f"delay {int(highest)} ms is too large to class {n} addresses "
+            f"(at most {limit - 1})"
+        )
+    codes = codes[:size]
+    codes.sort()
+    delay = codes >> 2 * w
+    changes = np.flatnonzero(delay[1:] != delay[:-1]) + 1  # np.diff's nonzeros, as bools
+    starts = [0, *changes.tolist()] if size else []
+    delays = delay[starts].tolist()
     del delay
-    if delays.size and delays[0] < 0:
-        raise ConfigError(f"quantized delays must be non-negative, got {delays[0]}")
 
     # Gathering through an object array reuses the callers' address strings.
-    ip_arr = np.array(ip_list, dtype=object)
+    addr = np.array(ip_list, dtype=object)[by_addr]  # the address at each rank
+    mask = (1 << w) - 1
     classes = []
-    start = 0
-    for mark, (delay_ms, end) in enumerate(zip(delays.tolist(), np.cumsum(sizes).tolist()), 1):
+    for mark, (delay_ms, start, end) in enumerate(zip(delays, starts, [*starts[1:], size]), 1):
+        run = codes[start:end]
         classes.append(DelayClass(
-            mark, delay_ms, tuple(ip_arr[lo[start:end]].tolist()),
-            tuple(ip_arr[hi[start:end]].tolist()),
+            mark, delay_ms, tuple(addr[(run >> w) & mask].tolist()),
+            tuple(addr[run & mask].tolist()),
         ))
-        start = end
-    # triu_indices yields each unordered pair once and the addresses are
-    # distinct, so no pair can repeat.
+    # Each unordered pair of distinct addresses is read once, so no pair
+    # can repeat.
     return DelayClassMap._of_disjoint(tuple(classes))

@@ -177,6 +177,18 @@ def _word(value: Any, pattern: re.Pattern, path: str) -> str:
     return text
 
 
+def _object(value: Any, path: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise ValidationError(f"expected an object, got {type(value).__name__}", path=path)
+    return value
+
+
+def _array(value: Any, path: str) -> list | tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ValidationError(f"expected an array, got {type(value).__name__}", path=path)
+    return value
+
+
 def _require(data: Mapping, key: str, path: str) -> Any:
     if key not in data:
         raise ValidationError(f"missing required key {key!r}", path=path)
@@ -184,39 +196,47 @@ def _require(data: Mapping, key: str, path: str) -> Any:
 
 
 def parse_manifest(data: Mapping) -> ExperimentManifest:
-    """Build and validate a manifest from parsed JSON."""
+    """Build and validate a manifest from parsed JSON.
+
+    Every object and array is checked to be one before it is read, so a
+    value of the wrong JSON type fails with its path.
+    """
+    data = _object(data, "manifest")
     name = str(data.get("name", "experiment"))
 
     nodes = []
-    for i, nd in enumerate(data.get("nodes", [])):
+    for i, nd in enumerate(_array(data.get("nodes", []), "nodes")):
         path = f"nodes[{i}]"
+        nd = _object(nd, path)
         node_name = _word(_require(nd, "name", f"{path}.name"), _CONTAINER_NAME, f"{path}.name")
         ip = str(_require(nd, "ip", f"{path}.ip"))
         try:
             ipaddress.IPv4Address(ip)
         except ipaddress.AddressValueError as exc:
             raise ValidationError(f"node {node_name!r}: bad IPv4 {ip!r} ({exc})", f"{path}.ip")
-        processes = tuple(
-            ProcessSpec(
-                binary=str(_require(p, "binary", f"{path}.processes[{j}].binary")),
-                args=tuple(str(a) for a in p.get("args", [])),
-                start_phase=str(_require(p, "start_phase", f"{path}.processes[{j}].start_phase")),
-            )
-            for j, p in enumerate(nd.get("processes", []))
-        )
+        processes = []
+        for j, p in enumerate(_array(nd.get("processes", []), f"{path}.processes")):
+            proc_path = f"{path}.processes[{j}]"
+            p = _object(p, proc_path)
+            processes.append(ProcessSpec(
+                binary=str(_require(p, "binary", f"{proc_path}.binary")),
+                args=tuple(str(a) for a in _array(p.get("args", []), f"{proc_path}.args")),
+                start_phase=str(_require(p, "start_phase", f"{proc_path}.start_phase")),
+            ))
         nodes.append(
             NodeSpec(
                 name=node_name,
                 ip=ip,
                 image=_word(nd.get("image", "latem/node:latest"), _SHELL_WORD, f"{path}.image"),
-                processes=processes,
-                roles=frozenset(str(r) for r in nd.get("roles", [])),
+                processes=tuple(processes),
+                roles=frozenset(str(r) for r in _array(nd.get("roles", []), f"{path}.roles")),
             )
         )
 
     phases = []
-    for i, ph in enumerate(data.get("phases", [])):
+    for i, ph in enumerate(_array(data.get("phases", []), "phases")):
         path = f"phases[{i}]"
+        ph = _object(ph, path)
         phase_name = str(_require(ph, "name", f"{path}.name"))
         action = str(_require(ph, "action", f"{path}.action"))
         if action not in PHASE_ACTIONS:
@@ -242,14 +262,15 @@ def parse_manifest(data: Mapping) -> ExperimentManifest:
                 target=str(ph.get("target", "all")),
                 signal=_word(signal, _SHELL_WORD, f"{path}.signal") if signal else None,
                 stagger_ms=stagger,
-                script=tuple(str(s) for s in ph.get("script", [])),
+                script=tuple(str(s) for s in _array(ph.get("script", []), f"{path}.script")),
                 capture_stats=bool(ph.get("capture_stats", False)),
             )
         )
 
     networks = {}
-    for role, nw in dict(data.get("networks", {})).items():
+    for role, nw in _object(data.get("networks", {}), "networks").items():
         path = f"networks.{role}"
+        nw = _object(nw, path)
         kind = str(_require(nw, "kind", f"{path}.kind"))
         if kind not in TOPOLOGY_KINDS:
             raise ValidationError(f"network {role!r}: unknown kind {kind!r}", f"{path}.kind")
@@ -263,7 +284,7 @@ def parse_manifest(data: Mapping) -> ExperimentManifest:
 
     delay = None
     if "delay" in data and data["delay"] is not None:
-        d = data["delay"]
+        d = _object(data["delay"], "delay")
         delay = DelaySection(
             matrix_path=str(_require(d, "matrix_path", "delay.matrix_path")),
             quantum_ms=int(d.get("quantum_ms", 10)),
@@ -274,7 +295,7 @@ def parse_manifest(data: Mapping) -> ExperimentManifest:
         )
 
     timers = {}
-    for timer_name, t in dict(data.get("timers", {})).items():
+    for timer_name, t in _object(data.get("timers", {}), "timers").items():
         path = f"timers.{timer_name}"
         if isinstance(t, Mapping):
             kind = t.get("kind")
@@ -292,7 +313,7 @@ def parse_manifest(data: Mapping) -> ExperimentManifest:
 
     resources = None
     if "resources" in data and data["resources"] is not None:
-        r = data["resources"]
+        r = _object(data["resources"], "resources")
         values = {}
         for fname in ("ram_cap_fraction", "per_node_startup_fraction", "per_node_steady_fraction"):
             path = f"resources.{fname}"
@@ -301,7 +322,7 @@ def parse_manifest(data: Mapping) -> ExperimentManifest:
                 raise ValidationError(f"{path} must be in (0, 1], got {value}", path)
         resources = ResourceModel(**values)
 
-    rt = data.get("runtime", {})
+    rt = _object(data.get("runtime", {}), "runtime")
     runtime = RuntimeSection(
         bridge=_word(rt.get("bridge", "latbr0"), _SHELL_WORD, "runtime.bridge"),
         container_iface=_word(

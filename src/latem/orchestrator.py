@@ -248,9 +248,6 @@ class PhasedPlan:
     experiment: str
     steps: tuple[PlanStep, ...]
 
-    def steps_of_kind(self, kind: str) -> tuple[PlanStep, ...]:
-        return tuple(s for s in self.steps if s.kind == kind)
-
 
 _TIMER_REF = re.compile(r"\{timer:([A-Za-z0-9_.-]+)\}")
 
@@ -440,6 +437,7 @@ def delay_classes_for_manifest(
         quantum_ms=d.quantum_ms, rounding=d.rounding, drop_zero_class=d.drop_zero_class
     )
     quantized = delay_model.quantize(matrix, policy)
+    del matrix  # the class build reads only the quantized copy
     classes = delay_model.build_classes(quantized, [n.ip for n in manifest.nodes], policy)
     bands = compute_bands(len(classes)) if len(classes) else 2
     return classes, bands

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import add
 from typing import Iterator, TextIO
 
 # About this much text goes to each write: enough to amortize the call, and
@@ -16,6 +18,10 @@ class Script:
     A subclass decides how the lines are held and yields them in order. No
     line holds a newline or ends in whitespace. Emission is
     byte-deterministic: equal inputs produce equal scripts.
+
+    The text is also read in pieces, each one or more whole lines with
+    their newlines: one line per piece here, larger pieces where a subclass
+    renders several lines at once. `text()` and `write_to` read only pieces.
     """
 
     def __len__(self) -> int:
@@ -24,24 +30,30 @@ class Script:
     def __iter__(self) -> Iterator[str]:
         raise NotImplementedError
 
+    def pieces(self) -> Iterator[str]:
+        """The text in order, in pieces that each end in a newline."""
+        return map(add, self, repeat("\n"))
+
     def text(self) -> str:
         """Render as POSIX shell text, one command per line."""
-        return "\n".join(self) + "\n" if len(self) else ""
+        return "".join(self.pieces())
 
     def write_to(self, out: TextIO) -> None:
-        """Write `text()` to an open text file, about WRITE_CHUNK_CHARS at a time."""
+        """Write `text()` to an open text file, about WRITE_CHUNK_CHARS at a time.
+
+        Pieces are grouped until the group reaches the bound, so a write
+        holds at most WRITE_CHUNK_CHARS plus one piece.
+        """
         chunk: list[str] = []
         size = 0
-        for line in self:
-            chunk.append(line)
-            size += len(line) + 1
+        for piece in self.pieces():
+            chunk.append(piece)
+            size += len(piece)
             if size >= WRITE_CHUNK_CHARS:
-                chunk.append("")
-                out.write("\n".join(chunk))
+                out.write("".join(chunk))
                 chunk, size = [], 0
         if chunk:
-            chunk.append("")
-            out.write("\n".join(chunk))
+            out.write("".join(chunk))
 
 
 @dataclass(frozen=True)

@@ -23,8 +23,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
+from operator import add
 from typing import Iterator, Mapping, Sequence
 
 from .delay_model import DelayClassMap, gc_paused
@@ -74,14 +75,17 @@ class TreeScript(Script):
     """One tree's lines for each of a list of interfaces, rendered on demand.
 
     Line i of an interface's tree is `tree[i][0] + veth + tree[i][1]`. The
-    lines are never held for every interface at once: iterating renders one
-    interface's tree at a time. The line rule every script keeps (no
-    newline, no trailing whitespace) is checked once, on the heads, the tails
-    and the interface names.
+    tree is also held as the text between the names, `fragments`, so an
+    interface's whole tree is `veth.join(fragments)`: one join, and one
+    piece of the script's text, per interface. The lines are never held for
+    every interface at once. The line rule every script keeps (no newline,
+    no trailing whitespace) is checked once, on the heads, the tails and the
+    interface names.
     """
 
     tree: tuple[tuple[str, str], ...]
     veths: tuple[str, ...]
+    fragments: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for head, tail in self.tree:
@@ -94,13 +98,22 @@ class TreeScript(Script):
         for veth in self.veths:
             if not veth or veth != veth.strip() or "\n" in veth or "\r" in veth:
                 raise ConfigError(f"invalid interface name {veth!r}")
+        heads = [head for head, _ in self.tree]
+        tails = [tail + "\n" for _, tail in self.tree]
+        fragments = tuple(map(add, ["", *tails], [*heads, ""])) if self.tree else ()
+        object.__setattr__(self, "fragments", fragments)
 
     def __len__(self) -> int:
         return len(self.veths) * len(self.tree)
 
     def __iter__(self) -> Iterator[str]:
-        for veth in self.veths:
-            yield from [head + veth + tail for head, tail in self.tree]
+        for tree in self.pieces():
+            yield from tree.split("\n")[:-1]
+
+    def pieces(self) -> Iterator[str]:
+        """Each interface's whole tree, in order."""
+        if self.fragments:
+            yield from map(str.join, self.veths, repeat(self.fragments))
 
     @property
     def lines(self) -> tuple[str, ...]:
@@ -194,9 +207,6 @@ class VerificationReport:
     @property
     def ok(self) -> bool:
         return not self.mismatches and self.default_path_ok
-
-    def mismatched_marks(self) -> set[int]:
-        return {m.mark for m in self.mismatches if m.mark is not None}
 
 
 class _NftState:

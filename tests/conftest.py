@@ -37,6 +37,16 @@ def five_node_classes() -> dm.DelayClassMap:
     return dm.build_classes(quantized, FIVE_NODE_IPS, policy)
 
 
+def steps_of_kind(plan, kind: str) -> tuple:
+    """The plan's steps of one kind, in plan order."""
+    return tuple(s for s in plan.steps if s.kind == kind)
+
+
+def mismatched_marks(report) -> set[int]:
+    """The marks of a verification report's mismatches."""
+    return {m.mark for m in report.mismatches if m.mark is not None}
+
+
 def _nx_graph(graph) -> nx.Graph:
     """A latem Graph's nodes 0..n-1 and edges as a networkx graph."""
     g = nx.Graph()

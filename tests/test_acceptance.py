@@ -34,7 +34,14 @@ from latem.tc_planner import (
 from latem.time_inflation import BpfRtoConfig, emit_bpf_commands, recommend_rto, render_bpf_source
 from latem.topology import nws_graph
 
-from conftest import FIXTURES, GOLDENS, is_connected, minimal_manifest_dict, random_class_map
+from conftest import (
+    FIXTURES,
+    GOLDENS,
+    is_connected,
+    minimal_manifest_dict,
+    mismatched_marks,
+    random_class_map,
+)
 from fake_adapters import RecordingAdapter, ScriptedAdapter
 
 
@@ -96,7 +103,7 @@ def test_criterion_03_plan_oracle():
                         line = f"{head}:{wrong}"
                     tampered_lines.append(line)
                 bad = verify_plan(nft, CommandScript(lines=tuple(tampered_lines)), classes)
-                assert bad.mismatched_marks() == {mark}
+                assert mismatched_marks(bad) == {mark}
         assert checked >= 150
         assert time.perf_counter() - start < 30.0
 

@@ -350,6 +350,21 @@ def test_preflight_audit_exit_code(tmp_path, capsys):
     assert "FAIL" in out and "kernel.pty.max" in out
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"nodes": [1], "phases": []}, "[nodes[0]] expected an object, got int"),
+        ({"runtime": ["x"]}, "[runtime] expected an object, got list"),
+    ],
+)
+def test_run_entry_that_is_not_an_object_is_one_error_line(tmp_path, capsys, data, message):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(data))
+    rc = main(["run", "--manifest", str(path), "--dry-run", "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_run_dry_run_tree(tmp_path, matrix_file):
     data = minimal_manifest_dict()
     data["delay"] = {"matrix_path": str(matrix_file), "quantum_ms": 10}

@@ -3,6 +3,7 @@ import io
 import json
 import re
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -121,6 +122,14 @@ class TestLoadMatrix:
         path.write_bytes(b"0 7\n\n7 \xff0\n")
         with pytest.raises(ValueError, match=r"^line 3: not UTF-8 text \("):
             dm.load_matrix(path)
+
+
+@given(st.lists(st.sampled_from([b"0", b" ", b"\t", b"\n", b"\r", b"\r\n", b"\x0c"]),
+                max_size=30).map(b"".join))
+@example(data=b"0\r")
+@example(data=b"\r\n\r")
+def test_line_bounds_split_as_bytes_splitlines(data):
+    assert [data[start:end] for start, end in dm._line_bounds(data)] == data.splitlines()
 
 
 def kept_rows(n, count, seed):
@@ -307,6 +316,17 @@ class TestInflate:
         once = dm.inflate(m, 6)
         assert np.allclose(twice.entries, once.entries)
 
+    def test_overflow_to_infinity_rejected(self):
+        m = matrix([[0, 1e308], [1e308, 0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the error alone reports it, with no warning
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                dm.inflate(m, 10)
+
+    def test_product_is_held_without_a_second_copy(self):
+        m = dm.inflate(matrix([[0, 30], [30, 0]]), 3)
+        assert m.entries.flags.owndata and not m.entries.flags.writeable
+
 
 class TestQuantize:
     def test_nearest_rounds_down(self):
@@ -355,6 +375,36 @@ class TestQuantize:
         m = random_symmetric_matrix(rng, 15)
         q = dm.quantize(m, dm.QuantizationPolicy())
         assert np.array_equal(q, q.T)
+
+    @staticmethod
+    def whole_matrix_formula(m, policy):
+        """quantize as three matrix-sized float expressions, the form it replaced."""
+        ratio = m.entries / policy.quantum_ms
+        if policy.rounding == "nearest-half-up":
+            steps = np.floor(ratio + 0.5)
+        elif policy.rounding == "floor":
+            steps = np.floor(ratio)
+        else:
+            steps = np.ceil(ratio)
+        return steps.astype(np.int64) * policy.quantum_ms
+
+    @pytest.mark.parametrize("mode", dm.ROUNDING_MODES)
+    @pytest.mark.parametrize("quantum", [1, 7, 10])
+    @pytest.mark.parametrize("n", [1, 2, 300])  # 300 rows take two blocks
+    def test_equals_the_whole_matrix_formula(self, n, quantum, mode):
+        rng = np.random.default_rng(n * quantum)
+        # every third row exact .5 steps, the rest spread over 0..400 ms
+        upper = rng.uniform(0, 400, size=(n, n))
+        upper[::3] = (rng.integers(0, 80, size=upper[::3].shape) + 0.5) * quantum
+        m = dm.DelayMatrix(np.triu(upper, 1) + np.triu(upper, 1).T)
+        before = m.entries.copy()
+        policy = dm.QuantizationPolicy(quantum_ms=quantum, rounding=mode)
+        got = dm.quantize(m, policy)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, self.whole_matrix_formula(m, policy))
+        assert np.array_equal(m.entries, before)
+        again = dm.quantize(dm.DelayMatrix(got.astype(float)), policy)
+        assert np.array_equal(again, got)
 
 
 class TestBuildClasses:
@@ -441,6 +491,52 @@ class TestBuildClasses:
         want = build_classes_loop(q, ips, pol)
         assert got == want
         assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
+
+    @pytest.mark.parametrize("drop_zero", [True, False])
+    @pytest.mark.parametrize("shuffled", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 256, 257])  # n - 1 crosses a power of two
+    def test_matches_pair_loop_reference_at_rank_widths(self, n, shuffled, drop_zero):
+        rng = np.random.default_rng(n)
+        ips = [f"10.5.{i // 200}.{i % 200 + 1}" for i in range(n)]
+        if shuffled:
+            ips = [ips[i] for i in rng.permutation(n)]
+        upper = np.triu(rng.choice([0, 10, 20, 40, 1900], size=(n, n)), k=1)
+        q = upper + upper.T
+        pol = dm.QuantizationPolicy(drop_zero_class=drop_zero)
+        assert dm.build_classes(q, ips, pol) == build_classes_loop(q, ips, pol)
+
+    @pytest.mark.parametrize("n, width", [(2, 1), (5, 3), (257, 9)])
+    @pytest.mark.parametrize("as_float", [False, True])
+    def test_delay_that_overflows_the_pair_code_rejected(self, n, width, as_float):
+        # A code holds the delay above two ranks of `width` bits in 63 bits.
+        limit = 1 << (63 - 2 * width)
+        ips = [f"10.6.{i // 200}.{i % 200 + 1}" for i in range(n)]
+        q = np.full((n, n), 10, dtype=np.int64)
+        np.fill_diagonal(q, 0)
+        q[0, n - 1] = q[n - 1, 0] = limit - 1
+        cmap = dm.build_classes(q, ips, dm.QuantizationPolicy())
+        assert cmap.classes[-1].delay_ms == limit - 1
+        q[0, n - 1] = q[n - 1, 0] = limit
+        with pytest.raises(ConfigError, match=f"delay {limit} ms is too large"):
+            dm.build_classes(q.astype(float) if as_float else q, ips, dm.QuantizationPolicy())
+
+    def test_huge_float_delay_rejected_as_too_large(self):
+        q = np.array([[0, 1e30], [1e30, 0]])
+        with pytest.raises(ConfigError, match="too large"):
+            dm.build_classes(q, ["10.0.0.1", "10.0.0.2"], dm.QuantizationPolicy())
+
+    def test_non_finite_reported_before_a_negative_delay(self):
+        q = np.array([[0, -10, 0], [-10, 0, np.inf], [0, np.inf, 0]])
+        with pytest.raises(ValueError, match="must be finite"):
+            dm.build_classes(q, ["10.0.0.1", "10.0.0.2", "10.0.0.3"], dm.QuantizationPolicy())
+
+    def test_negative_float_delay_truncates_as_int_does(self):
+        q = np.array([[0, -0.5, -10.7], [-0.5, 0, 10], [-10.7, 10, 0]])
+        ips = ["10.0.0.1", "10.0.0.2", "10.0.0.3"]
+        with pytest.raises(ConfigError, match="non-negative, got -10$"):
+            dm.build_classes(q, ips, dm.QuantizationPolicy())
+        q[0, 2] = q[2, 0] = 20
+        assert dm.build_classes(q, ips, dm.QuantizationPolicy()).class_delays() == {1: 10, 2: 20}
 
     def test_ips_listed_out_of_address_order(self):
         q = np.array([[0, 10], [10, 0]], dtype=np.int64)

@@ -175,3 +175,36 @@ def test_errors_name_the_json_path_of_the_offending_value(tmp_path, change, path
         load_manifest(write_manifest(tmp_path, data))
     assert (exc.value.path, exc.value.line) == (path, None)
     assert str(exc.value).startswith(f"[{path}] ")
+
+
+@pytest.mark.parametrize(
+    "change, path",
+    [
+        (lambda d: d["nodes"].__setitem__(0, 1), "nodes[0]"),
+        (lambda d: d.update(nodes=5), "nodes"),
+        (lambda d: d["nodes"][1].update(processes=[["x"]]), "nodes[1].processes[0]"),
+        (lambda d: d["nodes"][1].update(processes="x"), "nodes[1].processes"),
+        (lambda d: d["nodes"][1]["processes"][0].update(args=3), "nodes[1].processes[0].args"),
+        (lambda d: d["nodes"][1].update(roles=None), "nodes[1].roles"),
+        (lambda d: d["phases"].__setitem__(1, None), "phases[1]"),
+        (lambda d: d["phases"][0].update(script=7), "phases[0].script"),
+        (lambda d: d.update(networks=[1]), "networks"),
+        (lambda d: d.update(networks={"gossip": "random"}), "networks.gossip"),
+        (lambda d: d.update(delay=["m.txt"]), "delay"),
+        (lambda d: d.update(timers=[1]), "timers"),
+        (lambda d: d.update(resources=0.5), "resources"),
+        (lambda d: d.update(runtime=["x"]), "runtime"),
+    ],
+)
+def test_entries_of_the_wrong_json_type_name_their_path(change, path):
+    data = minimal_manifest_dict()
+    change(data)
+    with pytest.raises(ValidationError) as exc:
+        parse_manifest(data)
+    assert exc.value.path == path
+    assert str(exc.value).startswith(f"[{path}] expected an ")
+
+
+def test_manifest_that_is_not_an_object_rejected():
+    with pytest.raises(ValidationError, match=r"^\[manifest\] expected an object, got list$"):
+        parse_manifest([1])

@@ -30,7 +30,12 @@ from latem.orchestrator import (
 from latem.script import CommandScript
 from latem.tc_planner import emit_tc_script, emit_tc_trees
 
-from conftest import FIVE_NODE_ENTRIES, minimal_manifest_dict, write_manifest
+from conftest import (
+    FIVE_NODE_ENTRIES,
+    minimal_manifest_dict,
+    steps_of_kind,
+    write_manifest,
+)
 from fake_adapters import ParentCheckingAdapter, RecordingAdapter, ScriptedAdapter
 
 PAPER_RESOURCES = ResourceModel(
@@ -147,7 +152,7 @@ class TestBuildStartupPlan:
     def test_tc_step_covers_every_node(self, tmp_path, five_node_classes):
         _, manifest = manifest_with_delay(tmp_path)
         plan = build_startup_plan(manifest, classes=five_node_classes)
-        (tc_step,) = plan.steps_of_kind("tc")
+        (tc_step,) = steps_of_kind(plan, "tc")
         assert tc_step.script.veths == (veth_token("node001"), veth_token("node002"))
         roots = [l for l in tc_step.script if "root handle 1:" in l]
         assert len(roots) == 2
@@ -160,7 +165,7 @@ class TestBuildStartupPlan:
         data["delay"] = {"matrix_path": "matrix.txt", "quantum_ms": 10}
         manifest = parse_manifest(data)
         plan = build_startup_plan(manifest, classes=five_node_classes, bands=3)
-        (tc_step,) = plan.steps_of_kind("tc")
+        (tc_step,) = steps_of_kind(plan, "tc")
         veths = [veth_token(f"node00{i}") for i in range(1, 6)]
         assert tc_step.script.veths == tuple(veths)
         assert tc_step.script.tree[0] == ("tc qdisc add dev ", " root handle 1: prio bands 3")
@@ -176,14 +181,14 @@ class TestBuildStartupPlan:
     def test_no_delay_section_omits_nft_tc(self):
         manifest = parse_manifest(minimal_manifest_dict())
         plan = build_startup_plan(manifest)
-        assert plan.steps_of_kind("nft") == ()
-        assert plan.steps_of_kind("tc") == ()
+        assert steps_of_kind(plan, "nft") == ()
+        assert steps_of_kind(plan, "tc") == ()
 
     def test_signal_step_offsets(self):
         data = minimal_manifest_dict()
         manifest = parse_manifest(data)
         plan = build_startup_plan(manifest)
-        (signal_step,) = plan.steps_of_kind("signal")
+        (signal_step,) = steps_of_kind(plan, "signal")
         assert list(signal_step.script) == [
             "docker kill -s SIGUSR1 node001",
             "sleep 0.5",
@@ -217,7 +222,7 @@ class TestBuildStartupPlan:
         }
         manifest = parse_manifest(data)
         plan = build_startup_plan(manifest)
-        launches = plan.steps_of_kind("launch")
+        launches = steps_of_kind(plan, "launch")
         # 4 fill the cap; settled footprints leave room for 3, then 2, then 1
         assert [len(s.script) for s in launches] == [4, 3, 2, 1]
 
@@ -241,7 +246,7 @@ class TestBuildStartupPlan:
         data["nodes"][0]["processes"][0]["args"] = ["--block-time", "{timer:block_time_s}"]
         manifest = parse_manifest(data)
         plan = build_startup_plan(manifest)
-        launch = plan.steps_of_kind("launch")[0]
+        launch = steps_of_kind(plan, "launch")[0]
         line = launch.script.lines[0]
         assert "--name node001" in line
         assert "--ip 10.1.0.1" in line
@@ -260,7 +265,7 @@ class TestBuildStartupPlan:
         ]
         plan = build_startup_plan(parse_manifest(data))
         specs = {}
-        for line in plan.steps_of_kind("launch")[0].script.lines:
+        for line in steps_of_kind(plan, "launch")[0].script.lines:
             env_token = next(t for t in shlex.split(line) if t.startswith("LATEM_NODE_SPEC="))
             spec = json.loads(env_token.split("=", 1)[1])
             specs[spec["name"]] = spec["signal_phases"]
@@ -271,7 +276,7 @@ class TestBuildStartupPlan:
 
     def test_launch_lines_carry_the_neigh_sysctls(self):
         plan = build_startup_plan(parse_manifest(minimal_manifest_dict()))
-        launches = [line for s in plan.steps_of_kind("launch") for line in s.script]
+        launches = [line for s in steps_of_kind(plan, "launch") for line in s.script]
         assert len(launches) == 2
         for line in launches:
             argv = shlex.split(line)
@@ -289,13 +294,13 @@ class TestBuildStartupPlan:
     def test_launch_sysctls_and_gather_name_the_container_iface(self):
         data = minimal_manifest_dict(runtime={"container_iface": "ens5"})
         plan = build_startup_plan(parse_manifest(data))
-        for line in plan.steps_of_kind("launch")[0].script:
+        for line in steps_of_kind(plan, "launch")[0].script:
             assert launch_sysctls(line) == [
                 "net.ipv4.neigh.ens5.mcast_solicit=0",
                 "net.ipv4.neigh.ens5.app_solicit=1",
                 "net.ipv4.neigh.ens5.base_reachable_time_ms=72000000",
             ]
-        (gather,) = plan.steps_of_kind("gather")
+        (gather,) = steps_of_kind(plan, "gather")
         assert all("/sys/class/net/ens5/" in line for line in list(gather.script)[:-1])
 
     def test_launch_sysctls_and_emit_neigh_sysctls_share_one_table(self):
@@ -304,7 +309,7 @@ class TestBuildStartupPlan:
         table = [f"{key}={value}" for key, value in neigh_settings("ens5")]
         emitted = [shlex.split(line)[2].replace(" = ", "=") for line in emit_neigh_sysctls("ens5")]
         assert emitted == table
-        for line in plan.steps_of_kind("launch")[0].script:
+        for line in steps_of_kind(plan, "launch")[0].script:
             assert launch_sysctls(line) == table
 
     def test_host_script_phase(self):
@@ -507,9 +512,9 @@ class TestExecuteDryRun:
             out = Recorder()
             script.write_to(out)
             assert out.getvalue() == script.text()
-            # a chunk closes with the line that reaches the bound
-            longest = max(map(len, script), default=0)
-            assert all(size < 200 + longest + 1 for size in out.sizes)
+            # a chunk closes with the piece that reaches the bound
+            longest = max(map(len, script.pieces()), default=0)
+            assert all(size < 200 + longest for size in out.sizes)
             writes += len(out.sizes)
         assert writes > len(plan.steps)
         execute(plan, "dry-run", out_dir=tmp_path)
@@ -534,7 +539,7 @@ class TestExecuteDryRun:
         q = dm.quantize(dm.DelayMatrix(upper + upper.T), policy)
         classes = dm.build_classes(q, [n.ip for n in manifest.nodes], policy)
         plan = build_startup_plan(manifest, classes=classes)
-        (nft,) = plan.steps_of_kind("nft")
+        (nft,) = steps_of_kind(plan, "nft")
         nft_chars = sum(len(line) + 1 for line in nft.script)
         assert nft_chars > 2_000_000
         tracemalloc.start()
@@ -573,7 +578,7 @@ class TestExecuteApply:
         data["nodes"][1]["ip"] = "192.168.200.17"
         plan = build_startup_plan(parse_manifest(data))
         adapter = scripted_gather_adapter()
-        for step in plan.steps_of_kind("launch"):
+        for step in steps_of_kind(plan, "launch"):
             for line in step.script:
                 words = line.split()
                 name = words[words.index("--name") + 1]
@@ -588,7 +593,7 @@ class TestExecuteApply:
     def test_gather_sends_its_dry_run_lines_in_file_order(self, tmp_path):
         plan = build_startup_plan(parse_manifest(minimal_manifest_dict()))
         execute(plan, "dry-run", out_dir=tmp_path)
-        (gather,) = plan.steps_of_kind("gather")
+        (gather,) = steps_of_kind(plan, "gather")
         written = (tmp_path / f"{gather.index:02d}-gather.sh").read_text().splitlines()
         adapter = scripted_gather_adapter()
         report = execute(plan, "apply", adapter=adapter)

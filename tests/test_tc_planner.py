@@ -1,8 +1,10 @@
+import io
 import re
 
 import pytest
 
 from latem import delay_model as dm
+from latem import script as script_mod
 from latem.errors import CapacityError, ConfigError, ParseError
 from latem.nft_planner import emit_nft_script
 from latem.script import CommandScript
@@ -16,7 +18,7 @@ from latem.tc_planner import (
     verify_plan,
 )
 
-from conftest import GOLDENS, random_class_map
+from conftest import GOLDENS, mismatched_marks, random_class_map
 from reference_classes import delay_class
 from reference_verify import verify_plan_per_pair
 
@@ -137,6 +139,22 @@ class TestEmitTcTrees:
         assert len(script) == len(list(script)) == 3 * (1 + 3 + 3 * len(delays) + 2)
         assert script.lines == tuple(script)
 
+    @pytest.mark.parametrize("chunk", [1, 300, 1 << 20])
+    def test_writes_each_interface_tree_as_one_piece(self, five_node_classes, monkeypatch, chunk):
+        monkeypatch.setattr(script_mod, "WRITE_CHUNK_CHARS", chunk)
+        veths = ["vetha1", "vethb2", "v3", "{veth:node004}"]
+        script = emit_tc_trees(five_node_classes.class_delays(), veths, 3)
+        trees = ["".join(head + v + tail + "\n" for head, tail in script.tree) for v in veths]
+        assert list(script.pieces()) == trees
+        out = io.StringIO()
+        script.write_to(out)
+        assert out.getvalue() == script.text() == "".join(trees)
+        assert script.text() == "\n".join(script) + "\n"
+
+    def test_tree_without_lines_has_no_text(self):
+        script = TreeScript(tree=(), veths=("v0", "v1"))
+        assert (len(script), list(script), list(script.pieces()), script.text()) == (0, [], [], "")
+
     @pytest.mark.parametrize(
         "head, tail",
         [("tc qdisc add dev ", " root\n"), ("tc\rqdisc ", " root"), ("tc ", " root ")],
@@ -196,7 +214,7 @@ class TestVerifyPlan:
         tampered = tamper_root_classid(tc, 2, b)
         report = verify_plan(nft, tampered, five_node_classes)
         assert not report.ok
-        assert report.mismatched_marks() == {2}
+        assert mismatched_marks(report) == {2}
 
     def test_tampered_delay_reported(self, five_node_classes):
         nft = emit_nft_script(five_node_classes)
@@ -206,7 +224,7 @@ class TestVerifyPlan:
             l.replace("netem delay 30ms", "netem delay 40ms") for l in tc
         )
         report = verify_plan(nft, CommandScript(lines=lines), five_node_classes)
-        assert report.mismatched_marks() == {2}
+        assert mismatched_marks(report) == {2}
         # one mismatch per directed pair of the class
         assert len(report.mismatches) == 2 * len(five_node_classes.classes[1].pairs)
         assert {m.actual_delay_ms for m in report.mismatches} == {40}
@@ -360,7 +378,7 @@ class TestVerifyPlanMatchesPerPairReference:
         nft = CommandScript(lines=tuple(l.replace("mark set 3", "mark set 1") for l in nft))
         report = verify_plan(nft, tc, five_node_classes)
         assert report == verify_plan_per_pair(nft, tc, five_node_classes)
-        assert report.mismatched_marks() == {2, 3}
+        assert mismatched_marks(report) == {2, 3}
 
     def test_element_that_reads_two_ways(self):
         # "x . . y" would be both ("x", ". y") and ("x .", "y"). An IPv4
