@@ -1,9 +1,9 @@
 """Command-line entry point.
 
 Subcommands mirror the planning pipeline: `preflight` for host limits,
-`plan-delays` to turn a matrix into a class map, `emit-nft` / `emit-tc` /
-`emit-fdb` for the per-subsystem scripts, `gen-topology` and `gen-bpf` for
-overlays and the RTO override, `plan-batches` for RAM-bounded scale-out,
+`plan-delays` to turn a manifest's or a matrix's delays into a class map,
+`emit-nft` / `emit-tc` / `emit-fdb` for the per-subsystem scripts,
+`gen-topology` and `gen-bpf` for overlays and the RTO override, `plan-batches` for RAM-bounded scale-out,
 `run` for whole-manifest dry-run or apply, `autoarpd` to serve neighbor
 resolution, and `stats` to summarize memory samples.
 """
@@ -16,6 +16,7 @@ import json
 import signal
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 # Only what `plan-delays` and the `emit-*` commands share is imported here;
 # each other command imports its own modules when it runs.
@@ -24,6 +25,9 @@ from .errors import LatemError
 from .nft_planner import emit_nft_script
 from .script import Script
 from .tc_planner import compute_bands, emit_tc_script
+
+if TYPE_CHECKING:
+    from .manifest import ExperimentManifest
 
 
 def _write_or_print(content: str | Script, out: str | None) -> None:
@@ -58,9 +62,7 @@ def _load_classes(path: str) -> delay_model.DelayClassMap:
 def _cmd_preflight(args: argparse.Namespace) -> int:
     from . import sys_preflight
 
-    plan = sys_preflight.recommend(
-        args.nodes, sys_preflight.PerNodeUsage(**_given(args, "files", "procs"))
-    )
+    plan = sys_preflight.recommend(args.nodes)
     if args.readings:
         readings = sys_preflight.parse_readings(Path(args.readings).read_text())
         report = sys_preflight.audit(plan, readings)
@@ -83,30 +85,50 @@ def _cmd_preflight(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_plan_delays(args: argparse.Namespace) -> int:
-    from .manifest import allocate_ips, load_manifest, parse_fraction
+def _load_inflated_manifest(args: argparse.Namespace) -> ExperimentManifest:
+    """The manifest of `--manifest`, inflated by `--inflate` when given."""
+    from . import time_inflation
+    from .manifest import load_manifest
 
-    ips = None
-    count = args.count
-    if args.manifest:
-        ips = [n.ip for n in load_manifest(args.manifest).nodes]
-        count = len(ips)
-    matrix = delay_model.load_matrix(args.matrix, count=count, seed=args.seed)
-    if ips is None:
-        ips = allocate_ips(args.ip_base, matrix.n)
+    manifest = load_manifest(args.manifest)
     if args.inflate:
-        matrix = delay_model.inflate(matrix, parse_fraction(args.inflate))
-    policy = delay_model.QuantizationPolicy(
-        quantum_ms=args.quantum,
-        rounding=args.rounding,
-        drop_zero_class=not args.keep_zero_class,
-    )
-    quantized = delay_model.quantize(matrix, policy)
-    classes = delay_model.build_classes(quantized, ips, policy)
+        manifest = time_inflation.inflate_manifest(
+            manifest, time_inflation.InflationFactor.parse(args.inflate)
+        )
+    return manifest
+
+
+def _cmd_plan_delays(args: argparse.Namespace) -> int:
+    matrix_options = _given(args, "matrix", "count", "seed", "ip_base")
+    if args.manifest:
+        if matrix_options:
+            flag = "--" + next(iter(matrix_options)).replace("_", "-")
+            print(f"error: {flag} is not used with --manifest", file=sys.stderr)
+            return 2
+        from .orchestrator import delay_classes_for_manifest
+
+        manifest = _load_inflated_manifest(args)
+        classes, _ = delay_classes_for_manifest(manifest, Path(args.manifest).parent)
+        policy = manifest.delay.policy
+        node_count = len(manifest.nodes)
+    elif args.matrix:
+        from .manifest import allocate_ips, parse_fraction
+
+        matrix = delay_model.load_matrix(args.matrix, **_given(args, "count", "seed"))
+        if args.inflate:
+            matrix = delay_model.inflate(matrix, parse_fraction(args.inflate))
+        policy = delay_model.QuantizationPolicy()
+        quantized = delay_model.quantize(matrix, policy)
+        node_count = matrix.n
+        ips = allocate_ips(args.ip_base or "10.1.0.1", node_count)
+        classes = delay_model.build_classes(quantized, ips, policy)
+    else:
+        print("error: plan-delays needs --matrix or --manifest", file=sys.stderr)
+        return 2
     _write_or_print(delay_model.class_map_json(classes, policy), args.out)
     bands = compute_bands(len(classes)) if len(classes) else 2
     print(
-        f"# {len(classes)} delay classes over {len(ips)} nodes "
+        f"# {len(classes)} delay classes over {node_count} nodes "
         f"(quantum {policy.quantum_ms}ms, bands {bands})",
         file=sys.stderr,
     )
@@ -213,26 +235,16 @@ def _cmd_plan_batches(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from . import orchestrator, time_inflation
+    from . import orchestrator
     from .adapters import ShellAdapter
-    from .manifest import load_manifest
 
-    manifest = load_manifest(args.manifest)
+    manifest = _load_inflated_manifest(args)
     _warn_bridge_capacity(len(manifest.nodes))
-    if args.inflate:
-        manifest = time_inflation.inflate_manifest(
-            manifest, time_inflation.InflationFactor.parse(args.inflate)
-        )
     base_dir = Path(args.manifest).parent
     classes = bands = None
     if manifest.delay is not None:
         classes, bands = orchestrator.delay_classes_for_manifest(manifest, base_dir)
-    plan = orchestrator.build_startup_plan(
-        manifest,
-        classes=classes,
-        bands=bands,
-        paper_rounding=args.paper_rounding,
-    )
+    plan = orchestrator.build_startup_plan(manifest, classes=classes, bands=bands)
     mode = "apply" if args.apply else "dry-run"
     adapter = ShellAdapter() if args.apply else None
     report = orchestrator.execute(plan, mode, adapter=adapter, out_dir=args.out)
@@ -295,25 +307,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("preflight", help="recommend/audit kernel and ulimit settings")
     p.add_argument("--nodes", type=int, required=True)
-    p.add_argument("--files", type=int)
-    p.add_argument("--procs", type=int)
     p.add_argument("--readings", help="file of 'key = value' lines to audit against")
     p.add_argument("--limits-out")
     p.add_argument("--sysctl-out")
     p.set_defaults(func=_cmd_preflight)
 
-    p = sub.add_parser("plan-delays", help="matrix -> delay-class map (JSON)")
-    p.add_argument("--matrix", required=True)
-    nodes = p.add_mutually_exclusive_group()
-    nodes.add_argument("--manifest", help="take node count and IPs from a manifest")
-    nodes.add_argument("--count", type=int,
-                       help="subsample the matrix to this many nodes; only their rows are parsed")
-    p.add_argument("--seed", type=int, default=0)
+    p = sub.add_parser("plan-delays", help="manifest or matrix -> delay-class map (JSON)")
+    p.add_argument("--manifest",
+                   help="plan the classes `run` plans for this manifest (its delay section)")
+    p.add_argument("--matrix", help="plan under the default policy from this matrix file")
+    p.add_argument("--count", type=int,
+                   help="--matrix: subsample to this many nodes; only their rows are parsed")
+    p.add_argument("--seed", type=int, help="--matrix: seed of the subsample draw (default 0)")
+    p.add_argument("--ip-base", help="--matrix: first node address (default 10.1.0.1)")
     p.add_argument("--inflate", help="delay inflation factor (e.g. 2 or 4/3)")
-    p.add_argument("--quantum", type=int, default=10)
-    p.add_argument("--rounding", choices=delay_model.ROUNDING_MODES, default="nearest-half-up")
-    p.add_argument("--keep-zero-class", action="store_true")
-    p.add_argument("--ip-base", default="10.1.0.1")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_plan_delays)
 
@@ -372,7 +379,6 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--apply", action="store_true")
     p.add_argument("--out", help="output directory for dry-run scripts")
     p.add_argument("--inflate", help="apply a time-inflation factor before planning")
-    p.add_argument("--paper-rounding", action="store_true")
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("autoarpd", help="serve neighbor resolution (or emit its sysctls)")

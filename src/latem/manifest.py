@@ -23,7 +23,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Mapping, Union
 
-from .errors import ValidationError
+from .delay_model import QuantizationPolicy
+from .errors import ConfigError, ValidationError
 
 PHASE_ACTIONS = ("launch", "signal", "run-host-script")
 TIMER_KINDS = ("duration", "rate")
@@ -117,9 +118,7 @@ class TopologySpec:
 @dataclass(frozen=True)
 class DelaySection:
     matrix_path: str
-    quantum_ms: int = 10
-    rounding: str = "nearest-half-up"
-    drop_zero_class: bool = True
+    policy: QuantizationPolicy = QuantizationPolicy()
     inflation_factor: Fraction = Fraction(1)
     subsample_seed: int = 0
 
@@ -193,6 +192,19 @@ def _require(data: Mapping, key: str, path: str) -> Any:
     if key not in data:
         raise ValidationError(f"missing required key {key!r}", path=path)
     return data[key]
+
+
+def _policy(d: Mapping) -> QuantizationPolicy:
+    """The delay section's quantization policy; absent keys take the policy's defaults."""
+    given = {}
+    for key, convert in (("quantum_ms", int), ("rounding", str), ("drop_zero_class", bool)):
+        if key in d:
+            try:
+                given[key] = convert(d[key])
+                QuantizationPolicy(**{key: given[key]})  # alone, so its error names the key
+            except (ConfigError, TypeError, ValueError) as exc:
+                raise ValidationError(str(exc), path=f"delay.{key}")
+    return QuantizationPolicy(**given)
 
 
 def parse_manifest(data: Mapping) -> ExperimentManifest:
@@ -287,9 +299,7 @@ def parse_manifest(data: Mapping) -> ExperimentManifest:
         d = _object(data["delay"], "delay")
         delay = DelaySection(
             matrix_path=str(_require(d, "matrix_path", "delay.matrix_path")),
-            quantum_ms=int(d.get("quantum_ms", 10)),
-            rounding=str(d.get("rounding", "nearest-half-up")),
-            drop_zero_class=bool(d.get("drop_zero_class", True)),
+            policy=_policy(d),
             inflation_factor=parse_fraction(d.get("inflation_factor", 1), "delay.inflation_factor"),
             subsample_seed=int(d.get("subsample_seed", 0)),
         )

@@ -319,7 +319,6 @@ def build_startup_plan(
     manifest: ExperimentManifest,
     classes: DelayClassMap | None = None,
     bands: int | None = None,
-    paper_rounding: bool = False,
 ) -> PhasedPlan:
     """Assemble the fixed-order startup plan for a manifest.
 
@@ -356,7 +355,7 @@ def build_startup_plan(
     for phase in launch_phases:
         targets = manifest.nodes_for_target(phase.target)
         if manifest.resources is not None:
-            schedule = plan_batches(len(targets), manifest.resources, paper_rounding)
+            schedule = plan_batches(len(targets), manifest.resources)
             if schedule.unscheduled:
                 raise InfeasibleError(
                     f"RAM model cannot host {len(targets)} nodes: "
@@ -433,12 +432,9 @@ def delay_classes_for_manifest(
     matrix = delay_model.load_matrix(path, count=len(manifest.nodes), seed=d.subsample_seed)
     if d.inflation_factor != 1:
         matrix = delay_model.inflate(matrix, d.inflation_factor)
-    policy = delay_model.QuantizationPolicy(
-        quantum_ms=d.quantum_ms, rounding=d.rounding, drop_zero_class=d.drop_zero_class
-    )
-    quantized = delay_model.quantize(matrix, policy)
+    quantized = delay_model.quantize(matrix, d.policy)
     del matrix  # the class build reads only the quantized copy
-    classes = delay_model.build_classes(quantized, [n.ip for n in manifest.nodes], policy)
+    classes = delay_model.build_classes(quantized, [n.ip for n in manifest.nodes], d.policy)
     bands = compute_bands(len(classes)) if len(classes) else 2
     return classes, bands
 

@@ -19,6 +19,9 @@ DEFAULT_PTY_MARGIN = 1_000
 SOCKET_BUFFER_BYTES = 2_147_483_647
 TCP_BUFFER_TRIPLE = "10240 87380 16777216"
 NEIGH_GC_THRESH = 200_000
+# Upper estimates of one node's open files and processes.
+FILES_PER_NODE = 400
+PROCS_PER_NODE = 60
 
 KIND_SYSCTL_NUM = "sysctl-num"
 KIND_SYSCTL_TRIPLE = "sysctl-triple"
@@ -57,22 +60,7 @@ class ParameterPlan:
         return {e.key: e.required for e in self.entries}
 
 
-@dataclass(frozen=True)
-class PerNodeUsage:
-    """Upper estimates of one node's open files and processes."""
-
-    files: int = 400
-    procs: int = 60
-
-    def __post_init__(self) -> None:
-        if self.files < 1 or self.procs < 1:
-            raise ValueError("per-node estimates must be >= 1")
-
-
-def recommend(
-    node_count: int,
-    per_node: PerNodeUsage = PerNodeUsage(),
-) -> ParameterPlan:
+def recommend(node_count: int) -> ParameterPlan:
     """Parameter plan for a target node count.
 
     Fixed recommended values act as floors; scaling by node count only ever
@@ -80,8 +68,8 @@ def recommend(
     """
     if node_count < 1:
         raise ValueError(f"node_count must be >= 1, got {node_count}")
-    nofile = max(node_count * per_node.files, DEFAULT_FILE_PROC_FLOOR)
-    nproc = max(node_count * per_node.procs, DEFAULT_FILE_PROC_FLOOR)
+    nofile = max(node_count * FILES_PER_NODE, DEFAULT_FILE_PROC_FLOOR)
+    nproc = max(node_count * PROCS_PER_NODE, DEFAULT_FILE_PROC_FLOOR)
     pty = max(node_count + DEFAULT_PTY_MARGIN, DEFAULT_PTY_FLOOR)
     entries = (
         ParamEntry("fs.nr_open", str(nofile), KIND_SYSCTL_NUM,

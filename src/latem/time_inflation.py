@@ -20,7 +20,6 @@ from .errors import InflationLintError
 from .manifest import ExperimentManifest, FractionLike, TimerSpec, parse_fraction
 from .script import CommandScript
 
-PROG_ID_PLACEHOLDER = "<PROG_ID>"
 DEFAULT_OBJ_NAME = "tcp-rto.o"
 DEFAULT_PINNED_PATH = "/sys/fs/bpf/tcp-rto"
 DEFAULT_CGROUP_PATH = "/sys/fs/cgroup"
@@ -157,9 +156,9 @@ def emit_bpf_commands(
 ) -> BpfCommandScripts:
     """Compile/load/attach and detach/remove command sequences.
 
-    The program ID only exists after loading, so the attach and detach lines
-    carry the placeholder `<PROG_ID>`, for the operator to replace with the
-    ID that `bpftool prog show` prints.
+    Attach and detach name the program by its pin (bpftool-cgroup(8) takes
+    `pinned FILE` wherever it takes a program), so no line needs the ID
+    the kernel assigns at load. The detach runs while the pin still exists.
     """
     if not obj_name or not pinned_path or not cgroup_path:
         raise ValueError("obj_name, pinned_path, and cgroup_path must be non-empty")
@@ -168,14 +167,13 @@ def emit_bpf_commands(
         lines=(
             f"clang -O2 -target bpf -c {source_name} -o {obj_name}",
             f"bpftool prog load {obj_name} {pinned_path}",
-            "bpftool prog show  # parse the program ID of set_initial_rto from this output",
-            f"bpftool cgroup attach {cgroup_path} sock_ops id {PROG_ID_PLACEHOLDER}",
+            f"bpftool cgroup attach {cgroup_path} sock_ops pinned {pinned_path}",
         ),
     )
     unload = CommandScript(
         lines=(
+            f"bpftool cgroup detach {cgroup_path} sock_ops pinned {pinned_path}",
             f"rm {pinned_path}",
-            f"bpftool cgroup detach {cgroup_path} sock_ops id {PROG_ID_PLACEHOLDER}",
         ),
     )
     return BpfCommandScripts(load=load, unload=unload)

@@ -58,24 +58,37 @@ def test_plan_delays_matches_golden_bytes(classes_file):
     assert classes_file.read_bytes() == golden.read_bytes()
 
 
+def _five_node_manifest(tmp_path: Path, matrix_file: Path, delay: dict,
+                        ips: list[str] = FIVE_NODE_IPS) -> Path:
+    data = minimal_manifest_dict()
+    data["nodes"] = [
+        {"name": f"n{i}", "ip": ip, "image": "img", "processes": []} for i, ip in enumerate(ips)
+    ]
+    data["phases"] = [{"name": "launch", "action": "launch"}]
+    data["delay"] = {"matrix_path": str(matrix_file), **delay}
+    return write_manifest(tmp_path, data)
+
+
 @pytest.mark.parametrize(
     "options",
     [
-        ["--keep-zero-class"],
-        ["--quantum", "7", "--rounding", "ceil"],
-        ["--quantum", "25", "--rounding", "floor", "--keep-zero-class"],
+        {"drop_zero_class": False},
+        {"quantum_ms": 7, "rounding": "ceil"},
+        {"quantum_ms": 25, "rounding": "floor", "drop_zero_class": False},
     ],
 )
 def test_plan_delays_output_is_json_dumps_of_its_class_map(tmp_path, matrix_file, options):
     out = tmp_path / "classes.json"
-    # the five addresses from 10.0.0.254 cross into 10.0.1.x
-    rc = main(["plan-delays", "--matrix", str(matrix_file), "--out", str(out),
-               "--ip-base", "10.0.0.254", *options])
+    # five addresses from 10.0.0.254 cross into 10.0.1.x
+    ips = ["10.0.0.254", "10.0.1.1", "10.0.1.2", "10.0.1.3", "10.0.1.4"]
+    manifest = _five_node_manifest(tmp_path, matrix_file, options, ips)
+    rc = main(["plan-delays", "--manifest", str(manifest), "--out", str(out)])
     assert rc == 0
     text = out.read_text()
     payload = json.loads(text)
     assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == text
     assert "10.0.1.2" in text
+    assert payload["quantum_ms"] == options.get("quantum_ms", 10)
 
 
 def test_plan_delays_with_subsample_and_inflate(tmp_path, matrix_file, capsys):
@@ -117,20 +130,72 @@ def test_plan_delays_count_out_of_range(matrix_file, capsys, count):
 
 def test_plan_delays_manifest_larger_than_the_matrix(tmp_path, capsys):
     (tmp_path / "matrix.txt").write_text("0\n")
-    manifest = write_manifest(tmp_path, minimal_manifest_dict())
-    rc = main(["plan-delays", "--matrix", str(tmp_path / "matrix.txt"),
-               "--manifest", str(manifest)])
+    data = minimal_manifest_dict()
+    data["delay"] = {"matrix_path": "matrix.txt"}
+    manifest = write_manifest(tmp_path, data)
+    rc = main(["plan-delays", "--manifest", str(manifest)])
     assert rc == 2
     assert capsys.readouterr().err == "error: cannot select 2 of 1 nodes\n"
 
 
-def test_plan_delays_takes_count_or_manifest_not_both(tmp_path, matrix_file, capsys):
+@pytest.mark.parametrize(
+    "option", [["--matrix", "m.txt"], ["--count", "3"], ["--seed", "0"], ["--ip-base", "10.0.0.1"]]
+)
+def test_plan_delays_manifest_takes_no_matrix_option(tmp_path, matrix_file, capsys, option):
+    manifest = _five_node_manifest(tmp_path, matrix_file, {})
+    rc = main(["plan-delays", "--manifest", str(manifest), *option])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {option[0]} is not used with --manifest\n"
+
+
+def test_plan_delays_manifest_without_a_delay_section(tmp_path, capsys):
     manifest = write_manifest(tmp_path, minimal_manifest_dict())
-    with pytest.raises(SystemExit) as exc:
-        main(["plan-delays", "--matrix", str(matrix_file), "--manifest", str(manifest),
-              "--count", "3"])
-    assert exc.value.code == 2
-    assert "not allowed with argument" in capsys.readouterr().err
+    assert main(["plan-delays", "--manifest", str(manifest)]) == 2
+    assert capsys.readouterr().err == "error: manifest has no delay section\n"
+
+
+def test_plan_delays_needs_a_matrix_or_a_manifest(capsys):
+    assert main(["plan-delays", "--count", "3"]) == 2
+    assert capsys.readouterr().err == "error: plan-delays needs --matrix or --manifest\n"
+
+
+def test_plan_delays_manifest_plans_the_classes_of_run(tmp_path, capsys):
+    # Every policy key away from its default, a subsample, and inflation
+    # both in the manifest and on the command line.
+    rng = np.random.default_rng(5)
+    upper = np.triu(rng.integers(0, 200, size=(10, 10)), 1)
+    np.savetxt(tmp_path / "matrix.txt", upper + upper.T, fmt="%d")
+    data = minimal_manifest_dict()
+    data["nodes"] = [
+        {"name": f"n{i}", "ip": f"10.2.0.{i + 1}", "image": "img", "processes": []}
+        for i in range(8)
+    ]
+    data["phases"] = [{"name": "launch", "action": "launch"}]
+    data["delay"] = {"matrix_path": "matrix.txt", "quantum_ms": 25, "rounding": "floor",
+                     "drop_zero_class": False, "subsample_seed": 4, "inflation_factor": 3}
+    manifest = write_manifest(tmp_path, data)
+    plan, class_map = tmp_path / "plan", tmp_path / "classes.json"
+    assert main(["run", "--manifest", str(manifest), "--inflate", "2", "--dry-run",
+                 "--out", str(plan)]) == 0
+    assert main(["plan-delays", "--manifest", str(manifest), "--inflate", "2",
+                 "--out", str(class_map)]) == 0
+    payload = json.loads(class_map.read_text())
+    assert (payload["quantum_ms"], payload["rounding"]) == (25, "floor")
+    capsys.readouterr()
+
+    def emitted(*argv: str) -> str:
+        assert main(list(argv)) == 0
+        return capsys.readouterr().out
+
+    (nft_step,) = plan.glob("*-nft.sh")
+    (tc_step,) = plan.glob("*-tc.sh")
+    assert emitted("emit-nft", "--classes", str(class_map)) == nft_step.read_text()
+    assert "".join(
+        emitted("emit-tc", "--classes", str(class_map), "--veth", f"{{veth:{node['name']}}}")
+        for node in data["nodes"]
+    ) == tc_step.read_text()
 
 
 def test_emit_nft_matches_golden(classes_file, tmp_path, capsys):
@@ -330,17 +395,6 @@ def test_preflight_fragments(tmp_path):
     assert "kernel.pty.max=11000" in sysctl.read_text()
 
 
-def test_preflight_per_node_usage_flags(capsys):
-    assert main(["preflight", "--nodes", "5000"]) == 0
-    defaults = capsys.readouterr().out
-    assert main(["preflight", "--nodes", "5000", "--files", "400", "--procs", "60"]) == 0
-    assert capsys.readouterr().out == defaults
-    assert main(["preflight", "--nodes", "5000", "--files", "4000", "--procs", "600"]) == 0
-    assert capsys.readouterr().out != defaults
-    assert main(["preflight", "--nodes", "5000", "--files", "0"]) == 2
-    assert "per-node estimates must be >= 1" in capsys.readouterr().err
-
-
 def test_preflight_audit_exit_code(tmp_path, capsys):
     readings = tmp_path / "readings.txt"
     readings.write_text("kernel.pty.max = 4096\n")
@@ -464,8 +518,7 @@ def test_standalone_commands_emit_the_lines_of_run(tmp_path, matrix_file, capsys
         (path,) = plan.glob(f"*-{name}.sh")
         return path.read_text()
 
-    assert emitted("plan-delays", "--matrix", str(matrix_file),
-                   "--manifest", str(manifest)) == class_map.read_text()
+    assert emitted("plan-delays", "--manifest", str(manifest)) == class_map.read_text()
     assert emitted("emit-nft", "--classes", str(class_map)) == step("nft")
     assert emitted("emit-fdb", "--manifest", str(manifest)) == step("fdb")
     # the tc file is each node's tree in turn
@@ -497,6 +550,12 @@ def test_standalone_commands_emit_the_lines_of_run(tmp_path, matrix_file, capsys
         (["autoarpd", "--interface", "eth0", "--reachable-ms", "5000"], "--reachable-ms"),
         (["autoarpd", "--interface", "eth0", "--apply-sysctls"], "--apply-sysctls"),
         (["plan-delays", "--matrix", "m.txt", "--format", "csv"], "--format"),
+        (["plan-delays", "--manifest", "m.json", "--quantum", "25"], "--quantum"),
+        (["plan-delays", "--matrix", "m.txt", "--rounding", "floor"], "--rounding"),
+        (["plan-delays", "--manifest", "m.json", "--keep-zero-class"], "--keep-zero-class"),
+        (["preflight", "--nodes", "5000", "--files", "4000"], "--files"),
+        (["preflight", "--nodes", "5000", "--procs", "600"], "--procs"),
+        (["run", "--manifest", "m.json", "--dry-run", "--paper-rounding"], "--paper-rounding"),
     ],
 )
 def test_settings_that_run_never_varies_are_not_options(capsys, argv, flag):
@@ -517,10 +576,22 @@ def _readme_section(title: str) -> str:
 _README_TOKEN = re.compile(r"(?:`(?:latem\s+)?|latem\s+)([a-z][a-z-]*)|(--[a-z][a-z0-9-]*)")
 
 
-def test_every_flag_the_readme_names_is_accepted_by_its_subcommand():
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
     parser = build_parser()
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    accepted = {name: set(p._option_string_actions) for name, p in commands.choices.items()}
+    return commands.choices
+
+
+def test_every_subcommand_has_one_row_in_the_cli_table():
+    # The table runs from its header rule to the first line that is not a row.
+    section = _readme_section("CLI reference")
+    rows = section.split("| --- | --- |\n", 1)[1].split("\n\n", 1)[0].splitlines()
+    names = [re.match(r"\| `([a-z-]+)` \|", row).group(1) for row in rows]
+    assert sorted(names) == sorted(_subcommands())
+
+
+def test_every_flag_the_readme_names_is_accepted_by_its_subcommand():
+    accepted = {name: set(p._option_string_actions) for name, p in _subcommands().items()}
     named = []
     for title in ("Quick start", "CLI reference"):
         for paragraph in re.split(r"\n\s*\n|\n(?=latem |\| )", _readme_section(title)):
@@ -587,20 +658,25 @@ def test_importing_the_cli_leaves_networkx_and_numpy_unloaded():
     assert _python(code) == "False False"
 
 
-def test_cli_and_class_map_commands_leave_the_run_modules_unloaded(classes_file, tmp_path):
-    # Only `run`, `plan-batches`, `emit-fdb` and `autoarpd` need these.
+def test_cli_and_class_map_commands_leave_the_run_modules_unloaded(
+    classes_file, matrix_file, tmp_path
+):
+    # Only `run`, `plan-batches`, `emit-fdb`, `autoarpd` and `plan-delays
+    # --manifest` need these.
     code = """
 import sys
 from latem.cli import main
 def loaded():
     return sorted({"latem.orchestrator", "latem.autoarpd", "latem.adapters"} & set(sys.modules))
 print(loaded())
-classes, out = sys.argv[1:]
+matrix, classes, out = sys.argv[1:]
+assert main(["plan-delays", "--matrix", matrix, "--count", "3", "--out", out]) == 0
 assert main(["emit-nft", "--classes", classes, "--out", out]) == 0
 assert main(["emit-tc", "--classes", classes, "--veth", "veth0", "--out", out]) == 0
 print(loaded())
 """
-    assert _python(code, str(classes_file), str(tmp_path / "out.sh")) == "[]\n[]"
+    out = _python(code, str(matrix_file), str(classes_file), str(tmp_path / "out.sh"))
+    assert out == "[]\n[]"
 
 
 def test_class_map_commands_never_load_numpy(classes_file, tmp_path):

@@ -166,6 +166,11 @@ def test_values_that_reach_plan_lines_must_be_one_word(path, put, value):
         (lambda d: d["nodes"][1].update(ip="10.1.0.1"), "nodes[1].ip"),
         (lambda d: d["nodes"][1]["processes"][0].update(start_phase="x"),
          "nodes[1].processes[0].start_phase"),
+        (lambda d: d.update(delay={"matrix_path": "m.txt", "quantum_ms": 0}), "delay.quantum_ms"),
+        (lambda d: d.update(delay={"matrix_path": "m.txt", "quantum_ms": "ten"}),
+         "delay.quantum_ms"),
+        (lambda d: d.update(delay={"matrix_path": "m.txt", "rounding": "stochastic"}),
+         "delay.rounding"),
     ],
 )
 def test_errors_name_the_json_path_of_the_offending_value(tmp_path, change, path):

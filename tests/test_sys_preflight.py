@@ -6,11 +6,12 @@ import pytest
 
 from latem.sys_preflight import (
     FAIL,
+    FILES_PER_NODE,
     MISSING,
     PASS,
+    PROCS_PER_NODE,
     ParamEntry,
     ParameterPlan,
-    PerNodeUsage,
     audit,
     emit_audit_commands,
     emit_conf,
@@ -47,16 +48,17 @@ class TestRecommend:
             assert plan.entry(f"net.ipv4.neigh.default.{key}").required == "200000"
 
     def test_small_run_keeps_floors(self):
-        plan = recommend(1, PerNodeUsage(files=10, procs=5))
+        plan = recommend(1)
         assert int(plan.entry("nofile").required) >= 1_574_415
         assert int(plan.entry("nproc").required) >= 1_574_415
         assert int(plan.entry("kernel.pty.max").required) >= 11_000
 
     def test_large_run_scales_above_floor(self):
-        plan = recommend(10_000, PerNodeUsage(files=500, procs=200))
-        assert plan.entry("nofile").required == str(10_000 * 500)
-        assert plan.entry("nproc").required == str(10_000 * 200)
-        assert plan.entry("kernel.pty.max").required == str(10_000 + 1_000)
+        plan = recommend(30_000)
+        assert plan.entry("nofile").required == str(30_000 * FILES_PER_NODE)
+        assert plan.entry("nproc").required == str(30_000 * PROCS_PER_NODE)
+        assert int(plan.entry("nproc").required) > 1_574_415
+        assert plan.entry("kernel.pty.max").required == str(30_000 + 1_000)
 
     @pytest.mark.parametrize("nodes", [1, 3500, 3997, 5000, 20000])
     def test_nr_open_admits_the_nofile_limit(self, nodes):
@@ -83,8 +85,6 @@ class TestRecommend:
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             recommend(0)
-        with pytest.raises(ValueError):
-            PerNodeUsage(files=0)
 
 
 class TestAudit:

@@ -87,17 +87,17 @@ class TestBpfCommands:
     def test_load_sequence(self):
         commands = emit_bpf_commands()
         assert commands.load.lines[0] == "clang -O2 -target bpf -c tcp-rto.c -o tcp-rto.o"
-        assert commands.load.lines[1] == "bpftool prog load tcp-rto.o /sys/fs/bpf/tcp-rto"
-        assert commands.load.lines[2].startswith("bpftool prog show")
-        assert commands.load.lines[3] == (
-            "bpftool cgroup attach /sys/fs/cgroup sock_ops id <PROG_ID>"
+        assert commands.load.lines[1:] == (
+            "bpftool prog load tcp-rto.o /sys/fs/bpf/tcp-rto",
+            "bpftool cgroup attach /sys/fs/cgroup sock_ops pinned /sys/fs/bpf/tcp-rto",
         )
 
     def test_unload_sequence(self):
+        # Detach names the program by its pin, so the pin goes last.
         commands = emit_bpf_commands()
-        assert commands.unload.lines[0] == "rm /sys/fs/bpf/tcp-rto"
-        assert commands.unload.lines[1] == (
-            "bpftool cgroup detach /sys/fs/cgroup sock_ops id <PROG_ID>"
+        assert commands.unload.lines == (
+            "bpftool cgroup detach /sys/fs/cgroup sock_ops pinned /sys/fs/bpf/tcp-rto",
+            "rm /sys/fs/bpf/tcp-rto",
         )
 
     def test_custom_paths(self):
@@ -106,7 +106,10 @@ class TestBpfCommands:
         )
         assert "clang -O2 -target bpf -c rto-x2.c -o rto-x2.o" == commands.load.lines[0]
         assert "bpftool prog load rto-x2.o /sys/fs/bpf/rto-x2" == commands.load.lines[1]
-        assert "rm /sys/fs/bpf/rto-x2" == commands.unload.lines[0]
+        assert commands.load.lines[2] == (
+            "bpftool cgroup attach /sys/fs/cgroup/emul sock_ops pinned /sys/fs/bpf/rto-x2"
+        )
+        assert "rm /sys/fs/bpf/rto-x2" == commands.unload.lines[1]
 
     def test_empty_paths_rejected(self):
         with pytest.raises(ValueError):
