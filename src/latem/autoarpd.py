@@ -34,12 +34,11 @@ from enum import Enum
 from typing import Protocol
 
 from .errors import ServeError
-from .link_layer import mac_for_ip
+from .link_layer import mac_for_ip, neigh_settings
 from .script import CommandScript
 
 log = logging.getLogger(__name__)
 
-REACHABLE_MS = 72_000_000  # base_reachable_time_ms: 20 hours
 POLL_INTERVAL_S = 0.2  # longest wait on the transport before the stop signal is checked
 
 
@@ -118,20 +117,6 @@ def serve(
             raise ServeError(f"transport reply failed: {exc}") from exc
         replied += 1
     return ServeStats(received=received, replied=replied, overflows=overflows)
-
-
-def neigh_settings(iface: str) -> tuple[tuple[str, str], ...]:
-    """The per-interface (key, value) sysctls that reroute solicitations to
-    the daemon. `emit_neigh_sysctls` and the orchestrator's launch lines
-    both render this one table."""
-    if not iface or iface != iface.strip():
-        raise ValueError(f"invalid interface name {iface!r}")
-    prefix = f"net.ipv4.neigh.{iface}"
-    return (
-        (f"{prefix}.mcast_solicit", "0"),
-        (f"{prefix}.app_solicit", "1"),
-        (f"{prefix}.base_reachable_time_ms", str(REACHABLE_MS)),
-    )
 
 
 def emit_neigh_sysctls(iface: str) -> CommandScript:

@@ -6,6 +6,10 @@ Subcommands mirror the planning pipeline: `preflight` for host limits,
 `gen-topology` and `gen-bpf` for overlays and the RTO override, `plan-batches` for RAM-bounded scale-out,
 `run` for whole-manifest dry-run or apply, `autoarpd` to serve neighbor
 resolution, and `stats` to summarize memory samples.
+
+Module level holds only what every command needs (argparse, the standard
+library and `errors`); each command imports its own modules when it runs,
+so a process loads only the modules of the command it was started for.
 """
 
 from __future__ import annotations
@@ -18,25 +22,21 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-# Only what `plan-delays` and the `emit-*` commands share is imported here;
-# each other command imports its own modules when it runs.
-from . import delay_model
 from .errors import LatemError
-from .nft_planner import emit_nft_script
-from .script import Script
-from .tc_planner import compute_bands, emit_tc_script
 
 if TYPE_CHECKING:
+    from .delay_model import DelayClassMap
     from .manifest import ExperimentManifest
+    from .script import Script
 
 
 def _write_or_print(content: str | Script, out: str | None) -> None:
     """Write text or a script to the file `out`, or to stdout without one."""
     with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as f:
-        if isinstance(content, Script):
-            content.write_to(f)
-        else:
+        if isinstance(content, str):
             f.write(content)
+        else:
+            content.write_to(f)
 
 
 def _given(args: argparse.Namespace, *names: str) -> dict:
@@ -52,11 +52,13 @@ def _warn_bridge_capacity(port_count: int) -> None:
         print(f"warning: {diag.message}", file=sys.stderr)
 
 
-def _load_classes(path: str) -> delay_model.DelayClassMap:
+def _load_classes(path: str) -> DelayClassMap:
+    from .delay_model import DelayClassMap, gc_paused
+
     text = Path(path).read_text()
-    with delay_model.gc_paused():
+    with gc_paused():
         data = json.loads(text)
-    return delay_model.DelayClassMap.from_json_dict(data)
+    return DelayClassMap.from_json_dict(data)
 
 
 def _cmd_preflight(args: argparse.Namespace) -> int:
@@ -99,6 +101,9 @@ def _load_inflated_manifest(args: argparse.Namespace) -> ExperimentManifest:
 
 
 def _cmd_plan_delays(args: argparse.Namespace) -> int:
+    from . import delay_model
+    from .tc_planner import compute_bands
+
     matrix_options = _given(args, "matrix", "count", "seed", "ip_base")
     if args.manifest:
         if matrix_options:
@@ -136,11 +141,15 @@ def _cmd_plan_delays(args: argparse.Namespace) -> int:
 
 
 def _cmd_emit_nft(args: argparse.Namespace) -> int:
+    from .nft_planner import emit_nft_script
+
     _write_or_print(emit_nft_script(_load_classes(args.classes)), args.out)
     return 0
 
 
 def _cmd_emit_tc(args: argparse.Namespace) -> int:
+    from .tc_planner import compute_bands, emit_tc_script
+
     classes = _load_classes(args.classes)
     script = emit_tc_script(classes.class_delays(), args.veth, compute_bands(len(classes)))
     _write_or_print(script, args.out)
@@ -236,7 +245,6 @@ def _cmd_plan_batches(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     from . import orchestrator
-    from .adapters import ShellAdapter
 
     manifest = _load_inflated_manifest(args)
     _warn_bridge_capacity(len(manifest.nodes))
@@ -245,9 +253,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if manifest.delay is not None:
         classes, bands = orchestrator.delay_classes_for_manifest(manifest, base_dir)
     plan = orchestrator.build_startup_plan(manifest, classes=classes, bands=bands)
-    mode = "apply" if args.apply else "dry-run"
-    adapter = ShellAdapter() if args.apply else None
-    report = orchestrator.execute(plan, mode, adapter=adapter, out_dir=args.out)
+    if args.apply:
+        from .adapters import ShellAdapter
+
+        report = orchestrator.execute(plan, "apply", adapter=ShellAdapter())
+    else:
+        report = orchestrator.execute(plan, "dry-run", out_dir=args.out)
     for step in report.steps:
         print(f"{step.status:8s} {step.name}" + (f" ({step.detail})" if step.detail else ""))
         failing = next((c for c in step.commands if c.exit_code != 0), None)

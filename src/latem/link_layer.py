@@ -1,9 +1,12 @@
-"""MAC derivation, static forwarding-database planning, bridge capacity checks.
+"""MAC derivation, neighbor sysctls, static forwarding-database planning,
+bridge capacity checks.
 
 Every node's MAC is a fixed two-octet prefix followed by its four IPv4
 octets, so layer-two addresses can be computed from layer-three ones without
-any resolution protocol. Static bridge FDB entries computed the same way
-stop the learning-phase broadcast storm when thousands of containers boot.
+any resolution protocol. The neighbor sysctls hand each interface's
+unresolved solicitations to the daemon that answers them from that rule.
+Static bridge FDB entries computed the same way stop the learning-phase
+broadcast storm when thousands of containers boot.
 """
 
 from __future__ import annotations
@@ -24,12 +27,27 @@ KNOWN_GOOD_PORT_BITS = 17
 # The two octets before the IPv4 octets of every MAC; 0x02 marks the
 # address locally administered.
 MAC_PREFIX = (0x02, 0x42)
+REACHABLE_MS = 72_000_000  # base_reachable_time_ms: 20 hours
 
 
 def mac_for_ip(ip: str) -> str:
     """Derive the MAC for an IPv4 address, lowercase colon-separated."""
     octets = ipaddress.IPv4Address(ip).packed
     return ":".join(f"{o:02x}" for o in (*MAC_PREFIX, *octets))
+
+
+def neigh_settings(iface: str) -> tuple[tuple[str, str], ...]:
+    """The per-interface (key, value) sysctls that reroute solicitations to
+    the neighbor daemon. `autoarpd.emit_neigh_sysctls` and the orchestrator's
+    launch lines both render this one table."""
+    if not iface or iface != iface.strip():
+        raise ValueError(f"invalid interface name {iface!r}")
+    prefix = f"net.ipv4.neigh.{iface}"
+    return (
+        (f"{prefix}.mcast_solicit", "0"),
+        (f"{prefix}.app_solicit", "1"),
+        (f"{prefix}.base_reachable_time_ms", str(REACHABLE_MS)),
+    )
 
 
 def emit_fdb_script(nodes: Sequence[tuple[str, str]]) -> CommandScript:

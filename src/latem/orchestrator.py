@@ -19,23 +19,23 @@ from __future__ import annotations
 import json
 import re
 import shlex
-import subprocess
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from . import sys_preflight
-from .adapters import CommandResult, RuntimeAdapter
-from .autoarpd import neigh_settings
 from .delay_model import DelayClassMap
 from .errors import ConfigError, InfeasibleError, InventoryError, ValidationError
-from .link_layer import emit_fdb_script, mac_for_ip
+from .link_layer import emit_fdb_script, mac_for_ip, neigh_settings
 from .manifest import ExperimentManifest, NodeSpec, ResourceModel, render_number
 from .nft_planner import emit_nft_script
 from .script import CommandScript, Script
 from .tc_planner import compute_bands, emit_tc_trees
 from .topology import neighbor_lists, nws_graph, random_graph
+
+if TYPE_CHECKING:  # only apply mode runs commands; it gets its adapter from the caller
+    from .adapters import CommandResult, RuntimeAdapter
 
 NODE_SPEC_ENV = "LATEM_NODE_SPEC"
 
@@ -530,6 +530,8 @@ def execute(
 
     if adapter is None:
         raise ConfigError("apply mode needs a runtime adapter")
+    import subprocess
+
     results = []
     veths: dict[str, str] = {}
     inventory: InterfaceInventory | None = None

@@ -224,9 +224,11 @@ class _NftState:
         marked: dict[int, set[str]] = {}
         for set_name, mark in self.rules:
             elements = self.sets[set_name]
-            if not claimed.isdisjoint(elements):
-                elements = elements - claimed
+            before = len(claimed)
             claimed |= elements
+            if len(claimed) - before < len(elements):
+                # some were claimed before; the marked sets are what earlier rules claimed
+                elements = elements.difference(*marked.values())
             marked[mark] = marked[mark] | elements if mark in marked else elements
         return marked
 
@@ -352,9 +354,10 @@ def verify_plan(
         delay, detail = tc_state.route(cls.mark)
         pairs_checked += 2 * len(cls.lo)
         if delay == cls.delay_ms:
-            expected = {f"{lo} . {hi}" for lo, hi in zip(cls.lo, cls.hi)}
-            expected.update(f"{hi} . {lo}" for lo, hi in zip(cls.lo, cls.hi))
-            if expected <= marked.get(cls.mark, set()):
+            got = marked.get(cls.mark, set())
+            if got.issuperset([f"{lo} . {hi}" for lo, hi in zip(cls.lo, cls.hi)]) and (
+                got.issuperset([f"{hi} . {lo}" for lo, hi in zip(cls.lo, cls.hi)])
+            ):
                 continue
         if mark_of is None:
             mark_of = {e: mark for mark, elements in marked.items() for e in elements}

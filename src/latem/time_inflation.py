@@ -15,10 +15,13 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from pathlib import PurePosixPath
+from typing import TYPE_CHECKING
 
 from .errors import InflationLintError
-from .manifest import ExperimentManifest, FractionLike, TimerSpec, parse_fraction
 from .script import CommandScript
+
+if TYPE_CHECKING:  # `gen-bpf` needs neither the manifest nor the delay model
+    from .manifest import ExperimentManifest, FractionLike
 
 DEFAULT_OBJ_NAME = "tcp-rto.o"
 DEFAULT_PINNED_PATH = "/sys/fs/bpf/tcp-rto"
@@ -35,6 +38,8 @@ class InflationFactor:
 
     @classmethod
     def parse(cls, value: FractionLike) -> "InflationFactor":
+        from .manifest import parse_fraction
+
         return cls(x=parse_fraction(value))
 
 
@@ -47,6 +52,8 @@ def inflate_manifest(m: ExperimentManifest, factor: InflationFactor) -> Experime
     keeps wall-clock speed while everything else slows down corrupts the
     experiment, so this fails closed.
     """
+    from .manifest import TimerSpec
+
     untagged = sorted(name for name, t in m.timers.items() if t.kind is None)
     if untagged:
         raise InflationLintError(

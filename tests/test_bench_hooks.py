@@ -38,6 +38,25 @@ assert "delay_model.from_json_dict" in SPAN_NAMES
 """
 
 
+# The CLI imports each command's modules when the command runs, so the
+# wrappers `install` puts on the modules must be what those imports read.
+_SPANS = """
+import sys
+from tracer import Tracer
+
+tracer = Tracer()
+tracer.install()
+import worker
+from latem import cli
+
+classes, nft, tc = sys.argv[1:]
+assert cli.main(["emit-nft", "--classes", classes, "--out", nft]) == 0
+assert cli.main(["emit-tc", "--classes", classes, "--veth", "vetha1", "--out", tc]) == 0
+assert worker.verify(classes, nft, tc)["ok"]
+print(sorted({span[0] for span in tracer.spans}))
+"""
+
+
 def worker_latem_names() -> list[tuple[str, list[str]]]:
     """(module, attribute path) for every latem name `worker.py` imports or
     reads off an imported latem module or class."""
@@ -69,3 +88,17 @@ def test_tracer_installs_and_worker_names_resolve():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_traced_commands_record_their_spans(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(PERFBENCH)]))
+    classes = ROOT / "tests" / "goldens" / "classes_5node3class.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", _SPANS, str(classes), str(tmp_path / "nft"), str(tmp_path / "tc")],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    spans = set(ast.literal_eval(proc.stdout.strip().splitlines()[-1]))
+    assert {
+        "nft_planner.emit_nft_script", "tc_planner.emit_tc_script", "tc_planner.verify_plan",
+    } <= spans

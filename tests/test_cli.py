@@ -653,21 +653,26 @@ def _python(code: str, *args: str) -> str:
 
 def test_importing_the_cli_leaves_networkx_and_numpy_unloaded():
     # Only the matrix functions need numpy, so every other command starts
-    # without it; nothing at run time needs networkx.
-    code = "import sys, latem.cli; print('networkx' in sys.modules, 'numpy' in sys.modules)"
-    assert _python(code) == "False False"
+    # without it; nothing at run time needs networkx, and only apply mode
+    # and the neighbor daemon need subprocess, socket or logging.
+    code = """
+import sys, latem.cli
+print(*(m in sys.modules for m in ("networkx", "numpy", "subprocess", "socket", "logging")))
+"""
+    assert _python(code) == "False False False False False"
 
 
 def test_cli_and_class_map_commands_leave_the_run_modules_unloaded(
     classes_file, matrix_file, tmp_path
 ):
-    # Only `run`, `plan-batches`, `emit-fdb`, `autoarpd` and `plan-delays
-    # --manifest` need these.
+    # Only `run`, `plan-batches`, `emit-fdb`, `autoarpd`, `preflight`,
+    # `gen-topology`, `gen-bpf` and `plan-delays --manifest` need these.
     code = """
 import sys
 from latem.cli import main
+RUN_MODULES = {"orchestrator", "autoarpd", "adapters", "topology", "sys_preflight", "time_inflation"}
 def loaded():
-    return sorted({"latem.orchestrator", "latem.autoarpd", "latem.adapters"} & set(sys.modules))
+    return sorted({f"latem.{m}" for m in RUN_MODULES} & set(sys.modules))
 print(loaded())
 matrix, classes, out = sys.argv[1:]
 assert main(["plan-delays", "--matrix", matrix, "--count", "3", "--out", out]) == 0
@@ -677,6 +682,83 @@ print(loaded())
 """
     out = _python(code, str(matrix_file), str(classes_file), str(tmp_path / "out.sh"))
     assert out == "[]\n[]"
+
+
+_LOADED_MODULES = """
+import json, sys
+argv = json.loads(sys.argv[1])
+if argv is None:
+    import latem
+else:
+    from latem.cli import main
+    if argv and main(argv) != 0:
+        sys.exit(f"latem {argv[0]} failed")
+print(sorted(m.removeprefix("latem.") for m in sys.modules if m.startswith("latem.")))
+print(sorted({"logging", "socket", "subprocess"} & set(sys.modules)))
+"""
+
+# Every process imports the package and `cli` and `errors`; a command adds
+# only the modules it runs. None argv is a bare `import latem`.
+_COMMAND_MODULES = {
+    "import latem": (None, set()),
+    "import latem.cli": ([], set()),
+    "preflight": (["preflight", "--nodes", "10"], {"sys_preflight"}),
+    "plan-delays --matrix": (
+        ["plan-delays", "--matrix", "{matrix}", "--count", "3", "--out", "{out}"],
+        {"delay_model", "manifest", "script", "tc_planner"},
+    ),
+    "emit-nft": (
+        ["emit-nft", "--classes", "{classes}", "--out", "{out}"],
+        {"delay_model", "nft_planner", "script"},
+    ),
+    "emit-tc": (
+        ["emit-tc", "--classes", "{classes}", "--veth", "veth0", "--out", "{out}"],
+        {"delay_model", "script", "tc_planner"},
+    ),
+    "gen-topology": (
+        ["gen-topology", "--kind", "random", "--n", "6", "--degree", "2", "--out", "{out}"],
+        {"topology"},
+    ),
+    "gen-bpf": (
+        ["gen-bpf", "--timeout-s", "3", "--hz", "250", "--source-out", "{out}"],
+        {"script", "time_inflation"},
+    ),
+    "stats": (
+        ["stats", "--available-mib", "393216", str(FIXTURES / "stats_sample.csv")],
+        {"stats"},
+    ),
+    "run --dry-run": (
+        ["run", "--manifest", "{manifest}", "--dry-run", "--out", "{plan}", "--inflate", "2"],
+        {"delay_model", "link_layer", "manifest", "nft_planner", "orchestrator", "script",
+         "sys_preflight", "tc_planner", "time_inflation", "topology"},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_MODULES))
+def test_each_command_loads_only_its_modules(command, classes_file, matrix_file, tmp_path):
+    argv, modules = _COMMAND_MODULES[command]
+    data = minimal_manifest_dict()
+    data["nodes"] = [
+        {"name": f"n{i}", "ip": ip, "image": "img", "processes": []}
+        for i, ip in enumerate(FIVE_NODE_IPS)
+    ]
+    data["phases"] = [{"name": "launch", "action": "launch"}]
+    data["delay"] = {"matrix_path": str(matrix_file)}
+    data["timers"] = {"block_time_s": {"value": 12, "kind": "duration"}}
+    data["networks"] = {
+        "blocks": {"kind": "nws", "k": 2, "p": 0.5, "seed": 3},
+        "gossip": {"kind": "random", "degree": 2, "seed": 3},
+    }
+    paths = {
+        "matrix": matrix_file, "classes": classes_file, "out": tmp_path / "out",
+        "manifest": write_manifest(tmp_path, data), "plan": tmp_path / "plan",
+    }
+    if argv is not None:
+        argv = [arg.format(**paths) for arg in argv]
+        modules = modules | {"cli", "errors"}
+    out = _python(_LOADED_MODULES, json.dumps(argv)).splitlines()
+    assert out[-2:] == [repr(sorted(modules)), "[]"]
 
 
 def test_class_map_commands_never_load_numpy(classes_file, tmp_path):

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 
 from latem import delay_model as dm
 from latem import script as script_mod
-from latem.autoarpd import emit_neigh_sysctls, neigh_settings
+from latem.autoarpd import emit_neigh_sysctls
 from latem.errors import ConfigError, InfeasibleError, InventoryError, SizeError
+from latem.link_layer import neigh_settings
 from latem.manifest import ResourceModel, parse_manifest
 from latem.orchestrator import (
     STEP_TC,

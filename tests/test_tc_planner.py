@@ -380,6 +380,19 @@ class TestVerifyPlanMatchesPerPairReference:
         assert report == verify_plan_per_pair(nft, tc, five_node_classes)
         assert mismatched_marks(report) == {2, 3}
 
+    def test_later_set_overlaps_two_rules_of_one_mark(self, five_node_classes):
+        # nodes_1 and nodes_2 both stamp mark 1; nodes_3 also holds a pair of
+        # each, which stays marked 1 (first rule wins), so class 2 alone fails
+        nft, tc = _scripts(five_node_classes)
+        nft = CommandScript(lines=tuple(l.replace("mark set 2", "mark set 1") for l in nft))
+        nft = _copy_pair_into(nft, five_node_classes, 1, 3)
+        nft = _copy_pair_into(nft, five_node_classes, 2, 3)
+        report = verify_plan(nft, tc, five_node_classes)
+        assert report == verify_plan_per_pair(nft, tc, five_node_classes)
+        assert mismatched_marks(report) == {2}
+        assert {m.detail for m in report.mismatches} == {"marked 1 instead of 2"}
+        assert len(report.mismatches) == 2 * len(five_node_classes.classes[1].pairs)
+
     def test_element_that_reads_two_ways(self):
         # "x . . y" would be both ("x", ". y") and ("x .", "y"). An IPv4
         # address holds no space, so no map can hold an address that makes
