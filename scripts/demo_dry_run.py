@@ -14,7 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from latem.manifest import allocate_ips, load_manifest
+from latem.delay_model import allocate_ips
+from latem.manifest import load_manifest
 from latem.orchestrator import build_startup_plan, delay_classes_for_manifest, execute
 
 NODES = 12

@@ -19,6 +19,7 @@ import contextlib
 import json
 import signal
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -30,11 +31,16 @@ if TYPE_CHECKING:
     from .script import Script
 
 
-def _write_or_print(content: str | Script, out: str | None) -> None:
-    """Write text or a script to the file `out`, or to stdout without one."""
+def _write_or_print(content: str | Iterator[str] | Script, out: str | None) -> None:
+    """Write text, pieces of text or a script to the file `out`, or to stdout without one.
+
+    Pieces are written as they are made, so their whole text is never held.
+    """
     with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as f:
         if isinstance(content, str):
             f.write(content)
+        elif isinstance(content, Iterator):
+            f.writelines(content)
         else:
             content.write_to(f)
 
@@ -55,10 +61,13 @@ def _warn_bridge_capacity(port_count: int) -> None:
 def _load_classes(path: str) -> DelayClassMap:
     from .delay_model import DelayClassMap, gc_paused
 
-    text = Path(path).read_text()
+    # One pause covers the parse and the reshaping, and the parsed JSON is
+    # dropped inside it, so no collection ever scans its pair lists.
     with gc_paused():
-        data = json.loads(text)
-    return DelayClassMap.from_json_dict(data)
+        data = json.loads(Path(path).read_text())
+        classes = DelayClassMap.from_json_dict(data)
+        del data
+    return classes
 
 
 def _cmd_preflight(args: argparse.Namespace) -> int:
@@ -102,7 +111,6 @@ def _load_inflated_manifest(args: argparse.Namespace) -> ExperimentManifest:
 
 def _cmd_plan_delays(args: argparse.Namespace) -> int:
     from . import delay_model
-    from .tc_planner import compute_bands
 
     matrix_options = _given(args, "matrix", "count", "seed", "ip_base")
     if args.manifest:
@@ -117,21 +125,21 @@ def _cmd_plan_delays(args: argparse.Namespace) -> int:
         policy = manifest.delay.policy
         node_count = len(manifest.nodes)
     elif args.matrix:
-        from .manifest import allocate_ips, parse_fraction
-
         matrix = delay_model.load_matrix(args.matrix, **_given(args, "count", "seed"))
         if args.inflate:
+            from .manifest import parse_fraction
+
             matrix = delay_model.inflate(matrix, parse_fraction(args.inflate))
         policy = delay_model.QuantizationPolicy()
         quantized = delay_model.quantize(matrix, policy)
         node_count = matrix.n
-        ips = allocate_ips(args.ip_base or "10.1.0.1", node_count)
+        ips = delay_model.allocate_ips(args.ip_base or "10.1.0.1", node_count)
         classes = delay_model.build_classes(quantized, ips, policy)
     else:
         print("error: plan-delays needs --matrix or --manifest", file=sys.stderr)
         return 2
     _write_or_print(delay_model.class_map_json(classes, policy), args.out)
-    bands = compute_bands(len(classes)) if len(classes) else 2
+    bands = delay_model.compute_bands(len(classes)) if len(classes) else 2
     print(
         f"# {len(classes)} delay classes over {node_count} nodes "
         f"(quantum {policy.quantum_ms}ms, bands {bands})",
@@ -148,7 +156,8 @@ def _cmd_emit_nft(args: argparse.Namespace) -> int:
 
 
 def _cmd_emit_tc(args: argparse.Namespace) -> int:
-    from .tc_planner import compute_bands, emit_tc_script
+    from .delay_model import compute_bands
+    from .tc_planner import emit_tc_script
 
     classes = _load_classes(args.classes)
     script = emit_tc_script(classes.class_delays(), args.veth, compute_bands(len(classes)))

@@ -13,6 +13,10 @@ and `hi`, holding the strings it was given rather than copies; at the
 paper's 3997 nodes that is 8M pairs with no tuple each. `DelayClass.pairs`
 builds the (lo, hi) tuples on first read and keeps them.
 
+The module also writes the class-map file (`class_map_json`) and sizes the
+queueing tree for a class count (`compute_bands`), so planning a class map
+from a matrix loads no other latem module.
+
 All operations are pure; matrices and class maps are immutable after
 construction and safe to share across threads.
 """
@@ -22,6 +26,7 @@ from __future__ import annotations
 import gc
 import ipaddress
 import json
+import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -32,12 +37,17 @@ from operator import add, eq, lt
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Iterator, Mapping, Sequence, Union
 
-from .errors import ConfigError, ShapeError, SizeError, SymmetryError
+from .errors import CapacityError, ConfigError, ShapeError, SizeError, SymmetryError
 
 if TYPE_CHECKING:  # numpy is imported by the functions that use it
     import numpy as np
 
 ROUNDING_MODES = ("nearest-half-up", "floor", "ceil")
+
+# The queueing tree is two levels of prio qdiscs of at most MAX_BANDS bands
+# each; one of its leaves carries unmarked traffic, so it holds MAX_CLASSES.
+MAX_BANDS = 16
+MAX_CLASSES = MAX_BANDS * MAX_BANDS - 1
 
 Factor = Union[int, float, Fraction]
 
@@ -152,6 +162,17 @@ IpPair = tuple[str, str]
 
 def _ip_key(ip: str) -> int:
     return int(ipaddress.IPv4Address(ip))
+
+
+def allocate_ips(base: str, count: int) -> list[str]:
+    """Sequential IPv4 allocation skipping .0 and .255 host octets."""
+    out: list[str] = []
+    addr = _ip_key(base)
+    while len(out) < count:
+        if addr & 0xFF not in (0, 255):
+            out.append(str(ipaddress.IPv4Address(addr)))
+        addr += 1
+    return out
 
 
 def _ordered(a: str, key_a: int, b: str, key_b: int) -> IpPair:
@@ -332,6 +353,21 @@ class DelayClassMap:
             raise ConfigError(f"malformed class map ({exc})") from None
 
 
+def compute_bands(class_count: int) -> int:
+    """Minimal band count b with b*b >= class_count + 1, at least 2."""
+    if class_count < 1:
+        raise ConfigError(f"class_count must be >= 1, got {class_count}")
+    if class_count > MAX_CLASSES:
+        raise CapacityError(
+            f"{class_count} classes exceed the {MAX_CLASSES} the two-level tree "
+            "can hold; use a coarser quantum to reduce the class count"
+        )
+    b = math.isqrt(class_count + 1)
+    if b * b < class_count + 1:
+        b += 1
+    return max(2, b)
+
+
 class _Quoted(dict):
     """Address -> its JSON string literal; each distinct address is quoted once."""
 
@@ -340,29 +376,31 @@ class _Quoted(dict):
         return quoted
 
 
-def class_map_json(classes: DelayClassMap, policy: QuantizationPolicy) -> str:
-    """The class map plus the policy's quantum and rounding as JSON text.
+def class_map_json(classes: DelayClassMap, policy: QuantizationPolicy) -> Iterator[str]:
+    """The class map plus the policy's quantum and rounding as JSON text, in pieces.
 
-    Byte-identical to `json.dumps(payload, indent=2, sort_keys=True) + "\n"`
-    with payload `classes.to_json_dict()` plus "quantum_ms" and "rounding",
-    without building the payload or running json's pure-Python indenting
-    encoder over every pair.
+    Joined, the pieces are byte-identical to `json.dumps(payload,
+    sort_keys=True, separators=(",", ":")) + "\n"` with payload
+    `classes.to_json_dict()` plus "quantum_ms" and "rounding": one compact
+    line. They are a head, one piece per class and a tail, each made when
+    it is asked for, so a writer holds one class's text at a time and
+    never the whole map.
     """
     quoted = _Quoted()
-    blocks = []
+    q = quoted.__getitem__
+    yield '{"classes":['
+    sep = ""
     for c in classes:
-        pairs = ",\n".join(
-            f"        [\n          {quoted[lo]},\n          {quoted[hi]}\n        ]"
-            for lo, hi in zip(c.lo, c.hi)
+        # '"lo","hi"' per pair, joined by '],[' inside the list's '[[' and ']]'.
+        pairs = "],[".join(map(",".join, zip(map(q, c.lo), map(q, c.hi))))
+        yield (
+            f'{sep}{{"delay_ms":{json.dumps(c.delay_ms)},"mark":{json.dumps(c.mark)},'
+            f'"pairs":[[{pairs}]]}}'
         )
-        blocks.append(
-            f'    {{\n      "delay_ms": {json.dumps(c.delay_ms)},\n'
-            f'      "mark": {json.dumps(c.mark)},\n      "pairs": [\n{pairs}\n      ]\n    }}'
-        )
-    body = "[\n" + ",\n".join(blocks) + "\n  ]" if blocks else "[]"
-    return (
-        f'{{\n  "classes": {body},\n  "quantum_ms": {json.dumps(policy.quantum_ms)},\n'
-        f'  "rounding": {json.dumps(policy.rounding)}\n}}\n'
+        sep = ","
+    yield (
+        f'],"quantum_ms":{json.dumps(policy.quantum_ms)},'
+        f'"rounding":{json.dumps(policy.rounding)}}}\n'
     )
 
 

@@ -408,13 +408,3 @@ def load_manifest(path: str | Path) -> ExperimentManifest:
         raise ValidationError(f"not valid JSON: {exc.msg}", line=exc.lineno)
     return parse_manifest(data)
 
-
-def allocate_ips(base: str, count: int) -> list[str]:
-    """Sequential IPv4 allocation skipping .0 and .255 host octets."""
-    out: list[str] = []
-    addr = int(ipaddress.IPv4Address(base))
-    while len(out) < count:
-        if addr & 0xFF not in (0, 255):
-            out.append(str(ipaddress.IPv4Address(addr)))
-        addr += 1
-    return out

@@ -25,13 +25,13 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from . import sys_preflight
-from .delay_model import DelayClassMap
+from .delay_model import DelayClassMap, compute_bands
 from .errors import ConfigError, InfeasibleError, InventoryError, ValidationError
 from .link_layer import emit_fdb_script, mac_for_ip, neigh_settings
 from .manifest import ExperimentManifest, NodeSpec, ResourceModel, render_number
 from .nft_planner import emit_nft_script
 from .script import CommandScript, Script
-from .tc_planner import compute_bands, emit_tc_trees
+from .tc_planner import emit_tc_trees
 from .topology import neighbor_lists, nws_graph, random_graph
 
 if TYPE_CHECKING:  # only apply mode runs commands; it gets its adapter from the caller

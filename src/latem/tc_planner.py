@@ -21,40 +21,22 @@ mark's root-to-leaf filter route must reach the class delay.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import add
 from typing import Iterator, Mapping, Sequence
 
-from .delay_model import DelayClassMap, gc_paused
+from .delay_model import MAX_BANDS, DelayClassMap, gc_paused
 from .errors import CapacityError, ConfigError, ParseError
 from .script import Script
 
-MAX_BANDS = 16
-MAX_CLASSES = MAX_BANDS * MAX_BANDS - 1
 FILTER_PRIO_MARKED = 10
 FILTER_PRIO_DEFAULT = 20
 
 
 def _hex(value: int) -> str:
     return format(value, "x")
-
-
-def compute_bands(class_count: int) -> int:
-    """Minimal band count b with b*b >= class_count + 1, at least 2."""
-    if class_count < 1:
-        raise ConfigError(f"class_count must be >= 1, got {class_count}")
-    if class_count > MAX_CLASSES:
-        raise CapacityError(
-            f"{class_count} classes exceed the {MAX_CLASSES} the two-level tree "
-            "can hold; use a coarser quantum to reduce the class count"
-        )
-    b = math.isqrt(class_count + 1)
-    if b * b < class_count + 1:
-        b += 1
-    return max(2, b)
 
 
 def leaf_position(mark: int, b: int) -> tuple[int, int]:

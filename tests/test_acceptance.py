@@ -17,6 +17,7 @@ import pytest
 
 from latem import delay_model as dm
 from latem.autoarpd import MockSolicitTransport, NudState, Solicitation, serve
+from latem.delay_model import compute_bands
 from latem.link_layer import emit_fdb_script, mac_for_ip
 from latem.manifest import ResourceModel, parse_manifest
 from latem.nft_planner import emit_nft_script
@@ -26,7 +27,6 @@ from latem.stats import summarize_stats
 from latem.sys_preflight import audit, recommend
 from latem.tc_planner import (
     MAX_BANDS,
-    compute_bands,
     emit_tc_script,
     leaf_position,
     verify_plan,

@@ -6,6 +6,7 @@ import shlex
 import signal
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,10 @@ import pytest
 import latem
 from latem import delay_model as dm
 from latem.autoarpd import MockSolicitTransport, Solicitation
-from latem.cli import build_parser, main
+from latem.cli import _load_classes, build_parser, main
 from latem.link_layer import check_bridge_capacity
+from latem.script import CommandScript
+from latem.tc_planner import verify_plan
 
 from conftest import (
     FIVE_NODE_ENTRIES,
@@ -56,6 +59,66 @@ def test_plan_delays_writes_class_map(classes_file):
 def test_plan_delays_matches_golden_bytes(classes_file):
     golden = Path(__file__).parent / "goldens" / "classes_5node3class.json"
     assert classes_file.read_bytes() == golden.read_bytes()
+    assert golden.read_text().count("\n") == 1  # one compact line
+
+
+def test_compact_and_pretty_class_maps_read_the_same(tmp_path):
+    # The pretty file holds the bytes earlier versions wrote for this map.
+    compact = GOLDENS / "classes_5node3class.json"
+    pretty = GOLDENS / "classes_5node3class.pretty.json"
+    assert compact.read_bytes() != pretty.read_bytes()
+    maps, scripts, reports = [], [], []
+    for path in (compact, pretty):
+        nft, tc = tmp_path / f"{path.name}.nft", tmp_path / f"{path.name}.tc"
+        assert main(["emit-nft", "--classes", str(path), "--out", str(nft)]) == 0
+        assert main(["emit-tc", "--classes", str(path), "--veth", "vetha1", "--out", str(tc)]) == 0
+        classes = dm.DelayClassMap.from_json_dict(json.loads(path.read_text()))
+        assert _load_classes(str(path)) == classes
+        maps.append(classes)
+        scripts.append((nft.read_text(), tc.read_text()))
+        reports.append(verify_plan(
+            CommandScript(lines=tuple(scripts[-1][0].splitlines())),
+            CommandScript(lines=tuple(scripts[-1][1].splitlines())),
+            classes,
+        ))
+    assert maps[0] == maps[1]
+    assert scripts[0] == scripts[1] == (
+        (GOLDENS / "nft_5node3class.txt").read_text(), (GOLDENS / "tc_5node3class.txt").read_text()
+    )
+    assert reports[0] == reports[1]
+    assert reports[0].ok
+
+
+def test_plan_delays_writes_the_class_map_one_class_at_a_time(tmp_path, monkeypatch):
+    # 140 nodes over ten delay levels: 9,730 pairs, about 970 to a class.
+    rng = np.random.default_rng(5)
+    n = 140
+    upper = np.triu(rng.integers(1, 11, size=(n, n)) * 10, k=1)
+    matrix, out = tmp_path / "matrix.txt", tmp_path / "classes.json"
+    np.savetxt(matrix, upper + upper.T, fmt="%d")
+    make_pieces = dm.class_map_json
+    held = []
+
+    def traced(classes, policy):
+        tracemalloc.reset_peak()
+        held.append(tracemalloc.get_traced_memory()[0])
+        return make_pieces(classes, policy)
+
+    monkeypatch.setattr(dm, "class_map_json", traced)
+    tracemalloc.start()
+    try:
+        assert main(["plan-delays", "--matrix", str(matrix), "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1] - held[0]
+    finally:
+        tracemalloc.stop()
+    text = out.read_text()
+    largest = max(
+        len(json.dumps(c, sort_keys=True, separators=(",", ":")))
+        for c in json.loads(text)["classes"]
+    )
+    assert len(text) > 9 * largest
+    # Writing holds one class's text and its pair strings, never the map.
+    assert peak < 8 * largest
 
 
 def _five_node_manifest(tmp_path: Path, matrix_file: Path, delay: dict,
@@ -86,7 +149,7 @@ def test_plan_delays_output_is_json_dumps_of_its_class_map(tmp_path, matrix_file
     assert rc == 0
     text = out.read_text()
     payload = json.loads(text)
-    assert json.dumps(payload, indent=2, sort_keys=True) + "\n" == text
+    assert json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n" == text
     assert "10.0.1.2" in text
     assert payload["quantum_ms"] == options.get("quantum_ms", 10)
 
@@ -109,7 +172,7 @@ def test_plan_delays_count_writes_the_bytes_of_load_then_subsample(tmp_path, mat
     policy = dm.QuantizationPolicy()
     matrix = dm.subsample(dm.load_matrix(matrix_file), 3, 7)
     classes = dm.build_classes(dm.quantize(matrix, policy), FIVE_NODE_IPS[:3], policy)
-    assert out.read_bytes() == dm.class_map_json(classes, policy).encode()
+    assert out.read_bytes() == "".join(dm.class_map_json(classes, policy)).encode()
 
 
 def test_plan_delays_bytes_that_are_not_utf8_are_one_error_line(tmp_path, capsys):
@@ -505,7 +568,7 @@ def test_standalone_commands_emit_the_lines_of_run(tmp_path, matrix_file, capsys
     manifest = write_manifest(tmp_path, data)
     classes, _ = delay_classes_for_manifest(load_manifest(manifest))
     class_map = tmp_path / "classes.json"
-    class_map.write_text(dm.class_map_json(classes, dm.QuantizationPolicy()))
+    class_map.write_text("".join(dm.class_map_json(classes, dm.QuantizationPolicy())))
     plan = tmp_path / "plan"
     assert main(["run", "--manifest", str(manifest), "--dry-run", "--out", str(plan)]) == 0
     capsys.readouterr()
@@ -705,7 +768,7 @@ _COMMAND_MODULES = {
     "preflight": (["preflight", "--nodes", "10"], {"sys_preflight"}),
     "plan-delays --matrix": (
         ["plan-delays", "--matrix", "{matrix}", "--count", "3", "--out", "{out}"],
-        {"delay_model", "manifest", "script", "tc_planner"},
+        {"delay_model"},
     ),
     "emit-nft": (
         ["emit-nft", "--classes", "{classes}", "--out", "{out}"],

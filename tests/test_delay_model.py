@@ -776,11 +776,11 @@ class TestClassMapValidation:
 
 
 def json_dumps_reference(cmap, policy):
-    """The class-map file text as `json.dumps` renders it."""
+    """The class-map file text as compact `json.dumps` renders it."""
     payload = cmap.to_json_dict()
     payload["quantum_ms"] = policy.quantum_ms
     payload["rounding"] = policy.rounding
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def octet_spanning_ips(rng, n):
@@ -811,7 +811,7 @@ class TestClassMapJson:
         cmap = dm.build_classes(q, octet_spanning_ips(rng, n), policy)
         has_zero = bool((q[np.triu_indices(n, k=1)] == 0).any())
         assert (len(cmap) > 0 and cmap.classes[0].delay_ms == 0) == (keep_zero and has_zero)
-        assert dm.class_map_json(cmap, policy) == json_dumps_reference(cmap, policy)
+        assert "".join(dm.class_map_json(cmap, policy)) == json_dumps_reference(cmap, policy)
 
     @given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 4), max_size=6))
     @example(seed=0, sizes=[])
@@ -831,10 +831,22 @@ class TestClassMapJson:
             classes.append({"mark": mark, "delay_ms": delay, "pairs": pairs})
         cmap = dm.DelayClassMap.from_json_dict({"classes": classes})
         policy = dm.QuantizationPolicy(quantum_ms=int(rng.integers(1, 100)))
-        assert dm.class_map_json(cmap, policy) == json_dumps_reference(cmap, policy)
+        assert "".join(dm.class_map_json(cmap, policy)) == json_dumps_reference(cmap, policy)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_yields_a_head_one_piece_per_class_and_a_tail(self, seed):
+        cmap = random_class_map(seed)
+        pieces = list(dm.class_map_json(cmap, dm.QuantizationPolicy()))
+        assert len(pieces) == len(cmap) + 2
+        assert pieces[0] == '{"classes":['
+        for i, (piece, c) in enumerate(zip(pieces[1:], cmap)):
+            cls = json.loads(piece.removeprefix(","))
+            assert piece.startswith(",") == (i > 0)
+            assert (cls["mark"], cls["delay_ms"]) == (c.mark, c.delay_ms)
+            assert cls["pairs"] == [list(p) for p in c.pairs]
 
     def test_reads_back_to_the_same_map(self, five_node_classes):
-        text = dm.class_map_json(five_node_classes, dm.QuantizationPolicy())
+        text = "".join(dm.class_map_json(five_node_classes, dm.QuantizationPolicy()))
         assert dm.DelayClassMap.from_json_dict(json.loads(text)) == five_node_classes
 
     def test_class_without_pairs_cannot_be_read(self):
@@ -1014,17 +1026,17 @@ class TestReadersOnReloadedMaps:
     @example(seed=0)
     def test_built_and_reloaded_maps_read_the_same(self, seed):
         from latem import nft_planner
-        from latem.tc_planner import compute_bands, emit_tc_script, verify_plan
+        from latem.tc_planner import emit_tc_script, verify_plan
 
         built = random_class_map(seed, max_nodes=30)
         policy = dm.QuantizationPolicy()
-        text = dm.class_map_json(built, policy)
+        text = "".join(dm.class_map_json(built, policy))
         reloaded = dm.DelayClassMap.from_json_dict(json.loads(text))
-        assert dm.class_map_json(reloaded, policy) == text
+        assert "".join(dm.class_map_json(reloaded, policy)) == text
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(nft_planner, "ELEMENT_CHUNK_PAIRS", 7)
             nft = nft_planner.emit_nft_script(built)
             assert nft_planner.emit_nft_script(reloaded).text() == nft.text()
-        tc = emit_tc_script(built.class_delays(), "veth0", compute_bands(len(built)))
+        tc = emit_tc_script(built.class_delays(), "veth0", dm.compute_bands(len(built)))
         assert verify_plan(nft, tc, reloaded) == verify_plan(nft, tc, built)
         assert verify_plan(nft, tc, built).ok

@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from latem.delay_model import allocate_ips
 from latem.errors import ValidationError
 from latem.manifest import (
-    allocate_ips,
     load_manifest,
     parse_fraction,
     parse_manifest,

@@ -8,9 +8,9 @@ from latem import script as script_mod
 from latem.errors import CapacityError, ConfigError, ParseError
 from latem.nft_planner import emit_nft_script
 from latem.script import CommandScript
+from latem.delay_model import compute_bands
 from latem.tc_planner import (
     MAX_BANDS,
-    compute_bands,
     emit_tc_script,
     emit_tc_trees,
     TreeScript,
