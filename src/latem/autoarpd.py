@@ -30,7 +30,6 @@ import struct
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Protocol
 
 from .errors import ServeError
@@ -42,17 +41,10 @@ log = logging.getLogger(__name__)
 POLL_INTERVAL_S = 0.2  # longest wait on the transport before the stop signal is checked
 
 
-class NudState(Enum):
-    """Neighbor Unreachability Detection states this daemon deals in."""
-
-    REACHABLE = 0x02
-
-
 @dataclass(frozen=True)
 class NeighborEntry:
     ip: str
     mac: str
-    nud: NudState = NudState.REACHABLE
 
 
 @dataclass(frozen=True)
@@ -73,7 +65,7 @@ class SolicitTransport(Protocol):
 
 def resolve(ip: str) -> NeighborEntry:
     """Compute the neighbor entry for an address; stateless and deterministic."""
-    return NeighborEntry(ip=ip, mac=mac_for_ip(ip), nud=NudState.REACHABLE)
+    return NeighborEntry(ip=ip, mac=mac_for_ip(ip))
 
 
 @dataclass(frozen=True)
@@ -170,6 +162,7 @@ NLM_F_CREATE = 0x0400
 NLM_F_REPLACE = 0x0100
 NDA_DST = 1
 NDA_LLADDR = 2
+NUD_REACHABLE = 0x02  # the state of every entry the daemon injects
 RTNLGRP_NEIGH = 3
 AF_INET = socket.AF_INET
 
@@ -197,22 +190,12 @@ def _parse_attrs(data: bytes) -> dict[int, bytes]:
 
 
 def pack_neighbor_update(entry: NeighborEntry, ifindex: int, seq: int = 0) -> bytes:
-    """RTM_NEWNEIGH request installing `entry` on interface `ifindex`."""
-    payload = _NDMSG.pack(AF_INET, 0, 0, ifindex, entry.nud.value, 0, 0)
+    """RTM_NEWNEIGH request installing `entry` REACHABLE on interface `ifindex`."""
+    payload = _NDMSG.pack(AF_INET, 0, 0, ifindex, NUD_REACHABLE, 0, 0)
     payload += _attr(NDA_DST, ipaddress.IPv4Address(entry.ip).packed)
     payload += _attr(NDA_LLADDR, bytes(int(p, 16) for p in entry.mac.split(":")))
     flags = NLM_F_REQUEST | NLM_F_CREATE | NLM_F_REPLACE
     header = _NLMSGHDR.pack(_NLMSGHDR.size + len(payload), RTM_NEWNEIGH, flags, seq, 0)
-    return header + payload
-
-
-def pack_solicitation(ip: str, ifindex: int, seq: int = 0) -> bytes:
-    """RTM_GETNEIGH message as the kernel multicasts it; used by tests."""
-    payload = _NDMSG.pack(AF_INET, 0, 0, ifindex, 0, 0, 0)
-    payload += _attr(NDA_DST, ipaddress.IPv4Address(ip).packed)
-    header = _NLMSGHDR.pack(
-        _NLMSGHDR.size + len(payload), RTM_GETNEIGH, NLM_F_REQUEST, seq, 0
-    )
     return header + payload
 
 

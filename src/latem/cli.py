@@ -98,14 +98,12 @@ def _cmd_preflight(args: argparse.Namespace) -> int:
 
 def _load_inflated_manifest(args: argparse.Namespace) -> ExperimentManifest:
     """The manifest of `--manifest`, inflated by `--inflate` when given."""
-    from . import time_inflation
-    from .manifest import load_manifest
+    from .manifest import load_manifest, parse_fraction
+    from .time_inflation import inflate_manifest
 
     manifest = load_manifest(args.manifest)
-    if args.inflate:
-        manifest = time_inflation.inflate_manifest(
-            manifest, time_inflation.InflationFactor.parse(args.inflate)
-        )
+    if args.inflate is not None:
+        manifest = inflate_manifest(manifest, parse_fraction(args.inflate))
     return manifest
 
 
@@ -126,15 +124,17 @@ def _cmd_plan_delays(args: argparse.Namespace) -> int:
         node_count = len(manifest.nodes)
     elif args.matrix:
         matrix = delay_model.load_matrix(args.matrix, **_given(args, "count", "seed"))
-        if args.inflate:
+        if args.inflate is not None:
             from .manifest import parse_fraction
 
             matrix = delay_model.inflate(matrix, parse_fraction(args.inflate))
         policy = delay_model.QuantizationPolicy()
         quantized = delay_model.quantize(matrix, policy)
         node_count = matrix.n
+        del matrix  # the class build reads only the quantized copy
         ips = delay_model.allocate_ips(args.ip_base or "10.1.0.1", node_count)
         classes = delay_model.build_classes(quantized, ips, policy)
+        del quantized  # the write reads only the classes
     else:
         print("error: plan-delays needs --matrix or --manifest", file=sys.stderr)
         return 2

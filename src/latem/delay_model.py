@@ -35,7 +35,7 @@ from functools import cached_property
 from itertools import islice
 from operator import add, eq, lt
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Iterator, Mapping, Sequence, Union
+from typing import IO, TYPE_CHECKING, Any, Iterator, Mapping, Sequence, Union
 
 from .errors import CapacityError, ConfigError, ShapeError, SizeError, SymmetryError
 
@@ -126,10 +126,6 @@ class DelayMatrix:
     @property
     def n(self) -> int:
         return self.entries.shape[0]
-
-    @property
-    def max_delay_ms(self) -> float:
-        return float(self.entries.max()) if self.n else 0.0
 
     def __eq__(self, other: object) -> bool:
         import numpy as np
@@ -334,11 +330,15 @@ class DelayClassMap:
         """Read the map `to_json_dict` or `class_map_json` writes.
 
         The JSON is reshaped into columns; the constructor checks the rest.
+        A missing key is named with its class's position, and a mark or
+        delay that is not a JSON integer is refused, not truncated.
         """
         classes = []
         try:
-            for c in data["classes"]:
-                mark, pairs = int(c["mark"]), c["pairs"]
+            for i, c in enumerate(_member(data, "classes", "the class map")):
+                where = f"the class at position {i}"
+                mark, delay_ms = _json_int(c, "mark", where), _json_int(c, "delay_ms", where)
+                pairs = _member(c, "pairs", where)
                 try:
                     lo = tuple([a for a, _ in pairs])
                 except ValueError as exc:  # only the unpacking raises one here
@@ -347,10 +347,24 @@ class DelayClassMap:
                         f"addresses ({exc})"
                     ) from None
                 hi = tuple([b for _, b in pairs])
-                classes.append(DelayClass(mark, int(c["delay_ms"]), lo, hi))
+                classes.append(DelayClass(mark, delay_ms, lo, hi))
             return cls(classes=tuple(classes))
         except TypeError as exc:  # e.g. a nested list where an address belongs
             raise ConfigError(f"malformed class map ({exc})") from None
+
+
+def _member(obj: Mapping, key: str, where: str) -> Any:
+    try:
+        return obj[key]
+    except KeyError:
+        raise ConfigError(f"{where} has no {key!r}") from None
+
+
+def _json_int(obj: Mapping, key: str, where: str) -> int:
+    value = _member(obj, key, where)
+    if isinstance(value, bool) or not isinstance(value, int):  # JSON true is no number
+        raise ConfigError(f"{where}: {key} must be a JSON integer, got {json.dumps(value)}")
+    return value
 
 
 def compute_bands(class_count: int) -> int:

@@ -68,7 +68,6 @@ def emit_fdb_script(nodes: Sequence[tuple[str, str]]) -> CommandScript:
 @dataclass(frozen=True)
 class Diagnostic:
     ok: bool
-    suggested_bits: int | None
     message: str
 
 
@@ -83,7 +82,6 @@ def check_bridge_capacity(port_count: int) -> Diagnostic:
     if port_count <= DEFAULT_BRIDGE_PORT_LIMIT:
         return Diagnostic(
             ok=True,
-            suggested_bits=None,
             message=(
                 f"{port_count} bridge ports fit the default limit of "
                 f"{DEFAULT_BRIDGE_PORT_LIMIT} (BR_PORT_BITS={DEFAULT_BRIDGE_PORT_BITS})"
@@ -92,7 +90,6 @@ def check_bridge_capacity(port_count: int) -> Diagnostic:
     bits = math.ceil(math.log2(port_count))
     return Diagnostic(
         ok=False,
-        suggested_bits=bits,
         message=(
             f"{port_count} bridge ports exceed the default limit of "
             f"{DEFAULT_BRIDGE_PORT_LIMIT}: a kernel rebuilt with BR_PORT_BITS>={bits} "

@@ -147,12 +147,6 @@ class ExperimentManifest:
     resources: ResourceModel | None = None
     runtime: RuntimeSection = RuntimeSection()
 
-    def phase(self, name: str) -> Phase:
-        for p in self.phases:
-            if p.name == name:
-                return p
-        raise KeyError(name)
-
     def nodes_for_target(self, target: str) -> tuple[NodeSpec, ...]:
         if target == "all":
             return self.nodes

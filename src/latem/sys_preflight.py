@@ -50,15 +50,6 @@ class ParameterPlan:
             dupes = sorted({k for k in keys if keys.count(k) > 1})
             raise ValueError(f"duplicate plan keys: {dupes}")
 
-    def entry(self, key: str) -> ParamEntry:
-        for e in self.entries:
-            if e.key == key:
-                return e
-        raise KeyError(key)
-
-    def required_readings(self) -> dict[str, str]:
-        return {e.key: e.required for e in self.entries}
-
 
 def recommend(node_count: int) -> ParameterPlan:
     """Parameter plan for a target node count.
@@ -121,9 +112,6 @@ class AuditReport:
     @property
     def all_pass(self) -> bool:
         return all(r.status == PASS for r in self.rows)
-
-    def failing_keys(self) -> set[str]:
-        return {r.key for r in self.rows if r.status == FAIL}
 
 
 def _normalize_triple(value: str) -> str:

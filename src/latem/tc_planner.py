@@ -16,12 +16,14 @@ toward each container.
 verify_plan is an independent oracle: it re-parses emitted firewall and tc
 scripts from text and checks every directed pair of every class: the pair
 must be stamped with its class mark (first matching rule wins), and that
-mark's root-to-leaf filter route must reach the class delay.
+mark's root-to-leaf filter route must reach the class delay on every
+interface's tree.
 """
 
 from __future__ import annotations
 
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import add
@@ -96,11 +98,6 @@ class TreeScript(Script):
         """Each interface's whole tree, in order."""
         if self.fragments:
             yield from map(str.join, self.veths, repeat(self.fragments))
-
-    @property
-    def lines(self) -> tuple[str, ...]:
-        """Every line, rendered; for callers that need them all at once."""
-        return tuple(self)
 
 
 def emit_tc_trees(
@@ -281,32 +278,58 @@ class _TcState:
         raise AssertionError("unreachable")
 
 
-def _parse_tc(script: Script) -> _TcState:
-    state = _TcState()
+def _parse_tc(script: Script) -> dict[str, _TcState]:
+    """One tree per interface (`dev`), in the order the interfaces first appear."""
+    trees: defaultdict[str, _TcState] = defaultdict(_TcState)
     for line_no, line in enumerate(script, start=1):
         if m := _TC_ROOT.match(line):
-            state.bands = int(m.group(2))
+            trees[m.group(1)].bands = int(m.group(2))
             continue
         if m := _TC_SECOND.match(line):
             band, handle = m.group(2), m.group(3)
             if handle != "1" + band:
                 raise ParseError("second-level handle does not encode its band", line_no, line)
-            state.child_of_band[("1", band)] = handle
+            trees[m.group(1)].child_of_band[("1", band)] = handle
             continue
         if m := _TC_NETEM.match(line):
-            state.netem[(m.group(2), m.group(3))] = int(m.group(4))
+            trees[m.group(1)].netem[(m.group(2), m.group(3))] = int(m.group(4))
             continue
         if m := _TC_FW_FILTER.match(line):
             parent, mark = m.group(2), int(m.group(4))
-            state.fw.setdefault(parent, {})[mark] = (m.group(5), m.group(6))
+            trees[m.group(1)].fw.setdefault(parent, {})[mark] = (m.group(5), m.group(6))
             continue
         if m := _TC_MATCHALL.match(line):
-            state.matchall[m.group(2)] = (m.group(4), m.group(5))
+            trees[m.group(1)].matchall[m.group(2)] = (m.group(4), m.group(5))
             continue
         raise ParseError("unrecognized tc command", line_no, line)
-    if state.bands is None:
+    if not trees:
         raise ParseError("script has no root prio qdisc", 0, "")
-    return state
+    for dev, tree in trees.items():
+        if tree.bands is None:
+            raise ParseError(f"script has no root prio qdisc on {dev}", 0, "")
+    return dict(trees)
+
+
+def _route(trees: Mapping[str, _TcState], mark: int, delay_ms: int) -> tuple[int | None, str]:
+    """The mark's route on the first interface where it misses `delay_ms`, as
+    (delay, detail) with the interface named; (delay_ms, "") when none does."""
+    for dev, tree in trees.items():
+        delay, detail = tree.route(mark)
+        if delay != delay_ms:
+            return delay, f"{dev}: {detail}"
+    return delay_ms, ""
+
+
+def _default_route(trees: Mapping[str, _TcState]) -> tuple[bool, str]:
+    """Whether unmarked traffic reaches the no-delay default leaf on every
+    interface, and the route of the first interface where it does not."""
+    for dev, tree in trees.items():
+        delay, detail = tree.route(None)
+        if delay != 0:
+            return False, f"unmarked traffic delayed ({dev}: {detail})"
+        if detail != f"leaf 1{_hex(tree.bands)}:{_hex(tree.bands)}":
+            return False, f"{dev}: {detail}"
+    return True, detail
 
 
 @gc_paused()
@@ -318,14 +341,16 @@ def verify_plan(
     Each ordered (src, dst) of a class must be stamped with the class mark
     by set membership (first matching rule wins), and that mark's walk
     through the root and second-level filters must reach a leaf whose netem
-    delay is the class delay. A class passes as a whole when its directed
-    pairs are a subset of the elements its mark stamps and the mark routes to
-    its delay; only a failing class is listed pair by pair. Separately checks
-    that unmarked traffic lands on the no-delay default leaf.
+    delay is the class delay, on the tree of every interface the tc script
+    configures. A class passes as a whole when its directed pairs are a
+    subset of the elements its mark stamps and the mark routes to its delay;
+    only a failing class is listed pair by pair, with the route of the
+    first interface that misses. Separately checks that unmarked traffic
+    lands on the no-delay default leaf of every tree.
     """
     nft_state = _parse_nft(nft)
     marked = nft_state.marked()
-    tc_state = _parse_tc(tc)
+    trees = _parse_tc(tc)
     mismatches: list[Mismatch] = []
     pairs_checked = 0
     mark_of: dict[str, int] | None = None  # element -> mark, for failing classes
@@ -333,7 +358,7 @@ def verify_plan(
     for cls in classes:
         # Routing depends on the mark alone, and only packets marked
         # cls.mark are routed here.
-        delay, detail = tc_state.route(cls.mark)
+        delay, detail = _route(trees, cls.mark, cls.delay_ms)
         pairs_checked += 2 * len(cls.lo)
         if delay == cls.delay_ms:
             got = marked.get(cls.mark, set())
@@ -368,13 +393,7 @@ def verify_plan(
                         )
                     )
 
-    default_delay, default_detail = tc_state.route(None)
-    b = tc_state.bands
-    default_ok = default_delay == 0 and default_detail.endswith(
-        f"leaf 1{_hex(b)}:{_hex(b)}"
-    )
-    if default_delay != 0:
-        default_detail = f"unmarked traffic delayed ({default_detail})"
+    default_ok, default_detail = _default_route(trees)
     return VerificationReport(
         pairs_checked=pairs_checked,
         mismatches=tuple(mismatches),

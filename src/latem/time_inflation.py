@@ -21,30 +21,15 @@ from .errors import InflationLintError
 from .script import CommandScript
 
 if TYPE_CHECKING:  # `gen-bpf` needs neither the manifest nor the delay model
-    from .manifest import ExperimentManifest, FractionLike
+    from .manifest import ExperimentManifest
 
 DEFAULT_OBJ_NAME = "tcp-rto.o"
 DEFAULT_PINNED_PATH = "/sys/fs/bpf/tcp-rto"
 DEFAULT_CGROUP_PATH = "/sys/fs/cgroup"
 
 
-@dataclass(frozen=True)
-class InflationFactor:
-    x: Fraction
-
-    def __post_init__(self) -> None:
-        if self.x <= 0:
-            raise ValueError(f"inflation factor must be positive, got {self.x}")
-
-    @classmethod
-    def parse(cls, value: FractionLike) -> "InflationFactor":
-        from .manifest import parse_fraction
-
-        return cls(x=parse_fraction(value))
-
-
-def inflate_manifest(m: ExperimentManifest, factor: InflationFactor) -> ExperimentManifest:
-    """Scale every tagged time-bearing quantity by the factor.
+def inflate_manifest(m: ExperimentManifest, x: Fraction) -> ExperimentManifest:
+    """Scale every tagged time-bearing quantity by the positive factor x.
 
     Durations (block time, intervals, phase stagger) multiply; rates divide;
     the delay section's inflation factor accumulates so the matrix is scaled
@@ -54,13 +39,14 @@ def inflate_manifest(m: ExperimentManifest, factor: InflationFactor) -> Experime
     """
     from .manifest import TimerSpec
 
+    if x <= 0:
+        raise ValueError(f"inflation factor must be positive, got {x}")
     untagged = sorted(name for name, t in m.timers.items() if t.kind is None)
     if untagged:
         raise InflationLintError(
             f"timers {untagged} carry no inflation kind (duration|rate); "
             "tag them before inflating"
         )
-    x = factor.x
     timers = {
         name: TimerSpec(value=t.value * x if t.kind == "duration" else t.value / x,
                         kind=t.kind)
@@ -106,10 +92,6 @@ class BpfRtoConfig:
                 f"timeout_s*hz = {self.timeout_s * self.hz} overflows a 32-bit reply"
             )
 
-    @property
-    def reply_jiffies(self) -> int:
-        return self.timeout_s * self.hz
-
 
 _BPF_SOURCE_TEMPLATE = """\
 #include <linux/bpf.h>
@@ -136,10 +118,6 @@ int set_initial_rto(struct bpf_sock_ops *skops)
 
 char _license[] __section("license") = "GPL";
 """
-
-# Line numbers (1-based) of the two constant lines in the rendered source.
-BPF_CONSTANT_LINES = (11, 12)
-
 
 def render_bpf_source(config: BpfRtoConfig) -> str:
     """The sock_ops override program with the two constants substituted.

@@ -1,4 +1,5 @@
 import errno
+import ipaddress
 import json
 import os
 from pathlib import Path
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from latem import autoarpd
 from latem import delay_model as dm
 
 settings.register_profile("suite", deadline=None, max_examples=50)
@@ -140,3 +142,29 @@ class OverflowOnceTransport:
 
     def reply(self, solicitation, entry) -> None:
         self.inner.reply(solicitation, entry)
+
+
+def phase(manifest, name: str):
+    """The manifest's phase called `name`."""
+    return next(p for p in manifest.phases if p.name == name)
+
+
+def required_values(plan) -> dict[str, str]:
+    """Each key of a preflight plan with its required value."""
+    return {e.key: e.required for e in plan.entries}
+
+
+def failing_keys(report) -> set[str]:
+    """The keys of an audit report's FAIL rows."""
+    return {r.key for r in report.rows if r.status == "FAIL"}
+
+
+def pack_solicitation(ip: str, ifindex: int, seq: int = 0) -> bytes:
+    """RTM_GETNEIGH message as the kernel multicasts it to the neighbor daemon."""
+    payload = autoarpd._NDMSG.pack(autoarpd.AF_INET, 0, 0, ifindex, 0, 0, 0)
+    payload += autoarpd._attr(autoarpd.NDA_DST, ipaddress.IPv4Address(ip).packed)
+    header = autoarpd._NLMSGHDR.pack(
+        autoarpd._NLMSGHDR.size + len(payload), autoarpd.RTM_GETNEIGH,
+        autoarpd.NLM_F_REQUEST, seq, 0,
+    )
+    return header + payload

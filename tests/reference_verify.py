@@ -4,6 +4,8 @@ This is the oracle the whole-set `verify_plan` replaced: it parses every nft
 element into an address tuple, builds one directed-pair -> mark dict, and
 looks up every directed pair of every class. Tests require both to return
 equal reports, and to raise the same `ParseError`s, on the same scripts.
+The tc half is `verify_plan`'s own: one parsed tree per interface, each
+class's mark routed on every tree.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import re
 from latem.delay_model import DelayClassMap
 from latem.errors import ParseError
 from latem.script import CommandScript
-from latem.tc_planner import Mismatch, VerificationReport, _hex, _parse_tc
+from latem.tc_planner import Mismatch, VerificationReport, _default_route, _parse_tc, _route
 
 _NFT_TABLE = re.compile(r"^nft add table ip (\w+)$")
 _NFT_CHAIN = re.compile(r"^nft add chain (\w+) (\w+) \{ type filter hook forward priority 0 \\; \}$")
@@ -70,12 +72,12 @@ def verify_plan_per_pair(
     nft: CommandScript, tc: CommandScript, classes: DelayClassMap
 ) -> VerificationReport:
     marks = _parse_nft(nft).marks()
-    tc_state = _parse_tc(tc)
+    trees = _parse_tc(tc)
     mismatches: list[Mismatch] = []
     pairs_checked = 0
 
     for cls in classes:
-        delay, detail = tc_state.route(cls.mark)
+        delay, detail = _route(trees, cls.mark, cls.delay_ms)
         pairs_checked += 2 * len(cls.pairs)
         for lo, hi in cls.pairs:
             for src, dst in ((lo, hi), (hi, lo)):
@@ -101,13 +103,7 @@ def verify_plan_per_pair(
                         )
                     )
 
-    default_delay, default_detail = tc_state.route(None)
-    b = tc_state.bands
-    default_ok = default_delay == 0 and default_detail.endswith(
-        f"leaf 1{_hex(b)}:{_hex(b)}"
-    )
-    if default_delay != 0:
-        default_detail = f"unmarked traffic delayed ({default_detail})"
+    default_ok, default_detail = _default_route(trees)
     return VerificationReport(
         pairs_checked=pairs_checked,
         mismatches=tuple(mismatches),

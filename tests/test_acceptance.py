@@ -5,6 +5,7 @@ lines as they execute.
 """
 
 import os
+import struct
 import threading
 import time
 from contextlib import contextmanager
@@ -16,7 +17,13 @@ import numpy as np
 import pytest
 
 from latem import delay_model as dm
-from latem.autoarpd import MockSolicitTransport, NudState, Solicitation, serve
+from latem.autoarpd import (
+    NUD_REACHABLE,
+    MockSolicitTransport,
+    Solicitation,
+    pack_neighbor_update,
+    serve,
+)
 from latem.delay_model import compute_bands
 from latem.link_layer import emit_fdb_script, mac_for_ip
 from latem.manifest import ResourceModel, parse_manifest
@@ -37,10 +44,12 @@ from latem.topology import nws_graph
 from conftest import (
     FIXTURES,
     GOLDENS,
+    failing_keys,
     is_connected,
     minimal_manifest_dict,
     mismatched_marks,
     random_class_map,
+    required_values,
 )
 from fake_adapters import RecordingAdapter, ScriptedAdapter
 
@@ -136,7 +145,7 @@ def test_criterion_05_quantization_class_count_bound():
             quantized = dm.quantize(matrix, policy)
             ips = [f"10.7.{i // 250}.{i % 250 + 1}" for i in range(n)]
             classes = dm.build_classes(quantized, ips, policy)
-            assert len(classes) <= int(matrix.max_delay_ms // policy.quantum_ms) + 1
+            assert len(classes) <= int(matrix.entries.max() // policy.quantum_ms) + 1
 
 
 MATRIX1_ENV = "LATEM_MATRIX1"
@@ -238,7 +247,8 @@ def test_criterion_09_autoarpd_bulk():
         assert stats.received == stats.replied == 100_000
         assert len(transport.replies) == 100_000
         for solicitation, entry in transport.replies:
-            assert entry.nud is NudState.REACHABLE
+            update = pack_neighbor_update(entry, solicitation.ifindex)
+            assert struct.unpack_from("=BBHiHBB", update, 16)[4] == NUD_REACHABLE
             assert entry.ip == solicitation.ip
             assert entry.mac == mac_for_ip(solicitation.ip)
 
@@ -310,7 +320,7 @@ def test_criterion_12_preflight_audit():
             "nproc": "63139",
         }
         report = audit(plan, stock)
-        failing = report.failing_keys()
+        failing = failing_keys(report)
         assert "kernel.pty.max" in failing
         assert "net.ipv4.tcp_rmem" in failing
         assert "net.ipv4.tcp_wmem" in failing
@@ -319,4 +329,4 @@ def test_criterion_12_preflight_audit():
             "net.ipv4.neigh.default.gc_thresh2",
             "net.ipv4.neigh.default.gc_thresh3",
         } <= failing
-        assert audit(plan, plan.required_readings()).all_pass
+        assert audit(plan, required_values(plan)).all_pass

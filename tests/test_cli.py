@@ -164,6 +164,27 @@ def test_plan_delays_with_subsample_and_inflate(tmp_path, matrix_file, capsys):
     assert payload["classes"]
 
 
+@pytest.mark.parametrize("command", ["run", "plan-delays --manifest", "plan-delays --matrix"])
+@pytest.mark.parametrize("factor, message", [
+    ("0", "inflation factor must be positive, got 0"),
+    ("-2/3", "inflation factor must be positive, got -2/3"),
+    ("0.0", "inflation factor must be positive, got 0"),
+    ("", "cannot parse '' as a rational: Invalid literal for Fraction: ''"),
+])
+def test_inflate_must_be_a_positive_rational(tmp_path, matrix_file, capsys, command, factor,
+                                             message):
+    manifest = _five_node_manifest(tmp_path, matrix_file, {})
+    argv = {
+        "run": ["run", "--manifest", str(manifest), "--dry-run", "--out", str(tmp_path / "p")],
+        "plan-delays --manifest": ["plan-delays", "--manifest", str(manifest)],
+        "plan-delays --matrix": ["plan-delays", "--matrix", str(matrix_file)],
+    }[command]
+    assert main([*argv, f"--inflate={factor}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_plan_delays_count_writes_the_bytes_of_load_then_subsample(tmp_path, matrix_file):
     out = tmp_path / "classes.json"
     rc = main(["plan-delays", "--matrix", str(matrix_file), "--count", "3", "--seed", "7",
@@ -303,6 +324,26 @@ def test_emit_nft_rejects_a_number_or_bool_address(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: class with mark 1: address 1 is not a string\n"
+
+
+@pytest.mark.parametrize("command", [["emit-nft"], ["emit-tc", "--veth", "vetha1"]])
+@pytest.mark.parametrize("text, message", [
+    ('{"quantum_ms": 10}', "the class map has no 'classes'"),
+    ('{"classes": [{"mark": 1, "delay_ms": 10}]}', "the class at position 0 has no 'pairs'"),
+    ('{"classes": [{"mark": "1", "delay_ms": true, "pairs": [["10.0.0.1", "10.0.0.2"]]}]}',
+     'the class at position 0: mark must be a JSON integer, got "1"'),
+    ('{"classes": [{"mark": 1, "delay_ms": 10.7, "pairs": [["10.0.0.1", "10.0.0.2"]]}]}',
+     "the class at position 0: delay_ms must be a JSON integer, got 10.7"),
+])
+def test_emit_rejects_a_class_map_missing_a_key_or_integer(tmp_path, capsys, command, text,
+                                                          message):
+    classes = tmp_path / "classes.json"
+    classes.write_text(text)
+    rc = main([*command, "--classes", str(classes)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_emit_fdb_from_nodes_file(tmp_path, capsys):

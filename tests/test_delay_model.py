@@ -578,7 +578,7 @@ class TestBuildClasses:
         m = random_symmetric_matrix(rng, 25, max_ms=400)
         pol = dm.QuantizationPolicy()
         cmap = dm.build_classes(dm.quantize(m, pol), [f"10.8.0.{i+1}" for i in range(25)], pol)
-        assert len(cmap) <= int(m.max_delay_ms // pol.quantum_ms) + 1
+        assert len(cmap) <= int(m.entries.max() // pol.quantum_ms) + 1
 
 
 class TestClassColumns:
@@ -853,6 +853,28 @@ class TestClassMapJson:
         data = one_class_json(("10.0.0.1", "10.0.0.2"))
         data["classes"].append({"mark": 2, "delay_ms": 20, "pairs": []})
         with pytest.raises(ConfigError, match="^class with mark 2 has no pairs$"):
+            dm.DelayClassMap.from_json_dict(data)
+
+    @pytest.mark.parametrize("data, message", [
+        ({"quantum_ms": 10}, "the class map has no 'classes'"),
+        ({"classes": [{"delay_ms": 10, "pairs": []}]}, "the class at position 0 has no 'mark'"),
+        ({"classes": [{"mark": 1, "pairs": []}]}, "the class at position 0 has no 'delay_ms'"),
+        ({"classes": [{"mark": 1, "delay_ms": 10, "pairs": [["10.0.0.1", "10.0.0.2"]]},
+                      {"mark": 2, "delay_ms": 20}]}, "the class at position 1 has no 'pairs'"),
+    ])
+    def test_missing_key_named_with_its_class_position(self, data, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            dm.DelayClassMap.from_json_dict(data)
+
+    @pytest.mark.parametrize("key, value, shown", [
+        ("delay_ms", 10.7, "10.7"), ("delay_ms", 10.0, "10.0"), ("delay_ms", True, "true"),
+        ("mark", "1", '"1"'), ("mark", False, "false"), ("delay_ms", None, "null"),
+    ])
+    def test_mark_and_delay_must_be_json_integers(self, key, value, shown):
+        data = one_class_json(("10.0.0.1", "10.0.0.2"))
+        data["classes"][0][key] = value
+        message = f"the class at position 0: {key} must be a JSON integer, got {shown}"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             dm.DelayClassMap.from_json_dict(data)
 
 

@@ -11,7 +11,7 @@ from latem.manifest import (
     render_number,
 )
 
-from conftest import minimal_manifest_dict, write_manifest
+from conftest import minimal_manifest_dict, phase, write_manifest
 
 
 class TestParseFraction:
@@ -38,8 +38,8 @@ class TestLoadManifest:
         path = write_manifest(tmp_path, minimal_manifest_dict())
         manifest = load_manifest(path)
         assert len(manifest.nodes) == 2
-        assert manifest.phase("start-proc").signal == "SIGUSR1"
-        assert manifest.phase("start-proc").stagger_ms == 500
+        assert phase(manifest, "start-proc").signal == "SIGUSR1"
+        assert phase(manifest, "start-proc").stagger_ms == 500
 
     def test_duplicate_ip_names_both_nodes(self, tmp_path):
         data = minimal_manifest_dict()

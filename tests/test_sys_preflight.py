@@ -19,6 +19,8 @@ from latem.sys_preflight import (
     recommend,
 )
 
+from conftest import failing_keys, required_values
+
 # Stock values a freshly installed host reports for the plan's keys.
 STOCK_DEFAULTS = {
     "fs.nr_open": "1048576",
@@ -39,26 +41,26 @@ STOCK_DEFAULTS = {
 
 class TestRecommend:
     def test_pty_for_3500_nodes(self):
-        plan = recommend(3500)
-        assert plan.entry("kernel.pty.max").required == "11000"
+        required = required_values(recommend(3500))
+        assert required["kernel.pty.max"] == "11000"
 
     def test_gc_thresholds(self):
-        plan = recommend(100)
+        required = required_values(recommend(100))
         for key in ("gc_thresh1", "gc_thresh2", "gc_thresh3"):
-            assert plan.entry(f"net.ipv4.neigh.default.{key}").required == "200000"
+            assert required[f"net.ipv4.neigh.default.{key}"] == "200000"
 
     def test_small_run_keeps_floors(self):
-        plan = recommend(1)
-        assert int(plan.entry("nofile").required) >= 1_574_415
-        assert int(plan.entry("nproc").required) >= 1_574_415
-        assert int(plan.entry("kernel.pty.max").required) >= 11_000
+        required = required_values(recommend(1))
+        assert int(required["nofile"]) >= 1_574_415
+        assert int(required["nproc"]) >= 1_574_415
+        assert int(required["kernel.pty.max"]) >= 11_000
 
     def test_large_run_scales_above_floor(self):
-        plan = recommend(30_000)
-        assert plan.entry("nofile").required == str(30_000 * FILES_PER_NODE)
-        assert plan.entry("nproc").required == str(30_000 * PROCS_PER_NODE)
-        assert int(plan.entry("nproc").required) > 1_574_415
-        assert plan.entry("kernel.pty.max").required == str(30_000 + 1_000)
+        required = required_values(recommend(30_000))
+        assert required["nofile"] == str(30_000 * FILES_PER_NODE)
+        assert required["nproc"] == str(30_000 * PROCS_PER_NODE)
+        assert int(required["nproc"]) > 1_574_415
+        assert required["kernel.pty.max"] == str(30_000 + 1_000)
 
     @pytest.mark.parametrize("nodes", [1, 3500, 3997, 5000, 20000])
     def test_nr_open_admits_the_nofile_limit(self, nodes):
@@ -67,15 +69,16 @@ class TestRecommend:
         plan = recommend(nodes)
         keys = [e.key for e in plan.entries]
         assert keys.index("fs.nr_open") < keys.index("nofile")
-        assert plan.entry("fs.nr_open").required == plan.entry("nofile").required
-        nr_open = plan.entry("fs.nr_open").required
+        required = required_values(plan)
+        assert required["fs.nr_open"] == required["nofile"]
+        nr_open = required["fs.nr_open"]
         assert f"fs.nr_open={nr_open}\n" in emit_conf(plan).sysctl_conf
         assert f'test "$(sysctl -n fs.nr_open)" -ge {nr_open}' in emit_audit_commands(plan)
 
     def test_socket_buffer_values(self):
-        plan = recommend(100)
-        assert plan.entry("net.core.wmem_default").required == "2147483647"
-        assert plan.entry("net.ipv4.tcp_rmem").required == "10240 87380 16777216"
+        required = required_values(recommend(100))
+        assert required["net.core.wmem_default"] == "2147483647"
+        assert required["net.ipv4.tcp_rmem"] == "10240 87380 16777216"
 
     def test_duplicate_keys_rejected(self):
         entry = recommend(1).entries[0]
@@ -91,13 +94,13 @@ class TestAudit:
     def test_stock_host_fails_the_right_keys(self):
         plan = recommend(3500)
         report = audit(plan, STOCK_DEFAULTS)
-        assert "kernel.pty.max" in report.failing_keys()
-        assert "fs.nr_open" in report.failing_keys()
-        assert "net.ipv4.tcp_rmem" in report.failing_keys()
-        assert "net.ipv4.tcp_wmem" in report.failing_keys()
+        assert "kernel.pty.max" in failing_keys(report)
+        assert "fs.nr_open" in failing_keys(report)
+        assert "net.ipv4.tcp_rmem" in failing_keys(report)
+        assert "net.ipv4.tcp_wmem" in failing_keys(report)
         assert {"net.ipv4.neigh.default.gc_thresh1",
                 "net.ipv4.neigh.default.gc_thresh2",
-                "net.ipv4.neigh.default.gc_thresh3"} <= report.failing_keys()
+                "net.ipv4.neigh.default.gc_thresh3"} <= failing_keys(report)
 
     def test_pty_fail_detail(self):
         plan = recommend(3500)
@@ -136,7 +139,7 @@ class TestAudit:
 
     def test_plan_against_itself_all_pass(self):
         plan = recommend(750)
-        assert audit(plan, plan.required_readings()).all_pass
+        assert audit(plan, required_values(plan)).all_pass
 
 
 class TestEmitConf:

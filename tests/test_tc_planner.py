@@ -137,7 +137,6 @@ class TestEmitTcTrees:
         delays = five_node_classes.class_delays()
         script = emit_tc_trees(delays, ["vetha1", "vethb2", "v3"], 3)
         assert len(script) == len(list(script)) == 3 * (1 + 3 + 3 * len(delays) + 2)
-        assert script.lines == tuple(script)
 
     @pytest.mark.parametrize("chunk", [1, 300, 1 << 20])
     def test_writes_each_interface_tree_as_one_piece(self, five_node_classes, monkeypatch, chunk):
@@ -254,7 +253,7 @@ class TestVerifyPlan:
     def test_netem_on_default_slot_flagged(self):
         classes = dm.DelayClassMap(classes=())
         tc = emit_tc_script({}, "veth0", 2)
-        lines = tc.lines + ("tc qdisc add dev veth0 parent 12:2 netem delay 10ms",)
+        lines = (*tc, "tc qdisc add dev veth0 parent 12:2 netem delay 10ms")
         report = verify_plan(CommandScript(lines=()), CommandScript(lines=lines), classes)
         assert not report.default_path_ok
 
@@ -320,8 +319,8 @@ def _retime(tc: CommandScript, mark: int, classes) -> CommandScript:
 
 def _drop_fw_filter(tc: CommandScript, mark: int, level: int) -> CommandScript:
     """Remove mark's root (level 0) or second-level (level 1) fw filter."""
-    fw = [i for i, l in enumerate(tc.lines) if f" handle {mark} fw " in l]
-    return CommandScript(lines=tuple(l for i, l in enumerate(tc.lines) if i != fw[level]))
+    fw = [i for i, l in enumerate(tc) if f" handle {mark} fw " in l]
+    return CommandScript(lines=tuple(l for i, l in enumerate(tc) if i != fw[level]))
 
 
 def _scripts(classes):
@@ -423,3 +422,62 @@ class TestVerifyPlanMatchesPerPairReference:
             verify_plan_per_pair(nft, tc, five_node_classes)
         assert str(got.value) == str(want.value)
         assert (got.value.line_no, got.value.line) == (5, bad_line)
+
+
+def _on(dev: str, tc, edit) -> CommandScript:
+    """The tc lines, with `edit(line)` applied to the lines of `dev`; None drops a line."""
+    lines = (edit(l) if f" dev {dev} " in l else l for l in tc)
+    return CommandScript(lines=tuple(l for l in lines if l is not None))
+
+
+def _break_marks_1_and_2(line: str) -> str | None:
+    """Mark 1's leaf delays 999 ms, and mark 2 has no fw filter."""
+    if " handle 2 fw " in line:
+        return None
+    return re.sub(r"(parent 11:1 netem delay )\d+ms$", r"\g<1>999ms", line)
+
+
+class TestVerifyPlanPerInterface:
+    """Each interface's tree is its own; a correct one hides no broken one."""
+
+    @pytest.mark.parametrize("veths, broken", [(["vA", "vB"], "vA"), (["vA", "vB"], "vB"),
+                                               (["vA", "vB", "vC"], "vB")])
+    def test_broken_interface_seen_beside_correct_ones(self, five_node_classes, veths, broken):
+        nft = emit_nft_script(five_node_classes)
+        tc = emit_tc_trees(five_node_classes.class_delays(), veths, 2)
+        tc = _on(broken, tc, _break_marks_1_and_2)
+        report = verify_plan(nft, tc, five_node_classes)
+        assert report == verify_plan_per_pair(nft, tc, five_node_classes)
+        assert not report.ok
+        assert report.default_path_ok
+        assert report.pairs_checked == 2 * sum(len(c.pairs) for c in five_node_classes)
+        c1, c2 = five_node_classes.classes[:2]
+        # one mismatch per directed pair, whatever the interface count
+        assert len(report.mismatches) == 2 * (len(c1.pairs) + len(c2.pairs))
+        assert {(m.mark, m.actual_delay_ms, m.detail) for m in report.mismatches} == {
+            (1, 999, f"{broken}: leaf 11:1"),
+            (2, 0, f"{broken}: leaf 12:2"),  # the catch-all takes mark 2 to no delay
+        }
+
+    def test_first_failing_interface_named(self, five_node_classes):
+        nft = emit_nft_script(five_node_classes)
+        tc = emit_tc_trees(five_node_classes.class_delays(), ["vA", "vB", "vC"], 2)
+        tc = _on("vC", _on("vB", tc, _break_marks_1_and_2), _break_marks_1_and_2)
+        report = verify_plan(nft, tc, five_node_classes)
+        assert {m.detail.split(":")[0] for m in report.mismatches} == {"vB"}
+
+    def test_default_path_checked_on_each_interface(self):
+        classes = dm.DelayClassMap(classes=())
+        tc = emit_tc_trees({}, ["vA", "vB"], 2)
+        tc = CommandScript(lines=(*tc, "tc qdisc add dev vB parent 12:2 netem delay 10ms"))
+        report = verify_plan(CommandScript(lines=()), tc, classes)
+        assert report == verify_plan_per_pair(CommandScript(lines=()), tc, classes)
+        assert not report.default_path_ok
+        assert report.default_path_detail == "unmarked traffic delayed (vB: leaf 12:2)"
+
+    def test_interface_without_a_root_rejected(self, five_node_classes):
+        nft = emit_nft_script(five_node_classes)
+        tc = emit_tc_trees(five_node_classes.class_delays(), ["vA", "vB"], 2)
+        tc = _on("vB", tc, lambda l: None if " root " in l else l)
+        with pytest.raises(ParseError, match="script has no root prio qdisc on vB"):
+            verify_plan(nft, tc, five_node_classes)

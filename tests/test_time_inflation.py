@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,16 +8,24 @@ from hypothesis import strategies as st
 from latem.errors import InflationLintError
 from latem.manifest import parse_manifest
 from latem.time_inflation import (
-    BPF_CONSTANT_LINES,
     BpfRtoConfig,
-    InflationFactor,
     emit_bpf_commands,
     inflate_manifest,
     recommend_rto,
     render_bpf_source,
 )
 
-from conftest import FIXTURES, minimal_manifest_dict
+from conftest import FIXTURES, minimal_manifest_dict, phase
+
+# Line numbers (1-based) of the two constant lines in the rendered source.
+BPF_CONSTANT_LINES = (11, 12)
+
+
+def reply_jiffies(source: str) -> int:
+    """The hook's reply, `timeout * hz`, from the constants of a rendered source."""
+    timeout = int(re.search(r"const int timeout = (\d+);", source).group(1))
+    hz = int(re.search(r"const int hz = (\d+);", source).group(1))
+    return timeout * hz
 
 
 class TestRecommendRto:
@@ -45,14 +54,14 @@ class TestBpfSource:
         source = render_bpf_source(BpfRtoConfig(3, 250))
         assert "timeout = 3" in source
         assert "hz = 250" in source
-        assert BpfRtoConfig(3, 250).reply_jiffies == 750
+        assert reply_jiffies(source) == 750
 
     def test_kernel_default_equivalent(self):
         # timeout 1 at HZ 250 reproduces the compiled-in 1-second initial RTO
-        assert BpfRtoConfig(1, 250).reply_jiffies == 250
+        assert reply_jiffies(render_bpf_source(BpfRtoConfig(1, 250))) == 250
 
     def test_large_config(self):
-        assert BpfRtoConfig(10, 1000).reply_jiffies == 10_000
+        assert reply_jiffies(render_bpf_source(BpfRtoConfig(10, 1000))) == 10_000
 
     def test_overflow_rejected(self):
         with pytest.raises(ValueError):
@@ -127,26 +136,26 @@ def manifest_with_timers():
 
 class TestInflateManifest:
     def test_block_time_doubles(self):
-        inflated = inflate_manifest(manifest_with_timers(), InflationFactor.parse(2))
+        inflated = inflate_manifest(manifest_with_timers(), Fraction(2))
         assert inflated.timers["block_time_s"].value == 24
 
     def test_rate_halves(self):
-        inflated = inflate_manifest(manifest_with_timers(), InflationFactor.parse(2))
+        inflated = inflate_manifest(manifest_with_timers(), Fraction(2))
         assert inflated.timers["tx_rate_per_s"].value == 2
 
     def test_stagger_scales(self):
-        inflated = inflate_manifest(manifest_with_timers(), InflationFactor.parse(2))
-        assert inflated.phase("start-proc").stagger_ms == 1000
+        inflated = inflate_manifest(manifest_with_timers(), Fraction(2))
+        assert phase(inflated, "start-proc").stagger_ms == 1000
 
     def test_identity_factor(self):
         m = manifest_with_timers()
-        assert inflate_manifest(m, InflationFactor.parse(1)) == m
+        assert inflate_manifest(m, Fraction(1)) == m
 
     def test_delay_factor_accumulates(self):
         data = minimal_manifest_dict()
         data["delay"] = {"matrix_path": "m.txt", "inflation_factor": 2}
         m = parse_manifest(data)
-        inflated = inflate_manifest(m, InflationFactor.parse(3))
+        inflated = inflate_manifest(m, Fraction(3))
         assert inflated.delay.inflation_factor == 6
 
     def test_untagged_timer_fails_closed(self):
@@ -154,18 +163,18 @@ class TestInflateManifest:
         data["timers"] = {"mystery_interval": 5}
         m = parse_manifest(data)
         with pytest.raises(InflationLintError) as exc:
-            inflate_manifest(m, InflationFactor.parse(2))
+            inflate_manifest(m, Fraction(2))
         assert "mystery_interval" in str(exc.value)
 
     def test_untagged_timer_fails_even_at_identity(self):
         data = minimal_manifest_dict()
         data["timers"] = {"mystery_interval": 5}
         with pytest.raises(InflationLintError):
-            inflate_manifest(parse_manifest(data), InflationFactor.parse(1))
+            inflate_manifest(parse_manifest(data), Fraction(1))
 
     def test_non_time_fields_untouched(self):
         m = manifest_with_timers()
-        inflated = inflate_manifest(m, InflationFactor.parse(2))
+        inflated = inflate_manifest(m, Fraction(2))
         assert inflated.nodes == m.nodes
         assert inflated.name == m.name
 
@@ -175,14 +184,13 @@ class TestInflateManifest:
     )
     def test_composition(self, a, b):
         m = manifest_with_timers()
-        twice = inflate_manifest(
-            inflate_manifest(m, InflationFactor(a)), InflationFactor(b)
-        )
-        once = inflate_manifest(m, InflationFactor(a * b))
+        twice = inflate_manifest(inflate_manifest(m, a), b)
+        once = inflate_manifest(m, a * b)
         assert twice == once
 
     def test_nonpositive_factor_rejected(self):
-        with pytest.raises(ValueError):
-            InflationFactor.parse(0)
-        with pytest.raises(ValueError):
-            InflationFactor.parse(-2)
+        m = manifest_with_timers()
+        with pytest.raises(ValueError, match="inflation factor must be positive, got 0"):
+            inflate_manifest(m, Fraction(0))
+        with pytest.raises(ValueError, match="inflation factor must be positive, got -2"):
+            inflate_manifest(m, Fraction(-2))
