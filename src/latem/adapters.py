@@ -49,7 +49,8 @@ _BATCH_TOOLS = {
 # Lines whose words the shell passes on unchanged: no quotes, expansions,
 # globs, redirections or operators, only the `\;` escape of nft lines. For
 # these, shell word splitting is whitespace splitting with `\;` read as `;`.
-_PLAIN_LINE = re.compile(r"(?:[\w.,:/@%+={} -]|\\;)*")
+# A line is plain when it matches once its `\;` escapes are taken out.
+_PLAIN_LINE = re.compile(r"[\w.,:/@%+={} -]*")
 # A tc batch holds one device's lines, so each interface's tree is one batch.
 _TC_DEV = re.compile(r" dev +(\S+)")
 # `communicate` waits in poll(), which takes a C int of milliseconds and
@@ -61,7 +62,7 @@ MAX_TIMEOUT_S = 24 * 86_400
 def _batch_key(line: str) -> tuple[str, str | None] | None:
     """The tool and, for tc, the device of a batch line; None for shell lines."""
     tool = line.partition(" ")[0]
-    if tool not in _BATCH_TOOLS or not _PLAIN_LINE.fullmatch(line):
+    if tool not in _BATCH_TOOLS or not _PLAIN_LINE.fullmatch(line.replace("\\;", "")):
         return None
     dev = _TC_DEV.search(line) if tool == "tc" else None
     return tool, dev.group(1) if dev else None

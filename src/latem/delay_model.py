@@ -8,10 +8,12 @@ receives an integer mark: classes are sorted by delay ascending and the mark
 is the 1-based position in that order. Marks later drive both the firewall
 marking rules and the queueing-tree filters.
 
-A class keeps its pairs as two parallel columns of address strings, `lo`
-and `hi`, holding the strings it was given rather than copies; at the
-paper's 3997 nodes that is 8M pairs with no tuple each. `DelayClass.pairs`
-builds the (lo, hi) tuples on first read and keeps them.
+A class map holds one address table, `addrs`: the distinct addresses its
+pairs use, in numeric order. A class keeps its pairs as two integer columns
+of positions in it, `lo` and `hi`: at the paper's 3997 nodes, 8M pairs in
+32 MB of `uint16`, checked as arrays. Positions become strings again only
+where text is made: the class-map file, the nft script, `verify_plan` and
+`DelayClass.pairs`, which builds the (lo, hi) tuples on first read.
 
 The module also writes the class-map file (`class_map_json`) and sizes the
 queueing tree for a class count (`compute_bands`), so planning a class map
@@ -28,12 +30,13 @@ import ipaddress
 import json
 import math
 import re
-from contextlib import contextmanager
-from dataclasses import dataclass
+from array import array
+from collections import defaultdict
+from contextlib import contextmanager, suppress
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
-from operator import add, eq, lt
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any, Iterator, Mapping, Sequence, Union
 
@@ -56,9 +59,9 @@ Factor = Union[int, float, Fraction]
 def gc_paused() -> Iterator[None]:
     """Pause the cyclic garbage collector; restore its previous state on exit.
 
-    Building a class map, parsing its JSON or verifying a plan allocates
-    millions of containers that hold no reference cycles, and each
-    collection pass would re-scan all of them.
+    Parsing a class map's JSON or verifying a plan allocates millions of
+    containers that hold no reference cycles, and each collection pass
+    would re-scan all of them.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -171,136 +174,159 @@ def allocate_ips(base: str, count: int) -> list[str]:
     return out
 
 
-def _ordered(a: str, key_a: int, b: str, key_b: int) -> IpPair:
-    if key_a == key_b:
-        raise ConfigError(f"a pair needs two distinct addresses, got {a} twice")
-    return (a, b) if key_a < key_b else (b, a)
+def _address_key(ip: object, where: str) -> int:
+    # IPv4Address would take a JSON number or boolean as an address.
+    if not isinstance(ip, str):
+        raise ConfigError(f"{where}: address {ip!r} is not a string")
+    return _ip_key(ip)
 
 
-class _KeyMemo(dict):
-    """Address -> integer key; each distinct address is checked and parsed once.
+def _column(positions: np.ndarray, table: Sequence[str]) -> np.ndarray:
+    """Positions in `table` as a read-only column: `uint16`, or `uint32` past
+    65,536 addresses."""
+    import numpy as np
 
-    `high` maps each key to `key << 32`, the high half of a pair code.
-    """
-
-    mark = 0  # the class being read, for errors
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.high: dict[int, int] = {}
-
-    def __missing__(self, ip: str) -> int:
-        # IPv4Address would take a JSON number or boolean as an address.
-        if not isinstance(ip, str):
-            raise ConfigError(f"class with mark {self.mark}: address {ip!r} is not a string")
-        key = self[ip] = _ip_key(ip)
-        self.high[key] = key << 32
-        return key
+    column = positions.astype(np.uint16 if len(table) <= 1 << 16 else np.uint32)
+    column.setflags(write=False)
+    return column
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DelayClass:
     """Unordered IP pairs sharing one quantized delay, held as two columns.
 
-    Pair k is `(lo[k], hi[k])`. In a `DelayClassMap` the lower address in
-    numeric order comes first; the columns share the callers' address
-    strings.
+    Pair k is `(addrs[lo[k]], addrs[hi[k]])`: the columns hold positions in
+    the address table `addrs`. In a `DelayClassMap` every class holds the
+    map's table, and its columns are read-only arrays of `uint16` (`uint32`
+    past 65,536 addresses) with lo < hi pair by pair.
     """
 
     mark: int
     delay_ms: int
-    lo: tuple[str, ...]
-    hi: tuple[str, ...]
+    lo: np.ndarray
+    hi: np.ndarray
+    addrs: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        # tuple() returns a tuple argument itself, so only other sequences copy.
-        object.__setattr__(self, "lo", tuple(self.lo))
-        object.__setattr__(self, "hi", tuple(self.hi))
         if len(self.lo) != len(self.hi):
             raise ConfigError(
                 f"class with mark {self.mark} has {len(self.lo)} lower and "
                 f"{len(self.hi)} higher addresses"
             )
 
+    def __eq__(self, other: object) -> bool:
+        import numpy as np
+
+        return isinstance(other, DelayClass) and (
+            (self.mark, self.delay_ms, self.addrs) == (other.mark, other.delay_ms, other.addrs)
+        ) and np.array_equal(self.lo, other.lo) and np.array_equal(self.hi, other.hi)
+
+    def addresses(self) -> tuple[list[str], list[str]]:
+        """The lower and the higher address of each pair, as two lists."""
+        import numpy as np
+
+        table = np.array(self.addrs, dtype=object)
+        return table[self.lo].tolist(), table[self.hi].tolist()
+
     @cached_property
     def pairs(self) -> tuple[IpPair, ...]:
         """The pairs as `(lo, hi)` tuples, built on the first read and kept."""
-        return tuple(zip(self.lo, self.hi))
+        return tuple(zip(*self.addresses()))
 
 
-def _check_disjoint(classes: Sequence[DelayClass], codes: list[int]) -> None:
-    """Raise, naming the first repeat in class order, if a pair code repeats."""
-    codes.sort()
-    if any(map(eq, codes, islice(codes, 1, None))):
-        seen: set[IpPair] = set()
-        for cls in classes:
-            for pair in zip(cls.lo, cls.hi):
-                if pair in seen:
-                    raise ConfigError(f"pair {pair} appears in more than one class") from None
-                seen.add(pair)
+def _check_repeats(classes: Sequence[DelayClass]) -> None:
+    """Raise, naming the first repeat in class order, if a pair code
+    `lo * len(addrs) + hi` repeats among checked classes over one table."""
+    import numpy as np
 
-
-@gc_paused()
-def _checked(classes: tuple[DelayClass, ...]) -> tuple[DelayClass, ...]:
-    """The classes, each pair put in numeric order, once every rule holds.
-
-    Per class: IPv4 string addresses, two distinct ones per pair, marks 1..K,
-    strictly rising delays, at least one pair. No pair may be in two classes:
-    one code per pair, `(lo key << 32) + hi key`, is sorted. Errors come in
-    class order, a repeat among earlier classes before a later class's own.
-    """
-    keys = _KeyMemo()
-    key, high = keys.__getitem__, keys.high.__getitem__
-    codes: list[int] = []
-    ordered_classes: list[DelayClass] = []
-    prev_delay = -1
-    for i, cls in enumerate(classes):
-        try:
-            keys.mark = cls.mark
-            lo_keys, hi_keys = list(map(key, cls.lo)), list(map(key, cls.hi))
-            if not all(map(lt, lo_keys, hi_keys)):
-                ordered = [_ordered(a, keys[a], b, keys[b]) for a, b in zip(cls.lo, cls.hi)]
-                cls = DelayClass(cls.mark, cls.delay_ms, *zip(*ordered))
-                lo_keys, hi_keys = list(map(key, cls.lo)), list(map(key, cls.hi))
-            if cls.mark != i + 1:
-                raise ConfigError(
-                    f"marks must be contiguous from 1; position {i} has mark {cls.mark}"
-                )
-            if cls.delay_ms <= prev_delay:
-                raise ConfigError(
-                    f"class delays must strictly increase with mark; "
-                    f"mark {cls.mark} has delay {cls.delay_ms} after {prev_delay}"
-                )
-            if not cls.lo:
-                raise ConfigError(f"class with mark {cls.mark} has no pairs")
-        except (ConfigError, ValueError):
-            _check_disjoint(ordered_classes, codes)
-            raise
-        prev_delay = cls.delay_ms
-        codes += map(add, map(high, lo_keys), hi_keys)
-        ordered_classes.append(cls)
-    _check_disjoint(ordered_classes, codes)
-    return tuple(ordered_classes)
+    if not classes:
+        return
+    addrs = classes[0].addrs
+    codes = np.concatenate([c.lo.astype(np.int64) * len(addrs) + c.hi for c in classes])
+    ordered = np.sort(codes)
+    if (ordered[1:] == ordered[:-1]).any():
+        order = np.argsort(codes, kind="stable")  # a code's first use comes first
+        lo, hi = divmod(int(codes[order[1:][ordered[1:] == ordered[:-1]].min()]), len(addrs))
+        raise ConfigError(f"pair {(addrs[lo], addrs[hi])} appears in more than one class")
 
 
 @dataclass(frozen=True)
 class DelayClassMap:
-    """Ordered delay classes with contiguous marks 1..K and disjoint pair sets.
+    """Ordered delay classes with contiguous marks 1..K and disjoint pair sets,
+    over one address table `addrs` in numeric order.
 
-    Built in code or read from JSON, a map passes `_checked`.
+    Built in code or read from JSON, a map passes the constructor's checks:
+    the classes' tables are joined into one, each entry parsed once; per
+    class, positions in range, IPv4 string addresses, two distinct ones per
+    pair, marks 1..K, rising delays, at least one pair; no pair in two
+    classes. Errors come in class order, a repeat among earlier classes
+    before a later class's own. Each pair is put in numeric order.
     """
 
     classes: tuple[DelayClass, ...]
+    addrs: tuple[str, ...] = field(default=(), init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "classes", _checked(tuple(self.classes)))
+        import numpy as np
+
+        tables = list({id(c.addrs): c.addrs for c in self.classes}.values())
+        table = tables[0] if len(tables) == 1 else tuple(chain.from_iterable(tables))
+        start = dict(zip(map(id, tables), accumulate(map(len, tables), initial=0)))
+        keys = np.full(len(table), -1, dtype=np.int64)  # -1: not an IPv4 string
+        for p, ip in enumerate(table):
+            with suppress(ConfigError, ValueError):
+                keys[p] = _address_key(ip, "")
+        distinct, first = np.unique(keys[keys >= 0], return_index=True)
+        addrs = tuple(table[p] for p in np.flatnonzero(keys >= 0)[first].tolist())
+        position = np.searchsorted(distinct, keys)  # of each entry that is an address
+        checked: list[DelayClass] = []
+        for i, cls in enumerate(self.classes):
+            where = f"class with mark {cls.mark}"
+            prev_delay = checked[-1].delay_ms if checked else -1
+            try:
+                both = np.concatenate([cls.lo, cls.hi]).astype(np.int64)  # lo column, then hi
+                if ((both < 0) | (both >= len(cls.addrs))).any():
+                    raise ConfigError(f"{where} holds an address position outside its table")
+                both += start[id(cls.addrs)]
+                bad = both[keys[both] < 0]
+                if bad.size:
+                    _address_key(table[bad[0]], where)  # raises, naming the fault
+                lo, hi = np.split(position[both], 2)
+                same = lo[lo == hi]
+                if same.size:
+                    ip = addrs[same[0]]
+                    raise ConfigError(f"a pair needs two distinct addresses, got {ip} twice")
+                if cls.mark != i + 1:
+                    raise ConfigError(
+                        f"marks must be contiguous from 1; position {i} has mark {cls.mark}"
+                    )
+                if cls.delay_ms <= prev_delay:
+                    raise ConfigError(
+                        f"class delays must strictly increase with mark; "
+                        f"mark {cls.mark} has delay {cls.delay_ms} after {prev_delay}"
+                    )
+                if not lo.size:
+                    raise ConfigError(f"{where} has no pairs")
+            except (ConfigError, ValueError):
+                _check_repeats(checked)
+                raise
+            checked.append(DelayClass(cls.mark, cls.delay_ms, _column(np.minimum(lo, hi), addrs),
+                                      _column(np.maximum(lo, hi), addrs), addrs))
+        _check_repeats(checked)
+        if (keys < 0).any():  # an entry that no pair uses
+            _address_key(table[np.argmax(keys < 0)], "the address table")
+        object.__setattr__(self, "classes", tuple(checked))
+        object.__setattr__(self, "addrs", addrs)
 
     @classmethod
-    def _of_disjoint(cls, classes: tuple[DelayClass, ...]) -> "DelayClassMap":
+    def _of_disjoint(
+        cls, addrs: tuple[str, ...], classes: tuple[DelayClass, ...]
+    ) -> "DelayClassMap":
         """A map of `build_classes`' classes, unchecked: every rule holds there
         by construction, and checking would cost work per pair."""
         self = object.__new__(cls)
         object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "addrs", addrs)
         return self
 
     def __len__(self) -> int:
@@ -319,7 +345,7 @@ class DelayClassMap:
                 {
                     "mark": c.mark,
                     "delay_ms": c.delay_ms,
-                    "pairs": [[lo, hi] for lo, hi in zip(c.lo, c.hi)],
+                    "pairs": [[lo, hi] for lo, hi in zip(*c.addresses())],
                 }
                 for c in self.classes
             ]
@@ -329,26 +355,31 @@ class DelayClassMap:
     def from_json_dict(cls, data: Mapping) -> "DelayClassMap":
         """Read the map `to_json_dict` or `class_map_json` writes.
 
-        The JSON is reshaped into columns; the constructor checks the rest.
-        A missing key is named with its class's position, and a mark or
-        delay that is not a JSON integer is refused, not truncated.
+        Each address gets a position in one table when it is first met; the
+        constructor checks the rest. A missing key is named with its class's
+        position, and a mark or delay that is not a JSON integer is refused,
+        not truncated.
         """
-        classes = []
+        positions: defaultdict[Any, int] = defaultdict()
+        positions.default_factory = positions.__len__  # a new address's position
+        at = positions.__getitem__
+        rows = []
         try:
             for i, c in enumerate(_member(data, "classes", "the class map")):
                 where = f"the class at position {i}"
                 mark, delay_ms = _json_int(c, "mark", where), _json_int(c, "delay_ms", where)
                 pairs = _member(c, "pairs", where)
                 try:
-                    lo = tuple([a for a, _ in pairs])
+                    lo = [a for a, _ in pairs]
                 except ValueError as exc:  # only the unpacking raises one here
                     raise ConfigError(
                         f"class with mark {mark}: a pair must hold exactly two "
                         f"addresses ({exc})"
                     ) from None
-                hi = tuple([b for _, b in pairs])
-                classes.append(DelayClass(mark, delay_ms, lo, hi))
-            return cls(classes=tuple(classes))
+                hi = [b for _, b in pairs]
+                rows.append((mark, delay_ms, array("I", map(at, lo)), array("I", map(at, hi))))
+            table = tuple(positions)
+            return cls(classes=tuple(DelayClass(*row, table) for row in rows))
         except TypeError as exc:  # e.g. a nested list where an address belongs
             raise ConfigError(f"malformed class map ({exc})") from None
 
@@ -382,14 +413,6 @@ def compute_bands(class_count: int) -> int:
     return max(2, b)
 
 
-class _Quoted(dict):
-    """Address -> its JSON string literal; each distinct address is quoted once."""
-
-    def __missing__(self, ip: str) -> str:
-        quoted = self[ip] = json.dumps(ip)
-        return quoted
-
-
 def class_map_json(classes: DelayClassMap, policy: QuantizationPolicy) -> Iterator[str]:
     """The class map plus the policy's quantum and rounding as JSON text, in pieces.
 
@@ -398,15 +421,14 @@ def class_map_json(classes: DelayClassMap, policy: QuantizationPolicy) -> Iterat
     `classes.to_json_dict()` plus "quantum_ms" and "rounding": one compact
     line. They are a head, one piece per class and a tail, each made when
     it is asked for, so a writer holds one class's text at a time and
-    never the whole map.
+    never the whole map. Each table address is quoted once.
     """
-    quoted = _Quoted()
-    q = quoted.__getitem__
+    q = [json.dumps(ip) for ip in classes.addrs].__getitem__
     yield '{"classes":['
     sep = ""
     for c in classes:
         # '"lo","hi"' per pair, joined by '],[' inside the list's '[[' and ']]'.
-        pairs = "],[".join(map(",".join, zip(map(q, c.lo), map(q, c.hi))))
+        pairs = "],[".join(map(",".join, zip(map(q, c.lo.tolist()), map(q, c.hi.tolist()))))
         yield (
             f'{sep}{{"delay_ms":{json.dumps(c.delay_ms)},"mark":{json.dumps(c.mark)},'
             f'"pairs":[[{pairs}]]}}'
@@ -605,8 +627,9 @@ def build_classes(
     rank is an address's position in numeric order and w the bit width of
     n - 1. One in-place sort of the codes orders the pairs by delay, then
     lower and higher address; the classes are the runs of equal delay, and
-    each column is decoded from its run with a shift and a mask. A delay
-    too large to leave room for the two ranks is rejected.
+    each column is decoded from its run with a shift, a mask and a lookup of
+    the rank's position among the addresses some pair uses (the map's table).
+    A delay too large to leave room for the two ranks is rejected.
     """
     import numpy as np
 
@@ -626,6 +649,7 @@ def build_classes(
     w = max(n - 1, 1).bit_length()
     limit = 1 << (63 - 2 * w)  # delays below this keep a code non-negative
     lowest = highest = 0
+    used = np.zeros(n, dtype=bool)  # by rank: whether some pair holds the address
     codes = np.empty(n * (n - 1) // 2, dtype=np.int64)
     size = 0
     for i in range(n - 1):
@@ -640,6 +664,8 @@ def build_classes(
         if policy.drop_zero_class:
             keep = delay != 0
             delay, other = delay[keep], other[keep]
+        used[other] = True
+        used[rank[i]] |= delay.size > 0
         code = codes[size : size + delay.size]
         np.left_shift(delay, 2 * w, out=code)
         code |= np.minimum(other, rank[i]) << w
@@ -661,15 +687,16 @@ def build_classes(
     del delay
 
     # Gathering through an object array reuses the callers' address strings.
-    addr = np.array(ip_list, dtype=object)[by_addr]  # the address at each rank
+    addrs = tuple(np.array(ip_list, dtype=object)[by_addr[used]].tolist())
+    position = np.cumsum(used) - 1  # by rank
     mask = (1 << w) - 1
     classes = []
     for mark, (delay_ms, start, end) in enumerate(zip(delays, starts, [*starts[1:], size]), 1):
         run = codes[start:end]
         classes.append(DelayClass(
-            mark, delay_ms, tuple(addr[(run >> w) & mask].tolist()),
-            tuple(addr[run & mask].tolist()),
+            mark, delay_ms, _column(position[(run >> w) & mask], addrs),
+            _column(position[run & mask], addrs), addrs,
         ))
     # Each unordered pair of distinct addresses is read once, so no pair
     # can repeat.
-    return DelayClassMap._of_disjoint(tuple(classes))
+    return DelayClassMap._of_disjoint(addrs, tuple(classes))

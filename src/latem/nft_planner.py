@@ -39,11 +39,11 @@ def emit_nft_script(classes: DelayClassMap) -> CommandScript:
             f"nft add set {TABLE} {set_name} "
             "{ type ipv4_addr . ipv4_addr \\; }"
         )
-        for start in range(0, len(cls.lo), ELEMENT_CHUNK_PAIRS):
-            end = start + ELEMENT_CHUNK_PAIRS
-            chunk = zip(cls.lo[start:end], cls.hi[start:end])
-            elements = ", ".join([f"{lo} . {hi}, {hi} . {lo}" for lo, hi in chunk])
-            lines.append(f"nft add element {TABLE} {set_name} {{ {elements} }}")
+        los, his = cls.addresses()
+        elements = [f"{lo} . {hi}, {hi} . {lo}" for lo, hi in zip(los, his)]
+        for start in range(0, len(elements), ELEMENT_CHUNK_PAIRS):
+            chunk = ", ".join(elements[start : start + ELEMENT_CHUNK_PAIRS])
+            lines.append(f"nft add element {TABLE} {set_name} {{ {chunk} }}")
         lines.append(
             f"nft add rule {TABLE} {CHAIN} "
             f"ip saddr . ip daddr @{set_name} meta mark set {cls.mark}"

@@ -359,39 +359,26 @@ def verify_plan(
         # Routing depends on the mark alone, and only packets marked
         # cls.mark are routed here.
         delay, detail = _route(trees, cls.mark, cls.delay_ms)
-        pairs_checked += 2 * len(cls.lo)
+        los, his = cls.addresses()
+        pairs_checked += 2 * len(los)
         if delay == cls.delay_ms:
             got = marked.get(cls.mark, set())
-            if got.issuperset([f"{lo} . {hi}" for lo, hi in zip(cls.lo, cls.hi)]) and (
-                got.issuperset([f"{hi} . {lo}" for lo, hi in zip(cls.lo, cls.hi)])
+            if got.issuperset([f"{lo} . {hi}" for lo, hi in zip(los, his)]) and (
+                got.issuperset([f"{hi} . {lo}" for lo, hi in zip(los, his)])
             ):
                 continue
         if mark_of is None:
             mark_of = {e: mark for mark, elements in marked.items() for e in elements}
-        for lo, hi in zip(cls.lo, cls.hi):
+        for lo, hi in zip(los, his):
             for src, dst in ((lo, hi), (hi, lo)):
-                element = f"{src} . {dst}"
-                mark = mark_of.get(element)
-                if mark != cls.mark:
-                    mismatches.append(
-                        Mismatch(
-                            mark=cls.mark,
-                            pair=(src, dst),
-                            expected_delay_ms=cls.delay_ms,
-                            actual_delay_ms=None,
-                            detail=f"marked {mark} instead of {cls.mark}",
-                        )
-                    )
-                elif delay != cls.delay_ms:
-                    mismatches.append(
-                        Mismatch(
-                            mark=cls.mark,
-                            pair=(src, dst),
-                            expected_delay_ms=cls.delay_ms,
-                            actual_delay_ms=delay,
-                            detail=detail,
-                        )
-                    )
+                mark = mark_of.get(f"{src} . {dst}")
+                if mark != cls.mark or delay != cls.delay_ms:
+                    unmarked = mark != cls.mark
+                    mismatches.append(Mismatch(
+                        mark=cls.mark, pair=(src, dst), expected_delay_ms=cls.delay_ms,
+                        actual_delay_ms=None if unmarked else delay,
+                        detail=f"marked {mark} instead of {cls.mark}" if unmarked else detail,
+                    ))
 
     default_ok, default_detail = _default_route(trees)
     return VerificationReport(

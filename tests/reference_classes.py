@@ -30,15 +30,21 @@ def make_pair(a: str, b: str) -> dm.IpPair:
 
 
 def delay_class(mark: int, delay_ms: int, pairs) -> dm.DelayClass:
-    """A class holding `pairs`, each (lower, higher) as given, in the columns."""
+    """A class holding `pairs`, each (lower, higher) as given, as positions in
+    a table of the addresses they name, in the order they are first named."""
+    table: dict[str, int] = {}
+    for pair in pairs:
+        for ip in pair:
+            table.setdefault(ip, len(table))
     return dm.DelayClass(
-        mark, delay_ms, tuple(lo for lo, _ in pairs), tuple(hi for _, hi in pairs)
+        mark, delay_ms, [table[lo] for lo, _ in pairs], [table[hi] for _, hi in pairs],
+        tuple(table),
     )
 
 
 def all_pairs(classes: dm.DelayClassMap) -> set[dm.IpPair]:
     """Every pair of every class, as (lower, higher) tuples."""
-    return {pair for c in classes for pair in zip(c.lo, c.hi)}
+    return {pair for c in classes for pair in c.pairs}
 
 
 def build_classes_loop(

@@ -12,6 +12,7 @@ are answered from files: `docker exec <node> cat .../<attr>` from
 from __future__ import annotations
 
 import os
+import re
 import shlex
 from collections import Counter
 import subprocess
@@ -19,6 +20,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from latem import adapters
 from latem.adapters import ShellAdapter
@@ -302,3 +305,21 @@ def test_gather_runs_in_one_spawn(stubs, monkeypatch):
     assert inventory.veth_of() == {f"n{i}": f"veth{i}" for i in range(1, 6)}
     assert inventory.warnings == ()
     assert spawns == [["/bin/sh", "-s"]]
+
+
+# The plain-line rule as one alternation per character, which the batch key
+# once matched whole lines against: the reference for the simpler rule.
+_PLAIN_LINE_BY_CHARACTER = re.compile(r"(?:[\w.,:/@%+={} -]|\\;)*")
+
+
+@given(
+    st.sampled_from(["tc ", "nft ", "ip ", ""]),
+    st.text(alphabet=" .,:/@%+={}-_aZ9\\;'\"$`|&<>*?\t\né()[]!#~^"),
+)
+@example(tool="nft ", rest="add chain t c { type filter hook forward priority 0 \\; }")
+@example(tool="tc ", rest="qdisc add dev veth1 root \\\\;")
+@example(tool="nft ", rest="add element t s { 10.0.0.1 . 10.0.0.2 }\\;;")
+def test_batch_key_agrees_with_the_per_character_rule(tool, rest):
+    line = tool + rest
+    plain = tool.strip() in ("tc", "nft") and _PLAIN_LINE_BY_CHARACTER.fullmatch(line)
+    assert (adapters._batch_key(line) is not None) == bool(plain)

@@ -1,5 +1,6 @@
 import gc
 import io
+import ipaddress
 import json
 import re
 import tracemalloc
@@ -595,26 +596,68 @@ class TestClassColumns:
         rebuilt = dm.DelayClassMap(classes=built.classes)
         assert rebuilt == built == build_classes_loop(q, ips, pol)
 
-    def test_columns_share_the_callers_address_strings(self):
+    def test_table_shares_the_callers_address_strings(self):
         ips = [f"10.3.{i // 250}.{i % 250 + 1}" for i in range(30)]
         q = np.triu(np.random.default_rng(4).choice([10, 20], size=(30, 30)), k=1)
         cmap = dm.build_classes(q + q.T, ips, dm.QuantizationPolicy())
         given = {id(ip) for ip in ips}
-        assert all(id(ip) in given for c in cmap for ip in c.lo + c.hi)
+        assert len(cmap.addrs) == 30 and all(id(ip) in given for ip in cmap.addrs)
+        assert all(c.addrs is cmap.addrs for c in cmap)
         assert sum(len(c.lo) for c in cmap) == 30 * 29 // 2
 
     def test_pairs_are_built_once_from_the_columns(self):
         cls = delay_class(1, 10, [("10.0.0.1", "10.0.0.2"), ("10.0.0.1", "10.0.0.3")])
-        assert cls.lo == ("10.0.0.1", "10.0.0.1")
-        assert cls.hi == ("10.0.0.2", "10.0.0.3")
+        assert cls.addrs == ("10.0.0.1", "10.0.0.2", "10.0.0.3")
+        assert list(cls.lo) == [0, 0] and list(cls.hi) == [1, 2]
         assert cls.pairs == (("10.0.0.1", "10.0.0.2"), ("10.0.0.1", "10.0.0.3"))
         assert cls.pairs is cls.pairs
 
-    def test_columns_are_held_as_tuples(self):
-        cls = dm.DelayClass(1, 10, ["10.0.0.1"], ["10.0.0.2"])
-        assert type(cls.lo) is tuple and type(cls.hi) is tuple
-        assert cls == delay_class(1, 10, [("10.0.0.1", "10.0.0.2")])
-        hash(cls)
+    @pytest.mark.parametrize("size, dtype", [(1 << 16, np.uint16), ((1 << 16) + 1, np.uint32)])
+    def test_columns_are_read_only_arrays_sized_to_the_table(self, size, dtype):
+        # synthetic addresses 10.0.0.0 upward, given in reverse order
+        addrs = tuple(str(ipaddress.IPv4Address(0x0A000000 + k)) for k in range(size))[::-1]
+        cmap = dm.DelayClassMap(classes=(dm.DelayClass(1, 10, [0], [size - 1], addrs),))
+        assert cmap.addrs == addrs[::-1]
+        cls = cmap.classes[0]
+        assert cls.lo.dtype == dtype and cls.hi.dtype == dtype
+        assert cls.pairs == (("10.0.0.0", addrs[0]),)
+        for column in (cls.lo, cls.hi):
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 1
+
+    @pytest.mark.parametrize("lo, hi", [([0], [2]), ([-1], [1]), ([0, 1], [1, 5])])
+    def test_position_outside_the_table_rejected(self, lo, hi):
+        # the first class's table is larger, so a joined table would hold position 2
+        first = delay_class(1, 10, [("10.0.0.1", "10.0.0.2"), ("10.0.0.2", "10.0.0.3")])
+        cls = dm.DelayClass(2, 20, lo, hi, ("10.0.0.1", "10.0.0.2"))
+        message = "class with mark 2 holds an address position outside its table"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            dm.DelayClassMap(classes=(first, cls))
+
+    def test_equal_table_entries_share_a_position(self):
+        addrs = ("10.0.0.2", "10.0.0.1", "10.0.0.2")
+        cmap = dm.DelayClassMap(classes=(dm.DelayClass(1, 10, [0], [1], addrs),))
+        assert cmap.addrs == ("10.0.0.1", "10.0.0.2")
+        with pytest.raises(ConfigError, match="got 10.0.0.2 twice"):
+            dm.DelayClassMap(classes=(dm.DelayClass(1, 10, [0], [2], addrs),))
+
+    @pytest.mark.parametrize("extra, error, message", [
+        (5, ConfigError, "the address table: address 5 is not a string"),
+        ("x", ValueError, "Expected 4 octets in 'x'"),
+    ])
+    def test_table_entry_no_pair_uses_is_checked_too(self, extra, error, message):
+        cls = dm.DelayClass(1, 10, [0], [1], ("10.0.0.1", "10.0.0.2", extra))
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            dm.DelayClassMap(classes=(cls,))
+
+    def test_built_map_with_an_undelayed_node_equals_its_reload(self):
+        # 10.0.0.2 has no delayed pair, so the table leaves it out
+        q = np.array([[0, 0, 20], [0, 0, 0], [20, 0, 0]], dtype=np.int64)
+        ips = ["10.0.0.1", "10.0.0.2", "10.0.0.3"]
+        built = dm.build_classes(q, ips, dm.QuantizationPolicy())
+        assert built.addrs == ("10.0.0.1", "10.0.0.3")
+        assert list(built.classes[0].lo) == [0] and list(built.classes[0].hi) == [1]
+        assert dm.DelayClassMap.from_json_dict(built.to_json_dict()) == built
 
     def test_columns_of_unequal_length_rejected(self):
         with pytest.raises(ConfigError, match="mark 3 has 2 lower and 1 higher addresses"):
@@ -1021,7 +1064,7 @@ class TestOneRuleSet:
         assert in_code == from_json
         if isinstance(in_code, dm.DelayClassMap):
             given_pairs = [frozenset(p) for _, _, pairs in rows for p in pairs]
-            held = [(lo, hi) for c in in_code for lo, hi in zip(c.lo, c.hi)]
+            held = [pair for c in in_code for pair in c.pairs]
             assert [frozenset(p) for p in held] == given_pairs
             assert len(set(held)) == len(held)
             assert all(make_pair(lo, hi) == (lo, hi) for lo, hi in held)
@@ -1039,7 +1082,9 @@ class TestOneRuleSet:
         assert in_code[1] == message
 
     def test_reversed_pair_put_in_order(self):
-        cmap = dm.DelayClassMap(classes=(dm.DelayClass(1, 10, ["10.0.0.10"], ["10.0.0.9"]),))
+        addrs = ("10.0.0.10", "10.0.0.9")
+        cmap = dm.DelayClassMap(classes=(dm.DelayClass(1, 10, [0], [1], addrs),))
+        assert cmap.addrs == ("10.0.0.9", "10.0.0.10")
         assert cmap.classes[0].pairs == (("10.0.0.9", "10.0.0.10"),)
 
 
