@@ -33,10 +33,10 @@ import re
 from array import array
 from collections import defaultdict
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import count
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any, Iterator, Mapping, Sequence, Union
 
@@ -174,21 +174,13 @@ def allocate_ips(base: str, count: int) -> list[str]:
     return out
 
 
-def _address_key(ip: object, where: str) -> int:
-    # IPv4Address would take a JSON number or boolean as an address.
-    if not isinstance(ip, str):
-        raise ConfigError(f"{where}: address {ip!r} is not a string")
-    return _ip_key(ip)
-
-
-def _column(positions: np.ndarray, table: Sequence[str]) -> np.ndarray:
-    """Positions in `table` as a read-only column: `uint16`, or `uint32` past
-    65,536 addresses."""
+def _columns(lo_hi: np.ndarray, table: Sequence[str]) -> np.ndarray:
+    """Rows lo and hi of positions in `table`, read-only: `uint16`, or `uint32` past 65,536."""
     import numpy as np
 
-    column = positions.astype(np.uint16 if len(table) <= 1 << 16 else np.uint32)
-    column.setflags(write=False)
-    return column
+    columns = lo_hi.astype(np.uint16 if len(table) <= 1 << 16 else np.uint32)
+    columns.setflags(write=False)
+    return columns
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,16 +188,17 @@ class DelayClass:
     """Unordered IP pairs sharing one quantized delay, held as two columns.
 
     Pair k is `(addrs[lo[k]], addrs[hi[k]])`: the columns hold positions in
-    the address table `addrs`. In a `DelayClassMap` every class holds the
-    map's table, and its columns are read-only arrays of `uint16` (`uint32`
-    past 65,536 addresses) with lo < hi pair by pair.
+    the address table `addrs`, which every class of a map shares. In a
+    `DelayClassMap` the table is in numeric order and the columns are
+    read-only arrays of `uint16` (`uint32` past 65,536 addresses) with
+    lo < hi pair by pair.
     """
 
     mark: int
     delay_ms: int
     lo: np.ndarray
     hi: np.ndarray
-    addrs: tuple[str, ...] = ()
+    addrs: tuple[str, ...]
 
     def __post_init__(self) -> None:
         if len(self.lo) != len(self.hi):
@@ -234,19 +227,18 @@ class DelayClass:
         return tuple(zip(*self.addresses()))
 
 
-def _check_repeats(classes: Sequence[DelayClass]) -> None:
+def _check_repeats(classes: Sequence[DelayClass], addrs: tuple[str, ...]) -> None:
     """Raise, naming the first repeat in class order, if a pair code
-    `lo * len(addrs) + hi` repeats among checked classes over one table."""
+    `lo * len(addrs) + hi` repeats among checked classes."""
     import numpy as np
 
-    if not classes:
-        return
-    addrs = classes[0].addrs
-    codes = np.concatenate([c.lo.astype(np.int64) * len(addrs) + c.hi for c in classes])
+    n = len(addrs)
+    dt = np.uint32 if n <= 1 << 16 else np.uint64  # holds the codes, up to n * n - 1
+    codes = np.concatenate([np.empty(0, dt), *(c.lo.astype(dt) * dt(n) + c.hi for c in classes)])
     ordered = np.sort(codes)
     if (ordered[1:] == ordered[:-1]).any():
         order = np.argsort(codes, kind="stable")  # a code's first use comes first
-        lo, hi = divmod(int(codes[order[1:][ordered[1:] == ordered[:-1]].min()]), len(addrs))
+        lo, hi = divmod(int(codes[order[1:][ordered[1:] == ordered[:-1]].min()]), n)
         raise ConfigError(f"pair {(addrs[lo], addrs[hi])} appears in more than one class")
 
 
@@ -256,26 +248,24 @@ class DelayClassMap:
     over one address table `addrs` in numeric order.
 
     Built in code or read from JSON, a map passes the constructor's checks:
-    the classes' tables are joined into one, each entry parsed once; per
-    class, positions in range, IPv4 string addresses, two distinct ones per
-    pair, marks 1..K, rising delays, at least one pair; no pair in two
-    classes. Errors come in class order, a repeat among earlier classes
-    before a later class's own. Each pair is put in numeric order.
+    every class holds one table, each entry parsed once; per class,
+    positions in range, IPv4 string addresses, two distinct ones per pair,
+    marks 1..K, rising delays, at least one pair; no pair in two classes.
+    Errors come in class order, a repeat among earlier classes before a
+    later class's own. Each pair is put in numeric order, and the table
+    becomes its addresses in numeric order, each once.
     """
 
     classes: tuple[DelayClass, ...]
-    addrs: tuple[str, ...] = field(default=(), init=False)
 
     def __post_init__(self) -> None:
         import numpy as np
 
-        tables = list({id(c.addrs): c.addrs for c in self.classes}.values())
-        table = tables[0] if len(tables) == 1 else tuple(chain.from_iterable(tables))
-        start = dict(zip(map(id, tables), accumulate(map(len, tables), initial=0)))
+        table = self.addrs  # the first class's, as given
         keys = np.full(len(table), -1, dtype=np.int64)  # -1: not an IPv4 string
         for p, ip in enumerate(table):
-            with suppress(ConfigError, ValueError):
-                keys[p] = _address_key(ip, "")
+            with suppress(ValueError):  # IPv4Address would take a number as an address
+                keys[p] = _ip_key(ip) if isinstance(ip, str) else -1
         distinct, first = np.unique(keys[keys >= 0], return_index=True)
         addrs = tuple(table[p] for p in np.flatnonzero(keys >= 0)[first].tolist())
         position = np.searchsorted(distinct, keys)  # of each entry that is an address
@@ -284,13 +274,17 @@ class DelayClassMap:
             where = f"class with mark {cls.mark}"
             prev_delay = checked[-1].delay_ms if checked else -1
             try:
+                if cls.addrs != table:
+                    raise ConfigError(f"{where} holds another address table than the first class")
                 both = np.concatenate([cls.lo, cls.hi]).astype(np.int64)  # lo column, then hi
-                if ((both < 0) | (both >= len(cls.addrs))).any():
-                    raise ConfigError(f"{where} holds an address position outside its table")
-                both += start[id(cls.addrs)]
+                if ((both < 0) | (both >= len(table))).any():
+                    raise ConfigError(f"{where} holds an address position outside the table")
                 bad = both[keys[both] < 0]
                 if bad.size:
-                    _address_key(table[bad[0]], where)  # raises, naming the fault
+                    ip = table[bad[0]]
+                    if not isinstance(ip, str):
+                        raise ConfigError(f"{where}: address {ip!r} is not a string")
+                    _ip_key(ip)  # raises, naming the address
                 lo, hi = np.split(position[both], 2)
                 same = lo[lo == hi]
                 if same.size:
@@ -308,26 +302,17 @@ class DelayClassMap:
                 if not lo.size:
                     raise ConfigError(f"{where} has no pairs")
             except (ConfigError, ValueError):
-                _check_repeats(checked)
+                _check_repeats(checked, addrs)
                 raise
-            checked.append(DelayClass(cls.mark, cls.delay_ms, _column(np.minimum(lo, hi), addrs),
-                                      _column(np.maximum(lo, hi), addrs), addrs))
-        _check_repeats(checked)
-        if (keys < 0).any():  # an entry that no pair uses
-            _address_key(table[np.argmax(keys < 0)], "the address table")
+            ordered = _columns(np.stack([np.minimum(lo, hi), np.maximum(lo, hi)]), addrs)
+            checked.append(DelayClass(cls.mark, cls.delay_ms, *ordered, addrs))
+        _check_repeats(checked, addrs)
         object.__setattr__(self, "classes", tuple(checked))
-        object.__setattr__(self, "addrs", addrs)
 
-    @classmethod
-    def _of_disjoint(
-        cls, addrs: tuple[str, ...], classes: tuple[DelayClass, ...]
-    ) -> "DelayClassMap":
-        """A map of `build_classes`' classes, unchecked: every rule holds there
-        by construction, and checking would cost work per pair."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "classes", classes)
-        object.__setattr__(self, "addrs", addrs)
-        return self
+    @property
+    def addrs(self) -> tuple[str, ...]:
+        """The address table every class holds."""
+        return self.classes[0].addrs if self.classes else ()
 
     def __len__(self) -> int:
         return len(self.classes)
@@ -360,8 +345,7 @@ class DelayClassMap:
         position, and a mark or delay that is not a JSON integer is refused,
         not truncated.
         """
-        positions: defaultdict[Any, int] = defaultdict()
-        positions.default_factory = positions.__len__  # a new address's position
+        positions: defaultdict[Any, int] = defaultdict(count().__next__)  # 0, 1, 2, ...
         at = positions.__getitem__
         rows = []
         try:
@@ -693,10 +677,10 @@ def build_classes(
     classes = []
     for mark, (delay_ms, start, end) in enumerate(zip(delays, starts, [*starts[1:], size]), 1):
         run = codes[start:end]
-        classes.append(DelayClass(
-            mark, delay_ms, _column(position[(run >> w) & mask], addrs),
-            _column(position[run & mask], addrs), addrs,
-        ))
-    # Each unordered pair of distinct addresses is read once, so no pair
-    # can repeat.
-    return DelayClassMap._of_disjoint(addrs, tuple(classes))
+        columns = _columns(position[np.stack([(run >> w) & mask, run & mask])], addrs)
+        classes.append(DelayClass(mark, delay_ms, *columns, addrs))
+    # Each unordered pair of distinct addresses is read once, so every rule
+    # holds by construction: the map skips the constructor's work per pair.
+    cmap = object.__new__(DelayClassMap)
+    object.__setattr__(cmap, "classes", tuple(classes))
+    return cmap

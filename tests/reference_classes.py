@@ -2,8 +2,8 @@
 
 `build_classes_loop` is the plain O(N^2) Python implementation the
 vectorized one replaced. Tests require both to return equal class maps on
-the same inputs. `delay_class` and `all_pairs` let tests write and read a
-class's two address columns as pair tuples.
+the same inputs. `delay_classes` and `all_pairs` let tests write and read
+classes' address columns as pair tuples.
 """
 
 from __future__ import annotations
@@ -29,16 +29,21 @@ def make_pair(a: str, b: str) -> dm.IpPair:
     return (a, b) if key_a < key_b else (b, a)
 
 
-def delay_class(mark: int, delay_ms: int, pairs) -> dm.DelayClass:
-    """A class holding `pairs`, each (lower, higher) as given, as positions in
-    a table of the addresses they name, in the order they are first named."""
+def delay_classes(*rows) -> tuple[dm.DelayClass, ...]:
+    """One class per (mark, delay_ms, pairs) row, each pair (lower, higher) as
+    given, as positions in one shared table of the addresses the rows name,
+    in the order they are first named."""
     table: dict[str, int] = {}
-    for pair in pairs:
-        for ip in pair:
-            table.setdefault(ip, len(table))
-    return dm.DelayClass(
-        mark, delay_ms, [table[lo] for lo, _ in pairs], [table[hi] for _, hi in pairs],
-        tuple(table),
+    for _, _, pairs in rows:
+        for pair in pairs:
+            for ip in pair:
+                table.setdefault(ip, len(table))
+    addrs = tuple(table)
+    return tuple(
+        dm.DelayClass(
+            mark, delay_ms, [table[lo] for lo, _ in pairs], [table[hi] for _, hi in pairs], addrs
+        )
+        for mark, delay_ms, pairs in rows
     )
 
 
@@ -71,8 +76,8 @@ def build_classes_loop(
                 continue
             by_delay.setdefault(d, []).append(make_pair(ip_list[i], ip_list[j]))
 
-    classes = []
+    rows = []
     for mark, delay in enumerate(sorted(by_delay), start=1):
         pairs = sorted(by_delay[delay], key=lambda p: (_ip_key(p[0]), _ip_key(p[1])))
-        classes.append(delay_class(mark, delay, pairs))
-    return dm.DelayClassMap(classes=tuple(classes))
+        rows.append((mark, delay, pairs))
+    return dm.DelayClassMap(classes=delay_classes(*rows))

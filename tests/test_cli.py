@@ -865,9 +865,14 @@ def test_each_command_loads_only_its_modules(command, classes_file, matrix_file,
     assert out[-2:] == [repr(sorted(modules)), "[]"]
 
 
-def test_class_map_commands_run_in_a_fresh_process(classes_file, tmp_path):
+def test_class_map_commands_load_numpy_and_no_other_package(classes_file, tmp_path):
+    # A class map's columns are numpy arrays, so reading one loads numpy;
+    # nothing else outside the standard library comes with it.
     code = """
 import sys
+def packages():
+    return {m.partition(".")[0] for m in sys.modules} - set(sys.stdlib_module_names)
+before = packages()
 from pathlib import Path
 from latem.cli import main, _load_classes
 from latem.script import CommandScript
@@ -880,10 +885,10 @@ report = verify_plan(
     CommandScript(lines=tuple(Path(tc).read_text().splitlines())),
     _load_classes(classes),
 )
-print(report.ok)
+print(report.ok, sorted(packages() - before))
 """
     nft, tc = tmp_path / "nft.sh", tmp_path / "tc.sh"
-    assert _python(code, str(classes_file), str(nft), str(tc)) == "True"
+    assert _python(code, str(classes_file), str(nft), str(tc)) == "True ['latem', 'numpy']"
 
 
 def test_demo_dry_run_script_writes_the_plan(tmp_path):

@@ -6,13 +6,13 @@ from latem.errors import ConfigError, EmptyPlanError
 from latem.nft_planner import emit_nft_script
 
 from conftest import GOLDENS
-from reference_classes import delay_class
+from reference_classes import delay_classes
 
 PAIR = ("10.0.0.1", "10.0.0.2")
 
 
 def single_class_map(pairs=(PAIR,)):
-    return dm.DelayClassMap(classes=(delay_class(mark=1, delay_ms=20, pairs=pairs),))
+    return dm.DelayClassMap(classes=delay_classes((1, 20, pairs)))
 
 
 def test_single_class_layout():
@@ -40,9 +40,10 @@ def test_rule_line_references_set_and_mark():
 
 
 def test_line_count_formula():
-    c1 = delay_class(mark=1, delay_ms=20, pairs=(("10.0.0.1", "10.0.0.2"),))
-    c2 = delay_class(mark=2, delay_ms=40, pairs=(("10.0.0.3", "10.0.0.4"),))
-    script = emit_nft_script(dm.DelayClassMap(classes=(c1, c2)))
+    classes = delay_classes(
+        (1, 20, (("10.0.0.1", "10.0.0.2"),)), (2, 40, (("10.0.0.3", "10.0.0.4"),))
+    )
+    script = emit_nft_script(dm.DelayClassMap(classes=classes))
     assert len(script) == 2 + 3 * 2
 
 
@@ -79,7 +80,7 @@ def test_deterministic(five_node_classes):
 def test_chunked_elements(monkeypatch):
     monkeypatch.setattr(nft_planner, "ELEMENT_CHUNK_PAIRS", 2)
     pairs = tuple((f"10.0.1.{i+1}", f"10.0.2.{i+1}") for i in range(5))
-    cmap = dm.DelayClassMap(classes=(delay_class(mark=1, delay_ms=10, pairs=pairs),))
+    cmap = dm.DelayClassMap(classes=delay_classes((1, 10, pairs)))
     script = emit_nft_script(cmap)
     element_lines = [l for l in script if "add element" in l]
     assert len(element_lines) == 3  # 2 + 2 + 1 pairs
@@ -89,7 +90,7 @@ def test_chunked_elements(monkeypatch):
 def test_class_without_pairs_rejected():
     # A set with no elements would match nothing; no map holds such a class.
     with pytest.raises(ConfigError, match="class with mark 1 has no pairs"):
-        dm.DelayClassMap(classes=(delay_class(mark=1, delay_ms=20, pairs=()),))
+        dm.DelayClassMap(classes=delay_classes((1, 20, ())))
 
 
 def test_golden_five_node(five_node_classes):

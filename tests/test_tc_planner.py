@@ -19,7 +19,7 @@ from latem.tc_planner import (
 )
 
 from conftest import GOLDENS, mismatched_marks, random_class_map
-from reference_classes import delay_class
+from reference_classes import delay_classes
 from reference_verify import verify_plan_per_pair
 
 
@@ -397,9 +397,7 @@ class TestVerifyPlanMatchesPerPairReference:
         # address holds no space, so no map can hold an address that makes
         # the text "<src> . <dst>" of a pair read two ways.
         with pytest.raises(ValueError, match=re.escape("'x .'")):
-            dm.DelayClassMap(
-                classes=(delay_class(mark=1, delay_ms=20, pairs=(("x .", "10.0.0.1"),)),)
-            )
+            dm.DelayClassMap(classes=delay_classes((1, 20, (("x .", "10.0.0.1"),))))
 
     @pytest.mark.parametrize(
         "bad_line",
