@@ -3,7 +3,8 @@
 An adapter runs a plan step's lines in order (`run_batch`) and reports each
 line's outcome. Every apply step goes through it, the interface gather
 included. Plan lines are already full `docker ...` / `tc ...` / `nft ...`
-commands. Test doubles live with the tests.
+commands. Only lines that could change the batch shell's state get a
+subshell. Test doubles live with the tests.
 """
 
 from __future__ import annotations
@@ -51,6 +52,11 @@ _BATCH_TOOLS = {
 # these, shell word splitting is whitespace splitting with `\;` read as `;`.
 # A line is plain when it matches once its `\;` escapes are taken out.
 _PLAIN_LINE = re.compile(r"[\w.,:/@%+={} -]*")
+# A host tool's literal line is one simple command: a plain line once each
+# single-quoted span is read as one plain character (not as nothing, so that
+# a `\` before a quote is still refused).
+_QUOTED_SPAN = re.compile(r"'[^']*'")
+_DIRECT_TOOLS = {"docker", "bridge", "ip", "sleep"}
 # A tc batch holds one device's lines, so each interface's tree is one batch.
 _TC_DEV = re.compile(r" dev +(\S+)")
 # `communicate` waits in poll(), which takes a C int of milliseconds and
@@ -66,6 +72,15 @@ def _batch_key(line: str) -> tuple[str, str | None] | None:
         return None
     dev = _TC_DEV.search(line) if tool == "tc" else None
     return tool, dev.group(1) if dev else None
+
+
+def _shell_form(line: str) -> str:
+    """A literal host-tool line as itself, any other line in a subshell."""
+    if line.partition(" ")[0] in _DIRECT_TOOLS and _PLAIN_LINE.fullmatch(
+        _QUOTED_SPAN.sub("q", line).replace("\\;", "")
+    ):
+        return line
+    return f"(eval {shlex.quote(line)})"
 
 
 def _spawn(argv: Sequence[str], stdin: str | None, timeout_s: float) -> CommandResult:
@@ -96,9 +111,12 @@ class ShellAdapter:
     one process per run: plain `tc` lines go to `tc -batch -`, one process
     per run of lines on the same `dev`, and plain `nft` lines to `nft -f -`
     (atomic), each line as the argv words the shell would have passed, less
-    the tool name; every other line runs in one `/bin/sh`, each in its own
-    subshell, so `cd`, variables and `exit` do not carry over to the next
-    line. A batch tool's stdout and stderr go with the last line it ran.
+    the tool name; every other line runs in one `/bin/sh`, stdin from
+    `/dev/null`. There a `docker`, `bridge`, `ip` or `sleep` line with no
+    shell syntax outside single quotes runs as itself, as one simple command
+    cannot `cd`, set a variable or `exit` the shell; any other line runs in
+    its own subshell. A batch tool's stdout and stderr go with the last line
+    it ran.
 
     `timeout_s` bounds one line; a batch gets `timeout_s` per line, up to
     MAX_TIMEOUT_S. On expiry the process group is killed and
@@ -149,7 +167,7 @@ class ShellAdapter:
         script = (
             f"latem_mark() {{ s=$?; printf '\\n%s\\n' {marker}; "
             f"printf '\\n%s %d\\n' {marker} $s >&2; [ $s -eq 0 ] || exit $s; }}\n"
-        ) + "".join(f"(eval {shlex.quote(line)}) </dev/null; latem_mark\n" for line in lines)
+        ) + "".join(f"{_shell_form(line)} </dev/null; latem_mark\n" for line in lines)
         result = _spawn(["/bin/sh", "-s"], script, self.timeout_s * len(lines))
         outs = result.stdout.split(f"\n{marker}\n")
         errs = re.split(rf"\n{marker} (\d+)\n", result.stderr)

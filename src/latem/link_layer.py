@@ -11,6 +11,7 @@ broadcast storm when thousands of containers boot.
 
 from __future__ import annotations
 
+import functools
 import ipaddress
 import math
 from dataclasses import dataclass
@@ -30,6 +31,8 @@ MAC_PREFIX = (0x02, 0x42)
 REACHABLE_MS = 72_000_000  # base_reachable_time_ms: 20 hours
 
 
+# Each address is parsed once per process, for up to 65,536 addresses.
+@functools.lru_cache(maxsize=65_536)
 def mac_for_ip(ip: str) -> str:
     """Derive the MAC for an IPv4 address, lowercase colon-separated."""
     octets = ipaddress.IPv4Address(ip).packed

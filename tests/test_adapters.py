@@ -1,12 +1,13 @@
 """ShellAdapter against tiny POSIX-sh stand-ins for docker, tc, nft, ip,
 bridge and sleep.
 
-The stubs log each spawn to `spawns`, each batch line they read to
-`<tool>.lines` and the line count of each batch they finish to
-`<tool>.batches`. A line containing FAIL fails: in a batch with the tool's own
-failure message naming the line, elsewhere with exit 3. The gather queries
-are answered from files: `docker exec <node> cat .../<attr>` from
-`<node>.<attr>`, `ip -o link show` from `links`.
+The stubs log each spawn to `spawns`, its parent's pid to `parents`, each
+batch line they read to `<tool>.lines` and the line count of each batch they
+finish to `<tool>.batches`. A line containing FAIL fails: in a batch with the
+tool's own failure message naming the line, elsewhere with exit 3. The gather
+queries are answered from files: `docker exec <node> cat .../<attr>` from
+`<node>.<attr>`, `ip -o link show` from `links`. `docker attach` copies its
+stdin to stdout.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from collections import Counter
 import subprocess
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given
@@ -39,6 +41,7 @@ from conftest import FIVE_NODE_IPS, minimal_manifest_dict
 STUB = r"""#!/bin/sh
 tool=${0##*/}
 echo "$tool $*" >> "$STUB_DIR/spawns"
+echo "$PPID" >> "$STUB_DIR/parents"
 case "$tool $1" in
     "tc -batch" | "nft -f")
         n=0
@@ -61,6 +64,8 @@ case "$tool $1" in
         [ "$3" = cat ] && exec cat "$STUB_DIR/$2.${4##*/}" ;;
     "ip -o")
         exec cat "$STUB_DIR/links" ;;
+    "docker attach")
+        exec cat ;;
 esac
 case "$*" in *FAIL*) echo "$tool: cannot $*" >&2; exit 3 ;; esac
 echo "$tool did $*"
@@ -222,18 +227,113 @@ def test_shell_lines_keep_their_own_output(stubs):
     assert logged(stubs, "spawns") == ["docker run a", "docker run b c", "docker run e"]
 
 
-def test_shell_lines_do_not_share_state(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
+# Literal host-tool lines: a launch line with a single-quoted JSON `--env`,
+# an nft-style `\;`, and a quoted span holding what would be shell syntax.
+LITERAL_LINES = [
+    "docker run -d --name n1 --env LATEM_NODE='{\"name\": \"n1\", \"peers\": [1, 2]}' img",
+    "docker exec n1 nft add chain t c { type filter hook forward priority 0 \\; }",
+    "ip link set 'veth 1' up",
+    "bridge fdb add 02:42:0a:00:00:01 dev veth1 master static",
+    "sleep 0",
+    "docker kill -s 'SIG$X; cd /' n1",
+]
+
+
+def test_literal_host_tool_lines_run_as_children_of_the_batch_shell(stubs):
+    # Only docker, bridge, ip and sleep lines run directly: a quoted nft line
+    # gets a subshell.
+    not_literal = [
+        'docker run "a"', "docker run ${X-b}", "docker run c; true", "docker run d 2>&1",
+        "nft add rule t c 'ip saddr 10.0.0.1' counter",
+    ]
+    results = ShellAdapter().run_batch(LITERAL_LINES + not_literal)
+    assert [r.exit_code for r in results] == [0] * 11
+    assert logged(stubs, "spawns") == [" ".join(shlex.split(l)) for l in LITERAL_LINES] + [
+        "docker run a", "docker run b", "docker run c", "docker run d",
+        "nft add rule t c ip saddr 10.0.0.1 counter",
+    ]
+    parents = logged(stubs, "parents")
+    shell = parents[0]
+    assert parents[:6] == [shell] * 6
+    assert len({shell, *parents[6:]}) == 6
+
+
+@pytest.mark.parametrize("line", [
+    "docker run \\'x';",  # the escaped quote leaves `';` open
+    "docker run 'a' 'b",
+    "docker run a;b",
+    "docker run a\tb",
+    "docker run 'a'$X",
+    "sysctl -w 'a = 1'",  # no sysctl plan line reaches the batch shell
+])
+def test_any_other_line_gets_a_subshell(line):
+    assert adapters._shell_form(line) == f"(eval {shlex.quote(line)})"
+
+
+def test_shell_lines_do_not_share_state(stubs, monkeypatch):
+    monkeypatch.chdir(stubs)
     lines = ["cd /", "pwd", "X=1", 'echo "${X-unset}"', "exit 0", "printf '%s\\n' \"it's\""]
+    # Host-tool lines that are not literal run in their own subshell too.
+    lines += [
+        "docker run a; cd /", "docker run $(cd /)", "docker run ${X=1}", "docker run b && cd /",
+        "docker run c > out", "pwd", 'echo "${X-unset}"',
+    ]
     results = ShellAdapter().run_batch(lines)
-    assert [r.exit_code for r in results] == [0] * 6
-    assert [r.stdout for r in results] == ["", f"{Path.cwd()}\n", "", "unset\n", "", "it's\n"]
+    assert [r.exit_code for r in results] == [0] * 13
+    assert [r.stdout for r in results] == [
+        "", f"{stubs}\n", "", "unset\n", "", "it's\n",
+        "docker did run a\n", "docker did run\n", "docker did run 1\n", "docker did run b\n",
+        "", f"{stubs}\n", "unset\n",
+    ]
+    assert (stubs / "out").read_text() == "docker did run c\n"
 
 
-def test_unbalanced_quote_fails_only_its_line():
-    results = ShellAdapter().run_batch(["echo ok", "echo 'open", "echo never"])
-    assert [r.stdout for r in results] == ["ok\n", ""]
-    assert results[-1].exit_code != 0
+def test_unbalanced_quote_fails_only_its_line(stubs):
+    for line in ["echo 'open", "docker run 'open", "docker run a 'b' 'c", "docker run \\'x';"]:
+        # The next line's quote must not close this one's.
+        results = ShellAdapter().run_batch(["echo ok", line, "docker run b'", "echo never"])
+        assert [r.stdout for r in results] == ["ok\n", ""]
+        assert results[-1].exit_code != 0
+    assert logged(stubs, "spawns") == []
+
+
+def test_a_tool_reading_stdin_does_not_swallow_the_script(stubs):
+    # The long line keeps the rest of the script in the pipe, past what the
+    # shell has read ahead when `docker attach` starts.
+    lines = ["docker attach n1", "docker run " + "a" * 20_000, "docker run b"]
+    results = ShellAdapter().run_batch(lines)
+    assert [(r.exit_code, r.stdout) for r in results] == [
+        (0, ""), (0, f"docker did {lines[1][7:]}\n"), (0, "docker did run b\n"),
+    ]
+    assert logged(stubs, "spawns") == lines
+
+
+@pytest.fixture(scope="module")
+def argv_stub(tmp_path_factory):
+    """A `docker` first on PATH that prints each of its arguments, then NUL."""
+    bin_dir = tmp_path_factory.mktemp("argv") / "bin"
+    bin_dir.mkdir()
+    (bin_dir / "docker").write_text("#!/bin/sh\nfor a; do printf '%s\\0' \"$a\"; done\n")
+    (bin_dir / "docker").chmod(0o755)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PATH", f"{bin_dir}:{os.environ['PATH']}")
+        yield
+
+
+_PLAIN_TEXT = st.text(alphabet=" .,:/@%+={}-_aZ9é", min_size=1)
+_QUOTED_SPAN = st.text(alphabet=" \t\n\\;\"$`|&<>*?()#~!{}aé").map(lambda t: f"'{t}'")
+
+
+@given(st.lists(st.one_of(_PLAIN_TEXT, st.just("\\;"), _QUOTED_SPAN), max_size=8))
+def test_a_literal_line_passes_the_argv_its_subshell_form_does(argv_stub, pieces):
+    line = "docker " + "".join(pieces)
+    assert adapters._shell_form(line) == line
+    direct = ShellAdapter().run_batch([line])
+    with mock.patch.object(adapters, "_DIRECT_TOOLS", set()):
+        assert adapters._shell_form(line) != line
+        wrapped = ShellAdapter().run_batch([line])
+    assert direct == wrapped
+    assert direct[0].ok and direct[0].stdout.split("\0")[:-1] == shlex.split(line)[1:]
 
 
 LONG_TC_BATCH = [f"tc qdisc add dev v0 parent 1:{i} handle {i}: prio bands 2" for i in range(4000)]

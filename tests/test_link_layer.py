@@ -30,6 +30,21 @@ def test_injective_for_fixed_prefix(a, b):
         assert mac_for_ip(ip_a) == mac_for_ip(ip_b)
 
 
+@given(ip_octets)
+def test_cached_mac_is_the_derived_one(octets):
+    ip = ".".join(map(str, octets))
+    assert mac_for_ip(ip) == mac_for_ip(ip) == mac_for_ip.__wrapped__(ip)
+
+
+def test_mac_cache_is_bounded_and_keeps_no_error():
+    assert mac_for_ip.cache_info().maxsize is not None
+    size = mac_for_ip.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            mac_for_ip("10.0.0.256")
+    assert mac_for_ip.cache_info().currsize == size
+
+
 def test_fdb_single_line():
     script = emit_fdb_script([("10.0.0.1", "vetha1")])
     assert script.lines == ("bridge fdb add 02:42:0a:00:00:01 dev vetha1 master static",)
