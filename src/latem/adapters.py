@@ -110,13 +110,14 @@ class ShellAdapter:
     `run_batch` splits a step's lines into runs of the same kind and starts
     one process per run: plain `tc` lines go to `tc -batch -`, one process
     per run of lines on the same `dev`, and plain `nft` lines to `nft -f -`
-    (atomic), each line as the argv words the shell would have passed, less
-    the tool name; every other line runs in one `/bin/sh`, stdin from
-    `/dev/null`. There a `docker`, `bridge`, `ip` or `sleep` line with no
-    shell syntax outside single quotes runs as itself, as one simple command
-    cannot `cd`, set a variable or `exit` the shell; any other line runs in
-    its own subshell. A batch tool's stdout and stderr go with the last line
-    it ran.
+    (atomic). Each such line goes to its tool as it is, less the tool name
+    and with `\\;` read as `;`; the tool splits it at whitespace into the
+    argv words the shell would have passed. Every other line runs in one
+    `/bin/sh`, stdin from `/dev/null`. There a `docker`, `bridge`, `ip` or
+    `sleep` line with no shell syntax outside single quotes runs as itself,
+    as one simple command cannot `cd`, set a variable or `exit` the shell;
+    any other line runs in its own subshell. A batch tool's stdout and
+    stderr go with the last line it ran.
 
     `timeout_s` bounds one line; a batch gets `timeout_s` per line, up to
     MAX_TIMEOUT_S. On expiry the process group is killed and
@@ -147,7 +148,7 @@ class ShellAdapter:
 
     def _tool_batch(self, tool: str, lines: list[str]) -> list[CommandResult]:
         argv, failed_line = _BATCH_TOOLS[tool]
-        text = "".join(" ".join(line.replace("\\;", ";").split()[1:]) + "\n" for line in lines)
+        text = "".join(line.partition(" ")[2].replace("\\;", ";") + "\n" for line in lines)
         try:
             result = _spawn(argv, text, self.timeout_s * len(lines))
         except FileNotFoundError as exc:

@@ -19,30 +19,26 @@ import contextlib
 import json
 import signal
 import sys
-from collections.abc import Iterator
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from .errors import LatemError
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable
+
     from .delay_model import DelayClassMap
     from .manifest import ExperimentManifest
-    from .script import Script
 
 
-def _write_or_print(content: str | Iterator[str] | Script, out: str | None) -> None:
-    """Write text, pieces of text or a script to the file `out`, or to stdout without one.
+def _write_or_print(pieces: Iterable[str], out: str | None) -> None:
+    """Write pieces of text to the file `out`, or to stdout without one.
 
-    Pieces are written as they are made, so their whole text is never held.
+    Each piece is written as it is made, so the whole text is never held; a
+    script goes in as its `pieces()`, a plain string as a one-item list.
     """
     with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as f:
-        if isinstance(content, str):
-            f.write(content)
-        elif isinstance(content, Iterator):
-            f.writelines(content)
-        else:
-            content.write_to(f)
+        f.writelines(pieces)
 
 
 def _given(args: argparse.Namespace, *names: str) -> dict:
@@ -151,7 +147,7 @@ def _cmd_plan_delays(args: argparse.Namespace) -> int:
 def _cmd_emit_nft(args: argparse.Namespace) -> int:
     from .nft_planner import emit_nft_script
 
-    _write_or_print(emit_nft_script(_load_classes(args.classes)), args.out)
+    _write_or_print(emit_nft_script(_load_classes(args.classes)).pieces(), args.out)
     return 0
 
 
@@ -161,7 +157,7 @@ def _cmd_emit_tc(args: argparse.Namespace) -> int:
 
     classes = _load_classes(args.classes)
     script = emit_tc_script(classes.class_delays(), args.veth, compute_bands(len(classes)))
-    _write_or_print(script, args.out)
+    _write_or_print(script.pieces(), args.out)
     return 0
 
 
@@ -185,7 +181,7 @@ def _cmd_emit_fdb(args: argparse.Namespace) -> int:
                 return 2
             nodes.append((parts[0], parts[1]))
     script = link_layer.emit_fdb_script(nodes)
-    _write_or_print(script, args.out)
+    _write_or_print(script.pieces(), args.out)
     _warn_bridge_capacity(len(nodes))
     return 0
 
@@ -206,9 +202,9 @@ def _cmd_gen_topology(args: argparse.Namespace) -> int:
     if args.neighbors:
         ids = {i: f"node{i:04d}" for i in range(graph.n)}
         lists = neighbor_lists(graph, ids)
-        _write_or_print(json.dumps(lists, indent=2, sort_keys=True) + "\n", args.out)
+        _write_or_print([json.dumps(lists, indent=2, sort_keys=True) + "\n"], args.out)
     else:
-        _write_or_print(graph.to_edge_list_text(), args.out)
+        _write_or_print([graph.to_edge_list_text()], args.out)
     print(f"# {graph.n} nodes, {len(graph.edges)} edges", file=sys.stderr)
     return 0
 
@@ -218,7 +214,7 @@ def _cmd_gen_bpf(args: argparse.Namespace) -> int:
 
     config = time_inflation.BpfRtoConfig(timeout_s=args.timeout_s, hz=args.hz)
     source = time_inflation.render_bpf_source(config)
-    _write_or_print(source, args.source_out)
+    _write_or_print([source], args.source_out)
     commands = time_inflation.emit_bpf_commands(
         **_given(args, "obj_name", "pinned_path", "cgroup_path")
     )
@@ -285,7 +281,7 @@ def _cmd_autoarpd(args: argparse.Namespace) -> int:
     from . import autoarpd
 
     if args.emit_sysctls:
-        sys.stdout.write(autoarpd.emit_neigh_sysctls(args.interface).text())
+        _write_or_print(autoarpd.emit_neigh_sysctls(args.interface).pieces(), None)
         return 0
     stop = threading.Event()
     signal.signal(signal.SIGTERM, lambda *_: stop.set())

@@ -8,10 +8,10 @@ queueing trees, and finally the signal phases that unfreeze the node agents
 on shared locks). Each launch line also sets its container's neighbor
 sysctls with `--sysctl`, so no step enters a running container to write them.
 
-Interface names are only known once containers run, so plans carry
-`{veth:<node>}` placeholders; apply mode resolves them from the gathered
-inventory before running the dependent steps. Dry-run mode writes every
-script to a file and touches nothing.
+Interface names are only known once containers run, so the FDB and tc
+steps carry `{veth:<node>}` placeholders; apply mode fills them from the
+gathered inventory and sends every other step as it was planned. Dry-run
+mode writes every script to a file, piece by piece, and touches nothing.
 """
 
 from __future__ import annotations
@@ -500,13 +500,15 @@ def execute(
 
     Dry-run writes each step's script to `<index>-<name>.sh` under out_dir
     and performs no other action; output is byte-deterministic. Each script
-    is streamed to its file in bounded chunks, never joined whole.
+    goes to its file as its pieces, never joined whole.
 
     Apply runs steps in order, each through the adapter's `run_batch`. The
-    gather step's results resolve veth placeholders for everything after it,
-    and a failed MAC read there only warns. Any other step stops at its first
-    failing command, which is reported with its exit code, stdout and stderr.
-    A timeout or an unresolvable placeholder fails the step with a detail.
+    gather step's results fill the `{veth:<node>}` placeholders of the FDB
+    and tc steps, the only ones that hold them; every other step's lines
+    reach the adapter exactly as its dry-run file holds them. A failed MAC
+    read in the gather only warns. Any other step stops at its first failing
+    command, which is reported with its exit code, stdout and stderr. A
+    timeout or an unresolvable placeholder fails the step with a detail.
     Steps after a failed one are reported as skipped.
     """
     if mode not in ("dry-run", "apply"):
@@ -521,7 +523,7 @@ def execute(
         for step in plan.steps:
             path = root / f"{step.index:02d}-{step.name}.sh"
             with path.open("w") as out:
-                step.script.write_to(out)
+                out.writelines(step.script.pieces())
             results.append(
                 StepResult(name=step.name, kind=step.kind, status="written",
                            detail=str(path))
@@ -551,7 +553,9 @@ def execute(
                                detail="; ".join(inventory.warnings))
                 )
                 continue
-            lines = [_substitute(line, veths) for line in step.script]
+            lines = list(step.script)
+            if step.kind in (STEP_FDB, STEP_TC):
+                lines = [_substitute(line, veths) for line in lines]
             outcomes = _outcomes(lines, adapter.run_batch(lines))
         except (InventoryError, subprocess.TimeoutExpired) as exc:
             failed = True

@@ -5,11 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import add
-from typing import Iterator, TextIO
-
-# About this much text goes to each write: enough to amortize the call, and
-# no step's whole text (the nft step alone can pass 400 MB) is held at once.
-WRITE_CHUNK_CHARS = 1 << 20
+from typing import Iterator
 
 
 class Script:
@@ -21,7 +17,9 @@ class Script:
 
     The text is also read in pieces, each one or more whole lines with
     their newlines: one line per piece here, larger pieces where a subclass
-    renders several lines at once. `text()` and `write_to` read only pieces.
+    renders several lines at once. A writer passes the pieces to
+    `writelines` as they are made, so no script's whole text is held at once
+    (the nft step alone can pass 400 MB); `text()` joins them.
     """
 
     def __len__(self) -> int:
@@ -37,23 +35,6 @@ class Script:
     def text(self) -> str:
         """Render as POSIX shell text, one command per line."""
         return "".join(self.pieces())
-
-    def write_to(self, out: TextIO) -> None:
-        """Write `text()` to an open text file, about WRITE_CHUNK_CHARS at a time.
-
-        Pieces are grouped until the group reaches the bound, so a write
-        holds at most WRITE_CHUNK_CHARS plus one piece.
-        """
-        chunk: list[str] = []
-        size = 0
-        for piece in self.pieces():
-            chunk.append(piece)
-            size += len(piece)
-            if size >= WRITE_CHUNK_CHARS:
-                out.write("".join(chunk))
-                chunk, size = [], 0
-        if chunk:
-            out.write("".join(chunk))
 
 
 @dataclass(frozen=True)

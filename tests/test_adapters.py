@@ -162,6 +162,14 @@ def test_tc_batch_ends_where_the_device_changes(stubs):
     assert logged(stubs, "tc.batches") == ["2", "1", "1"]
 
 
+def test_a_double_spaced_tc_line_reaches_the_tool_as_the_same_words(stubs):
+    line = "tc qdisc  add dev v0   root handle 1:  prio bands 2"
+    assert [r.exit_code for r in ShellAdapter().run_batch([line])] == [0]
+    assert logged(stubs, "spawns") == ["tc -batch -"]
+    (sent,) = logged(stubs, "tc.lines")
+    assert sent.split() == shlex.split(line)[1:]
+
+
 def test_failing_interface_ends_the_tc_step(stubs):
     tree = [l for l in TC_LINES if "FAIL" not in l]
     tc = [l.replace("dev v0 ", f"dev {v} ") for v in ("v0", "v1", "v2") for l in tree]
@@ -423,3 +431,31 @@ def test_batch_key_agrees_with_the_per_character_rule(tool, rest):
     line = tool + rest
     plain = tool.strip() in ("tc", "nft") and _PLAIN_LINE_BY_CHARACTER.fullmatch(line)
     assert (adapters._batch_key(line) is not None) == bool(plain)
+
+
+_PLAIN_WORD = st.lists(
+    st.one_of(st.text(alphabet=".,:/@%+={}-_aZ9é", min_size=1), st.just("\\;")),
+    min_size=1, max_size=3,
+).map("".join)
+# The rest of a plain line after its tool: words, each after a run of spaces.
+_PLAIN_REST = st.lists(
+    st.tuples(st.text(" ", min_size=1, max_size=3), _PLAIN_WORD), min_size=1, max_size=6
+).map(lambda pairs: "".join(gap + word for gap, word in pairs))
+
+
+@given(st.sampled_from(["tc", "nft"]), st.lists(_PLAIN_REST, min_size=1, max_size=5))
+@example(tool="nft", rests=["  add chain t c { type filter hook forward priority 0 \\; }"])
+def test_a_batch_line_splits_into_the_words_the_shell_would_pass(tool, rests):
+    lines = [tool + rest for rest in rests]
+    assert all(adapters._batch_key(line) for line in lines)
+    sent = []
+
+    def spawn(argv, stdin, timeout_s):
+        assert argv == adapters._BATCH_TOOLS[tool][0]
+        sent.extend(stdin.splitlines())
+        return adapters.CommandResult(0)
+
+    with mock.patch.object(adapters, "_spawn", spawn):
+        results = ShellAdapter().run_batch(lines)
+    assert len(results) == len(lines) and all(r.ok for r in results)
+    assert [s.split() for s in sent] == [shlex.split(line)[1:] for line in lines]

@@ -2,6 +2,7 @@ import io
 import json
 import shlex
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,7 +12,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from latem import delay_model as dm
-from latem import script as script_mod
 from latem.autoarpd import emit_neigh_sysctls
 from latem.errors import ConfigError, InfeasibleError, InventoryError, SizeError
 from latem.link_layer import neigh_settings
@@ -489,42 +489,23 @@ class TestExecuteDryRun:
         for pa, pb in zip(a_files, b_files):
             assert pa.read_bytes() == pb.read_bytes()
 
-    def test_written_scripts_equal_their_text(self, monkeypatch, tmp_path, five_node_classes):
-        # A 200-character chunk makes most steps take several writes.
-        monkeypatch.setattr(script_mod, "WRITE_CHUNK_CHARS", 200)
-
-        class Recorder(io.StringIO):
-            def __init__(self):
-                super().__init__()
-                self.sizes = []
-
-            def write(self, s):
-                self.sizes.append(len(s))
-                return super().write(s)
-
+    def test_written_scripts_equal_their_text(self, tmp_path, five_node_classes):
         plan = five_node_plan(five_node_classes)
         scripts = [s.script for s in plan.steps]
         scripts += [CommandScript(), emit_tc_trees({1: 10}, [], 2), GatherScript((), "eth0")]
         assert {type(s).__name__ for s in scripts} == {
             "CommandScript", "GatherScript", "TreeScript",
         }
-        writes = 0
         for script in scripts:
-            out = Recorder()
-            script.write_to(out)
+            out = io.StringIO()
+            out.writelines(script.pieces())
             assert out.getvalue() == script.text()
-            # a chunk closes with the piece that reaches the bound
-            longest = max(map(len, script.pieces()), default=0)
-            assert all(size < 200 + longest for size in out.sizes)
-            writes += len(out.sizes)
-        assert writes > len(plan.steps)
         execute(plan, "dry-run", out_dir=tmp_path)
         for step in plan.steps:
             assert (tmp_path / f"{step.index:02d}-{step.name}.sh").read_text() == step.script.text()
 
-    def test_traced_peak_follows_the_chunk_not_the_step(self, monkeypatch, tmp_path):
-        # 300 nodes: a 2 MB nft step and a 3 MB tc step, written 64 KiB at a time.
-        monkeypatch.setattr(script_mod, "WRITE_CHUNK_CHARS", 1 << 16)
+    def test_traced_peak_follows_the_piece_not_the_step(self, tmp_path):
+        # 300 nodes: a 2 MB nft step and a 3 MB tc step, written piece by piece.
         n = 300
         data = minimal_manifest_dict()
         data["nodes"] = [
@@ -641,6 +622,58 @@ class TestExecuteApply:
         expected = [l.replace("{veth:node001}", "vetha1").replace("{veth:node002}", "vetha2")
                     for l in tc_step.script]
         assert [c.line for c in tc_result.commands] == expected
+
+    @staticmethod
+    def placeholder_text_plan(five_node_classes) -> PhasedPlan:
+        """A plan whose launch and host-script lines hold `{veth:…}` text of
+        their own, besides the FDB and tc placeholders."""
+        data = minimal_manifest_dict()
+        data["nodes"][0]["processes"][0]["args"] = ["--peer", "{veth:node002}"]
+        data["phases"].append(
+            {"name": "show", "action": "run-host-script", "script": ["echo {veth:node001}"]}
+        )
+        data["delay"] = {"matrix_path": "matrix.txt", "quantum_ms": 10}
+        return build_startup_plan(parse_manifest(data), classes=five_node_classes)
+
+    def test_only_fdb_and_tc_lines_differ_from_the_dry_run(self, tmp_path, five_node_classes):
+        plan = self.placeholder_text_plan(five_node_classes)
+        execute(plan, "dry-run", out_dir=tmp_path)
+        written = {
+            step.index: (tmp_path / f"{step.index:02d}-{step.name}.sh").read_text().splitlines()
+            for step in plan.steps
+        }
+        adapter = scripted_gather_adapter()
+        report = execute(plan, "apply", adapter=adapter)
+        assert report.ok, [s.detail for s in report.steps]
+        gathered = {"{veth:node001}": "vetha1", "{veth:node002}": "vetha2"}
+        expected = []
+        for step in plan.steps:
+            lines = written[step.index]
+            if step.kind in ("fdb", "tc"):
+                for token, veth in gathered.items():
+                    lines = [line.replace(token, veth) for line in lines]
+                assert lines != written[step.index]
+                assert not any("{veth:" in line for line in lines)
+            expected += lines
+        assert adapter.calls == expected
+        (launch,) = steps_of_kind(plan, "launch")
+        assert "{veth:node002}" in written[launch.index][0]
+        host = next(s for s in plan.steps if s.name == "host-show")
+        assert written[host.index] == ["echo {veth:node001}"]
+
+    def test_a_token_the_gather_did_not_find_fails_the_fdb_step(self, five_node_classes):
+        plan = self.placeholder_text_plan(five_node_classes)
+        (gather,) = steps_of_kind(plan, "gather")
+        only_first = replace(gather, script=GatherScript(gather.script.nodes[:1], "eth0"))
+        steps = tuple(only_first if s is gather else s for s in plan.steps)
+        adapter = scripted_gather_adapter()
+        report = execute(PhasedPlan(plan.experiment, steps), "apply", adapter=adapter)
+        statuses = {s.kind: s.status for s in report.steps}
+        assert (statuses["gather"], statuses["fdb"], statuses["tc"]) == ("ok", "failed", "skipped")
+        (fdb,) = steps_of_kind(report, "fdb")
+        assert fdb.detail == "no gathered veth for node 'node002'"
+        assert fdb.commands == ()
+        assert not any(call.startswith("bridge fdb") for call in adapter.calls)
 
     @staticmethod
     def four_tree_plan() -> tuple[PhasedPlan, list[str]]:

@@ -4,7 +4,6 @@ import re
 import pytest
 
 from latem import delay_model as dm
-from latem import script as script_mod
 from latem.errors import CapacityError, ConfigError, ParseError
 from latem.nft_planner import emit_nft_script
 from latem.script import CommandScript
@@ -138,15 +137,13 @@ class TestEmitTcTrees:
         script = emit_tc_trees(delays, ["vetha1", "vethb2", "v3"], 3)
         assert len(script) == len(list(script)) == 3 * (1 + 3 + 3 * len(delays) + 2)
 
-    @pytest.mark.parametrize("chunk", [1, 300, 1 << 20])
-    def test_writes_each_interface_tree_as_one_piece(self, five_node_classes, monkeypatch, chunk):
-        monkeypatch.setattr(script_mod, "WRITE_CHUNK_CHARS", chunk)
+    def test_writes_each_interface_tree_as_one_piece(self, five_node_classes):
         veths = ["vetha1", "vethb2", "v3", "{veth:node004}"]
         script = emit_tc_trees(five_node_classes.class_delays(), veths, 3)
         trees = ["".join(head + v + tail + "\n" for head, tail in script.tree) for v in veths]
         assert list(script.pieces()) == trees
         out = io.StringIO()
-        script.write_to(out)
+        out.writelines(script.pieces())
         assert out.getvalue() == script.text() == "".join(trees)
         assert script.text() == "\n".join(script) + "\n"
 
