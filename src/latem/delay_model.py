@@ -12,8 +12,9 @@ A class map holds one address table, `addrs`: the distinct addresses its
 pairs use, in numeric order. A class keeps its pairs as two integer columns
 of positions in it, `lo` and `hi`: at the paper's 3997 nodes, 8M pairs in
 32 MB of `uint16`, checked as arrays. Positions become strings again only
-where text is made: the class-map file, the nft script, `verify_plan` and
-`DelayClass.pairs`, which builds the (lo, hi) tuples on first read.
+where text is made: the class-map file, the nft script, the pairs of a class
+that fails `verify_plan`, and `DelayClass.pairs`, which builds the (lo, hi)
+tuples on first read.
 
 The module also writes the class-map file (`class_map_json`) and sizes the
 queueing tree for a class count (`compute_bands`), so planning a class map

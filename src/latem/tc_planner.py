@@ -17,7 +17,10 @@ verify_plan is an independent oracle: it re-parses emitted firewall and tc
 scripts from text and checks every directed pair of every class: the pair
 must be stamped with its class mark (first matching rule wins), and that
 mark's root-to-leaf filter route must reach the class delay on every
-interface's tree.
+interface's tree. It reads nft elements as positions in the class map's
+address table, keeps one table of the first rule matching each ordered pair
+of table addresses (one byte per pair up to 255 rules: 16 MB at 3997
+addresses), and makes address strings only for a class that fails.
 """
 
 from __future__ import annotations
@@ -25,13 +28,16 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add
-from typing import Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .delay_model import MAX_BANDS, DelayClassMap, gc_paused
 from .errors import CapacityError, ConfigError, ParseError
 from .script import Script
+
+if TYPE_CHECKING:  # numpy is imported by verify_plan, which uses it
+    import numpy as np
 
 FILTER_PRIO_MARKED = 10
 FILTER_PRIO_DEFAULT = 20
@@ -188,55 +194,81 @@ class VerificationReport:
         return not self.mismatches and self.default_path_ok
 
 
-class _NftState:
-    def __init__(self) -> None:
-        self.sets: dict[str, set[str]] = {}  # set name -> elements "src . dst"
-        self.rules: list[tuple[str, int]] = []  # (set name, mark), in order
+def _glued(body: str, items: list[str]) -> bool:
+    """Whether `body`, whose parts at each space are `items`, is parts glued
+    as "p0 . p1, p2 . p3, ..." with no space or comma in any part, so that
+    `items` run p0, ".", "p1,", p2, ".", "p3,", ..., p(2n-1).
 
-    def marked(self) -> dict[int, set[str]]:
-        """Mark -> the elements whose packets that mark stamps.
-
-        The first matching rule wins, so a rule stamps only the elements
-        that no earlier rule matched.
-        """
-        claimed: set[str] = set()
-        marked: dict[int, set[str]] = {}
-        for set_name, mark in self.rules:
-            elements = self.sets[set_name]
-            before = len(claimed)
-            claimed |= elements
-            if len(claimed) - before < len(elements):
-                # some were claimed before; the marked sets are what earlier rules claimed
-                elements = elements.difference(*marked.values())
-            marked[mark] = marked[mark] | elements if mark in marked else elements
-        return marked
+    Then a comma is only in a glue ", ", so splitting the body at ", " gives
+    the elements "p . q"; each has two spaces, both in its glue " . ", so it
+    holds exactly one " . " and splits into p and q. An element line the
+    planner writes is glued so; any other is read element by element.
+    """
+    n, rest = divmod(len(items), 3)
+    # each of the n - 1 items before a ", " ends in a comma, and no other
+    # character of the body is one
+    return (
+        not rest
+        and items[1::3].count(".") == n
+        and body.count(",") == n - 1
+        and (" ".join(items[2:-1:3]) + " ").count(", ") == n - 1
+    )
 
 
-def _parse_nft(script: Script) -> _NftState:
-    state = _NftState()
+def _parse_nft(
+    script: Script, addrs: Sequence[str]
+) -> tuple[dict[str, np.ndarray], list[tuple[str, int]]]:
+    """Each set's elements as an `int64` array of codes `src * m + dst`, where
+    src and dst are positions in `addrs` and m = len(addrs); and the rules
+    as (set name, mark), in order.
+
+    An element passes every check of its line first; one with an address
+    outside `addrs` is then dropped, since no class pair can equal it.
+    """
+    import numpy as np
+
+    m = len(addrs)
+    position = {ip: p for p, ip in enumerate(addrs)}.get
+    comma_position = {ip + ",": p for p, ip in enumerate(addrs)}.get
+    chunks: dict[str, list[np.ndarray]] = {}  # set name -> codes, one array per line
+    rules: list[tuple[str, int]] = []
     for line_no, line in enumerate(script, start=1):
         if _NFT_TABLE.match(line) or _NFT_CHAIN.match(line):
             continue
-        if m := _NFT_SET.match(line):
-            state.sets[m.group(2)] = set()
+        if match := _NFT_SET.match(line):
+            chunks[match.group(2)] = []
             continue
-        if m := _NFT_ELEMENT.match(line):
-            set_name, body = m.group(2), m.group(3)
-            if set_name not in state.sets:
+        if match := _NFT_ELEMENT.match(line):
+            set_name, body = match.group(2), match.group(3)
+            if set_name not in chunks:
                 raise ParseError("element insertion into undeclared set", line_no, line)
-            elements = body.split(", ")
-            # an element is two addresses joined by exactly one " . "
-            if set(map(str.count, elements, repeat(" . "))) != {1}:
-                raise ParseError("malformed set element", line_no, line)
-            state.sets[set_name].update(elements)
+            items = body.split(" ")
+            if _glued(body, items):
+                n = len(items) // 3
+                src = np.fromiter(map(position, items[0::3], repeat(-1)), np.int64, n)
+                dst = np.fromiter(chain(map(comma_position, items[2:-1:3], repeat(-1)),
+                                        [position(items[-1], -1)]), np.int64, n)
+            else:
+                elements = body.split(", ")
+                # an element is two addresses joined by exactly one " . "
+                if set(map(str.count, elements, repeat(" . "))) != {1}:
+                    raise ParseError("malformed set element", line_no, line)
+                parts = [part for element in elements for part in element.split(" . ")]
+                ends = np.fromiter(map(position, parts, repeat(-1)), np.int64, len(parts))
+                src, dst = ends[0::2], ends[1::2]
+            known = (src >= 0) & (dst >= 0)
+            chunks[set_name].append(src[known] * m + dst[known])
             continue
-        if m := _NFT_RULE.match(line):
-            if m.group(3) not in state.sets:
+        if match := _NFT_RULE.match(line):
+            if match.group(3) not in chunks:
                 raise ParseError("rule references undeclared set", line_no, line)
-            state.rules.append((m.group(3), int(m.group(4))))
+            rules.append((match.group(3), int(match.group(4))))
             continue
         raise ParseError("unrecognized firewall command", line_no, line)
-    return state
+    codes = {}
+    for set_name in list(chunks):  # one set's chunks and its codes are held at once
+        codes[set_name] = np.concatenate([np.empty(0, np.int64), *chunks.pop(set_name)])
+    return codes, rules
 
 
 class _TcState:
@@ -342,40 +374,51 @@ def verify_plan(
     by set membership (first matching rule wins), and that mark's walk
     through the root and second-level filters must reach a leaf whose netem
     delay is the class delay, on the tree of every interface the tc script
-    configures. A class passes as a whole when its directed pairs are a
-    subset of the elements its mark stamps and the mark routes to its delay;
-    only a failing class is listed pair by pair, with the route of the
-    first interface that misses. Separately checks that unmarked traffic
-    lands on the no-delay default leaf of every tree.
+    configures. Separately checks that unmarked traffic lands on the
+    no-delay default leaf of every tree.
+
+    Pairs are held as positions in the map's address table: one table of
+    the first rule matching each ordered pair of table addresses, one byte
+    per pair up to 255 rules (16 MB at 3997 addresses), wider past that. A
+    class passes as a whole when that table gives, for both directions of
+    every pair, a rule stamping its mark, and the mark routes to its delay.
+    Only a failing class becomes address strings, listed pair by pair, with
+    the route of the first interface that misses.
     """
-    nft_state = _parse_nft(nft)
-    marked = nft_state.marked()
+    import numpy as np
+
+    codes, rules = _parse_nft(nft, classes.addrs)
     trees = _parse_tc(tc)
+    m = len(classes.addrs)
+    # first[src * m + dst]: 1 + the index of the first rule whose set holds
+    # the pair, or 0 where none does. Filled from the last rule to the first,
+    # so an earlier rule overwrites a later one.
+    first = np.zeros(m * m, np.min_scalar_type(len(rules)))
+    for i in range(len(rules) - 1, -1, -1):
+        first[codes[rules[i][0]]] = i + 1
+    marks: list[int | None] = [None, *(mark for _, mark in rules)]  # by first[...]
     mismatches: list[Mismatch] = []
     pairs_checked = 0
-    mark_of: dict[str, int] | None = None  # element -> mark, for failing classes
 
     for cls in classes:
         # Routing depends on the mark alone, and only packets marked
         # cls.mark are routed here.
         delay, detail = _route(trees, cls.mark, cls.delay_ms)
-        los, his = cls.addresses()
-        pairs_checked += 2 * len(los)
+        lo, hi = cls.lo.astype(np.int64), cls.hi.astype(np.int64)
+        pairs_checked += 2 * len(lo)
+        forth, back = first[lo * m + hi], first[hi * m + lo]
         if delay == cls.delay_ms:
-            got = marked.get(cls.mark, set())
-            if got.issuperset([f"{lo} . {hi}" for lo, hi in zip(los, his)]) and (
-                got.issuperset([f"{hi} . {lo}" for lo, hi in zip(los, his)])
-            ):
+            stamps = np.array([mark == cls.mark for mark in marks])
+            if stamps[forth].all() and stamps[back].all():
                 continue
-        if mark_of is None:
-            mark_of = {e: mark for mark, elements in marked.items() for e in elements}
-        for lo, hi in zip(los, his):
-            for src, dst in ((lo, hi), (hi, lo)):
-                mark = mark_of.get(f"{src} . {dst}")
+        los, his = cls.addresses()
+        for lo_ip, hi_ip, f, b in zip(los, his, forth.tolist(), back.tolist()):
+            for pair, rule in (((lo_ip, hi_ip), f), ((hi_ip, lo_ip), b)):
+                mark = marks[rule]
                 if mark != cls.mark or delay != cls.delay_ms:
                     unmarked = mark != cls.mark
                     mismatches.append(Mismatch(
-                        mark=cls.mark, pair=(src, dst), expected_delay_ms=cls.delay_ms,
+                        mark=cls.mark, pair=pair, expected_delay_ms=cls.delay_ms,
                         actual_delay_ms=None if unmarked else delay,
                         detail=f"marked {mark} instead of {cls.mark}" if unmarked else detail,
                     ))

@@ -1,7 +1,12 @@
 import io
+import itertools
 import re
+import tracemalloc
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from latem import delay_model as dm
 from latem.errors import CapacityError, ConfigError, ParseError
@@ -13,11 +18,18 @@ from latem.tc_planner import (
     emit_tc_script,
     emit_tc_trees,
     TreeScript,
+    _glued,
     leaf_position,
     verify_plan,
 )
 
-from conftest import GOLDENS, mismatched_marks, random_class_map
+from conftest import (
+    FIVE_NODE_ENTRIES,
+    FIVE_NODE_IPS,
+    GOLDENS,
+    mismatched_marks,
+    random_class_map,
+)
 from reference_classes import delay_classes
 from reference_verify import verify_plan_per_pair
 
@@ -262,8 +274,6 @@ class TestVerifyPlan:
         assert exc.value.line_no == 3
 
     def test_kept_zero_class_verifies(self):
-        import numpy as np
-
         q = np.array([[0, 0, 20], [0, 0, 20], [20, 20, 0]], dtype=np.int64)
         policy = dm.QuantizationPolicy(drop_zero_class=False)
         classes = dm.build_classes(q, ["10.0.0.1", "10.0.0.2", "10.0.0.3"], policy)
@@ -272,6 +282,28 @@ class TestVerifyPlan:
         tc = emit_tc_script(classes.class_delays(), "v0", 2)
         assert "netem delay 0ms" in tc.text()
         assert verify_plan(nft, tc, classes).ok
+
+    def test_holds_no_string_per_pair(self):
+        # A set of element strings costs about 200 bytes per directed pair;
+        # the pair codes cost 8 and the first-rule table 1. One element
+        # line's strings and numpy's temporaries set the peak.
+        n = 300
+        upper = np.triu(np.random.default_rng(9).integers(1, 40, size=(n, n)) * 10, k=1)
+        ips = [f"10.4.{i // 250}.{i % 250 + 1}" for i in range(n)]
+        classes = dm.build_classes(upper + upper.T, ips, dm.QuantizationPolicy())
+        nft = emit_nft_script(classes)
+        tc = emit_tc_script(classes.class_delays(), "veth0", compute_bands(len(classes)))
+        assert verify_plan(nft, tc, classes).ok  # first-call allocations stay out of the count
+        directed = n * (n - 1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = verify_plan(nft, tc, classes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.pairs_checked == directed
+        assert (peak - before) / directed < 32
 
     @pytest.mark.parametrize("seed", range(25))
     def test_random_maps_verify_clean(self, seed):
@@ -318,6 +350,38 @@ def _drop_fw_filter(tc: CommandScript, mark: int, level: int) -> CommandScript:
     """Remove mark's root (level 0) or second-level (level 1) fw filter."""
     fw = [i for i, l in enumerate(tc) if f" handle {mark} fw " in l]
     return CommandScript(lines=tuple(l for i, l in enumerate(tc) if i != fw[level]))
+
+
+# Element text from map addresses, one address outside the map (10.0.0.9),
+# "1", "a" and ","; mostly "<part> . <part>", some elements with no or two
+# " . ". Parts that end in " ." or "." and start with ". " or "." are what a
+# fast split can misread.
+_PART = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(["", ". ", "."]),
+    st.sampled_from(["10.0.0.1", "10.0.0.2", "10.0.0.4", "10.0.0.5", "10.0.0.9", "1", "a", ","]),
+    st.sampled_from(["", " .", "."]),
+)
+_ELEMENT = st.tuples(_PART, _PART).map(" . ".join)
+ELEMENT_BODY = st.lists(
+    st.one_of(_ELEMENT, _ELEMENT, st.lists(_PART, min_size=1, max_size=3).map(" . ".join)),
+    min_size=1,
+    max_size=3,
+).map(", ".join)
+
+
+def _five_node_map():
+    policy = dm.QuantizationPolicy()
+    return dm.build_classes(dm.quantize(dm.DelayMatrix(FIVE_NODE_ENTRIES), policy),
+                            FIVE_NODE_IPS, policy)
+
+
+def _outcome(verify, nft, tc, classes):
+    """The report, or the message and line of the ParseError raised."""
+    try:
+        return verify(nft, tc, classes)
+    except ParseError as exc:
+        return str(exc), exc.line_no, exc.line
 
 
 def _scripts(classes):
@@ -417,6 +481,90 @@ class TestVerifyPlanMatchesPerPairReference:
             verify_plan_per_pair(nft, tc, five_node_classes)
         assert str(got.value) == str(want.value)
         assert (got.value.line_no, got.value.line) == (5, bad_line)
+
+    @settings(max_examples=300)  # a misreading fast split shows in about 1 in 100
+    @given(bodies=st.lists(ELEMENT_BODY, min_size=1, max_size=3))
+    # Each element holds one " . ", so both are well formed; they read as
+    # ("10.0.0.1", "10.0.0.2 .") and (". 10.0.0.3", "10.0.0.4"), but joined
+    # by " . " and split again they would give 10.0.0.1, 10.0.0.2, ... and
+    # stamp the class pair (10.0.0.1, 10.0.0.2).
+    @example(bodies=["10.0.0.1 . 10.0.0.2 ., . 10.0.0.3 . 10.0.0.4"])
+    # Joined and split, these give four parts, as two elements should, and
+    # again stamp (10.0.0.1, 10.0.0.2) in place of (10.0.0.4, 10.0.0.5).
+    @example(bodies=["10.0.0.1 . 10.0.0.2 ., 10.0.0.4 . 10.0.0.5"])
+    # The parts, comma and spaces of two glued elements, but the first
+    # element holds two " . " and the second none: malformed.
+    @example(bodies=["10.0.0.1 . 10.0.0.2 . 10.0.0.4, 10.0.0.5"])
+    def test_elements_read_as_the_reference_reads_them(self, bodies):
+        # nodes_1 (mark 1, the first rule) holds only the drawn element text
+        classes = _five_node_map()
+        nft, tc = _scripts(classes)
+        lines = [l for l in nft if not l.startswith("nft add element latem nodes_1 ")]
+        rule = lines.index(
+            "nft add rule latem latem_chain ip saddr . ip daddr @nodes_1 meta mark set 1"
+        )
+        lines[rule:rule] = [f"nft add element latem nodes_1 {{ {body} }}" for body in bodies]
+        nft = CommandScript(lines=tuple(lines))
+        assert _outcome(verify_plan, nft, tc, classes) == _outcome(
+            verify_plan_per_pair, nft, tc, classes
+        )
+
+    def test_glued_text_reads_as_elements_read(self):
+        # Every body of up to 10 characters from "a", ".", " " and ",": where it
+        # reads as glued parts, they are the parts that splitting at ", " and
+        # each element at " . " gives, and each element holds one " . ".
+        glued = 0
+        for size in range(11):
+            for chars in itertools.product("a. ,", repeat=size):
+                body = "".join(chars)
+                items = body.split(" ")
+                if _glued(body, items):
+                    glued += 1
+                    dsts = [item[:-1] for item in items[2:-1:3]] + items[-1:]
+                    elements = body.split(", ")
+                    assert [element.count(" . ") for element in elements] == [1] * len(elements)
+                    assert [e.split(" . ") for e in elements] == list(map(list, zip(items[0::3], dsts)))
+        assert glued > 100
+
+    def test_rule_indices_past_255(self, five_node_classes):
+        # A rule on a set with one class-1 pair, then 300 rules on an empty
+        # set, put the map's own rules at indices 302-304; a later rule on
+        # nodes_1 of another mark loses to them.
+        nft, tc = _scripts(five_node_classes)
+        lo, hi = five_node_classes.classes[0].pairs[0]
+        rule = "nft add rule latem latem_chain ip saddr . ip daddr @{} meta mark set {}"
+        early = (
+            "nft add set latem early { type ipv4_addr . ipv4_addr \\; }",
+            f"nft add element latem early {{ {hi} . {lo} }}",
+            rule.format("early", 9),
+            "nft add set latem none { type ipv4_addr . ipv4_addr \\; }",
+            *[rule.format("none", 7)] * 300,
+        )
+        nft = CommandScript(lines=nft.lines[:2] + early + nft.lines[2:] + (rule.format("nodes_1", 3),))
+        report = verify_plan(nft, tc, five_node_classes)
+        assert report == verify_plan_per_pair(nft, tc, five_node_classes)
+        assert [(m.pair, m.detail) for m in report.mismatches] == [
+            ((hi, lo), "marked 9 instead of 1")
+        ]
+
+    def test_table_address_no_element_uses(self, five_node_classes):
+        # The map adds 10.0.0.6 in a fourth class the nft script lacks.
+        entries = np.zeros((6, 6))
+        entries[:5, :5] = FIVE_NODE_ENTRIES
+        entries[0, 5] = entries[5, 0] = 61
+        policy = dm.QuantizationPolicy()
+        classes = dm.build_classes(
+            dm.quantize(dm.DelayMatrix(entries), policy), [*FIVE_NODE_IPS, "10.0.0.6"], policy
+        )
+        assert classes.addrs[-1] == "10.0.0.6" and len(classes) == 4
+        nft = emit_nft_script(five_node_classes)
+        tc = emit_tc_script(classes.class_delays(), "veth0", compute_bands(len(classes)))
+        report = verify_plan(nft, tc, classes)
+        assert report == verify_plan_per_pair(nft, tc, classes)
+        assert [(m.pair, m.detail) for m in report.mismatches] == [
+            (("10.0.0.1", "10.0.0.6"), "marked None instead of 4"),
+            (("10.0.0.6", "10.0.0.1"), "marked None instead of 4"),
+        ]
 
 
 def _on(dev: str, tc, edit) -> CommandScript:
