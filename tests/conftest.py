@@ -32,11 +32,15 @@ FIVE_NODE_ENTRIES = np.array(
 FIVE_NODE_IPS = ["10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.4", "10.0.0.5"]
 
 
-@pytest.fixture
-def five_node_classes() -> dm.DelayClassMap:
+def five_node_map() -> dm.DelayClassMap:
     policy = dm.QuantizationPolicy()
     quantized = dm.quantize(dm.DelayMatrix(FIVE_NODE_ENTRIES), policy)
     return dm.build_classes(quantized, FIVE_NODE_IPS, policy)
+
+
+@pytest.fixture
+def five_node_classes() -> dm.DelayClassMap:
+    return five_node_map()
 
 
 def steps_of_kind(plan, kind: str) -> tuple:

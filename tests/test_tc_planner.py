@@ -27,6 +27,7 @@ from conftest import (
     FIVE_NODE_ENTRIES,
     FIVE_NODE_IPS,
     GOLDENS,
+    five_node_map,
     mismatched_marks,
     random_class_map,
 )
@@ -370,12 +371,6 @@ ELEMENT_BODY = st.lists(
 ).map(", ".join)
 
 
-def _five_node_map():
-    policy = dm.QuantizationPolicy()
-    return dm.build_classes(dm.quantize(dm.DelayMatrix(FIVE_NODE_ENTRIES), policy),
-                            FIVE_NODE_IPS, policy)
-
-
 def _outcome(verify, nft, tc, classes):
     """The report, or the message and line of the ParseError raised."""
     try:
@@ -497,7 +492,7 @@ class TestVerifyPlanMatchesPerPairReference:
     @example(bodies=["10.0.0.1 . 10.0.0.2 . 10.0.0.4, 10.0.0.5"])
     def test_elements_read_as_the_reference_reads_them(self, bodies):
         # nodes_1 (mark 1, the first rule) holds only the drawn element text
-        classes = _five_node_map()
+        classes = five_node_map()
         nft, tc = _scripts(classes)
         lines = [l for l in nft if not l.startswith("nft add element latem nodes_1 ")]
         rule = lines.index(
