@@ -398,6 +398,27 @@ def compute_bands(class_count: int) -> int:
     return max(2, b)
 
 
+def gathered(table: np.ndarray, *columns: tuple[int, np.ndarray]) -> str:
+    """Text of rows of table positions, by one gather and one join, with no
+    Python code per row.
+
+    `table` is an object array of strings, one row per form of the address
+    table (say, each address with a separator after it). Row k of the text
+    is `table[f, col[k]]` for each `(f, col)` of `columns` in turn, and the
+    rows follow in order. The columns are cast to `intp` before the offset
+    `f * m` is added (m = the table's row length), since `uint16` positions
+    plus an offset past 65,535 would wrap.
+    """
+    import numpy as np
+
+    m = table.shape[1]
+    index = np.empty((len(columns[0][1]), len(columns)), dtype=np.intp)
+    for j, (f, col) in enumerate(columns):
+        index[:, j] = col
+        index[:, j] += f * m
+    return "".join(table.take(index.ravel()).tolist())
+
+
 def class_map_json(classes: DelayClassMap, policy: QuantizationPolicy) -> Iterator[str]:
     """The class map plus the policy's quantum and rounding as JSON text, in pieces.
 
@@ -406,14 +427,18 @@ def class_map_json(classes: DelayClassMap, policy: QuantizationPolicy) -> Iterat
     `classes.to_json_dict()` plus "quantum_ms" and "rounding": one compact
     line. They are a head, one piece per class and a tail, each made when
     it is asked for, so a writer holds one class's text at a time and
-    never the whole map. Each table address is quoted once.
+    never the whole map. Each table address is quoted once, and a class's
+    pairs are one `gathered` read of the quoted table.
     """
-    q = [json.dumps(ip) for ip in classes.addrs].__getitem__
+    import numpy as np
+
+    # '"lo",' and '"hi"],[' per pair; the last '],[' gives way to the list's ']]'.
+    quoted = [json.dumps(ip) for ip in classes.addrs]
+    table = np.array([[q + "," for q in quoted], [q + "],[" for q in quoted]], dtype=object)
     yield '{"classes":['
     sep = ""
     for c in classes:
-        # '"lo","hi"' per pair, joined by '],[' inside the list's '[[' and ']]'.
-        pairs = "],[".join(map(",".join, zip(map(q, c.lo.tolist()), map(q, c.hi.tolist()))))
+        pairs = gathered(table, (0, c.lo), (1, c.hi))[:-3]
         yield (
             f'{sep}{{"delay_ms":{json.dumps(c.delay_ms)},"mark":{json.dumps(c.mark)},'
             f'"pairs":[[{pairs}]]}}'

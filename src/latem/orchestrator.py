@@ -12,6 +12,8 @@ Interface names are only known once containers run, so the FDB and tc
 steps carry `{veth:<node>}` placeholders; apply mode fills them from the
 gathered inventory and sends every other step as it was planned. Dry-run
 mode writes every script to a file, piece by piece, and touches nothing.
+The nft and tc steps are held as what their lines are rendered from (the
+class map, one tree of line templates), so no step's whole text is held.
 """
 
 from __future__ import annotations
@@ -252,12 +254,12 @@ class PhasedPlan:
 _TIMER_REF = re.compile(r"\{timer:([A-Za-z0-9_.-]+)\}")
 
 
-def _render_arg(arg: str, manifest: ExperimentManifest) -> str:
+def _render_arg(arg: str, timers: Mapping[str, str]) -> str:
     def sub(m: re.Match) -> str:
         name = m.group(1)
-        if name not in manifest.timers:
+        if name not in timers:
             raise ValidationError(f"arg references undeclared timer {name!r}")
-        return render_number(manifest.timers[name].value)
+        return timers[name]
 
     return _TIMER_REF.sub(sub, arg)
 
@@ -278,7 +280,7 @@ def _node_overlays(manifest: ExperimentManifest) -> dict[str, dict[str, list[str
 
 def _node_spec_env(
     node: NodeSpec,
-    manifest: ExperimentManifest,
+    timers: Mapping[str, str],  # each manifest timer's rendered value
     overlays: Mapping[str, Mapping[str, list[str]]],
     signal_targets: list[tuple[str, set[str]]],  # (phase, names of nodes it signals)
 ) -> str:
@@ -290,23 +292,21 @@ def _node_spec_env(
         "processes": [
             {
                 "binary": proc.binary,
-                "args": [_render_arg(a, manifest) for a in proc.args],
+                "args": [_render_arg(a, timers) for a in proc.args],
                 "start_phase": proc.start_phase,
             }
             for proc in node.processes
         ],
         "neighbors": {role: list(nbrs) for role, nbrs in sorted(overlays[node.name].items())},
-        "timers": {name: render_number(t.value) for name, t in sorted(manifest.timers.items())},
+        "timers": timers,
     }
     return json.dumps(spec, sort_keys=True, separators=(",", ":"))
 
 
-def _launch_line(node: NodeSpec, manifest: ExperimentManifest, env_json: str) -> str:
+def _launch_line(
+    node: NodeSpec, manifest: ExperimentManifest, sysctls: str, env_json: str
+) -> str:
     mac = mac_for_ip(node.ip)
-    sysctls = "".join(
-        f"--sysctl {shlex.quote(f'{key}={value}')} "
-        for key, value in neigh_settings(manifest.runtime.container_iface)
-    )
     return (
         f"docker run -d --name {node.name} --hostname {node.name} "
         f"--network {manifest.runtime.bridge} --ip {node.ip} --mac-address {mac} "
@@ -346,6 +346,12 @@ def build_startup_plan(
     add(STEP_PREFLIGHT, STEP_PREFLIGHT, preflight)
 
     overlays = _node_overlays(manifest)
+    # Every launch line and node spec shares these.
+    timers = {name: render_number(t.value) for name, t in sorted(manifest.timers.items())}
+    sysctls = "".join(
+        f"--sysctl {shlex.quote(f'{key}={value}')} "
+        for key, value in neigh_settings(manifest.runtime.container_iface)
+    )
     signal_targets = [
         (p.name, {n.name for n in manifest.nodes_for_target(p.target)})
         for p in manifest.phases
@@ -370,7 +376,10 @@ def build_startup_plan(
             offset += size
             lines = tuple(
                 _launch_line(
-                    node, manifest, _node_spec_env(node, manifest, overlays, signal_targets)
+                    node,
+                    manifest,
+                    sysctls,
+                    _node_spec_env(node, timers, overlays, signal_targets),
                 )
                 for node in batch_nodes
             )

@@ -1,3 +1,6 @@
+from itertools import combinations
+
+import numpy as np
 import pytest
 
 from latem import delay_model as dm
@@ -7,6 +10,7 @@ from latem.nft_planner import emit_nft_script
 
 from conftest import GOLDENS
 from reference_classes import delay_classes
+from reference_render import class_map_json_per_pair, nft_lines_per_pair
 
 PAIR = ("10.0.0.1", "10.0.0.2")
 
@@ -18,12 +22,13 @@ def single_class_map(pairs=(PAIR,)):
 def test_single_class_layout():
     # hand expansion of one class: table, chain, set, element, rule
     script = emit_nft_script(single_class_map())
+    lines = tuple(script)
     assert len(script) == 2 + 3 * 1
-    assert script.lines[0] == "nft add table ip latem"
-    assert script.lines[1] == (
+    assert lines[0] == "nft add table ip latem"
+    assert lines[1] == (
         "nft add chain latem latem_chain { type filter hook forward priority 0 \\; }"
     )
-    assert script.lines[2] == "nft add set latem nodes_1 { type ipv4_addr . ipv4_addr \\; }"
+    assert lines[2] == "nft add set latem nodes_1 { type ipv4_addr . ipv4_addr \\; }"
 
 
 def test_element_line_has_both_orders():
@@ -34,7 +39,7 @@ def test_element_line_has_both_orders():
 
 def test_rule_line_references_set_and_mark():
     script = emit_nft_script(single_class_map())
-    assert script.lines[4] == (
+    assert tuple(script)[4] == (
         "nft add rule latem latem_chain ip saddr . ip daddr @nodes_1 meta mark set 1"
     )
 
@@ -121,3 +126,61 @@ def test_directed_pairs_unique_with_reverse_in_same_set(seed):
         seen |= members
         for src, dst in members:
             assert (dst, src) in members
+
+
+# Pair counts on both sides of the 1000-pair element line.
+CHUNK_EDGES = (1, 999, 1000, 1001, 2001)
+
+
+def map_of_sizes(ips, pairs, sizes):
+    """One class per size, taking the index pairs in order."""
+    rows, start = [], 0
+    for mark, size in enumerate(sizes, start=1):
+        rows.append((mark, 10 * mark, [(ips[a], ips[b]) for a, b in pairs[start : start + size]]))
+        start += size
+    return dm.DelayClassMap(classes=delay_classes(*rows))
+
+
+def shuffled_map(table_size, seed):
+    """Every address in one pair, pairs in a shuffled order; the classes
+    past the chunk edges take the rest."""
+    ips = dm.allocate_ips("10.0.0.1", table_size)
+    order = np.random.default_rng(seed).permutation(table_size).tolist()
+    pairs = list(zip(order[0::2], order[1::2]))
+    return map_of_sizes(ips, pairs, (*CHUNK_EDGES, len(pairs) - sum(CHUNK_EDGES)))
+
+
+@pytest.fixture(scope="module", params=["chunk edges", "40000 addresses", "70000 addresses"])
+def reference_case(request):
+    if request.param == "chunk edges":
+        ips = dm.allocate_ips("10.0.0.1", 101)
+        pairs = list(combinations(range(101), 2))  # 5050
+        np.random.default_rng(3).shuffle(pairs)
+        classes = map_of_sizes(ips, pairs, CHUNK_EDGES)
+        assert [len(c.lo) for c in classes] == list(CHUNK_EDGES)
+    elif request.param == "40000 addresses":
+        classes = shuffled_map(40_000, 4)
+        # uint16 positions whose offset by the table size passes 65,535
+        assert classes.classes[0].lo.dtype == np.uint16
+        assert max(int(c.hi.max()) for c in classes) + len(classes.addrs) > 65_535
+    else:
+        classes = shuffled_map(70_000, 5)
+        assert classes.classes[0].lo.dtype == np.uint32
+    return classes
+
+
+class TestMatchesPerPairReference:
+    """The gathered renderers against the per-pair f-strings they replaced."""
+
+    def test_nft_text(self, reference_case):
+        script = emit_nft_script(reference_case)
+        lines = list(script)
+        assert lines == nft_lines_per_pair(reference_case)
+        assert len(script) == sum(1 for _ in script) == len(lines)
+        assert script.text() == script.text() == "".join(line + "\n" for line in lines)
+
+    def test_class_map_text(self, reference_case):
+        policy = dm.QuantizationPolicy()
+        text = "".join(dm.class_map_json(reference_case, policy))
+        assert text == class_map_json_per_pair(reference_case, policy)
+        assert "".join(dm.class_map_json(reference_case, policy)) == text

@@ -494,7 +494,7 @@ class TestExecuteDryRun:
         scripts = [s.script for s in plan.steps]
         scripts += [CommandScript(), emit_tc_trees({1: 10}, [], 2), GatherScript((), "eth0")]
         assert {type(s).__name__ for s in scripts} == {
-            "CommandScript", "GatherScript", "TreeScript",
+            "CommandScript", "GatherScript", "NftScript", "TreeScript",
         }
         for script in scripts:
             out = io.StringIO()
@@ -504,8 +504,10 @@ class TestExecuteDryRun:
         for step in plan.steps:
             assert (tmp_path / f"{step.index:02d}-{step.name}.sh").read_text() == step.script.text()
 
-    def test_traced_peak_follows_the_piece_not_the_step(self, tmp_path):
-        # 300 nodes: a 2 MB nft step and a 3 MB tc step, written piece by piece.
+    @pytest.mark.parametrize("traced", ["execute", "build and execute"])
+    def test_traced_peak_follows_the_piece_not_the_step(self, tmp_path, traced):
+        # 300 nodes: a 2 MB nft step and a 3 MB tc step, written piece by piece;
+        # the plan holds the nft step as its class map, not as its lines.
         n = 300
         data = minimal_manifest_dict()
         data["nodes"] = [
@@ -526,6 +528,8 @@ class TestExecuteDryRun:
         assert nft_chars > 2_000_000
         tracemalloc.start()
         try:
+            if traced == "build and execute":
+                plan = build_startup_plan(manifest, classes=classes)
             execute(plan, "dry-run", out_dir=tmp_path)
             _, peak = tracemalloc.get_traced_memory()
         finally:

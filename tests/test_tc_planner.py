@@ -243,7 +243,7 @@ class TestVerifyPlan:
         tc = emit_tc_script(five_node_classes.class_delays(), "vetha1", 2)
         # A class-2 pair also in the earlier set is marked 1; a class-1 pair
         # also in the later set keeps mark 1.
-        lines = nft.lines + (
+        lines = tuple(nft) + (
             "nft add element latem nodes_1 { 10.0.0.1 . 10.0.0.3 }",
             "nft add element latem nodes_3 { 10.0.0.2 . 10.0.0.1 }",
         )
@@ -269,7 +269,7 @@ class TestVerifyPlan:
 
     def test_unparseable_line_raises_with_number(self, five_node_classes):
         nft = emit_nft_script(five_node_classes)
-        bad = CommandScript(lines=nft.lines[:2] + ("nft flush ruleset",))
+        bad = CommandScript(lines=tuple(nft)[:2] + ("nft flush ruleset",))
         with pytest.raises(ParseError) as exc:
             verify_plan(bad, emit_tc_script({1: 20}, "v", 2), five_node_classes)
         assert exc.value.line_no == 3
@@ -326,7 +326,7 @@ def _swap_rule_marks(nft: CommandScript, a: int, b: int) -> CommandScript:
 
 
 def _drop_first_element(nft: CommandScript, set_name: str) -> CommandScript:
-    lines = list(nft.lines)
+    lines = list(nft)
     i = next(i for i, l in enumerate(lines) if f" {set_name} {{ " in l and "add element" in l)
     head, body = lines[i].split(" { ", 1)
     lines[i] = f"{head} {{ {body.split(', ', 1)[1]}"
@@ -337,7 +337,7 @@ def _copy_pair_into(nft: CommandScript, classes, src_mark: int, dst_mark: int) -
     """Add one directed pair of class src_mark to the set of dst_mark as well."""
     lo, hi = classes.classes[src_mark - 1].pairs[0]
     extra = f"nft add element latem nodes_{dst_mark} {{ {hi} . {lo} }}"
-    return CommandScript(lines=nft.lines + (extra,))
+    return CommandScript(lines=tuple(nft) + (extra,))
 
 
 def _retime(tc: CommandScript, mark: int, classes) -> CommandScript:
@@ -418,7 +418,7 @@ class TestVerifyPlanMatchesPerPairReference:
 
     def test_one_set_under_two_rules(self, five_node_classes):
         nft, tc = _scripts(five_node_classes)
-        lines = nft.lines + (
+        lines = tuple(nft) + (
             "nft add rule latem latem_chain ip saddr . ip daddr @nodes_1 meta mark set 3",
         )
         nft = CommandScript(lines=lines)
@@ -469,7 +469,8 @@ class TestVerifyPlanMatchesPerPairReference:
     )
     def test_same_parse_errors(self, five_node_classes, bad_line):
         nft, tc = _scripts(five_node_classes)
-        nft = CommandScript(lines=nft.lines[:4] + (bad_line,) + nft.lines[4:])
+        lines = tuple(nft)
+        nft = CommandScript(lines=lines[:4] + (bad_line,) + lines[4:])
         with pytest.raises(ParseError) as got:
             verify_plan(nft, tc, five_node_classes)
         with pytest.raises(ParseError) as want:
@@ -535,7 +536,8 @@ class TestVerifyPlanMatchesPerPairReference:
             "nft add set latem none { type ipv4_addr . ipv4_addr \\; }",
             *[rule.format("none", 7)] * 300,
         )
-        nft = CommandScript(lines=nft.lines[:2] + early + nft.lines[2:] + (rule.format("nodes_1", 3),))
+        lines = tuple(nft)
+        nft = CommandScript(lines=lines[:2] + early + lines[2:] + (rule.format("nodes_1", 3),))
         report = verify_plan(nft, tc, five_node_classes)
         assert report == verify_plan_per_pair(nft, tc, five_node_classes)
         assert [(m.pair, m.detail) for m in report.mismatches] == [
