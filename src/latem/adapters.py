@@ -12,12 +12,14 @@ from __future__ import annotations
 import contextlib
 import os
 import re
+import select
 import shlex
 import signal
 import subprocess
+import tempfile
 from dataclasses import dataclass
-from itertools import groupby
-from typing import Protocol, Sequence
+from itertools import chain, groupby
+from typing import Iterable, Protocol, Sequence
 
 
 @dataclass(frozen=True)
@@ -59,9 +61,9 @@ _QUOTED_SPAN = re.compile(r"'[^']*'")
 _DIRECT_TOOLS = {"docker", "bridge", "ip", "sleep"}
 # A tc batch holds one device's lines, so each interface's tree is one batch.
 _TC_DEV = re.compile(r" dev +(\S+)")
-# `communicate` waits in poll(), which takes a C int of milliseconds and
-# raises OverflowError past 2**31 - 1 ms (about 24.8 days), so every wait is
-# capped here: at 600 s per line a batch of 3,580 lines would pass it.
+# Every wait is capped here, at 24 days: at 600 s per line a batch of 3,580
+# lines reaches it. select() itself would wait up to about 292 years (CPython
+# holds its timeout as int64 nanoseconds), so this cap is the limit.
 MAX_TIMEOUT_S = 24 * 86_400
 
 
@@ -83,25 +85,46 @@ def _shell_form(line: str) -> str:
     return f"(eval {shlex.quote(line)})"
 
 
-def _spawn(argv: Sequence[str], stdin: str | None, timeout_s: float) -> CommandResult:
-    """Run argv in its own process group; on timeout or interrupt kill the
-    whole group (the tool and anything it started) and re-raise. The wait is
-    capped at MAX_TIMEOUT_S."""
-    with subprocess.Popen(
-        argv,
-        stdin=subprocess.DEVNULL if stdin is None else subprocess.PIPE,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-        start_new_session=True,
-    ) as proc:
+def _spawn(argv: Sequence[str], stdin: Iterable[str] | None, timeout_s: float) -> CommandResult:
+    """Run argv in its own process group and wait for it to exit.
+
+    stdin is written piece by piece to a temporary file (None: /dev/null);
+    stdout and stderr go to temporary files, read once the process exits
+    and decoded as `text=True` decodes a pipe: locale encoding, universal
+    newlines. No pipe joins latem to the tool, so children the tool leaves
+    behind do not hold up the wait. On timeout or interrupt the whole group
+    (the tool and anything it started) is killed and reaped, and the
+    exception propagates. The wait is capped at MAX_TIMEOUT_S.
+    """
+    timeout_s = min(timeout_s, MAX_TIMEOUT_S)
+    with contextlib.ExitStack() as files:
+        source = subprocess.DEVNULL
+        if stdin is not None:
+            source = files.enter_context(tempfile.TemporaryFile("w+"))
+            source.writelines(stdin)
+            source.seek(0)
+        out = files.enter_context(tempfile.TemporaryFile("w+"))
+        err = files.enter_context(tempfile.TemporaryFile("w+"))
+        proc = subprocess.Popen(argv, stdin=source, stdout=out, stderr=err,
+                                start_new_session=True)
         try:
-            out, err = proc.communicate(stdin, timeout=min(timeout_s, MAX_TIMEOUT_S))
+            # One wake-up when the process exits (pidfd_open: Linux 5.3).
+            pidfd = os.pidfd_open(proc.pid)
+            try:
+                exited = select.select([pidfd], [], [], timeout_s)[0]
+            finally:
+                os.close(pidfd)
+            if not exited:
+                raise subprocess.TimeoutExpired(argv, timeout_s)
         except BaseException:
             with contextlib.suppress(ProcessLookupError):
                 os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
             raise
-    return CommandResult(proc.returncode, out, err)
+        proc.wait()
+        out.seek(0)
+        err.seek(0)
+        return CommandResult(proc.returncode, out.read(), err.read())
 
 
 class ShellAdapter:
@@ -119,9 +142,12 @@ class ShellAdapter:
     any other line runs in its own subshell. A batch tool's stdout and
     stderr go with the last line it ran.
 
+    A batch ends when its process exits: a background job that a line
+    leaves running does not hold up the step, and keeps running after it.
+
     `timeout_s` bounds one line; a batch gets `timeout_s` per line, up to
-    MAX_TIMEOUT_S. On expiry the process group is killed and
-    `subprocess.TimeoutExpired` propagates.
+    MAX_TIMEOUT_S. On expiry the process group is killed, background jobs
+    included, and `subprocess.TimeoutExpired` propagates.
     """
 
     def __init__(self, timeout_s: float = 600.0):
@@ -148,9 +174,9 @@ class ShellAdapter:
 
     def _tool_batch(self, tool: str, lines: list[str]) -> list[CommandResult]:
         argv, failed_line = _BATCH_TOOLS[tool]
-        text = "".join(line.partition(" ")[2].replace("\\;", ";") + "\n" for line in lines)
+        batch = (line.partition(" ")[2].replace("\\;", ";") + "\n" for line in lines)
         try:
-            result = _spawn(argv, text, self.timeout_s * len(lines))
+            result = _spawn(argv, batch, self.timeout_s * len(lines))
         except FileNotFoundError as exc:
             return [CommandResult(127, "", f"{tool}: {exc.strerror}")]
         if result.ok:
@@ -165,10 +191,11 @@ class ShellAdapter:
         # After each line, a marker on both streams splits the output and
         # carries the line's exit status; a failing line ends the script.
         marker = f"latem-{os.urandom(8).hex()}"
-        script = (
-            f"latem_mark() {{ s=$?; printf '\\n%s\\n' {marker}; "
-            f"printf '\\n%s %d\\n' {marker} $s >&2; [ $s -eq 0 ] || exit $s; }}\n"
-        ) + "".join(f"{_shell_form(line)} </dev/null; latem_mark\n" for line in lines)
+        script = chain(
+            [f"latem_mark() {{ s=$?; printf '\\n%s\\n' {marker}; "
+             f"printf '\\n%s %d\\n' {marker} $s >&2; [ $s -eq 0 ] || exit $s; }}\n"],
+            (f"{_shell_form(line)} </dev/null; latem_mark\n" for line in lines),
+        )
         result = _spawn(["/bin/sh", "-s"], script, self.timeout_s * len(lines))
         outs = result.stdout.split(f"\n{marker}\n")
         errs = re.split(rf"\n{marker} (\d+)\n", result.stderr)

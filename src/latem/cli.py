@@ -265,7 +265,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         report = orchestrator.execute(plan, "dry-run", out_dir=args.out)
     for step in report.steps:
-        print(f"{step.status:8s} {step.name}" + (f" ({step.detail})" if step.detail else ""))
+        wall = f"{step.wall_s:7.3f}s " if args.apply else ""
+        print(f"{step.status:8s} {wall}{step.name}" + (f" ({step.detail})" if step.detail else ""))
         failing = next((c for c in step.commands if c.exit_code != 0), None)
         if failing is not None:
             line = failing.line if len(failing.line) <= 160 else failing.line[:157] + "..."

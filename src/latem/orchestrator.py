@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import re
 import shlex
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -466,6 +467,7 @@ class StepResult:
     status: str  # written | ok | failed | skipped
     commands: tuple[CommandOutcome, ...] = ()
     detail: str = ""
+    wall_s: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -519,6 +521,9 @@ def execute(
     command, which is reported with its exit code, stdout and stderr. A
     timeout or an unresolvable placeholder fails the step with a detail.
     Steps after a failed one are reported as skipped.
+
+    In both modes each step's `wall_s` is its time by `perf_counter`; a
+    skipped step's is 0.
     """
     if mode not in ("dry-run", "apply"):
         raise ConfigError(f"mode must be 'dry-run' or 'apply', got {mode!r}")
@@ -530,12 +535,13 @@ def execute(
         root.mkdir(parents=True, exist_ok=True)
         results = []
         for step in plan.steps:
+            start = time.perf_counter()
             path = root / f"{step.index:02d}-{step.name}.sh"
             with path.open("w") as out:
                 out.writelines(step.script.pieces())
             results.append(
                 StepResult(name=step.name, kind=step.kind, status="written",
-                           detail=str(path))
+                           detail=str(path), wall_s=time.perf_counter() - start)
             )
         return ExecutionReport(mode=mode, steps=tuple(results), out_dir=str(root))
 
@@ -551,6 +557,7 @@ def execute(
         if failed:
             results.append(StepResult(name=step.name, kind=step.kind, status="skipped"))
             continue
+        start = time.perf_counter()
         try:
             if step.kind == STEP_GATHER:
                 inventory = gather_interfaces(
@@ -559,7 +566,8 @@ def execute(
                 veths.update(inventory.veth_of())
                 results.append(
                     StepResult(name=step.name, kind=step.kind, status="ok",
-                               detail="; ".join(inventory.warnings))
+                               detail="; ".join(inventory.warnings),
+                               wall_s=time.perf_counter() - start)
                 )
                 continue
             lines = list(step.script)
@@ -570,12 +578,13 @@ def execute(
             failed = True
             results.append(
                 StepResult(name=step.name, kind=step.kind, status="failed",
-                           detail=str(exc))
+                           detail=str(exc), wall_s=time.perf_counter() - start)
             )
             continue
         failed = any(o.exit_code != 0 for o in outcomes)
         results.append(
             StepResult(name=step.name, kind=step.kind,
-                       status="failed" if failed else "ok", commands=tuple(outcomes))
+                       status="failed" if failed else "ok", commands=tuple(outcomes),
+                       wall_s=time.perf_counter() - start)
         )
     return ExecutionReport(mode=mode, steps=tuple(results), inventory=inventory)

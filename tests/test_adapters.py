@@ -12,12 +12,15 @@ stdin to stdout.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import re
 import shlex
+import signal
 from collections import Counter
 import subprocess
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -72,14 +75,19 @@ echo "$tool did $*"
 """
 
 
-@pytest.fixture
-def stubs(tmp_path, monkeypatch) -> Path:
+def put_on_path(tmp_path, monkeypatch, script: str, tools) -> None:
+    """Install `script` as each of `tools` in a directory first on PATH."""
     bin_dir = tmp_path / "bin"
     bin_dir.mkdir()
-    for tool in ("docker", "tc", "nft", "ip", "bridge", "sleep"):
-        (bin_dir / tool).write_text(STUB)
+    for tool in tools:
+        (bin_dir / tool).write_text(script)
         (bin_dir / tool).chmod(0o755)
     monkeypatch.setenv("PATH", f"{bin_dir}:{os.environ['PATH']}")
+
+
+@pytest.fixture
+def stubs(tmp_path, monkeypatch) -> Path:
+    put_on_path(tmp_path, monkeypatch, STUB, ("docker", "tc", "nft", "ip", "bridge", "sleep"))
     monkeypatch.setenv("STUB_DIR", str(tmp_path))
     return tmp_path
 
@@ -387,6 +395,20 @@ def test_timeout_kills_the_process_group(tmp_path):
     assert dead()
 
 
+def test_each_step_records_its_wall_time():
+    plan = PhasedPlan("x", (
+        step(0, "host-script", ["sleep 0.2"]),
+        step(1, "host-script", ["false"]),
+        step(2, "host-script", ["true"]),
+    ))
+    report = execute(plan, "apply", adapter=ShellAdapter())
+    slept, failed, skipped = report.steps
+    assert [s.status for s in report.steps] == ["ok", "failed", "skipped"]
+    assert slept.wall_s >= 0.2
+    assert 0 < failed.wall_s < slept.wall_s
+    assert skipped.wall_s == 0
+
+
 def test_execute_turns_a_timeout_into_a_failed_step():
     plan = PhasedPlan("x", (
         step(0, "host-script", ["true"]),
@@ -396,6 +418,66 @@ def test_execute_turns_a_timeout_into_a_failed_step():
     report = execute(plan, "apply", adapter=ShellAdapter(timeout_s=0.3))
     assert [s.status for s in report.steps] == ["ok", "failed", "skipped"]
     assert "timed out after 0.3 seconds" in report.steps[1].detail
+
+
+def test_a_background_job_does_not_hold_its_step(tmp_path):
+    # The step ends when its shell exits, not when the job's copies of
+    # stdout and stderr close.
+    pidfile = tmp_path / "pid"
+    start = time.monotonic()
+    try:
+        results = ShellAdapter(timeout_s=2).run_batch([f"sleep 30 & echo $! > {pidfile}"])
+        assert [r.exit_code for r in results] == [0]
+        assert time.monotonic() - start < 2
+    finally:
+        with contextlib.suppress(FileNotFoundError, ProcessLookupError):
+            os.kill(int(pidfile.read_text()), signal.SIGKILL)
+
+
+def test_no_wait_sleeps(tmp_path, monkeypatch):
+    # Each spawn is one wait on its pidfd. These stubs close their output
+    # and linger: a wait that polls waitpid once the pipes close sleeps then.
+    put_on_path(tmp_path, monkeypatch,
+                f"#!/bin/sh\ncat > /dev/null\necho $0 >> {tmp_path}/spawns\n"
+                "exec >&- 2>&-\nexec sleep 0.01\n", ("tc", "docker"))
+    lines = [f"tc qdisc add dev v{i // 4} root handle 1: prio bands 2" if i % 4 < 2
+             else f"docker run n{i}" for i in range(20)]
+    sleeps = []
+    monkeypatch.setattr(time, "sleep", sleeps.append)
+    results = ShellAdapter().run_batch(lines)
+    assert [r.exit_code for r in results] == [0] * 20
+    assert len(logged(tmp_path, "spawns")) == 5 + 10
+    assert sleeps == []
+
+
+def test_tool_stdin_is_streamed(tmp_path, monkeypatch):
+    put_on_path(tmp_path, monkeypatch, f"#!/bin/sh\nwc -c > {tmp_path}/bytes\n", ("tc",))
+    pad = "a" * 250
+    lines = [f"tc qdisc add dev v0 parent 1:{i} handle {i}: netem {pad}" for i in range(100_000)]
+    text_bytes = sum(len(line) + 1 for line in lines)
+    tracemalloc.start()
+    try:
+        results = ShellAdapter().run_batch(lines)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(results) == len(lines) and all(r.ok for r in results)
+    assert int((tmp_path / "bytes").read_text()) == text_bytes - 3 * len(lines)
+    assert peak < text_bytes / 4
+
+
+# Prints CRLF and CR line ends and non-ASCII UTF-8 on stdout and stderr.
+_PRINTS = r"printf 'caf\303\251\r\nx\ry\r\n'; printf '\303\251rr\r\n' >&2"
+
+
+def test_output_is_decoded_as_text_mode_decodes_a_pipe(tmp_path, monkeypatch):
+    put_on_path(tmp_path, monkeypatch, f"#!/bin/sh\ncat > /dev/null\n{_PRINTS}\n", ("tc",))
+    (shell,) = ShellAdapter().run_batch([_PRINTS])
+    (tool,) = ShellAdapter().run_batch(["tc qdisc show"])
+    for result, argv in ((shell, ["/bin/sh", "-c", _PRINTS]), (tool, ["tc", "-batch", "-"])):
+        piped = subprocess.run(argv, input="", capture_output=True, text=True)
+        assert "\r" not in piped.stdout + piped.stderr
+        assert result == adapters.CommandResult(0, piped.stdout, piped.stderr)
 
 
 def test_gather_runs_in_one_spawn(stubs, monkeypatch):
@@ -452,7 +534,7 @@ def test_a_batch_line_splits_into_the_words_the_shell_would_pass(tool, rests):
 
     def spawn(argv, stdin, timeout_s):
         assert argv == adapters._BATCH_TOOLS[tool][0]
-        sent.extend(stdin.splitlines())
+        sent.extend("".join(stdin).splitlines())
         return adapters.CommandResult(0)
 
     with mock.patch.object(adapters, "_spawn", spawn):

@@ -523,7 +523,7 @@ def test_run_entry_that_is_not_an_object_is_one_error_line(tmp_path, capsys, dat
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_run_dry_run_tree(tmp_path, matrix_file):
+def test_run_dry_run_tree(tmp_path, matrix_file, capsys):
     data = minimal_manifest_dict()
     data["delay"] = {"matrix_path": str(matrix_file), "quantum_ms": 10}
     path = write_manifest(tmp_path, data)
@@ -534,6 +534,10 @@ def test_run_dry_run_tree(tmp_path, matrix_file):
     assert any(n.endswith("-nft.sh") for n in names)
     assert any(n.endswith("-tc.sh") for n in names)
     assert any("launch" in n for n in names)
+    # A dry run prints no step times: one line per step, its file in brackets.
+    assert capsys.readouterr().out == "".join(
+        f"written  {n[3:-3]} ({out_dir / n})\n" for n in names
+    )
 
 
 @pytest.mark.parametrize("n", [1024, 1025])
@@ -562,10 +566,10 @@ def test_run_apply_prints_the_failing_line_and_stderr(tmp_path, monkeypatch, cap
     rc = main(["run", "--manifest", str(path), "--apply"])
     assert rc == 1
     out = capsys.readouterr().out.splitlines()
-    assert out[0] == "failed   preflight"
+    assert re.fullmatch(r"failed    +\d+\.\d{3}s preflight", out[0])
     assert out[1].startswith("         exit 2: awk '/^Max processes / ")
     assert out[2] == "         | scripted failure for 'Max processes'"
-    assert all(line.startswith("skipped") for line in out[3:])
+    assert all(line.startswith("skipped    0.000s ") for line in out[3:])
 
 
 def test_run_dry_run_with_inflation(tmp_path):

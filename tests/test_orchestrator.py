@@ -477,6 +477,7 @@ class TestExecuteDryRun:
         files = sorted(p.name for p in (tmp_path / "out").iterdir())
         assert len(files) == len(plan.steps)
         assert files[0].startswith("00-preflight")
+        assert all(s.wall_s > 0 for s in report.steps)
 
     def test_byte_identical_across_runs(self, tmp_path, five_node_classes):
         _, manifest = manifest_with_delay(tmp_path)
