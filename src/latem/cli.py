@@ -27,7 +27,6 @@ from .errors import LatemError
 if TYPE_CHECKING:
     from collections.abc import Iterable
 
-    from .delay_model import DelayClassMap
     from .manifest import ExperimentManifest
 
 
@@ -52,18 +51,6 @@ def _warn_bridge_capacity(port_count: int) -> None:
     diag = check_bridge_capacity(port_count)
     if not diag.ok:
         print(f"warning: {diag.message}", file=sys.stderr)
-
-
-def _load_classes(path: str) -> DelayClassMap:
-    from .delay_model import DelayClassMap, gc_paused
-
-    # One pause covers the parse and the reshaping, and the parsed JSON is
-    # dropped inside it, so no collection ever scans its pair lists.
-    with gc_paused():
-        data = json.loads(Path(path).read_text())
-        classes = DelayClassMap.from_json_dict(data)
-        del data
-    return classes
 
 
 def _cmd_preflight(args: argparse.Namespace) -> int:
@@ -145,17 +132,18 @@ def _cmd_plan_delays(args: argparse.Namespace) -> int:
 
 
 def _cmd_emit_nft(args: argparse.Namespace) -> int:
+    from .delay_model import load_class_map
     from .nft_planner import emit_nft_script
 
-    _write_or_print(emit_nft_script(_load_classes(args.classes)).pieces(), args.out)
+    _write_or_print(emit_nft_script(load_class_map(args.classes)).pieces(), args.out)
     return 0
 
 
 def _cmd_emit_tc(args: argparse.Namespace) -> int:
-    from .delay_model import compute_bands
+    from .delay_model import compute_bands, load_class_map
     from .tc_planner import emit_tc_script
 
-    classes = _load_classes(args.classes)
+    classes = load_class_map(args.classes)
     script = emit_tc_script(classes.class_delays(), args.veth, compute_bands(len(classes)))
     _write_or_print(script.pieces(), args.out)
     return 0

@@ -16,9 +16,10 @@ where text is made: the class-map file, the nft script, the pairs of a class
 that fails `verify_plan`, and `DelayClass.pairs`, which builds the (lo, hi)
 tuples on first read.
 
-The module also writes the class-map file (`class_map_json`) and sizes the
-queueing tree for a class count (`compute_bands`), so planning a class map
-from a matrix loads no other latem module.
+The module also writes and reads the class-map file (`class_map_json`,
+`load_class_map`) and sizes the queueing tree for a class count
+(`compute_bands`), so planning a class map from a matrix loads no other
+latem module.
 
 All operations are pure; matrices and class maps are immutable after
 construction and safe to share across threads.
@@ -448,6 +449,17 @@ def class_map_json(classes: DelayClassMap, policy: QuantizationPolicy) -> Iterat
         f'],"quantum_ms":{json.dumps(policy.quantum_ms)},'
         f'"rounding":{json.dumps(policy.rounding)}}}\n'
     )
+
+
+def load_class_map(path: str | Path) -> DelayClassMap:
+    """Read a class-map file, as `class_map_json` writes it."""
+    # One pause covers the parse and the reshaping, and the parsed JSON is
+    # dropped inside it, so no collection ever scans its pair lists.
+    with gc_paused():
+        data = json.loads(Path(path).read_text())
+        classes = DelayClassMap.from_json_dict(data)
+        del data
+    return classes
 
 
 # np.loadtxt reports a bad cell by 0-based data row and a ragged row 1-based.

@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 from . import sys_preflight
 from .delay_model import DelayClassMap, compute_bands
@@ -136,20 +136,11 @@ def plan_batches(
 
 
 @dataclass(frozen=True)
-class InterfaceRecord:
-    node: str
-    veth: str
-    mac: str
-    ip: str
-
-
-@dataclass(frozen=True)
 class InterfaceInventory:
-    records: tuple[InterfaceRecord, ...]
-    warnings: tuple[str, ...] = ()
+    """Each node's host-side veth, in gather order, and the gather's warnings."""
 
-    def veth_of(self) -> dict[str, str]:
-        return {r.node: r.veth for r in self.records}
+    veths: dict[str, str]
+    warnings: tuple[str, ...] = ()
 
 
 _IP_LINK_LINE = re.compile(r"^(\d+):\s+([^:@\s]+)")
@@ -182,23 +173,20 @@ class GatherScript(Script):
             yield _HOST_LINKS_QUERY
 
 
-def gather_interfaces(
-    adapter: RuntimeAdapter,
-    nodes: Sequence[tuple[str, str]],
-    container_iface: str = "eth0",
-) -> InterfaceInventory:
-    """Discover each container's host-side veth, MAC, and IP.
+def gather_interfaces(adapter: RuntimeAdapter, script: GatherScript) -> InterfaceInventory:
+    """Run the gather step's script and map each node to its host-side veth.
 
     The container's interface reports the peer ifindex (`iflink`), which maps
     to the host-side veth name via one `ip -o link show` listing. The
-    `GatherScript` lines go through `adapter.run_batch` in order. A failed MAC
+    script's lines go through `adapter.run_batch` in order. A failed MAC
     read only warns, so the next batch resumes at the line after it; any other
     failed query ends the gather. Each MAC is expected to be `mac_for_ip` of
     the node's address, the one its launch line sets with `--mac-address`.
     """
+    nodes = script.nodes
     if not nodes:
-        return InterfaceInventory(records=(), warnings=("no nodes to inventory",))
-    lines = list(GatherScript(tuple(nodes), container_iface))
+        return InterfaceInventory(veths={}, warnings=("no nodes to inventory",))
+    lines = list(script)
     results: list[CommandResult] = []
     while len(results) < len(lines):
         results += adapter.run_batch(lines[len(results):])
@@ -214,25 +202,24 @@ def gather_interfaces(
         if m := _IP_LINK_LINE.match(line.strip()):
             host_links[int(m.group(1))] = m.group(2)
 
-    records = []
+    veths = {}
     warnings = []
     for (name, ip), iflink, mac_out in zip(nodes, results[0::2], results[1::2]):
         if not iflink.stdout.strip().isdigit():
             raise InventoryError(f"node {name!r}: cannot read peer ifindex")
         peer = int(iflink.stdout.strip())
-        veth = host_links.get(peer)
-        if veth is None:
+        if peer not in host_links:
             raise InventoryError(
                 f"node {name!r}: no host link with ifindex {peer} (stale inventory?)"
             )
+        veths[name] = host_links[peer]
         mac = mac_out.stdout.strip().lower() if mac_out.ok else ""
         expected = mac_for_ip(ip)
         if mac != expected:
             warnings.append(
                 f"node {name!r}: MAC {mac or '?'} does not match pattern-derived {expected}"
             )
-        records.append(InterfaceRecord(node=name, veth=veth, mac=mac, ip=ip))
-    return InterfaceInventory(records=tuple(records), warnings=tuple(warnings))
+    return InterfaceInventory(veths=veths, warnings=tuple(warnings))
 
 
 # --- plan construction -------------------------------------------------------
@@ -240,7 +227,6 @@ def gather_interfaces(
 
 @dataclass(frozen=True)
 class PlanStep:
-    index: int
     name: str
     kind: str
     script: Script
@@ -340,7 +326,7 @@ def build_startup_plan(
     steps: list[PlanStep] = []
 
     def add(name: str, kind: str, script: Script) -> None:
-        steps.append(PlanStep(index=len(steps), name=name, kind=kind, script=script))
+        steps.append(PlanStep(name=name, kind=kind, script=script))
 
     plan = sys_preflight.recommend(max(len(manifest.nodes), 1))
     preflight = CommandScript(lines=sys_preflight.emit_audit_commands(plan))
@@ -472,9 +458,7 @@ class StepResult:
 
 @dataclass(frozen=True)
 class ExecutionReport:
-    mode: str
     steps: tuple[StepResult, ...]
-    out_dir: str | None = None
     inventory: InterfaceInventory | None = None
 
     @property
@@ -483,6 +467,7 @@ class ExecutionReport:
 
 
 _VETH_TOKEN = re.compile(r"\{veth:([^{}]+)\}")
+_STEP_FILE = re.compile(r"\d+-.+\.sh")
 
 
 def _substitute(line: str, veths: Mapping[str, str]) -> str:
@@ -495,12 +480,6 @@ def _substitute(line: str, veths: Mapping[str, str]) -> str:
     return _VETH_TOKEN.sub(sub, line)
 
 
-def _outcomes(lines: Sequence[str], results: Sequence[CommandResult]) -> list[CommandOutcome]:
-    return [
-        CommandOutcome(line, r.exit_code, r.stdout, r.stderr) for line, r in zip(lines, results)
-    ]
-
-
 def execute(
     plan: PhasedPlan,
     mode: str,
@@ -509,14 +488,17 @@ def execute(
 ) -> ExecutionReport:
     """Run a plan in dry-run or apply mode.
 
-    Dry-run writes each step's script to `<index>-<name>.sh` under out_dir
-    and performs no other action; output is byte-deterministic. Each script
-    goes to its file as its pieces, never joined whole.
+    Dry-run writes step i's script to `<i:02d>-<name>.sh` under out_dir and
+    performs no other action; output is byte-deterministic. Each script goes
+    to its file as its pieces, never joined whole. A directory holding a
+    step file (`<digits>-<name>.sh`) this plan does not write is refused
+    before anything is written; the same plan may be written over its own.
 
     Apply runs steps in order, each through the adapter's `run_batch`. The
-    gather step's results fill the `{veth:<node>}` placeholders of the FDB
-    and tc steps, the only ones that hold them; every other step's lines
-    reach the adapter exactly as its dry-run file holds them. A failed MAC
+    gather step's inventory (`gather_interfaces`, kept in the report) fills
+    the `{veth:<node>}` placeholders of the FDB and tc steps, the only ones
+    that hold them; every other step's lines reach the adapter exactly as
+    its dry-run file holds them. A failed MAC
     read in the gather only warns. Any other step stops at its first failing
     command, which is reported with its exit code, stdout and stderr. A
     timeout or an unresolvable placeholder fails the step with a detail.
@@ -532,18 +514,27 @@ def execute(
         if out_dir is None:
             raise ConfigError("dry-run needs an output directory")
         root = Path(out_dir)
+        names = [f"{i:02d}-{step.name}.sh" for i, step in enumerate(plan.steps)]
+        if root.is_dir():
+            stale = min((p.name for p in root.iterdir()
+                         if _STEP_FILE.fullmatch(p.name) and p.name not in names), default=None)
+            if stale is not None:
+                raise ConfigError(
+                    f"{root} holds {stale}, a step file this plan does not write; "
+                    "use a new directory"
+                )
         root.mkdir(parents=True, exist_ok=True)
         results = []
-        for step in plan.steps:
+        for step, name in zip(plan.steps, names):
             start = time.perf_counter()
-            path = root / f"{step.index:02d}-{step.name}.sh"
+            path = root / name
             with path.open("w") as out:
                 out.writelines(step.script.pieces())
             results.append(
                 StepResult(name=step.name, kind=step.kind, status="written",
                            detail=str(path), wall_s=time.perf_counter() - start)
             )
-        return ExecutionReport(mode=mode, steps=tuple(results), out_dir=str(root))
+        return ExecutionReport(steps=tuple(results))
 
     if adapter is None:
         raise ConfigError("apply mode needs a runtime adapter")
@@ -560,10 +551,8 @@ def execute(
         start = time.perf_counter()
         try:
             if step.kind == STEP_GATHER:
-                inventory = gather_interfaces(
-                    adapter, step.script.nodes, step.script.container_iface
-                )
-                veths.update(inventory.veth_of())
+                inventory = gather_interfaces(adapter, step.script)
+                veths.update(inventory.veths)
                 results.append(
                     StepResult(name=step.name, kind=step.kind, status="ok",
                                detail="; ".join(inventory.warnings),
@@ -573,7 +562,10 @@ def execute(
             lines = list(step.script)
             if step.kind in (STEP_FDB, STEP_TC):
                 lines = [_substitute(line, veths) for line in lines]
-            outcomes = _outcomes(lines, adapter.run_batch(lines))
+            outcomes = [
+                CommandOutcome(line, r.exit_code, r.stdout, r.stderr)
+                for line, r in zip(lines, adapter.run_batch(lines))
+            ]
         except (InventoryError, subprocess.TimeoutExpired) as exc:
             failed = True
             results.append(
@@ -587,4 +579,4 @@ def execute(
                        status="failed" if failed else "ok", commands=tuple(outcomes),
                        wall_s=time.perf_counter() - start)
         )
-    return ExecutionReport(mode=mode, steps=tuple(results), inventory=inventory)
+    return ExecutionReport(steps=tuple(results), inventory=inventory)

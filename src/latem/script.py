@@ -19,7 +19,7 @@ class Script:
     their newlines: one line per piece here, larger pieces where a subclass
     renders several lines at once. A writer passes the pieces to
     `writelines` as they are made, so no script's whole text is held at once
-    (the nft step alone can pass 400 MB); `text()` joins them.
+    (the nft step alone can pass 400 MB).
     """
 
     def __len__(self) -> int:
@@ -31,10 +31,6 @@ class Script:
     def pieces(self) -> Iterator[str]:
         """The text in order, in pieces that each end in a newline."""
         return map(add, self, repeat("\n"))
-
-    def text(self) -> str:
-        """Render as POSIX shell text, one command per line."""
-        return "".join(self.pieces())
 
 
 @dataclass(frozen=True)

@@ -48,6 +48,11 @@ def steps_of_kind(plan, kind: str) -> tuple:
     return tuple(s for s in plan.steps if s.kind == kind)
 
 
+def text_of(script) -> str:
+    """A script's whole text, its pieces joined."""
+    return "".join(script.pieces())
+
+
 def mismatched_marks(report) -> set[int]:
     """The marks of a verification report's mismatches."""
     return {m.mark for m in report.mismatches if m.mark is not None}

@@ -50,6 +50,7 @@ from conftest import (
     mismatched_marks,
     random_class_map,
     required_values,
+    text_of,
 )
 from fake_adapters import RecordingAdapter, ScriptedAdapter
 
@@ -124,14 +125,15 @@ def test_criterion_04_golden_scripts(five_node_classes):
         nft = emit_nft_script(five_node_classes)
         tc = emit_tc_script(five_node_classes.class_delays(), "vetha1", b)
         fdb = emit_fdb_script([(f"10.0.0.{i}", f"vetha{i}") for i in range(1, 6)])
-        assert nft.text() == (GOLDENS / "nft_5node3class.txt").read_text()
-        assert tc.text() == (GOLDENS / "tc_5node3class.txt").read_text()
-        assert fdb.text() == (GOLDENS / "fdb_5node.txt").read_text()
+        assert text_of(nft) == (GOLDENS / "nft_5node3class.txt").read_text()
+        assert text_of(tc) == (GOLDENS / "tc_5node3class.txt").read_text()
+        assert text_of(fdb) == (GOLDENS / "fdb_5node.txt").read_text()
         assert len(nft) == 2 + 3 * k
         assert len(tc) == 1 + b + 3 * k + 2
         # byte-identical across repeated emission
-        assert emit_nft_script(five_node_classes).text() == nft.text()
-        assert emit_tc_script(five_node_classes.class_delays(), "vetha1", b).text() == tc.text()
+        assert text_of(emit_nft_script(five_node_classes)) == text_of(nft)
+        tc_again = emit_tc_script(five_node_classes.class_delays(), "vetha1", b)
+        assert text_of(tc_again) == text_of(tc)
 
 
 def test_criterion_05_quantization_class_count_bound():

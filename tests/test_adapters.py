@@ -34,7 +34,8 @@ from latem.link_layer import mac_for_ip
 from latem.manifest import parse_manifest
 from latem.nft_planner import emit_nft_script
 from latem.orchestrator import (
-    STEP_NFT, STEP_TC, PhasedPlan, PlanStep, build_startup_plan, execute, gather_interfaces,
+    STEP_NFT, STEP_TC, GatherScript, PhasedPlan, PlanStep, build_startup_plan, execute,
+    gather_interfaces,
 )
 from latem.script import CommandScript
 from latem.tc_planner import emit_tc_script
@@ -101,8 +102,8 @@ def argv_words(lines) -> list[str]:
     return [" ".join(shlex.split(line)[1:]) for line in lines]
 
 
-def step(index: int, kind: str, lines) -> PlanStep:
-    return PlanStep(index, kind, kind, CommandScript(lines=tuple(lines)))
+def step(kind: str, lines) -> PlanStep:
+    return PlanStep(kind, kind, CommandScript(lines=tuple(lines)))
 
 
 def write_inventory(stub_dir: Path, nodes) -> None:
@@ -121,7 +122,7 @@ def test_one_spawn_per_interface_and_per_nft_step(stubs, five_node_classes):
     veths = ["veth0", "veth1", "veth2"]
     nft = emit_nft_script(five_node_classes)
     tc = [l for v in veths for l in emit_tc_script(five_node_classes.class_delays(), v, 2)]
-    plan = PhasedPlan("x", (step(0, STEP_NFT, nft), step(1, STEP_TC, tc)))
+    plan = PhasedPlan("x", (step(STEP_NFT, nft), step(STEP_TC, tc)))
     report = execute(plan, "apply", adapter=ShellAdapter())
     assert report.ok
     assert [len(s.commands) for s in report.steps] == [len(nft), len(tc)]
@@ -182,7 +183,7 @@ def test_failing_interface_ends_the_tc_step(stubs):
     tree = [l for l in TC_LINES if "FAIL" not in l]
     tc = [l.replace("dev v0 ", f"dev {v} ") for v in ("v0", "v1", "v2") for l in tree]
     tc[5] += " FAIL"  # the last line of v1's tree
-    plan = PhasedPlan("x", (step(0, STEP_TC, tc), step(1, "host-script", ["docker ps"])))
+    plan = PhasedPlan("x", (step(STEP_TC, tc), step("host-script", ["docker ps"])))
     report = execute(plan, "apply", adapter=ShellAdapter())
     failed, skipped = report.steps
     assert (failed.status, skipped.status) == ("failed", "skipped")
@@ -217,7 +218,7 @@ SHELL_LINES = ["docker run a", "docker run 'b c'", "docker run FAIL", "docker ru
     ],
 )
 def test_failing_line_ends_its_step(stubs, kind, lines, exit_code, message):
-    plan = PhasedPlan("x", (step(0, kind, lines), step(1, "host-script", ["docker ps"])))
+    plan = PhasedPlan("x", (step(kind, lines), step("host-script", ["docker ps"])))
     report = execute(plan, "apply", adapter=ShellAdapter())
     failed, skipped = report.steps
     assert (failed.status, skipped.status) == ("failed", "skipped")
@@ -364,7 +365,7 @@ def test_a_long_batch_runs_at_the_default_timeout(stubs):
 
 
 def test_a_long_step_applies_at_the_default_timeout(stubs):
-    report = execute(PhasedPlan("x", (step(0, STEP_TC, LONG_TC_BATCH),)), "apply",
+    report = execute(PhasedPlan("x", (step(STEP_TC, LONG_TC_BATCH),)), "apply",
                      adapter=ShellAdapter())
     assert report.ok, report.steps[0].detail
     assert len(report.steps[0].commands) == 4000
@@ -397,9 +398,9 @@ def test_timeout_kills_the_process_group(tmp_path):
 
 def test_each_step_records_its_wall_time():
     plan = PhasedPlan("x", (
-        step(0, "host-script", ["sleep 0.2"]),
-        step(1, "host-script", ["false"]),
-        step(2, "host-script", ["true"]),
+        step("host-script", ["sleep 0.2"]),
+        step("host-script", ["false"]),
+        step("host-script", ["true"]),
     ))
     report = execute(plan, "apply", adapter=ShellAdapter())
     slept, failed, skipped = report.steps
@@ -411,9 +412,9 @@ def test_each_step_records_its_wall_time():
 
 def test_execute_turns_a_timeout_into_a_failed_step():
     plan = PhasedPlan("x", (
-        step(0, "host-script", ["true"]),
-        step(1, "host-script", ["sleep 30"]),
-        step(2, "host-script", ["true"]),
+        step("host-script", ["true"]),
+        step("host-script", ["sleep 30"]),
+        step("host-script", ["true"]),
     ))
     report = execute(plan, "apply", adapter=ShellAdapter(timeout_s=0.3))
     assert [s.status for s in report.steps] == ["ok", "failed", "skipped"]
@@ -491,8 +492,8 @@ def test_gather_runs_in_one_spawn(stubs, monkeypatch):
         return spawn(argv, *rest)
 
     monkeypatch.setattr(adapters, "_spawn", counted)
-    inventory = gather_interfaces(ShellAdapter(), nodes)
-    assert inventory.veth_of() == {f"n{i}": f"veth{i}" for i in range(1, 6)}
+    inventory = gather_interfaces(ShellAdapter(), GatherScript(tuple(nodes), "eth0"))
+    assert inventory.veths == {f"n{i}": f"veth{i}" for i in range(1, 6)}
     assert inventory.warnings == ()
     assert spawns == [["/bin/sh", "-s"]]
 

@@ -15,7 +15,7 @@ import pytest
 import latem
 from latem import delay_model as dm
 from latem.autoarpd import MockSolicitTransport, Solicitation
-from latem.cli import _load_classes, build_parser, main
+from latem.cli import build_parser, main
 from latem.link_layer import check_bridge_capacity
 from latem.script import CommandScript
 from latem.tc_planner import verify_plan
@@ -73,7 +73,7 @@ def test_compact_and_pretty_class_maps_read_the_same(tmp_path):
         assert main(["emit-nft", "--classes", str(path), "--out", str(nft)]) == 0
         assert main(["emit-tc", "--classes", str(path), "--veth", "vetha1", "--out", str(tc)]) == 0
         classes = dm.DelayClassMap.from_json_dict(json.loads(path.read_text()))
-        assert _load_classes(str(path)) == classes
+        assert dm.load_class_map(str(path)) == classes
         maps.append(classes)
         scripts.append((nft.read_text(), tc.read_text()))
         reports.append(verify_plan(
@@ -540,6 +540,46 @@ def test_run_dry_run_tree(tmp_path, matrix_file, capsys):
     )
 
 
+def signal_manifest(tmp_path, node_count: int, signals: int) -> Path:
+    data = minimal_manifest_dict()
+    data["nodes"] = [
+        {"name": f"n{i}", "ip": f"10.0.0.{i}", "image": "img", "processes": []}
+        for i in range(1, node_count + 1)
+    ]
+    data["phases"] = [{"name": "launch", "action": "launch"}] + [
+        {"name": f"go{i}", "action": "signal", "signal": "SIGUSR1"}
+        for i in range(1, signals + 1)
+    ]
+    return write_manifest(tmp_path, data, f"manifest-{node_count}.json")
+
+
+def test_dry_run_refuses_a_directory_with_another_plans_steps(tmp_path, capsys):
+    out = tmp_path / "plan"
+    big, small = signal_manifest(tmp_path, 3, 2), signal_manifest(tmp_path, 1, 0)
+    assert main(["run", "--manifest", str(big), "--dry-run", "--out", str(out)]) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert sorted(before)[-2:] == ["04-signal-go1.sh", "05-signal-go2.sh"]
+    capsys.readouterr()
+    assert main(["run", "--manifest", str(small), "--dry-run", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {out} holds 04-signal-go1.sh, a step file this plan does not write; "
+        "use a new directory\n"
+    )
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_dry_run_writes_the_same_plan_again_over_its_own_files(tmp_path):
+    out = tmp_path / "plan"
+    path = signal_manifest(tmp_path, 3, 2)
+    out.mkdir()
+    (out / "notes.txt").write_text("kept\n")
+    assert main(["run", "--manifest", str(path), "--dry-run", "--out", str(out)]) == 0
+    first = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert main(["run", "--manifest", str(path), "--dry-run", "--out", str(out)]) == 0
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+    assert first["notes.txt"] == b"kept\n"
+
+
 @pytest.mark.parametrize("n", [1024, 1025])
 def test_run_warns_past_the_bridge_port_limit(tmp_path, capsys, n):
     data = minimal_manifest_dict()
@@ -878,7 +918,8 @@ def packages():
     return {m.partition(".")[0] for m in sys.modules} - set(sys.stdlib_module_names)
 before = packages()
 from pathlib import Path
-from latem.cli import main, _load_classes
+from latem.cli import main
+from latem.delay_model import load_class_map
 from latem.script import CommandScript
 from latem.tc_planner import verify_plan
 classes, nft, tc = sys.argv[1:]
@@ -887,7 +928,7 @@ assert main(["emit-tc", "--classes", classes, "--veth", "veth0", "--out", tc]) =
 report = verify_plan(
     CommandScript(lines=tuple(Path(nft).read_text().splitlines())),
     CommandScript(lines=tuple(Path(tc).read_text().splitlines())),
-    _load_classes(classes),
+    load_class_map(classes),
 )
 print(report.ok, sorted(packages() - before))
 """

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from latem import delay_model as dm
 from latem.errors import ConfigError, ShapeError, SizeError, SymmetryError
 
-from conftest import FIVE_NODE_ENTRIES, random_class_map, random_symmetric_matrix
+from conftest import FIVE_NODE_ENTRIES, random_class_map, random_symmetric_matrix, text_of
 from reference_classes import all_pairs, build_classes_loop, delay_classes, make_pair
 
 
@@ -1100,7 +1100,7 @@ class TestReadersOnReloadedMaps:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(nft_planner, "ELEMENT_CHUNK_PAIRS", 7)
             nft = nft_planner.emit_nft_script(built)
-            assert nft_planner.emit_nft_script(reloaded).text() == nft.text()
+            assert text_of(nft_planner.emit_nft_script(reloaded)) == text_of(nft)
         tc = emit_tc_script(built.class_delays(), "veth0", dm.compute_bands(len(built)))
         assert verify_plan(nft, tc, reloaded) == verify_plan(nft, tc, built)
         assert verify_plan(nft, tc, built).ok

@@ -9,7 +9,7 @@ from latem.link_layer import (
     mac_for_ip,
 )
 
-from conftest import GOLDENS
+from conftest import GOLDENS, text_of
 
 ip_octets = st.tuples(*([st.integers(0, 255)] * 4))
 
@@ -71,7 +71,7 @@ def test_fdb_duplicate_veth_rejected():
 def test_fdb_golden():
     nodes = [(f"10.0.0.{i}", f"vetha{i}") for i in range(1, 6)]
     golden = (GOLDENS / "fdb_5node.txt").read_text()
-    assert emit_fdb_script(nodes).text() == golden
+    assert text_of(emit_fdb_script(nodes)) == golden
 
 
 class TestBridgeCapacity:

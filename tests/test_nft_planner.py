@@ -8,7 +8,7 @@ from latem import nft_planner
 from latem.errors import ConfigError, EmptyPlanError
 from latem.nft_planner import emit_nft_script
 
-from conftest import GOLDENS
+from conftest import GOLDENS, text_of
 from reference_classes import delay_classes
 from reference_render import class_map_json_per_pair, nft_lines_per_pair
 
@@ -77,8 +77,8 @@ def test_sets_declared_before_rules(five_node_classes):
 
 
 def test_deterministic(five_node_classes):
-    a = emit_nft_script(five_node_classes).text()
-    b = emit_nft_script(five_node_classes).text()
+    a = text_of(emit_nft_script(five_node_classes))
+    b = text_of(emit_nft_script(five_node_classes))
     assert a == b
 
 
@@ -100,7 +100,7 @@ def test_class_without_pairs_rejected():
 
 def test_golden_five_node(five_node_classes):
     golden = (GOLDENS / "nft_5node3class.txt").read_text()
-    assert emit_nft_script(five_node_classes).text() == golden
+    assert text_of(emit_nft_script(five_node_classes)) == golden
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -177,7 +177,7 @@ class TestMatchesPerPairReference:
         lines = list(script)
         assert lines == nft_lines_per_pair(reference_case)
         assert len(script) == sum(1 for _ in script) == len(lines)
-        assert script.text() == script.text() == "".join(line + "\n" for line in lines)
+        assert text_of(script) == text_of(script) == "".join(line + "\n" for line in lines)
 
     def test_class_map_text(self, reference_case):
         policy = dm.QuantizationPolicy()

@@ -35,6 +35,7 @@ from conftest import (
     FIVE_NODE_ENTRIES,
     minimal_manifest_dict,
     steps_of_kind,
+    text_of,
     write_manifest,
 )
 from fake_adapters import ParentCheckingAdapter, RecordingAdapter, ScriptedAdapter
@@ -363,34 +364,37 @@ def scripted_gather_adapter(fail_on: dict[str, int] | None = None) -> ScriptedAd
     )
 
 
+def gather(adapter, nodes):
+    return gather_interfaces(adapter, GatherScript(tuple(nodes), "eth0"))
+
+
 class TestGatherInterfaces:
     NODES = [("node001", "10.1.0.1"), ("node002", "10.1.0.2")]
 
     def test_fixture_inventory(self):
-        inventory = gather_interfaces(scripted_gather_adapter(), self.NODES)
-        assert [r.veth for r in inventory.records] == ["vetha1", "vetha2"]
+        inventory = gather(scripted_gather_adapter(), self.NODES)
+        assert list(inventory.veths.items()) == [("node001", "vetha1"), ("node002", "vetha2")]
         assert inventory.warnings == ()
-        assert inventory.veth_of() == {"node001": "vetha1", "node002": "vetha2"}
 
     def test_mac_mismatch_warns(self):
         adapter = scripted_gather_adapter()
         adapter.responses["docker exec node002 cat /sys/class/net/eth0/address"] = (
             "02:42:de:ad:be:ef\n"
         )
-        inventory = gather_interfaces(adapter, self.NODES)
+        inventory = gather(adapter, self.NODES)
         assert len(inventory.warnings) == 1
         assert "node002" in inventory.warnings[0]
 
     def test_empty_nodes_warns(self):
-        inventory = gather_interfaces(scripted_gather_adapter(), [])
-        assert inventory.records == ()
+        inventory = gather(scripted_gather_adapter(), [])
+        assert inventory.veths == {}
         assert inventory.warnings == ("no nodes to inventory",)
 
     def test_undiscoverable_veth_raises(self):
         adapter = scripted_gather_adapter()
         adapter.responses["docker exec node002 cat /sys/class/net/eth0/iflink"] = "404\n"
         with pytest.raises(InventoryError):
-            gather_interfaces(adapter, self.NODES)
+            gather(adapter, self.NODES)
 
     @staticmethod
     def three_node_adapter(fail_on: dict[str, int] | None = None) -> ScriptedAdapter:
@@ -402,12 +406,12 @@ class TestGatherInterfaces:
         )
         return adapter
 
-    def test_three_nodes_three_records(self):
+    def test_three_nodes_three_veths(self):
         adapter = self.three_node_adapter()
         nodes = self.NODES + [("node003", "10.1.0.3")]
-        inventory = gather_interfaces(adapter, nodes)
-        assert len(inventory.records) == 3
-        assert inventory.records[2].veth == "vetha3"
+        inventory = gather(adapter, nodes)
+        assert len(inventory.veths) == 3
+        assert inventory.veths["node003"] == "vetha3"
         assert adapter.calls == list(GatherScript(tuple(nodes), "eth0"))
 
     def test_script_lines(self):
@@ -421,7 +425,7 @@ class TestGatherInterfaces:
         ]
         assert len(script) == 5
         empty = GatherScript((), "eth0")
-        assert len(empty) == 0 and empty.text() == ""
+        assert len(empty) == 0 and text_of(empty) == ""
 
     def test_script_keeps_the_line_rule(self):
         with pytest.raises(ValueError, match="contains a newline"):
@@ -438,11 +442,8 @@ class TestGatherInterfaces:
 
         adapter.run_batch = counted
         nodes = self.NODES + [("node003", "10.1.0.3")]
-        inventory = gather_interfaces(adapter, nodes)
-        assert [r.veth for r in inventory.records] == ["vetha1", "vetha2", "vetha3"]
-        assert [r.mac for r in inventory.records] == [
-            "02:42:0a:01:00:01", "", "02:42:0a:01:00:03",
-        ]
+        inventory = gather(adapter, nodes)
+        assert list(inventory.veths.values()) == ["vetha1", "vetha2", "vetha3"]
         assert inventory.warnings == (
             "node 'node002': MAC ? does not match pattern-derived 02:42:0a:01:00:02",
         )
@@ -455,14 +456,14 @@ class TestGatherInterfaces:
             {"node001 cat /sys/class/net/eth0/iflink": 1, "ip -o link show": 1}
         )
         with pytest.raises(InventoryError, match="node 'node001': cannot read peer ifindex"):
-            gather_interfaces(adapter, self.NODES)
+            gather(adapter, self.NODES)
         assert adapter.calls == ["docker exec node001 cat /sys/class/net/eth0/iflink"]
 
     def test_failed_host_listing_raises(self):
         adapter = scripted_gather_adapter({"ip -o link show": 1})
         with pytest.raises(InventoryError,
                            match="cannot list host links: scripted failure for 'ip -o link show'"):
-            gather_interfaces(adapter, self.NODES)
+            gather(adapter, self.NODES)
         assert adapter.calls == list(GatherScript(tuple(self.NODES), "eth0"))
 
 
@@ -500,10 +501,10 @@ class TestExecuteDryRun:
         for script in scripts:
             out = io.StringIO()
             out.writelines(script.pieces())
-            assert out.getvalue() == script.text()
+            assert out.getvalue() == text_of(script)
         execute(plan, "dry-run", out_dir=tmp_path)
-        for step in plan.steps:
-            assert (tmp_path / f"{step.index:02d}-{step.name}.sh").read_text() == step.script.text()
+        for i, step in enumerate(plan.steps):
+            assert (tmp_path / f"{i:02d}-{step.name}.sh").read_text() == text_of(step.script)
 
     @pytest.mark.parametrize("traced", ["execute", "build and execute"])
     def test_traced_peak_follows_the_piece_not_the_step(self, tmp_path, traced):
@@ -580,14 +581,14 @@ class TestExecuteApply:
     def test_gather_sends_its_dry_run_lines_in_file_order(self, tmp_path):
         plan = build_startup_plan(parse_manifest(minimal_manifest_dict()))
         execute(plan, "dry-run", out_dir=tmp_path)
-        (gather,) = steps_of_kind(plan, "gather")
-        written = (tmp_path / f"{gather.index:02d}-gather.sh").read_text().splitlines()
+        at = next(i for i, s in enumerate(plan.steps) if s.kind == "gather")
+        written = (tmp_path / f"{at:02d}-gather.sh").read_text().splitlines()
         adapter = scripted_gather_adapter()
         report = execute(plan, "apply", adapter=adapter)
         assert report.ok
-        start = sum(len(s.script) for s in plan.steps[: gather.index])
+        start = sum(len(s.script) for s in plan.steps[:at])
         assert adapter.calls[start : start + len(written)] == written
-        assert report.steps[gather.index].commands == ()
+        assert report.steps[at].commands == ()
 
     def test_failure_stops_and_skips(self):
         manifest = parse_manifest(minimal_manifest_dict())
@@ -644,8 +645,8 @@ class TestExecuteApply:
         plan = self.placeholder_text_plan(five_node_classes)
         execute(plan, "dry-run", out_dir=tmp_path)
         written = {
-            step.index: (tmp_path / f"{step.index:02d}-{step.name}.sh").read_text().splitlines()
-            for step in plan.steps
+            step.name: (tmp_path / f"{i:02d}-{step.name}.sh").read_text().splitlines()
+            for i, step in enumerate(plan.steps)
         }
         adapter = scripted_gather_adapter()
         report = execute(plan, "apply", adapter=adapter)
@@ -653,18 +654,17 @@ class TestExecuteApply:
         gathered = {"{veth:node001}": "vetha1", "{veth:node002}": "vetha2"}
         expected = []
         for step in plan.steps:
-            lines = written[step.index]
+            lines = written[step.name]
             if step.kind in ("fdb", "tc"):
                 for token, veth in gathered.items():
                     lines = [line.replace(token, veth) for line in lines]
-                assert lines != written[step.index]
+                assert lines != written[step.name]
                 assert not any("{veth:" in line for line in lines)
             expected += lines
         assert adapter.calls == expected
         (launch,) = steps_of_kind(plan, "launch")
-        assert "{veth:node002}" in written[launch.index][0]
-        host = next(s for s in plan.steps if s.name == "host-show")
-        assert written[host.index] == ["echo {veth:node001}"]
+        assert "{veth:node002}" in written[launch.name][0]
+        assert written["host-show"] == ["echo {veth:node001}"]
 
     def test_a_token_the_gather_did_not_find_fails_the_fdb_step(self, five_node_classes):
         plan = self.placeholder_text_plan(five_node_classes)
@@ -686,7 +686,7 @@ class TestExecuteApply:
         veths = [f"veth{i}" for i in range(4)]
         delays = {mark: 10 * mark for mark in range(1, 20)}
         script = emit_tc_trees(delays, veths, 5)
-        step = PlanStep(0, STEP_TC, STEP_TC, script)
+        step = PlanStep(STEP_TC, STEP_TC, script)
         return PhasedPlan("tc-only", (step,)), list(script)
 
     def test_tc_trees_keep_parents_before_children(self):

@@ -30,6 +30,7 @@ from conftest import (
     five_node_map,
     mismatched_marks,
     random_class_map,
+    text_of,
 )
 from reference_classes import delay_classes
 from reference_verify import verify_plan_per_pair
@@ -121,12 +122,12 @@ class TestEmitTcScript:
 
     def test_deterministic(self, five_node_classes):
         delays = five_node_classes.class_delays()
-        assert emit_tc_script(delays, "v", 2).text() == emit_tc_script(delays, "v", 2).text()
+        assert text_of(emit_tc_script(delays, "v", 2)) == text_of(emit_tc_script(delays, "v", 2))
 
     def test_golden_five_node(self, five_node_classes):
         golden = (GOLDENS / "tc_5node3class.txt").read_text()
         b = compute_bands(len(five_node_classes))
-        assert emit_tc_script(five_node_classes.class_delays(), "vetha1", b).text() == golden
+        assert text_of(emit_tc_script(five_node_classes.class_delays(), "vetha1", b)) == golden
 
     @pytest.mark.parametrize(
         "veth", ["", " veth0", "veth0 ", "veth0\t", "a\nb", "veth0\r", "\nveth0"]
@@ -157,12 +158,13 @@ class TestEmitTcTrees:
         assert list(script.pieces()) == trees
         out = io.StringIO()
         out.writelines(script.pieces())
-        assert out.getvalue() == script.text() == "".join(trees)
-        assert script.text() == "\n".join(script) + "\n"
+        assert out.getvalue() == text_of(script) == "".join(trees)
+        assert text_of(script) == "\n".join(script) + "\n"
 
     def test_tree_without_lines_has_no_text(self):
         script = TreeScript(tree=(), veths=("v0", "v1"))
-        assert (len(script), list(script), list(script.pieces()), script.text()) == (0, [], [], "")
+        assert (len(script), list(script), list(script.pieces())) == (0, [], [])
+        assert text_of(script) == ""
 
     @pytest.mark.parametrize(
         "head, tail",
@@ -281,7 +283,7 @@ class TestVerifyPlan:
         assert classes.class_delays() == {1: 0, 2: 20}
         nft = emit_nft_script(classes)
         tc = emit_tc_script(classes.class_delays(), "v0", 2)
-        assert "netem delay 0ms" in tc.text()
+        assert "netem delay 0ms" in text_of(tc)
         assert verify_plan(nft, tc, classes).ok
 
     def test_holds_no_string_per_pair(self):
