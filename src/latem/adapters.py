@@ -3,8 +3,10 @@
 An adapter runs a plan step's lines in order (`run_batch`) and reports each
 line's outcome. Every apply step goes through it, the interface gather
 included. Plan lines are already full `docker ...` / `tc ...` / `nft ...`
-commands. Only lines that could change the batch shell's state get a
-subshell. Test doubles live with the tests.
+commands. The caller names the tool whose batch mode takes the lines (the
+nft and tc steps); any other lines run in one shell, where only lines that
+could change the shell's state get a subshell. Test doubles live with the
+tests.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import signal
 import subprocess
 import tempfile
 from dataclasses import dataclass
-from itertools import chain, groupby
+from itertools import chain
 from typing import Iterable, Protocol, Sequence
 
 
@@ -34,11 +36,13 @@ class CommandResult:
 
 
 class RuntimeAdapter(Protocol):
-    def run_batch(self, lines: Sequence[str]) -> list[CommandResult]:
+    def run_batch(self, lines: Sequence[str], tool: str | None = None) -> list[CommandResult]:
         """Run lines in order and stop at the first that fails.
 
-        Returns one result per line run: all of them, or up to and including
-        the failing one, which is then the last.
+        With a `tool` ("nft" or "tc"), every line is one of that tool's plan
+        lines and goes to its batch mode; without one, the lines are shell
+        lines. Returns one result per line run: all of them, or up to and
+        including the failing one, which is then the last.
         """
         ...
 
@@ -50,30 +54,18 @@ _BATCH_TOOLS = {
     "nft": (("nft", "-f", "-"), re.compile(r":(\d+):\d+(?:-\d+)?: Error")),
 }
 # Lines whose words the shell passes on unchanged: no quotes, expansions,
-# globs, redirections or operators, only the `\;` escape of nft lines. For
-# these, shell word splitting is whitespace splitting with `\;` read as `;`.
-# A line is plain when it matches once its `\;` escapes are taken out.
+# globs, redirections or operators, only the `\;` escape of nft lines. A
+# line is plain when it matches once its `\;` escapes are taken out.
 _PLAIN_LINE = re.compile(r"[\w.,:/@%+={} -]*")
 # A host tool's literal line is one simple command: a plain line once each
 # single-quoted span is read as one plain character (not as nothing, so that
 # a `\` before a quote is still refused).
 _QUOTED_SPAN = re.compile(r"'[^']*'")
 _DIRECT_TOOLS = {"docker", "bridge", "ip", "sleep"}
-# A tc batch holds one device's lines, so each interface's tree is one batch.
-_TC_DEV = re.compile(r" dev +(\S+)")
 # Every wait is capped here, at 24 days: at 600 s per line a batch of 3,580
 # lines reaches it. select() itself would wait up to about 292 years (CPython
 # holds its timeout as int64 nanoseconds), so this cap is the limit.
 MAX_TIMEOUT_S = 24 * 86_400
-
-
-def _batch_key(line: str) -> tuple[str, str | None] | None:
-    """The tool and, for tc, the device of a batch line; None for shell lines."""
-    tool = line.partition(" ")[0]
-    if tool not in _BATCH_TOOLS or not _PLAIN_LINE.fullmatch(line.replace("\\;", "")):
-        return None
-    dev = _TC_DEV.search(line) if tool == "tc" else None
-    return tool, dev.group(1) if dev else None
 
 
 def _shell_form(line: str) -> str:
@@ -130,17 +122,15 @@ def _spawn(argv: Sequence[str], stdin: Iterable[str] | None, timeout_s: float) -
 class ShellAdapter:
     """Executes plan lines on the host. Apply mode only.
 
-    `run_batch` splits a step's lines into runs of the same kind and starts
-    one process per run: plain `tc` lines go to `tc -batch -`, one process
-    per run of lines on the same `dev`, and plain `nft` lines to `nft -f -`
-    (atomic). Each such line goes to its tool as it is, less the tool name
+    `run_batch` starts one process per call. With a tool, the lines go to
+    `tc -batch -` or `nft -f -` (atomic), each as it is, less the tool name
     and with `\\;` read as `;`; the tool splits it at whitespace into the
-    argv words the shell would have passed. Every other line runs in one
-    `/bin/sh`, stdin from `/dev/null`. There a `docker`, `bridge`, `ip` or
-    `sleep` line with no shell syntax outside single quotes runs as itself,
-    as one simple command cannot `cd`, set a variable or `exit` the shell;
-    any other line runs in its own subshell. A batch tool's stdout and
-    stderr go with the last line it ran.
+    argv words the shell would have passed, and its stdout and stderr go
+    with the last line it ran. Without one, the lines run in one `/bin/sh`,
+    stdin from `/dev/null`. There a `docker`, `bridge`, `ip` or `sleep` line
+    with no shell syntax outside single quotes runs as itself, as one simple
+    command cannot `cd`, set a variable or `exit` the shell; any other line
+    runs in its own subshell.
 
     A batch ends when its process exits: a background job that a line
     leaves running does not hold up the step, and keeps running after it.
@@ -162,17 +152,12 @@ class ShellAdapter:
         """
         return _spawn(["/bin/sh", "-c", command], None, self.timeout_s)
 
-    def run_batch(self, lines: Sequence[str]) -> list[CommandResult]:
-        results: list[CommandResult] = []
-        for key, group in groupby(lines, key=_batch_key):
-            group = list(group)
-            got = self._tool_batch(key[0], group) if key else self._shell_batch(group)
-            results.extend(got)
-            if len(got) < len(group) or not got[-1].ok:
-                break
-        return results
+    def run_batch(self, lines: Sequence[str], tool: str | None = None) -> list[CommandResult]:
+        if not lines:
+            return []
+        return self._tool_batch(tool, lines) if tool else self._shell_batch(lines)
 
-    def _tool_batch(self, tool: str, lines: list[str]) -> list[CommandResult]:
+    def _tool_batch(self, tool: str, lines: Sequence[str]) -> list[CommandResult]:
         argv, failed_line = _BATCH_TOOLS[tool]
         batch = (line.partition(" ")[2].replace("\\;", ";") + "\n" for line in lines)
         try:
@@ -187,7 +172,7 @@ class ShellAdapter:
         k = min((n for n in located if 0 < n <= len(lines)), default=1)
         return [CommandResult(0)] * (k - 1) + [result]
 
-    def _shell_batch(self, lines: list[str]) -> list[CommandResult]:
+    def _shell_batch(self, lines: Sequence[str]) -> list[CommandResult]:
         # After each line, a marker on both streams splits the output and
         # carries the line's exit status; a failing line ends the script.
         marker = f"latem-{os.urandom(8).hex()}"

@@ -34,7 +34,7 @@ from .link_layer import emit_fdb_script, mac_for_ip, neigh_settings
 from .manifest import ExperimentManifest, NodeSpec, ResourceModel, render_number
 from .nft_planner import emit_nft_script
 from .script import CommandScript, Script
-from .tc_planner import emit_tc_trees
+from .tc_planner import TreeScript, emit_tc_trees
 from .topology import neighbor_lists, nws_graph, random_graph
 
 if TYPE_CHECKING:  # only apply mode runs commands; it gets its adapter from the caller
@@ -494,15 +494,19 @@ def execute(
     step file (`<digits>-<name>.sh`) this plan does not write is refused
     before anything is written; the same plan may be written over its own.
 
-    Apply runs steps in order, each through the adapter's `run_batch`. The
-    gather step's inventory (`gather_interfaces`, kept in the report) fills
-    the `{veth:<node>}` placeholders of the FDB and tc steps, the only ones
-    that hold them; every other step's lines reach the adapter exactly as
-    its dry-run file holds them. A failed MAC
-    read in the gather only warns. Any other step stops at its first failing
-    command, which is reported with its exit code, stdout and stderr. A
-    timeout or an unresolvable placeholder fails the step with a detail.
-    Steps after a failed one are reported as skipped.
+    Apply runs steps in order, each through the adapter's `run_batch`, and
+    the step's kind picks the tool: the nft step is one `nft` batch, the tc
+    step one `tc` batch per interface, in order, and every other step (host
+    scripts included) goes to the shell. The gather step's inventory
+    (`gather_interfaces`, kept in the report) fills the `{veth:<node>}`
+    placeholders of the FDB and tc steps, the only ones that hold them: an
+    FDB line at a time, and each tc interface's name once, all before the
+    first tree runs. Every other step's lines reach the adapter exactly as its
+    dry-run file holds them. A failed MAC read in the gather only warns.
+    Any other step stops at its first failing command, which is reported
+    with its exit code, stdout and stderr; a failing interface ends the tc
+    step. A timeout or an unresolvable placeholder fails the step with a
+    detail. Steps after a failed one are reported as skipped.
 
     In both modes each step's `wall_s` is its time by `perf_counter`; a
     skipped step's is 0.
@@ -559,13 +563,22 @@ def execute(
                                wall_s=time.perf_counter() - start)
                 )
                 continue
-            lines = list(step.script)
-            if step.kind in (STEP_FDB, STEP_TC):
-                lines = [_substitute(line, veths) for line in lines]
-            outcomes = [
-                CommandOutcome(line, r.exit_code, r.stdout, r.stderr)
-                for line, r in zip(lines, adapter.run_batch(lines))
-            ]
+            if step.kind == STEP_TC:  # every name is resolved before any tree runs
+                trees = TreeScript(step.script.tree,
+                                   tuple(_substitute(v, veths) for v in step.script.veths))
+                batches = ((tree.split("\n")[:-1], "tc") for tree in trees.pieces())
+            else:
+                lines = list(step.script)
+                if step.kind == STEP_FDB:
+                    lines = [_substitute(line, veths) for line in lines]
+                batches = [(lines, "nft" if step.kind == STEP_NFT else None)]
+            outcomes = []
+            for lines, tool in batches:
+                ran = adapter.run_batch(lines, tool)
+                outcomes += [CommandOutcome(line, r.exit_code, r.stdout, r.stderr)
+                             for line, r in zip(lines, ran)]
+                if len(ran) < len(lines) or ran and not ran[-1].ok:
+                    break
         except (InventoryError, subprocess.TimeoutExpired) as exc:
             failed = True
             results.append(

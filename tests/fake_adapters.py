@@ -2,7 +2,8 @@
 
 Each one runs single lines through `run`; `run_batch` loops over `run` and
 stops at the first failing line, which is the contract `ShellAdapter` keeps
-with its batch processes.
+with its batch processes. The tool a batch is for (`run_batch`'s `tool`)
+changes only which process `ShellAdapter` starts, so these ignore it.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ class RecordingAdapter:
         out = self.stdout_for(command) if self.stdout_for else ""
         return CommandResult(0, out)
 
-    def run_batch(self, lines: Sequence[str]) -> list[CommandResult]:
+    def run_batch(self, lines: Sequence[str],
+                  tool: str | None = None) -> list[CommandResult]:
         return run_each(self, lines)
 
 
@@ -61,7 +63,8 @@ class ScriptedAdapter:
                 return CommandResult(0, out)
         return CommandResult(0, "")
 
-    def run_batch(self, lines: Sequence[str]) -> list[CommandResult]:
+    def run_batch(self, lines: Sequence[str],
+                  tool: str | None = None) -> list[CommandResult]:
         return run_each(self, lines)
 
 
@@ -90,5 +93,6 @@ class ParentCheckingAdapter:
             existing.add(opts["handle"].rstrip(":"))
         return CommandResult(0)
 
-    def run_batch(self, lines: Sequence[str]) -> list[CommandResult]:
+    def run_batch(self, lines: Sequence[str],
+                  tool: str | None = None) -> list[CommandResult]:
         return run_each(self, lines)

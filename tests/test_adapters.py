@@ -34,11 +34,11 @@ from latem.link_layer import mac_for_ip
 from latem.manifest import parse_manifest
 from latem.nft_planner import emit_nft_script
 from latem.orchestrator import (
-    STEP_NFT, STEP_TC, GatherScript, PhasedPlan, PlanStep, build_startup_plan, execute,
-    gather_interfaces,
+    STEP_GATHER, STEP_NFT, STEP_TC, GatherScript, PhasedPlan, PlanStep, build_startup_plan,
+    execute, gather_interfaces, veth_token,
 )
-from latem.script import CommandScript
-from latem.tc_planner import emit_tc_script
+from latem.script import CommandScript, Script
+from latem.tc_planner import TreeScript, emit_tc_trees
 
 from conftest import FIVE_NODE_IPS, minimal_manifest_dict
 
@@ -103,7 +103,27 @@ def argv_words(lines) -> list[str]:
 
 
 def step(kind: str, lines) -> PlanStep:
-    return PlanStep(kind, kind, CommandScript(lines=tuple(lines)))
+    script = lines if isinstance(lines, Script) else CommandScript(lines=tuple(lines))
+    return PlanStep(kind, kind, script)
+
+
+def tree(lines, veths=("v0",)) -> TreeScript:
+    """The tree whose lines on device v0 are `lines`, for each of `veths`."""
+    parts = (line.partition(" dev v0 ") for line in lines)
+    return TreeScript(tuple((head + " dev ", " " + tail) for head, _, tail in parts), veths)
+
+
+def spawned(monkeypatch) -> list:
+    """The argv of every process the adapter starts, from here on."""
+    argvs = []
+    spawn = adapters._spawn
+
+    def counted(argv, *rest):
+        argvs.append(argv)
+        return spawn(argv, *rest)
+
+    monkeypatch.setattr(adapters, "_spawn", counted)
+    return argvs
 
 
 def write_inventory(stub_dir: Path, nodes) -> None:
@@ -121,7 +141,7 @@ def write_inventory(stub_dir: Path, nodes) -> None:
 def test_one_spawn_per_interface_and_per_nft_step(stubs, five_node_classes):
     veths = ["veth0", "veth1", "veth2"]
     nft = emit_nft_script(five_node_classes)
-    tc = [l for v in veths for l in emit_tc_script(five_node_classes.class_delays(), v, 2)]
+    tc = emit_tc_trees(five_node_classes.class_delays(), veths, 2)
     plan = PhasedPlan("x", (step(STEP_NFT, nft), step(STEP_TC, tc)))
     report = execute(plan, "apply", adapter=ShellAdapter())
     assert report.ok
@@ -157,41 +177,44 @@ def test_apply_spawns_one_docker_run_per_node_and_no_exec_sysctl(stubs, five_nod
     }
 
 
-def test_tc_batch_ends_where_the_device_changes(stubs):
-    lines = [
-        "tc qdisc add dev a root handle 1: prio bands 2",
-        "tc qdisc add dev a parent 1:1 handle 11: prio bands 2",
-        "tc qdisc add dev b root handle 1: prio bands 2",
-        "tc filter add dev a protocol all parent 1: prio 20 matchall classid 1:2",
-    ]
-    results = ShellAdapter().run_batch(lines)
-    assert [r.exit_code for r in results] == [0] * 4
-    assert logged(stubs, "spawns") == ["tc -batch -"] * 3
-    assert logged(stubs, "tc.lines") == argv_words(lines)
-    assert logged(stubs, "tc.batches") == ["2", "1", "1"]
-
-
 def test_a_double_spaced_tc_line_reaches_the_tool_as_the_same_words(stubs):
     line = "tc qdisc  add dev v0   root handle 1:  prio bands 2"
-    assert [r.exit_code for r in ShellAdapter().run_batch([line])] == [0]
+    assert [r.exit_code for r in ShellAdapter().run_batch([line], "tc")] == [0]
     assert logged(stubs, "spawns") == ["tc -batch -"]
     (sent,) = logged(stubs, "tc.lines")
     assert sent.split() == shlex.split(line)[1:]
 
 
 def test_failing_interface_ends_the_tc_step(stubs):
-    tree = [l for l in TC_LINES if "FAIL" not in l]
-    tc = [l.replace("dev v0 ", f"dev {v} ") for v in ("v0", "v1", "v2") for l in tree]
-    tc[5] += " FAIL"  # the last line of v1's tree
+    # Every line of the second interface's tree holds FAIL, so its first fails.
+    tc = tree([l for l in TC_LINES if "FAIL" not in l], ("v0", "vFAIL", "v2"))
+    lines = list(tc)
     plan = PhasedPlan("x", (step(STEP_TC, tc), step("host-script", ["docker ps"])))
     report = execute(plan, "apply", adapter=ShellAdapter())
     failed, skipped = report.steps
     assert (failed.status, skipped.status) == ("failed", "skipped")
-    assert [c.line for c in failed.commands] == tc[:6]
-    assert [c.exit_code for c in failed.commands] == [0] * 5 + [1]
-    assert "Command failed -:3" in failed.commands[-1].stderr
+    assert [c.line for c in failed.commands] == lines[:4]
+    assert [c.exit_code for c in failed.commands] == [0] * 3 + [1]
+    assert "Command failed -:1" in failed.commands[-1].stderr
     assert logged(stubs, "spawns") == ["tc -batch -"] * 2
-    assert logged(stubs, "tc.lines") == argv_words(tc[:6])
+    assert logged(stubs, "tc.lines") == argv_words(lines[:4])
+
+
+def test_a_gathered_name_reaches_tc_as_it_is(stubs, five_node_classes):
+    # In a shell, `dev v$x` would name the device `v`.
+    nodes = (("n1", "10.0.0.1"),)
+    write_inventory(stubs, nodes)
+    (stubs / "links").write_text("11: v$x@if2: <BROADCAST,UP> mtu 1500\n")
+    tc = emit_tc_trees(five_node_classes.class_delays(), [veth_token("n1")], 2)
+    gather = GatherScript(nodes, "eth0")
+    plan = PhasedPlan("x", (step(STEP_GATHER, gather), step(STEP_TC, tc)))
+    report = execute(plan, "apply", adapter=ShellAdapter())
+    assert report.ok, [s.detail for s in report.steps]
+    assert report.inventory.veths == {"n1": "v$x"}
+    sent = [line.replace("{veth:n1}", "v$x") for line in tc]
+    assert [c.line for c in report.steps[1].commands] == sent
+    assert logged(stubs, "tc.lines") == [line.partition(" ")[2] for line in sent]
+    assert logged(stubs, "spawns")[len(gather):] == ["tc -batch -"]
 
 
 TC_LINES = [
@@ -210,15 +233,16 @@ SHELL_LINES = ["docker run a", "docker run 'b c'", "docker run FAIL", "docker ru
 
 
 @pytest.mark.parametrize(
-    "kind, lines, exit_code, message",
+    "kind, script, exit_code, message",
     [
-        (STEP_TC, TC_LINES, 1, "Command failed -:3"),
+        (STEP_TC, tree(TC_LINES), 1, "Command failed -:3"),
         (STEP_NFT, NFT_LINES, 1, "/dev/stdin:3:9-12: Error"),
         ("host-script", SHELL_LINES, 3, "docker: cannot run FAIL"),
     ],
 )
-def test_failing_line_ends_its_step(stubs, kind, lines, exit_code, message):
-    plan = PhasedPlan("x", (step(kind, lines), step("host-script", ["docker ps"])))
+def test_failing_line_ends_its_step(stubs, kind, script, exit_code, message):
+    lines = list(script)
+    plan = PhasedPlan("x", (step(kind, script), step("host-script", ["docker ps"])))
     report = execute(plan, "apply", adapter=ShellAdapter())
     failed, skipped = report.steps
     assert (failed.status, skipped.status) == ("failed", "skipped")
@@ -228,9 +252,23 @@ def test_failing_line_ends_its_step(stubs, kind, lines, exit_code, message):
     assert "docker ps" not in logged(stubs, "spawns")
 
 
+def test_tc_and_nft_lines_of_a_host_script_run_through_the_shell(stubs, monkeypatch):
+    lines = [TC_LINES[0], NFT_LINES[0], TC_LINES[2], NFT_LINES[1]]
+    argvs = spawned(monkeypatch)
+    plan = PhasedPlan("x", (step("host-script", lines), step("host-script", ["docker ps"])))
+    failed, skipped = execute(plan, "apply", adapter=ShellAdapter()).steps
+    assert (failed.status, skipped.status) == ("failed", "skipped")
+    assert [c.line for c in failed.commands] == lines[:3]
+    assert [c.exit_code for c in failed.commands] == [0, 0, 3]
+    assert failed.commands[-1].stderr == f"tc: cannot {lines[2][3:]}\n"
+    assert argvs == [["/bin/sh", "-s"]]
+    # One tool process per line, none of them a batch.
+    assert logged(stubs, "spawns") == lines[:3]
+
+
 def test_missing_batch_tool_fails_the_first_line(tmp_path, monkeypatch):
     monkeypatch.setenv("PATH", str(tmp_path))
-    results = ShellAdapter().run_batch(TC_LINES[:2])
+    results = ShellAdapter().run_batch(TC_LINES[:2], "tc")
     assert [r.exit_code for r in results] == [127]
     assert results[0].stderr.startswith("tc: ")
 
@@ -358,14 +396,14 @@ LONG_TC_BATCH = [f"tc qdisc add dev v0 parent 1:{i} handle {i}: prio bands 2" fo
 
 def test_a_long_batch_runs_at_the_default_timeout(stubs):
     # 600 s per line for 4,000 lines is past what poll() can wait.
-    results = ShellAdapter().run_batch(LONG_TC_BATCH)
+    results = ShellAdapter().run_batch(LONG_TC_BATCH, "tc")
     assert len(results) == 4000 and all(r.ok for r in results)
     assert logged(stubs, "spawns") == ["tc -batch -"]
     assert logged(stubs, "tc.batches") == ["4000"]
 
 
 def test_a_long_step_applies_at_the_default_timeout(stubs):
-    report = execute(PhasedPlan("x", (step(STEP_TC, LONG_TC_BATCH),)), "apply",
+    report = execute(PhasedPlan("x", (step(STEP_TC, tree(LONG_TC_BATCH)),)), "apply",
                      adapter=ShellAdapter())
     assert report.ok, report.steps[0].detail
     assert len(report.steps[0].commands) == 4000
@@ -441,11 +479,14 @@ def test_no_wait_sleeps(tmp_path, monkeypatch):
     put_on_path(tmp_path, monkeypatch,
                 f"#!/bin/sh\ncat > /dev/null\necho $0 >> {tmp_path}/spawns\n"
                 "exec >&- 2>&-\nexec sleep 0.01\n", ("tc", "docker"))
-    lines = [f"tc qdisc add dev v{i // 4} root handle 1: prio bands 2" if i % 4 < 2
-             else f"docker run n{i}" for i in range(20)]
     sleeps = []
     monkeypatch.setattr(time, "sleep", sleeps.append)
-    results = ShellAdapter().run_batch(lines)
+    adapter = ShellAdapter()
+    results = []
+    for i in range(5):
+        results += adapter.run_batch([f"tc qdisc add dev v{i} root handle 1: prio bands 2"] * 2,
+                                     "tc")
+        results += adapter.run_batch([f"docker run n{4 * i + 2}", f"docker run n{4 * i + 3}"])
     assert [r.exit_code for r in results] == [0] * 20
     assert len(logged(tmp_path, "spawns")) == 5 + 10
     assert sleeps == []
@@ -458,7 +499,7 @@ def test_tool_stdin_is_streamed(tmp_path, monkeypatch):
     text_bytes = sum(len(line) + 1 for line in lines)
     tracemalloc.start()
     try:
-        results = ShellAdapter().run_batch(lines)
+        results = ShellAdapter().run_batch(lines, "tc")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -474,7 +515,7 @@ _PRINTS = r"printf 'caf\303\251\r\nx\ry\r\n'; printf '\303\251rr\r\n' >&2"
 def test_output_is_decoded_as_text_mode_decodes_a_pipe(tmp_path, monkeypatch):
     put_on_path(tmp_path, monkeypatch, f"#!/bin/sh\ncat > /dev/null\n{_PRINTS}\n", ("tc",))
     (shell,) = ShellAdapter().run_batch([_PRINTS])
-    (tool,) = ShellAdapter().run_batch(["tc qdisc show"])
+    (tool,) = ShellAdapter().run_batch(["tc qdisc show"], "tc")
     for result, argv in ((shell, ["/bin/sh", "-c", _PRINTS]), (tool, ["tc", "-batch", "-"])):
         piped = subprocess.run(argv, input="", capture_output=True, text=True)
         assert "\r" not in piped.stdout + piped.stderr
@@ -484,36 +525,30 @@ def test_output_is_decoded_as_text_mode_decodes_a_pipe(tmp_path, monkeypatch):
 def test_gather_runs_in_one_spawn(stubs, monkeypatch):
     nodes = [(f"n{i}", f"10.0.0.{i}") for i in range(1, 6)]
     write_inventory(stubs, nodes)
-    spawns = []
-    spawn = adapters._spawn
-
-    def counted(argv, *rest):
-        spawns.append(argv)
-        return spawn(argv, *rest)
-
-    monkeypatch.setattr(adapters, "_spawn", counted)
+    spawns = spawned(monkeypatch)
     inventory = gather_interfaces(ShellAdapter(), GatherScript(tuple(nodes), "eth0"))
     assert inventory.veths == {f"n{i}": f"veth{i}" for i in range(1, 6)}
     assert inventory.warnings == ()
     assert spawns == [["/bin/sh", "-s"]]
 
 
-# The plain-line rule as one alternation per character, which the batch key
-# once matched whole lines against: the reference for the simpler rule.
+# The plain-line rule as one alternation per character, as whole lines were
+# once matched against it: the reference for the simpler `_PLAIN_LINE`.
 _PLAIN_LINE_BY_CHARACTER = re.compile(r"(?:[\w.,:/@%+={} -]|\\;)*")
 
 
 @given(
-    st.sampled_from(["tc ", "nft ", "ip ", ""]),
-    st.text(alphabet=" .,:/@%+={}-_aZ9\\;'\"$`|&<>*?\t\né()[]!#~^"),
+    st.sampled_from(["docker ", "bridge ", "ip ", "sleep ", "tc ", "nft ", ""]),
+    st.text(alphabet=" .,:/@%+={}-_aZ9\\;\"$`|&<>*?\t\né()[]!#~^"),
 )
-@example(tool="nft ", rest="add chain t c { type filter hook forward priority 0 \\; }")
-@example(tool="tc ", rest="qdisc add dev veth1 root \\\\;")
-@example(tool="nft ", rest="add element t s { 10.0.0.1 . 10.0.0.2 }\\;;")
-def test_batch_key_agrees_with_the_per_character_rule(tool, rest):
+@example(tool="docker ", rest="exec n1 nft add set t s { type ipv4_addr . ipv4_addr \\; }")
+@example(tool="ip ", rest="link set veth1 up \\\\;")
+@example(tool="bridge ", rest="fdb add 02:42:0a:00:00:01 dev veth1 master static\\;;")
+def test_shell_form_agrees_with_the_per_character_rule(tool, rest):
+    # With no single quote, a line runs as itself exactly when it is plain.
     line = tool + rest
-    plain = tool.strip() in ("tc", "nft") and _PLAIN_LINE_BY_CHARACTER.fullmatch(line)
-    assert (adapters._batch_key(line) is not None) == bool(plain)
+    plain = tool.strip() in adapters._DIRECT_TOOLS and _PLAIN_LINE_BY_CHARACTER.fullmatch(line)
+    assert (adapters._shell_form(line) == line) == bool(plain)
 
 
 _PLAIN_WORD = st.lists(
@@ -530,7 +565,7 @@ _PLAIN_REST = st.lists(
 @example(tool="nft", rests=["  add chain t c { type filter hook forward priority 0 \\; }"])
 def test_a_batch_line_splits_into_the_words_the_shell_would_pass(tool, rests):
     lines = [tool + rest for rest in rests]
-    assert all(adapters._batch_key(line) for line in lines)
+    assert all(_PLAIN_LINE_BY_CHARACTER.fullmatch(line) for line in lines)
     sent = []
 
     def spawn(argv, stdin, timeout_s):
@@ -539,6 +574,6 @@ def test_a_batch_line_splits_into_the_words_the_shell_would_pass(tool, rests):
         return adapters.CommandResult(0)
 
     with mock.patch.object(adapters, "_spawn", spawn):
-        results = ShellAdapter().run_batch(lines)
+        results = ShellAdapter().run_batch(lines, tool)
     assert len(results) == len(lines) and all(r.ok for r in results)
     assert [s.split() for s in sent] == [shlex.split(line)[1:] for line in lines]

@@ -680,6 +680,22 @@ class TestExecuteApply:
         assert fdb.commands == ()
         assert not any(call.startswith("bridge fdb") for call in adapter.calls)
 
+    def test_a_token_the_gather_did_not_find_fails_the_tc_step_before_any_tree(
+        self, five_node_classes
+    ):
+        plan = self.placeholder_text_plan(five_node_classes)
+        (gather,) = steps_of_kind(plan, "gather")
+        only_first = replace(gather, script=GatherScript(gather.script.nodes[:1], "eth0"))
+        steps = tuple(only_first if s is gather else s for s in plan.steps if s.kind != "fdb")
+        adapter = scripted_gather_adapter()
+        report = execute(PhasedPlan(plan.experiment, steps), "apply", adapter=adapter)
+        (tc,) = steps_of_kind(report, "tc")
+        assert (tc.status, tc.detail, tc.commands) == (
+            "failed", "no gathered veth for node 'node002'", ()
+        )
+        # node001's tree comes first and could run; it must not.
+        assert not any(call.startswith("tc ") for call in adapter.calls)
+
     @staticmethod
     def four_tree_plan() -> tuple[PhasedPlan, list[str]]:
         # 4 interfaces, 19 classes, b=5: 65 lines per tree.
