@@ -4,9 +4,9 @@ An adapter runs a plan step's lines in order (`run_batch`) and reports each
 line's outcome. Every apply step goes through it, the interface gather
 included. Plan lines are already full `docker ...` / `tc ...` / `nft ...`
 commands. The caller names the tool whose batch mode takes the lines (the
-nft and tc steps); any other lines run in one shell, where only lines that
-could change the shell's state get a subshell. Test doubles live with the
-tests.
+nft and tc steps); any other lines run as they are, in one shell. The
+adapter holds no rule about a line's shell syntax: the caller sends each
+line in the form it is to run in. Test doubles live with the tests.
 """
 
 from __future__ import annotations
@@ -15,12 +15,10 @@ import contextlib
 import os
 import re
 import select
-import shlex
 import signal
 import subprocess
 import tempfile
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Protocol, Sequence
 
 
@@ -53,28 +51,10 @@ _BATCH_TOOLS = {
     "tc": (("tc", "-batch", "-"), re.compile(r"Command failed \S*:(\d+)")),
     "nft": (("nft", "-f", "-"), re.compile(r":(\d+):\d+(?:-\d+)?: Error")),
 }
-# Lines whose words the shell passes on unchanged: no quotes, expansions,
-# globs, redirections or operators, only the `\;` escape of nft lines. A
-# line is plain when it matches once its `\;` escapes are taken out.
-_PLAIN_LINE = re.compile(r"[\w.,:/@%+={} -]*")
-# A host tool's literal line is one simple command: a plain line once each
-# single-quoted span is read as one plain character (not as nothing, so that
-# a `\` before a quote is still refused).
-_QUOTED_SPAN = re.compile(r"'[^']*'")
-_DIRECT_TOOLS = {"docker", "bridge", "ip", "sleep"}
 # Every wait is capped here, at 24 days: at 600 s per line a batch of 3,580
 # lines reaches it. select() itself would wait up to about 292 years (CPython
 # holds its timeout as int64 nanoseconds), so this cap is the limit.
 MAX_TIMEOUT_S = 24 * 86_400
-
-
-def _shell_form(line: str) -> str:
-    """A literal host-tool line as itself, any other line in a subshell."""
-    if line.partition(" ")[0] in _DIRECT_TOOLS and _PLAIN_LINE.fullmatch(
-        _QUOTED_SPAN.sub("q", line).replace("\\;", "")
-    ):
-        return line
-    return f"(eval {shlex.quote(line)})"
 
 
 def _spawn(argv: Sequence[str], stdin: Iterable[str] | None, timeout_s: float) -> CommandResult:
@@ -126,11 +106,11 @@ class ShellAdapter:
     `tc -batch -` or `nft -f -` (atomic), each as it is, less the tool name
     and with `\\;` read as `;`; the tool splits it at whitespace into the
     argv words the shell would have passed, and its stdout and stderr go
-    with the last line it ran. Without one, the lines run in one `/bin/sh`,
-    stdin from `/dev/null`. There a `docker`, `bridge`, `ip` or `sleep` line
-    with no shell syntax outside single quotes runs as itself, as one simple
-    command cannot `cd`, set a variable or `exit` the shell; any other line
-    runs in its own subshell.
+    with the last line it ran. Without one, the lines run as written in one
+    `/bin/sh`, which reads them from a temporary file named as its argument,
+    stdin `/dev/null`, so no line can read the script. A line that could
+    `cd`, set a variable, `exit` or leave a quote open comes in a subshell
+    (`execute` wraps each host-script line so).
 
     A batch ends when its process exits: a background job that a line
     leaves running does not hold up the step, and keeps running after it.
@@ -176,12 +156,12 @@ class ShellAdapter:
         # After each line, a marker on both streams splits the output and
         # carries the line's exit status; a failing line ends the script.
         marker = f"latem-{os.urandom(8).hex()}"
-        script = chain(
-            [f"latem_mark() {{ s=$?; printf '\\n%s\\n' {marker}; "
-             f"printf '\\n%s %d\\n' {marker} $s >&2; [ $s -eq 0 ] || exit $s; }}\n"],
-            (f"{_shell_form(line)} </dev/null; latem_mark\n" for line in lines),
-        )
-        result = _spawn(["/bin/sh", "-s"], script, self.timeout_s * len(lines))
+        with tempfile.NamedTemporaryFile("w", prefix="latem-", suffix=".sh") as script:
+            script.write(f"latem_mark() {{ s=$?; printf '\\n%s\\n' {marker}; "
+                         f"printf '\\n%s %d\\n' {marker} $s >&2; [ $s -eq 0 ] || exit $s; }}\n")
+            script.writelines(f"{line}\nlatem_mark\n" for line in lines)
+            script.flush()
+            result = _spawn(["/bin/sh", script.name], None, self.timeout_s * len(lines))
         outs = result.stdout.split(f"\n{marker}\n")
         errs = re.split(rf"\n{marker} (\d+)\n", result.stderr)
         results = [

@@ -500,9 +500,11 @@ def execute(
     scripts included) goes to the shell. The gather step's inventory
     (`gather_interfaces`, kept in the report) fills the `{veth:<node>}`
     placeholders of the FDB and tc steps, the only ones that hold them: an
-    FDB line at a time, and each tc interface's name once, all before the
-    first tree runs. Every other step's lines reach the adapter exactly as its
-    dry-run file holds them. A failed MAC read in the gather only warns.
+    FDB line at a time, each name quoted as one shell word, and each tc
+    interface's name once, as it is, all before the first tree runs. A
+    host-script line goes as `(eval <quoted line>)`, its own subshell, and is
+    reported as written. Every other step's lines reach the adapter exactly as
+    its dry-run file holds them. A failed MAC read in the gather only warns.
     Any other step stops at its first failing command, which is reported
     with its exit code, stdout and stderr; a failing interface ends the tc
     step. A timeout or an unresolvable placeholder fails the step with a
@@ -569,12 +571,15 @@ def execute(
                 batches = ((tree.split("\n")[:-1], "tc") for tree in trees.pieces())
             else:
                 lines = list(step.script)
-                if step.kind == STEP_FDB:
-                    lines = [_substitute(line, veths) for line in lines]
+                if step.kind == STEP_FDB:  # each name one shell word, whatever it holds
+                    quoted = {node: shlex.quote(veth) for node, veth in veths.items()}
+                    lines = [_substitute(line, quoted) for line in lines]
                 batches = [(lines, "nft" if step.kind == STEP_NFT else None)]
             outcomes = []
             for lines, tool in batches:
-                ran = adapter.run_batch(lines, tool)
+                # A user's line runs in a subshell, so it cannot reach the next.
+                ran = adapter.run_batch([f"(eval {shlex.quote(line)})" for line in lines]
+                                        if step.kind == STEP_HOST_SCRIPT else lines, tool)
                 outcomes += [CommandOutcome(line, r.exit_code, r.stdout, r.stderr)
                              for line, r in zip(lines, ran)]
                 if len(ran) < len(lines) or ran and not ran[-1].ok:

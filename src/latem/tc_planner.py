@@ -41,6 +41,8 @@ if TYPE_CHECKING:  # numpy is imported by verify_plan, which uses it
 
 FILTER_PRIO_MARKED = 10
 FILTER_PRIO_DEFAULT = 20
+# A failing class lists at most this many of its failing directed pairs.
+MISMATCHES_PER_CLASS = 10
 
 
 def _hex(value: int) -> str:
@@ -185,9 +187,10 @@ class Mismatch:
 @dataclass(frozen=True)
 class VerificationReport:
     pairs_checked: int
-    mismatches: tuple[Mismatch, ...]
+    mismatches: tuple[Mismatch, ...]  # the first MISMATCHES_PER_CLASS of each class
     default_path_ok: bool
     default_path_detail: str
+    failing_pairs: dict[int, int]  # each failing class's mark: its failing directed pairs
 
     @property
     def ok(self) -> bool:
@@ -382,8 +385,9 @@ def verify_plan(
     per pair up to 255 rules (16 MB at 3997 addresses), wider past that. A
     class passes as a whole when that table gives, for both directions of
     every pair, a rule stamping its mark, and the mark routes to its delay.
-    Only a failing class becomes address strings, listed pair by pair, with
-    the route of the first interface that misses.
+    A failing class is counted pair by pair; only its first
+    MISMATCHES_PER_CLASS failing directed pairs become address strings, each
+    with the route of the first interface that misses.
     """
     import numpy as np
 
@@ -398,6 +402,7 @@ def verify_plan(
         first[codes[rules[i][0]]] = i + 1
     marks: list[int | None] = [None, *(mark for _, mark in rules)]  # by first[...]
     mismatches: list[Mismatch] = []
+    failing: dict[int, int] = {}
     pairs_checked = 0
 
     for cls in classes:
@@ -407,21 +412,23 @@ def verify_plan(
         lo, hi = cls.lo.astype(np.int64), cls.hi.astype(np.int64)
         pairs_checked += 2 * len(lo)
         forth, back = first[lo * m + hi], first[hi * m + lo]
-        if delay == cls.delay_ms:
-            stamps = np.array([mark == cls.mark for mark in marks])
-            if stamps[forth].all() and stamps[back].all():
-                continue
-        los, his = cls.addresses()
-        for lo_ip, hi_ip, f, b in zip(los, his, forth.tolist(), back.tolist()):
-            for pair, rule in (((lo_ip, hi_ip), f), ((hi_ip, lo_ip), b)):
-                mark = marks[rule]
-                if mark != cls.mark or delay != cls.delay_ms:
-                    unmarked = mark != cls.mark
-                    mismatches.append(Mismatch(
-                        mark=cls.mark, pair=pair, expected_delay_ms=cls.delay_ms,
-                        actual_delay_ms=None if unmarked else delay,
-                        detail=f"marked {mark} instead of {cls.mark}" if unmarked else detail,
-                    ))
+        stamps = np.array([mark == cls.mark for mark in marks])
+        if delay == cls.delay_ms and stamps[forth].all() and stamps[back].all():
+            continue
+        # Directed pair 2k is pair k, 2k + 1 its reverse.
+        rule_of = np.stack([forth, back], axis=1).ravel()
+        bad = ~stamps[rule_of] if delay == cls.delay_ms else np.ones(len(rule_of), bool)
+        failing[cls.mark] = int(np.count_nonzero(bad))
+        for k in np.flatnonzero(bad)[:MISMATCHES_PER_CLASS].tolist():
+            pair = (classes.addrs[lo[k // 2]], classes.addrs[hi[k // 2]])
+            mark = marks[rule_of[k]]
+            unmarked = mark != cls.mark
+            mismatches.append(Mismatch(
+                mark=cls.mark, pair=pair[::-1] if k % 2 else pair,
+                expected_delay_ms=cls.delay_ms,
+                actual_delay_ms=None if unmarked else delay,
+                detail=f"marked {mark} instead of {cls.mark}" if unmarked else detail,
+            ))
 
     default_ok, default_detail = _default_route(trees)
     return VerificationReport(
@@ -429,4 +436,5 @@ def verify_plan(
         mismatches=tuple(mismatches),
         default_path_ok=default_ok,
         default_path_detail=default_detail,
+        failing_pairs=failing,
     )

@@ -2,8 +2,10 @@
 
 This is the oracle the whole-set `verify_plan` replaced: it parses every nft
 element into an address tuple, builds one directed-pair -> mark dict, and
-looks up every directed pair of every class. Tests require both to return
-equal reports, and to raise the same `ParseError`s, on the same scripts.
+looks up every directed pair of every class, counting each class's failing
+pairs and listing the first MISMATCHES_PER_CLASS of them. Tests require both
+to return equal reports, and to raise the same `ParseError`s, on the same
+scripts.
 The tc half is `verify_plan`'s own: one parsed tree per interface, each
 class's mark routed on every tree.
 """
@@ -15,7 +17,9 @@ import re
 from latem.delay_model import DelayClassMap
 from latem.errors import ParseError
 from latem.script import CommandScript
-from latem.tc_planner import Mismatch, VerificationReport, _default_route, _parse_tc, _route
+from latem.tc_planner import (
+    MISMATCHES_PER_CLASS, Mismatch, VerificationReport, _default_route, _parse_tc, _route,
+)
 
 _NFT_TABLE = re.compile(r"^nft add table ip (\w+)$")
 _NFT_CHAIN = re.compile(r"^nft add chain (\w+) (\w+) \{ type filter hook forward priority 0 \\; \}$")
@@ -74,6 +78,7 @@ def verify_plan_per_pair(
     marks = _parse_nft(nft).marks()
     trees = _parse_tc(tc)
     mismatches: list[Mismatch] = []
+    failing: dict[int, int] = {}
     pairs_checked = 0
 
     for cls in classes:
@@ -83,25 +88,26 @@ def verify_plan_per_pair(
             for src, dst in ((lo, hi), (hi, lo)):
                 mark = marks.get((src, dst))
                 if mark != cls.mark:
-                    mismatches.append(
-                        Mismatch(
-                            mark=cls.mark,
-                            pair=(src, dst),
-                            expected_delay_ms=cls.delay_ms,
-                            actual_delay_ms=None,
-                            detail=f"marked {mark} instead of {cls.mark}",
-                        )
+                    found = Mismatch(
+                        mark=cls.mark,
+                        pair=(src, dst),
+                        expected_delay_ms=cls.delay_ms,
+                        actual_delay_ms=None,
+                        detail=f"marked {mark} instead of {cls.mark}",
                     )
                 elif delay != cls.delay_ms:
-                    mismatches.append(
-                        Mismatch(
-                            mark=cls.mark,
-                            pair=(src, dst),
-                            expected_delay_ms=cls.delay_ms,
-                            actual_delay_ms=delay,
-                            detail=detail,
-                        )
+                    found = Mismatch(
+                        mark=cls.mark,
+                        pair=(src, dst),
+                        expected_delay_ms=cls.delay_ms,
+                        actual_delay_ms=delay,
+                        detail=detail,
                     )
+                else:
+                    continue
+                failing[cls.mark] = failing.get(cls.mark, 0) + 1
+                if failing[cls.mark] <= MISMATCHES_PER_CLASS:
+                    mismatches.append(found)
 
     default_ok, default_detail = _default_route(trees)
     return VerificationReport(
@@ -109,4 +115,5 @@ def verify_plan_per_pair(
         mismatches=tuple(mismatches),
         default_path_ok=default_ok,
         default_path_detail=default_detail,
+        failing_pairs=failing,
     )

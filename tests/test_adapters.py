@@ -13,6 +13,7 @@ stdin to stdout.
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 import re
 import shlex
@@ -30,11 +31,11 @@ from hypothesis import strategies as st
 
 from latem import adapters
 from latem.adapters import ShellAdapter
-from latem.link_layer import mac_for_ip
+from latem.link_layer import emit_fdb_script, mac_for_ip
 from latem.manifest import parse_manifest
 from latem.nft_planner import emit_nft_script
 from latem.orchestrator import (
-    STEP_GATHER, STEP_NFT, STEP_TC, GatherScript, PhasedPlan, PlanStep, build_startup_plan,
+    STEP_FDB, STEP_GATHER, STEP_NFT, STEP_TC, GatherScript, PhasedPlan, PlanStep, build_startup_plan,
     execute, gather_interfaces, veth_token,
 )
 from latem.script import CommandScript, Script
@@ -126,6 +127,14 @@ def spawned(monkeypatch) -> list:
     return argvs
 
 
+def shell_spawns(argvs) -> int:
+    """How many batch shells `argvs` holds, once each is known to read its
+    script from a file that is gone once the batch ends."""
+    for argv in argvs:
+        assert argv[0] == "/bin/sh" and len(argv) == 2 and not Path(argv[1]).exists()
+    return len(argvs)
+
+
 def write_inventory(stub_dir: Path, nodes) -> None:
     """The files the stubs answer the gather queries from: the i-th node
     (from 1) has peer ifindex 10 + i, host link `veth<i>` and its pattern MAC."""
@@ -200,21 +209,29 @@ def test_failing_interface_ends_the_tc_step(stubs):
     assert logged(stubs, "tc.lines") == argv_words(lines[:4])
 
 
-def test_a_gathered_name_reaches_tc_as_it_is(stubs, five_node_classes):
-    # In a shell, `dev v$x` would name the device `v`.
-    nodes = (("n1", "10.0.0.1"),)
+def test_a_gathered_name_reaches_bridge_and_tc_as_it_is(stubs, five_node_classes):
+    # Unquoted in the FDB step's shell, `dev v$x` would name the device `v`,
+    # and `dev a;b` would also run `b master static`.
+    nodes = (("n1", "10.0.0.1"), ("n2", "10.0.0.2"))
     write_inventory(stubs, nodes)
-    (stubs / "links").write_text("11: v$x@if2: <BROADCAST,UP> mtu 1500\n")
-    tc = emit_tc_trees(five_node_classes.class_delays(), [veth_token("n1")], 2)
+    (stubs / "links").write_text("11: v$x@if2: <BROADCAST,UP> mtu 1500\n"
+                                 "12: a;b@if2: <BROADCAST,UP> mtu 1500\n")
+    (stubs / "bin" / "bridge").write_text(ARGV_PRINTER)
+    fdb = emit_fdb_script([(ip, veth_token(name)) for name, ip in nodes])
+    tc = emit_tc_trees(five_node_classes.class_delays(), [veth_token(n) for n, _ in nodes], 2)
     gather = GatherScript(nodes, "eth0")
-    plan = PhasedPlan("x", (step(STEP_GATHER, gather), step(STEP_TC, tc)))
+    plan = PhasedPlan("x", (step(STEP_GATHER, gather), step(STEP_FDB, fdb), step(STEP_TC, tc)))
     report = execute(plan, "apply", adapter=ShellAdapter())
     assert report.ok, [s.detail for s in report.steps]
-    assert report.inventory.veths == {"n1": "v$x"}
-    sent = [line.replace("{veth:n1}", "v$x") for line in tc]
-    assert [c.line for c in report.steps[1].commands] == sent
+    assert report.inventory.veths == {"n1": "v$x", "n2": "a;b"}
+    assert [c.stdout.split("\0")[:-1] for c in report.steps[1].commands] == [
+        ["fdb", "add", mac_for_ip(ip), "dev", veth, "master", "static"]
+        for (_, ip), veth in zip(nodes, ["v$x", "a;b"])
+    ]
+    sent = [line.replace("{veth:n1}", "v$x").replace("{veth:n2}", "a;b") for line in tc]
+    assert [c.line for c in report.steps[2].commands] == sent
     assert logged(stubs, "tc.lines") == [line.partition(" ")[2] for line in sent]
-    assert logged(stubs, "spawns")[len(gather):] == ["tc -batch -"]
+    assert logged(stubs, "spawns")[len(gather):] == ["tc -batch -"] * 2
 
 
 TC_LINES = [
@@ -261,7 +278,7 @@ def test_tc_and_nft_lines_of_a_host_script_run_through_the_shell(stubs, monkeypa
     assert [c.line for c in failed.commands] == lines[:3]
     assert [c.exit_code for c in failed.commands] == [0, 0, 3]
     assert failed.commands[-1].stderr == f"tc: cannot {lines[2][3:]}\n"
-    assert argvs == [["/bin/sh", "-s"]]
+    assert shell_spawns(argvs) == 1
     # One tool process per line, none of them a batch.
     assert logged(stubs, "spawns") == lines[:3]
 
@@ -282,9 +299,9 @@ def test_shell_lines_keep_their_own_output(stubs):
     assert logged(stubs, "spawns") == ["docker run a", "docker run b c", "docker run e"]
 
 
-# Literal host-tool lines: a launch line with a single-quoted JSON `--env`,
-# an nft-style `\;`, and a quoted span holding what would be shell syntax.
-LITERAL_LINES = [
+# Planner-style lines: a launch line with a single-quoted JSON `--env`, an
+# nft-style `\;`, and a quoted span holding what would be shell syntax.
+PLANNER_LINES = [
     "docker run -d --name n1 --env LATEM_NODE='{\"name\": \"n1\", \"peers\": [1, 2]}' img",
     "docker exec n1 nft add chain t c { type filter hook forward priority 0 \\; }",
     "ip link set 'veth 1' up",
@@ -294,48 +311,33 @@ LITERAL_LINES = [
 ]
 
 
-def test_literal_host_tool_lines_run_as_children_of_the_batch_shell(stubs):
-    # Only docker, bridge, ip and sleep lines run directly: a quoted nft line
-    # gets a subshell.
-    not_literal = [
+def test_shell_lines_run_as_children_of_the_batch_shell(stubs):
+    # Each line runs as it is written, whatever shell syntax it holds.
+    other = [
         'docker run "a"', "docker run ${X-b}", "docker run c; true", "docker run d 2>&1",
         "nft add rule t c 'ip saddr 10.0.0.1' counter",
     ]
-    results = ShellAdapter().run_batch(LITERAL_LINES + not_literal)
+    results = ShellAdapter().run_batch(PLANNER_LINES + other)
     assert [r.exit_code for r in results] == [0] * 11
-    assert logged(stubs, "spawns") == [" ".join(shlex.split(l)) for l in LITERAL_LINES] + [
+    assert logged(stubs, "spawns") == [" ".join(shlex.split(l)) for l in PLANNER_LINES] + [
         "docker run a", "docker run b", "docker run c", "docker run d",
         "nft add rule t c ip saddr 10.0.0.1 counter",
     ]
-    parents = logged(stubs, "parents")
-    shell = parents[0]
-    assert parents[:6] == [shell] * 6
-    assert len({shell, *parents[6:]}) == 6
+    assert len(set(logged(stubs, "parents"))) == 1
 
 
-@pytest.mark.parametrize("line", [
-    "docker run \\'x';",  # the escaped quote leaves `';` open
-    "docker run 'a' 'b",
-    "docker run a;b",
-    "docker run a\tb",
-    "docker run 'a'$X",
-    "sysctl -w 'a = 1'",  # no sysctl plan line reaches the batch shell
-])
-def test_any_other_line_gets_a_subshell(line):
-    assert adapters._shell_form(line) == f"(eval {shlex.quote(line)})"
-
-
-def test_shell_lines_do_not_share_state(stubs, monkeypatch):
+def test_host_script_lines_do_not_share_state(stubs, monkeypatch):
     monkeypatch.chdir(stubs)
     lines = ["cd /", "pwd", "X=1", 'echo "${X-unset}"', "exit 0", "printf '%s\\n' \"it's\""]
-    # Host-tool lines that are not literal run in their own subshell too.
     lines += [
         "docker run a; cd /", "docker run $(cd /)", "docker run ${X=1}", "docker run b && cd /",
         "docker run c > out", "pwd", 'echo "${X-unset}"',
     ]
-    results = ShellAdapter().run_batch(lines)
-    assert [r.exit_code for r in results] == [0] * 13
-    assert [r.stdout for r in results] == [
+    (result,) = execute(PhasedPlan("x", (step("host-script", lines),)), "apply",
+                        adapter=ShellAdapter()).steps
+    assert [c.line for c in result.commands] == lines
+    assert [c.exit_code for c in result.commands] == [0] * 13
+    assert [c.stdout for c in result.commands] == [
         "", f"{stubs}\n", "", "unset\n", "", "it's\n",
         "docker did run a\n", "docker did run\n", "docker did run 1\n", "docker did run b\n",
         "", f"{stubs}\n", "unset\n",
@@ -343,12 +345,15 @@ def test_shell_lines_do_not_share_state(stubs, monkeypatch):
     assert (stubs / "out").read_text() == "docker did run c\n"
 
 
-def test_unbalanced_quote_fails_only_its_line(stubs):
+def test_an_unbalanced_quote_fails_only_its_host_script_line(stubs):
     for line in ["echo 'open", "docker run 'open", "docker run a 'b' 'c", "docker run \\'x';"]:
         # The next line's quote must not close this one's.
-        results = ShellAdapter().run_batch(["echo ok", line, "docker run b'", "echo never"])
-        assert [r.stdout for r in results] == ["ok\n", ""]
-        assert results[-1].exit_code != 0
+        lines = ["echo ok", line, "docker run b'", "echo never"]
+        (result,) = execute(PhasedPlan("x", (step("host-script", lines),)), "apply",
+                            adapter=ShellAdapter()).steps
+        assert result.status == "failed"
+        assert [c.stdout for c in result.commands] == ["ok\n", ""]
+        assert result.commands[-1].exit_code != 0
     assert logged(stubs, "spawns") == []
 
 
@@ -363,32 +368,26 @@ def test_a_tool_reading_stdin_does_not_swallow_the_script(stubs):
     assert logged(stubs, "spawns") == lines
 
 
-@pytest.fixture(scope="module")
-def argv_stub(tmp_path_factory):
-    """A `docker` first on PATH that prints each of its arguments, then NUL."""
-    bin_dir = tmp_path_factory.mktemp("argv") / "bin"
-    bin_dir.mkdir()
-    (bin_dir / "docker").write_text("#!/bin/sh\nfor a; do printf '%s\\0' \"$a\"; done\n")
-    (bin_dir / "docker").chmod(0o755)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv("PATH", f"{bin_dir}:{os.environ['PATH']}")
-        yield
+# Prints each of its arguments, then NUL.
+ARGV_PRINTER = "#!/bin/sh\nfor a; do printf '%s\\0' \"$a\"; done\n"
 
 
-_PLAIN_TEXT = st.text(alphabet=" .,:/@%+={}-_aZ9é", min_size=1)
-_QUOTED_SPAN = st.text(alphabet=" \t\n\\;\"$`|&<>*?()#~!{}aé").map(lambda t: f"'{t}'")
-
-
-@given(st.lists(st.one_of(_PLAIN_TEXT, st.just("\\;"), _QUOTED_SPAN), max_size=8))
-def test_a_literal_line_passes_the_argv_its_subshell_form_does(argv_stub, pieces):
-    line = "docker " + "".join(pieces)
-    assert adapters._shell_form(line) == line
-    direct = ShellAdapter().run_batch([line])
-    with mock.patch.object(adapters, "_DIRECT_TOOLS", set()):
-        assert adapters._shell_form(line) != line
-        wrapped = ShellAdapter().run_batch([line])
-    assert direct == wrapped
-    assert direct[0].ok and direct[0].stdout.split("\0")[:-1] == shlex.split(line)[1:]
+def test_launch_lines_pass_process_args_to_docker_exactly(tmp_path, monkeypatch):
+    put_on_path(tmp_path, monkeypatch, ARGV_PRINTER, ("docker",))
+    args = ["it's", 'say "hi"', "$HOME", "a;b", "`id`", "'$(x)'\\"]
+    data = minimal_manifest_dict()
+    data["nodes"][0]["processes"][0]["args"] = args
+    plan = build_startup_plan(parse_manifest(data))
+    (launch,) = [s for s in plan.steps if s.kind == "launch"]
+    (result,) = execute(PhasedPlan("x", (launch,)), "apply", adapter=ShellAdapter()).steps
+    assert result.status == "ok"
+    for line, outcome in zip(launch.script, result.commands, strict=True):
+        argv = outcome.stdout.split("\0")[:-1]
+        assert argv == shlex.split(line)[1:]
+        env = argv[argv.index("--env") + 1]
+        assert env.startswith("LATEM_NODE_SPEC={")
+        spec = json.loads(env.partition("=")[2])
+        assert spec["processes"][0]["args"] == (args if spec["name"] == "node001" else [])
 
 
 LONG_TC_BATCH = [f"tc qdisc add dev v0 parent 1:{i} handle {i}: prio bands 2" for i in range(4000)]
@@ -529,26 +528,12 @@ def test_gather_runs_in_one_spawn(stubs, monkeypatch):
     inventory = gather_interfaces(ShellAdapter(), GatherScript(tuple(nodes), "eth0"))
     assert inventory.veths == {f"n{i}": f"veth{i}" for i in range(1, 6)}
     assert inventory.warnings == ()
-    assert spawns == [["/bin/sh", "-s"]]
+    assert shell_spawns(spawns) == 1
 
 
-# The plain-line rule as one alternation per character, as whole lines were
-# once matched against it: the reference for the simpler `_PLAIN_LINE`.
-_PLAIN_LINE_BY_CHARACTER = re.compile(r"(?:[\w.,:/@%+={} -]|\\;)*")
-
-
-@given(
-    st.sampled_from(["docker ", "bridge ", "ip ", "sleep ", "tc ", "nft ", ""]),
-    st.text(alphabet=" .,:/@%+={}-_aZ9\\;\"$`|&<>*?\t\né()[]!#~^"),
-)
-@example(tool="docker ", rest="exec n1 nft add set t s { type ipv4_addr . ipv4_addr \\; }")
-@example(tool="ip ", rest="link set veth1 up \\\\;")
-@example(tool="bridge ", rest="fdb add 02:42:0a:00:00:01 dev veth1 master static\\;;")
-def test_shell_form_agrees_with_the_per_character_rule(tool, rest):
-    # With no single quote, a line runs as itself exactly when it is plain.
-    line = tool + rest
-    plain = tool.strip() in adapters._DIRECT_TOOLS and _PLAIN_LINE_BY_CHARACTER.fullmatch(line)
-    assert (adapters._shell_form(line) == line) == bool(plain)
+# Lines of plain characters and `\;`, as the planners write tc and nft lines:
+# for these, splitting at whitespace gives the words the shell would pass.
+_PLAIN_LINE = re.compile(r"(?:[\w.,:/@%+={} -]|\\;)*")
 
 
 _PLAIN_WORD = st.lists(
@@ -565,7 +550,7 @@ _PLAIN_REST = st.lists(
 @example(tool="nft", rests=["  add chain t c { type filter hook forward priority 0 \\; }"])
 def test_a_batch_line_splits_into_the_words_the_shell_would_pass(tool, rests):
     lines = [tool + rest for rest in rests]
-    assert all(_PLAIN_LINE_BY_CHARACTER.fullmatch(line) for line in lines)
+    assert all(_PLAIN_LINE.fullmatch(line) for line in lines)
     sent = []
 
     def spawn(argv, stdin, timeout_s):

@@ -660,8 +660,12 @@ class TestExecuteApply:
                     lines = [line.replace(token, veth) for line in lines]
                 assert lines != written[step.name]
                 assert not any("{veth:" in line for line in lines)
+            if step.kind == "host-script":  # each in its own subshell
+                lines = [f"(eval {shlex.quote(line)})" for line in lines]
             expected += lines
         assert adapter.calls == expected
+        (show,) = steps_of_kind(report, "host-script")
+        assert [c.line for c in show.commands] == written["host-show"]
         (launch,) = steps_of_kind(plan, "launch")
         assert "{veth:node002}" in written[launch.name][0]
         assert written["host-show"] == ["echo {veth:node001}"]

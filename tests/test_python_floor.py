@@ -73,7 +73,7 @@ def test_module_regexes_use_no_newer_syntax(path):
 def test_the_regex_scan_reaches_every_literal():
     patterns = [p for path in MODULES for p in regex_literals(ast.parse(path.read_text()))]
     assert len(patterns) >= 20
-    assert r"[\w.,:/@%+={} -]*" in patterns  # adapters._PLAIN_LINE
+    assert r"Command failed \S*:(\d+)" in patterns  # adapters._BATCH_TOOLS["tc"]
     assert r"\nx (\d+)\n" in patterns  # an f-string pattern
 
 

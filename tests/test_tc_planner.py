@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from latem import delay_model as dm
 from latem.errors import CapacityError, ConfigError, ParseError
 from latem.nft_planner import emit_nft_script
-from latem.script import CommandScript
+from latem.script import CommandScript, Script
 from latem.delay_model import compute_bands
 from latem.tc_planner import (
     MAX_BANDS,
+    MISMATCHES_PER_CLASS,
     emit_tc_script,
     emit_tc_trees,
     TreeScript,
@@ -207,6 +208,17 @@ def tamper_root_classid(tc: CommandScript, mark: int, bands: int) -> CommandScri
     return CommandScript(lines=tuple(lines))
 
 
+def other_address_case(n: int) -> tuple[Script, Script, dm.DelayClassMap]:
+    """The nft script of a map numbered from 10.0.0.1, and a tree and map of
+    the same matrix numbered from 10.1.0.1: no pair of the map is marked."""
+    upper = np.triu(np.random.default_rng(5).integers(1, 12, size=(n, n)) * 10, k=1)
+    policy = dm.QuantizationPolicy()
+    planned = dm.build_classes(upper + upper.T, dm.allocate_ips("10.0.0.1", n), policy)
+    other = dm.build_classes(upper + upper.T, dm.allocate_ips("10.1.0.1", n), policy)
+    tc = emit_tc_script(other.class_delays(), "veth0", compute_bands(len(other)))
+    return emit_nft_script(planned), tc, other
+
+
 class TestVerifyPlan:
     def test_valid_plan_clean(self, five_node_classes):
         nft = emit_nft_script(five_node_classes)
@@ -307,6 +319,33 @@ class TestVerifyPlan:
             tracemalloc.stop()
         assert report.pairs_checked == directed
         assert (peak - before) / directed < 32
+
+    def test_a_map_of_other_addresses_gets_a_bounded_report(self):
+        nft, tc, classes = other_address_case(60)
+        report = verify_plan(nft, tc, classes)
+        assert not report.ok
+        assert report.pairs_checked == 60 * 59
+        assert report.failing_pairs == {c.mark: 2 * len(c.lo) for c in classes}
+        assert len(report.mismatches) == MISMATCHES_PER_CLASS * len(classes)
+        assert {(m.mark, m.detail) for m in report.mismatches} == {
+            (c.mark, f"marked None instead of {c.mark}") for c in classes
+        }
+
+    def test_a_failing_report_holds_no_record_per_pair(self):
+        # One Mismatch with its address strings costs about 260 bytes per
+        # directed pair; the bound leaves what the passing check holds.
+        n = 300
+        nft, tc, classes = other_address_case(n)
+        verify_plan(nft, tc, classes)  # first-call allocations stay out of the count
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            report = verify_plan(nft, tc, classes)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(report.failing_pairs.values()) == report.pairs_checked == n * (n - 1)
+        assert (peak - before) / report.pairs_checked < 32
 
     @pytest.mark.parametrize("seed", range(25))
     def test_random_maps_verify_clean(self, seed):
@@ -417,6 +456,12 @@ class TestVerifyPlanMatchesPerPairReference:
         assert len(classes) >= 2  # the tampers need two classes
         nft, tc = TAMPERS[tamper](*_scripts(classes), classes)
         assert verify_plan(nft, tc, classes) == verify_plan_per_pair(nft, tc, classes)
+
+    def test_a_map_of_other_addresses_reports_equal(self):
+        nft, tc, classes = other_address_case(40)
+        report = verify_plan(nft, tc, classes)
+        assert report == verify_plan_per_pair(nft, tc, classes)
+        assert len(report.mismatches) < sum(report.failing_pairs.values())
 
     def test_one_set_under_two_rules(self, five_node_classes):
         nft, tc = _scripts(five_node_classes)
