@@ -42,6 +42,7 @@ from latem.script import CommandScript, Script
 from latem.tc_planner import TreeScript, emit_tc_trees
 
 from conftest import FIVE_NODE_IPS, minimal_manifest_dict
+from fake_adapters import RecordingAdapter
 
 STUB = r"""#!/bin/sh
 tool=${0##*/}
@@ -209,7 +210,24 @@ def test_failing_interface_ends_the_tc_step(stubs):
     assert logged(stubs, "tc.lines") == argv_words(lines[:4])
 
 
-def test_a_gathered_name_reaches_bridge_and_tc_as_it_is(stubs, five_node_classes):
+def test_a_gathered_name_reaches_tc_as_it_is(stubs, five_node_classes):
+    # In a shell, `dev v$x` would name the device `v`.
+    nodes = (("n1", "10.0.0.1"),)
+    write_inventory(stubs, nodes)
+    (stubs / "links").write_text("11: v$x@if2: <BROADCAST,UP> mtu 1500\n")
+    tc = emit_tc_trees(five_node_classes.class_delays(), [veth_token("n1")], 2)
+    gather = GatherScript(nodes, "eth0")
+    plan = PhasedPlan("x", (step(STEP_GATHER, gather), step(STEP_TC, tc)))
+    report = execute(plan, "apply", adapter=ShellAdapter())
+    assert report.ok, [s.detail for s in report.steps]
+    assert report.inventory.veths == {"n1": "v$x"}
+    sent = [line.replace("{veth:n1}", "v$x") for line in tc]
+    assert [c.line for c in report.steps[1].commands] == sent
+    assert logged(stubs, "tc.lines") == [line.partition(" ")[2] for line in sent]
+    assert logged(stubs, "spawns")[len(gather):] == ["tc -batch -"]
+
+
+def test_a_gathered_name_reaches_bridge_as_one_word(stubs):
     # Unquoted in the FDB step's shell, `dev v$x` would name the device `v`,
     # and `dev a;b` would also run `b master static`.
     nodes = (("n1", "10.0.0.1"), ("n2", "10.0.0.2"))
@@ -218,9 +236,7 @@ def test_a_gathered_name_reaches_bridge_and_tc_as_it_is(stubs, five_node_classes
                                  "12: a;b@if2: <BROADCAST,UP> mtu 1500\n")
     (stubs / "bin" / "bridge").write_text(ARGV_PRINTER)
     fdb = emit_fdb_script([(ip, veth_token(name)) for name, ip in nodes])
-    tc = emit_tc_trees(five_node_classes.class_delays(), [veth_token(n) for n, _ in nodes], 2)
-    gather = GatherScript(nodes, "eth0")
-    plan = PhasedPlan("x", (step(STEP_GATHER, gather), step(STEP_FDB, fdb), step(STEP_TC, tc)))
+    plan = PhasedPlan("x", (step(STEP_GATHER, GatherScript(nodes, "eth0")), step(STEP_FDB, fdb)))
     report = execute(plan, "apply", adapter=ShellAdapter())
     assert report.ok, [s.detail for s in report.steps]
     assert report.inventory.veths == {"n1": "v$x", "n2": "a;b"}
@@ -228,10 +244,6 @@ def test_a_gathered_name_reaches_bridge_and_tc_as_it_is(stubs, five_node_classes
         ["fdb", "add", mac_for_ip(ip), "dev", veth, "master", "static"]
         for (_, ip), veth in zip(nodes, ["v$x", "a;b"])
     ]
-    sent = [line.replace("{veth:n1}", "v$x").replace("{veth:n2}", "a;b") for line in tc]
-    assert [c.line for c in report.steps[2].commands] == sent
-    assert logged(stubs, "tc.lines") == [line.partition(" ")[2] for line in sent]
-    assert logged(stubs, "spawns")[len(gather):] == ["tc -batch -"] * 2
 
 
 TC_LINES = [
@@ -311,19 +323,45 @@ PLANNER_LINES = [
 ]
 
 
+def test_literal_host_tool_lines_run_as_children_of_the_batch_shell(stubs):
+    # Lines as the planners write them run as they are, all in the one shell.
+    results = ShellAdapter().run_batch(PLANNER_LINES)
+    assert [r.exit_code for r in results] == [0] * 6
+    assert logged(stubs, "spawns") == [" ".join(shlex.split(l)) for l in PLANNER_LINES]
+    assert len(set(logged(stubs, "parents"))) == 1
+
+
 def test_shell_lines_run_as_children_of_the_batch_shell(stubs):
     # Each line runs as it is written, whatever shell syntax it holds.
-    other = [
+    lines = [
         'docker run "a"', "docker run ${X-b}", "docker run c; true", "docker run d 2>&1",
         "nft add rule t c 'ip saddr 10.0.0.1' counter",
     ]
-    results = ShellAdapter().run_batch(PLANNER_LINES + other)
-    assert [r.exit_code for r in results] == [0] * 11
-    assert logged(stubs, "spawns") == [" ".join(shlex.split(l)) for l in PLANNER_LINES] + [
+    results = ShellAdapter().run_batch(lines)
+    assert [r.exit_code for r in results] == [0] * 5
+    assert logged(stubs, "spawns") == [
         "docker run a", "docker run b", "docker run c", "docker run d",
         "nft add rule t c ip saddr 10.0.0.1 counter",
     ]
     assert len(set(logged(stubs, "parents"))) == 1
+
+
+@pytest.mark.parametrize("line", [
+    "docker run \\'x';",  # the escaped quote leaves `';` open
+    "docker run 'a' 'b",
+    "docker run a;b",
+    "docker run a\tb",
+    "docker run 'a'$X",
+    "sysctl -w 'a = 1'",
+])
+def test_any_other_line_gets_a_subshell(line):
+    # A host-script line goes in its own subshell whatever tool it names and
+    # whatever shell syntax it holds, and is reported as written.
+    spy = RecordingAdapter()
+    (result,) = execute(PhasedPlan("x", (step("host-script", [line, "docker ps"]),)), "apply",
+                        adapter=spy).steps
+    assert spy.calls == [f"(eval {shlex.quote(line)})", "(eval 'docker ps')"]
+    assert [c.line for c in result.commands] == [line, "docker ps"]
 
 
 def test_host_script_lines_do_not_share_state(stubs, monkeypatch):
@@ -345,7 +383,7 @@ def test_host_script_lines_do_not_share_state(stubs, monkeypatch):
     assert (stubs / "out").read_text() == "docker did run c\n"
 
 
-def test_an_unbalanced_quote_fails_only_its_host_script_line(stubs):
+def test_unbalanced_quote_fails_only_its_line(stubs):
     for line in ["echo 'open", "docker run 'open", "docker run a 'b' 'c", "docker run \\'x';"]:
         # The next line's quote must not close this one's.
         lines = ["echo ok", line, "docker run b'", "echo never"]
