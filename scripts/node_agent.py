@@ -13,9 +13,10 @@ environment variable holding JSON:
     }
 
 The agent starts the neighbor-resolution daemon, then blocks. Each SIGUSR1
-advances to the next entry of signal_phases and starts every process
-registered for that phase; processes whose start_phase is not a signal phase
-are started immediately at boot. SIGTERM stops everything.
+or SIGUSR2 advances to the next entry of signal_phases and starts every
+process registered for that phase; signals past the last phase are ignored.
+Processes whose start_phase is not a signal phase are started immediately at
+boot. SIGTERM stops everything.
 
 The neighbor lists and timers are written to /run/latem/node.json so the
 node software can pick them up without re-parsing the environment.
@@ -26,7 +27,6 @@ import os
 import signal
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
 RUNTIME_DIR = Path("/run/latem")
@@ -71,23 +71,22 @@ def main() -> int:
         if phase not in phases:
             children.extend(start_process(p) for p in procs)
 
-    advance = threading.Event()
-    stop = threading.Event()
-    signal.signal(signal.SIGUSR1, lambda *_: advance.set())
-    signal.signal(signal.SIGTERM, lambda *_: stop.set())
+    # The handlers do nothing: each delivered signal is one byte, its number,
+    # on the wakeup pipe, so one blocking read takes the signals in order.
+    wakeup, wakeup_w = os.pipe()
+    os.set_blocking(wakeup_w, False)
+    signal.set_wakeup_fd(wakeup_w)
+    for signum in (signal.SIGUSR1, signal.SIGUSR2, signal.SIGTERM):
+        signal.signal(signum, lambda *_: None)
 
-    position = 0
+    upcoming = iter(phases)
     log(f"ready; waiting for {len(phases)} phase signal(s)")
-    while position < len(phases) and not stop.is_set():
-        if not advance.wait(timeout=0.5):
-            continue
-        advance.clear()
-        phase = phases[position]
-        position += 1
-        log(f"phase {phase}")
-        children.extend(start_process(p) for p in by_phase.get(phase, []))
+    while os.read(wakeup, 1)[0] != signal.SIGTERM:
+        phase = next(upcoming, None)
+        if phase is not None:
+            log(f"phase {phase}")
+            children.extend(start_process(p) for p in by_phase.get(phase, []))
 
-    stop.wait()
     log("stopping children")
     for child in children:
         child.terminate()

@@ -372,6 +372,36 @@ def _validate_cross_references(m: ExperimentManifest) -> None:
         dupes = sorted({n for n in phase_names if phase_names.count(n) > 1})
         raise ValidationError(f"duplicate phase names {dupes}", path="phases")
 
+    held = set().union(*(node.roles for node in m.nodes))
+    for i, ph in enumerate(m.phases):
+        role = ph.target[len("role:"):] if ph.target.startswith("role:") else None
+        if ph.target != "all" and role not in held:
+            raise ValidationError(
+                f"phase {ph.name!r}: target {ph.target!r} is neither 'all' nor "
+                "'role:<r>' for a role some node holds",
+                path=f"phases[{i}].target",
+            )
+
+    # Launch phases, when there are any, split the nodes between them.
+    launches = [(i, ph) for i, ph in enumerate(m.phases) if ph.action == "launch"]
+    launched_by: dict[str, str] = {}
+    for i, ph in launches:
+        for node in m.nodes_for_target(ph.target):
+            if node.name in launched_by:
+                raise ValidationError(
+                    f"node {node.name!r} is launched by phases "
+                    f"{launched_by[node.name]!r} and {ph.name!r}",
+                    path=f"phases[{i}].target",
+                )
+            launched_by[node.name] = ph.name
+    for i, node in enumerate(m.nodes):
+        if launches and node.name not in launched_by:
+            names = ", ".join(repr(ph.name) for _, ph in launches)
+            raise ValidationError(
+                f"node {node.name!r} is in no launch phase's target ({names})",
+                path=f"nodes[{i}]",
+            )
+
     declared = set(phase_names)
     for i, node in enumerate(m.nodes):
         for j, proc in enumerate(node.processes):

@@ -86,12 +86,14 @@ def plan_batches(
     total_nodes: int,
     resources: ResourceModel,
     paper_rounding: bool = False,
+    running: int = 0,
 ) -> BatchSchedule:
     """Batch sizes under the RAM model, in exact rational arithmetic.
 
-    The first batch fills the cap at the startup footprint; each later batch
-    fills whatever the settled (steady) footprint of the running nodes leaves
-    free. With paper_rounding, the settled occupancy is rounded to a whole
+    `running` nodes are already up at their settled (steady) footprint. Each
+    batch fills whatever the settled footprint of the running nodes leaves
+    free at the startup footprint, so the first batch of an empty host fills
+    the cap. With paper_rounding, the settled occupancy is rounded to a whole
     percent before sizing the next batch, reproducing hand calculations done
     on rounded percentages.
     """
@@ -109,7 +111,7 @@ def plan_batches(
     batches: list[int] = []
     after: list[Fraction] = []
     peaks: list[Fraction] = []
-    started = 0
+    started = running
     remaining = total_nodes
     while remaining > 0:
         occupied = started * steady
@@ -345,15 +347,17 @@ def build_startup_plan(
         if p.action == "signal"
     ]
     launch_phases = [p for p in manifest.phases if p.action == "launch"]
+    running = 0  # nodes that earlier launch phases started
     for phase in launch_phases:
         targets = manifest.nodes_for_target(phase.target)
         if manifest.resources is not None:
-            schedule = plan_batches(len(targets), manifest.resources)
+            schedule = plan_batches(len(targets), manifest.resources, running=running)
             if schedule.unscheduled:
                 raise InfeasibleError(
                     f"RAM model cannot host {len(targets)} nodes: "
                     f"{schedule.unscheduled} nodes do not fit under the cap"
                 )
+            running += len(targets)
         else:
             schedule = None
         sizes = schedule.batches if schedule else (len(targets),)
@@ -488,11 +492,13 @@ def execute(
 ) -> ExecutionReport:
     """Run a plan in dry-run or apply mode.
 
-    Dry-run writes step i's script to `<i:02d>-<name>.sh` under out_dir and
-    performs no other action; output is byte-deterministic. Each script goes
-    to its file as its pieces, never joined whole. A directory holding a
-    step file (`<digits>-<name>.sh`) this plan does not write is refused
-    before anything is written; the same plan may be written over its own.
+    Dry-run writes step i's script to `<i>-<name>.sh` under out_dir, `i`
+    zero-padded to the width of the last index (at least 2 digits) so the
+    names sort in run order, and performs no other action; output is
+    byte-deterministic. Each script goes to its file as its pieces, never
+    joined whole. A directory holding a step file (`<digits>-<name>.sh`)
+    this plan does not write is refused before anything is written; the
+    same plan may be written over its own.
 
     Apply runs steps in order, each through the adapter's `run_batch`, and
     the step's kind picks the tool: the nft step is one `nft` batch, the tc
@@ -520,7 +526,8 @@ def execute(
         if out_dir is None:
             raise ConfigError("dry-run needs an output directory")
         root = Path(out_dir)
-        names = [f"{i:02d}-{step.name}.sh" for i, step in enumerate(plan.steps)]
+        width = max(2, len(str(len(plan.steps) - 1)))
+        names = [f"{i:0{width}d}-{step.name}.sh" for i, step in enumerate(plan.steps)]
         if root.is_dir():
             stale = min((p.name for p in root.iterdir()
                          if _STEP_FILE.fullmatch(p.name) and p.name not in names), default=None)

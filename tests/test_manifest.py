@@ -171,6 +171,11 @@ def test_values_that_reach_plan_lines_must_be_one_word(path, put, value):
          "delay.quantum_ms"),
         (lambda d: d.update(delay={"matrix_path": "m.txt", "rounding": "stochastic"}),
          "delay.rounding"),
+        # a target is "all" or "role:<r>" for a role some node holds
+        (lambda d: d["phases"][1].update(target="role:validatr"), "phases[1].target"),
+        (lambda d: d["phases"][1].update(target="rol:validator"), "phases[1].target"),
+        (lambda d: d["phases"][1].update(target="validator"), "phases[1].target"),
+        (lambda d: d["phases"][0].update(target="role:nobody"), "phases[0].target"),
     ],
 )
 def test_errors_name_the_json_path_of_the_offending_value(tmp_path, change, path):
@@ -213,3 +218,39 @@ def test_entries_of_the_wrong_json_type_name_their_path(change, path):
 def test_manifest_that_is_not_an_object_rejected():
     with pytest.raises(ValidationError, match=r"^\[manifest\] expected an object, got list$"):
         parse_manifest([1])
+
+
+def test_two_launch_phases_may_not_launch_one_node(tmp_path):
+    data = minimal_manifest_dict()
+    data["phases"].insert(1, {"name": "launch-again", "action": "launch"})
+    with pytest.raises(ValidationError) as exc:
+        load_manifest(write_manifest(tmp_path, data))
+    assert exc.value.path == "phases[1].target"
+    assert str(exc.value) == (
+        "[phases[1].target] node 'node001' is launched by phases 'launch' and 'launch-again'"
+    )
+
+
+def test_every_node_is_in_a_launch_phase(tmp_path):
+    data = minimal_manifest_dict()
+    data["phases"][0]["target"] = "role:validator"
+    with pytest.raises(ValidationError) as exc:
+        load_manifest(write_manifest(tmp_path, data))
+    assert str(exc.value) == "[nodes[0]] node 'node001' is in no launch phase's target ('launch')"
+
+
+def test_launch_phases_that_split_the_nodes_load(tmp_path):
+    data = minimal_manifest_dict()
+    data["nodes"][0]["roles"] = ["observer"]
+    data["phases"][:1] = [
+        {"name": "launch-validators", "action": "launch", "target": "role:validator"},
+        {"name": "launch-observers", "action": "launch", "target": "role:observer"},
+    ]
+    manifest = load_manifest(write_manifest(tmp_path, data))
+    assert [p.target for p in manifest.phases[:2]] == ["role:validator", "role:observer"]
+
+
+def test_a_manifest_without_a_launch_phase_loads(tmp_path):
+    data = minimal_manifest_dict()
+    del data["phases"][0]
+    assert len(load_manifest(write_manifest(tmp_path, data)).nodes) == 2

@@ -103,6 +103,14 @@ class TestPlanBatches:
         schedule = plan_batches(993, PAPER_RESOURCES)
         assert schedule.occupancy_after[-1] == 993 * PAPER_RESOURCES.per_node_steady_fraction
 
+    def test_running_nodes_take_their_steady_share_of_the_cap(self):
+        resources = ResourceModel(Fraction("0.8"), Fraction("0.2"), Fraction("0.05"))
+        assert plan_batches(5, resources).batches == (4, 1)
+        schedule = plan_batches(5, resources, running=5)
+        assert schedule.batches == (2, 2, 1)
+        assert schedule.peak_during == (Fraction("0.65"), Fraction("0.75"), Fraction("0.65"))
+        assert schedule.occupancy_after[-1] == 10 * Fraction("0.05")
+
 
 def manifest_with_delay(tmp_path: Path):
     matrix_path = tmp_path / "matrix.txt"
@@ -227,6 +235,30 @@ class TestBuildStartupPlan:
         launches = steps_of_kind(plan, "launch")
         # 4 fill the cap; settled footprints leave room for 3, then 2, then 1
         assert [len(s.script) for s in launches] == [4, 3, 2, 1]
+
+    def test_a_later_launch_phase_counts_the_nodes_already_running(self):
+        data = minimal_manifest_dict()
+        data["nodes"] = [
+            {"name": f"node{i:03d}", "ip": f"10.1.0.{i+1}", "image": "img", "processes": [],
+             "roles": ["early" if i < 5 else "late"]}
+            for i in range(10)
+        ]
+        data["phases"][:1] = [
+            {"name": "first", "action": "launch", "target": "role:early"},
+            {"name": "second", "action": "launch", "target": "role:late"},
+        ]
+        data["resources"] = {
+            "ram_cap_fraction": "0.8",
+            "per_node_startup_fraction": "0.2",
+            "per_node_steady_fraction": "0.05",
+        }
+        plan = build_startup_plan(parse_manifest(data))
+        launches = steps_of_kind(plan, "launch")
+        assert [s.name for s in launches] == [
+            "launch-first-b01", "launch-first-b02",
+            "launch-second-b01", "launch-second-b02", "launch-second-b03",
+        ]
+        assert [len(s.script) for s in launches] == [4, 1, 2, 2, 1]
 
     def test_launch_infeasible_overflow(self):
         data = minimal_manifest_dict()
@@ -537,6 +569,23 @@ class TestExecuteDryRun:
         finally:
             tracemalloc.stop()
         assert peak < nft_chars / 4
+
+    @pytest.mark.parametrize("signals, width", [(96, 2), (100, 3)])
+    def test_step_files_sort_in_run_order(self, tmp_path, signals, width):
+        # preflight, launch, gather and fdb come first: 100 or 104 steps
+        data = minimal_manifest_dict()
+        data["phases"] = [{"name": "launch", "action": "launch"}] + [
+            {"name": f"p{i}", "action": "signal", "signal": "SIGUSR1"} for i in range(signals)
+        ]
+        for node in data["nodes"]:
+            node["processes"] = []
+        plan = build_startup_plan(parse_manifest(data))
+        assert len(plan.steps) == signals + 4
+        execute(plan, "dry-run", out_dir=tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            f"{i:0{width}d}-{step.name}.sh" for i, step in enumerate(plan.steps)
+        ]
+        assert (tmp_path / ("99-signal-p95.sh" if width == 2 else "100-signal-p96.sh")).exists()
 
     def test_requires_out_dir(self):
         plan = build_startup_plan(parse_manifest(minimal_manifest_dict()))
