@@ -16,7 +16,8 @@ The agent starts the neighbor-resolution daemon, then blocks. Each SIGUSR1
 or SIGUSR2 advances to the next entry of signal_phases and starts every
 process registered for that phase; signals past the last phase are ignored.
 Processes whose start_phase is not a signal phase are started immediately at
-boot. SIGTERM stops everything.
+boot. A process that cannot be started is logged and skipped, and the agent
+serves on. SIGTERM stops everything.
 
 The neighbor lists and timers are written to /run/latem/node.json so the
 node software can pick them up without re-parsing the environment.
@@ -36,10 +37,14 @@ def log(message: str) -> None:
     print(f"[node-agent] {message}", flush=True)
 
 
-def start_process(spec: dict) -> subprocess.Popen:
+def start_process(spec: dict, children: list[subprocess.Popen]) -> None:
+    """Start one process as a child; a start that fails is logged and skipped."""
     argv = [spec["binary"], *spec.get("args", [])]
     log(f"starting {' '.join(argv)}")
-    return subprocess.Popen(argv)
+    try:
+        children.append(subprocess.Popen(argv))
+    except OSError as exc:
+        log(f"cannot start {' '.join(argv)}: {exc}")
 
 
 def main() -> int:
@@ -53,13 +58,8 @@ def main() -> int:
     (RUNTIME_DIR / "node.json").write_text(json.dumps(spec, indent=2, sort_keys=True))
 
     children: list[subprocess.Popen] = []
-    # Resolve neighbors locally instead of ARP; keep going if the CLI is absent.
-    try:
-        children.append(
-            subprocess.Popen(["latem", "autoarpd", "--interface", "eth0"])
-        )
-    except FileNotFoundError:
-        log("latem CLI not found; neighbor daemon not started")
+    # Resolve neighbors locally instead of ARP; keep going if the CLI cannot start.
+    start_process({"binary": "latem", "args": ["autoarpd", "--interface", "eth0"]}, children)
 
     phases = list(spec.get("signal_phases", []))
     by_phase: dict[str, list[dict]] = {}
@@ -69,7 +69,8 @@ def main() -> int:
     # Processes bound to non-signal phases start right away.
     for phase, procs in by_phase.items():
         if phase not in phases:
-            children.extend(start_process(p) for p in procs)
+            for p in procs:
+                start_process(p, children)
 
     # The handlers do nothing: each delivered signal is one byte, its number,
     # on the wakeup pipe, so one blocking read takes the signals in order.
@@ -85,7 +86,8 @@ def main() -> int:
         phase = next(upcoming, None)
         if phase is not None:
             log(f"phase {phase}")
-            children.extend(start_process(p) for p in by_phase.get(phase, []))
+            for p in by_phase.get(phase, []):
+                start_process(p, children)
 
     log("stopping children")
     for child in children:

@@ -21,10 +21,10 @@ protocol (requires root and is exercised only in apply mode), while
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import ipaddress
 import logging
-import select
 import socket
 import struct
 import threading
@@ -37,8 +37,6 @@ from .link_layer import mac_for_ip, neigh_settings
 from .script import CommandScript
 
 log = logging.getLogger(__name__)
-
-POLL_INTERVAL_S = 0.2  # longest wait on the transport before the stop signal is checked
 
 
 @dataclass(frozen=True)
@@ -56,8 +54,8 @@ class Solicitation:
 
 
 class SolicitTransport(Protocol):
-    def receive(self, timeout: float) -> Solicitation | None:
-        """Next pending solicitation, or None if none arrived in time."""
+    def receive(self) -> Solicitation | None:
+        """Next solicitation, waiting for one; None when there is none to wait for."""
 
     def reply(self, solicitation: Solicitation, entry: NeighborEntry) -> None:
         """Deliver the resolved entry for the solicited address."""
@@ -78,36 +76,39 @@ class ServeStats:
 def serve(
     transport: SolicitTransport, stop_signal: threading.Event | None = None
 ) -> ServeStats:
-    """Answer solicitations until the stop signal is set.
+    """Answer solicitations until the stop signal is set or an interrupt lands.
 
     Exactly one reply per solicitation, for the solicited address. A receive
     that fails with ENOBUFS (the socket's buffer overflowed during a burst,
     and the kernel dropped solicitations) is counted and logged, and serving
-    goes on; every other transport failure is fatal after logging.
+    goes on; every other transport failure is fatal after logging. A
+    KeyboardInterrupt (SIGINT, or SIGTERM routed to
+    `signal.default_int_handler`) ends serving with the counts so far; a
+    solicitation in flight when it lands may go unanswered or uncounted.
     """
-    stop = stop_signal if stop_signal is not None else threading.Event()
     received = replied = overflows = 0
-    while not stop.is_set():
-        try:
-            solicitation = transport.receive(timeout=POLL_INTERVAL_S)
-        except Exception as exc:
-            if isinstance(exc, OSError) and exc.errno == errno.ENOBUFS:
-                overflows += 1
-                log.warning("receive buffer overflowed, solicitations dropped (%d so far)",
-                            overflows)
+    with contextlib.suppress(KeyboardInterrupt):
+        while stop_signal is None or not stop_signal.is_set():
+            try:
+                solicitation = transport.receive()
+            except Exception as exc:
+                if isinstance(exc, OSError) and exc.errno == errno.ENOBUFS:
+                    overflows += 1
+                    log.warning("receive buffer overflowed, solicitations dropped (%d so far)",
+                                overflows)
+                    continue
+                log.error("transport receive failed: %s", exc)
+                raise ServeError(f"transport receive failed: {exc}") from exc
+            if solicitation is None:
                 continue
-            log.error("transport receive failed: %s", exc)
-            raise ServeError(f"transport receive failed: {exc}") from exc
-        if solicitation is None:
-            continue
-        received += 1
-        entry = resolve(solicitation.ip)
-        try:
-            transport.reply(solicitation, entry)
-        except Exception as exc:
-            log.error("transport reply failed: %s", exc)
-            raise ServeError(f"transport reply failed: {exc}") from exc
-        replied += 1
+            received += 1
+            entry = resolve(solicitation.ip)
+            try:
+                transport.reply(solicitation, entry)
+            except Exception as exc:
+                log.error("transport reply failed: %s", exc)
+                raise ServeError(f"transport reply failed: {exc}") from exc
+            replied += 1
     return ServeStats(received=received, replied=replied, overflows=overflows)
 
 
@@ -136,7 +137,7 @@ class MockSolicitTransport:
     replies: list[tuple[Solicitation, NeighborEntry]] = field(default_factory=list)
     _cursor: int = field(default=0, repr=False)
 
-    def receive(self, timeout: float) -> Solicitation | None:
+    def receive(self) -> Solicitation | None:
         if self._cursor < len(self.pending):
             self._cursor += 1
             return self.pending[self._cursor - 1]
@@ -232,18 +233,11 @@ class NetlinkSolicitTransport:
         self._seq = 0
         self._backlog: deque[Solicitation] = deque()
 
-    def receive(self, timeout: float) -> Solicitation | None:
-        if self._backlog:
-            return self._backlog.popleft()
-        ready, _, _ = select.select([self._sock], [], [], timeout)
-        if not ready:
-            return None
-        solicitations = parse_solicitations(self._sock.recv(65536))
-        if not solicitations:
-            return None
-        first, *rest = solicitations
-        self._backlog.extend(rest)
-        return first
+    def receive(self) -> Solicitation:
+        """Blocks until the socket yields a solicitation; other messages are skipped."""
+        while not self._backlog:
+            self._backlog.extend(parse_solicitations(self._sock.recv(65536)))
+        return self._backlog.popleft()
 
     def reply(self, solicitation: Solicitation, entry: NeighborEntry) -> None:
         self._seq += 1

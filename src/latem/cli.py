@@ -265,19 +265,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_autoarpd(args: argparse.Namespace) -> int:
-    import threading
-
     from . import autoarpd
 
     if args.emit_sysctls:
         _write_or_print(autoarpd.emit_neigh_sysctls(args.interface).pieces(), None)
         return 0
-    stop = threading.Event()
-    signal.signal(signal.SIGTERM, lambda *_: stop.set())
-    signal.signal(signal.SIGINT, lambda *_: stop.set())
+    # Either signal interrupts the blocking receive; serve then returns its counts.
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(signum, signal.default_int_handler)
     transport = autoarpd.NetlinkSolicitTransport()
     try:
-        served = autoarpd.serve(transport, stop)
+        served = autoarpd.serve(transport)
     finally:
         transport.close()
     print(f"received={served.received} replied={served.replied} overflows={served.overflows}")

@@ -25,10 +25,10 @@ from typing import Any, Mapping, Union
 
 from .delay_model import QuantizationPolicy
 from .errors import ConfigError, ValidationError
+from .topology import nws_faults, random_faults
 
 PHASE_ACTIONS = ("launch", "signal", "run-host-script")
 TIMER_KINDS = ("duration", "rate")
-TOPOLOGY_KINDS = ("nws", "random")
 
 FractionLike = Union[int, float, str, Fraction]
 
@@ -158,9 +158,10 @@ class ExperimentManifest:
 
 # Node names become container names (Docker's rule); images, signals and
 # the runtime names are each one shell word. All of them reach plan lines
-# unquoted, so nothing else may pass.
+# unquoted, so nothing else may pass. Phase names name dry-run step files.
 _CONTAINER_NAME = re.compile(r"[a-zA-Z0-9][a-zA-Z0-9_.-]+")
 _SHELL_WORD = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.:/@+-]*")
+_FILE_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
 
 
 def _word(value: Any, pattern: re.Pattern, path: str) -> str:
@@ -243,7 +244,7 @@ def parse_manifest(data: Mapping) -> ExperimentManifest:
     for i, ph in enumerate(_array(data.get("phases", []), "phases")):
         path = f"phases[{i}]"
         ph = _object(ph, path)
-        phase_name = str(_require(ph, "name", f"{path}.name"))
+        phase_name = _word(_require(ph, "name", f"{path}.name"), _FILE_NAME, f"{path}.name")
         action = str(_require(ph, "action", f"{path}.action"))
         if action not in PHASE_ACTIONS:
             raise ValidationError(
@@ -277,16 +278,19 @@ def parse_manifest(data: Mapping) -> ExperimentManifest:
     for role, nw in _object(data.get("networks", {}), "networks").items():
         path = f"networks.{role}"
         nw = _object(nw, path)
-        kind = str(_require(nw, "kind", f"{path}.kind"))
-        if kind not in TOPOLOGY_KINDS:
+        kind, seed = str(_require(nw, "kind", f"{path}.kind")), int(nw.get("seed", 0))
+        if kind == "nws":
+            spec = TopologySpec(kind, seed, k=int(_require(nw, "k", f"{path}.k")),
+                                p=parse_fraction(_require(nw, "p", f"{path}.p"), f"{path}.p"))
+            faults = nws_faults(len(nodes), spec.k, spec.p)
+        elif kind == "random":
+            spec = TopologySpec(kind, seed, degree=int(_require(nw, "degree", f"{path}.degree")))
+            faults = random_faults(len(nodes), spec.degree)
+        else:
             raise ValidationError(f"network {role!r}: unknown kind {kind!r}", f"{path}.kind")
-        networks[str(role)] = TopologySpec(
-            kind=kind,
-            seed=int(nw.get("seed", 0)),
-            k=int(nw["k"]) if "k" in nw else None,
-            p=parse_fraction(nw["p"], f"{path}.p") if "p" in nw else None,
-            degree=int(nw["degree"]) if "degree" in nw else None,
-        )
+        for key, reason in faults:  # the generator's own rules: planning cannot refuse it
+            raise ValidationError(f"network {role!r}: {reason}", f"{path}.{key}")
+        networks[str(role)] = spec
 
     delay = None
     if "delay" in data and data["delay"] is not None:
@@ -411,16 +415,6 @@ def _validate_cross_references(m: ExperimentManifest) -> None:
                     f"undeclared phase {proc.start_phase!r}",
                     path=f"nodes[{i}].processes[{j}].start_phase",
                 )
-
-    for role, spec in m.networks.items():
-        if spec.kind == "nws" and (spec.k is None or spec.p is None):
-            raise ValidationError(
-                f"network {role!r}: kind 'nws' needs k and p", path=f"networks.{role}"
-            )
-        if spec.kind == "random" and spec.degree is None:
-            raise ValidationError(
-                f"network {role!r}: kind 'random' needs degree", path=f"networks.{role}"
-            )
 
 
 def load_manifest(path: str | Path) -> ExperimentManifest:

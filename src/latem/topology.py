@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .errors import ConfigError, RetryExhausted
 
@@ -42,6 +42,26 @@ class Graph:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
+def nws_faults(n: int, k: int, p: float) -> Iterator[tuple[str, str]]:
+    """(parameter, reason) for each rule of `nws_graph` that n, k and p break."""
+    if k < 2 or k % 2 != 0:
+        yield "k", f"k must be even and >= 2, got {k}"
+    if n <= k:
+        yield "k", f"need n > k, got n={n}, k={k}"
+    if not 0 <= p <= 1:
+        yield "p", f"p must be a probability, got {p}"
+
+
+def random_faults(n: int, degree: int) -> Iterator[tuple[str, str]]:
+    """(parameter, reason) for each rule of `random_graph` that n and degree break."""
+    if degree < 0:
+        yield "degree", f"degree must be >= 0, got {degree}"
+    if degree >= n:
+        yield "degree", f"degree {degree} must be smaller than n={n}"
+    if (n * degree) % 2 != 0:
+        yield "degree", f"n*degree must be even, got {n}*{degree}"
+
+
 def nws_graph(n: int, k: int, p: float, seed: int) -> Graph:
     """Small-world graph: ring lattice of degree k plus seeded shortcuts.
 
@@ -50,12 +70,8 @@ def nws_graph(n: int, k: int, p: float, seed: int) -> Graph:
     endpoint to a uniformly chosen non-neighbor. Shortcuts are added, never
     rewired, so the p=0 graph (exactly n*k/2 edges) is always a subgraph.
     """
-    if k < 2 or k % 2 != 0:
-        raise ConfigError(f"k must be even and >= 2, got {k}")
-    if n <= k:
-        raise ConfigError(f"need n > k, got n={n}, k={k}")
-    if not 0 <= p <= 1:
-        raise ConfigError(f"p must be a probability, got {p}")
+    for _, reason in nws_faults(n, k, p):
+        raise ConfigError(reason)
     p = float(p)  # a Fraction p would compare exactly, unlike networkx's float
     rng = random.Random(seed)
     nodes = range(n)
@@ -151,12 +167,8 @@ def random_graph(n: int, degree: int, seed: int) -> Graph:
     Each retry derives a fresh generator seed from the caller's seed, so the
     result is still a pure function of (n, degree, seed).
     """
-    if degree < 0:
-        raise ConfigError(f"degree must be >= 0, got {degree}")
-    if degree >= n:
-        raise ConfigError(f"degree {degree} must be smaller than n={n}")
-    if (n * degree) % 2 != 0:
-        raise ConfigError(f"n*degree must be even, got {n}*{degree}")
+    for _, reason in random_faults(n, degree):
+        raise ConfigError(reason)
     for attempt in range(CONNECTIVITY_ATTEMPTS):
         edges = _regular_edges(n, degree, random.Random(seed + attempt))
         if _is_connected(n, edges):

@@ -143,11 +143,11 @@ class OverflowOnceTransport:
     def __init__(self, inner, at: int):
         self.inner, self.at, self.calls = inner, at, 0
 
-    def receive(self, timeout: float):
+    def receive(self):
         self.calls += 1
         if self.calls - 1 == self.at:
             raise OSError(errno.ENOBUFS, os.strerror(errno.ENOBUFS))
-        return self.inner.receive(timeout)
+        return self.inner.receive()
 
     def reply(self, solicitation, entry) -> None:
         self.inner.reply(solicitation, entry)

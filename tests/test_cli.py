@@ -414,7 +414,22 @@ def test_run_negative_overlay_degree_is_a_config_error(tmp_path, capsys):
     path = _overlay_manifest(tmp_path, degree=-2)
     rc = main(["run", "--manifest", str(path), "--dry-run", "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert capsys.readouterr().err == "error: degree must be >= 0, got -2\n"
+    assert capsys.readouterr().err == (
+        "error: [networks.gossip.degree] network 'gossip': degree must be >= 0, got -2\n"
+    )
+
+
+def test_the_readme_manifest_loads_and_plans(tmp_path, capsys):
+    (example,) = re.findall(r"```jsonc\n(.*?)```", _readme_section("Manifest schema"), re.S)
+    data = json.loads(re.sub(r"//[^\n]*", "", example))
+    rng = np.random.default_rng(3)
+    upper = np.triu(rng.integers(1, 200, size=(8, 8)), 1)
+    np.savetxt(tmp_path / data["delay"]["matrix_path"], upper + upper.T, fmt="%d")
+    manifest = write_manifest(tmp_path, data)
+    rc = main(["run", "--manifest", str(manifest), "--dry-run", "--out", str(tmp_path / "plan")])
+    assert (rc, capsys.readouterr().err) == (0, "")
+    launch = next((tmp_path / "plan").glob("*-launch-*.sh")).read_text()
+    assert launch.count('"neighbors":{"blocks":[') == len(data["nodes"]) == 6
 
 
 def test_overlays_build_with_networkx_blocked(tmp_path):

@@ -3,13 +3,15 @@ from fractions import Fraction
 import pytest
 
 from latem.delay_model import allocate_ips
-from latem.errors import ValidationError
+from latem.errors import ConfigError, RetryExhausted, ValidationError
 from latem.manifest import (
     load_manifest,
     parse_fraction,
     parse_manifest,
     render_number,
 )
+from latem.orchestrator import build_startup_plan
+from latem.topology import nws_graph, random_graph
 
 from conftest import minimal_manifest_dict, phase, write_manifest
 
@@ -176,6 +178,14 @@ def test_values_that_reach_plan_lines_must_be_one_word(path, put, value):
         (lambda d: d["phases"][1].update(target="rol:validator"), "phases[1].target"),
         (lambda d: d["phases"][1].update(target="validator"), "phases[1].target"),
         (lambda d: d["phases"][0].update(target="role:nobody"), "phases[0].target"),
+        # each overlay kind needs its parameters
+        (lambda d: d.update(networks={"blocks": {"kind": "nws", "p": 0.2}}), "networks.blocks.k"),
+        (lambda d: d.update(networks={"blocks": {"kind": "nws", "k": 0}}), "networks.blocks.p"),
+        (lambda d: d.update(networks={"blocks": {"kind": "random"}}), "networks.blocks.degree"),
+        # a phase name names a dry-run step file
+        (lambda d: d["phases"][1].update(name="go/now"), "phases[1].name"),
+        (lambda d: d["phases"][1].update(name=".."), "phases[1].name"),
+        (lambda d: d["phases"][1].update(name="-x"), "phases[1].name"),
     ],
 )
 def test_errors_name_the_json_path_of_the_offending_value(tmp_path, change, path):
@@ -254,3 +264,55 @@ def test_a_manifest_without_a_launch_phase_loads(tmp_path):
     data = minimal_manifest_dict()
     del data["phases"][0]
     assert len(load_manifest(write_manifest(tmp_path, data)).nodes) == 2
+
+
+def _with_nodes(count: int, networks: dict) -> dict:
+    data = minimal_manifest_dict(networks=networks)
+    data["nodes"] = [{"name": f"n{i}", "ip": f"10.1.0.{i + 1}"} for i in range(count)]
+    data["phases"] = [{"name": "launch", "action": "launch"}]
+    return data
+
+
+@pytest.mark.parametrize(
+    "network, key, reason",
+    [
+        ({"kind": "nws", "k": 4, "p": 0.2}, "k", "need n > k, got n=3, k=4"),
+        ({"kind": "nws", "k": 3, "p": 0.2}, "k", "k must be even and >= 2, got 3"),
+        ({"kind": "nws", "k": 0, "p": 0.2}, "k", "k must be even and >= 2, got 0"),
+        ({"kind": "nws", "k": 2, "p": 1.5}, "p", "p must be a probability, got 3/2"),
+        ({"kind": "nws", "k": 2, "p": "-1/10"}, "p", "p must be a probability, got -1/10"),
+        ({"kind": "random", "degree": 3}, "degree", "degree 3 must be smaller than n=3"),
+        ({"kind": "random", "degree": -2}, "degree", "degree must be >= 0, got -2"),
+        ({"kind": "random", "degree": 1}, "degree", "n*degree must be even, got 3*1"),
+    ],
+)
+def test_an_overlay_its_generator_refuses_fails_at_its_key(tmp_path, network, key, reason):
+    data = _with_nodes(3, {"blocks": {**network, "seed": 1}})
+    with pytest.raises(ValidationError) as exc:
+        load_manifest(write_manifest(tmp_path, data))
+    assert str(exc.value) == f"[networks.blocks.{key}] network 'blocks': {reason}"
+
+
+def test_an_overlay_loads_exactly_when_its_generator_accepts_it():
+    for n in (1, 2, 3, 5):
+        for k in (-2, 0, 1, 2, 3, 4, 6):
+            for p in (Fraction(-1, 2), 0, Fraction(1, 2), 1, Fraction(3, 2)):
+                _agree(n, {"kind": "nws", "k": k, "p": str(p)}, lambda: nws_graph(n, k, p, 1))
+        for degree in (-1, 0, 1, 2, 3, 4, 5):
+            _agree(n, {"kind": "random", "degree": degree},
+                   lambda: random_graph(n, degree, 1))
+
+
+def _agree(n: int, network: dict, generate) -> None:
+    """The manifest loads exactly when `generate` accepts the parameters, and then plans."""
+    data = _with_nodes(n, {"blocks": {**network, "seed": 1}})
+    try:
+        generate()
+    except ConfigError:
+        with pytest.raises(ValidationError):
+            parse_manifest(data)
+        return
+    except RetryExhausted:  # no connected graph exists: not a rule on the parameters
+        parse_manifest(data)
+        return
+    build_startup_plan(parse_manifest(data))

@@ -24,6 +24,7 @@ import pytest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 WAIT_S = 10
+MISSING = "/nonexistent/bin"
 
 AGENT = (
     "import pathlib, sys\n"
@@ -48,7 +49,8 @@ CHILD = (
 class Agent:
     """One agent process, its stdout lines and its phase markers."""
 
-    def __init__(self, tmp_path: Path, phases: list[str]):
+    def __init__(self, tmp_path: Path, phases: list[str], boot: tuple[str, ...],
+                 missing: tuple[str, ...]):
         self.markers = tmp_path / "markers"
         self.markers.mkdir()
         child = tmp_path / "child.py"
@@ -61,8 +63,8 @@ class Agent:
                 {"binary": sys.executable,
                  "args": [str(child), str(self.markers / f"{phase}.pid")],
                  "start_phase": phase}
-                for phase in phases
-            ],
+                for phase in [*boot, *phases]
+            ] + [{"binary": MISSING, "start_phase": phase} for phase in missing],
             "neighbors": {},
             "timers": {},
         }
@@ -105,13 +107,17 @@ class Agent:
         self.signal(signal.SIGTERM)
         return self.proc.wait(timeout=WAIT_S)
 
-    def phases_logged(self) -> list[str]:
-        """After the agent and its children are gone: the phases it logged."""
+    def rest(self) -> list[str]:
+        """After the agent and its children are gone: the log lines not yet taken."""
         self.reader.join(timeout=WAIT_S)
         assert not self.reader.is_alive()
         lines = [self.lines.get_nowait() for _ in range(self.lines.qsize())]
         assert lines[-1] == "[node-agent] stopping children", lines
-        return [line.split()[-1] for line in lines if line.startswith("[node-agent] phase ")]
+        return lines
+
+    def phases_logged(self) -> list[str]:
+        """After the agent and its children are gone: the phases it logged."""
+        return [line.split()[-1] for line in self.rest() if line.startswith("[node-agent] phase ")]
 
     def cleanup(self) -> None:
         if self.proc.poll() is None:
@@ -130,9 +136,15 @@ class Agent:
 def agent(tmp_path):
     started: list[Agent] = []
 
-    def start(phases: list[str]) -> Agent:
-        started.append(Agent(tmp_path, phases))
-        started[-1].wait_line("latem CLI not found")
+    def start(phases: list[str], boot: tuple[str, ...] = (),
+              missing: tuple[str, ...] = ()) -> Agent:
+        """An agent whose phases, and each boot phase, start one marker child;
+        each phase in `missing` also gets a process whose binary does not exist."""
+        started.append(Agent(tmp_path, phases, boot, missing))
+        started[-1].wait_line("starting latem autoarpd --interface eth0")
+        started[-1].wait_line("cannot start latem autoarpd --interface eth0: [Errno 2] ")
+        for _ in boot:
+            started[-1].wait_line("starting ")
         started[-1].wait_line("ready")
         return started[-1]
 
@@ -181,3 +193,21 @@ def test_sigterm_terminates_the_children_and_exits_zero(agent):
     assert (a.markers / "start-nodes.term").exists()
     assert a.started() == ["start-nodes"]
     assert a.phases_logged() == ["start-nodes"]
+
+
+def test_a_process_that_cannot_start_is_logged_and_the_agent_serves_on(agent):
+    a = agent(["start-nodes", "start-load"], boot=("boot",), missing=("start-nodes",))
+    a.wait_marker("boot")
+    a.signal(signal.SIGUSR1)
+    a.wait_marker("start-nodes")
+    a.signal(signal.SIGUSR2)
+    a.wait_marker("start-load")
+    assert a.stop() == 0
+    for phase in ("boot", "start-nodes", "start-load"):
+        assert (a.markers / f"{phase}.term").exists()
+    assert [line for line in a.rest() if line.startswith(("[node-agent] phase ",
+                                                          "[node-agent] cannot "))] == [
+        "[node-agent] phase start-nodes",
+        f"[node-agent] cannot start {MISSING}: [Errno 2] No such file or directory: '{MISSING}'",
+        "[node-agent] phase start-load",
+    ]

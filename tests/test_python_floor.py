@@ -1,10 +1,11 @@
-"""Every `latem` module keeps to the oldest Python the package declares.
+"""Every `latem` module and script keeps to the oldest Python the package declares.
 
 The suite runs on one interpreter, newer than the floor, so syntax and regex
 features added after it would pass here and break on the floor. This reads
 each module as the floor's parser does, and checks each regex literal it
 compiles for the two regex features new in 3.11: possessive quantifiers and
-atomic groups.
+atomic groups. The scripts are held to the same floor: the node agent runs
+on the container image's Python, not the host's.
 """
 
 import ast
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "latem").glob("*.py"))
+MODULES = sorted((ROOT / "src" / "latem").glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
 FLOOR = (3, 10)
 
 # The `re` functions that compile their first argument.
