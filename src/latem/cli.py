@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import LatemError
+from .errors import ConfigError, LatemError
 
 if TYPE_CHECKING:
     from collections.abc import Iterable
@@ -43,6 +43,16 @@ def _write_or_print(pieces: Iterable[str], out: str | None) -> None:
 def _given(args: argparse.Namespace, *names: str) -> dict:
     """The named options the command line set, so the callee's defaults apply to the rest."""
     return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
+def _check_iface(name: str, where: str) -> None:
+    """Refuse an interface name that could not go into a script unquoted: one
+    shell word, as `shlex.quote` leaves it, or the plan's `{veth:<node>}`."""
+    import re
+    import shlex
+
+    if shlex.quote(name) != name and not re.fullmatch(r"\{veth:[a-zA-Z0-9][a-zA-Z0-9_.-]+\}", name):
+        raise ConfigError(f"{where}: interface name {name!r} is not one shell word")
 
 
 def _warn_bridge_capacity(port_count: int) -> None:
@@ -97,8 +107,7 @@ def _cmd_plan_delays(args: argparse.Namespace) -> int:
     if args.manifest:
         if matrix_options:
             flag = "--" + next(iter(matrix_options)).replace("_", "-")
-            print(f"error: {flag} is not used with --manifest", file=sys.stderr)
-            return 2
+            raise ConfigError(f"{flag} is not used with --manifest")
         from .orchestrator import delay_classes_for_manifest
 
         manifest = _load_inflated_manifest(args)
@@ -107,20 +116,20 @@ def _cmd_plan_delays(args: argparse.Namespace) -> int:
         node_count = len(manifest.nodes)
     elif args.matrix:
         matrix = delay_model.load_matrix(args.matrix, **_given(args, "count", "seed"))
+        factor = 1
         if args.inflate is not None:
             from .manifest import parse_fraction
 
-            matrix = delay_model.inflate(matrix, parse_fraction(args.inflate))
+            factor = parse_fraction(args.inflate)
         policy = delay_model.QuantizationPolicy()
-        quantized = delay_model.quantize(matrix, policy)
+        quantized = delay_model.quantize(matrix, policy, factor)
         node_count = matrix.n
         del matrix  # the class build reads only the quantized copy
         ips = delay_model.allocate_ips(args.ip_base or "10.1.0.1", node_count)
         classes = delay_model.build_classes(quantized, ips, policy)
         del quantized  # the write reads only the classes
     else:
-        print("error: plan-delays needs --matrix or --manifest", file=sys.stderr)
-        return 2
+        raise ConfigError("plan-delays needs --matrix or --manifest")
     _write_or_print(delay_model.class_map_json(classes, policy), args.out)
     bands = delay_model.compute_bands(len(classes)) if len(classes) else 2
     print(
@@ -143,6 +152,7 @@ def _cmd_emit_tc(args: argparse.Namespace) -> int:
     from .delay_model import compute_bands, load_class_map
     from .tc_planner import emit_tc_script
 
+    _check_iface(args.veth, "--veth")
     classes = load_class_map(args.classes)
     script = emit_tc_script(classes.class_delays(), args.veth, compute_bands(len(classes)))
     _write_or_print(script.pieces(), args.out)
@@ -159,14 +169,13 @@ def _cmd_emit_fdb(args: argparse.Namespace) -> int:
         nodes = [(n.ip, veth_token(n.name)) for n in manifest.nodes]
     else:
         nodes = []
-        for line_no, raw in enumerate(Path(args.nodes_file).read_text().splitlines(), 1):
-            line = raw.strip()
-            if not line:
-                continue
+        for line_no, line in enumerate(Path(args.nodes_file).read_text().splitlines(), 1):
             parts = line.split()
+            if not parts:
+                continue
             if len(parts) != 2:
-                print(f"error: line {line_no}: expected 'ip veth'", file=sys.stderr)
-                return 2
+                raise ConfigError(f"line {line_no}: expected 'ip veth'")
+            _check_iface(parts[1], f"line {line_no}")
             nodes.append((parts[0], parts[1]))
     script = link_layer.emit_fdb_script(nodes)
     _write_or_print(script.pieces(), args.out)
@@ -179,13 +188,11 @@ def _cmd_gen_topology(args: argparse.Namespace) -> int:
 
     if args.kind == "nws":
         if args.k is None or args.p is None:
-            print("error: --kind nws needs --k and --p", file=sys.stderr)
-            return 2
+            raise ConfigError("--kind nws needs --k and --p")
         graph = nws_graph(args.n, args.k, args.p, args.seed)
     else:
         if args.degree is None:
-            print("error: --kind random needs --degree", file=sys.stderr)
-            return 2
+            raise ConfigError("--kind random needs --degree")
         graph = random_graph(args.n, args.degree, args.seed)
     if args.neighbors:
         ids = {i: f"node{i:04d}" for i in range(graph.n)}

@@ -1,12 +1,12 @@
 """Delay-matrix ingestion and delay-class assignment.
 
 A delay matrix holds one-way delays in milliseconds between every pair of
-emulated nodes. The pipeline is: load (or subsample) a matrix, optionally
-inflate it by a global factor, quantize entries to multiples of a quantum,
-then group unordered node pairs by quantized delay into classes. Each class
-receives an integer mark: classes are sorted by delay ascending and the mark
-is the 1-based position in that order. Marks later drive both the firewall
-marking rules and the queueing-tree filters.
+emulated nodes. The pipeline is: load (or subsample) a matrix, quantize
+its entries, each multiplied by the run's inflation factor, to multiples of
+a quantum, then group unordered node pairs by quantized delay into classes.
+Each class receives an integer mark: classes are sorted by delay ascending
+and the mark is the 1-based position in that order. Marks later drive both
+the firewall marking rules and the queueing-tree filters.
 
 A class map holds one address table, `addrs`: the distinct addresses its
 pairs use, in numeric order. A class keeps its pairs as two integer columns
@@ -53,9 +53,6 @@ ROUNDING_MODES = ("nearest-half-up", "floor", "ceil")
 # each; one of its leaves carries unmarked traffic, so it holds MAX_CLASSES.
 MAX_BANDS = 16
 MAX_CLASSES = MAX_BANDS * MAX_BANDS - 1
-
-Factor = Union[int, float, Fraction]
-
 
 @contextmanager
 def gc_paused() -> Iterator[None]:
@@ -588,41 +585,37 @@ def subsample(m: DelayMatrix, count: int, seed: int) -> DelayMatrix:
     return DelayMatrix(m.entries[np.ix_(idx, idx)])
 
 
-def inflate(m: DelayMatrix, factor: Factor) -> DelayMatrix:
-    """Multiply every delay by a positive factor; structure is preserved."""
-    import numpy as np
-
-    if factor <= 0:
-        raise ValueError(f"inflation factor must be positive, got {factor}")
-    with np.errstate(over="ignore"):  # DelayMatrix rejects an infinite product
-        entries = m.entries * float(factor)
-    entries.setflags(write=False)  # nothing else holds it, so DelayMatrix need not copy
-    return DelayMatrix(entries)
-
-
 # Cells quantized per pass: the float steps of one pass stay cache-sized.
 _QUANTIZE_CELLS = 1 << 16
 
 
-def quantize(m: DelayMatrix, policy: QuantizationPolicy) -> np.ndarray:
-    """Map each entry to an integer multiple of the quantum.
+def quantize(m: DelayMatrix, policy: QuantizationPolicy, factor: float | Fraction = 1) -> np.ndarray:
+    """Map each entry times a positive factor to an integer multiple of the quantum.
 
     nearest-half-up rounds .5 steps away from zero (25ms at quantum 10 gives
-    30ms); floor and ceil snap down or up. Idempotent on its own output.
-    Each entry is divided by the quantum, rounded to a whole step and
-    multiplied back in integers. A block of rows at a time is divided and
-    rounded straight into the int64 result, so the result is the only
-    matrix-sized array made, and the matrix is not written.
+    30ms); floor and ceil snap down or up. At factor 1 it is idempotent on
+    its own output. Each entry is multiplied by `float(factor)`, divided by
+    the quantum, rounded to a whole step and multiplied back in integers. A
+    block of rows at a time is scaled, divided and rounded straight into the
+    int64 result, so the result is the only matrix-sized array made, and the
+    matrix is not written. Entries are non-negative, so the largest one's
+    product decides whether every product is finite.
     """
     import numpy as np
 
-    q = policy.quantum_ms
+    if factor <= 0:
+        raise ValueError(f"inflation factor must be positive, got {factor}")
+    scale = float(factor)
     entries = m.entries
+    if entries.size and not math.isfinite(float(entries.max()) * scale):
+        raise ValueError("matrix contains NaN or infinite entries")
+    q = policy.quantum_ms
     steps = np.empty(entries.shape, dtype=np.int64)
     round_step = np.ceil if policy.rounding == "ceil" else np.floor
     rows = max(1, _QUANTIZE_CELLS // max(m.n, 1))
     for start in range(0, m.n, rows):
-        ratio = entries[start : start + rows] / q
+        ratio = entries[start : start + rows] * scale
+        ratio /= q
         if policy.rounding == "nearest-half-up":
             ratio += 0.5
         # The rounded steps are whole numbers, so the cast is exact.

@@ -20,8 +20,9 @@ import json
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
-from typing import Any, Mapping, Union
+from typing import Any, Callable, Mapping, Union
 
 from .delay_model import QuantizationPolicy
 from .errors import ConfigError, ValidationError
@@ -37,12 +38,11 @@ def parse_fraction(value: FractionLike, path: str = "") -> Fraction:
     """Parse exact rationals from JSON scalars.
 
     Strings may carry a slash ("0.54/750"); floats go through their decimal
-    repr so "0.8" means 4/5, not the nearest binary float.
+    repr so "0.8" means 4/5, not the nearest binary float. A JSON true or
+    false is no number.
     """
     try:
-        if isinstance(value, Fraction):
-            return value
-        if isinstance(value, int):
+        if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
             return Fraction(value)
         if isinstance(value, float):
             return Fraction(str(value))
@@ -156,48 +156,63 @@ class ExperimentManifest:
         raise ValidationError(f"unknown target {target!r}")
 
 
-# Node names become container names (Docker's rule); images, signals and
-# the runtime names are each one shell word. All of them reach plan lines
-# unquoted, so nothing else may pass. Phase names name dry-run step files.
-_CONTAINER_NAME = re.compile(r"[a-zA-Z0-9][a-zA-Z0-9_.-]+")
-_SHELL_WORD = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.:/@+-]*")
-_FILE_NAME = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
+def _check(value: Any, path: str, types: tuple, expected: str) -> Any:
+    """value, when it is of one of `types`. A JSON true or false is a Python
+    bool, and so an int: it passes only where `types` names bool."""
+    if isinstance(value, bool) != (bool in types) or not isinstance(value, types):
+        raise ValidationError(f"expected {expected}, got {type(value).__name__}", path=path)
+    return value
 
 
-def _word(value: Any, pattern: re.Pattern, path: str) -> str:
-    text = str(value)
+_object = partial(_check, types=(Mapping,), expected="an object")
+_array = partial(_check, types=(list, tuple), expected="an array")
+_int = partial(_check, types=(int,), expected="an integer")
+_bool = partial(_check, types=(bool,), expected="true or false")
+
+
+def _text(value: Any, path: str) -> str:
+    """A JSON string, or a number as its text."""
+    return str(_check(value, path, (str, int, float), "a string"))
+
+
+def _texts(value: Any, path: str) -> tuple[str, ...]:
+    return tuple(_text(v, f"{path}[{k}]") for k, v in enumerate(_array(value, path)))
+
+
+def _word(value: Any, path: str, pattern: re.Pattern) -> str:
+    text = _text(value, path)
     if not pattern.fullmatch(text):
         raise ValidationError(f"{text!r} does not match {pattern.pattern}", path=path)
     return text
 
 
-def _object(value: Any, path: str) -> Mapping:
-    if not isinstance(value, Mapping):
-        raise ValidationError(f"expected an object, got {type(value).__name__}", path=path)
-    return value
+# Node names become container names (Docker's rule); images, signals and
+# the runtime names are each one shell word. All of them reach plan lines
+# unquoted, so nothing else may pass. Phase names name dry-run step files.
+_container_name = partial(_word, pattern=re.compile(r"[a-zA-Z0-9][a-zA-Z0-9_.-]+"))
+_shell_word = partial(_word, pattern=re.compile(r"[A-Za-z0-9][A-Za-z0-9_.:/@+-]*"))
+_file_name = partial(_word, pattern=re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*"))
 
 
-def _array(value: Any, path: str) -> list | tuple:
-    if not isinstance(value, (list, tuple)):
-        raise ValidationError(f"expected an array, got {type(value).__name__}", path=path)
-    return value
-
-
-def _require(data: Mapping, key: str, path: str) -> Any:
-    if key not in data:
-        raise ValidationError(f"missing required key {key!r}", path=path)
-    return data[key]
+def _read(obj: Mapping, path: str, key: str, read: Callable[[Any, str], Any],
+          default: Any = ...) -> Any:
+    """`obj[key]`, or its default when absent, read at `path.key` (at `key`
+    when path is empty); a key without a default is required."""
+    at = f"{path}.{key}" if path else key
+    if key not in obj and default is ...:
+        raise ValidationError(f"missing required key {key!r}", path=at)
+    return read(obj.get(key, default), at)
 
 
 def _policy(d: Mapping) -> QuantizationPolicy:
     """The delay section's quantization policy; absent keys take the policy's defaults."""
     given = {}
-    for key, convert in (("quantum_ms", int), ("rounding", str), ("drop_zero_class", bool)):
+    for key, read in (("quantum_ms", _int), ("rounding", _text), ("drop_zero_class", _bool)):
         if key in d:
+            given[key] = _read(d, "delay", key, read)
             try:
-                given[key] = convert(d[key])
                 QuantizationPolicy(**{key: given[key]})  # alone, so its error names the key
-            except (ConfigError, TypeError, ValueError) as exc:
+            except ConfigError as exc:
                 raise ValidationError(str(exc), path=f"delay.{key}")
     return QuantizationPolicy(**given)
 
@@ -205,47 +220,48 @@ def _policy(d: Mapping) -> QuantizationPolicy:
 def parse_manifest(data: Mapping) -> ExperimentManifest:
     """Build and validate a manifest from parsed JSON.
 
-    Every object and array is checked to be one before it is read, so a
-    value of the wrong JSON type fails with its path.
+    Every value is checked to be of its key's JSON type before it is read
+    (a text key also takes a number, as its text), so a value of the wrong
+    type fails with its path. Unknown keys are ignored.
     """
     data = _object(data, "manifest")
-    name = str(data.get("name", "experiment"))
+    name = _read(data, "", "name", _text, "experiment")
 
     nodes = []
-    for i, nd in enumerate(_array(data.get("nodes", []), "nodes")):
+    for i, nd in enumerate(_read(data, "", "nodes", _array, [])):
         path = f"nodes[{i}]"
         nd = _object(nd, path)
-        node_name = _word(_require(nd, "name", f"{path}.name"), _CONTAINER_NAME, f"{path}.name")
-        ip = str(_require(nd, "ip", f"{path}.ip"))
+        node_name = _read(nd, path, "name", _container_name)
+        ip = _read(nd, path, "ip", _text)
         try:
             ipaddress.IPv4Address(ip)
         except ipaddress.AddressValueError as exc:
             raise ValidationError(f"node {node_name!r}: bad IPv4 {ip!r} ({exc})", f"{path}.ip")
         processes = []
-        for j, p in enumerate(_array(nd.get("processes", []), f"{path}.processes")):
+        for j, p in enumerate(_read(nd, path, "processes", _array, [])):
             proc_path = f"{path}.processes[{j}]"
             p = _object(p, proc_path)
             processes.append(ProcessSpec(
-                binary=str(_require(p, "binary", f"{proc_path}.binary")),
-                args=tuple(str(a) for a in _array(p.get("args", []), f"{proc_path}.args")),
-                start_phase=str(_require(p, "start_phase", f"{proc_path}.start_phase")),
+                binary=_read(p, proc_path, "binary", _text),
+                args=_read(p, proc_path, "args", _texts, []),
+                start_phase=_read(p, proc_path, "start_phase", _text),
             ))
         nodes.append(
             NodeSpec(
                 name=node_name,
                 ip=ip,
-                image=_word(nd.get("image", "latem/node:latest"), _SHELL_WORD, f"{path}.image"),
+                image=_read(nd, path, "image", _shell_word, "latem/node:latest"),
                 processes=tuple(processes),
-                roles=frozenset(str(r) for r in _array(nd.get("roles", []), f"{path}.roles")),
+                roles=frozenset(_read(nd, path, "roles", _texts, [])),
             )
         )
 
     phases = []
-    for i, ph in enumerate(_array(data.get("phases", []), "phases")):
+    for i, ph in enumerate(_read(data, "", "phases", _array, [])):
         path = f"phases[{i}]"
         ph = _object(ph, path)
-        phase_name = _word(_require(ph, "name", f"{path}.name"), _FILE_NAME, f"{path}.name")
-        action = str(_require(ph, "action", f"{path}.action"))
+        phase_name = _read(ph, path, "name", _file_name)
+        action = _read(ph, path, "action", _text)
         if action not in PHASE_ACTIONS:
             raise ValidationError(
                 f"phase {phase_name!r}: unknown action {action!r}", f"{path}.action"
@@ -259,32 +275,32 @@ def parse_manifest(data: Mapping) -> ExperimentManifest:
             raise ValidationError(
                 f"phase {phase_name!r}: signal given but action is {action!r}", f"{path}.signal"
             )
-        stagger = parse_fraction(ph.get("stagger_ms", 0), f"{path}.stagger_ms")
+        stagger = _read(ph, path, "stagger_ms", parse_fraction, 0)
         if stagger < 0:
             raise ValidationError(f"phase {phase_name!r}: negative stagger", f"{path}.stagger_ms")
         phases.append(
             Phase(
                 name=phase_name,
                 action=action,
-                target=str(ph.get("target", "all")),
-                signal=_word(signal, _SHELL_WORD, f"{path}.signal") if signal else None,
+                target=_read(ph, path, "target", _text, "all"),
+                signal=_read(ph, path, "signal", _shell_word) if signal else None,
                 stagger_ms=stagger,
-                script=tuple(str(s) for s in _array(ph.get("script", []), f"{path}.script")),
-                capture_stats=bool(ph.get("capture_stats", False)),
+                script=_read(ph, path, "script", _texts, []),
+                capture_stats=_read(ph, path, "capture_stats", _bool, False),
             )
         )
 
     networks = {}
-    for role, nw in _object(data.get("networks", {}), "networks").items():
+    for role, nw in _read(data, "", "networks", _object, {}).items():
         path = f"networks.{role}"
         nw = _object(nw, path)
-        kind, seed = str(_require(nw, "kind", f"{path}.kind")), int(nw.get("seed", 0))
+        kind, seed = _read(nw, path, "kind", _text), _read(nw, path, "seed", _int, 0)
         if kind == "nws":
-            spec = TopologySpec(kind, seed, k=int(_require(nw, "k", f"{path}.k")),
-                                p=parse_fraction(_require(nw, "p", f"{path}.p"), f"{path}.p"))
+            spec = TopologySpec(kind, seed, k=_read(nw, path, "k", _int),
+                                p=_read(nw, path, "p", parse_fraction))
             faults = nws_faults(len(nodes), spec.k, spec.p)
         elif kind == "random":
-            spec = TopologySpec(kind, seed, degree=int(_require(nw, "degree", f"{path}.degree")))
+            spec = TopologySpec(kind, seed, degree=_read(nw, path, "degree", _int))
             faults = random_faults(len(nodes), spec.degree)
         else:
             raise ValidationError(f"network {role!r}: unknown kind {kind!r}", f"{path}.kind")
@@ -295,15 +311,20 @@ def parse_manifest(data: Mapping) -> ExperimentManifest:
     delay = None
     if "delay" in data and data["delay"] is not None:
         d = _object(data["delay"], "delay")
+        factor = _read(d, "delay", "inflation_factor", parse_fraction, 1)
+        if factor <= 0:
+            raise ValidationError(
+                f"inflation factor must be positive, got {factor}", "delay.inflation_factor"
+            )
         delay = DelaySection(
-            matrix_path=str(_require(d, "matrix_path", "delay.matrix_path")),
+            matrix_path=_read(d, "delay", "matrix_path", _text),
             policy=_policy(d),
-            inflation_factor=parse_fraction(d.get("inflation_factor", 1), "delay.inflation_factor"),
-            subsample_seed=int(d.get("subsample_seed", 0)),
+            inflation_factor=factor,
+            subsample_seed=_read(d, "delay", "subsample_seed", _int, 0),
         )
 
     timers = {}
-    for timer_name, t in _object(data.get("timers", {}), "timers").items():
+    for timer_name, t in _read(data, "", "timers", _object, {}).items():
         path = f"timers.{timer_name}"
         if isinstance(t, Mapping):
             kind = t.get("kind")
@@ -311,10 +332,7 @@ def parse_manifest(data: Mapping) -> ExperimentManifest:
                 raise ValidationError(
                     f"timer {timer_name!r}: unknown kind {kind!r}", f"{path}.kind"
                 )
-            timers[str(timer_name)] = TimerSpec(
-                value=parse_fraction(_require(t, "value", f"{path}.value"), path),
-                kind=kind,
-            )
+            timers[str(timer_name)] = TimerSpec(_read(t, path, "value", parse_fraction), kind)
         else:
             # Bare scalars are accepted but untagged; inflation will refuse them.
             timers[str(timer_name)] = TimerSpec(value=parse_fraction(t, path), kind=None)
@@ -324,18 +342,16 @@ def parse_manifest(data: Mapping) -> ExperimentManifest:
         r = _object(data["resources"], "resources")
         values = {}
         for fname in ("ram_cap_fraction", "per_node_startup_fraction", "per_node_steady_fraction"):
-            path = f"resources.{fname}"
-            value = values[fname] = parse_fraction(_require(r, fname, path), path)
+            value = values[fname] = _read(r, "resources", fname, parse_fraction)
             if not 0 < value <= 1:
+                path = f"resources.{fname}"
                 raise ValidationError(f"{path} must be in (0, 1], got {value}", path)
         resources = ResourceModel(**values)
 
-    rt = _object(data.get("runtime", {}), "runtime")
+    rt = _read(data, "", "runtime", _object, {})
     runtime = RuntimeSection(
-        bridge=_word(rt.get("bridge", "latbr0"), _SHELL_WORD, "runtime.bridge"),
-        container_iface=_word(
-            rt.get("container_iface", "eth0"), _SHELL_WORD, "runtime.container_iface"
-        ),
+        bridge=_read(rt, "runtime", "bridge", _shell_word, "latbr0"),
+        container_iface=_read(rt, "runtime", "container_iface", _shell_word, "eth0"),
     )
 
     manifest = ExperimentManifest(

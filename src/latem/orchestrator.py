@@ -417,9 +417,9 @@ def delay_classes_for_manifest(
     """Load the manifest's matrix and derive its class map and band count.
 
     Only a seeded draw of node-count rows of the matrix is parsed (all rows
-    when the counts match); the submatrix is inflated by the accumulated
-    factor, then quantized under the manifest's policy. Relative matrix
-    paths resolve against base_dir.
+    when the counts match); `quantize` multiplies each of its entries by the
+    accumulated inflation factor as it quantizes them under the manifest's
+    policy. Relative matrix paths resolve against base_dir.
     """
     from . import delay_model
 
@@ -430,9 +430,7 @@ def delay_classes_for_manifest(
     if not path.is_absolute():
         path = Path(base_dir) / path
     matrix = delay_model.load_matrix(path, count=len(manifest.nodes), seed=d.subsample_seed)
-    if d.inflation_factor != 1:
-        matrix = delay_model.inflate(matrix, d.inflation_factor)
-    quantized = delay_model.quantize(matrix, d.policy)
+    quantized = delay_model.quantize(matrix, d.policy, d.inflation_factor)
     del matrix  # the class build reads only the quantized copy
     classes = delay_model.build_classes(quantized, [n.ip for n in manifest.nodes], d.policy)
     bands = compute_bands(len(classes)) if len(classes) else 2

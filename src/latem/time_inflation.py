@@ -32,8 +32,8 @@ def inflate_manifest(m: ExperimentManifest, x: Fraction) -> ExperimentManifest:
     """Scale every tagged time-bearing quantity by the positive factor x.
 
     Durations (block time, intervals, phase stagger) multiply; rates divide;
-    the delay section's inflation factor accumulates so the matrix is scaled
-    when loaded. Any untagged timer fails the lint: a timer that silently
+    the delay section's inflation factor accumulates, and `quantize` scales
+    each matrix entry by it. Any untagged timer fails the lint: a timer that silently
     keeps wall-clock speed while everything else slows down corrupts the
     experiment, so this fails closed.
     """

@@ -9,11 +9,16 @@ tracer and resolves every latem name the worker uses in a fresh interpreter.
 from __future__ import annotations
 
 import ast
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+
+from latem import delay_model as dm
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -102,3 +107,22 @@ def test_traced_commands_record_their_spans(tmp_path):
     assert {
         "nft_planner.emit_nft_script", "tc_planner.emit_tc_script", "tc_planner.verify_plan",
     } <= spans
+
+
+def test_inflated_quantize_agrees_with_the_benchmark_reference():
+    """`dryrun-1000` grades its plan with `perfbench/checks.py`'s integer
+    quantization: every tenth of a ms from 0 to 40 s, at factors 1 to 4."""
+    spec = importlib.util.spec_from_file_location("perfbench_checks", PERFBENCH / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    n = 895  # the upper triangle holds 400,065 cells, one per tenth and a few more
+    upper = np.triu_indices(n, 1)
+    tenths = np.zeros((n, n), dtype=np.int64)
+    tenths[upper] = np.arange(len(upper[0])) % 400_001
+    tenths += tenths.T
+    # `<ms>.<d>` text parses to the double nearest the tenth, as the division gives
+    matrix = dm.DelayMatrix(tenths / 10)
+    policy = dm.QuantizationPolicy(quantum_ms=10)
+    for factor in (1, 2, 3, 4):
+        got = dm.quantize(matrix, policy, factor)
+        assert np.array_equal(got, checks.quantize(tenths, inflate=factor)), factor

@@ -355,6 +355,37 @@ def test_emit_fdb_from_nodes_file(tmp_path, capsys):
     assert out.splitlines()[0] == "bridge fdb add 02:42:0a:00:00:01 dev vetha1 master static"
 
 
+# Each name goes into the script unquoted: one the shell would split is
+# refused, and no script is written.
+@pytest.mark.parametrize("name", ["a;touch${IFS}pwned", "$(id)", "x'y", "a|b", "{veth:a;b}"])
+def test_emit_fdb_refuses_a_nodes_file_name_the_shell_would_split(tmp_path, capsys, name):
+    nodes, out = tmp_path / "nodes.txt", tmp_path / "fdb.sh"
+    nodes.write_text(f"10.0.0.1 vetha1\n\n10.0.0.2 {name}\n")
+    rc = main(["emit-fdb", "--nodes-file", str(nodes), "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: line 3: interface name {name!r} is not one shell word\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["x;touch${IFS}pwned2", "a b", "`id`", "", "{veth:a b}"])
+def test_emit_tc_refuses_a_veth_the_shell_would_split(classes_file, tmp_path, capsys, name):
+    out = tmp_path / "tc.sh"
+    rc = main(["emit-tc", "--classes", str(classes_file), "--veth", name, "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --veth: interface name {name!r} is not one shell word\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["veth0", "eth0.100", "v@if3", "{veth:node001}"])
+def test_emit_tc_takes_a_shell_word_or_a_veth_placeholder(classes_file, capsys, name):
+    assert main(["emit-tc", "--classes", str(classes_file), "--veth", name]) == 0
+    assert f"dev {name} " in capsys.readouterr().out
+
+
 def test_emit_fdb_from_manifest(tmp_path, capsys):
     path = write_manifest(tmp_path, minimal_manifest_dict())
     rc = main(["emit-fdb", "--manifest", str(path)])

@@ -288,45 +288,82 @@ class TestSubsample:
         assert sub.n == 9  # construction re-validates symmetry and diagonal
 
 
+def inflate_then_quantize(m, policy, factor):
+    """The path `quantize(m, policy, factor)` folded into one pass: a
+    matrix-sized product, validated as a new matrix, then quantized."""
+    return dm.quantize(dm.DelayMatrix(m.entries * float(factor)), policy)
+
+
 class TestInflate:
+    """`quantize`'s factor: each entry is multiplied by it before quantizing."""
+
     def test_identity_factor(self):
-        m = matrix([[0, 30], [30, 0]])
-        assert dm.inflate(m, 1) == m
+        m = random_symmetric_matrix(np.random.default_rng(2), 12)
+        assert np.array_equal(dm.quantize(m, dm.QuantizationPolicy(), 1),
+                              dm.quantize(m, dm.QuantizationPolicy()))
 
     def test_factor_four(self):
-        m = dm.inflate(matrix([[0, 30], [30, 0]]), 4)
-        assert m.entries[0, 1] == 120
+        q = dm.quantize(matrix([[0, 30], [30, 0]]), dm.QuantizationPolicy(), 4)
+        assert q[0, 1] == 120
 
     def test_factor_two(self):
-        m = dm.inflate(matrix([[0, 30], [30, 0]]), 2)
-        assert m.entries[0, 1] == 60
+        q = dm.quantize(matrix([[0, 30], [30, 0]]), dm.QuantizationPolicy(), 2)
+        assert q[0, 1] == 60
 
     def test_fraction_factor(self):
-        m = dm.inflate(matrix([[0, 30], [30, 0]]), Fraction(1, 2))
-        assert m.entries[0, 1] == 15
+        q = dm.quantize(matrix([[0, 30], [30, 0]]), dm.QuantizationPolicy(quantum_ms=1),
+                        Fraction(1, 2))
+        assert q[0, 1] == 15
 
-    @pytest.mark.parametrize("factor", [0, -1, Fraction(-1, 2)])
+    @pytest.mark.parametrize("factor", [0, -1, Fraction(-1, 2), -0.5])
     def test_nonpositive_rejected(self, factor):
-        with pytest.raises(ValueError):
-            dm.inflate(matrix([[0]]), factor)
-
-    def test_composition(self):
-        rng = np.random.default_rng(3)
-        m = random_symmetric_matrix(rng, 8)
-        twice = dm.inflate(dm.inflate(m, 2), 3)
-        once = dm.inflate(m, 6)
-        assert np.allclose(twice.entries, once.entries)
+        with pytest.raises(ValueError, match=f"^inflation factor must be positive, got {factor}$"):
+            dm.quantize(matrix([[0]]), dm.QuantizationPolicy(), factor)
 
     def test_overflow_to_infinity_rejected(self):
         m = matrix([[0, 1e308], [1e308, 0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the error alone reports it, with no warning
             with pytest.raises(ValueError, match="NaN or infinite"):
-                dm.inflate(m, 10)
+                dm.quantize(m, dm.QuantizationPolicy(), 10)
 
-    def test_product_is_held_without_a_second_copy(self):
-        m = dm.inflate(matrix([[0, 30], [30, 0]]), 3)
-        assert m.entries.flags.owndata and not m.entries.flags.writeable
+    @given(
+        st.integers(1, 300),  # past 218 rows a 300-node matrix takes two blocks
+        st.integers(0, 2**32 - 1),
+        st.one_of(
+            st.integers(1, 6),
+            st.fractions(Fraction(1, 8), 6, max_denominator=12),
+            st.floats(0.05, 6.0),
+        ),
+        st.sampled_from(dm.ROUNDING_MODES),
+        st.sampled_from([1, 7, 10]),
+    )
+    @example(n=3, seed=0, factor=Fraction(4, 3), mode="nearest-half-up", quantum=10)
+    def test_equals_inflate_then_quantize(self, n, seed, factor, mode, quantum):
+        rng = np.random.default_rng(seed)
+        # half the rows in tenths of a ms (the harness's matrices), so scaled
+        # entries meet .5 steps; the rest spread over 0..400 ms
+        upper = rng.uniform(0, 400, size=(n, n))
+        upper[::2] = rng.integers(0, 4000, size=upper[::2].shape) / 10
+        m = dm.DelayMatrix(np.triu(upper, 1) + np.triu(upper, 1).T)
+        policy = dm.QuantizationPolicy(quantum_ms=quantum, rounding=mode)
+        assert np.array_equal(dm.quantize(m, policy, factor),
+                              inflate_then_quantize(m, policy, factor))
+
+    def test_inflated_quantize_allocates_no_float_matrix(self):
+        m = random_symmetric_matrix(np.random.default_rng(4), 1000)
+        policy = dm.QuantizationPolicy()
+        dm.quantize(m, policy, 3)  # first-call allocations stay out of the count
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            q = dm.quantize(m, policy, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the int64 result, plus a block of rows; a scaled copy would add 8 MB
+        assert q.nbytes == m.entries.nbytes
+        assert peak - before < q.nbytes + m.entries.nbytes // 4
 
 
 class TestQuantize:

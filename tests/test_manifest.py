@@ -23,6 +23,11 @@ class TestParseFraction:
         assert parse_fraction(0.5) == Fraction(1, 2)
         assert parse_fraction("0.54/750") == Fraction(54, 100) / 750
 
+    @pytest.mark.parametrize("value", [True, False])
+    def test_boolean_is_no_number(self, value):
+        with pytest.raises(ValidationError, match=r"^\[x\] cannot parse bool as a rational$"):
+            parse_fraction(value, "x")
+
     def test_bad_input(self):
         with pytest.raises(ValidationError):
             parse_fraction("three")
@@ -186,6 +191,62 @@ def test_values_that_reach_plan_lines_must_be_one_word(path, put, value):
         (lambda d: d["phases"][1].update(name="go/now"), "phases[1].name"),
         (lambda d: d["phases"][1].update(name=".."), "phases[1].name"),
         (lambda d: d["phases"][1].update(name="-x"), "phases[1].name"),
+        # integer keys take JSON integers only: no float, boolean or string
+        (lambda d: d.update(networks={"b": {"kind": "nws", "k": 2.9, "p": 0.2}}),
+         "networks.b.k"),
+        (lambda d: d.update(networks={"b": {"kind": "nws", "k": True, "p": 0.2}}),
+         "networks.b.k"),
+        (lambda d: d.update(networks={"g": {"kind": "random", "degree": "1"}}),
+         "networks.g.degree"),
+        (lambda d: d.update(networks={"g": {"kind": "random", "degree": 1, "seed": 1.7}}),
+         "networks.g.seed"),
+        (lambda d: d.update(networks={"g": {"kind": "random", "degree": 1, "seed": "x"}}),
+         "networks.g.seed"),
+        (lambda d: d.update(delay={"matrix_path": "m.txt", "subsample_seed": 1.7}),
+         "delay.subsample_seed"),
+        (lambda d: d.update(delay={"matrix_path": "m.txt", "subsample_seed": False}),
+         "delay.subsample_seed"),
+        (lambda d: d.update(delay={"matrix_path": "m.txt", "quantum_ms": 12.9}),
+         "delay.quantum_ms"),
+        (lambda d: d.update(delay={"matrix_path": "m.txt", "quantum_ms": True}),
+         "delay.quantum_ms"),
+        # boolean keys take JSON booleans only
+        (lambda d: d.update(delay={"matrix_path": "m.txt", "drop_zero_class": "false"}),
+         "delay.drop_zero_class"),
+        (lambda d: d.update(delay={"matrix_path": "m.txt", "drop_zero_class": 0}),
+         "delay.drop_zero_class"),
+        (lambda d: d["phases"][0].update(capture_stats="no"), "phases[0].capture_stats"),
+        (lambda d: d["phases"][0].update(capture_stats=1), "phases[0].capture_stats"),
+        # a rational is no boolean
+        (lambda d: d["phases"][1].update(stagger_ms=True), "phases[1].stagger_ms"),
+        (lambda d: d.update(networks={"b": {"kind": "nws", "k": 0, "p": False}}),
+         "networks.b.p"),
+        (lambda d: d.update(delay={"matrix_path": "m.txt", "inflation_factor": True}),
+         "delay.inflation_factor"),
+        (lambda d: d.update(timers={"t": {"value": True, "kind": "duration"}}),
+         "timers.t.value"),
+        # an inflation factor is positive
+        (lambda d: d.update(delay={"matrix_path": "m.txt", "inflation_factor": 0}),
+         "delay.inflation_factor"),
+        (lambda d: d.update(delay={"matrix_path": "m.txt", "inflation_factor": "-2"}),
+         "delay.inflation_factor"),
+        # text keys take no array, object, boolean or null
+        (lambda d: d.update(name=["mini"]), "name"),
+        (lambda d: d["nodes"][1].update(ip=None), "nodes[1].ip"),
+        (lambda d: d["nodes"][1].update(roles=["validator", True]), "nodes[1].roles[1]"),
+        (lambda d: d["nodes"][1]["processes"][0].update(binary=["a"]),
+         "nodes[1].processes[0].binary"),
+        (lambda d: d["nodes"][0]["processes"][0].update(args=["--x", {"x": 1}]),
+         "nodes[0].processes[0].args[1]"),
+        (lambda d: d["nodes"][0]["processes"][0].update(start_phase=None),
+         "nodes[0].processes[0].start_phase"),
+        (lambda d: d["phases"][0].update(action=["launch"]), "phases[0].action"),
+        (lambda d: d["phases"][1].update(target={"role": "validator"}), "phases[1].target"),
+        (lambda d: d["phases"][0].update(script=["true", False]), "phases[0].script[1]"),
+        (lambda d: d.update(networks={"g": {"kind": None}}), "networks.g.kind"),
+        (lambda d: d.update(delay={"matrix_path": ["m.txt"]}), "delay.matrix_path"),
+        (lambda d: d.update(delay={"matrix_path": "m.txt", "rounding": False}),
+         "delay.rounding"),
     ],
 )
 def test_errors_name_the_json_path_of_the_offending_value(tmp_path, change, path):
@@ -223,6 +284,42 @@ def test_entries_of_the_wrong_json_type_name_their_path(change, path):
         parse_manifest(data)
     assert exc.value.path == path
     assert str(exc.value).startswith(f"[{path}] expected an ")
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        (lambda d: d["nodes"][1].update(ip=None), "[nodes[1].ip] expected a string, got NoneType"),
+        (lambda d: d["nodes"][0]["processes"][0].update(start_phase=None),
+         "[nodes[0].processes[0].start_phase] expected a string, got NoneType"),
+        (lambda d: d["phases"][0].update(action=["launch"]),
+         "[phases[0].action] expected a string, got list"),
+        (lambda d: d["phases"][1].update(target={"role": "validator"}),
+         "[phases[1].target] expected a string, got dict"),
+        (lambda d: d.update(networks={"g": {"kind": None}}),
+         "[networks.g.kind] expected a string, got NoneType"),
+        (lambda d: d.update(delay={"matrix_path": "m.txt", "rounding": False}),
+         "[delay.rounding] expected a string, got bool"),
+        (lambda d: d.update(networks={"b": {"kind": "nws", "k": 2.9, "p": 0.2}}),
+         "[networks.b.k] expected an integer, got float"),
+        (lambda d: d["phases"][0].update(capture_stats="no"),
+         "[phases[0].capture_stats] expected true or false, got str"),
+        (lambda d: d["nodes"][1].update(name=True), "[nodes[1].name] expected a string, got bool"),
+    ],
+)
+def test_a_value_of_the_wrong_json_type_is_refused_for_its_type(change, message):
+    data = minimal_manifest_dict()
+    change(data)
+    with pytest.raises(ValidationError) as exc:
+        parse_manifest(data)
+    assert str(exc.value) == message
+
+
+def test_text_keys_read_a_number_as_its_text_and_unknown_keys_are_ignored():
+    data = minimal_manifest_dict(runtime={"adapter": "docker"}, colour="blue")
+    data["nodes"][0]["processes"][0].update(binary=7, args=[1, 2.5])
+    process = parse_manifest(data).nodes[0].processes[0]
+    assert (process.binary, process.args) == ("7", ("1", "2.5"))
 
 
 def test_manifest_that_is_not_an_object_rejected():
