@@ -22,7 +22,7 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import ConfigError, LatemError
+from .errors import ConfigError, EmptyPlanError, LatemError
 
 if TYPE_CHECKING:
     from collections.abc import Iterable
@@ -115,6 +115,8 @@ def _cmd_plan_delays(args: argparse.Namespace) -> int:
         policy = manifest.delay.policy
         node_count = len(manifest.nodes)
     elif args.matrix:
+        if args.seed is not None and args.seed < 0:  # refused whether or not a draw is made
+            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
         matrix = delay_model.load_matrix(args.matrix, **_given(args, "count", "seed"))
         factor = 1
         if args.inflate is not None:
@@ -154,6 +156,8 @@ def _cmd_emit_tc(args: argparse.Namespace) -> int:
 
     _check_iface(args.veth, "--veth")
     classes = load_class_map(args.classes)
+    if not len(classes):
+        raise EmptyPlanError("cannot emit a queueing tree for zero classes")
     script = emit_tc_script(classes.class_delays(), args.veth, compute_bands(len(classes)))
     _write_or_print(script.pieces(), args.out)
     return 0
@@ -176,6 +180,10 @@ def _cmd_emit_fdb(args: argparse.Namespace) -> int:
             if len(parts) != 2:
                 raise ConfigError(f"line {line_no}: expected 'ip veth'")
             _check_iface(parts[1], f"line {line_no}")
+            try:
+                link_layer.mac_for_ip(parts[0])
+            except ValueError as exc:
+                raise ConfigError(f"line {line_no}: {exc}") from None
             nodes.append((parts[0], parts[1]))
     script = link_layer.emit_fdb_script(nodes)
     _write_or_print(script.pieces(), args.out)

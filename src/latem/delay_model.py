@@ -92,11 +92,9 @@ def _freeze(entries: np.ndarray) -> np.ndarray:
 def _check_values(entries: np.ndarray) -> None:
     import numpy as np
 
-    if not entries.size:
-        return
     # A NaN makes both extremes NaN, so two reductions check every entry
-    # with no matrix-sized mask.
-    lowest, highest = entries.min(), entries.max()
+    # with no matrix-sized mask; an empty matrix reads 0 for both.
+    lowest, highest = entries.min(initial=0), entries.max(initial=0)
     if not (np.isfinite(lowest) and np.isfinite(highest)):
         raise ValueError("matrix contains NaN or infinite entries")
     if lowest < 0:
@@ -390,10 +388,7 @@ def compute_bands(class_count: int) -> int:
             f"{class_count} classes exceed the {MAX_CLASSES} the two-level tree "
             "can hold; use a coarser quantum to reduce the class count"
         )
-    b = math.isqrt(class_count + 1)
-    if b * b < class_count + 1:
-        b += 1
-    return max(2, b)
+    return max(2, math.isqrt(class_count) + 1)  # isqrt(K)**2 <= K < (isqrt(K) + 1)**2
 
 
 def gathered(table: np.ndarray, *columns: tuple[int, np.ndarray]) -> str:
@@ -590,7 +585,7 @@ _QUANTIZE_CELLS = 1 << 16
 
 
 def quantize(m: DelayMatrix, policy: QuantizationPolicy, factor: float | Fraction = 1) -> np.ndarray:
-    """Map each entry times a positive factor to an integer multiple of the quantum.
+    """Map each entry times a positive factor to an int64 multiple of the quantum.
 
     nearest-half-up rounds .5 steps away from zero (25ms at quantum 10 gives
     30ms); floor and ceil snap down or up. At factor 1 it is idempotent on
@@ -598,27 +593,27 @@ def quantize(m: DelayMatrix, policy: QuantizationPolicy, factor: float | Fractio
     the quantum, rounded to a whole step and multiplied back in integers. A
     block of rows at a time is scaled, divided and rounded straight into the
     int64 result, so the result is the only matrix-sized array made, and the
-    matrix is not written. Entries are non-negative, so the largest one's
-    product decides whether every product is finite.
+    matrix is not written. Steps rise with entries, so checking the largest
+    entry's delay against int64 (NaN and infinity fail it) checks them all.
     """
     import numpy as np
 
     if factor <= 0:
         raise ValueError(f"inflation factor must be positive, got {factor}")
-    scale = float(factor)
-    entries = m.entries
-    if entries.size and not math.isfinite(float(entries.max()) * scale):
-        raise ValueError("matrix contains NaN or infinite entries")
-    q = policy.quantum_ms
-    steps = np.empty(entries.shape, dtype=np.int64)
+    scale, q = float(factor), policy.quantum_ms
+    half = 0.5 if policy.rounding == "nearest-half-up" else 0.0
     round_step = np.ceil if policy.rounding == "ceil" else np.floor
+    # In Python floats an overflow raises no warning; float <= int is exact, and false for NaN.
+    largest = float(m.entries.max(initial=0))
+    if not float(round_step(largest * scale / q + half)) <= np.iinfo(np.int64).max // q:
+        raise ValueError(f"delay {largest} ms times {factor} does not fit int64 steps of {q} ms")
+    steps = np.empty(m.entries.shape, dtype=np.int64)
     rows = max(1, _QUANTIZE_CELLS // max(m.n, 1))
     for start in range(0, m.n, rows):
-        ratio = entries[start : start + rows] * scale
+        ratio = m.entries[start : start + rows] * scale
         ratio /= q
-        if policy.rounding == "nearest-half-up":
-            ratio += 0.5
-        # The rounded steps are whole numbers, so the cast is exact.
+        ratio += half
+        # The rounded steps are whole numbers within the bound, so the cast is exact.
         round_step(ratio, out=steps[start : start + rows], casting="unsafe")
     steps *= q
     return steps
@@ -644,11 +639,13 @@ def build_classes(
     lower and higher address; the classes are the runs of equal delay, and
     each column is decoded from its run with a shift, a mask and a lookup of
     the rank's position among the addresses some pair uses (the map's table).
-    A delay too large to leave room for the two ranks is rejected.
+    A float array, a negative delay and one too large for the ranks' bits are refused.
     """
     import numpy as np
 
     q = np.asarray(quantized)
+    if q.dtype.kind not in "iu":
+        raise ConfigError(f"quantized delays must be an integer array, got {q.dtype}")
     n = q.shape[0]
     ip_list = list(ips)
     if len(ip_list) != n:
@@ -659,40 +656,29 @@ def build_classes(
         raise ConfigError(f"duplicate node addresses: {dupes}")
 
     by_addr = np.argsort(keys)  # the node at each rank
-    rank = np.empty(n, dtype=np.int64)
-    rank[by_addr] = np.arange(n)
+    rank = np.argsort(by_addr)  # each node's rank: the inverse permutation
     w = max(n - 1, 1).bit_length()
     limit = 1 << (63 - 2 * w)  # delays below this keep a code non-negative
-    lowest = highest = 0
     used = np.zeros(n, dtype=bool)  # by rank: whether some pair holds the address
     codes = np.empty(n * (n - 1) // 2, dtype=np.int64)
     size = 0
     for i in range(n - 1):
-        row = q[i, i + 1 :]
-        if q.dtype.kind == "f" and not np.isfinite(row).all():
-            raise ValueError("quantized delays must be finite")
-        lowest, highest = min(lowest, row.min()), max(highest, row.max())
-        # A delay truncates toward zero, as int() does: -1 < d < 0 is 0.
-        if lowest <= -1 or highest >= limit:
-            continue  # raised below, once every row is known to be finite
-        delay, other = row.astype(np.int64), rank[i + 1 :]
+        delay, other = q[i, i + 1 :], rank[i + 1 :]
+        if delay.min() < 0:
+            raise ConfigError(f"quantized delays must be non-negative, got {delay.min()}")
+        if delay.max() >= limit:
+            raise ConfigError(f"delay {delay.max()} ms is too large to class {n} "
+                              f"addresses (at most {limit - 1})")
         if policy.drop_zero_class:
             keep = delay != 0
             delay, other = delay[keep], other[keep]
         used[other] = True
         used[rank[i]] |= delay.size > 0
         code = codes[size : size + delay.size]
-        np.left_shift(delay, 2 * w, out=code)
+        np.left_shift(delay, 2 * w, out=code, dtype=np.int64)
         code |= np.minimum(other, rank[i]) << w
         code |= np.maximum(other, rank[i])
         size += delay.size
-    if lowest <= -1:
-        raise ConfigError(f"quantized delays must be non-negative, got {int(lowest)}")
-    if highest >= limit:
-        raise ConfigError(
-            f"delay {int(highest)} ms is too large to class {n} addresses "
-            f"(at most {limit - 1})"
-        )
     codes = codes[:size]
     codes.sort()
     delay = codes >> 2 * w

@@ -56,14 +56,15 @@ def neigh_settings(iface: str) -> tuple[tuple[str, str], ...]:
 def emit_fdb_script(nodes: Sequence[tuple[str, str]]) -> CommandScript:
     """One static FDB insertion per (ip, veth) node, in input order.
 
-    MACs are `mac_for_ip` of each address; an interface may appear once.
+    MACs are `mac_for_ip` of each address; an address and an interface appear once each.
     """
-    seen: set[str] = set()
+    seen: set[tuple[str, str]] = set()
     lines = []
     for ip, veth in nodes:
-        if veth in seen:
-            raise ConfigError(f"duplicate interface name {veth!r}")
-        seen.add(veth)
+        for key in (("interface name", veth), ("address", ip)):
+            if key in seen:
+                raise ConfigError(f"duplicate {key[0]} {key[1]!r}")
+            seen.add(key)
         lines.append(f"bridge fdb add {mac_for_ip(ip)} dev {veth} master static")
     return CommandScript(lines=tuple(lines))
 

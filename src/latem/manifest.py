@@ -322,6 +322,11 @@ def parse_manifest(data: Mapping) -> ExperimentManifest:
             inflation_factor=factor,
             subsample_seed=_read(d, "delay", "subsample_seed", _int, 0),
         )
+        if delay.subsample_seed < 0:  # the seeded draw takes none
+            raise ValidationError(
+                f"subsample seed must be non-negative, got {delay.subsample_seed}",
+                "delay.subsample_seed",
+            )
 
     timers = {}
     for timer_name, t in _read(data, "", "timers", _object, {}).items():

@@ -426,9 +426,7 @@ def delay_classes_for_manifest(
     if manifest.delay is None:
         raise ConfigError("manifest has no delay section")
     d = manifest.delay
-    path = Path(d.matrix_path)
-    if not path.is_absolute():
-        path = Path(base_dir) / path
+    path = Path(base_dir) / d.matrix_path  # an absolute matrix_path replaces base_dir
     matrix = delay_model.load_matrix(path, count=len(manifest.nodes), seed=d.subsample_seed)
     quantized = delay_model.quantize(matrix, d.policy, d.inflation_factor)
     del matrix  # the class build reads only the quantized copy

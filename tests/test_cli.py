@@ -212,6 +212,41 @@ def test_plan_delays_count_out_of_range(matrix_file, capsys, count):
     assert capsys.readouterr().err == f"error: cannot select {count} of 5 nodes\n"
 
 
+# At --count 5 of 5 rows no draw is made, and a negative seed went unread.
+@pytest.mark.parametrize("count", [[], ["--count", "1"], ["--count", "5"]])
+def test_plan_delays_refuses_a_negative_seed(tmp_path, matrix_file, capsys, count):
+    out = tmp_path / "classes.json"
+    rc = main(["plan-delays", "--matrix", str(matrix_file), *count, "--seed", "-1",
+               "--out", str(out)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: --seed must be non-negative, got -1\n")
+    assert not out.exists()
+
+
+def test_run_refuses_a_negative_subsample_seed_at_its_path(tmp_path, matrix_file, capsys):
+    manifest = _five_node_manifest(tmp_path, matrix_file, {"subsample_seed": -1})
+    out = tmp_path / "plan"
+    assert main(["run", "--manifest", str(manifest), "--dry-run", "--out", str(out)]) == 2
+    message = "[delay.subsample_seed] subsample seed must be non-negative, got -1"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_run_plans_nothing_over_a_delay_int64_cannot_hold(tmp_path, capsys):
+    # cast unchecked, 1e300 would become INT64_MIN and wrap to 0: a plan without that delay
+    entries = np.array(FIVE_NODE_ENTRIES, dtype=float)
+    entries[0, 4] = entries[4, 0] = 1e300
+    matrix, out = tmp_path / "matrix.txt", tmp_path / "plan"
+    np.savetxt(matrix, entries)
+    manifest = _five_node_manifest(tmp_path, matrix, {})
+    assert main(["run", "--manifest", str(manifest), "--dry-run", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    message = "delay 1e+300 ms times 1 does not fit int64 steps of 10 ms"
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
 def test_plan_delays_manifest_larger_than_the_matrix(tmp_path, capsys):
     (tmp_path / "matrix.txt").write_text("0\n")
     data = minimal_manifest_dict()
@@ -344,6 +379,37 @@ def test_emit_rejects_a_class_map_missing_a_key_or_integer(tmp_path, capsys, com
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ("10.0.0.1 veth1\n10.0.0.1 veth2\n", "duplicate address '10.0.0.1'"),
+    ("10.0.0.1 veth1\n\n10.0.0.300 veth2\n",
+     "line 3: Octet 300 (> 255) not permitted in '10.0.0.300'"),
+])
+def test_emit_fdb_refuses_a_repeated_or_malformed_address(tmp_path, capsys, text, message):
+    nodes, out = tmp_path / "nodes.txt", tmp_path / "fdb.sh"
+    nodes.write_text(text)
+    assert main(["emit-fdb", "--nodes-file", str(nodes), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert not out.exists()
+
+
+# plan-delays writes a map without classes when every pair rounds to 0 ms.
+@pytest.mark.parametrize("command, message", [
+    (["emit-nft"], "cannot emit a marking script for zero classes"),
+    (["emit-tc", "--veth", "vetha1"], "cannot emit a queueing tree for zero classes"),
+])
+def test_emit_refuses_an_empty_class_map(tmp_path, capsys, command, message):
+    matrix, classes, out = tmp_path / "matrix.txt", tmp_path / "classes.json", tmp_path / "out"
+    matrix.write_text("0 4\n4 0\n")
+    assert main(["plan-delays", "--matrix", str(matrix), "--out", str(classes)]) == 0
+    assert json.loads(classes.read_text())["classes"] == []
+    capsys.readouterr()
+    assert main([*command, "--classes", str(classes), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    assert not out.exists()
 
 
 def test_emit_fdb_from_nodes_file(tmp_path, capsys):

@@ -2,6 +2,7 @@ import gc
 import io
 import ipaddress
 import json
+import math
 import re
 import tracemalloc
 import warnings
@@ -324,7 +325,7 @@ class TestInflate:
         m = matrix([[0, 1e308], [1e308, 0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the error alone reports it, with no warning
-            with pytest.raises(ValueError, match="NaN or infinite"):
+            with pytest.raises(ValueError, match="does not fit int64"):
                 dm.quantize(m, dm.QuantizationPolicy(), 10)
 
     @given(
@@ -364,6 +365,78 @@ class TestInflate:
         # the int64 result, plus a block of rows; a scaled copy would add 8 MB
         assert q.nbytes == m.entries.nbytes
         assert peak - before < q.nbytes + m.entries.nbytes // 4
+
+
+def exact_step(x: Fraction, mode: str) -> int:
+    if mode == "nearest-half-up":
+        return math.floor(x + Fraction(1, 2))
+    return math.floor(x) if mode == "floor" else math.ceil(x)
+
+
+def upper_matrix(values) -> dm.DelayMatrix:
+    """The matrix whose first row (and column) holds `values` after its zero."""
+    entries = np.zeros((len(values) + 1, len(values) + 1))
+    entries[0, 1:] = entries[1:, 0] = values
+    return dm.DelayMatrix(entries)
+
+
+# Factors at which each float step rounds as the exact one does for tenths
+# of a ms below 10^8 ms; at 5/3, 7/5 or 1.1 a few ties land one step off.
+EXACT_FACTORS = [1, 2, 3, Fraction(1, 2), Fraction(3, 2), Fraction(4, 3), Fraction(2, 3),
+                 Fraction(3, 4), Fraction(5, 4)]
+
+
+class TestQuantizeContract:
+    """`quantize` returns int64 delays, or refuses a delay int64 cannot hold."""
+
+    @given(
+        st.lists(st.integers(0, 10**9), min_size=1, max_size=12),  # tenths of a ms
+        st.sampled_from(EXACT_FACTORS),
+        st.sampled_from(dm.ROUNDING_MODES),
+        st.sampled_from([1, 3, 7, 10, 25]),
+    )
+    @example(tenths=[15, 25, 45, 250], factor=Fraction(4, 3), mode="nearest-half-up", quantum=10)
+    @example(tenths=[12, 36, 300], factor=Fraction(5, 4), mode="nearest-half-up", quantum=1)
+    def test_equals_exact_fraction_rounding(self, tenths, factor, mode, quantum):
+        got = dm.quantize(upper_matrix([t / 10 for t in tenths]),
+                          dm.QuantizationPolicy(quantum_ms=quantum, rounding=mode), factor)
+        want = [exact_step(Fraction(t, 10) * factor / quantum, mode) * quantum for t in tenths]
+        assert got.dtype == np.int64
+        assert got[0, 1:].tolist() == want
+
+    @given(
+        st.floats(1.001, 1e200),  # the largest delay over the int64 bound
+        st.sampled_from([1, 2.5, Fraction(4, 3), Fraction(1, 1000)]),
+        st.sampled_from(dm.ROUNDING_MODES),
+        st.sampled_from([1, 10, 25]),
+    )
+    def test_refuses_a_delay_past_int64(self, over, factor, mode, quantum):
+        bound = 2.0**63  # steps times the quantum must stay below it
+        policy = dm.QuantizationPolicy(quantum_ms=quantum, rounding=mode)
+        largest = bound * over / float(factor)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^delay {re.escape(str(largest))} ms "):
+                dm.quantize(upper_matrix([10.0, largest]), policy, factor)
+            # just inside the bound the delays fit, none wrapped to a negative
+            got = dm.quantize(upper_matrix([10.0, bound * 0.999 / float(factor)]), policy, factor)
+        assert 0 < got[0, 2] <= np.iinfo(np.int64).max
+        assert got[0, 2] == pytest.approx(bound * 0.999, rel=1e-9)
+
+    @pytest.mark.parametrize("factor", [1, 2, Fraction(4, 3)])
+    def test_huge_delay_refused_by_name_with_no_warning(self, factor):
+        # cast unchecked, 1e300 would become INT64_MIN and `steps *= q` would wrap it to 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^delay 1e\+300 ms times {factor} does not"):
+                dm.quantize(matrix([[0, 1e300], [1e300, 0]]), dm.QuantizationPolicy(), factor)
+
+    @pytest.mark.parametrize("factor", [float("inf"), float("nan")])
+    def test_infinite_or_nan_factor_refused(self, factor):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="does not fit int64"):
+                dm.quantize(matrix([[0, 0], [0, 0]]), dm.QuantizationPolicy(), factor)
 
 
 class TestQuantize:
@@ -493,8 +566,25 @@ class TestBuildClasses:
 
     def test_non_finite_delay_rejected(self):
         q = np.array([[0, np.nan], [np.nan, 0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="integer array"):
             dm.build_classes(q, ["10.0.0.1", "10.0.0.2"], dm.QuantizationPolicy())
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_float_array_rejected(self, dtype):
+        # whole, finite, in range: a float array is refused all the same
+        q = np.array([[0, 10], [10, 0]], dtype=dtype)
+        message = f"quantized delays must be an integer array, got {np.dtype(dtype)}"
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            dm.build_classes(q, ["10.0.0.1", "10.0.0.2"], dm.QuantizationPolicy())
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.uint64])
+    def test_any_integer_dtype_classes_as_int64(self, dtype):
+        # the dtype's largest delay (up to 2**40), whose code needs more bits than it has
+        big = min(int(np.iinfo(dtype).max), 1 << 40)
+        ips = ["10.0.0.1", "10.0.0.2", "10.0.0.3"]
+        q = np.array([[0, 20, big], [20, 0, big], [big, big, 0]])
+        want = dm.build_classes(q, ips, dm.QuantizationPolicy())
+        assert dm.build_classes(q.astype(dtype), ips, dm.QuantizationPolicy()) == want
 
     def test_negative_delay_rejected(self):
         q = np.array([[0, -10], [-10, 0]], dtype=np.int64)
@@ -505,23 +595,18 @@ class TestBuildClasses:
         st.integers(0, 2**32 - 1),
         st.integers(1, 12),
         st.booleans(),
-        st.booleans(),
     )
-    @example(seed=0, n=1, drop_zero=True, as_float=False)
-    @example(seed=1, n=2, drop_zero=False, as_float=True)
-    @example(seed=2, n=2, drop_zero=True, as_float=False)
-    def test_matches_pair_loop_reference(self, seed, n, drop_zero, as_float):
+    @example(seed=0, n=1, drop_zero=True)
+    @example(seed=1, n=2, drop_zero=False)
+    @example(seed=2, n=2, drop_zero=True)
+    def test_matches_pair_loop_reference(self, seed, n, drop_zero):
         rng = np.random.default_rng(seed)
         # 10.0.0.9, 10.0.0.10 and 10.0.1.2 sort differently as text and as
         # numbers; the other candidates span three octet boundaries.
         extra = rng.choice(np.arange(259, 1024), size=9, replace=False)
         keys = rng.permutation(np.concatenate(([9, 10, 258], extra)))[:n]
         ips = [f"10.0.{k // 256}.{k % 256}" for k in keys.tolist()]
-        if as_float:
-            # fractional delays, truncated by int() into classes of 10 ms
-            upper = rng.choice([0.0, 0.4, 10.2, 10.9, 20.0, 20.5, 250.7], size=(n, n))
-        else:
-            upper = rng.choice([0, 10, 20, 30, 250], size=(n, n))
+        upper = rng.choice([0, 10, 20, 30, 250], size=(n, n))
         q = np.triu(upper, k=1)
         q = q + q.T
         pol = dm.QuantizationPolicy(drop_zero_class=drop_zero)
@@ -544,8 +629,7 @@ class TestBuildClasses:
         assert dm.build_classes(q, ips, pol) == build_classes_loop(q, ips, pol)
 
     @pytest.mark.parametrize("n, width", [(2, 1), (5, 3), (257, 9)])
-    @pytest.mark.parametrize("as_float", [False, True])
-    def test_delay_that_overflows_the_pair_code_rejected(self, n, width, as_float):
+    def test_delay_that_overflows_the_pair_code_rejected(self, n, width):
         # A code holds the delay above two ranks of `width` bits in 63 bits.
         limit = 1 << (63 - 2 * width)
         ips = [f"10.6.{i // 200}.{i % 200 + 1}" for i in range(n)]
@@ -556,25 +640,7 @@ class TestBuildClasses:
         assert cmap.classes[-1].delay_ms == limit - 1
         q[0, n - 1] = q[n - 1, 0] = limit
         with pytest.raises(ConfigError, match=f"delay {limit} ms is too large"):
-            dm.build_classes(q.astype(float) if as_float else q, ips, dm.QuantizationPolicy())
-
-    def test_huge_float_delay_rejected_as_too_large(self):
-        q = np.array([[0, 1e30], [1e30, 0]])
-        with pytest.raises(ConfigError, match="too large"):
-            dm.build_classes(q, ["10.0.0.1", "10.0.0.2"], dm.QuantizationPolicy())
-
-    def test_non_finite_reported_before_a_negative_delay(self):
-        q = np.array([[0, -10, 0], [-10, 0, np.inf], [0, np.inf, 0]])
-        with pytest.raises(ValueError, match="must be finite"):
-            dm.build_classes(q, ["10.0.0.1", "10.0.0.2", "10.0.0.3"], dm.QuantizationPolicy())
-
-    def test_negative_float_delay_truncates_as_int_does(self):
-        q = np.array([[0, -0.5, -10.7], [-0.5, 0, 10], [-10.7, 10, 0]])
-        ips = ["10.0.0.1", "10.0.0.2", "10.0.0.3"]
-        with pytest.raises(ConfigError, match="non-negative, got -10$"):
             dm.build_classes(q, ips, dm.QuantizationPolicy())
-        q[0, 2] = q[2, 0] = 20
-        assert dm.build_classes(q, ips, dm.QuantizationPolicy()).class_delays() == {1: 10, 2: 20}
 
     def test_ips_listed_out_of_address_order(self):
         q = np.array([[0, 10], [10, 0]], dtype=np.int64)

@@ -68,6 +68,12 @@ def test_fdb_duplicate_veth_rejected():
         emit_fdb_script([("10.0.0.1", "veth0"), ("10.0.0.2", "veth0")])
 
 
+def test_fdb_duplicate_address_rejected():
+    # one MAC on two ports: the bridge would forward to one node only
+    with pytest.raises(ConfigError, match=r"^duplicate address '10\.0\.0\.1'$"):
+        emit_fdb_script([("10.0.0.1", "veth0"), ("10.0.0.1", "veth1")])
+
+
 def test_fdb_golden():
     nodes = [(f"10.0.0.{i}", f"vetha{i}") for i in range(1, 6)]
     golden = (GOLDENS / "fdb_5node.txt").read_text()

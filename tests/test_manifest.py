@@ -206,6 +206,9 @@ def test_values_that_reach_plan_lines_must_be_one_word(path, put, value):
          "delay.subsample_seed"),
         (lambda d: d.update(delay={"matrix_path": "m.txt", "subsample_seed": False}),
          "delay.subsample_seed"),
+        # a seeded draw takes a non-negative seed
+        (lambda d: d.update(delay={"matrix_path": "m.txt", "subsample_seed": -1}),
+         "delay.subsample_seed"),
         (lambda d: d.update(delay={"matrix_path": "m.txt", "quantum_ms": 12.9}),
          "delay.quantum_ms"),
         (lambda d: d.update(delay={"matrix_path": "m.txt", "quantum_ms": True}),

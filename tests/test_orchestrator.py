@@ -831,3 +831,11 @@ class TestDelayClassesForManifest:
         manifest = parse_manifest(data)
         classes, _ = delay_classes_for_manifest(manifest, tmp_path)
         assert classes.class_delays() == {1: 60}
+
+    def test_delay_int64_cannot_hold_refused(self, tmp_path):
+        # cast unchecked, the delay would wrap to 0 and plan no class, with a warning only
+        (tmp_path / "matrix.txt").write_text("0 1e300\n1e300 0\n")
+        data = minimal_manifest_dict()
+        data["delay"] = {"matrix_path": "matrix.txt", "inflation_factor": 2}
+        with pytest.raises(ValueError, match=r"^delay 1e\+300 ms times 2 does not fit int64"):
+            delay_classes_for_manifest(parse_manifest(data), tmp_path)
