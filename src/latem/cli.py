@@ -128,7 +128,7 @@ def _cmd_plan_delays(args: argparse.Namespace) -> int:
         node_count = matrix.n
         del matrix  # the class build reads only the quantized copy
         ips = delay_model.allocate_ips(args.ip_base or "10.1.0.1", node_count)
-        classes = delay_model.build_classes(quantized, ips, policy)
+        classes = delay_model.build_classes(quantized, ips)
         del quantized  # the write reads only the classes
     else:
         raise ConfigError("plan-delays needs --matrix or --manifest")
@@ -264,6 +264,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.apply:
         from .adapters import ShellAdapter
 
+        if args.out:  # where the stats steps' output goes, made before any step runs
+            Path(args.out).mkdir(parents=True, exist_ok=True)
         report = orchestrator.execute(plan, "apply", adapter=ShellAdapter())
     else:
         report = orchestrator.execute(plan, "dry-run", out_dir=args.out)
@@ -276,6 +278,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"{'':8s} exit {failing.exit_code}: {line}")
             for err in failing.stderr.splitlines():
                 print(f"{'':8s} | {err}")
+        if args.apply and args.out and step.kind == orchestrator.STEP_STATS:
+            csv = Path(args.out) / f"{step.name}.csv"  # this run's samples only, for `latem stats`
+            if step.status == "ok":
+                csv.write_text("".join(c.stdout for c in step.commands))
+            else:
+                csv.unlink(missing_ok=True)
     return 0 if report.ok else 1
 
 
@@ -395,7 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode = p.add_mutually_exclusive_group(required=True)
     mode.add_argument("--dry-run", action="store_true")
     mode.add_argument("--apply", action="store_true")
-    p.add_argument("--out", help="output directory for dry-run scripts")
+    p.add_argument("--out", help="dry-run: directory for the step scripts; apply: directory "
+                                 "for each stats step's output, as stats-<phase>.csv")
     p.add_argument("--inflate", help="apply a time-inflation factor before planning")
     p.set_defaults(func=_cmd_run)
 

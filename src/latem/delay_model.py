@@ -141,7 +141,6 @@ class QuantizationPolicy:
 
     quantum_ms: int = 10
     rounding: str = "nearest-half-up"
-    drop_zero_class: bool = True
 
     def __post_init__(self) -> None:
         if self.quantum_ms < 1:
@@ -619,18 +618,14 @@ def quantize(m: DelayMatrix, policy: QuantizationPolicy, factor: float | Fractio
     return steps
 
 
-def build_classes(
-    quantized: np.ndarray,
-    ips: Sequence[str],
-    policy: QuantizationPolicy,
-) -> DelayClassMap:
+def build_classes(quantized: np.ndarray, ips: Sequence[str]) -> DelayClassMap:
     """Group unordered node pairs by quantized delay and assign marks.
 
-    One class per distinct delay value, sorted ascending; the mark is the
-    1-based position in that order. Zero-delay pairs are omitted when the
-    policy drops the zero class (their traffic takes the default no-delay
-    path, which is behaviorally identical). Within a class, pairs run in
-    numeric (lower, higher) address order.
+    One class per distinct non-zero delay value, sorted ascending; the mark
+    is the 1-based position in that order. Zero-delay pairs are omitted:
+    their traffic takes the default no-delay path, which a `netem delay 0ms`
+    leaf would only repeat. Within a class, pairs run in numeric (lower,
+    higher) address order.
 
     Only the strict upper triangle is read, one row at a time. Each pair
     becomes one int64 code, `delay << 2w | rank(lo) << w | rank(hi)`, where
@@ -669,9 +664,8 @@ def build_classes(
         if delay.max() >= limit:
             raise ConfigError(f"delay {delay.max()} ms is too large to class {n} "
                               f"addresses (at most {limit - 1})")
-        if policy.drop_zero_class:
-            keep = delay != 0
-            delay, other = delay[keep], other[keep]
+        keep = delay != 0
+        delay, other = delay[keep], other[keep]
         used[other] = True
         used[rank[i]] |= delay.size > 0
         code = codes[size : size + delay.size]

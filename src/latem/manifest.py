@@ -26,10 +26,12 @@ from typing import Any, Callable, Mapping, Union
 
 from .delay_model import QuantizationPolicy
 from .errors import ConfigError, ValidationError
+from .script import line_fault
 from .topology import nws_faults, random_faults
 
 PHASE_ACTIONS = ("launch", "signal", "run-host-script")
 TIMER_KINDS = ("duration", "rate")
+TIMER_REF = re.compile(r"\{timer:([A-Za-z0-9_.-]+)\}")  # in a process arg, a timer's value
 
 FractionLike = Union[int, float, str, Fraction]
 
@@ -175,8 +177,16 @@ def _text(value: Any, path: str) -> str:
     return str(_check(value, path, (str, int, float), "a string"))
 
 
-def _texts(value: Any, path: str) -> tuple[str, ...]:
-    return tuple(_text(v, f"{path}[{k}]") for k, v in enumerate(_array(value, path)))
+def _texts(value: Any, path: str, read: Callable[[Any, str], str] = _text) -> tuple[str, ...]:
+    return tuple(read(v, f"{path}[{k}]") for k, v in enumerate(_array(value, path)))
+
+
+def _script_line(value: Any, path: str) -> str:
+    """A host-script line, which must keep the rule of every script line."""
+    line = _text(value, path)
+    if fault := line_fault(line):
+        raise ValidationError(f"script line {fault}", path=path)
+    return line
 
 
 def _word(value: Any, path: str, pattern: re.Pattern) -> str:
@@ -207,7 +217,7 @@ def _read(obj: Mapping, path: str, key: str, read: Callable[[Any, str], Any],
 def _policy(d: Mapping) -> QuantizationPolicy:
     """The delay section's quantization policy; absent keys take the policy's defaults."""
     given = {}
-    for key, read in (("quantum_ms", _int), ("rounding", _text), ("drop_zero_class", _bool)):
+    for key, read in (("quantum_ms", _int), ("rounding", _text)):
         if key in d:
             given[key] = _read(d, "delay", key, read)
             try:
@@ -285,7 +295,7 @@ def parse_manifest(data: Mapping) -> ExperimentManifest:
                 target=_read(ph, path, "target", _text, "all"),
                 signal=_read(ph, path, "signal", _shell_word) if signal else None,
                 stagger_ms=stagger,
-                script=_read(ph, path, "script", _texts, []),
+                script=_read(ph, path, "script", partial(_texts, read=_script_line), []),
                 capture_stats=_read(ph, path, "capture_stats", _bool, False),
             )
         )
@@ -436,6 +446,11 @@ def _validate_cross_references(m: ExperimentManifest) -> None:
                     f"undeclared phase {proc.start_phase!r}",
                     path=f"nodes[{i}].processes[{j}].start_phase",
                 )
+            for k, arg in enumerate(proc.args):
+                for timer in TIMER_REF.findall(arg):
+                    if timer not in m.timers:  # the error planning would raise, at its path
+                        raise ValidationError(f"arg references undeclared timer {timer!r}",
+                                              path=f"nodes[{i}].processes[{j}].args[{k}]")
 
 
 def load_manifest(path: str | Path) -> ExperimentManifest:

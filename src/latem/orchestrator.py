@@ -31,7 +31,7 @@ from . import sys_preflight
 from .delay_model import DelayClassMap, compute_bands
 from .errors import ConfigError, InfeasibleError, InventoryError, ValidationError
 from .link_layer import emit_fdb_script, mac_for_ip, neigh_settings
-from .manifest import ExperimentManifest, NodeSpec, ResourceModel, render_number
+from .manifest import TIMER_REF, ExperimentManifest, NodeSpec, ResourceModel, render_number
 from .nft_planner import emit_nft_script
 from .script import CommandScript, Script
 from .tc_planner import TreeScript, emit_tc_trees
@@ -240,9 +240,6 @@ class PhasedPlan:
     steps: tuple[PlanStep, ...]
 
 
-_TIMER_REF = re.compile(r"\{timer:([A-Za-z0-9_.-]+)\}")
-
-
 def _render_arg(arg: str, timers: Mapping[str, str]) -> str:
     def sub(m: re.Match) -> str:
         name = m.group(1)
@@ -250,7 +247,7 @@ def _render_arg(arg: str, timers: Mapping[str, str]) -> str:
             raise ValidationError(f"arg references undeclared timer {name!r}")
         return timers[name]
 
-    return _TIMER_REF.sub(sub, arg)
+    return TIMER_REF.sub(sub, arg)
 
 
 def _node_overlays(manifest: ExperimentManifest) -> dict[str, dict[str, list[str]]]:
@@ -430,7 +427,7 @@ def delay_classes_for_manifest(
     matrix = delay_model.load_matrix(path, count=len(manifest.nodes), seed=d.subsample_seed)
     quantized = delay_model.quantize(matrix, d.policy, d.inflation_factor)
     del matrix  # the class build reads only the quantized copy
-    classes = delay_model.build_classes(quantized, [n.ip for n in manifest.nodes], d.policy)
+    classes = delay_model.build_classes(quantized, [n.ip for n in manifest.nodes])
     bands = compute_bands(len(classes)) if len(classes) else 2
     return classes, bands
 

@@ -8,6 +8,13 @@ from operator import add
 from typing import Iterator
 
 
+def line_fault(line: str) -> str:
+    """Why `line` cannot be one script line, or "" when it can."""
+    if "\n" in line or "\r" in line:
+        return "contains a newline"
+    return "has trailing whitespace" if line != line.rstrip() else ""
+
+
 class Script:
     """An ordered sequence of single-line shell commands.
 
@@ -41,10 +48,8 @@ class CommandScript(Script):
 
     def __post_init__(self) -> None:
         for i, line in enumerate(self.lines):
-            if "\n" in line or "\r" in line:
-                raise ValueError(f"line {i} contains a newline")
-            if line != line.rstrip():
-                raise ValueError(f"line {i} has trailing whitespace")
+            if fault := line_fault(line):
+                raise ValueError(f"line {i} {fault}")
 
     def __len__(self) -> int:
         return len(self.lines)

@@ -47,24 +47,6 @@ def parse_docker_stats(text: str) -> dict[str, Decimal]:
     return samples
 
 
-def checkpoints_from_report(report) -> dict[str, dict[str, Decimal]]:
-    """Collect per-checkpoint samples captured by an applied startup plan.
-
-    A stats step is named `stats-<checkpoint>` and carries its `docker stats`
-    output in the recorded command stdout.
-    """
-    samples: dict[str, dict[str, Decimal]] = {}
-    for step in report.steps:
-        if step.kind != "stats" or step.status != "ok":
-            continue
-        checkpoint = step.name.removeprefix("stats-")
-        merged: dict[str, Decimal] = {}
-        for outcome in step.commands:
-            merged.update(parse_docker_stats(outcome.stdout))
-        samples[checkpoint] = merged
-    return samples
-
-
 @dataclass(frozen=True)
 class CheckpointStats:
     name: str

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 from .delay_model import MAX_BANDS, DelayClassMap, gc_paused
 from .errors import CapacityError, ConfigError, ParseError
-from .script import Script
+from .script import Script, line_fault
 
 if TYPE_CHECKING:  # numpy is imported by verify_plan, which uses it
     import numpy as np
@@ -81,12 +81,9 @@ class TreeScript(Script):
 
     def __post_init__(self) -> None:
         for head, tail in self.tree:
-            parts = head + tail
-            if "\n" in parts or "\r" in parts:
-                raise ValueError(f"tree line {head!r}...{tail!r} contains a newline")
             # A line ends in its tail, or in a non-blank name when the tail is empty.
-            if tail != tail.rstrip():
-                raise ValueError(f"tree line {head!r}...{tail!r} has trailing whitespace")
+            if fault := line_fault(f"{head}name{tail}"):
+                raise ValueError(f"tree line {head!r}...{tail!r} {fault}")
         for veth in self.veths:
             if not veth or veth != veth.strip() or "\n" in veth or "\r" in veth:
                 raise ConfigError(f"invalid interface name {veth!r}")

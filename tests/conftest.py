@@ -35,7 +35,7 @@ FIVE_NODE_IPS = ["10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.4", "10.0.0.5"]
 def five_node_map() -> dm.DelayClassMap:
     policy = dm.QuantizationPolicy()
     quantized = dm.quantize(dm.DelayMatrix(FIVE_NODE_ENTRIES), policy)
-    return dm.build_classes(quantized, FIVE_NODE_IPS, policy)
+    return dm.build_classes(quantized, FIVE_NODE_IPS)
 
 
 @pytest.fixture
@@ -97,7 +97,7 @@ def random_class_map(seed: int, max_nodes: int = 50) -> dm.DelayClassMap:
         for j in range(i + 1, n):
             q[i, j] = q[j, i] = int(rng.choice(levels))
     ips = [f"10.0.{idx // 250}.{(idx % 250) + 1}" for idx in range(n)]
-    return dm.build_classes(q, ips, dm.QuantizationPolicy())
+    return dm.build_classes(q, ips)
 
 
 def minimal_manifest_dict(**overrides) -> dict:

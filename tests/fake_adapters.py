@@ -68,6 +68,24 @@ class ScriptedAdapter:
         return run_each(self, lines)
 
 
+def scripted_gather_adapter(fail_on: dict[str, int] | None = None) -> ScriptedAdapter:
+    """A `ScriptedAdapter` answering the gather of `minimal_manifest_dict`'s two nodes."""
+    return ScriptedAdapter(
+        failures=dict(fail_on or {}),
+        responses={
+            "ip -o link show": (
+                "1: lo: <LOOPBACK,UP,LOWER_UP> mtu 65536\n"
+                "7: vetha1@if6: <BROADCAST,MULTICAST,UP> mtu 1500\n"
+                "9: vetha2@if8: <BROADCAST,MULTICAST,UP> mtu 1500\n"
+            ),
+            "docker exec node001 cat /sys/class/net/eth0/iflink": "7\n",
+            "docker exec node001 cat /sys/class/net/eth0/address": "02:42:0a:01:00:01\n",
+            "docker exec node002 cat /sys/class/net/eth0/iflink": "9\n",
+            "docker exec node002 cat /sys/class/net/eth0/address": "02:42:0a:01:00:02\n",
+        },
+    )
+
+
 class ParentCheckingAdapter:
     """A model of the kernel's tc parent rule.
 

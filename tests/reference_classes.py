@@ -52,11 +52,7 @@ def all_pairs(classes: dm.DelayClassMap) -> set[dm.IpPair]:
     return {pair for c in classes for pair in c.pairs}
 
 
-def build_classes_loop(
-    quantized: np.ndarray,
-    ips: Sequence[str],
-    policy: dm.QuantizationPolicy,
-) -> dm.DelayClassMap:
+def build_classes_loop(quantized: np.ndarray, ips: Sequence[str]) -> dm.DelayClassMap:
     q = np.asarray(quantized)
     n = q.shape[0]
     ip_list = list(ips)
@@ -72,7 +68,7 @@ def build_classes_loop(
     for i in range(n):
         for j in range(i + 1, n):
             d = int(q[i, j])
-            if d == 0 and policy.drop_zero_class:
+            if d == 0:
                 continue
             by_delay.setdefault(d, []).append(make_pair(ip_list[i], ip_list[j]))
 

@@ -146,7 +146,7 @@ def test_criterion_05_quantization_class_count_bound():
             policy = dm.QuantizationPolicy()
             quantized = dm.quantize(matrix, policy)
             ips = [f"10.7.{i // 250}.{i % 250 + 1}" for i in range(n)]
-            classes = dm.build_classes(quantized, ips, policy)
+            classes = dm.build_classes(quantized, ips)
             assert len(classes) <= int(matrix.entries.max() // policy.quantum_ms) + 1
 
 

@@ -29,7 +29,7 @@ from conftest import (
     minimal_manifest_dict,
     write_manifest,
 )
-from fake_adapters import ScriptedAdapter
+from fake_adapters import ScriptedAdapter, scripted_gather_adapter
 
 
 @pytest.fixture
@@ -135,9 +135,9 @@ def _five_node_manifest(tmp_path: Path, matrix_file: Path, delay: dict,
 @pytest.mark.parametrize(
     "options",
     [
-        {"drop_zero_class": False},
+        {},
         {"quantum_ms": 7, "rounding": "ceil"},
-        {"quantum_ms": 25, "rounding": "floor", "drop_zero_class": False},
+        {"quantum_ms": 25, "rounding": "floor"},
     ],
 )
 def test_plan_delays_output_is_json_dumps_of_its_class_map(tmp_path, matrix_file, options):
@@ -192,7 +192,7 @@ def test_plan_delays_count_writes_the_bytes_of_load_then_subsample(tmp_path, mat
     assert rc == 0
     policy = dm.QuantizationPolicy()
     matrix = dm.subsample(dm.load_matrix(matrix_file), 3, 7)
-    classes = dm.build_classes(dm.quantize(matrix, policy), FIVE_NODE_IPS[:3], policy)
+    classes = dm.build_classes(dm.quantize(matrix, policy), FIVE_NODE_IPS[:3])
     assert out.read_bytes() == "".join(dm.class_map_json(classes, policy)).encode()
 
 
@@ -293,7 +293,7 @@ def test_plan_delays_manifest_plans_the_classes_of_run(tmp_path, capsys):
     ]
     data["phases"] = [{"name": "launch", "action": "launch"}]
     data["delay"] = {"matrix_path": "matrix.txt", "quantum_ms": 25, "rounding": "floor",
-                     "drop_zero_class": False, "subsample_seed": 4, "inflation_factor": 3}
+                     "subsample_seed": 4, "inflation_factor": 3}
     manifest = write_manifest(tmp_path, data)
     plan, class_map = tmp_path / "plan", tmp_path / "classes.json"
     assert main(["run", "--manifest", str(manifest), "--inflate", "2", "--dry-run",
@@ -722,6 +722,59 @@ def test_run_apply_prints_the_failing_line_and_stderr(tmp_path, monkeypatch, cap
     assert out[1].startswith("         exit 2: awk '/^Max processes / ")
     assert out[2] == "         | scripted failure for 'Max processes'"
     assert all(line.startswith("skipped    0.000s ") for line in out[3:])
+
+
+STATS_OUTPUT = "node001,100MiB / 384GiB\nnode002,300MiB / 384GiB\n"
+
+
+def stats_apply(tmp_path, monkeypatch, **failures) -> ScriptedAdapter:
+    """An adapter for applying `minimal_manifest_dict` with its signal phase's
+    stats captured, answering `docker stats` with STATS_OUTPUT."""
+    adapter = scripted_gather_adapter(failures)
+    adapter.responses["docker stats --no-stream"] = STATS_OUTPUT
+    monkeypatch.setattr("latem.adapters.ShellAdapter", lambda: adapter)
+    data = minimal_manifest_dict()
+    data["phases"][1]["capture_stats"] = True
+    write_manifest(tmp_path, data)
+    return adapter
+
+
+def test_run_apply_writes_each_stats_step_where_stats_reads_it(tmp_path, monkeypatch, capsys):
+    stats_apply(tmp_path, monkeypatch)
+    out = tmp_path / "samples"
+    rc = main(["run", "--manifest", str(tmp_path / "manifest.json"), "--apply", "--out", str(out)])
+    assert rc == 0
+    assert [p.name for p in out.iterdir()] == ["stats-start-proc.csv"]
+    assert (out / "stats-start-proc.csv").read_text() == STATS_OUTPUT
+    capsys.readouterr()
+    assert main(["stats", "--available-mib", "1000", *map(str, out.glob("stats-*.csv"))]) == 0
+    assert capsys.readouterr().out == (
+        "stats-start-proc: nodes=2 min=100 max=300 avg=200 total=400 percent=40.00%\n"
+    )
+
+
+def test_run_apply_writes_no_stats_without_out_or_for_a_failed_step(tmp_path, monkeypatch):
+    stats_apply(tmp_path, monkeypatch)
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["run", "--manifest", str(tmp_path / "manifest.json"), "--apply"]) == 0
+    assert sorted(tmp_path.rglob("*")) == before
+    out = tmp_path / "samples"
+    argv = ["run", "--manifest", str(tmp_path / "manifest.json"), "--apply", "--out", str(out)]
+    assert main(argv) == 0  # an earlier run's samples, which a failed step takes away
+    stats_apply(tmp_path, monkeypatch, **{"docker stats": 1})
+    assert main(argv) == 1
+    assert list(out.iterdir()) == []
+
+
+def test_run_apply_refuses_an_out_that_is_no_directory_before_any_step(tmp_path, monkeypatch,
+                                                                      capsys):
+    adapter = stats_apply(tmp_path, monkeypatch)
+    out = tmp_path / "samples"
+    out.write_text("")
+    rc = main(["run", "--manifest", str(tmp_path / "manifest.json"), "--apply", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 17] File exists")
+    assert adapter.calls == []
 
 
 def test_run_dry_run_with_inflation(tmp_path):

@@ -524,7 +524,7 @@ class TestBuildClasses:
     def test_single_class(self):
         q = np.full((3, 3), 50, dtype=np.int64)
         np.fill_diagonal(q, 0)
-        cmap = dm.build_classes(q, self.IPS3, dm.QuantizationPolicy())
+        cmap = dm.build_classes(q, self.IPS3)
         assert len(cmap) == 1
         assert cmap.classes[0].mark == 1
         assert cmap.classes[0].delay_ms == 50
@@ -533,7 +533,7 @@ class TestBuildClasses:
     def test_two_classes_by_hand(self):
         # AB=20, AC=50, BC=50
         q = np.array([[0, 20, 50], [20, 0, 50], [50, 50, 0]], dtype=np.int64)
-        cmap = dm.build_classes(q, self.IPS3, dm.QuantizationPolicy())
+        cmap = dm.build_classes(q, self.IPS3)
         assert cmap.class_delays() == {1: 20, 2: 50}
         assert cmap.classes[0].pairs == (("10.0.0.1", "10.0.0.2"),)
         assert set(cmap.classes[1].pairs) == {
@@ -544,30 +544,24 @@ class TestBuildClasses:
     def test_duplicate_ips_rejected(self):
         q = np.zeros((3, 3), dtype=np.int64)
         with pytest.raises(ConfigError):
-            dm.build_classes(q, ["10.0.0.1", "10.0.0.1", "10.0.0.3"], dm.QuantizationPolicy())
+            dm.build_classes(q, ["10.0.0.1", "10.0.0.1", "10.0.0.3"])
 
     def test_zero_pairs_dropped_by_default(self):
         q = np.array([[0, 0, 20], [0, 0, 20], [20, 20, 0]], dtype=np.int64)
-        cmap = dm.build_classes(q, self.IPS3, dm.QuantizationPolicy())
+        cmap = dm.build_classes(q, self.IPS3)
         assert len(cmap) == 1
         assert ("10.0.0.1", "10.0.0.2") not in all_pairs(cmap)
-
-    def test_zero_class_kept_when_configured(self):
-        q = np.array([[0, 0, 20], [0, 0, 20], [20, 20, 0]], dtype=np.int64)
-        pol = dm.QuantizationPolicy(drop_zero_class=False)
-        cmap = dm.build_classes(q, self.IPS3, pol)
-        assert cmap.class_delays() == {1: 0, 2: 20}
 
     @pytest.mark.parametrize("bad", ["10.0.0.256", "10.0.0", "10.0.0.01", "host"])
     def test_malformed_ip_rejected(self, bad):
         q = np.zeros((3, 3), dtype=np.int64)
         with pytest.raises(ValueError):
-            dm.build_classes(q, ["10.0.0.1", bad, "10.0.0.3"], dm.QuantizationPolicy())
+            dm.build_classes(q, ["10.0.0.1", bad, "10.0.0.3"])
 
     def test_non_finite_delay_rejected(self):
         q = np.array([[0, np.nan], [np.nan, 0]])
         with pytest.raises(ConfigError, match="integer array"):
-            dm.build_classes(q, ["10.0.0.1", "10.0.0.2"], dm.QuantizationPolicy())
+            dm.build_classes(q, ["10.0.0.1", "10.0.0.2"])
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_float_array_rejected(self, dtype):
@@ -575,7 +569,7 @@ class TestBuildClasses:
         q = np.array([[0, 10], [10, 0]], dtype=dtype)
         message = f"quantized delays must be an integer array, got {np.dtype(dtype)}"
         with pytest.raises(ConfigError, match=f"^{message}$"):
-            dm.build_classes(q, ["10.0.0.1", "10.0.0.2"], dm.QuantizationPolicy())
+            dm.build_classes(q, ["10.0.0.1", "10.0.0.2"])
 
     @pytest.mark.parametrize("dtype", [np.int32, np.uint16, np.uint64])
     def test_any_integer_dtype_classes_as_int64(self, dtype):
@@ -583,23 +577,19 @@ class TestBuildClasses:
         big = min(int(np.iinfo(dtype).max), 1 << 40)
         ips = ["10.0.0.1", "10.0.0.2", "10.0.0.3"]
         q = np.array([[0, 20, big], [20, 0, big], [big, big, 0]])
-        want = dm.build_classes(q, ips, dm.QuantizationPolicy())
-        assert dm.build_classes(q.astype(dtype), ips, dm.QuantizationPolicy()) == want
+        want = dm.build_classes(q, ips)
+        assert dm.build_classes(q.astype(dtype), ips) == want
 
     def test_negative_delay_rejected(self):
         q = np.array([[0, -10], [-10, 0]], dtype=np.int64)
         with pytest.raises(ConfigError, match="non-negative, got -10"):
-            dm.build_classes(q, ["10.0.0.1", "10.0.0.2"], dm.QuantizationPolicy())
+            dm.build_classes(q, ["10.0.0.1", "10.0.0.2"])
 
-    @given(
-        st.integers(0, 2**32 - 1),
-        st.integers(1, 12),
-        st.booleans(),
-    )
-    @example(seed=0, n=1, drop_zero=True)
-    @example(seed=1, n=2, drop_zero=False)
-    @example(seed=2, n=2, drop_zero=True)
-    def test_matches_pair_loop_reference(self, seed, n, drop_zero):
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 12))
+    @example(seed=0, n=1)
+    @example(seed=1, n=2)
+    @example(seed=2, n=2)
+    def test_matches_pair_loop_reference(self, seed, n):
         rng = np.random.default_rng(seed)
         # 10.0.0.9, 10.0.0.10 and 10.0.1.2 sort differently as text and as
         # numbers; the other candidates span three octet boundaries.
@@ -609,24 +599,27 @@ class TestBuildClasses:
         upper = rng.choice([0, 10, 20, 30, 250], size=(n, n))
         q = np.triu(upper, k=1)
         q = q + q.T
-        pol = dm.QuantizationPolicy(drop_zero_class=drop_zero)
-        got = dm.build_classes(q, ips, pol)
-        want = build_classes_loop(q, ips, pol)
+        got = dm.build_classes(q, ips)
+        want = build_classes_loop(q, ips)
         assert got == want
         assert json.dumps(got.to_json_dict()) == json.dumps(want.to_json_dict())
 
-    @pytest.mark.parametrize("drop_zero", [True, False])
+    @pytest.mark.parametrize("sparse", [False, True])
     @pytest.mark.parametrize("shuffled", [False, True])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 256, 257])  # n - 1 crosses a power of two
-    def test_matches_pair_loop_reference_at_rank_widths(self, n, shuffled, drop_zero):
+    def test_matches_pair_loop_reference_at_rank_widths(self, n, shuffled, sparse):
         rng = np.random.default_rng(n)
         ips = [f"10.5.{i // 200}.{i % 200 + 1}" for i in range(n)]
         if shuffled:
             ips = [ips[i] for i in rng.permutation(n)]
         upper = np.triu(rng.choice([0, 10, 20, 40, 1900], size=(n, n)), k=1)
         q = upper + upper.T
-        pol = dm.QuantizationPolicy(drop_zero_class=drop_zero)
-        assert dm.build_classes(q, ips, pol) == build_classes_loop(q, ips, pol)
+        if sparse:  # every third node has only zero-delay pairs, so the table skips it
+            q[::3, :] = q[:, ::3] = 0
+        got = dm.build_classes(q, ips)
+        assert got == build_classes_loop(q, ips)
+        if sparse:
+            assert len(got.addrs) < n
 
     @pytest.mark.parametrize("n, width", [(2, 1), (5, 3), (257, 9)])
     def test_delay_that_overflows_the_pair_code_rejected(self, n, width):
@@ -636,15 +629,15 @@ class TestBuildClasses:
         q = np.full((n, n), 10, dtype=np.int64)
         np.fill_diagonal(q, 0)
         q[0, n - 1] = q[n - 1, 0] = limit - 1
-        cmap = dm.build_classes(q, ips, dm.QuantizationPolicy())
+        cmap = dm.build_classes(q, ips)
         assert cmap.classes[-1].delay_ms == limit - 1
         q[0, n - 1] = q[n - 1, 0] = limit
         with pytest.raises(ConfigError, match=f"delay {limit} ms is too large"):
-            dm.build_classes(q, ips, dm.QuantizationPolicy())
+            dm.build_classes(q, ips)
 
     def test_ips_listed_out_of_address_order(self):
         q = np.array([[0, 10], [10, 0]], dtype=np.int64)
-        cmap = dm.build_classes(q, ["10.0.0.9", "10.0.0.4"], dm.QuantizationPolicy())
+        cmap = dm.build_classes(q, ["10.0.0.9", "10.0.0.4"])
         assert cmap.classes[0].pairs == (("10.0.0.4", "10.0.0.9"),)
 
     @given(st.integers(0, 2**32 - 1))
@@ -655,7 +648,7 @@ class TestBuildClasses:
         pol = dm.QuantizationPolicy()
         q = dm.quantize(m, pol)
         ips = [f"10.9.0.{i + 1}" for i in range(n)]
-        cmap = dm.build_classes(q, ips, pol)
+        cmap = dm.build_classes(q, ips)
         # round trip: every assigned pair quantizes to its class delay
         index = {ip: i for i, ip in enumerate(ips)}
         for cls in cmap:
@@ -681,28 +674,27 @@ class TestBuildClasses:
         rng = np.random.default_rng(23)
         m = random_symmetric_matrix(rng, 25, max_ms=400)
         pol = dm.QuantizationPolicy()
-        cmap = dm.build_classes(dm.quantize(m, pol), [f"10.8.0.{i+1}" for i in range(25)], pol)
+        cmap = dm.build_classes(dm.quantize(m, pol), [f"10.8.0.{i+1}" for i in range(25)])
         assert len(cmap) <= int(m.entries.max() // pol.quantum_ms) + 1
 
 
 class TestClassColumns:
-    @given(st.integers(0, 2**32 - 1), st.integers(1, 14), st.booleans())
-    @example(seed=0, n=1, drop_zero=True)  # no class at all
-    def test_built_maps_pass_the_validating_constructor(self, seed, n, drop_zero):
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 14))
+    @example(seed=0, n=1)  # no class at all
+    def test_built_maps_pass_the_validating_constructor(self, seed, n):
         # build_classes skips the disjointness set; the full check must agree
         rng = np.random.default_rng(seed)
         upper = np.triu(rng.choice([0, 10, 20, 30, 250, 2550], size=(n, n)), k=1)
         q = upper + upper.T
         ips = octet_spanning_ips(rng, n)
-        pol = dm.QuantizationPolicy(drop_zero_class=drop_zero)
-        built = dm.build_classes(q, ips, pol)
+        built = dm.build_classes(q, ips)
         rebuilt = dm.DelayClassMap(classes=built.classes)
-        assert rebuilt == built == build_classes_loop(q, ips, pol)
+        assert rebuilt == built == build_classes_loop(q, ips)
 
     def test_table_shares_the_callers_address_strings(self):
         ips = [f"10.3.{i // 250}.{i % 250 + 1}" for i in range(30)]
         q = np.triu(np.random.default_rng(4).choice([10, 20], size=(30, 30)), k=1)
-        cmap = dm.build_classes(q + q.T, ips, dm.QuantizationPolicy())
+        cmap = dm.build_classes(q + q.T, ips)
         given = {id(ip) for ip in ips}
         assert len(cmap.addrs) == 30 and all(id(ip) in given for ip in cmap.addrs)
         assert all(c.addrs is cmap.addrs for c in cmap)
@@ -758,7 +750,7 @@ class TestClassColumns:
         # 10.0.0.2 has no delayed pair, so the table leaves it out
         q = np.array([[0, 0, 20], [0, 0, 0], [20, 0, 0]], dtype=np.int64)
         ips = ["10.0.0.1", "10.0.0.2", "10.0.0.3"]
-        built = dm.build_classes(q, ips, dm.QuantizationPolicy())
+        built = dm.build_classes(q, ips)
         assert built.addrs == ("10.0.0.1", "10.0.0.3")
         assert list(built.classes[0].lo) == [0] and list(built.classes[0].hi) == [1]
         assert dm.DelayClassMap.from_json_dict(built.to_json_dict()) == built
@@ -774,13 +766,12 @@ class TestClassColumns:
         upper = np.triu(np.random.default_rng(9).integers(1, 40, size=(n, n)) * 10, k=1)
         q = upper + upper.T
         ips = [f"10.4.{i // 250}.{i % 250 + 1}" for i in range(n)]
-        pol = dm.QuantizationPolicy()
-        dm.build_classes(q, ips, pol)  # first-call allocations stay out of the count
+        dm.build_classes(q, ips)  # first-call allocations stay out of the count
         pairs = n * (n - 1) // 2
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            cmap = dm.build_classes(q, ips, pol)
+            cmap = dm.build_classes(q, ips)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -937,24 +928,20 @@ class TestClassMapJson:
     @given(
         st.integers(0, 2**32 - 1),
         st.integers(1, 12),
-        st.booleans(),
         st.integers(1, 60),
         st.sampled_from(dm.ROUNDING_MODES),
     )
-    @example(seed=0, n=1, keep_zero=False, quantum=10, rounding="nearest-half-up")  # no class
-    @example(seed=3, n=6, keep_zero=True, quantum=10, rounding="nearest-half-up")
-    def test_built_maps_match_json_dumps(self, seed, n, keep_zero, quantum, rounding):
+    @example(seed=0, n=1, quantum=10, rounding="nearest-half-up")  # no class
+    @example(seed=3, n=6, quantum=10, rounding="nearest-half-up")
+    def test_built_maps_match_json_dumps(self, seed, n, quantum, rounding):
         rng = np.random.default_rng(seed)
-        policy = dm.QuantizationPolicy(
-            quantum_ms=quantum, rounding=rounding, drop_zero_class=not keep_zero
-        )
-        # about a third of the pairs have no delay, so a kept zero class shows
+        policy = dm.QuantizationPolicy(quantum_ms=quantum, rounding=rounding)
+        # about a third of the pairs have no delay, and no class holds them
         upper = np.triu(rng.uniform(0, 200, size=(n, n)) * (rng.random((n, n)) < 0.7), k=1)
         m = dm.DelayMatrix(upper + upper.T)
         q = dm.quantize(m, policy)
-        cmap = dm.build_classes(q, octet_spanning_ips(rng, n), policy)
-        has_zero = bool((q[np.triu_indices(n, k=1)] == 0).any())
-        assert (len(cmap) > 0 and cmap.classes[0].delay_ms == 0) == (keep_zero and has_zero)
+        cmap = dm.build_classes(q, octet_spanning_ips(rng, n))
+        assert all(c.delay_ms > 0 for c in cmap)
         assert "".join(dm.class_map_json(cmap, policy)) == json_dumps_reference(cmap, policy)
 
     @given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 4), max_size=6))

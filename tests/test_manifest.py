@@ -214,10 +214,6 @@ def test_values_that_reach_plan_lines_must_be_one_word(path, put, value):
         (lambda d: d.update(delay={"matrix_path": "m.txt", "quantum_ms": True}),
          "delay.quantum_ms"),
         # boolean keys take JSON booleans only
-        (lambda d: d.update(delay={"matrix_path": "m.txt", "drop_zero_class": "false"}),
-         "delay.drop_zero_class"),
-        (lambda d: d.update(delay={"matrix_path": "m.txt", "drop_zero_class": 0}),
-         "delay.drop_zero_class"),
         (lambda d: d["phases"][0].update(capture_stats="no"), "phases[0].capture_stats"),
         (lambda d: d["phases"][0].update(capture_stats=1), "phases[0].capture_stats"),
         # a rational is no boolean
@@ -318,11 +314,54 @@ def test_a_value_of_the_wrong_json_type_is_refused_for_its_type(change, message)
     assert str(exc.value) == message
 
 
+def host_script(*lines):
+    return lambda d: d["phases"].append(
+        {"name": "snap", "action": "run-host-script", "script": ["true", *lines]}
+    )
+
+
+def process_args(*args, **timers):
+    def change(d):
+        d["timers"] = {name: {"value": v, "kind": "duration"} for name, v in timers.items()}
+        d["nodes"][1]["processes"][0]["args"] = list(args)
+    return change
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        # a host-script line keeps the rule of every script line
+        (host_script("docker ps\nreboot"), "[phases[2].script[1]] script line contains a newline"),
+        (host_script("docker ps\r"), "[phases[2].script[1]] script line contains a newline"),
+        (host_script("docker ps "), "[phases[2].script[1]] script line has trailing whitespace"),
+        (host_script("docker ps\t"), "[phases[2].script[1]] script line has trailing whitespace"),
+        # a process arg names only declared timers
+        (process_args("-t", "{timer:nope}"),
+         "[nodes[1].processes[0].args[1]] arg references undeclared timer 'nope'"),
+        (process_args("{timer:a}/{timer:b}", a=1),
+         "[nodes[1].processes[0].args[0]] arg references undeclared timer 'b'"),
+    ],
+)
+def test_what_planning_would_refuse_is_refused_at_load(change, message):
+    data = minimal_manifest_dict()
+    change(data)
+    with pytest.raises(ValidationError) as exc:
+        parse_manifest(data)
+    assert str(exc.value) == message
+
+
 def test_text_keys_read_a_number_as_its_text_and_unknown_keys_are_ignored():
     data = minimal_manifest_dict(runtime={"adapter": "docker"}, colour="blue")
     data["nodes"][0]["processes"][0].update(binary=7, args=[1, 2.5])
     process = parse_manifest(data).nodes[0].processes[0]
     assert (process.binary, process.args) == ("7", ("1", "2.5"))
+
+
+def test_a_removed_policy_key_is_ignored_as_unknown():
+    # `delay.drop_zero_class` is gone: zero-delay pairs always take the default path
+    removed = minimal_manifest_dict(delay={"matrix_path": "m.txt", "drop_zero_class": False})
+    plain = minimal_manifest_dict(delay={"matrix_path": "m.txt"})
+    assert parse_manifest(removed) == parse_manifest(plain)
 
 
 def test_manifest_that_is_not_an_object_rejected():

@@ -13,10 +13,17 @@ from hypothesis import strategies as st
 
 from latem import delay_model as dm
 from latem.autoarpd import emit_neigh_sysctls
-from latem.errors import ConfigError, InfeasibleError, InventoryError, SizeError
+from latem.errors import (
+    ConfigError,
+    InfeasibleError,
+    InventoryError,
+    SizeError,
+    ValidationError,
+)
 from latem.link_layer import neigh_settings
-from latem.manifest import ResourceModel, parse_manifest
+from latem.manifest import Phase, ProcessSpec, ResourceModel, parse_manifest
 from latem.orchestrator import (
+    STEP_STATS,
     STEP_TC,
     GatherScript,
     PhasedPlan,
@@ -38,7 +45,12 @@ from conftest import (
     text_of,
     write_manifest,
 )
-from fake_adapters import ParentCheckingAdapter, RecordingAdapter, ScriptedAdapter
+from fake_adapters import (
+    ParentCheckingAdapter,
+    RecordingAdapter,
+    ScriptedAdapter,
+    scripted_gather_adapter,
+)
 
 PAPER_RESOURCES = ResourceModel(
     ram_cap_fraction=Fraction("0.80"),
@@ -361,8 +373,27 @@ class TestBuildStartupPlan:
         data["phases"].append(
             {"name": "snapshot", "action": "run-host-script", "script": ["docker ps "]}
         )
-        with pytest.raises(ValueError, match="trailing whitespace"):
-            build_startup_plan(parse_manifest(data))
+        # refused at load, at its path, by the rule every script line keeps
+        with pytest.raises(ValidationError) as exc:
+            parse_manifest(data)
+        assert str(exc.value) == "[phases[2].script[0]] script line has trailing whitespace"
+
+    @pytest.mark.parametrize("line, fault", [
+        ("docker ps ", "has trailing whitespace"),
+        ("docker ps\rreboot", "contains a newline"),
+    ])
+    def test_hand_built_host_script_line_refused_at_plan_time(self, line, fault):
+        manifest = parse_manifest(minimal_manifest_dict())
+        phases = (*manifest.phases, Phase("snap", "run-host-script", script=("true", line)))
+        with pytest.raises(ValueError, match=f"^line 1 {fault}$"):
+            build_startup_plan(replace(manifest, phases=phases))
+
+    def test_hand_built_undeclared_timer_refused_at_plan_time(self):
+        manifest = parse_manifest(minimal_manifest_dict())
+        proc = ProcessSpec("nodeproc", ("{timer:nope}",), "start-proc")
+        nodes = (replace(manifest.nodes[0], processes=(proc,)), *manifest.nodes[1:])
+        with pytest.raises(ValidationError, match="^arg references undeclared timer 'nope'$"):
+            build_startup_plan(replace(manifest, nodes=nodes))
 
     def test_capture_stats_steps_follow_their_phases(self):
         data = minimal_manifest_dict()
@@ -377,23 +408,6 @@ class TestBuildStartupPlan:
             "docker stats --no-stream --format '{{.Name}},{{.MemUsage}}'",
         )
 
-
-
-def scripted_gather_adapter(fail_on: dict[str, int] | None = None) -> ScriptedAdapter:
-    return ScriptedAdapter(
-        failures=dict(fail_on or {}),
-        responses={
-            "ip -o link show": (
-                "1: lo: <LOOPBACK,UP,LOWER_UP> mtu 65536\n"
-                "7: vetha1@if6: <BROADCAST,MULTICAST,UP> mtu 1500\n"
-                "9: vetha2@if8: <BROADCAST,MULTICAST,UP> mtu 1500\n"
-            ),
-            "docker exec node001 cat /sys/class/net/eth0/iflink": "7\n",
-            "docker exec node001 cat /sys/class/net/eth0/address": "02:42:0a:01:00:01\n",
-            "docker exec node002 cat /sys/class/net/eth0/iflink": "9\n",
-            "docker exec node002 cat /sys/class/net/eth0/address": "02:42:0a:01:00:02\n",
-        },
-    )
 
 
 def gather(adapter, nodes):
@@ -555,7 +569,7 @@ class TestExecuteDryRun:
         policy = dm.QuantizationPolicy()
         upper = np.triu(np.random.default_rng(0).uniform(5, 400, size=(n, n)), k=1)
         q = dm.quantize(dm.DelayMatrix(upper + upper.T), policy)
-        classes = dm.build_classes(q, [n.ip for n in manifest.nodes], policy)
+        classes = dm.build_classes(q, [n.ip for n in manifest.nodes])
         plan = build_startup_plan(manifest, classes=classes)
         (nft,) = steps_of_kind(plan, "nft")
         nft_chars = sum(len(line) + 1 for line in nft.script)
@@ -782,7 +796,7 @@ class TestStatsCapture:
     def test_apply_collects_checkpoint_samples(self):
         from decimal import Decimal
 
-        from latem.stats import checkpoints_from_report, summarize_stats
+        from latem.stats import parse_docker_stats, summarize_stats
 
         data = minimal_manifest_dict()
         data["phases"][1]["capture_stats"] = True
@@ -793,7 +807,10 @@ class TestStatsCapture:
         )
         report = execute(plan, "apply", adapter=adapter)
         assert report.ok
-        samples = checkpoints_from_report(report)
+        # a stats step keeps its `docker stats` output, the text `latem stats` reads
+        (step,) = [s for s in report.steps if s.kind == STEP_STATS]
+        assert (step.name, step.status) == ("stats-start-proc", "ok")
+        samples = {"start-proc": parse_docker_stats("".join(c.stdout for c in step.commands))}
         assert samples == {
             "start-proc": {"node001": Decimal(100), "node002": Decimal(300)}
         }

@@ -175,6 +175,11 @@ class TestEmitTcTrees:
         with pytest.raises(ValueError):
             TreeScript(tree=((head, tail),), veths=("v0",))
 
+    def test_a_line_may_end_in_the_interface_name(self):
+        assert list(TreeScript(tree=(("ip link show dev ", ""),), veths=("v0",))) == [
+            "ip link show dev v0"
+        ]
+
     def test_no_interfaces_still_plans_the_tree(self):
         assert len(emit_tc_trees({1: 10}, [], 2)) == 0
         with pytest.raises(CapacityError):
@@ -212,9 +217,8 @@ def other_address_case(n: int) -> tuple[Script, Script, dm.DelayClassMap]:
     """The nft script of a map numbered from 10.0.0.1, and a tree and map of
     the same matrix numbered from 10.1.0.1: no pair of the map is marked."""
     upper = np.triu(np.random.default_rng(5).integers(1, 12, size=(n, n)) * 10, k=1)
-    policy = dm.QuantizationPolicy()
-    planned = dm.build_classes(upper + upper.T, dm.allocate_ips("10.0.0.1", n), policy)
-    other = dm.build_classes(upper + upper.T, dm.allocate_ips("10.1.0.1", n), policy)
+    planned = dm.build_classes(upper + upper.T, dm.allocate_ips("10.0.0.1", n))
+    other = dm.build_classes(upper + upper.T, dm.allocate_ips("10.1.0.1", n))
     tc = emit_tc_script(other.class_delays(), "veth0", compute_bands(len(other)))
     return emit_nft_script(planned), tc, other
 
@@ -289,9 +293,11 @@ class TestVerifyPlan:
         assert exc.value.line_no == 3
 
     def test_kept_zero_class_verifies(self):
-        q = np.array([[0, 0, 20], [0, 0, 20], [20, 20, 0]], dtype=np.int64)
-        policy = dm.QuantizationPolicy(drop_zero_class=False)
-        classes = dm.build_classes(q, ["10.0.0.1", "10.0.0.2", "10.0.0.3"], policy)
+        # build_classes never keeps one, but a hand-built or read map may
+        classes = dm.DelayClassMap(classes=delay_classes(
+            (1, 0, [("10.0.0.1", "10.0.0.2")]),
+            (2, 20, [("10.0.0.1", "10.0.0.3"), ("10.0.0.2", "10.0.0.3")]),
+        ))
         assert classes.class_delays() == {1: 0, 2: 20}
         nft = emit_nft_script(classes)
         tc = emit_tc_script(classes.class_delays(), "v0", 2)
@@ -305,7 +311,7 @@ class TestVerifyPlan:
         n = 300
         upper = np.triu(np.random.default_rng(9).integers(1, 40, size=(n, n)) * 10, k=1)
         ips = [f"10.4.{i // 250}.{i % 250 + 1}" for i in range(n)]
-        classes = dm.build_classes(upper + upper.T, ips, dm.QuantizationPolicy())
+        classes = dm.build_classes(upper + upper.T, ips)
         nft = emit_nft_script(classes)
         tc = emit_tc_script(classes.class_delays(), "veth0", compute_bands(len(classes)))
         assert verify_plan(nft, tc, classes).ok  # first-call allocations stay out of the count
@@ -598,7 +604,7 @@ class TestVerifyPlanMatchesPerPairReference:
         entries[0, 5] = entries[5, 0] = 61
         policy = dm.QuantizationPolicy()
         classes = dm.build_classes(
-            dm.quantize(dm.DelayMatrix(entries), policy), [*FIVE_NODE_IPS, "10.0.0.6"], policy
+            dm.quantize(dm.DelayMatrix(entries), policy), [*FIVE_NODE_IPS, "10.0.0.6"]
         )
         assert classes.addrs[-1] == "10.0.0.6" and len(classes) == 4
         nft = emit_nft_script(five_node_classes)
