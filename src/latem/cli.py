@@ -310,10 +310,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
     from . import stats
 
-    samples = {}
-    for path in args.files:
-        p = Path(path)
-        samples[p.stem] = stats.parse_docker_stats(p.read_text())
+    paths: dict[str, Path] = {}  # by checkpoint: a file's stem names its checkpoint
+    for p in map(Path, args.files):
+        if paths.setdefault(p.stem, p) is not p:
+            raise ConfigError(f"checkpoint {p.stem!r} is in two files, {paths[p.stem]} and {p}")
+    samples = {stem: stats.parse_docker_stats(p.read_text()) for stem, p in paths.items()}
     report = stats.summarize_stats(samples, args.available_mib)
     for cp in report.checkpoints:
         percent = cp.percent_of_available.quantize(Decimal("0.01"))

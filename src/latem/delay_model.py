@@ -47,7 +47,7 @@ from .errors import CapacityError, ConfigError, ShapeError, SizeError, SymmetryE
 if TYPE_CHECKING:  # numpy is imported by the functions that use it
     import numpy as np
 
-ROUNDING_MODES = ("nearest-half-up", "floor", "ceil")
+ROUNDING = "nearest-half-up"  # how `quantize` rounds a step, as class-map files record it
 
 # The queueing tree is two levels of prio qdiscs of at most MAX_BANDS bands
 # each; one of its leaves carries unmarked traffic, so it holds MAX_CLASSES.
@@ -137,18 +137,13 @@ class DelayMatrix:
 
 @dataclass(frozen=True)
 class QuantizationPolicy:
-    """How raw delays are mapped onto the discrete class grid."""
+    """The discrete class grid: delays round half up to multiples of the quantum."""
 
     quantum_ms: int = 10
-    rounding: str = "nearest-half-up"
 
     def __post_init__(self) -> None:
         if self.quantum_ms < 1:
             raise ConfigError(f"quantum_ms must be >= 1, got {self.quantum_ms}")
-        if self.rounding not in ROUNDING_MODES:
-            raise ConfigError(
-                f"unknown rounding mode {self.rounding!r}; expected one of {ROUNDING_MODES}"
-            )
 
 
 # An unordered node pair, as IP strings ordered by numeric address.
@@ -412,7 +407,7 @@ def gathered(table: np.ndarray, *columns: tuple[int, np.ndarray]) -> str:
 
 
 def class_map_json(classes: DelayClassMap, policy: QuantizationPolicy) -> Iterator[str]:
-    """The class map plus the policy's quantum and rounding as JSON text, in pieces.
+    """The class map plus the policy's quantum and `ROUNDING` as JSON text, in pieces.
 
     Joined, the pieces are byte-identical to `json.dumps(payload,
     sort_keys=True, separators=(",", ":")) + "\n"` with payload
@@ -438,7 +433,7 @@ def class_map_json(classes: DelayClassMap, policy: QuantizationPolicy) -> Iterat
         sep = ","
     yield (
         f'],"quantum_ms":{json.dumps(policy.quantum_ms)},'
-        f'"rounding":{json.dumps(policy.rounding)}}}\n'
+        f'"rounding":{json.dumps(ROUNDING)}}}\n'
     )
 
 
@@ -583,37 +578,38 @@ def subsample(m: DelayMatrix, count: int, seed: int) -> DelayMatrix:
 _QUANTIZE_CELLS = 1 << 16
 
 
-def quantize(m: DelayMatrix, policy: QuantizationPolicy, factor: float | Fraction = 1) -> np.ndarray:
-    """Map each entry times a positive factor to an int64 multiple of the quantum.
+def quantize(m: DelayMatrix, policy: QuantizationPolicy, factor: int | Fraction = 1) -> np.ndarray:
+    """Map each entry times a positive rational factor p/d to an int64 multiple of the quantum q.
 
-    nearest-half-up rounds .5 steps away from zero (25ms at quantum 10 gives
-    30ms); floor and ceil snap down or up. At factor 1 it is idempotent on
-    its own output. Each entry is multiplied by `float(factor)`, divided by
-    the quantum, rounded to a whole step and multiplied back in integers. A
-    block of rows at a time is scaled, divided and rounded straight into the
-    int64 result, so the result is the only matrix-sized array made, and the
-    matrix is not written. Steps rise with entries, so checking the largest
-    entry's delay against int64 (NaN and infinity fail it) checks them all.
+    A step is entry * p / (q * d), rounded half up (25ms at quantum 10 gives
+    30ms), so no inexact float of the factor enters. At factor 1 it is
+    idempotent on its own output. A block of rows at a time is scaled,
+    divided and rounded straight into the int64 result, so the result is the
+    only matrix-sized array made, and the matrix is not written. Steps rise
+    with entries, so checking the largest entry's delay against int64 checks
+    them all.
     """
     import numpy as np
 
     if factor <= 0:
         raise ValueError(f"inflation factor must be positive, got {factor}")
-    scale, q = float(factor), policy.quantum_ms
-    half = 0.5 if policy.rounding == "nearest-half-up" else 0.0
-    round_step = np.ceil if policy.rounding == "ceil" else np.floor
-    # In Python floats an overflow raises no warning; float <= int is exact, and false for NaN.
+    if not math.isfinite(factor):  # a NaN passes the check above
+        raise ValueError(f"inflation factor must be finite, got {factor}")
+    num, den = Fraction(factor).limit_denominator(1 << 53).as_integer_ratio()  # d in float range
+    q = policy.quantum_ms
+    # In Python floats an overflow raises no warning; floor(x) <= b is x < b + 1,
+    # float < int is exact, and an infinite delay fails it.
     largest = float(m.entries.max(initial=0))
-    if not float(round_step(largest * scale / q + half)) <= np.iinfo(np.int64).max // q:
+    if not largest * num / (q * den) + 0.5 < np.iinfo(np.int64).max // q + 1:
         raise ValueError(f"delay {largest} ms times {factor} does not fit int64 steps of {q} ms")
     steps = np.empty(m.entries.shape, dtype=np.int64)
     rows = max(1, _QUANTIZE_CELLS // max(m.n, 1))
     for start in range(0, m.n, rows):
-        ratio = m.entries[start : start + rows] * scale
-        ratio /= q
-        ratio += half
+        ratio = m.entries[start : start + rows] * num
+        ratio /= q * den
+        ratio += 0.5
         # The rounded steps are whole numbers within the bound, so the cast is exact.
-        round_step(ratio, out=steps[start : start + rows], casting="unsafe")
+        np.floor(ratio, out=steps[start : start + rows], casting="unsafe")
     steps *= q
     return steps
 

@@ -18,20 +18,21 @@ from __future__ import annotations
 import ipaddress
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Mapping, Union
 
-from .delay_model import QuantizationPolicy
+from .delay_model import ROUNDING, QuantizationPolicy
 from .errors import ConfigError, ValidationError
 from .script import line_fault
 from .topology import nws_faults, random_faults
 
 PHASE_ACTIONS = ("launch", "signal", "run-host-script")
 TIMER_KINDS = ("duration", "rate")
-TIMER_REF = re.compile(r"\{timer:([A-Za-z0-9_.-]+)\}")  # in a process arg, a timer's value
+TIMER_NAME = re.compile(r"[A-Za-z0-9_.-]+")
+TIMER_REF = re.compile(rf"\{{timer:({TIMER_NAME.pattern})\}}")  # in a process arg, a timer's value
 
 FractionLike = Union[int, float, str, Fraction]
 
@@ -127,9 +128,14 @@ class DelaySection:
 
 @dataclass(frozen=True)
 class ResourceModel:
-    ram_cap_fraction: Fraction
+    ram_cap_fraction: Fraction  # the `resources` section: fractions of host RAM, in (0, 1]
     per_node_startup_fraction: Fraction
     per_node_steady_fraction: Fraction
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if not 0 < (value := getattr(self, f.name)) <= 1:
+                raise ValidationError(f"must be in (0, 1], got {value}", f"resources.{f.name}")
 
 
 @dataclass(frozen=True)
@@ -215,16 +221,14 @@ def _read(obj: Mapping, path: str, key: str, read: Callable[[Any, str], Any],
 
 
 def _policy(d: Mapping) -> QuantizationPolicy:
-    """The delay section's quantization policy; absent keys take the policy's defaults."""
-    given = {}
-    for key, read in (("quantum_ms", _int), ("rounding", _text)):
-        if key in d:
-            given[key] = _read(d, "delay", key, read)
-            try:
-                QuantizationPolicy(**{key: given[key]})  # alone, so its error names the key
-            except ConfigError as exc:
-                raise ValidationError(str(exc), path=f"delay.{key}")
-    return QuantizationPolicy(**given)
+    """The delay section's quantum, and a rounding that may only name `ROUNDING`."""
+    if (rounding := _read(d, "delay", "rounding", _text, ROUNDING)) != ROUNDING:
+        raise ValidationError(f"rounding must be {ROUNDING!r}, got {rounding!r}", "delay.rounding")
+    quantum = _read(d, "delay", "quantum_ms", _int, QuantizationPolicy.quantum_ms)
+    try:
+        return QuantizationPolicy(quantum)
+    except ConfigError as exc:
+        raise ValidationError(str(exc), path="delay.quantum_ms")
 
 
 def parse_manifest(data: Mapping) -> ExperimentManifest:
@@ -341,6 +345,7 @@ def parse_manifest(data: Mapping) -> ExperimentManifest:
     timers = {}
     for timer_name, t in _read(data, "", "timers", _object, {}).items():
         path = f"timers.{timer_name}"
+        _word(timer_name, path, TIMER_NAME)  # a name `{timer:NAME}` can reference
         if isinstance(t, Mapping):
             kind = t.get("kind")
             if kind is not None and kind not in TIMER_KINDS:
@@ -355,13 +360,8 @@ def parse_manifest(data: Mapping) -> ExperimentManifest:
     resources = None
     if "resources" in data and data["resources"] is not None:
         r = _object(data["resources"], "resources")
-        values = {}
-        for fname in ("ram_cap_fraction", "per_node_startup_fraction", "per_node_steady_fraction"):
-            value = values[fname] = _read(r, "resources", fname, parse_fraction)
-            if not 0 < value <= 1:
-                path = f"resources.{fname}"
-                raise ValidationError(f"{path} must be in (0, 1], got {value}", path)
-        resources = ResourceModel(**values)
+        resources = ResourceModel(**{f.name: _read(r, "resources", f.name, parse_fraction)
+                                     for f in fields(ResourceModel)})
 
     rt = _read(data, "", "runtime", _object, {})
     runtime = RuntimeSection(

@@ -97,6 +97,8 @@ def plan_batches(
     percent before sizing the next batch, reproducing hand calculations done
     on rounded percentages.
     """
+    if total_nodes < 0:
+        raise ConfigError(f"total nodes must be non-negative, got {total_nodes}")
     cap = resources.ram_cap_fraction
     startup = resources.per_node_startup_fraction
     steady = resources.per_node_steady_fraction

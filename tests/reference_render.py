@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from latem import nft_planner
-from latem.delay_model import DelayClassMap, QuantizationPolicy
+from latem.delay_model import ROUNDING, DelayClassMap, QuantizationPolicy
 
 TABLE, CHAIN = nft_planner.TABLE, nft_planner.CHAIN
 
@@ -54,5 +54,5 @@ def class_map_json_per_pair(classes: DelayClassMap, policy: QuantizationPolicy) 
         )
     return (
         f'{{"classes":[{",".join(body)}],"quantum_ms":{json.dumps(policy.quantum_ms)},'
-        f'"rounding":{json.dumps(policy.rounding)}}}\n'
+        f'"rounding":{json.dumps(ROUNDING)}}}\n'
     )

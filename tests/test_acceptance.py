@@ -163,14 +163,11 @@ def test_criterion_05_quantization_matrix1_conditional():
         pytest.skip("Matrix1 not supplied; report-only")
     with criterion(5, "Matrix1 class count"):
         matrix = dm.load_matrix(path)
-        counts = {}
-        for mode in dm.ROUNDING_MODES:
-            policy = dm.QuantizationPolicy(rounding=mode)
-            quantized = dm.quantize(matrix, policy)
-            values = np.unique(quantized[np.triu_indices(matrix.n, k=1)])
-            counts[mode] = int(np.count_nonzero(values))
-        print(f"[acceptance] Matrix1 distinct nonzero 10ms classes by mode: {counts}")
-        assert counts["nearest-half-up"] == 184
+        quantized = dm.quantize(matrix, dm.QuantizationPolicy())
+        values = np.unique(quantized[np.triu_indices(matrix.n, k=1)])
+        count = int(np.count_nonzero(values))
+        print(f"[acceptance] Matrix1 distinct nonzero 10ms classes (nearest-half-up): {count}")
+        assert count == 184
 
 
 TABLE_ROWS = [

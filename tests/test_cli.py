@@ -136,8 +136,8 @@ def _five_node_manifest(tmp_path: Path, matrix_file: Path, delay: dict,
     "options",
     [
         {},
-        {"quantum_ms": 7, "rounding": "ceil"},
-        {"quantum_ms": 25, "rounding": "floor"},
+        {"quantum_ms": 7, "rounding": "nearest-half-up"},
+        {"quantum_ms": 25},
     ],
 )
 def test_plan_delays_output_is_json_dumps_of_its_class_map(tmp_path, matrix_file, options):
@@ -152,6 +152,25 @@ def test_plan_delays_output_is_json_dumps_of_its_class_map(tmp_path, matrix_file
     assert json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n" == text
     assert "10.0.1.2" in text
     assert payload["quantum_ms"] == options.get("quantum_ms", 10)
+
+
+def test_plan_delays_inflates_by_the_exact_factor(tmp_path, capsys):
+    # 175 ms at 7/5 is 245 ms exactly, a tie that rounds up; 175 * float(7/5) falls below it
+    path = tmp_path / "m.txt"
+    path.write_text("0 175\n175 0\n")
+    assert main(["plan-delays", "--matrix", str(path), "--inflate", "7/5"]) == 0
+    assert [c["delay_ms"] for c in json.loads(capsys.readouterr().out)["classes"]] == [250]
+
+
+@pytest.mark.parametrize("rounding", ["floor", "ceil"])
+def test_manifest_rounding_other_than_half_up_is_refused(tmp_path, matrix_file, capsys,
+                                                         rounding):
+    manifest = _five_node_manifest(tmp_path, matrix_file, {"rounding": rounding})
+    assert main(["run", "--manifest", str(manifest), "--dry-run",
+                 "--out", str(tmp_path / "p")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: [delay.rounding] rounding must be 'nearest-half-up', got {rounding!r}\n"
+    )
 
 
 def test_plan_delays_with_subsample_and_inflate(tmp_path, matrix_file, capsys):
@@ -292,7 +311,7 @@ def test_plan_delays_manifest_plans_the_classes_of_run(tmp_path, capsys):
         for i in range(8)
     ]
     data["phases"] = [{"name": "launch", "action": "launch"}]
-    data["delay"] = {"matrix_path": "matrix.txt", "quantum_ms": 25, "rounding": "floor",
+    data["delay"] = {"matrix_path": "matrix.txt", "quantum_ms": 25, "rounding": "nearest-half-up",
                      "subsample_seed": 4, "inflation_factor": 3}
     manifest = write_manifest(tmp_path, data)
     plan, class_map = tmp_path / "plan", tmp_path / "classes.json"
@@ -301,7 +320,7 @@ def test_plan_delays_manifest_plans_the_classes_of_run(tmp_path, capsys):
     assert main(["plan-delays", "--manifest", str(manifest), "--inflate", "2",
                  "--out", str(class_map)]) == 0
     payload = json.loads(class_map.read_text())
-    assert (payload["quantum_ms"], payload["rounding"]) == (25, "floor")
+    assert (payload["quantum_ms"], payload["rounding"]) == (25, "nearest-half-up")
     capsys.readouterr()
 
     def emitted(*argv: str) -> str:
@@ -597,6 +616,16 @@ def test_plan_batches_reports_unschedulable_remainder(capsys):
     )
     assert rc == 1
     assert "unscheduled" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("options, message", [
+    (["--total", "1000", "--cap", "1.5"], "[resources.ram_cap_fraction] must be in (0, 1], got 3/2"),
+    (["--total", "-5", "--cap", "0.80"], "total nodes must be non-negative, got -5"),
+])
+def test_plan_batches_refuses_what_a_manifest_refuses(capsys, options, message):
+    rc = main(["plan-batches", *options, "--startup", "0.80/750", "--steady", "0.54/750"])
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_preflight_fragments(tmp_path):
@@ -944,6 +973,17 @@ def test_stats_summary(capsys):
     out = capsys.readouterr().out
     assert "stats_sample" in out
     assert "nodes=6" in out
+
+
+def test_stats_refuses_a_checkpoint_given_twice(tmp_path, capsys):
+    paths = [tmp_path / d / "stats-launch.csv" for d in ("a", "b")]
+    for path, mib in zip(paths, (100, 300)):
+        path.parent.mkdir()
+        path.write_text(f"node001,{mib}MiB / 384GiB\n")
+    assert main(["stats", "--available-mib", "1000", *map(str, paths)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: checkpoint 'stats-launch' is in two files, {paths[0]} and {paths[1]}\n"
+    )
 
 
 def test_validation_error_maps_to_exit_2(tmp_path, capsys):

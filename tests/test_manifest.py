@@ -103,8 +103,9 @@ class TestLoadManifest:
             "per_node_startup_fraction": "0.001",
             "per_node_steady_fraction": "0.0005",
         }
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as exc:
             parse_manifest(data)
+        assert str(exc.value) == "[resources.ram_cap_fraction] must be in (0, 1], got 3/2"
 
     def test_unknown_action(self):
         data = minimal_manifest_dict()
@@ -178,6 +179,11 @@ def test_values_that_reach_plan_lines_must_be_one_word(path, put, value):
          "delay.quantum_ms"),
         (lambda d: d.update(delay={"matrix_path": "m.txt", "rounding": "stochastic"}),
          "delay.rounding"),
+        # quantize rounds half up and nothing else
+        (lambda d: d.update(delay={"matrix_path": "m.txt", "rounding": "floor"}),
+         "delay.rounding"),
+        (lambda d: d.update(delay={"matrix_path": "m.txt", "rounding": "ceil"}),
+         "delay.rounding"),
         # a target is "all" or "role:<r>" for a role some node holds
         (lambda d: d["phases"][1].update(target="role:validatr"), "phases[1].target"),
         (lambda d: d["phases"][1].update(target="rol:validator"), "phases[1].target"),
@@ -224,6 +230,9 @@ def test_values_that_reach_plan_lines_must_be_one_word(path, put, value):
          "delay.inflation_factor"),
         (lambda d: d.update(timers={"t": {"value": True, "kind": "duration"}}),
          "timers.t.value"),
+        (lambda d: d.update(resources={"ram_cap_fraction": 1, "per_node_startup_fraction": 0,
+                                       "per_node_steady_fraction": 0}),
+         "resources.per_node_startup_fraction"),
         # an inflation factor is positive
         (lambda d: d.update(delay={"matrix_path": "m.txt", "inflation_factor": 0}),
          "delay.inflation_factor"),
@@ -340,6 +349,10 @@ def process_args(*args, **timers):
          "[nodes[1].processes[0].args[1]] arg references undeclared timer 'nope'"),
         (process_args("{timer:a}/{timer:b}", a=1),
          "[nodes[1].processes[0].args[0]] arg references undeclared timer 'b'"),
+        # a timer's name is one a process arg can reference
+        (process_args("{timer:block time}", **{"block time": 10}),
+         "[timers.block time] 'block time' does not match [A-Za-z0-9_.-]+"),
+        (process_args("-t", **{"t}": 10}), "[timers.t}] 't}' does not match [A-Za-z0-9_.-]+"),
     ],
 )
 def test_what_planning_would_refuse_is_refused_at_load(change, message):
