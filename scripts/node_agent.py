@@ -31,6 +31,8 @@ import sys
 from pathlib import Path
 
 RUNTIME_DIR = Path("/run/latem")
+# The neighbor daemon serves every interface of the container's namespace.
+NEIGHBOR_DAEMON = {"binary": "latem", "args": ["autoarpd"]}
 
 
 def log(message: str) -> None:
@@ -59,7 +61,7 @@ def main() -> int:
 
     children: list[subprocess.Popen] = []
     # Resolve neighbors locally instead of ARP; keep going if the CLI cannot start.
-    start_process({"binary": "latem", "args": ["autoarpd", "--interface", "eth0"]}, children)
+    start_process(NEIGHBOR_DAEMON, children)
 
     phases = list(spec.get("signal_phases", []))
     by_phase: dict[str, list[dict]] = {}

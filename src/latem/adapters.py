@@ -51,10 +51,8 @@ _BATCH_TOOLS = {
     "tc": (("tc", "-batch", "-"), re.compile(r"Command failed \S*:(\d+)")),
     "nft": (("nft", "-f", "-"), re.compile(r":(\d+):\d+(?:-\d+)?: Error")),
 }
-# Every wait is capped here, at 24 days: at 600 s per line a batch of 3,580
-# lines reaches it. select() itself would wait up to about 292 years (CPython
-# holds its timeout as int64 nanoseconds), so this cap is the limit.
-MAX_TIMEOUT_S = 24 * 86_400
+# The wait for one line; a batch waits this long per line it holds.
+LINE_TIMEOUT_S = 600
 
 
 def _spawn(argv: Sequence[str], stdin: Iterable[str] | None, timeout_s: float) -> CommandResult:
@@ -66,9 +64,8 @@ def _spawn(argv: Sequence[str], stdin: Iterable[str] | None, timeout_s: float) -
     newlines. No pipe joins latem to the tool, so children the tool leaves
     behind do not hold up the wait. On timeout or interrupt the whole group
     (the tool and anything it started) is killed and reaped, and the
-    exception propagates. The wait is capped at MAX_TIMEOUT_S.
+    exception propagates.
     """
-    timeout_s = min(timeout_s, MAX_TIMEOUT_S)
     with contextlib.ExitStack() as files:
         source = subprocess.DEVNULL
         if stdin is not None:
@@ -115,13 +112,10 @@ class ShellAdapter:
     A batch ends when its process exits: a background job that a line
     leaves running does not hold up the step, and keeps running after it.
 
-    `timeout_s` bounds one line; a batch gets `timeout_s` per line, up to
-    MAX_TIMEOUT_S. On expiry the process group is killed, background jobs
-    included, and `subprocess.TimeoutExpired` propagates.
+    A batch gets LINE_TIMEOUT_S per line. On expiry the process group is
+    killed, background jobs included, and `subprocess.TimeoutExpired`
+    propagates.
     """
-
-    def __init__(self, timeout_s: float = 600.0):
-        self.timeout_s = timeout_s
 
     def run(self, command: str) -> CommandResult:
         """Pass one line to `/bin/sh -c`.
@@ -130,7 +124,7 @@ class ShellAdapter:
         benchmark: `perfbench/worker.py` runs the preflight lines with it and
         `perfbench/tracer.py` wraps it.
         """
-        return _spawn(["/bin/sh", "-c", command], None, self.timeout_s)
+        return _spawn(["/bin/sh", "-c", command], None, LINE_TIMEOUT_S)
 
     def run_batch(self, lines: Sequence[str], tool: str | None = None) -> list[CommandResult]:
         if not lines:
@@ -141,7 +135,7 @@ class ShellAdapter:
         argv, failed_line = _BATCH_TOOLS[tool]
         batch = (line.partition(" ")[2].replace("\\;", ";") + "\n" for line in lines)
         try:
-            result = _spawn(argv, batch, self.timeout_s * len(lines))
+            result = _spawn(argv, batch, LINE_TIMEOUT_S * len(lines))
         except FileNotFoundError as exc:
             return [CommandResult(127, "", f"{tool}: {exc.strerror}")]
         if result.ok:
@@ -161,7 +155,7 @@ class ShellAdapter:
                          f"printf '\\n%s %d\\n' {marker} $s >&2; [ $s -eq 0 ] || exit $s; }}\n")
             script.writelines(f"{line}\nlatem_mark\n" for line in lines)
             script.flush()
-            result = _spawn(["/bin/sh", script.name], None, self.timeout_s * len(lines))
+            result = _spawn(["/bin/sh", script.name], None, LINE_TIMEOUT_S * len(lines))
         outs = result.stdout.split(f"\n{marker}\n")
         errs = re.split(rf"\n{marker} (\d+)\n", result.stderr)
         results = [

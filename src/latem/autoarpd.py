@@ -25,6 +25,7 @@ import contextlib
 import errno
 import ipaddress
 import logging
+import shlex
 import socket
 import struct
 import threading
@@ -115,12 +116,13 @@ def serve(
 def emit_neigh_sysctls(iface: str) -> CommandScript:
     """`neigh_settings` as `sysctl -w` lines (`latem autoarpd --emit-sysctls`).
 
-    Values are quoted so the `key = value` triple reaches sysctl as one
+    Each `key = value` triple is quoted so it reaches sysctl as one
     argument; the syntax matches sysctl.conf and procps accepts it on the
     command line.
     """
     return CommandScript(
-        lines=tuple(f"sysctl -w '{key} = {value}'" for key, value in neigh_settings(iface)),
+        lines=tuple(f"sysctl -w {shlex.quote(f'{key} = {value}')}"
+                    for key, value in neigh_settings(iface)),
     )
 
 

@@ -290,8 +290,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_autoarpd(args: argparse.Namespace) -> int:
     from . import autoarpd
 
-    if args.emit_sysctls:
-        _write_or_print(autoarpd.emit_neigh_sysctls(args.interface).pieces(), None)
+    if args.emit_sysctls is not None:
+        _check_iface(args.emit_sysctls, "--emit-sysctls")
+        _write_or_print(autoarpd.emit_neigh_sysctls(args.emit_sysctls).pieces(), None)
         return 0
     # Either signal interrupts the blocking receive; serve then returns its counts.
     for signum in (signal.SIGINT, signal.SIGTERM):
@@ -410,9 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_run)
 
     p = sub.add_parser("autoarpd", help="serve neighbor resolution (or emit its sysctls)")
-    p.add_argument("--interface", required=True)
-    p.add_argument("--emit-sysctls", action="store_true",
-                   help="print the interface sysctl lines and exit")
+    p.add_argument("--emit-sysctls", metavar="IFACE",
+                   help="print the sysctl lines for this interface and exit")
     p.set_defaults(func=_cmd_autoarpd)
 
     p = sub.add_parser("stats", help="summarize per-checkpoint memory samples")

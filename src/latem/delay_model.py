@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import count
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Any, Iterator, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Any, Iterator, Mapping, Sequence
 
 from .errors import CapacityError, ConfigError, ShapeError, SizeError, SymmetryError
 
@@ -453,15 +453,6 @@ _LOADTXT_BAD_CELL = re.compile(r"could not convert string (.*) at row (\d+), col
 _LOADTXT_RAGGED = re.compile(r"number of columns changed from (\d+) to (\d+) at row (\d+)")
 
 
-def _draw(n: int, count: int, seed: int) -> np.ndarray:
-    """`count` of the indices 0..n-1, drawn seeded without replacement, ascending."""
-    import numpy as np
-
-    if not 1 <= count <= n:
-        raise SizeError(f"cannot select {count} of {n} nodes")
-    return np.sort(np.random.default_rng(seed).choice(n, size=count, replace=False))
-
-
 # What bytes.strip removes: a line of only these is blank.
 _NON_BLANK = re.compile(rb"[^ \t\n\r\x0b\x0c]")
 
@@ -486,33 +477,24 @@ def _line_bounds(data: bytes) -> Iterator[tuple[int, int]]:
         pos = end + 2 if end == cr and end + 1 == nl else end + 1
 
 
-def load_matrix(
-    source: Union[str, Path, IO[str], IO[bytes]],
-    count: int | None = None,
-    seed: int = 0,
-) -> DelayMatrix:
-    """Parse a delay matrix from UTF-8 text, one row per line.
+def load_matrix(path: str | Path, count: int | None = None, seed: int = 0) -> DelayMatrix:
+    """Parse a delay matrix from a file of UTF-8 text, one row per line.
 
     Cells are decimal milliseconds separated by whitespace or commas; the
     delimiter is a comma when the first data line holds one. Trailing
     whitespace and blank lines are tolerated. Lines end at "\n", "\r\n" or
     "\r"; a form feed or vertical tab is whitespace inside a row.
 
-    With `count`, the result equals `subsample(load_matrix(source),
-    count, seed)`, but the indices are drawn from the row count first and
-    only the kept rows are decoded and parsed. Every cell of a kept row is
-    checked, in the dropped columns too; a row that is not kept is not
-    parsed, so a bad cell, a ragged width or a byte that is not UTF-8 there
-    goes unreported.
+    With `count`, the result is the principal submatrix on `count` indices
+    drawn seeded without replacement, in ascending order. They are drawn
+    from the row count first and only the kept rows are decoded and parsed.
+    Every cell of a kept row is checked, in the dropped columns too; a row
+    that is not kept is not parsed, so a bad cell, a ragged width or a byte
+    that is not UTF-8 there goes unreported.
     """
     import numpy as np
 
-    if hasattr(source, "read"):
-        data = source.read()  # type: ignore[union-attr]
-        if isinstance(data, str):
-            data = data.encode()
-    else:
-        data = Path(source).read_bytes()
+    data = Path(path).read_bytes()
 
     line_nos: list[int] = []
     bounds: list[tuple[int, int]] = []  # each non-blank line's start and end in data
@@ -526,7 +508,9 @@ def load_matrix(
     n = len(bounds)
     kept = range(n)  # each parsed row's index among all rows
     if count is not None and count != n:
-        kept = _draw(n, count, seed).tolist()
+        if not 1 <= count <= n:
+            raise SizeError(f"cannot select {count} of {n} nodes")
+        kept = np.sort(np.random.default_rng(seed).choice(n, size=count, replace=False)).tolist()
         bounds = [bounds[i] for i in kept]
         line_nos = [line_nos[i] for i in kept]
     rows: list[str] = []
@@ -562,20 +546,18 @@ def load_matrix(
     return DelayMatrix(entries)
 
 
-def subsample(m: DelayMatrix, count: int, seed: int) -> DelayMatrix:
-    """Principal submatrix on `count` indices drawn uniformly without replacement.
-
-    The draw is seeded and deterministic; indices are kept in ascending order
-    so a full-size subsample reproduces the input exactly.
-    """
-    import numpy as np
-
-    idx = _draw(m.n, count, seed)
-    return DelayMatrix(m.entries[np.ix_(idx, idx)])
-
-
 # Cells quantized per pass: the float steps of one pass stay cache-sized.
 _QUANTIZE_CELLS = 1 << 16
+
+
+def _short(factor: int | float | Fraction) -> str:
+    """The factor as it prints, or to 6 significant digits where p or d runs past 16 digits."""
+    from decimal import Context, Decimal
+
+    num, den = Fraction(factor).as_integer_ratio()
+    if max(num, den) < 10**16:
+        return str(factor)
+    return f"{Context(prec=6).divide(Decimal(num), Decimal(den)).normalize():g}"
 
 
 def quantize(m: DelayMatrix, policy: QuantizationPolicy, factor: int | Fraction = 1) -> np.ndarray:
@@ -593,15 +575,21 @@ def quantize(m: DelayMatrix, policy: QuantizationPolicy, factor: int | Fraction 
 
     if factor <= 0:
         raise ValueError(f"inflation factor must be positive, got {factor}")
-    if not math.isfinite(factor):  # a NaN passes the check above
+    if not factor < math.inf:  # a NaN passes the check above; no int or Fraction fails it
         raise ValueError(f"inflation factor must be finite, got {factor}")
     num, den = Fraction(factor).limit_denominator(1 << 53).as_integer_ratio()  # d in float range
     q = policy.quantum_ms
     # In Python floats an overflow raises no warning; floor(x) <= b is x < b + 1,
     # float < int is exact, and an infinite delay fails it.
     largest = float(m.entries.max(initial=0))
-    if not largest * num / (q * den) + 0.5 < np.iinfo(np.int64).max // q + 1:
-        raise ValueError(f"delay {largest} ms times {factor} does not fit int64 steps of {q} ms")
+    try:
+        fits = largest * num / (q * den) + 0.5 < np.iinfo(np.int64).max // q + 1
+    except OverflowError:  # p is past float range
+        fits = False
+    if not fits:
+        raise ValueError(
+            f"delay {largest} ms times {_short(factor)} does not fit int64 steps of {q} ms"
+        )
     steps = np.empty(m.entries.shape, dtype=np.int64)
     rows = max(1, _QUANTIZE_CELLS // max(m.n, 1))
     for start in range(0, m.n, rows):

@@ -352,10 +352,15 @@ def parse_manifest(data: Mapping) -> ExperimentManifest:
                 raise ValidationError(
                     f"timer {timer_name!r}: unknown kind {kind!r}", f"{path}.kind"
                 )
-            timers[str(timer_name)] = TimerSpec(_read(t, path, "value", parse_fraction), kind)
+            at, value = f"{path}.value", _read(t, path, "value", parse_fraction)
         else:
             # Bare scalars are accepted but untagged; inflation will refuse them.
-            timers[str(timer_name)] = TimerSpec(value=parse_fraction(t, path), kind=None)
+            kind, at, value = None, path, parse_fraction(t, path)
+        if value < 0:
+            raise ValidationError(
+                f"timer {timer_name!r}: value must be zero or more, got {value}", at
+            )
+        timers[str(timer_name)] = TimerSpec(value, kind)
 
     resources = None
     if "resources" in data and data["resources"] is not None:

@@ -1,9 +1,11 @@
-"""Pair-loop reference for `delay_model.build_classes`, and pair helpers.
+"""Pair-loop reference for `delay_model.build_classes`, pair helpers, and
+the subsample reference for `delay_model.load_matrix(count=)`.
 
 `build_classes_loop` is the plain O(N^2) Python implementation the
 vectorized one replaced. Tests require both to return equal class maps on
 the same inputs. `delay_classes` and `all_pairs` let tests write and read
-classes' address columns as pair tuples.
+classes' address columns as pair tuples. `subsample` draws from a loaded
+matrix the nodes `load_matrix(count=, seed=)` keeps while it parses.
 """
 
 from __future__ import annotations
@@ -50,6 +52,13 @@ def delay_classes(*rows) -> tuple[dm.DelayClass, ...]:
 def all_pairs(classes: dm.DelayClassMap) -> set[dm.IpPair]:
     """Every pair of every class, as (lower, higher) tuples."""
     return {pair for c in classes for pair in c.pairs}
+
+
+def subsample(m: dm.DelayMatrix, count: int, seed: int) -> dm.DelayMatrix:
+    """Principal submatrix on `count` indices drawn seeded without
+    replacement, in ascending order."""
+    idx = np.sort(np.random.default_rng(seed).choice(m.n, size=count, replace=False))
+    return dm.DelayMatrix(m.entries[np.ix_(idx, idx)])
 
 
 def build_classes_loop(quantized: np.ndarray, ips: Sequence[str]) -> dm.DelayClassMap:

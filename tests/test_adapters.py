@@ -447,15 +447,17 @@ def test_a_long_step_applies_at_the_default_timeout(stubs):
     assert logged(stubs, "spawns") == ["tc -batch -"]
 
 
-def test_batch_timeout_scales_with_line_count():
-    results = ShellAdapter(timeout_s=0.6).run_batch(["sleep 0.4"] * 3)
+def test_batch_timeout_scales_with_line_count(monkeypatch):
+    monkeypatch.setattr(adapters, "LINE_TIMEOUT_S", 0.6)
+    results = ShellAdapter().run_batch(["sleep 0.4"] * 3)
     assert [r.exit_code for r in results] == [0, 0, 0]
 
 
-def test_timeout_kills_the_process_group(tmp_path):
+def test_timeout_kills_the_process_group(tmp_path, monkeypatch):
+    monkeypatch.setattr(adapters, "LINE_TIMEOUT_S", 0.3)
     pidfile = tmp_path / "pid"
     with pytest.raises(subprocess.TimeoutExpired) as exc:
-        ShellAdapter(timeout_s=0.3).run_batch([f"sleep 30 & echo $! > {pidfile}; wait"])
+        ShellAdapter().run_batch([f"sleep 30 & echo $! > {pidfile}; wait"])
     assert exc.value.timeout == pytest.approx(0.3)
     stat = Path(f"/proc/{pidfile.read_text().strip()}/stat")
 
@@ -485,24 +487,26 @@ def test_each_step_records_its_wall_time():
     assert skipped.wall_s == 0
 
 
-def test_execute_turns_a_timeout_into_a_failed_step():
+def test_execute_turns_a_timeout_into_a_failed_step(monkeypatch):
+    monkeypatch.setattr(adapters, "LINE_TIMEOUT_S", 0.3)
     plan = PhasedPlan("x", (
         step("host-script", ["true"]),
         step("host-script", ["sleep 30"]),
         step("host-script", ["true"]),
     ))
-    report = execute(plan, "apply", adapter=ShellAdapter(timeout_s=0.3))
+    report = execute(plan, "apply", adapter=ShellAdapter())
     assert [s.status for s in report.steps] == ["ok", "failed", "skipped"]
     assert "timed out after 0.3 seconds" in report.steps[1].detail
 
 
-def test_a_background_job_does_not_hold_its_step(tmp_path):
+def test_a_background_job_does_not_hold_its_step(tmp_path, monkeypatch):
     # The step ends when its shell exits, not when the job's copies of
     # stdout and stderr close.
+    monkeypatch.setattr(adapters, "LINE_TIMEOUT_S", 2)
     pidfile = tmp_path / "pid"
     start = time.monotonic()
     try:
-        results = ShellAdapter(timeout_s=2).run_batch([f"sleep 30 & echo $! > {pidfile}"])
+        results = ShellAdapter().run_batch([f"sleep 30 & echo $! > {pidfile}"])
         assert [r.exit_code for r in results] == [0]
         assert time.monotonic() - start < 2
     finally:

@@ -2,6 +2,7 @@ import errno
 import os
 import queue
 import re
+import shlex
 import signal
 import socket
 import struct
@@ -29,7 +30,7 @@ from latem.autoarpd import (
     serve,
 )
 from latem.errors import ServeError
-from latem.link_layer import mac_for_ip
+from latem.link_layer import mac_for_ip, neigh_settings
 
 from conftest import OverflowOnceTransport, pack_solicitation
 
@@ -163,6 +164,12 @@ class TestNeighSysctls:
         with pytest.raises(ValueError):
             emit_neigh_sysctls("")
 
+    def test_each_setting_is_one_quoted_argument(self):
+        script = emit_neigh_sysctls("a'b")
+        assert [shlex.split(line) for line in script] == [
+            ["sysctl", "-w", f"{key} = {value}"] for key, value in neigh_settings("a'b")
+        ]
+
 
 class TestNetlinkCodec:
     def test_solicitation_round_trip(self):
@@ -280,7 +287,7 @@ class FakeNetlinkSocket:
         daemon.close()
 
 autoarpd.socket.socket = FakeNetlinkSocket
-sys.exit(main(["autoarpd", "--interface", "eth0"]))
+sys.exit(main(["autoarpd"]))
 """
 
 

@@ -30,6 +30,7 @@ from conftest import (
     write_manifest,
 )
 from fake_adapters import ScriptedAdapter, scripted_gather_adapter
+from reference_classes import subsample
 
 
 @pytest.fixture
@@ -204,13 +205,33 @@ def test_inflate_must_be_a_positive_rational(tmp_path, matrix_file, capsys, comm
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("command", ["run --inflate", "run, the manifest's factor",
+                                     "plan-delays --matrix --inflate"])
+def test_a_factor_past_float_range_is_one_error_line(tmp_path, matrix_file, capsys, command):
+    # p = 10^400 is past float range; the message gives the factor in short
+    factor = {} if "--inflate" in command else {"inflation_factor": "1e400"}
+    manifest = _five_node_manifest(tmp_path, matrix_file, factor)
+    argv = {
+        "run --inflate": ["run", "--manifest", str(manifest), "--dry-run", "--inflate", "1e400"],
+        "run, the manifest's factor": ["run", "--manifest", str(manifest), "--dry-run"],
+        "plan-delays --matrix --inflate": ["plan-delays", "--matrix", str(matrix_file),
+                                           "--inflate", "1e400"],
+    }[command]
+    assert main([*argv, "--out", str(tmp_path / "p")]) == 2
+    largest = float(FIVE_NODE_ENTRIES.max())
+    assert capsys.readouterr() == (
+        "", f"error: delay {largest} ms times 1e+400 does not fit int64 steps of 10 ms\n"
+    )
+    assert not (tmp_path / "p").exists()
+
+
 def test_plan_delays_count_writes_the_bytes_of_load_then_subsample(tmp_path, matrix_file):
     out = tmp_path / "classes.json"
     rc = main(["plan-delays", "--matrix", str(matrix_file), "--count", "3", "--seed", "7",
                "--ip-base", "10.0.0.1", "--out", str(out)])
     assert rc == 0
     policy = dm.QuantizationPolicy()
-    matrix = dm.subsample(dm.load_matrix(matrix_file), 3, 7)
+    matrix = subsample(dm.load_matrix(matrix_file), 3, 7)
     classes = dm.build_classes(dm.quantize(matrix, policy), FIVE_NODE_IPS[:3])
     assert out.read_bytes() == "".join(dm.class_map_json(classes, policy)).encode()
 
@@ -824,12 +845,20 @@ def test_run_dry_run_with_inflation(tmp_path):
 
 
 def test_autoarpd_emit_sysctls(capsys):
-    rc = main(["autoarpd", "--interface", "eth0", "--emit-sysctls"])
+    rc = main(["autoarpd", "--emit-sysctls", "eth0"])
     assert rc == 0
-    out = capsys.readouterr().out
-    assert "net.ipv4.neigh.eth0.mcast_solicit = 0" in out
-    assert "app_solicit = 1" in out
-    assert "base_reachable_time_ms = 72000000" in out
+    assert capsys.readouterr().out == (
+        "sysctl -w 'net.ipv4.neigh.eth0.mcast_solicit = 0'\n"
+        "sysctl -w 'net.ipv4.neigh.eth0.app_solicit = 1'\n"
+        "sysctl -w 'net.ipv4.neigh.eth0.base_reachable_time_ms = 72000000'\n"
+    )
+
+
+def test_autoarpd_emit_sysctls_refuses_an_interface_that_is_not_one_shell_word(capsys):
+    assert main(["autoarpd", "--emit-sysctls", "a'b"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --emit-sysctls: interface name \"a'b\" is not one shell word\n"
+    )
 
 
 def test_standalone_commands_emit_the_lines_of_run(tmp_path, matrix_file, capsys):
@@ -870,7 +899,7 @@ def test_standalone_commands_emit_the_lines_of_run(tmp_path, matrix_file, capsys
     ) == step("tc")
     sysctls = [
         tuple(shlex.split(line)[-1].split(" = "))
-        for line in emitted("autoarpd", "--interface", "eth1", "--emit-sysctls").splitlines()
+        for line in emitted("autoarpd", "--emit-sysctls", "eth1").splitlines()
     ]
     launches = step("launch-launch-b01").splitlines()
     assert len(launches) == 5
@@ -884,13 +913,14 @@ def test_standalone_commands_emit_the_lines_of_run(tmp_path, matrix_file, capsys
     "argv, flag",
     [
         (["emit-fdb", "--nodes-file", "n.txt", "--mac-prefix", "06:00"], "--mac-prefix"),
-        (["autoarpd", "--interface", "eth0", "--mac-prefix", "02:42"], "--mac-prefix"),
+        (["autoarpd", "--mac-prefix", "02:42"], "--mac-prefix"),
+        (["autoarpd", "--interface", "eth0"], "--interface"),
         (["emit-nft", "--classes", "c.json", "--table", "emu"], "--table"),
         (["emit-nft", "--classes", "c.json", "--chain", "emu_chain"], "--chain"),
         (["emit-nft", "--classes", "c.json", "--chunk-pairs", "2"], "--chunk-pairs"),
         (["emit-tc", "--classes", "c.json", "--veth", "v", "--bands", "4"], "--bands"),
-        (["autoarpd", "--interface", "eth0", "--reachable-ms", "5000"], "--reachable-ms"),
-        (["autoarpd", "--interface", "eth0", "--apply-sysctls"], "--apply-sysctls"),
+        (["autoarpd", "--reachable-ms", "5000"], "--reachable-ms"),
+        (["autoarpd", "--apply-sysctls"], "--apply-sysctls"),
         (["plan-delays", "--matrix", "m.txt", "--format", "csv"], "--format"),
         (["plan-delays", "--manifest", "m.json", "--quantum", "25"], "--quantum"),
         (["plan-delays", "--matrix", "m.txt", "--rounding", "floor"], "--rounding"),
@@ -962,7 +992,7 @@ def test_autoarpd_prints_the_overflow_count(monkeypatch, capsys):
     )
     transport.close = lambda: None
     monkeypatch.setattr("latem.autoarpd.NetlinkSolicitTransport", lambda: transport)
-    rc = main(["autoarpd", "--interface", "eth0"])
+    rc = main(["autoarpd"])
     assert rc == 0
     assert capsys.readouterr().out == "received=2 replied=2 overflows=1\n"
 

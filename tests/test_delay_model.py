@@ -1,12 +1,13 @@
 import gc
-import io
 import ipaddress
 import json
 import math
 import re
+import tempfile
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,49 +18,57 @@ from latem import delay_model as dm
 from latem.errors import ConfigError, ShapeError, SizeError, SymmetryError
 
 from conftest import FIVE_NODE_ENTRIES, random_class_map, random_symmetric_matrix, text_of
-from reference_classes import all_pairs, build_classes_loop, delay_classes, make_pair
+from reference_classes import all_pairs, build_classes_loop, delay_classes, make_pair, subsample
 
 
 def matrix(rows):
     return dm.DelayMatrix(np.array(rows, dtype=float))
 
 
+def load_text(text, **kwargs):
+    """`load_matrix` of a temporary file holding `text`: bytes as they are, a str in UTF-8."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.txt"
+        path.write_bytes(text.encode() if isinstance(text, str) else text)
+        return dm.load_matrix(path, **kwargs)
+
+
 class TestLoadMatrix:
     def test_minimal_symmetric(self):
-        m = dm.load_matrix(io.StringIO("0 7\n7 0"))
+        m = load_text("0 7\n7 0")
         assert m.n == 2
         assert m.entries[0, 1] == 7
 
     def test_asymmetric_rejected(self):
         with pytest.raises(SymmetryError):
-            dm.load_matrix(io.StringIO("0 7\n8 0"))
+            load_text("0 7\n8 0")
 
     def test_non_square_rejected(self):
         with pytest.raises(ShapeError):
-            dm.load_matrix(io.StringIO("0 7 1\n7 0 2"))
+            load_text("0 7 1\n7 0 2")
 
     def test_ragged_rejected(self):
         with pytest.raises(ShapeError):
-            dm.load_matrix(io.StringIO("0 7\n7"))
+            load_text("0 7\n7")
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            dm.load_matrix(io.StringIO("0 -1\n-1 0"))
+            load_text("0 -1\n-1 0")
 
     def test_nan_rejected(self):
         with pytest.raises(ValueError):
-            dm.load_matrix(io.StringIO("0 nan\nnan 0"))
+            load_text("0 nan\nnan 0")
 
     def test_nonzero_diagonal_rejected(self):
         with pytest.raises(ValueError):
-            dm.load_matrix(io.StringIO("1 7\n7 0"))
+            load_text("1 7\n7 0")
 
     def test_csv_autodetect(self):
-        m = dm.load_matrix(io.StringIO("0,12.5\n12.5,0"))
+        m = load_text("0,12.5\n12.5,0")
         assert m.entries[1, 0] == 12.5
 
     def test_blank_lines_and_trailing_whitespace(self):
-        m = dm.load_matrix(io.StringIO("0 7 \n7 0\n\n"))
+        m = load_text("0 7 \n7 0\n\n")
         assert m.n == 2
 
     def test_from_file(self, tmp_path):
@@ -76,10 +85,10 @@ class TestLoadMatrix:
         ],
     )
     def test_separator_variants(self, text):
-        assert dm.load_matrix(io.StringIO(text)).entries.tolist() == [[0, 12.5], [12.5, 0]]
+        assert load_text(text).entries.tolist() == [[0, 12.5], [12.5, 0]]
 
     def test_single_cell(self):
-        assert dm.load_matrix(io.StringIO("0")).entries.tolist() == [[0]]
+        assert load_text("0").entries.tolist() == [[0]]
 
     @pytest.mark.parametrize(
         "text, line_no",
@@ -91,33 +100,33 @@ class TestLoadMatrix:
     )
     def test_non_numeric_cell_names_its_line(self, text, line_no):
         with pytest.raises(ValueError, match=rf"^line {line_no}: non-numeric cell"):
-            dm.load_matrix(io.StringIO(text))
+            load_text(text)
 
     @pytest.mark.parametrize("text", ["", "\n  \n\t\n"])
     def test_no_rows_rejected(self, text):
         with pytest.raises(ShapeError):
-            dm.load_matrix(io.StringIO(text))
+            load_text(text)
 
     def test_ragged_row_named(self):
         with pytest.raises(ShapeError, match="row 2 has 1 cells, expected 2"):
-            dm.load_matrix(io.StringIO("0 7\n\n7 0\n7\n"))
+            load_text("0 7\n\n7 0\n7\n")
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
     def test_each_line_break_counts_one_line(self, newline):
         text = newline.join(["", "", "0 7", "", "7 x", ""])
         with pytest.raises(ValueError, match=r"^line 5: non-numeric cell"):
-            dm.load_matrix(io.StringIO(text))
+            load_text(text)
         good = newline.join(["0 7", "", "7 0", ""])
-        assert dm.load_matrix(io.BytesIO(good.encode())).entries.tolist() == [[0, 7], [7, 0]]
+        assert load_text(good.encode()).entries.tolist() == [[0, 7], [7, 0]]
 
     @pytest.mark.parametrize("separator", ["\f", "\v"])
     def test_form_feed_and_vertical_tab_do_not_end_a_row(self, separator):
         # Lines end only at \n, \r\n and \r: these are whitespace inside a row.
         with pytest.raises(ShapeError, match=r"^matrix is 1x4, expected square$"):
-            dm.load_matrix(io.StringIO(f"0 7{separator}7 0\n"))
+            load_text(f"0 7{separator}7 0\n")
 
-    def test_binary_file_object(self):
-        assert dm.load_matrix(io.BytesIO(b"0,7\r\n7,0\r\n")).entries.tolist() == [[0, 7], [7, 0]]
+    def test_csv_rows_ending_in_crlf(self):
+        assert load_text(b"0,7\r\n7,0\r\n").entries.tolist() == [[0, 7], [7, 0]]
 
     def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path):
         path = tmp_path / "m.txt"
@@ -135,7 +144,7 @@ def test_line_bounds_split_as_bytes_splitlines(data):
 
 
 def kept_rows(n, count, seed):
-    """The rows a seeded draw keeps: `subsample`'s draw, computed here independently."""
+    """The rows a seeded draw keeps: `load_matrix(count=)`'s draw, computed here independently."""
     return np.sort(np.random.default_rng(seed).choice(n, size=count, replace=False)).tolist()
 
 
@@ -178,27 +187,27 @@ class TestLoadMatrixCount:
         n, text = case
         count = {"1": 1, "n-1": n - 1, "n": n}[which]
         assume(count >= 1)
-        full = dm.load_matrix(io.StringIO(text))
-        got = dm.load_matrix(io.StringIO(text), count=count, seed=seed)
-        assert got == dm.subsample(full, count, seed)
+        full = load_text(text)
+        got = load_text(text, count=count, seed=seed)
+        assert got == subsample(full, count, seed)
         assert not got.entries.flags.writeable
 
     def test_full_count_reads_every_row(self):
-        assert dm.load_matrix(io.StringIO(five_node_text()), count=5, seed=3) == matrix(
+        assert load_text(five_node_text(), count=5, seed=3) == matrix(
             FIVE_NODE_ENTRIES
         )
 
     @pytest.mark.parametrize("count", [6, 0, -2])
     def test_count_out_of_range(self, count):
         with pytest.raises(SizeError, match=rf"^cannot select {count} of 5 nodes$"):
-            dm.load_matrix(io.StringIO(five_node_text()), count=count)
+            load_text(five_node_text(), count=count)
 
     def test_non_numeric_cell_in_a_kept_row_names_its_line(self):
         seed = seed_keeping(5, 2, lambda kept: kept[1] == 3)
         cells = five_node_rows()
         cells[3][1] = "x"
         with pytest.raises(ValueError, match=r"^line 8: non-numeric cell \('x'"):
-            dm.load_matrix(io.StringIO(five_node_text(cells)), count=2, seed=seed)
+            load_text(five_node_text(cells), count=2, seed=seed)
 
     def test_ragged_kept_row_named_by_its_index_among_all_rows(self):
         # row 3 is the second kept row, so its index among the kept ones is 1
@@ -206,12 +215,12 @@ class TestLoadMatrixCount:
         cells = five_node_rows()
         del cells[3][4]
         with pytest.raises(ShapeError, match=r"^row 3 has 4 cells, expected 5$"):
-            dm.load_matrix(io.StringIO(five_node_text(cells)), count=3, seed=seed)
+            load_text(five_node_text(cells), count=3, seed=seed)
 
     def test_kept_rows_of_the_wrong_width(self):
         cells = [row + ["0"] for row in five_node_rows()]
         with pytest.raises(ShapeError, match=r"^matrix is 5x6, expected square$"):
-            dm.load_matrix(io.StringIO(five_node_text(cells)), count=3, seed=0)
+            load_text(five_node_text(cells), count=3, seed=0)
 
     @pytest.mark.parametrize(
         "bad, message",
@@ -224,18 +233,18 @@ class TestLoadMatrixCount:
         cells = five_node_rows()
         cells[1][4] = bad
         with pytest.raises(ValueError, match=message):
-            dm.load_matrix(io.StringIO(five_node_text(cells)), count=3, seed=seed)
+            load_text(five_node_text(cells), count=3, seed=seed)
 
     def test_diagonal_and_symmetry_checked_on_the_kept_submatrix(self):
         seed = seed_keeping(5, 3, lambda kept: kept[:2] == [0, 2])
         cells = five_node_rows()
         cells[2][2] = "1"
         with pytest.raises(ValueError, match="diagonal"):
-            dm.load_matrix(io.StringIO(five_node_text(cells)), count=3, seed=seed)
+            load_text(five_node_text(cells), count=3, seed=seed)
         cells = five_node_rows()
         cells[2][0] = "34"
         with pytest.raises(SymmetryError, match=r"\[0\]\[1\]=33\.0 differs from \[1\]\[0\]=34\.0"):
-            dm.load_matrix(io.StringIO(five_node_text(cells)), count=3, seed=seed)
+            load_text(five_node_text(cells), count=3, seed=seed)
 
     def test_bad_cell_in_a_dropped_row_is_not_reported(self):
         # Deliberate: rows that are not kept are not parsed, so nothing in
@@ -245,48 +254,22 @@ class TestLoadMatrixCount:
         cells[2][3] = "x"
         text = five_node_text(cells)
         with pytest.raises(ValueError, match="^line 6: non-numeric cell"):
-            dm.load_matrix(io.StringIO(text))  # the full load does see it
-        got = dm.load_matrix(io.StringIO(text), count=3, seed=seed)
-        assert got == dm.subsample(matrix(FIVE_NODE_ENTRIES), 3, seed)
+            load_text(text)  # the full load does see it
+        got = load_text(text, count=3, seed=seed)
+        assert got == subsample(matrix(FIVE_NODE_ENTRIES), 3, seed)
 
     def test_bytes_that_are_not_utf8_are_checked_in_kept_rows_only(self):
         seed = seed_keeping(5, 3, lambda kept: 2 not in kept and 3 in kept)
         cells = five_node_rows()
         cells[2][3] = "\udcff"  # encodes, with surrogateescape, to the byte 0xff
         data = five_node_text(cells).encode("utf-8", "surrogateescape")
-        got = dm.load_matrix(io.BytesIO(data), count=3, seed=seed)
-        assert got == dm.subsample(matrix(FIVE_NODE_ENTRIES), 3, seed)
+        got = load_text(data, count=3, seed=seed)
+        assert got == subsample(matrix(FIVE_NODE_ENTRIES), 3, seed)
         cells = five_node_rows()
         cells[3][1] = "\udcff"
         data = five_node_text(cells).encode("utf-8", "surrogateescape")
         with pytest.raises(ValueError, match=r"^line 8: not UTF-8 text"):
-            dm.load_matrix(io.BytesIO(data), count=3, seed=seed)
-
-
-class TestSubsample:
-    def test_full_selection_is_identity(self):
-        rng = np.random.default_rng(7)
-        m = random_symmetric_matrix(rng, 12)
-        assert dm.subsample(m, m.n, seed=99) == m
-
-    def test_single_node(self):
-        m = matrix([[0, 5], [5, 0]])
-        assert dm.subsample(m, 1, seed=3) == matrix([[0]])
-
-    def test_deterministic_for_seed(self):
-        rng = np.random.default_rng(11)
-        m = random_symmetric_matrix(rng, 30)
-        assert dm.subsample(m, 12, seed=42) == dm.subsample(m, 12, seed=42)
-
-    def test_count_too_large(self):
-        with pytest.raises(SizeError):
-            dm.subsample(matrix([[0]]), 2, seed=0)
-
-    def test_preserves_invariants(self):
-        rng = np.random.default_rng(5)
-        m = random_symmetric_matrix(rng, 20)
-        sub = dm.subsample(m, 9, seed=1)
-        assert sub.n == 9  # construction re-validates symmetry and diagonal
+            load_text(data, count=3, seed=seed)
 
 
 def inflate_then_quantize(m, policy, factor):
@@ -420,6 +403,18 @@ class TestQuantizeContract:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=rf"^delay 1e\+300 ms times {factor} does not"):
                 dm.quantize(matrix([[0, 1e300], [1e300, 0]]), dm.QuantizationPolicy(), factor)
+
+    @pytest.mark.parametrize("factor, short", [
+        (Fraction(10**400), "1e+400"),  # p past float range
+        (Fraction(10**308), "1e+308"),  # p in float range, the product past it
+        (Fraction(10**400, 3), "3.33333e+399"),
+    ])
+    def test_factor_past_float_range_refused_in_short(self, factor, short):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^delay 30\.0 ms times {re.escape(short)} does "
+                                                 r"not fit int64 steps of 10 ms$"):
+                dm.quantize(matrix([[0, 30], [30, 0]]), dm.QuantizationPolicy(), factor)
 
     @pytest.mark.parametrize("factor", [float("inf"), float("nan")])
     def test_infinite_or_nan_factor_refused(self, factor):
@@ -787,7 +782,7 @@ class TestDelayMatrixType:
         assert m.entries.dtype == np.float64 and not m.entries.flags.writeable
 
     def test_loaded_matrix_is_read_only(self):
-        m = dm.load_matrix(io.StringIO("0 1\n1 0\n"))
+        m = load_text("0 1\n1 0\n")
         assert m.entries.flags.owndata and not m.entries.flags.writeable
 
 

@@ -353,6 +353,11 @@ def process_args(*args, **timers):
         (process_args("{timer:block time}", **{"block time": 10}),
          "[timers.block time] 'block time' does not match [A-Za-z0-9_.-]+"),
         (process_args("-t", **{"t}": 10}), "[timers.t}] 't}' does not match [A-Za-z0-9_.-]+"),
+        # a timer's value is zero or more, as a process arg and a node spec would carry it
+        (process_args("{timer:bt}", bt=-5),
+         "[timers.bt.value] timer 'bt': value must be zero or more, got -5"),
+        (lambda d: d.update(timers={"bt": "-1/2"}),
+         "[timers.bt] timer 'bt': value must be zero or more, got -1/2"),
     ],
 )
 def test_what_planning_would_refuse_is_refused_at_load(change, message):
@@ -361,6 +366,11 @@ def test_what_planning_would_refuse_is_refused_at_load(change, message):
     with pytest.raises(ValidationError) as exc:
         parse_manifest(data)
     assert str(exc.value) == message
+
+
+def test_a_timer_of_zero_is_accepted():
+    data = minimal_manifest_dict(timers={"bt": {"value": 0, "kind": "duration"}, "t": 0})
+    assert {name: t.value for name, t in parse_manifest(data).timers.items()} == {"bt": 0, "t": 0}
 
 
 def test_text_keys_read_a_number_as_its_text_and_unknown_keys_are_ignored():

@@ -10,6 +10,7 @@ bounded.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import queue
@@ -21,6 +22,8 @@ import time
 from pathlib import Path
 
 import pytest
+
+from latem.cli import _cmd_autoarpd, build_parser
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 WAIT_S = 10
@@ -141,8 +144,8 @@ def agent(tmp_path):
         """An agent whose phases, and each boot phase, start one marker child;
         each phase in `missing` also gets a process whose binary does not exist."""
         started.append(Agent(tmp_path, phases, boot, missing))
-        started[-1].wait_line("starting latem autoarpd --interface eth0")
-        started[-1].wait_line("cannot start latem autoarpd --interface eth0: [Errno 2] ")
+        assert started[-1].wait_line("starting ") == "[node-agent] starting latem autoarpd"
+        started[-1].wait_line("cannot start latem autoarpd: [Errno 2] ")
         for _ in boot:
             started[-1].wait_line("starting ")
         started[-1].wait_line("ready")
@@ -211,3 +214,13 @@ def test_a_process_that_cannot_start_is_logged_and_the_agent_serves_on(agent):
         f"[node-agent] cannot start {MISSING}: [Errno 2] No such file or directory: '{MISSING}'",
         "[node-agent] phase start-load",
     ]
+
+
+def test_the_agent_starts_the_daemon_with_argv_the_cli_serves_on():
+    spec = importlib.util.spec_from_file_location("node_agent", SCRIPTS / "node_agent.py")
+    node_agent = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(node_agent)
+    daemon = node_agent.NEIGHBOR_DAEMON
+    assert daemon["binary"] == "latem"
+    args = build_parser().parse_args(daemon["args"])
+    assert args.func is _cmd_autoarpd and args.emit_sysctls is None
