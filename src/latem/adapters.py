@@ -27,6 +27,7 @@ class CommandResult:
     exit_code: int
     stdout: str = ""
     stderr: str = ""
+    line: str = ""  # the plan line, once `execute` reports it
 
     @property
     def ok(self) -> bool:

@@ -58,9 +58,9 @@ def _check_iface(name: str, where: str) -> None:
 def _warn_bridge_capacity(port_count: int) -> None:
     from .link_layer import check_bridge_capacity
 
-    diag = check_bridge_capacity(port_count)
-    if not diag.ok:
-        print(f"warning: {diag.message}", file=sys.stderr)
+    warning = check_bridge_capacity(port_count)
+    if warning:
+        print(f"warning: {warning}", file=sys.stderr)
 
 
 def _cmd_preflight(args: argparse.Namespace) -> int:
@@ -316,8 +316,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         if paths.setdefault(p.stem, p) is not p:
             raise ConfigError(f"checkpoint {p.stem!r} is in two files, {paths[p.stem]} and {p}")
     samples = {stem: stats.parse_docker_stats(p.read_text()) for stem, p in paths.items()}
-    report = stats.summarize_stats(samples, args.available_mib)
-    for cp in report.checkpoints:
+    for cp in stats.summarize_stats(samples, args.available_mib):
         percent = cp.percent_of_available.quantize(Decimal("0.01"))
         print(
             f"{cp.name}: nodes={cp.nodes} min={cp.min_mib} max={cp.max_mib} "

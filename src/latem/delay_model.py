@@ -48,6 +48,8 @@ if TYPE_CHECKING:  # numpy is imported by the functions that use it
     import numpy as np
 
 ROUNDING = "nearest-half-up"  # how `quantize` rounds a step, as class-map files record it
+# The largest int64: the bound of a quantized delay, a timer value and a stagger.
+INT64_MAX = (1 << 63) - 1
 
 # The queueing tree is two levels of prio qdiscs of at most MAX_BANDS bands
 # each; one of its leaves carries unmarked traffic, so it holds MAX_CLASSES.
@@ -551,11 +553,14 @@ _QUANTIZE_CELLS = 1 << 16
 
 
 def _short(factor: int | float | Fraction) -> str:
-    """The factor as it prints, or to 6 significant digits where p or d runs past 16 digits."""
+    """The factor as it prints, or to 6 significant digits where |p| or d runs past 16 digits."""
     from decimal import Context, Decimal
 
-    num, den = Fraction(factor).as_integer_ratio()
-    if max(num, den) < 10**16:
+    try:
+        num, den = Fraction(factor).as_integer_ratio()
+    except (OverflowError, ValueError):  # an infinity or NaN prints as it is
+        return str(factor)
+    if max(abs(num), den) < 10**16:
         return str(factor)
     return f"{Context(prec=6).divide(Decimal(num), Decimal(den)).normalize():g}"
 
@@ -574,7 +579,7 @@ def quantize(m: DelayMatrix, policy: QuantizationPolicy, factor: int | Fraction 
     import numpy as np
 
     if factor <= 0:
-        raise ValueError(f"inflation factor must be positive, got {factor}")
+        raise ValueError(f"inflation factor must be positive, got {_short(factor)}")
     if not factor < math.inf:  # a NaN passes the check above; no int or Fraction fails it
         raise ValueError(f"inflation factor must be finite, got {factor}")
     num, den = Fraction(factor).limit_denominator(1 << 53).as_integer_ratio()  # d in float range
@@ -583,7 +588,7 @@ def quantize(m: DelayMatrix, policy: QuantizationPolicy, factor: int | Fraction 
     # float < int is exact, and an infinite delay fails it.
     largest = float(m.entries.max(initial=0))
     try:
-        fits = largest * num / (q * den) + 0.5 < np.iinfo(np.int64).max // q + 1
+        fits = largest * num / (q * den) + 0.5 < INT64_MAX // q + 1
     except OverflowError:  # p is past float range
         fits = False
     if not fits:

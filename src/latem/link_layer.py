@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import ipaddress
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import ConfigError
@@ -69,14 +68,8 @@ def emit_fdb_script(nodes: Sequence[tuple[str, str]]) -> CommandScript:
     return CommandScript(lines=tuple(lines))
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    ok: bool
-    message: str
-
-
-def check_bridge_capacity(port_count: int) -> Diagnostic:
-    """Advisory check against the default bridge port limit.
+def check_bridge_capacity(port_count: int) -> str | None:
+    """The warning for a bridge past the default port limit, else None.
 
     The limit is compiled into the kernel (BR_PORT_BITS); this toolkit never
     patches or rebuilds kernels, it only reports the minimal bits needed.
@@ -84,20 +77,11 @@ def check_bridge_capacity(port_count: int) -> Diagnostic:
     if port_count < 0:
         raise ConfigError(f"port_count must be non-negative, got {port_count}")
     if port_count <= DEFAULT_BRIDGE_PORT_LIMIT:
-        return Diagnostic(
-            ok=True,
-            message=(
-                f"{port_count} bridge ports fit the default limit of "
-                f"{DEFAULT_BRIDGE_PORT_LIMIT} (BR_PORT_BITS={DEFAULT_BRIDGE_PORT_BITS})"
-            ),
-        )
+        return None
     bits = math.ceil(math.log2(port_count))
-    return Diagnostic(
-        ok=False,
-        message=(
-            f"{port_count} bridge ports exceed the default limit of "
-            f"{DEFAULT_BRIDGE_PORT_LIMIT}: a kernel rebuilt with BR_PORT_BITS>={bits} "
-            f"is required (BR_PORT_BITS={KNOWN_GOOD_PORT_BITS} is a field-tested "
-            "choice for multi-thousand-port bridges)"
-        ),
+    return (
+        f"{port_count} bridge ports exceed the default limit of "
+        f"{DEFAULT_BRIDGE_PORT_LIMIT}: a kernel rebuilt with BR_PORT_BITS>={bits} "
+        f"is required (BR_PORT_BITS={KNOWN_GOOD_PORT_BITS} is a field-tested "
+        "choice for multi-thousand-port bridges)"
     )

@@ -24,7 +24,7 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Mapping, Union
 
-from .delay_model import ROUNDING, QuantizationPolicy
+from .delay_model import INT64_MAX, ROUNDING, QuantizationPolicy, _short
 from .errors import ConfigError, ValidationError
 from .script import line_fault
 from .topology import nws_faults, random_faults
@@ -292,6 +292,11 @@ def parse_manifest(data: Mapping) -> ExperimentManifest:
         stagger = _read(ph, path, "stagger_ms", parse_fraction, 0)
         if stagger < 0:
             raise ValidationError(f"phase {phase_name!r}: negative stagger", f"{path}.stagger_ms")
+        if stagger > INT64_MAX:
+            raise ValidationError(
+                f"phase {phase_name!r}: stagger must be at most {INT64_MAX} ms, "
+                f"got {_short(stagger)}", f"{path}.stagger_ms"
+            )
         phases.append(
             Phase(
                 name=phase_name,
@@ -328,7 +333,8 @@ def parse_manifest(data: Mapping) -> ExperimentManifest:
         factor = _read(d, "delay", "inflation_factor", parse_fraction, 1)
         if factor <= 0:
             raise ValidationError(
-                f"inflation factor must be positive, got {factor}", "delay.inflation_factor"
+                f"inflation factor must be positive, got {_short(factor)}",
+                "delay.inflation_factor",
             )
         delay = DelaySection(
             matrix_path=_read(d, "delay", "matrix_path", _text),
@@ -358,7 +364,11 @@ def parse_manifest(data: Mapping) -> ExperimentManifest:
             kind, at, value = None, path, parse_fraction(t, path)
         if value < 0:
             raise ValidationError(
-                f"timer {timer_name!r}: value must be zero or more, got {value}", at
+                f"timer {timer_name!r}: value must be zero or more, got {_short(value)}", at
+            )
+        if value > INT64_MAX:
+            raise ValidationError(
+                f"timer {timer_name!r}: value must be at most {INT64_MAX}, got {_short(value)}", at
             )
         timers[str(timer_name)] = TimerSpec(value, kind)
 

@@ -70,12 +70,6 @@ class BatchSchedule:
     occupancy_after: tuple[Fraction, ...]  # steady occupancy once a batch settles
     peak_during: tuple[Fraction, ...]  # occupancy while a batch is starting
     unscheduled: int
-    cap: Fraction
-
-    def __post_init__(self) -> None:
-        for peak in self.peak_during:
-            if peak > self.cap:
-                raise InfeasibleError(f"batch peak {peak} exceeds cap {self.cap}")
 
     @property
     def total_scheduled(self) -> int:
@@ -132,7 +126,6 @@ def plan_batches(
         occupancy_after=tuple(after),
         peak_during=tuple(peaks),
         unscheduled=remaining,
-        cap=cap,
     )
 
 
@@ -438,19 +431,11 @@ def delay_classes_for_manifest(
 
 
 @dataclass(frozen=True)
-class CommandOutcome:
-    line: str
-    exit_code: int
-    stdout: str = ""
-    stderr: str = ""
-
-
-@dataclass(frozen=True)
 class StepResult:
     name: str
     kind: str
     status: str  # written | ok | failed | skipped
-    commands: tuple[CommandOutcome, ...] = ()
+    commands: tuple[CommandResult, ...] = ()  # each with its plan line
     detail: str = ""
     wall_s: float = 0.0
 
@@ -548,6 +533,8 @@ def execute(
         raise ConfigError("apply mode needs a runtime adapter")
     import subprocess
 
+    from .adapters import CommandResult
+
     results = []
     veths: dict[str, str] = {}
     inventory: InterfaceInventory | None = None
@@ -582,7 +569,7 @@ def execute(
                 # A user's line runs in a subshell, so it cannot reach the next.
                 ran = adapter.run_batch([f"(eval {shlex.quote(line)})" for line in lines]
                                         if step.kind == STEP_HOST_SCRIPT else lines, tool)
-                outcomes += [CommandOutcome(line, r.exit_code, r.stdout, r.stderr)
+                outcomes += [CommandResult(r.exit_code, r.stdout, r.stderr, line)
                              for line, r in zip(lines, ran)]
                 if len(ran) < len(lines) or ran and not ran[-1].ok:
                     break

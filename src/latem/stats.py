@@ -58,15 +58,9 @@ class CheckpointStats:
     percent_of_available: Decimal
 
 
-@dataclass(frozen=True)
-class MemoryReport:
-    available_mib: int
-    checkpoints: tuple[CheckpointStats, ...]
-
-
 def summarize_stats(
     samples: Mapping[str, Mapping[str, Decimal]], available_mib: int
-) -> MemoryReport:
+) -> tuple[CheckpointStats, ...]:
     """Per-checkpoint min/max/avg per node, exact total, percent of available."""
     if available_mib < 1:
         raise StatsError(f"available_mib must be >= 1, got {available_mib}")
@@ -87,4 +81,4 @@ def summarize_stats(
                 percent_of_available=total / available_mib * 100,
             )
         )
-    return MemoryReport(available_mib=available_mib, checkpoints=tuple(checkpoints))
+    return tuple(checkpoints)

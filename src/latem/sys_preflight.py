@@ -9,7 +9,7 @@ job, and persistence is the administrator's.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 # Recommended floor for open files / process counts on a dedicated host.
 DEFAULT_FILE_PROC_FLOOR = 1_574_415
@@ -40,19 +40,8 @@ class ParamEntry:
     rationale: str
 
 
-@dataclass(frozen=True)
-class ParameterPlan:
-    entries: tuple[ParamEntry, ...]
-
-    def __post_init__(self) -> None:
-        keys = [e.key for e in self.entries]
-        if len(keys) != len(set(keys)):
-            dupes = sorted({k for k in keys if keys.count(k) > 1})
-            raise ValueError(f"duplicate plan keys: {dupes}")
-
-
-def recommend(node_count: int) -> ParameterPlan:
-    """Parameter plan for a target node count.
+def recommend(node_count: int) -> tuple[ParamEntry, ...]:
+    """The parameter plan for a target node count: one entry per key.
 
     Fixed recommended values act as floors; scaling by node count only ever
     tightens the file, process, and pty limits.
@@ -62,7 +51,7 @@ def recommend(node_count: int) -> ParameterPlan:
     nofile = max(node_count * FILES_PER_NODE, DEFAULT_FILE_PROC_FLOOR)
     nproc = max(node_count * PROCS_PER_NODE, DEFAULT_FILE_PROC_FLOOR)
     pty = max(node_count + DEFAULT_PTY_MARGIN, DEFAULT_PTY_FLOOR)
-    entries = (
+    return (
         ParamEntry("fs.nr_open", str(nofile), KIND_SYSCTL_NUM,
                    "the kernel caps the hard nofile limit at fs.nr_open"),
         ParamEntry("nofile", str(nofile), KIND_ULIMIT,
@@ -93,7 +82,6 @@ def recommend(node_count: int) -> ParameterPlan:
                    KIND_SYSCTL_NUM,
                    "hard cap; above it the neighbor GC always runs"),
     )
-    return ParameterPlan(entries=entries)
 
 
 @dataclass(frozen=True)
@@ -118,7 +106,7 @@ def _normalize_triple(value: str) -> str:
     return " ".join(str(value).split())
 
 
-def audit(plan: ParameterPlan, readings: Mapping[str, str | int]) -> AuditReport:
+def audit(plan: Sequence[ParamEntry], readings: Mapping[str, str | int]) -> AuditReport:
     """Compare live readings against the plan.
 
     Numeric limits are ceilings, so current >= required passes; the TCP
@@ -126,7 +114,7 @@ def audit(plan: ParameterPlan, readings: Mapping[str, str | int]) -> AuditReport
     matters. Keys absent from the readings come back MISSING.
     """
     rows = []
-    for entry in plan.entries:
+    for entry in plan:
         if entry.key not in readings:
             rows.append(AuditRow(entry.key, MISSING, entry.required, None))
             continue
@@ -165,7 +153,7 @@ class ConfFragments:
     sysctl_conf: str
 
 
-def emit_conf(plan: ParameterPlan) -> ConfFragments:
+def emit_conf(plan: Sequence[ParamEntry]) -> ConfFragments:
     """Render limits.conf and sysctl.conf fragments for the plan.
 
     Ulimit entries become `root {hard,soft} <name> <value>` lines; sysctl
@@ -173,7 +161,7 @@ def emit_conf(plan: ParameterPlan) -> ConfFragments:
     """
     limits_lines = []
     sysctl_lines = []
-    for entry in plan.entries:
+    for entry in plan:
         if entry.kind == KIND_ULIMIT:
             limits_lines.append(f"root hard {entry.key} {entry.required}")
             limits_lines.append(f"root soft {entry.key} {entry.required}")
@@ -202,10 +190,10 @@ def parse_readings(text: str) -> dict[str, str]:
 _LIMITS_ROWS = {"nofile": "Max open files", "nproc": "Max processes"}
 
 
-def emit_audit_commands(plan: ParameterPlan) -> tuple[str, ...]:
+def emit_audit_commands(plan: Sequence[ParamEntry]) -> tuple[str, ...]:
     """Shell test lines that gate on the plan; nonzero exit means FAIL."""
     lines = []
-    for entry in plan.entries:
+    for entry in plan:
         if entry.kind == KIND_ULIMIT:
             row = _LIMITS_ROWS.get(entry.key)
             if row:

@@ -160,7 +160,7 @@ def phase(manifest, name: str):
 
 def required_values(plan) -> dict[str, str]:
     """Each key of a preflight plan with its required value."""
-    return {e.key: e.required for e in plan.entries}
+    return {e.key: e.required for e in plan}
 
 
 def failing_keys(report) -> set[str]:

@@ -203,8 +203,7 @@ def test_criterion_07_memory_summary():
             name: {f"n{i}": Decimal(avg) for i in range(750)}
             for name, _mn, _mx, avg, _total, _pct in TABLE_ROWS
         }
-        report = summarize_stats(samples, available)
-        by_name = {cp.name: cp for cp in report.checkpoints}
+        by_name = {cp.name: cp for cp in summarize_stats(samples, available)}
         for name, _mn, _mx, avg, total, pct in TABLE_ROWS:
             cp = by_name[name]
             assert cp.total_mib == Decimal(total), name

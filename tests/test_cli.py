@@ -189,6 +189,7 @@ def test_plan_delays_with_subsample_and_inflate(tmp_path, matrix_file, capsys):
     ("0", "inflation factor must be positive, got 0"),
     ("-2/3", "inflation factor must be positive, got -2/3"),
     ("0.0", "inflation factor must be positive, got 0"),
+    ("-1e400", "inflation factor must be positive, got -1e+400"),
     ("", "cannot parse '' as a rational: Invalid literal for Fraction: ''"),
 ])
 def test_inflate_must_be_a_positive_rational(tmp_path, matrix_file, capsys, command, factor,
@@ -222,6 +223,43 @@ def test_a_factor_past_float_range_is_one_error_line(tmp_path, matrix_file, caps
     assert capsys.readouterr() == (
         "", f"error: delay {largest} ms times 1e+400 does not fit int64 steps of 10 ms\n"
     )
+    assert not (tmp_path / "p").exists()
+
+
+def _timed_manifest(tmp_path: Path, matrix_file: Path, timer="5", stagger_ms=20) -> Path:
+    """Two nodes, a duration timer `d` one process reads, and a staggered signal phase."""
+    data = minimal_manifest_dict(timers={"d": {"value": timer, "kind": "duration"}})
+    data["nodes"][0]["processes"][0]["args"] = ["{timer:d}"]
+    data["phases"][1]["stagger_ms"] = stagger_ms
+    data["delay"] = {"matrix_path": str(matrix_file)}
+    return write_manifest(tmp_path, data)
+
+
+@pytest.mark.parametrize("command", ["run", "plan-delays"])
+@pytest.mark.parametrize("timer, stagger_ms, factor, message", [
+    ("5", 20, "1e400", "inflation factor 1e+400 takes timer 'd' past 9223372036854775807"),
+    ("5", 20, "1e400/3",
+     "inflation factor 3.33333e+399 takes timer 'd' past 9223372036854775807"),
+    ("5", 20, "1e5000", "inflation factor 1e+5000 takes timer 'd' past 9223372036854775807"),
+    ("0", 20, "1e400",
+     "inflation factor 1e+400 takes phase 'start-proc''s stagger past 9223372036854775807 ms"),
+    ("1e400/3", 20, None,
+     "[timers.d.value] timer 'd': value must be at most 9223372036854775807, got 3.33333e+399"),
+    ("1e5000", 20, None,
+     "[timers.d.value] timer 'd': value must be at most 9223372036854775807, got 1e+5000"),
+    ("5", "1e400/3", None,
+     "[phases[1].stagger_ms] phase 'start-proc': stagger must be at most "
+     "9223372036854775807 ms, got 3.33333e+399"),
+])
+def test_timers_and_staggers_past_int64_are_one_error_line(tmp_path, matrix_file, capsys, command,
+                                                          timer, stagger_ms, factor, message):
+    manifest = _timed_manifest(tmp_path, matrix_file, timer, stagger_ms)
+    argv = {
+        "run": ["run", "--manifest", str(manifest), "--dry-run", "--out", str(tmp_path / "p")],
+        "plan-delays": ["plan-delays", "--manifest", str(manifest)],
+    }[command]
+    assert main([*argv, *(["--inflate", factor] if factor else [])]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not (tmp_path / "p").exists()
 
 
@@ -756,7 +794,7 @@ def test_run_warns_past_the_bridge_port_limit(tmp_path, capsys, n):
     assert rc == 0
     warnings = [l for l in capsys.readouterr().err.splitlines() if l.startswith("warning:")]
     if n > 1024:
-        assert warnings == [f"warning: {check_bridge_capacity(n).message}"]
+        assert warnings == [f"warning: {check_bridge_capacity(n)}"]
     else:
         assert warnings == []
 

@@ -358,6 +358,19 @@ def process_args(*args, **timers):
          "[timers.bt.value] timer 'bt': value must be zero or more, got -5"),
         (lambda d: d.update(timers={"bt": "-1/2"}),
          "[timers.bt] timer 'bt': value must be zero or more, got -1/2"),
+        # ... and at most INT64_MAX, the bound of a quantized delay, in short form past it
+        (process_args("{timer:bt}", bt=2**63),
+         "[timers.bt.value] timer 'bt': value must be at most 9223372036854775807, "
+         "got 9.22337e+18"),
+        (lambda d: d.update(timers={"bt": "1e400/3"}),
+         "[timers.bt] timer 'bt': value must be at most 9223372036854775807, got 3.33333e+399"),
+        (lambda d: d.update(timers={"bt": "-1e400"}),
+         "[timers.bt] timer 'bt': value must be zero or more, got -1e+400"),
+        (lambda d: d["phases"][1].update(stagger_ms="1e400/3"),
+         "[phases[1].stagger_ms] phase 'start-proc': stagger must be at most "
+         "9223372036854775807 ms, got 3.33333e+399"),
+        (lambda d: d.update(delay={"matrix_path": "m.txt", "inflation_factor": "-1e400"}),
+         "[delay.inflation_factor] inflation factor must be positive, got -1e+400"),
     ],
 )
 def test_what_planning_would_refuse_is_refused_at_load(change, message):
@@ -366,6 +379,13 @@ def test_what_planning_would_refuse_is_refused_at_load(change, message):
     with pytest.raises(ValidationError) as exc:
         parse_manifest(data)
     assert str(exc.value) == message
+
+
+def test_a_timer_and_a_stagger_at_the_int64_bound_are_accepted():
+    data = minimal_manifest_dict(timers={"bt": {"value": 2**63 - 1, "kind": "duration"}})
+    data["phases"][1]["stagger_ms"] = 2**63 - 1
+    manifest = parse_manifest(data)
+    assert manifest.timers["bt"].value == phase(manifest, "start-proc").stagger_ms == 2**63 - 1
 
 
 def test_a_timer_of_zero_is_accepted():

@@ -104,9 +104,9 @@ class TestPlanBatches:
         assert schedule.unscheduled > 0
         assert schedule.batches[-1] >= 1
 
-    @given(st.integers(1, 5000))
-    def test_peaks_never_exceed_cap(self, total):
-        schedule = plan_batches(total, PAPER_RESOURCES)
+    @given(st.integers(1, 5000), st.booleans(), st.integers(0, 2000))
+    def test_peaks_never_exceed_cap(self, total, paper_rounding, running):
+        schedule = plan_batches(total, PAPER_RESOURCES, paper_rounding, running)
         for peak in schedule.peak_during:
             assert peak <= PAPER_RESOURCES.ram_cap_fraction
         assert schedule.total_scheduled + schedule.unscheduled == total
@@ -814,8 +814,8 @@ class TestStatsCapture:
         assert samples == {
             "start-proc": {"node001": Decimal(100), "node002": Decimal(300)}
         }
-        summary = summarize_stats(samples, available_mib=1000)
-        assert summary.checkpoints[0].total_mib == Decimal(400)
+        (checkpoint,) = summarize_stats(samples, available_mib=1000)
+        assert checkpoint.total_mib == Decimal(400)
 
 
 class TestDelayClassesForManifest:

@@ -31,29 +31,25 @@ class TestParseDockerStats:
 
 class TestSummarize:
     def test_single_node_percent(self):
-        report = summarize_stats({"boot": {"n1": Decimal(100)}}, available_mib=1000)
-        cp = report.checkpoints[0]
+        (cp,) = summarize_stats({"boot": {"n1": Decimal(100)}}, available_mib=1000)
         assert cp.percent_of_available == Decimal(10)
         assert cp.total_mib == Decimal(100)
         assert cp.min_mib == cp.max_mib == cp.avg_mib == Decimal(100)
 
     def test_total_is_exact_sum(self):
         samples = {f"n{i}": Decimal("327.211") for i in range(750)}
-        report = summarize_stats({"exec-started": samples}, available_mib=393216)
-        cp = report.checkpoints[0]
+        (cp,) = summarize_stats({"exec-started": samples}, available_mib=393216)
         assert cp.total_mib == Decimal("245408.25")
         assert cp.avg_mib == Decimal("327.211")
 
     def test_count_times_avg_equals_total(self):
         samples = {"a": Decimal("1.25"), "b": Decimal("2.5"), "c": Decimal("0.75")}
-        report = summarize_stats({"cp": samples}, available_mib=100)
-        cp = report.checkpoints[0]
+        (cp,) = summarize_stats({"cp": samples}, available_mib=100)
         assert cp.avg_mib * cp.nodes == cp.total_mib
 
     def test_avg_reconstruction_bounded_by_division_precision(self):
         samples = {"a": Decimal(1), "b": Decimal(1), "c": Decimal(2)}
-        report = summarize_stats({"cp": samples}, available_mib=100)
-        cp = report.checkpoints[0]
+        (cp,) = summarize_stats({"cp": samples}, available_mib=100)
         assert abs(cp.avg_mib * cp.nodes - cp.total_mib) < Decimal("1e-20")
 
     def test_empty_checkpoint_rejected(self):
@@ -65,13 +61,13 @@ class TestSummarize:
             summarize_stats({"cp": {"n": Decimal(1)}}, available_mib=0)
 
     def test_multiple_checkpoints_ordered(self):
-        report = summarize_stats(
+        checkpoints = summarize_stats(
             {
                 "boot": {"n1": Decimal(10), "n2": Decimal(30)},
                 "steady": {"n1": Decimal(20), "n2": Decimal(40)},
             },
             available_mib=1000,
         )
-        assert [cp.name for cp in report.checkpoints] == ["boot", "steady"]
-        assert report.checkpoints[0].min_mib == 10
-        assert report.checkpoints[1].max_mib == 40
+        assert [cp.name for cp in checkpoints] == ["boot", "steady"]
+        assert checkpoints[0].min_mib == 10
+        assert checkpoints[1].max_mib == 40

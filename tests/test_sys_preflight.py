@@ -11,7 +11,6 @@ from latem.sys_preflight import (
     PASS,
     PROCS_PER_NODE,
     ParamEntry,
-    ParameterPlan,
     audit,
     emit_audit_commands,
     emit_conf,
@@ -67,7 +66,7 @@ class TestRecommend:
         # The kernel refuses a hard nofile above fs.nr_open, so the plan
         # raises fs.nr_open first, to the same value.
         plan = recommend(nodes)
-        keys = [e.key for e in plan.entries]
+        keys = [e.key for e in plan]
         assert keys.index("fs.nr_open") < keys.index("nofile")
         required = required_values(plan)
         assert required["fs.nr_open"] == required["nofile"]
@@ -80,10 +79,10 @@ class TestRecommend:
         assert required["net.core.wmem_default"] == "2147483647"
         assert required["net.ipv4.tcp_rmem"] == "10240 87380 16777216"
 
-    def test_duplicate_keys_rejected(self):
-        entry = recommend(1).entries[0]
-        with pytest.raises(ValueError):
-            ParameterPlan(entries=(entry, entry))
+    @pytest.mark.parametrize("nodes", [1, 3997, 20000])
+    def test_keys_are_distinct(self, nodes):
+        keys = [e.key for e in recommend(nodes)]
+        assert len(keys) == len(set(keys))
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
@@ -156,7 +155,7 @@ class TestEmitConf:
         assert "net.ipv4.tcp_rmem=10240 87380 16777216" in fragments.sysctl_conf
 
     def test_empty_plan(self):
-        fragments = emit_conf(ParameterPlan(entries=()))
+        fragments = emit_conf(())
         assert fragments.limits_conf == ""
         assert fragments.sysctl_conf == ""
 
@@ -164,11 +163,11 @@ class TestEmitConf:
         plan = recommend(2000)
         fragments = emit_conf(plan)
         parsed = parse_readings(fragments.sysctl_conf)
-        for entry in plan.entries:
+        for entry in plan:
             if entry.kind != "ulimit":
                 assert parsed[entry.key] == entry.required
         # limits lines carry the ulimit values verbatim
-        for entry in plan.entries:
+        for entry in plan:
             if entry.kind == "ulimit":
                 assert f"root hard {entry.key} {entry.required}" in fragments.limits_conf
 
@@ -205,7 +204,7 @@ LIMITS = [("nofile", resource.RLIMIT_NOFILE, "Max open files", "files"),
 
 def _gate(key: str, required: int) -> str:
     entry = ParamEntry(key, str(required), "ulimit", "")
-    (line,) = emit_audit_commands(ParameterPlan(entries=(entry,)))
+    (line,) = emit_audit_commands((entry,))
     return line
 
 

@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -188,9 +189,26 @@ class TestInflateManifest:
         once = inflate_manifest(m, a * b)
         assert twice == once
 
+    def test_a_factor_past_the_int64_bound_is_refused_in_short_form(self):
+        m = manifest_with_timers()  # block_time_s 12 (duration), tx_rate_per_s 4, stagger 500
+        limit = 2**63 - 1
+        assert phase(inflate_manifest(m, Fraction(limit, 500)), "start-proc").stagger_ms == limit
+        with pytest.raises(ValueError, match=r"^inflation factor 1e\+400 takes timer "
+                                             r"'block_time_s' past 9223372036854775807$"):
+            inflate_manifest(m, Fraction(10**400))
+        with pytest.raises(ValueError, match=r"^inflation factor 1e-400 takes timer "
+                                             r"'tx_rate_per_s' past 9223372036854775807$"):
+            inflate_manifest(m, Fraction(1, 10**400))
+        untimed = replace(m, timers={})
+        with pytest.raises(ValueError, match=r"^inflation factor 3\.33333e\+399 takes phase "
+                                             r"'start-proc''s stagger past 9223372036854775807 ms$"):
+            inflate_manifest(untimed, Fraction(10**400, 3))
+
     def test_nonpositive_factor_rejected(self):
         m = manifest_with_timers()
         with pytest.raises(ValueError, match="inflation factor must be positive, got 0"):
             inflate_manifest(m, Fraction(0))
         with pytest.raises(ValueError, match="inflation factor must be positive, got -2"):
             inflate_manifest(m, Fraction(-2))
+        with pytest.raises(ValueError, match=r"^inflation factor must be positive, got -1e\+400$"):
+            inflate_manifest(m, Fraction(-10**400))
