@@ -553,14 +553,14 @@ _QUANTIZE_CELLS = 1 << 16
 
 
 def _short(factor: int | float | Fraction) -> str:
-    """The factor as it prints, or to 6 significant digits where |p| or d runs past 16 digits."""
+    """The factor as it prints, or to 6 significant digits where |p| or d passes 20 digits."""
     from decimal import Context, Decimal
 
     try:
         num, den = Fraction(factor).as_integer_ratio()
     except (OverflowError, ValueError):  # an infinity or NaN prints as it is
         return str(factor)
-    if max(abs(num), den) < 10**16:
+    if max(abs(num), den) < 10**20:  # so INT64_MAX (19 digits) and a value past it differ
         return str(factor)
     return f"{Context(prec=6).divide(Decimal(num), Decimal(den)).normalize():g}"
 

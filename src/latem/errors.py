@@ -64,7 +64,7 @@ class ValidationError(LatemError):
 
 
 class InfeasibleError(LatemError):
-    """A single node already exceeds the RAM cap during startup."""
+    """The RAM model cannot host a launch phase's N nodes under the cap."""
 
 
 class InventoryError(LatemError):

@@ -60,13 +60,15 @@ def parse_fraction(value: FractionLike, path: str = "") -> Fraction:
 
 
 def render_number(value: Fraction) -> str:
-    """Decimal text for command lines: exact when it ends within 9 decimals, else float."""
-    if value.denominator == 1:
-        return str(int(value))
-    scaled = value * 10**9
-    if scaled.denominator == 1:
-        text = f"{value.numerator / value.denominator:.9f}".rstrip("0")
-        return text[:-1] if text.endswith(".") else text
+    """A time value as a plan writes it: exact when it ends within 9 decimals, else its
+    float's repr. One below 0, past INT64_MAX, or not 0 with a float of 0 is a ValueError."""
+    if not 0 <= value <= INT64_MAX:
+        raise ValueError(f"value must be from 0 to {INT64_MAX}, got {_short(value)}")
+    whole, part = divmod(value * 10**9, 10**9)
+    if part.denominator == 1:
+        return f"{whole}.{int(part):09d}".rstrip("0").rstrip(".")
+    if not float(value):
+        raise ValueError(f"value must be 0 or round to a float above 0, got {_short(value)}")
     return repr(float(value))
 
 
@@ -129,13 +131,16 @@ class DelaySection:
 @dataclass(frozen=True)
 class ResourceModel:
     ram_cap_fraction: Fraction  # the `resources` section: fractions of host RAM, in (0, 1]
-    per_node_startup_fraction: Fraction
-    per_node_steady_fraction: Fraction
+    per_node_startup_fraction: Fraction  # at most the cap
+    per_node_steady_fraction: Fraction  # at most the startup fraction
 
     def __post_init__(self) -> None:
+        bound, label = Fraction(1), "1"
         for f in fields(self):
-            if not 0 < (value := getattr(self, f.name)) <= 1:
-                raise ValidationError(f"must be in (0, 1], got {value}", f"resources.{f.name}")
+            if not 0 < (value := getattr(self, f.name)) <= bound:
+                raise ValidationError(f"must be in (0, {label}], got {value}",
+                                      f"resources.{f.name}")
+            bound, label = value, f"{f.name} {value}"
 
 
 @dataclass(frozen=True)
@@ -185,6 +190,16 @@ def _text(value: Any, path: str) -> str:
 
 def _texts(value: Any, path: str, read: Callable[[Any, str], str] = _text) -> tuple[str, ...]:
     return tuple(read(v, f"{path}[{k}]") for k, v in enumerate(_array(value, path)))
+
+
+def _time_value(value: Any, path: str) -> Fraction:
+    """A timer value or a stagger: a rational that `render_number` can write."""
+    number = parse_fraction(value, path)
+    try:
+        render_number(number)
+    except ValueError as exc:
+        raise ValidationError(str(exc), path=path)
+    return number
 
 
 def _script_line(value: Any, path: str) -> str:
@@ -289,21 +304,13 @@ def parse_manifest(data: Mapping) -> ExperimentManifest:
             raise ValidationError(
                 f"phase {phase_name!r}: signal given but action is {action!r}", f"{path}.signal"
             )
-        stagger = _read(ph, path, "stagger_ms", parse_fraction, 0)
-        if stagger < 0:
-            raise ValidationError(f"phase {phase_name!r}: negative stagger", f"{path}.stagger_ms")
-        if stagger > INT64_MAX:
-            raise ValidationError(
-                f"phase {phase_name!r}: stagger must be at most {INT64_MAX} ms, "
-                f"got {_short(stagger)}", f"{path}.stagger_ms"
-            )
         phases.append(
             Phase(
                 name=phase_name,
                 action=action,
                 target=_read(ph, path, "target", _text, "all"),
                 signal=_read(ph, path, "signal", _shell_word) if signal else None,
-                stagger_ms=stagger,
+                stagger_ms=_read(ph, path, "stagger_ms", _time_value, 0),
                 script=_read(ph, path, "script", partial(_texts, read=_script_line), []),
                 capture_stats=_read(ph, path, "capture_stats", _bool, False),
             )
@@ -358,18 +365,10 @@ def parse_manifest(data: Mapping) -> ExperimentManifest:
                 raise ValidationError(
                     f"timer {timer_name!r}: unknown kind {kind!r}", f"{path}.kind"
                 )
-            at, value = f"{path}.value", _read(t, path, "value", parse_fraction)
+            value = _read(t, path, "value", _time_value)
         else:
             # Bare scalars are accepted but untagged; inflation will refuse them.
-            kind, at, value = None, path, parse_fraction(t, path)
-        if value < 0:
-            raise ValidationError(
-                f"timer {timer_name!r}: value must be zero or more, got {_short(value)}", at
-            )
-        if value > INT64_MAX:
-            raise ValidationError(
-                f"timer {timer_name!r}: value must be at most {INT64_MAX}, got {_short(value)}", at
-            )
+            kind, value = None, _time_value(t, path)
         timers[str(timer_name)] = TimerSpec(value, kind)
 
     resources = None

@@ -64,7 +64,7 @@ def veth_token(node_name: str) -> str:
 
 @dataclass(frozen=True)
 class BatchSchedule:
-    """Launch batches sized so startup never pushes RAM past the cap."""
+    """Launch batches sized so startup never pushes RAM past the cap, unless paper-rounded."""
 
     batches: tuple[int, ...]
     occupancy_after: tuple[Fraction, ...]  # steady occupancy once a batch settles
@@ -89,21 +89,14 @@ def plan_batches(
     free at the startup footprint, so the first batch of an empty host fills
     the cap. With paper_rounding, the settled occupancy is rounded to a whole
     percent before sizing the next batch, reproducing hand calculations done
-    on rounded percentages.
+    on rounded percentages; each peak is still the true occupancy, which may
+    then pass the cap.
     """
     if total_nodes < 0:
         raise ConfigError(f"total nodes must be non-negative, got {total_nodes}")
     cap = resources.ram_cap_fraction
     startup = resources.per_node_startup_fraction
     steady = resources.per_node_steady_fraction
-    if not startup >= steady > 0:
-        raise ConfigError(
-            f"need per-node startup >= steady > 0, got {startup} and {steady}"
-        )
-    if startup > cap:
-        raise InfeasibleError(
-            f"a single node's startup footprint {startup} exceeds the cap {cap}"
-        )
     batches: list[int] = []
     after: list[Fraction] = []
     peaks: list[Fraction] = []
@@ -111,9 +104,8 @@ def plan_batches(
     remaining = total_nodes
     while remaining > 0:
         occupied = started * steady
-        if paper_rounding:
-            occupied = Fraction(round(occupied * 100), 100)
-        size = min(remaining, int((cap - occupied) // startup))
+        sized_on = Fraction(round(occupied * 100), 100) if paper_rounding else occupied
+        size = min(remaining, int((cap - sized_on) // startup))
         if size <= 0:
             break
         batches.append(size)
@@ -388,11 +380,11 @@ def build_startup_plan(
     for phase in manifest.phases:
         if phase.action == "signal":
             targets = manifest.nodes_for_target(phase.target)
-            stagger_s = phase.stagger_ms / 1000
+            sleep = f"sleep {render_number(phase.stagger_ms / 1000)}" if phase.stagger_ms else None
             lines: list[str] = []
             for i, node in enumerate(targets):
-                if i > 0 and stagger_s > 0:
-                    lines.append(f"sleep {render_number(stagger_s)}")
+                if i > 0 and sleep:
+                    lines.append(sleep)
                 lines.append(f"docker kill -s {phase.signal} {node.name}")
             add(f"signal-{phase.name}", STEP_SIGNAL, CommandScript(lines=tuple(lines)))
         elif phase.action == "run-host-script":

@@ -34,13 +34,20 @@ def inflate_manifest(m: ExperimentManifest, x: Fraction) -> ExperimentManifest:
     Durations (block time, intervals, phase stagger) multiply; rates divide;
     the delay section's inflation factor accumulates, and `quantize` scales
     each matrix entry by it. A factor that takes a timer value or a stagger
-    past INT64_MAX, the bound a manifest's own values keep, is refused. Any
-    untagged timer fails the lint: a timer that silently keeps wall-clock
-    speed while everything else slows down corrupts the experiment, so this
-    fails closed.
+    out of `render_number`'s rule, which a manifest's own values keep, is
+    refused. Any untagged timer fails the lint: a timer that silently keeps
+    wall-clock speed while everything else slows down corrupts the
+    experiment, so this fails closed.
     """
-    from .delay_model import INT64_MAX, _short
-    from .manifest import TimerSpec
+    from .delay_model import _short
+    from .manifest import TimerSpec, render_number
+
+    def scaled(value: Fraction, what: str) -> Fraction:
+        try:
+            render_number(value)
+        except ValueError as exc:
+            raise ValueError(f"inflation factor {_short(x)} on {what}: {exc}")
+        return value
 
     if x <= 0:
         raise ValueError(f"inflation factor must be positive, got {_short(x)}")
@@ -51,20 +58,12 @@ def inflate_manifest(m: ExperimentManifest, x: Fraction) -> ExperimentManifest:
             "tag them before inflating"
         )
     timers = {
-        name: TimerSpec(value=t.value * x if t.kind == "duration" else t.value / x,
-                        kind=t.kind)
+        name: TimerSpec(scaled(t.value * x if t.kind == "duration" else t.value / x,
+                               f"timer {name!r}"), t.kind)
         for name, t in m.timers.items()
     }
-    phases = tuple(replace(p, stagger_ms=p.stagger_ms * x) for p in m.phases)
-    # The bounds `parse_manifest` keeps on what it loads.
-    for name, t in timers.items():
-        if t.value > INT64_MAX:
-            raise ValueError(f"inflation factor {_short(x)} takes timer {name!r} "
-                             f"past {INT64_MAX}")
-    for p in phases:
-        if p.stagger_ms > INT64_MAX:
-            raise ValueError(f"inflation factor {_short(x)} takes phase {p.name!r}'s "
-                             f"stagger past {INT64_MAX} ms")
+    phases = tuple(replace(p, stagger_ms=scaled(p.stagger_ms * x, f"phase {p.name!r}'s stagger"))
+                   for p in m.phases)
     delay = m.delay
     if delay is not None:
         delay = replace(delay, inflation_factor=delay.inflation_factor * x)

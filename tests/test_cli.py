@@ -235,24 +235,27 @@ def _timed_manifest(tmp_path: Path, matrix_file: Path, timer="5", stagger_ms=20)
     return write_manifest(tmp_path, data)
 
 
+BOUND = "value must be from 0 to 9223372036854775807, got"
+NOT_ZERO = "value must be 0 or round to a float above 0, got"
+
+
 @pytest.mark.parametrize("command", ["run", "plan-delays"])
 @pytest.mark.parametrize("timer, stagger_ms, factor, message", [
-    ("5", 20, "1e400", "inflation factor 1e+400 takes timer 'd' past 9223372036854775807"),
-    ("5", 20, "1e400/3",
-     "inflation factor 3.33333e+399 takes timer 'd' past 9223372036854775807"),
-    ("5", 20, "1e5000", "inflation factor 1e+5000 takes timer 'd' past 9223372036854775807"),
-    ("0", 20, "1e400",
-     "inflation factor 1e+400 takes phase 'start-proc''s stagger past 9223372036854775807 ms"),
-    ("1e400/3", 20, None,
-     "[timers.d.value] timer 'd': value must be at most 9223372036854775807, got 3.33333e+399"),
-    ("1e5000", 20, None,
-     "[timers.d.value] timer 'd': value must be at most 9223372036854775807, got 1e+5000"),
-    ("5", "1e400/3", None,
-     "[phases[1].stagger_ms] phase 'start-proc': stagger must be at most "
-     "9223372036854775807 ms, got 3.33333e+399"),
+    ("5", 20, "1e400", f"inflation factor 1e+400 on timer 'd': {BOUND} 5e+400"),
+    ("5", 20, "1e400/3", f"inflation factor 3.33333e+399 on timer 'd': {BOUND} 1.66667e+400"),
+    ("5", 20, "1e5000", f"inflation factor 1e+5000 on timer 'd': {BOUND} 5e+5000"),
+    ("0", 20, "1e400", f"inflation factor 1e+400 on phase 'start-proc''s stagger: {BOUND} 2e+401"),
+    # a factor that would write every duration and sleep as 0.0
+    ("5", 20, "1e-400", f"inflation factor 1e-400 on timer 'd': {NOT_ZERO} 5e-400"),
+    ("0", 20, "1e-400",
+     f"inflation factor 1e-400 on phase 'start-proc''s stagger: {NOT_ZERO} 2e-399"),
+    ("1e400/3", 20, None, f"[timers.d.value] {BOUND} 3.33333e+399"),
+    ("1e5000", 20, None, f"[timers.d.value] {BOUND} 1e+5000"),
+    ("1e-400", 20, None, f"[timers.d.value] {NOT_ZERO} 1e-400"),
+    ("5", "1e400/3", None, f"[phases[1].stagger_ms] {BOUND} 3.33333e+399"),
 ])
-def test_timers_and_staggers_past_int64_are_one_error_line(tmp_path, matrix_file, capsys, command,
-                                                          timer, stagger_ms, factor, message):
+def test_time_values_a_plan_cannot_write_are_one_error_line(tmp_path, matrix_file, capsys, command,
+                                                            timer, stagger_ms, factor, message):
     manifest = _timed_manifest(tmp_path, matrix_file, timer, stagger_ms)
     argv = {
         "run": ["run", "--manifest", str(manifest), "--dry-run", "--out", str(tmp_path / "p")],
@@ -261,6 +264,15 @@ def test_timers_and_staggers_past_int64_are_one_error_line(tmp_path, matrix_file
     assert main([*argv, *(["--inflate", factor] if factor else [])]) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not (tmp_path / "p").exists()
+
+
+def test_run_writes_a_timer_exactly(tmp_path, matrix_file):
+    manifest = _timed_manifest(tmp_path, matrix_file, timer="33554432.3")
+    out = tmp_path / "p"
+    assert main(["run", "--manifest", str(manifest), "--dry-run", "--out", str(out)]) == 0
+    launches = "".join(p.read_text() for p in sorted(out.glob("*launch*")))
+    assert launches.count('"timers":{"d":"33554432.3"}') == 2  # each node's spec
+    assert "33554432.29" not in launches
 
 
 def test_plan_delays_count_writes_the_bytes_of_load_then_subsample(tmp_path, matrix_file):
@@ -668,6 +680,21 @@ def test_plan_batches_paper_rounding(capsys):
     assert "batch 3: 84 nodes" in capsys.readouterr().out
 
 
+def test_plan_batches_paper_rounding_prints_true_peaks(capsys):
+    """Batches are sized on whole percents; the third then peaks above its cap."""
+    rc = main(["plan-batches", "--total", "1100", "--cap", "0.8",
+               "--startup", "0.8/750", "--steady", "0.54/750", "--paper-rounding"])
+    assert rc == 0
+    assert capsys.readouterr().out == (
+        "batch 1: 750 nodes (peak 0.8000, settles at 0.5400)\n"
+        "batch 2: 243 nodes (peak 0.7992, settles at 0.7150)\n"
+        "batch 3: 84 nodes (peak 0.8046, settles at 0.7754)\n"
+        "batch 4: 18 nodes (peak 0.7946, settles at 0.7884)\n"
+        "batch 5: 5 nodes (peak 0.7937, settles at 0.7920)\n"
+        "total scheduled: 1100\n"
+    )
+
+
 def test_plan_batches_reports_unschedulable_remainder(capsys):
     rc = main(
         ["plan-batches", "--total", "5000", "--cap", "0.80",
@@ -677,12 +704,19 @@ def test_plan_batches_reports_unschedulable_remainder(capsys):
     assert "unscheduled" in capsys.readouterr().out
 
 
+PAPER_FOOTPRINTS = ["--startup", "0.80/750", "--steady", "0.54/750"]
+
+
 @pytest.mark.parametrize("options, message", [
-    (["--total", "1000", "--cap", "1.5"], "[resources.ram_cap_fraction] must be in (0, 1], got 3/2"),
-    (["--total", "-5", "--cap", "0.80"], "total nodes must be non-negative, got -5"),
+    (["--total", "1000", "--cap", "1.5", *PAPER_FOOTPRINTS],
+     "[resources.ram_cap_fraction] must be in (0, 1], got 3/2"),
+    (["--total", "-5", "--cap", "0.80", *PAPER_FOOTPRINTS],
+     "total nodes must be non-negative, got -5"),
+    (["--total", "1", "--cap", "0.1", "--startup", "0.2", "--steady", "0.1"],
+     "[resources.per_node_startup_fraction] must be in (0, ram_cap_fraction 1/10], got 1/5"),
 ])
 def test_plan_batches_refuses_what_a_manifest_refuses(capsys, options, message):
-    rc = main(["plan-batches", *options, "--startup", "0.80/750", "--steady", "0.54/750"])
+    rc = main(["plan-batches", *options])
     assert rc == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
 

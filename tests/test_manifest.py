@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from latem.delay_model import allocate_ips
+from latem.delay_model import INT64_MAX, allocate_ips
 from latem.errors import ConfigError, RetryExhausted, ValidationError
 from latem.manifest import (
     load_manifest,
@@ -38,6 +40,37 @@ class TestParseFraction:
         assert render_number(Fraction(24)) == "24"
         assert render_number(Fraction(1, 2)) == "0.5"
         assert render_number(Fraction(1, 3)).startswith("0.333")
+        # exact past float precision: "33554432.3" has no float of its own
+        assert render_number(Fraction("33554432.3")) == "33554432.3"
+        assert render_number(Fraction(5e-324)) == "5e-324"  # the smallest float above 0
+
+    @given(st.integers(0, INT64_MAX * 10**9))
+    def test_a_value_ending_within_9_decimals_is_written_exactly(self, nanos):
+        value = Fraction(nanos, 10**9)
+        assert Fraction(render_number(value)) == value
+
+    @given(st.fractions(min_value=0, max_value=INT64_MAX)
+           | st.integers(1, 10**6).map(lambda k: Fraction(k, 10**320)))
+    def test_any_other_value_is_written_as_its_float(self, value):
+        if (value * 10**9).denominator != 1:
+            assert float(render_number(value)) == float(value)
+
+    @given(st.fractions(max_value=Fraction(-1, 10**12)) | st.fractions(min_value=INT64_MAX + 1)
+           | st.integers(1, 10**6).map(lambda k: Fraction(k, 10**330)))
+    def test_a_value_below_0_past_int64_or_a_float_of_0_is_refused(self, value):
+        with pytest.raises(ValueError, match=r"^value must be (from 0 to 9223372036854775807"
+                                             r"|0 or round to a float above 0), got "):
+            render_number(value)
+
+    @pytest.mark.parametrize("value, message", [
+        (Fraction(-1), "value must be from 0 to 9223372036854775807, got -1"),
+        (Fraction(2**63), "value must be from 0 to 9223372036854775807, got 9223372036854775808"),
+        (Fraction(5e-324) / 2, "value must be 0 or round to a float above 0, got 2.47033e-324"),
+    ])
+    def test_refusals_name_the_value(self, value, message):
+        with pytest.raises(ValueError) as exc:
+            render_number(value)
+        assert str(exc.value) == message
 
 
 class TestLoadManifest:
@@ -353,22 +386,28 @@ def process_args(*args, **timers):
         (process_args("{timer:block time}", **{"block time": 10}),
          "[timers.block time] 'block time' does not match [A-Za-z0-9_.-]+"),
         (process_args("-t", **{"t}": 10}), "[timers.t}] 't}' does not match [A-Za-z0-9_.-]+"),
-        # a timer's value is zero or more, as a process arg and a node spec would carry it
+        # a timer's value and a stagger are values `render_number` can write: from 0 to
+        # INT64_MAX, the bound of a quantized delay, in short form past 20 digits ...
         (process_args("{timer:bt}", bt=-5),
-         "[timers.bt.value] timer 'bt': value must be zero or more, got -5"),
+         "[timers.bt.value] value must be from 0 to 9223372036854775807, got -5"),
         (lambda d: d.update(timers={"bt": "-1/2"}),
-         "[timers.bt] timer 'bt': value must be zero or more, got -1/2"),
-        # ... and at most INT64_MAX, the bound of a quantized delay, in short form past it
+         "[timers.bt] value must be from 0 to 9223372036854775807, got -1/2"),
         (process_args("{timer:bt}", bt=2**63),
-         "[timers.bt.value] timer 'bt': value must be at most 9223372036854775807, "
-         "got 9.22337e+18"),
+         "[timers.bt.value] value must be from 0 to 9223372036854775807, "
+         "got 9223372036854775808"),
         (lambda d: d.update(timers={"bt": "1e400/3"}),
-         "[timers.bt] timer 'bt': value must be at most 9223372036854775807, got 3.33333e+399"),
+         "[timers.bt] value must be from 0 to 9223372036854775807, got 3.33333e+399"),
         (lambda d: d.update(timers={"bt": "-1e400"}),
-         "[timers.bt] timer 'bt': value must be zero or more, got -1e+400"),
+         "[timers.bt] value must be from 0 to 9223372036854775807, got -1e+400"),
         (lambda d: d["phases"][1].update(stagger_ms="1e400/3"),
-         "[phases[1].stagger_ms] phase 'start-proc': stagger must be at most "
-         "9223372036854775807 ms, got 3.33333e+399"),
+         "[phases[1].stagger_ms] value must be from 0 to 9223372036854775807, got 3.33333e+399"),
+        (lambda d: d["phases"][1].update(stagger_ms=-1),
+         "[phases[1].stagger_ms] value must be from 0 to 9223372036854775807, got -1"),
+        # ... and not so small that their float is 0
+        (process_args("{timer:bt}", bt="1e-400"),
+         "[timers.bt.value] value must be 0 or round to a float above 0, got 1e-400"),
+        (lambda d: d["phases"][1].update(stagger_ms="1e-400"),
+         "[phases[1].stagger_ms] value must be 0 or round to a float above 0, got 1e-400"),
         (lambda d: d.update(delay={"matrix_path": "m.txt", "inflation_factor": "-1e400"}),
          "[delay.inflation_factor] inflation factor must be positive, got -1e+400"),
     ],

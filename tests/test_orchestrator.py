@@ -82,22 +82,24 @@ class TestPlanBatches:
         assert schedule.unscheduled == 0
 
     def test_infeasible_single_node(self):
-        resources = ResourceModel(
-            ram_cap_fraction=Fraction(1, 10),
-            per_node_startup_fraction=Fraction(1, 5),
-            per_node_steady_fraction=Fraction(1, 10),
-        )
-        with pytest.raises(InfeasibleError):
-            plan_batches(1, resources)
+        with pytest.raises(ValidationError) as exc:
+            ResourceModel(
+                ram_cap_fraction=Fraction(1, 10),
+                per_node_startup_fraction=Fraction(1, 5),
+                per_node_steady_fraction=Fraction(1, 10),
+            )
+        assert str(exc.value) == ("[resources.per_node_startup_fraction] must be in "
+                                  "(0, ram_cap_fraction 1/10], got 1/5")
 
     def test_startup_below_steady_rejected(self):
-        resources = ResourceModel(
-            ram_cap_fraction=Fraction(1, 2),
-            per_node_startup_fraction=Fraction(1, 100),
-            per_node_steady_fraction=Fraction(1, 50),
-        )
-        with pytest.raises(ConfigError):
-            plan_batches(10, resources)
+        with pytest.raises(ValidationError) as exc:
+            ResourceModel(
+                ram_cap_fraction=Fraction(1, 2),
+                per_node_startup_fraction=Fraction(1, 100),
+                per_node_steady_fraction=Fraction(1, 50),
+            )
+        assert str(exc.value) == ("[resources.per_node_steady_fraction] must be in "
+                                  "(0, per_node_startup_fraction 1/100], got 1/50")
 
     def test_stops_when_no_headroom(self):
         schedule = plan_batches(100_000, PAPER_RESOURCES)
@@ -106,9 +108,15 @@ class TestPlanBatches:
 
     @given(st.integers(1, 5000), st.booleans(), st.integers(0, 2000))
     def test_peaks_never_exceed_cap(self, total, paper_rounding, running):
+        """Every peak is the true occupancy; an exact schedule keeps it under the cap."""
         schedule = plan_batches(total, PAPER_RESOURCES, paper_rounding, running)
-        for peak in schedule.peak_during:
-            assert peak <= PAPER_RESOURCES.ram_cap_fraction
+        started = running
+        for size, peak in zip(schedule.batches, schedule.peak_during):
+            assert peak == (started * PAPER_RESOURCES.per_node_steady_fraction
+                            + size * PAPER_RESOURCES.per_node_startup_fraction)
+            if not paper_rounding:
+                assert peak <= PAPER_RESOURCES.ram_cap_fraction
+            started += size
         assert schedule.total_scheduled + schedule.unscheduled == total
 
     def test_final_steady_occupancy(self):

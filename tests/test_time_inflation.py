@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from latem.errors import InflationLintError
+from latem.delay_model import _short
+from latem.errors import InflationLintError, ValidationError
 from latem.manifest import parse_manifest
 from latem.time_inflation import (
     BpfRtoConfig,
@@ -193,16 +194,44 @@ class TestInflateManifest:
         m = manifest_with_timers()  # block_time_s 12 (duration), tx_rate_per_s 4, stagger 500
         limit = 2**63 - 1
         assert phase(inflate_manifest(m, Fraction(limit, 500)), "start-proc").stagger_ms == limit
-        with pytest.raises(ValueError, match=r"^inflation factor 1e\+400 takes timer "
-                                             r"'block_time_s' past 9223372036854775807$"):
+        with pytest.raises(ValueError, match=r"^inflation factor 1e\+400 on timer 'block_time_s': "
+                                             r"value must be from 0 to 9223372036854775807, "
+                                             r"got 1\.2e\+401$"):
             inflate_manifest(m, Fraction(10**400))
-        with pytest.raises(ValueError, match=r"^inflation factor 1e-400 takes timer "
-                                             r"'tx_rate_per_s' past 9223372036854775807$"):
-            inflate_manifest(m, Fraction(1, 10**400))
+        rate_only = replace(m, timers={"tx_rate_per_s": m.timers["tx_rate_per_s"]})
+        with pytest.raises(ValueError, match=r"^inflation factor 1e-400 on timer 'tx_rate_per_s': "
+                                             r"value must be from 0 to 9223372036854775807, "
+                                             r"got 4e\+400$"):
+            inflate_manifest(rate_only, Fraction(1, 10**400))
         untimed = replace(m, timers={})
-        with pytest.raises(ValueError, match=r"^inflation factor 3\.33333e\+399 takes phase "
-                                             r"'start-proc''s stagger past 9223372036854775807 ms$"):
+        with pytest.raises(ValueError, match=r"^inflation factor 3\.33333e\+399 on phase "
+                                             r"'start-proc''s stagger: value must be from 0 to "
+                                             r"9223372036854775807, got 1\.66667e\+402$"):
             inflate_manifest(untimed, Fraction(10**400, 3))
+
+    def test_a_factor_that_zeroes_a_float_is_refused(self):
+        m = manifest_with_timers()
+        with pytest.raises(ValueError, match=r"^inflation factor 1e-400 on timer 'block_time_s': "
+                                             r"value must be 0 or round to a float above 0, "
+                                             r"got 1\.2e-399$"):
+            inflate_manifest(m, Fraction(1, 10**400))
+        with pytest.raises(ValueError, match=r"^inflation factor 1e-400 on phase 'start-proc''s "
+                                             r"stagger: value must be 0 or round to a float above "
+                                             r"0, got 5e-398$"):
+            inflate_manifest(replace(m, timers={}), Fraction(1, 10**400))
+
+    @pytest.mark.parametrize("value", [Fraction(1, 10**400), Fraction(2**63), Fraction(10**400, 3)])
+    def test_inflation_refuses_what_load_refuses_by_the_same_rule(self, value):
+        """A timer of `value` fails at load as a timer of 1 inflated by `value` does."""
+        def timer(v):
+            return parse_manifest(minimal_manifest_dict(timers={"bt": {"value": str(v),
+                                                                       "kind": "duration"}}))
+        with pytest.raises(ValidationError) as at_load:
+            timer(value)
+        with pytest.raises(ValueError) as inflated:
+            inflate_manifest(timer(1), value)
+        rule = str(at_load.value).removeprefix("[timers.bt.value] ")
+        assert str(inflated.value) == f"inflation factor {_short(value)} on timer 'bt': {rule}"
 
     def test_nonpositive_factor_rejected(self):
         m = manifest_with_timers()
