@@ -112,7 +112,7 @@ def _cmd_plan_delays(args: argparse.Namespace) -> int:
 
         manifest = _load_inflated_manifest(args)
         classes, _ = delay_classes_for_manifest(manifest, Path(args.manifest).parent)
-        policy = manifest.delay.policy
+        quantum_ms = manifest.delay.quantum_ms
         node_count = len(manifest.nodes)
     elif args.matrix:
         if args.seed is not None and args.seed < 0:  # refused whether or not a draw is made
@@ -123,8 +123,8 @@ def _cmd_plan_delays(args: argparse.Namespace) -> int:
             from .manifest import parse_fraction
 
             factor = parse_fraction(args.inflate)
-        policy = delay_model.QuantizationPolicy()
-        quantized = delay_model.quantize(matrix, policy, factor)
+        quantum_ms = delay_model.QUANTUM_MS
+        quantized = delay_model.quantize(matrix, quantum_ms, factor)
         node_count = matrix.n
         del matrix  # the class build reads only the quantized copy
         ips = delay_model.allocate_ips(args.ip_base or "10.1.0.1", node_count)
@@ -132,11 +132,11 @@ def _cmd_plan_delays(args: argparse.Namespace) -> int:
         del quantized  # the write reads only the classes
     else:
         raise ConfigError("plan-delays needs --matrix or --manifest")
-    _write_or_print(delay_model.class_map_json(classes, policy), args.out)
+    _write_or_print(delay_model.class_map_json(classes, quantum_ms), args.out)
     bands = delay_model.compute_bands(len(classes)) if len(classes) else 2
     print(
         f"# {len(classes)} delay classes over {node_count} nodes "
-        f"(quantum {policy.quantum_ms}ms, bands {bands})",
+        f"(quantum {quantum_ms}ms, bands {bands})",
         file=sys.stderr,
     )
     return 0
@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan-delays", help="manifest or matrix -> delay-class map (JSON)")
     p.add_argument("--manifest",
                    help="plan the classes `run` plans for this manifest (its delay section)")
-    p.add_argument("--matrix", help="plan under the default policy from this matrix file")
+    p.add_argument("--matrix", help="plan at the default 10 ms quantum from this matrix file")
     p.add_argument("--count", type=int,
                    help="--matrix: subsample to this many nodes; only their rows are parsed")
     p.add_argument("--seed", type=int, help="--matrix: seed of the subsample draw (default 0)")

@@ -48,6 +48,7 @@ if TYPE_CHECKING:  # numpy is imported by the functions that use it
     import numpy as np
 
 ROUNDING = "nearest-half-up"  # how `quantize` rounds a step, as class-map files record it
+QUANTUM_MS = 10  # the class grid's default step, for a manifest and `plan-delays --matrix`
 # The largest int64: the bound of a quantized delay, a timer value and a stagger.
 INT64_MAX = (1 << 63) - 1
 
@@ -135,17 +136,6 @@ class DelayMatrix:
         if not isinstance(other, DelayMatrix):
             return NotImplemented
         return np.array_equal(self.entries, other.entries)
-
-
-@dataclass(frozen=True)
-class QuantizationPolicy:
-    """The discrete class grid: delays round half up to multiples of the quantum."""
-
-    quantum_ms: int = 10
-
-    def __post_init__(self) -> None:
-        if self.quantum_ms < 1:
-            raise ConfigError(f"quantum_ms must be >= 1, got {self.quantum_ms}")
 
 
 # An unordered node pair, as IP strings ordered by numeric address.
@@ -408,8 +398,8 @@ def gathered(table: np.ndarray, *columns: tuple[int, np.ndarray]) -> str:
     return "".join(table.take(index.ravel()).tolist())
 
 
-def class_map_json(classes: DelayClassMap, policy: QuantizationPolicy) -> Iterator[str]:
-    """The class map plus the policy's quantum and `ROUNDING` as JSON text, in pieces.
+def class_map_json(classes: DelayClassMap, quantum_ms: int) -> Iterator[str]:
+    """The class map plus its quantum and `ROUNDING` as JSON text, in pieces.
 
     Joined, the pieces are byte-identical to `json.dumps(payload,
     sort_keys=True, separators=(",", ":")) + "\n"` with payload
@@ -434,7 +424,7 @@ def class_map_json(classes: DelayClassMap, policy: QuantizationPolicy) -> Iterat
         )
         sep = ","
     yield (
-        f'],"quantum_ms":{json.dumps(policy.quantum_ms)},'
+        f'],"quantum_ms":{json.dumps(quantum_ms)},'
         f'"rounding":{json.dumps(ROUNDING)}}}\n'
     )
 
@@ -565,7 +555,7 @@ def _short(factor: int | float | Fraction) -> str:
     return f"{Context(prec=6).divide(Decimal(num), Decimal(den)).normalize():g}"
 
 
-def quantize(m: DelayMatrix, policy: QuantizationPolicy, factor: int | Fraction = 1) -> np.ndarray:
+def quantize(m: DelayMatrix, quantum_ms: int, factor: int | Fraction = 1) -> np.ndarray:
     """Map each entry times a positive rational factor p/d to an int64 multiple of the quantum q.
 
     A step is entry * p / (q * d), rounded half up (25ms at quantum 10 gives
@@ -578,12 +568,14 @@ def quantize(m: DelayMatrix, policy: QuantizationPolicy, factor: int | Fraction 
     """
     import numpy as np
 
+    if quantum_ms < 1:
+        raise ConfigError(f"quantum_ms must be >= 1, got {quantum_ms}")
     if factor <= 0:
         raise ValueError(f"inflation factor must be positive, got {_short(factor)}")
     if not factor < math.inf:  # a NaN passes the check above; no int or Fraction fails it
         raise ValueError(f"inflation factor must be finite, got {factor}")
     num, den = Fraction(factor).limit_denominator(1 << 53).as_integer_ratio()  # d in float range
-    q = policy.quantum_ms
+    q = quantum_ms
     # In Python floats an overflow raises no warning; floor(x) <= b is x < b + 1,
     # float < int is exact, and an infinite delay fails it.
     largest = float(m.entries.max(initial=0))

@@ -2,7 +2,7 @@
 
 The manifest is a JSON document naming every node (address, image, process
 table), the overlay networks to generate, the delay section (matrix path and
-quantization policy), startup phases, timers subject to time inflation, and
+class quantum), startup phases, timers subject to time inflation, and
 the RAM model used for batched scale-out. Validation is strict: every
 cross-reference is checked at load time and each violation raises a
 distinct error naming its JSON path (a JSON syntax error names its line).
@@ -24,8 +24,8 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Mapping, Union
 
-from .delay_model import INT64_MAX, ROUNDING, QuantizationPolicy, _short
-from .errors import ConfigError, ValidationError
+from .delay_model import INT64_MAX, QUANTUM_MS, ROUNDING, _short
+from .errors import ValidationError
 from .script import line_fault
 from .topology import nws_faults, random_faults
 
@@ -123,8 +123,8 @@ class TopologySpec:
 @dataclass(frozen=True)
 class DelaySection:
     matrix_path: str
-    policy: QuantizationPolicy = QuantizationPolicy()
-    inflation_factor: Fraction = Fraction(1)
+    quantum_ms: int = QUANTUM_MS
+    inflation_factor: Fraction = Fraction(1)  # set by `inflate_manifest` only, never by JSON
     subsample_seed: int = 0
 
 
@@ -192,14 +192,23 @@ def _texts(value: Any, path: str, read: Callable[[Any, str], str] = _text) -> tu
     return tuple(read(v, f"{path}[{k}]") for k, v in enumerate(_array(value, path)))
 
 
-def _time_value(value: Any, path: str) -> Fraction:
-    """A timer value or a stagger: a rational that `render_number` can write."""
-    number = parse_fraction(value, path)
+def writable(value: Fraction, unit: int = 1) -> Fraction:
+    """value, when `render_number` can write it and value / unit: a stagger is in ms
+    (unit 1000), and a plan writes it in seconds. Else a ValueError."""
+    render_number(value)
     try:
-        render_number(number)
+        render_number(value / unit)
+    except ValueError as exc:
+        raise ValueError(f"in seconds, {exc}")
+    return value
+
+
+def _time_value(value: Any, path: str, unit: int = 1) -> Fraction:
+    """A timer value, or a stagger in ms (unit 1000), that a plan can write."""
+    try:
+        return writable(parse_fraction(value, path), unit)
     except ValueError as exc:
         raise ValidationError(str(exc), path=path)
-    return number
 
 
 def _script_line(value: Any, path: str) -> str:
@@ -233,17 +242,6 @@ def _read(obj: Mapping, path: str, key: str, read: Callable[[Any, str], Any],
     if key not in obj and default is ...:
         raise ValidationError(f"missing required key {key!r}", path=at)
     return read(obj.get(key, default), at)
-
-
-def _policy(d: Mapping) -> QuantizationPolicy:
-    """The delay section's quantum, and a rounding that may only name `ROUNDING`."""
-    if (rounding := _read(d, "delay", "rounding", _text, ROUNDING)) != ROUNDING:
-        raise ValidationError(f"rounding must be {ROUNDING!r}, got {rounding!r}", "delay.rounding")
-    quantum = _read(d, "delay", "quantum_ms", _int, QuantizationPolicy.quantum_ms)
-    try:
-        return QuantizationPolicy(quantum)
-    except ConfigError as exc:
-        raise ValidationError(str(exc), path="delay.quantum_ms")
 
 
 def parse_manifest(data: Mapping) -> ExperimentManifest:
@@ -310,7 +308,7 @@ def parse_manifest(data: Mapping) -> ExperimentManifest:
                 action=action,
                 target=_read(ph, path, "target", _text, "all"),
                 signal=_read(ph, path, "signal", _shell_word) if signal else None,
-                stagger_ms=_read(ph, path, "stagger_ms", _time_value, 0),
+                stagger_ms=_read(ph, path, "stagger_ms", partial(_time_value, unit=1000), 0),
                 script=_read(ph, path, "script", partial(_texts, read=_script_line), []),
                 capture_stats=_read(ph, path, "capture_stats", _bool, False),
             )
@@ -337,18 +335,20 @@ def parse_manifest(data: Mapping) -> ExperimentManifest:
     delay = None
     if "delay" in data and data["delay"] is not None:
         d = _object(data["delay"], "delay")
-        factor = _read(d, "delay", "inflation_factor", parse_fraction, 1)
-        if factor <= 0:
-            raise ValidationError(
-                f"inflation factor must be positive, got {_short(factor)}",
-                "delay.inflation_factor",
-            )
+        if "inflation_factor" in d:  # delays alone inflated would leave timers at wall speed
+            raise ValidationError("not a manifest key: `--inflate F` scales the delays, timers "
+                                  "and staggers together", "delay.inflation_factor")
+        if (rounding := _read(d, "delay", "rounding", _text, ROUNDING)) != ROUNDING:
+            raise ValidationError(f"rounding must be {ROUNDING!r}, got {rounding!r}",
+                                  "delay.rounding")
         delay = DelaySection(
             matrix_path=_read(d, "delay", "matrix_path", _text),
-            policy=_policy(d),
-            inflation_factor=factor,
+            quantum_ms=_read(d, "delay", "quantum_ms", _int, QUANTUM_MS),
             subsample_seed=_read(d, "delay", "subsample_seed", _int, 0),
         )
+        if delay.quantum_ms < 1:
+            raise ValidationError(f"quantum_ms must be >= 1, got {delay.quantum_ms}",
+                                  "delay.quantum_ms")
         if delay.subsample_seed < 0:  # the seeded draw takes none
             raise ValidationError(
                 f"subsample seed must be non-negative, got {delay.subsample_seed}",

@@ -402,8 +402,8 @@ def delay_classes_for_manifest(
 
     Only a seeded draw of node-count rows of the matrix is parsed (all rows
     when the counts match); `quantize` multiplies each of its entries by the
-    accumulated inflation factor as it quantizes them under the manifest's
-    policy. Relative matrix paths resolve against base_dir.
+    accumulated inflation factor as it quantizes them to the manifest's
+    quantum. Relative matrix paths resolve against base_dir.
     """
     from . import delay_model
 
@@ -412,7 +412,7 @@ def delay_classes_for_manifest(
     d = manifest.delay
     path = Path(base_dir) / d.matrix_path  # an absolute matrix_path replaces base_dir
     matrix = delay_model.load_matrix(path, count=len(manifest.nodes), seed=d.subsample_seed)
-    quantized = delay_model.quantize(matrix, d.policy, d.inflation_factor)
+    quantized = delay_model.quantize(matrix, d.quantum_ms, d.inflation_factor)
     del matrix  # the class build reads only the quantized copy
     classes = delay_model.build_classes(quantized, [n.ip for n in manifest.nodes])
     bands = compute_bands(len(classes)) if len(classes) else 2

@@ -32,22 +32,21 @@ def inflate_manifest(m: ExperimentManifest, x: Fraction) -> ExperimentManifest:
     """Scale every tagged time-bearing quantity by the positive factor x.
 
     Durations (block time, intervals, phase stagger) multiply; rates divide;
-    the delay section's inflation factor accumulates, and `quantize` scales
-    each matrix entry by it. A factor that takes a timer value or a stagger
-    out of `render_number`'s rule, which a manifest's own values keep, is
-    refused. Any untagged timer fails the lint: a timer that silently keeps
-    wall-clock speed while everything else slows down corrupts the
-    experiment, so this fails closed.
+    the delay section's inflation factor, which only this sets, accumulates,
+    and `quantize` scales each matrix entry by it. A factor that takes a
+    timer value or a stagger (in ms or in seconds) out of `render_number`'s
+    rule, which a manifest's own values keep, is refused. Any untagged timer
+    fails the lint: a timer that silently keeps wall-clock speed while
+    everything else slows down corrupts the experiment, so this fails closed.
     """
     from .delay_model import _short
-    from .manifest import TimerSpec, render_number
+    from .manifest import TimerSpec, writable
 
-    def scaled(value: Fraction, what: str) -> Fraction:
+    def scaled(value: Fraction, what: str, unit: int = 1) -> Fraction:
         try:
-            render_number(value)
+            return writable(value, unit)
         except ValueError as exc:
             raise ValueError(f"inflation factor {_short(x)} on {what}: {exc}")
-        return value
 
     if x <= 0:
         raise ValueError(f"inflation factor must be positive, got {_short(x)}")
@@ -62,8 +61,8 @@ def inflate_manifest(m: ExperimentManifest, x: Fraction) -> ExperimentManifest:
                                f"timer {name!r}"), t.kind)
         for name, t in m.timers.items()
     }
-    phases = tuple(replace(p, stagger_ms=scaled(p.stagger_ms * x, f"phase {p.name!r}'s stagger"))
-                   for p in m.phases)
+    phases = tuple(replace(p, stagger_ms=scaled(p.stagger_ms * x, f"phase {p.name!r}'s stagger",
+                                                1000)) for p in m.phases)
     delay = m.delay
     if delay is not None:
         delay = replace(delay, inflation_factor=delay.inflation_factor * x)

@@ -33,8 +33,7 @@ FIVE_NODE_IPS = ["10.0.0.1", "10.0.0.2", "10.0.0.3", "10.0.0.4", "10.0.0.5"]
 
 
 def five_node_map() -> dm.DelayClassMap:
-    policy = dm.QuantizationPolicy()
-    quantized = dm.quantize(dm.DelayMatrix(FIVE_NODE_ENTRIES), policy)
+    quantized = dm.quantize(dm.DelayMatrix(FIVE_NODE_ENTRIES), dm.QUANTUM_MS)
     return dm.build_classes(quantized, FIVE_NODE_IPS)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from latem import nft_planner
-from latem.delay_model import ROUNDING, DelayClassMap, QuantizationPolicy
+from latem.delay_model import ROUNDING, DelayClassMap
 
 TABLE, CHAIN = nft_planner.TABLE, nft_planner.CHAIN
 
@@ -42,7 +42,7 @@ def nft_lines_per_pair(classes: DelayClassMap) -> list[str]:
     return lines
 
 
-def class_map_json_per_pair(classes: DelayClassMap, policy: QuantizationPolicy) -> str:
+def class_map_json_per_pair(classes: DelayClassMap, quantum_ms: int) -> str:
     """The class-map file's text, each pair joined as '"lo","hi"'."""
     q = [json.dumps(ip) for ip in classes.addrs].__getitem__
     body = []
@@ -53,6 +53,6 @@ def class_map_json_per_pair(classes: DelayClassMap, policy: QuantizationPolicy) 
             f'"pairs":[[{pairs}]]}}'
         )
     return (
-        f'{{"classes":[{",".join(body)}],"quantum_ms":{json.dumps(policy.quantum_ms)},'
+        f'{{"classes":[{",".join(body)}],"quantum_ms":{json.dumps(quantum_ms)},'
         f'"rounding":{json.dumps(ROUNDING)}}}\n'
     )

@@ -143,11 +143,10 @@ def test_criterion_05_quantization_class_count_bound():
             n = int(rng.integers(3, 40))
             upper = np.triu(rng.uniform(0, 2000, size=(n, n)), k=1)
             matrix = dm.DelayMatrix(upper + upper.T)
-            policy = dm.QuantizationPolicy()
-            quantized = dm.quantize(matrix, policy)
+            quantized = dm.quantize(matrix, dm.QUANTUM_MS)
             ips = [f"10.7.{i // 250}.{i % 250 + 1}" for i in range(n)]
             classes = dm.build_classes(quantized, ips)
-            assert len(classes) <= int(matrix.entries.max() // policy.quantum_ms) + 1
+            assert len(classes) <= int(matrix.entries.max() // dm.QUANTUM_MS) + 1
 
 
 MATRIX1_ENV = "LATEM_MATRIX1"
@@ -163,7 +162,7 @@ def test_criterion_05_quantization_matrix1_conditional():
         pytest.skip("Matrix1 not supplied; report-only")
     with criterion(5, "Matrix1 class count"):
         matrix = dm.load_matrix(path)
-        quantized = dm.quantize(matrix, dm.QuantizationPolicy())
+        quantized = dm.quantize(matrix, dm.QUANTUM_MS)
         values = np.unique(quantized[np.triu_indices(matrix.n, k=1)])
         count = int(np.count_nonzero(values))
         print(f"[acceptance] Matrix1 distinct nonzero 10ms classes (nearest-half-up): {count}")

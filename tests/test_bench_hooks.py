@@ -122,7 +122,6 @@ def test_inflated_quantize_agrees_with_the_benchmark_reference():
     tenths += tenths.T
     # `<ms>.<d>` text parses to the double nearest the tenth, as the division gives
     matrix = dm.DelayMatrix(tenths / 10)
-    policy = dm.QuantizationPolicy(quantum_ms=10)
     for factor in (1, 2, 3, 4):
-        got = dm.quantize(matrix, policy, factor)
+        got = dm.quantize(matrix, 10, factor)
         assert np.array_equal(got, checks.quantize(tenths, inflate=factor)), factor

@@ -100,10 +100,10 @@ def test_plan_delays_writes_the_class_map_one_class_at_a_time(tmp_path, monkeypa
     make_pieces = dm.class_map_json
     held = []
 
-    def traced(classes, policy):
+    def traced(classes, quantum_ms):
         tracemalloc.reset_peak()
         held.append(tracemalloc.get_traced_memory()[0])
-        return make_pieces(classes, policy)
+        return make_pieces(classes, quantum_ms)
 
     monkeypatch.setattr(dm, "class_map_json", traced)
     tracemalloc.start()
@@ -206,23 +206,31 @@ def test_inflate_must_be_a_positive_rational(tmp_path, matrix_file, capsys, comm
     assert captured.err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("command", ["run --inflate", "run, the manifest's factor",
-                                     "plan-delays --matrix --inflate"])
+@pytest.mark.parametrize("command", ["run", "plan-delays --manifest", "plan-delays --matrix"])
 def test_a_factor_past_float_range_is_one_error_line(tmp_path, matrix_file, capsys, command):
     # p = 10^400 is past float range; the message gives the factor in short
-    factor = {} if "--inflate" in command else {"inflation_factor": "1e400"}
-    manifest = _five_node_manifest(tmp_path, matrix_file, factor)
+    manifest = _five_node_manifest(tmp_path, matrix_file, {})
     argv = {
-        "run --inflate": ["run", "--manifest", str(manifest), "--dry-run", "--inflate", "1e400"],
-        "run, the manifest's factor": ["run", "--manifest", str(manifest), "--dry-run"],
-        "plan-delays --matrix --inflate": ["plan-delays", "--matrix", str(matrix_file),
-                                           "--inflate", "1e400"],
+        "run": ["run", "--manifest", str(manifest), "--dry-run"],
+        "plan-delays --manifest": ["plan-delays", "--manifest", str(manifest)],
+        "plan-delays --matrix": ["plan-delays", "--matrix", str(matrix_file)],
     }[command]
-    assert main([*argv, "--out", str(tmp_path / "p")]) == 2
+    assert main([*argv, "--inflate", "1e400", "--out", str(tmp_path / "p")]) == 2
     largest = float(FIVE_NODE_ENTRIES.max())
     assert capsys.readouterr() == (
         "", f"error: delay {largest} ms times 1e+400 does not fit int64 steps of 10 ms\n"
     )
+    assert not (tmp_path / "p").exists()
+
+
+@pytest.mark.parametrize("argv", [["run", "--dry-run"], ["plan-delays"], ["emit-fdb"]],
+                         ids=["run", "plan-delays", "emit-fdb"])
+def test_a_manifest_inflation_factor_is_refused(tmp_path, matrix_file, capsys, argv):
+    manifest = _five_node_manifest(tmp_path, matrix_file, {"inflation_factor": 2})
+    assert main([*argv, "--manifest", str(manifest), "--out", str(tmp_path / "p")]) == 2
+    assert capsys.readouterr() == ("", "error: [delay.inflation_factor] not a manifest key: "
+                                       "`--inflate F` scales the delays, timers and staggers "
+                                       "together\n")
     assert not (tmp_path / "p").exists()
 
 
@@ -253,6 +261,10 @@ NOT_ZERO = "value must be 0 or round to a float above 0, got"
     ("1e5000", 20, None, f"[timers.d.value] {BOUND} 1e+5000"),
     ("1e-400", 20, None, f"[timers.d.value] {NOT_ZERO} 1e-400"),
     ("5", "1e400/3", None, f"[phases[1].stagger_ms] {BOUND} 3.33333e+399"),
+    # a stagger whose float is 0 only in seconds, as `sleep` takes it
+    ("5", "1e-322", None, f"[phases[1].stagger_ms] in seconds, {NOT_ZERO} 1e-325"),
+    ("0", 20, "5e-324",
+     f"inflation factor 5e-324 on phase 'start-proc''s stagger: in seconds, {NOT_ZERO} 1e-325"),
 ])
 def test_time_values_a_plan_cannot_write_are_one_error_line(tmp_path, matrix_file, capsys, command,
                                                             timer, stagger_ms, factor, message):
@@ -280,10 +292,10 @@ def test_plan_delays_count_writes_the_bytes_of_load_then_subsample(tmp_path, mat
     rc = main(["plan-delays", "--matrix", str(matrix_file), "--count", "3", "--seed", "7",
                "--ip-base", "10.0.0.1", "--out", str(out)])
     assert rc == 0
-    policy = dm.QuantizationPolicy()
+    quantum_ms = dm.QUANTUM_MS
     matrix = subsample(dm.load_matrix(matrix_file), 3, 7)
-    classes = dm.build_classes(dm.quantize(matrix, policy), FIVE_NODE_IPS[:3])
-    assert out.read_bytes() == "".join(dm.class_map_json(classes, policy)).encode()
+    classes = dm.build_classes(dm.quantize(matrix, quantum_ms), FIVE_NODE_IPS[:3])
+    assert out.read_bytes() == "".join(dm.class_map_json(classes, quantum_ms)).encode()
 
 
 def test_plan_delays_bytes_that_are_not_utf8_are_one_error_line(tmp_path, capsys):
@@ -371,8 +383,7 @@ def test_plan_delays_needs_a_matrix_or_a_manifest(capsys):
 
 
 def test_plan_delays_manifest_plans_the_classes_of_run(tmp_path, capsys):
-    # Every policy key away from its default, a subsample, and inflation
-    # both in the manifest and on the command line.
+    # Every delay key away from its default, a subsample, and inflation.
     rng = np.random.default_rng(5)
     upper = np.triu(rng.integers(0, 200, size=(10, 10)), 1)
     np.savetxt(tmp_path / "matrix.txt", upper + upper.T, fmt="%d")
@@ -383,12 +394,12 @@ def test_plan_delays_manifest_plans_the_classes_of_run(tmp_path, capsys):
     ]
     data["phases"] = [{"name": "launch", "action": "launch"}]
     data["delay"] = {"matrix_path": "matrix.txt", "quantum_ms": 25, "rounding": "nearest-half-up",
-                     "subsample_seed": 4, "inflation_factor": 3}
+                     "subsample_seed": 4}
     manifest = write_manifest(tmp_path, data)
     plan, class_map = tmp_path / "plan", tmp_path / "classes.json"
-    assert main(["run", "--manifest", str(manifest), "--inflate", "2", "--dry-run",
+    assert main(["run", "--manifest", str(manifest), "--inflate", "6", "--dry-run",
                  "--out", str(plan)]) == 0
-    assert main(["plan-delays", "--manifest", str(manifest), "--inflate", "2",
+    assert main(["plan-delays", "--manifest", str(manifest), "--inflate", "6",
                  "--out", str(class_map)]) == 0
     payload = json.loads(class_map.read_text())
     assert (payload["quantum_ms"], payload["rounding"]) == (25, "nearest-half-up")
@@ -948,7 +959,7 @@ def test_standalone_commands_emit_the_lines_of_run(tmp_path, matrix_file, capsys
     manifest = write_manifest(tmp_path, data)
     classes, _ = delay_classes_for_manifest(load_manifest(manifest))
     class_map = tmp_path / "classes.json"
-    class_map.write_text("".join(dm.class_map_json(classes, dm.QuantizationPolicy())))
+    class_map.write_text("".join(dm.class_map_json(classes, dm.QUANTUM_MS)))
     plan = tmp_path / "plan"
     assert main(["run", "--manifest", str(manifest), "--dry-run", "--out", str(plan)]) == 0
     capsys.readouterr()

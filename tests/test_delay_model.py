@@ -272,11 +272,11 @@ class TestLoadMatrixCount:
             load_text(data, count=3, seed=seed)
 
 
-def inflate_then_quantize(m, policy, factor):
-    """The path `quantize(m, policy, factor)` folded into one pass, for an
+def inflate_then_quantize(m, quantum_ms, factor):
+    """The path `quantize(m, quantum_ms, factor)` folded into one pass, for an
     integer factor: a matrix-sized product, validated as a new matrix, then
     quantized."""
-    return dm.quantize(dm.DelayMatrix(m.entries * float(factor)), policy)
+    return dm.quantize(dm.DelayMatrix(m.entries * float(factor)), quantum_ms)
 
 
 class TestInflate:
@@ -284,39 +284,38 @@ class TestInflate:
 
     def test_identity_factor(self):
         m = random_symmetric_matrix(np.random.default_rng(2), 12)
-        assert np.array_equal(dm.quantize(m, dm.QuantizationPolicy(), 1),
-                              dm.quantize(m, dm.QuantizationPolicy()))
+        assert np.array_equal(dm.quantize(m, dm.QUANTUM_MS, 1),
+                              dm.quantize(m, dm.QUANTUM_MS))
 
     def test_factor_four(self):
-        q = dm.quantize(matrix([[0, 30], [30, 0]]), dm.QuantizationPolicy(), 4)
+        q = dm.quantize(matrix([[0, 30], [30, 0]]), dm.QUANTUM_MS, 4)
         assert q[0, 1] == 120
 
     def test_factor_two(self):
-        q = dm.quantize(matrix([[0, 30], [30, 0]]), dm.QuantizationPolicy(), 2)
+        q = dm.quantize(matrix([[0, 30], [30, 0]]), dm.QUANTUM_MS, 2)
         assert q[0, 1] == 60
 
     def test_fraction_factor(self):
-        q = dm.quantize(matrix([[0, 30], [30, 0]]), dm.QuantizationPolicy(quantum_ms=1),
-                        Fraction(1, 2))
+        q = dm.quantize(matrix([[0, 30], [30, 0]]), 1, Fraction(1, 2))
         assert q[0, 1] == 15
 
     def test_factor_of_many_digits_is_planned(self):
         # 1 + 10^-400: p and d are past float range, the factor is not
         m = matrix([[0, 175], [175, 0]])
-        q = dm.quantize(m, dm.QuantizationPolicy(), Fraction(10**400 + 1, 10**400))
-        assert np.array_equal(q, dm.quantize(m, dm.QuantizationPolicy()))
+        q = dm.quantize(m, dm.QUANTUM_MS, Fraction(10**400 + 1, 10**400))
+        assert np.array_equal(q, dm.quantize(m, dm.QUANTUM_MS))
 
     @pytest.mark.parametrize("factor", [0, -1, Fraction(-1, 2), -0.5])
     def test_nonpositive_rejected(self, factor):
         with pytest.raises(ValueError, match=f"^inflation factor must be positive, got {factor}$"):
-            dm.quantize(matrix([[0]]), dm.QuantizationPolicy(), factor)
+            dm.quantize(matrix([[0]]), dm.QUANTUM_MS, factor)
 
     def test_overflow_to_infinity_rejected(self):
         m = matrix([[0, 1e308], [1e308, 0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the error alone reports it, with no warning
             with pytest.raises(ValueError, match="does not fit int64"):
-                dm.quantize(m, dm.QuantizationPolicy(), 10)
+                dm.quantize(m, dm.QUANTUM_MS, 10)
 
     @given(
         st.integers(1, 300),  # past 218 rows a 300-node matrix takes two blocks
@@ -332,18 +331,17 @@ class TestInflate:
         upper = rng.uniform(0, 400, size=(n, n))
         upper[::2] = rng.integers(0, 4000, size=upper[::2].shape) / 10
         m = dm.DelayMatrix(np.triu(upper, 1) + np.triu(upper, 1).T)
-        policy = dm.QuantizationPolicy(quantum_ms=quantum)
-        assert np.array_equal(dm.quantize(m, policy, factor),
-                              inflate_then_quantize(m, policy, factor))
+        assert np.array_equal(dm.quantize(m, quantum, factor),
+                              inflate_then_quantize(m, quantum, factor))
 
     def test_inflated_quantize_allocates_no_float_matrix(self):
         m = random_symmetric_matrix(np.random.default_rng(4), 1000)
-        policy = dm.QuantizationPolicy()
-        dm.quantize(m, policy, 3)  # first-call allocations stay out of the count
+        quantum_ms = dm.QUANTUM_MS
+        dm.quantize(m, quantum_ms, 3)  # first-call allocations stay out of the count
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            q = dm.quantize(m, policy, 3)
+            q = dm.quantize(m, quantum_ms, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -371,8 +369,7 @@ class TestQuantizeContract:
     @example(tenths=[12, 36, 300], factor=Fraction(5, 4), quantum=1)
     @example(tenths=[1750], factor=Fraction(7, 5), quantum=10)  # 245 ms, a tie: 250 ms
     def test_equals_exact_fraction_rounding(self, tenths, factor, quantum):
-        got = dm.quantize(upper_matrix([t / 10 for t in tenths]),
-                          dm.QuantizationPolicy(quantum_ms=quantum), factor)
+        got = dm.quantize(upper_matrix([t / 10 for t in tenths]), quantum, factor)
         want = [math.floor(Fraction(t, 10) * factor / quantum + Fraction(1, 2)) * quantum
                 for t in tenths]
         assert got.dtype == np.int64
@@ -385,14 +382,13 @@ class TestQuantizeContract:
     )
     def test_refuses_a_delay_past_int64(self, over, factor, quantum):
         bound = 2.0**63  # steps times the quantum must stay below it
-        policy = dm.QuantizationPolicy(quantum_ms=quantum)
         largest = bound * over / float(factor)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^delay {re.escape(str(largest))} ms "):
-                dm.quantize(upper_matrix([10.0, largest]), policy, factor)
+                dm.quantize(upper_matrix([10.0, largest]), quantum, factor)
             # just inside the bound the delays fit, none wrapped to a negative
-            got = dm.quantize(upper_matrix([10.0, bound * 0.999 / float(factor)]), policy, factor)
+            got = dm.quantize(upper_matrix([10.0, bound * 0.999 / float(factor)]), quantum, factor)
         assert 0 < got[0, 2] <= np.iinfo(np.int64).max
         assert got[0, 2] == pytest.approx(bound * 0.999, rel=1e-9)
 
@@ -402,7 +398,7 @@ class TestQuantizeContract:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=rf"^delay 1e\+300 ms times {factor} does not"):
-                dm.quantize(matrix([[0, 1e300], [1e300, 0]]), dm.QuantizationPolicy(), factor)
+                dm.quantize(matrix([[0, 1e300], [1e300, 0]]), dm.QUANTUM_MS, factor)
 
     @pytest.mark.parametrize("factor, short", [
         (Fraction(10**400), "1e+400"),  # p past float range
@@ -414,58 +410,57 @@ class TestQuantizeContract:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=rf"^delay 30\.0 ms times {re.escape(short)} does "
                                                  r"not fit int64 steps of 10 ms$"):
-                dm.quantize(matrix([[0, 30], [30, 0]]), dm.QuantizationPolicy(), factor)
+                dm.quantize(matrix([[0, 30], [30, 0]]), dm.QUANTUM_MS, factor)
 
     @pytest.mark.parametrize("factor", [float("inf"), float("nan")])
     def test_infinite_or_nan_factor_refused(self, factor):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"^inflation factor must be finite, got {factor}$"):
-                dm.quantize(matrix([[0, 0], [0, 0]]), dm.QuantizationPolicy(), factor)
+                dm.quantize(matrix([[0, 0], [0, 0]]), dm.QUANTUM_MS, factor)
 
 
 class TestQuantize:
     def test_nearest_rounds_down(self):
-        q = dm.quantize(matrix([[0, 23], [23, 0]]), dm.QuantizationPolicy())
+        q = dm.quantize(matrix([[0, 23], [23, 0]]), dm.QUANTUM_MS)
         assert q[0, 1] == 20
 
     def test_half_up_tie(self):
-        q = dm.quantize(matrix([[0, 25], [25, 0]]), dm.QuantizationPolicy())
+        q = dm.quantize(matrix([[0, 25], [25, 0]]), dm.QUANTUM_MS)
         assert q[0, 1] == 30
 
     def test_zero_fixed_point(self):
-        q = dm.quantize(matrix([[0, 0], [0, 0]]), dm.QuantizationPolicy())
+        q = dm.quantize(matrix([[0, 0], [0, 0]]), dm.QUANTUM_MS)
         assert q[0, 1] == 0
 
     def test_custom_quantum(self):
-        pol = dm.QuantizationPolicy(quantum_ms=25)
-        q = dm.quantize(matrix([[0, 37], [37, 0]]), pol)
+        q = dm.quantize(matrix([[0, 37], [37, 0]]), 25)
         assert q[0, 1] == 25
 
-    def test_bad_policy(self):
-        with pytest.raises(ConfigError):
-            dm.QuantizationPolicy(quantum_ms=0)
+    def test_quantum_below_1_refused(self):
+        with pytest.raises(ConfigError, match="^quantum_ms must be >= 1, got 0$"):
+            dm.quantize(matrix([[0, 37], [37, 0]]), 0)
 
     @given(st.integers(0, 10_000))
     def test_idempotent(self, value):
-        pol = dm.QuantizationPolicy()
+        quantum_ms = dm.QUANTUM_MS
         m = matrix([[0, value], [value, 0]])
-        once = dm.quantize(m, pol)
-        again = dm.quantize(dm.DelayMatrix(once.astype(float)), pol)
+        once = dm.quantize(m, quantum_ms)
+        again = dm.quantize(dm.DelayMatrix(once.astype(float)), quantum_ms)
         assert np.array_equal(once, again)
 
     def test_result_symmetric(self):
         rng = np.random.default_rng(17)
         m = random_symmetric_matrix(rng, 15)
-        q = dm.quantize(m, dm.QuantizationPolicy())
+        q = dm.quantize(m, dm.QUANTUM_MS)
         assert np.array_equal(q, q.T)
 
     @staticmethod
-    def whole_matrix_formula(m, policy, factor):
+    def whole_matrix_formula(m, quantum_ms, factor):
         """quantize as matrix-sized float expressions, the form it replaced,
         at an integer factor."""
-        steps = np.floor(m.entries * float(factor) / policy.quantum_ms + 0.5)
-        return steps.astype(np.int64) * policy.quantum_ms
+        steps = np.floor(m.entries * float(factor) / quantum_ms + 0.5)
+        return steps.astype(np.int64) * quantum_ms
 
     @pytest.mark.parametrize("factor", [1, 2, 3])
     @pytest.mark.parametrize("quantum", [1, 7, 10])
@@ -477,12 +472,11 @@ class TestQuantize:
         upper[::3] = (rng.integers(0, 80, size=upper[::3].shape) + 0.5) * quantum
         m = dm.DelayMatrix(np.triu(upper, 1) + np.triu(upper, 1).T)
         before = m.entries.copy()
-        policy = dm.QuantizationPolicy(quantum_ms=quantum)
-        got = dm.quantize(m, policy, factor)
+        got = dm.quantize(m, quantum, factor)
         assert got.dtype == np.int64
-        assert np.array_equal(got, self.whole_matrix_formula(m, policy, factor))
+        assert np.array_equal(got, self.whole_matrix_formula(m, quantum, factor))
         assert np.array_equal(m.entries, before)
-        again = dm.quantize(dm.DelayMatrix(got.astype(float)), policy)
+        again = dm.quantize(dm.DelayMatrix(got.astype(float)), quantum)
         assert np.array_equal(again, got)
 
 
@@ -613,8 +607,8 @@ class TestBuildClasses:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 12))
         m = random_symmetric_matrix(rng, n, max_ms=120)
-        pol = dm.QuantizationPolicy()
-        q = dm.quantize(m, pol)
+        quantum_ms = dm.QUANTUM_MS
+        q = dm.quantize(m, quantum_ms)
         ips = [f"10.9.0.{i + 1}" for i in range(n)]
         cmap = dm.build_classes(q, ips)
         # round trip: every assigned pair quantizes to its class delay
@@ -641,9 +635,9 @@ class TestBuildClasses:
     def test_class_count_bound(self):
         rng = np.random.default_rng(23)
         m = random_symmetric_matrix(rng, 25, max_ms=400)
-        pol = dm.QuantizationPolicy()
-        cmap = dm.build_classes(dm.quantize(m, pol), [f"10.8.0.{i+1}" for i in range(25)])
-        assert len(cmap) <= int(m.entries.max() // pol.quantum_ms) + 1
+        quantum_ms = dm.QUANTUM_MS
+        cmap = dm.build_classes(dm.quantize(m, quantum_ms), [f"10.8.0.{i+1}" for i in range(25)])
+        assert len(cmap) <= int(m.entries.max() // quantum_ms) + 1
 
 
 class TestClassColumns:
@@ -878,10 +872,10 @@ class TestClassMapValidation:
         assert dm.DelayClassMap.from_json_dict(data) == cmap
 
 
-def json_dumps_reference(cmap, policy):
+def json_dumps_reference(cmap, quantum_ms):
     """The class-map file text as compact `json.dumps` renders it."""
     payload = cmap.to_json_dict()
-    payload["quantum_ms"] = policy.quantum_ms
+    payload["quantum_ms"] = quantum_ms
     payload["rounding"] = "nearest-half-up"
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -902,14 +896,13 @@ class TestClassMapJson:
     @example(seed=3, n=6, quantum=10)
     def test_built_maps_match_json_dumps(self, seed, n, quantum):
         rng = np.random.default_rng(seed)
-        policy = dm.QuantizationPolicy(quantum_ms=quantum)
         # about a third of the pairs have no delay, and no class holds them
         upper = np.triu(rng.uniform(0, 200, size=(n, n)) * (rng.random((n, n)) < 0.7), k=1)
         m = dm.DelayMatrix(upper + upper.T)
-        q = dm.quantize(m, policy)
+        q = dm.quantize(m, quantum)
         cmap = dm.build_classes(q, octet_spanning_ips(rng, n))
         assert all(c.delay_ms > 0 for c in cmap)
-        assert "".join(dm.class_map_json(cmap, policy)) == json_dumps_reference(cmap, policy)
+        assert "".join(dm.class_map_json(cmap, quantum)) == json_dumps_reference(cmap, quantum)
 
     @given(st.integers(0, 2**32 - 1), st.lists(st.integers(1, 4), max_size=6))
     @example(seed=0, sizes=[])
@@ -928,13 +921,13 @@ class TestClassMapJson:
             start += size
             classes.append({"mark": mark, "delay_ms": delay, "pairs": pairs})
         cmap = dm.DelayClassMap.from_json_dict({"classes": classes})
-        policy = dm.QuantizationPolicy(quantum_ms=int(rng.integers(1, 100)))
-        assert "".join(dm.class_map_json(cmap, policy)) == json_dumps_reference(cmap, policy)
+        quantum = int(rng.integers(1, 100))
+        assert "".join(dm.class_map_json(cmap, quantum)) == json_dumps_reference(cmap, quantum)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_yields_a_head_one_piece_per_class_and_a_tail(self, seed):
         cmap = random_class_map(seed)
-        pieces = list(dm.class_map_json(cmap, dm.QuantizationPolicy()))
+        pieces = list(dm.class_map_json(cmap, dm.QUANTUM_MS))
         assert len(pieces) == len(cmap) + 2
         assert pieces[0] == '{"classes":['
         for i, (piece, c) in enumerate(zip(pieces[1:], cmap)):
@@ -944,7 +937,7 @@ class TestClassMapJson:
             assert cls["pairs"] == [list(p) for p in c.pairs]
 
     def test_reads_back_to_the_same_map(self, five_node_classes):
-        text = "".join(dm.class_map_json(five_node_classes, dm.QuantizationPolicy()))
+        text = "".join(dm.class_map_json(five_node_classes, dm.QUANTUM_MS))
         assert dm.DelayClassMap.from_json_dict(json.loads(text)) == five_node_classes
 
     def test_class_without_pairs_cannot_be_read(self):
@@ -1150,10 +1143,10 @@ class TestReadersOnReloadedMaps:
         from latem.tc_planner import emit_tc_script, verify_plan
 
         built = random_class_map(seed, max_nodes=30)
-        policy = dm.QuantizationPolicy()
-        text = "".join(dm.class_map_json(built, policy))
+        quantum_ms = dm.QUANTUM_MS
+        text = "".join(dm.class_map_json(built, quantum_ms))
         reloaded = dm.DelayClassMap.from_json_dict(json.loads(text))
-        assert "".join(dm.class_map_json(reloaded, policy)) == text
+        assert "".join(dm.class_map_json(reloaded, quantum_ms)) == text
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(nft_planner, "ELEMENT_CHUNK_PAIRS", 7)
             nft = nft_planner.emit_nft_script(built)

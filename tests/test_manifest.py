@@ -259,18 +259,11 @@ def test_values_that_reach_plan_lines_must_be_one_word(path, put, value):
         (lambda d: d["phases"][1].update(stagger_ms=True), "phases[1].stagger_ms"),
         (lambda d: d.update(networks={"b": {"kind": "nws", "k": 0, "p": False}}),
          "networks.b.p"),
-        (lambda d: d.update(delay={"matrix_path": "m.txt", "inflation_factor": True}),
-         "delay.inflation_factor"),
         (lambda d: d.update(timers={"t": {"value": True, "kind": "duration"}}),
          "timers.t.value"),
         (lambda d: d.update(resources={"ram_cap_fraction": 1, "per_node_startup_fraction": 0,
                                        "per_node_steady_fraction": 0}),
          "resources.per_node_startup_fraction"),
-        # an inflation factor is positive
-        (lambda d: d.update(delay={"matrix_path": "m.txt", "inflation_factor": 0}),
-         "delay.inflation_factor"),
-        (lambda d: d.update(delay={"matrix_path": "m.txt", "inflation_factor": "-2"}),
-         "delay.inflation_factor"),
         # text keys take no array, object, boolean or null
         (lambda d: d.update(name=["mini"]), "name"),
         (lambda d: d["nodes"][1].update(ip=None), "nodes[1].ip"),
@@ -408,8 +401,15 @@ def process_args(*args, **timers):
          "[timers.bt.value] value must be 0 or round to a float above 0, got 1e-400"),
         (lambda d: d["phases"][1].update(stagger_ms="1e-400"),
          "[phases[1].stagger_ms] value must be 0 or round to a float above 0, got 1e-400"),
-        (lambda d: d.update(delay={"matrix_path": "m.txt", "inflation_factor": "-1e400"}),
-         "[delay.inflation_factor] inflation factor must be positive, got -1e+400"),
+        # a stagger is written in seconds, and its float there is not 0 either
+        (lambda d: d["phases"][1].update(stagger_ms="1e-322"),
+         "[phases[1].stagger_ms] in seconds, value must be 0 or round to a float above 0, "
+         "got 1e-325"),
+        # time inflation is `--inflate`'s alone: delays inflated alone would leave timers
+        # and staggers at wall-clock speed
+        (lambda d: d.update(delay={"matrix_path": "m.txt", "inflation_factor": 2}),
+         "[delay.inflation_factor] not a manifest key: `--inflate F` scales the delays, "
+         "timers and staggers together"),
     ],
 )
 def test_what_planning_would_refuse_is_refused_at_load(change, message):

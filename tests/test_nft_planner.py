@@ -180,7 +180,7 @@ class TestMatchesPerPairReference:
         assert text_of(script) == text_of(script) == "".join(line + "\n" for line in lines)
 
     def test_class_map_text(self, reference_case):
-        policy = dm.QuantizationPolicy()
-        text = "".join(dm.class_map_json(reference_case, policy))
-        assert text == class_map_json_per_pair(reference_case, policy)
-        assert "".join(dm.class_map_json(reference_case, policy)) == text
+        quantum_ms = dm.QUANTUM_MS
+        text = "".join(dm.class_map_json(reference_case, quantum_ms))
+        assert text == class_map_json_per_pair(reference_case, quantum_ms)
+        assert "".join(dm.class_map_json(reference_case, quantum_ms)) == text

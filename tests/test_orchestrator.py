@@ -37,6 +37,7 @@ from latem.orchestrator import (
 )
 from latem.script import CommandScript
 from latem.tc_planner import emit_tc_script, emit_tc_trees
+from latem.time_inflation import inflate_manifest
 
 from conftest import (
     FIVE_NODE_ENTRIES,
@@ -574,9 +575,8 @@ class TestExecuteDryRun:
         data["phases"] = [{"name": "launch", "action": "launch"}]
         data["delay"] = {"matrix_path": "matrix.txt", "quantum_ms": 10}
         manifest = parse_manifest(data)
-        policy = dm.QuantizationPolicy()
         upper = np.triu(np.random.default_rng(0).uniform(5, 400, size=(n, n)), k=1)
-        q = dm.quantize(dm.DelayMatrix(upper + upper.T), policy)
+        q = dm.quantize(dm.DelayMatrix(upper + upper.T), dm.QUANTUM_MS)
         classes = dm.build_classes(q, [n.ip for n in manifest.nodes])
         plan = build_startup_plan(manifest, classes=classes)
         (nft,) = steps_of_kind(plan, "nft")
@@ -852,8 +852,8 @@ class TestDelayClassesForManifest:
         matrix_path = tmp_path / "matrix.txt"
         matrix_path.write_text("0 30\n30 0\n")
         data = minimal_manifest_dict()
-        data["delay"] = {"matrix_path": "matrix.txt", "inflation_factor": 2}
-        manifest = parse_manifest(data)
+        data["delay"] = {"matrix_path": "matrix.txt"}
+        manifest = inflate_manifest(parse_manifest(data), Fraction(2))
         classes, _ = delay_classes_for_manifest(manifest, tmp_path)
         assert classes.class_delays() == {1: 60}
 
@@ -861,6 +861,7 @@ class TestDelayClassesForManifest:
         # cast unchecked, the delay would wrap to 0 and plan no class, with a warning only
         (tmp_path / "matrix.txt").write_text("0 1e300\n1e300 0\n")
         data = minimal_manifest_dict()
-        data["delay"] = {"matrix_path": "matrix.txt", "inflation_factor": 2}
+        data["delay"] = {"matrix_path": "matrix.txt"}
+        manifest = inflate_manifest(parse_manifest(data), Fraction(2))
         with pytest.raises(ValueError, match=r"^delay 1e\+300 ms times 2 does not fit int64"):
-            delay_classes_for_manifest(parse_manifest(data), tmp_path)
+            delay_classes_for_manifest(manifest, tmp_path)

@@ -602,9 +602,8 @@ class TestVerifyPlanMatchesPerPairReference:
         entries = np.zeros((6, 6))
         entries[:5, :5] = FIVE_NODE_ENTRIES
         entries[0, 5] = entries[5, 0] = 61
-        policy = dm.QuantizationPolicy()
         classes = dm.build_classes(
-            dm.quantize(dm.DelayMatrix(entries), policy), [*FIVE_NODE_IPS, "10.0.0.6"]
+            dm.quantize(dm.DelayMatrix(entries), dm.QUANTUM_MS), [*FIVE_NODE_IPS, "10.0.0.6"]
         )
         assert classes.addrs[-1] == "10.0.0.6" and len(classes) == 4
         nft = emit_nft_script(five_node_classes)

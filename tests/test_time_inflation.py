@@ -155,8 +155,8 @@ class TestInflateManifest:
 
     def test_delay_factor_accumulates(self):
         data = minimal_manifest_dict()
-        data["delay"] = {"matrix_path": "m.txt", "inflation_factor": 2}
-        m = parse_manifest(data)
+        data["delay"] = {"matrix_path": "m.txt"}
+        m = inflate_manifest(parse_manifest(data), Fraction(2))
         inflated = inflate_manifest(m, Fraction(3))
         assert inflated.delay.inflation_factor == 6
 
@@ -219,6 +219,11 @@ class TestInflateManifest:
                                              r"stagger: value must be 0 or round to a float above "
                                              r"0, got 5e-398$"):
             inflate_manifest(replace(m, timers={}), Fraction(1, 10**400))
+        # 500 ms at 2e-325 is 1e-322 ms, whose float is not 0; in seconds, it is
+        with pytest.raises(ValueError, match=r"^inflation factor 2e-325 on phase 'start-proc''s "
+                                             r"stagger: in seconds, value must be 0 or round to "
+                                             r"a float above 0, got 1e-325$"):
+            inflate_manifest(replace(m, timers={}), Fraction(1, 5 * 10**324))
 
     @pytest.mark.parametrize("value", [Fraction(1, 10**400), Fraction(2**63), Fraction(10**400, 3)])
     def test_inflation_refuses_what_load_refuses_by_the_same_rule(self, value):
